@@ -39,7 +39,7 @@ core::BetterTogetherReport runFlow(const platform::SocDescription& soc,
 
 /** Stage count of the deep synthetic pipeline: 14 stages on the
  *  8-class manycoreRig() is ~1.7e8 schedules (112 assignment
- *  variables), far beyond the exact engines' enumeration limit. */
+ *  variables), far beyond the exact engine's enumeration limit. */
 inline constexpr int kDeepPipelineStages = 14;
 
 /**

@@ -5,16 +5,17 @@
  * profile -> optimize -> tune plan costs end to end, and how fast the
  * graceful-degradation replan path recovers after a PU dropout.
  *
- * Each benchmark runs in two flavours sharing one binary:
- *   *_SeedPath    — the from-scratch baseline (memoization off, serial
- *                   tuning), matching the pre-throughput-layer code;
- *   *_Throughput  — the memoized evaluator + (where it applies) the
- *                   parallel tuning campaign.
- * Comparing the two inside the same snapshot gives the end-to-end plan
- * speedup without cross-revision noise. The predicted_best_latency_ms /
- * replan-assignment counters are semantic anchors: both flavours must
- * report identical values (the memoized path is bit-exact), so any
- * divergence in the JSON is a correctness regression, not noise.
+ * The plan and replan benchmarks run in two flavours sharing one
+ * binary, so the snapshot gives each speedup without cross-revision
+ * noise:
+ *   BM_PlanEndToEnd_Serial / _Parallel  — one tuning thread vs one per
+ *       hardware thread, both with the default planner spec;
+ *   BM_ReplanAfterDropout_SeedPath / _Throughput — a fresh optimizer
+ *       per replan vs the shared ReplanPlanner evaluator.
+ * The measured_best_latency_ms / candidates_tuned counters and the
+ * replan-digest labels are semantic anchors: both flavours must report
+ * identical values (tuning and the prediction memo are bit-exact), so
+ * any divergence in the JSON is a correctness regression, not noise.
  */
 
 #include <benchmark/benchmark.h>
@@ -36,21 +37,12 @@ namespace {
 
 using namespace bt;
 
-core::PlannerSpec
-exhaustiveConfig(bool memoize)
-{
-    core::PlannerSpec cfg;
-    cfg.engine = core::PlannerEngine::Exhaustive;
-    cfg.memoize = memoize;
-    return cfg;
-}
-
 /**
- * Schedules/second through the exhaustive engine: every enumerable
- * schedule of AlexNet-sparse on the Pixel is scored per iteration.
+ * Schedules/second through the exact engine: every enumerable schedule
+ * of AlexNet-sparse on the Pixel is scored per iteration.
  */
 void
-BM_EnumerationThroughput(benchmark::State& state, bool memoize)
+BM_EnumerationThroughput(benchmark::State& state)
 {
     const auto soc = platform::pixel7a();
     const platform::PerfModel model(soc);
@@ -63,8 +55,7 @@ BM_EnumerationThroughput(benchmark::State& state, bool memoize)
 
     double best_latency = 0.0;
     for (auto _ : state) {
-        core::Optimizer optimizer(soc, profile.interference,
-                                  exhaustiveConfig(memoize));
+        core::Optimizer optimizer(soc, profile.interference);
         const auto cands = optimizer.optimize();
         best_latency = cands.front().predictedLatency;
         benchmark::ClobberMemory();
@@ -75,26 +66,14 @@ BM_EnumerationThroughput(benchmark::State& state, bool memoize)
     state.SetItemsProcessed(
         state.iterations() * static_cast<std::int64_t>(space.size()));
 }
-void
-BM_EnumerationThroughput_SeedPath(benchmark::State& state)
-{
-    BM_EnumerationThroughput(state, false);
-}
-void
-BM_EnumerationThroughput_Throughput(benchmark::State& state)
-{
-    BM_EnumerationThroughput(state, true);
-}
-BENCHMARK(BM_EnumerationThroughput_SeedPath);
-BENCHMARK(BM_EnumerationThroughput_Throughput);
+BENCHMARK(BM_EnumerationThroughput);
 
 /**
- * End-to-end plan latency: profile -> optimize (constraint solver,
- * default K = 20) -> autotune all candidates. The acceptance anchor for
- * the throughput-oriented planning layer.
+ * End-to-end plan latency: profile -> optimize (default spec, K = 20)
+ * -> autotune all candidates on @p threads tuning threads.
  */
 void
-BM_PlanEndToEnd(benchmark::State& state, bool memoize, int threads)
+BM_PlanEndToEnd(benchmark::State& state, int threads)
 {
     const auto soc = platform::pixel7a();
     const platform::PerfModel model(soc);
@@ -104,15 +83,12 @@ BM_PlanEndToEnd(benchmark::State& state, bool memoize, int threads)
     exec_cfg.noiseSalt = bench::benchNoiseSalt();
     const core::SimExecutor executor(model, exec_cfg);
 
-    core::PlannerSpec opt_cfg;
-    opt_cfg.memoize = memoize;
-
     double best_measured = 0.0;
     int candidates_tuned = 0;
     for (auto _ : state) {
         const core::Profiler profiler(model);
         const auto profile = profiler.profile(app);
-        core::Optimizer optimizer(soc, profile.interference, opt_cfg);
+        core::Optimizer optimizer(soc, profile.interference);
         const auto cands = optimizer.optimize();
         const core::AutoTuner tuner(executor, 10.0, threads);
         const auto report = tuner.tune(app, cands);
@@ -126,19 +102,18 @@ BM_PlanEndToEnd(benchmark::State& state, bool memoize, int threads)
     state.SetItemsProcessed(state.iterations() * candidates_tuned);
 }
 void
-BM_PlanEndToEnd_SeedPath(benchmark::State& state)
+BM_PlanEndToEnd_Serial(benchmark::State& state)
 {
-    BM_PlanEndToEnd(state, false, 1);
+    BM_PlanEndToEnd(state, 1);
 }
 void
-BM_PlanEndToEnd_Throughput(benchmark::State& state)
+BM_PlanEndToEnd_Parallel(benchmark::State& state)
 {
     const unsigned hw = std::thread::hardware_concurrency();
-    BM_PlanEndToEnd(state, true,
-                    static_cast<int>(hw == 0 ? 1 : hw));
+    BM_PlanEndToEnd(state, static_cast<int>(hw == 0 ? 1 : hw));
 }
-BENCHMARK(BM_PlanEndToEnd_SeedPath)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PlanEndToEnd_Throughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanEndToEnd_Serial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanEndToEnd_Parallel)->Unit(benchmark::kMillisecond);
 
 /**
  * Replan latency after a simulated PU dropout: the fault-recovery
@@ -198,8 +173,8 @@ BENCHMARK(BM_ReplanAfterDropout_Throughput)
 /**
  * Large-instance tier: the annealed engine plans the 14-stage deep
  * pipeline on the 8-class manycore rig - ~1.7e8 schedules over 112
- * assignment variables, far past the exact engines' enumeration limit
- * (they refuse the instance outright; exact_enumerable records the
+ * assignment variables, far past the exact engine's enumeration limit
+ * (it refuses the instance outright; exact_enumerable records the
  * refusal predicate) - under an active C6 budget, inside a fixed move
  * budget. Single flavour: there is no from-scratch exact baseline at
  * this scale, which is the point of the tier.

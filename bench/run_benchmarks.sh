@@ -27,8 +27,9 @@
 #                        pipeline makespan, and the seeded fault runs
 #                        pin their recovery counters
 #   BENCH_optimizer.json optimizer_throughput — plan-throughput suite:
-#                        *_SeedPath vs *_Throughput pairs give the
-#                        memoized/parallel planning speedup inside one
+#                        BM_PlanEndToEnd_Serial vs _Parallel and the
+#                        BM_ReplanAfterDropout pair give the parallel
+#                        tuning and warm-replan speedups inside one
 #                        snapshot
 #   BENCH_service.json   service_load — serving load generator:
 #                        BM_Serve_ColdPlan vs BM_Serve_Cached give the

@@ -1,9 +1,11 @@
 /**
  * @file
- * Reproduces the Sec. 3.3 solver claims: each solver invocation on the
- * paper's largest instance (9-stage AlexNet on the 4-PU Pixel)
- * completes well under 50 ms, and the top-ranked schedules cluster
- * into performance tiers.
+ * Reproduces the Sec. 3.3 solver claims: planning the paper's largest
+ * instance (9-stage AlexNet on the 4-PU Pixel) takes well under the
+ * 50 ms the paper reports per Z3 invocation - here one optimize() is
+ * a single enumeration of the schedule space plus the level-1/2
+ * selection - and the top-ranked schedules cluster into performance
+ * tiers.
  */
 
 #include <chrono>
@@ -36,7 +38,7 @@ main()
     using Clock = std::chrono::steady_clock;
     std::vector<double> times_ms;
     std::vector<core::Candidate> cands;
-    std::uint64_t nodes = 0;
+    std::uint64_t enumerated = 0;
     for (int rep = 0; rep < 5; ++rep) {
         core::Optimizer opt(soc, profile.interference);
         const auto t0 = Clock::now();
@@ -44,18 +46,16 @@ main()
         const auto t1 = Clock::now();
         times_ms.push_back(
             std::chrono::duration<double, std::milli>(t1 - t0).count());
-        nodes = opt.stats().solverNodes;
+        enumerated = opt.stats().solverNodes;
     }
     const Summary s = summarize(times_ms);
-    // One optimize() = 21 solver invocations (level 1 + 20 level-2
-    // solves with blocking clauses).
     std::printf("Full 3-level optimize(): mean %.2f ms (min %.2f, max "
-                "%.2f) over %zu runs, %llu search nodes\n",
+                "%.2f) over %zu runs, %llu schedules enumerated\n",
                 s.mean, s.min, s.max, times_ms.size(),
-                static_cast<unsigned long long>(nodes));
-    std::printf("Per solver invocation (21 per optimize): %.2f ms "
+                static_cast<unsigned long long>(enumerated));
+    std::printf("Whole optimize() (one enumeration pass): %.2f ms "
                 "(paper: < 50 ms per Z3 invocation)\n",
-                s.mean / 21.0);
+                s.mean);
 
     std::printf("\nPredicted-latency tiers of the top-20 candidates "
                 "(paper: contiguous groups within ~6%%):\n");
@@ -75,8 +75,8 @@ main()
 
     // Large-instance tier: the annealed engine where exact planning is
     // off the table. 14 stages on the 8-class manycore rig is ~1.7e8
-    // schedules (112 assignment variables); the exact engines refuse
-    // anything past their enumeration limit, the annealed engine plans
+    // schedules (112 assignment variables); the exact engine refuses
+    // anything past its enumeration limit, the annealed engine plans
     // it within its fixed move budget.
     std::printf("\nLarge-instance tier: deep pipeline (%d stages) on "
                 "the manycore rig (8 PUs)\n",
@@ -88,7 +88,7 @@ main()
     core::PlannerSpec spec;
     const std::uint64_t space
         = core::scheduleSpaceSize(deep.numStages(), rig.numPus());
-    std::printf("Schedule space: %llu (exact engines refuse above "
+    std::printf("Schedule space: %llu (exact engine refuses above "
                 "%llu)\n",
                 static_cast<unsigned long long>(space),
                 static_cast<unsigned long long>(spec.exactSpaceLimit));

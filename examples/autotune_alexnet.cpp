@@ -43,7 +43,7 @@ main()
                 "minimal gapness %.3f ms\n",
                 st.unrestrictedLatency * 1e3, st.latencyBound * 1e3,
                 st.requiredPus, st.minimalGapness * 1e3);
-    std::printf("Level 2: %zu candidates (%llu solver nodes)\n\n",
+    std::printf("Level 2: %zu candidates (%llu schedules enumerated)\n\n",
                 candidates.size(),
                 static_cast<unsigned long long>(st.solverNodes));
 

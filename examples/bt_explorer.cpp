@@ -57,7 +57,7 @@ struct Options
 {
     std::string device = "pixel";
     std::string app = "octree";
-    std::string engine = "solver";
+    std::string engine = "exhaustive";
     int candidates = 20;
     bool no_autotune = false;
     bool energy = false;
@@ -109,8 +109,8 @@ parse(int argc, char** argv, Options& opt)
     flags.value("--app", &opt.app, "NAME",
                 "dense|sparse|octree (default octree)");
     flags.value("--engine", &opt.engine, "NAME",
-                "planner engine: solver|exhaustive|annealed (default "
-                "solver; every mode honors it)");
+                "planner engine: exhaustive|annealed (default "
+                "exhaustive; every mode honors it)");
     flags.value("--candidates", &opt.candidates, "K",
                 "optimizer output size (default 20)");
     flags.flag("--no-autotune", &opt.no_autotune,

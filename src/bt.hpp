@@ -99,7 +99,7 @@ class Framework
      * Profile -> optimize -> autotune -> deploy @p app.
      *
      * Runs the static preflight first: errors (a schedule space the
-     * exact engines refuse, a C6 budget below the demand floor, a
+     * exact engine refuses, a C6 budget below the demand floor, a
      * fault plan that starves every PU...) panic with every finding
      * and its remediation before any simulated time is spent;
      * warnings ride along in the report's `preflight` member.

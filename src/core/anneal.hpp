@@ -44,7 +44,7 @@ namespace bt::core {
 /**
  * Annealing knobs (PlannerSpec::anneal). All defaults are part of the
  * planner fingerprint when the engine is Annealed, because unlike the
- * exact engines the result depends on them.
+ * exact engine the result depends on them.
  */
 struct AnnealSpec
 {

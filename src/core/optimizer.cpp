@@ -6,12 +6,10 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <span>
 #include <tuple>
 
 #include "common/logging.hpp"
 #include "core/anneal.hpp"
-#include "solver/solver.hpp"
 
 namespace bt::core {
 
@@ -19,26 +17,22 @@ const char*
 plannerEngineName(PlannerEngine engine)
 {
     switch (engine) {
-      case PlannerEngine::Exhaustive:
-        return "exhaustive";
       case PlannerEngine::Annealed:
         return "annealed";
       default:
-        return "solver";
+        return "exhaustive";
     }
 }
 
 PlannerEngine
 plannerEngineFromName(const std::string& name)
 {
-    if (name == "solver" || name == "constraint_solver")
-        return PlannerEngine::Solver;
     if (name == "exhaustive")
         return PlannerEngine::Exhaustive;
     if (name == "annealed")
         return PlannerEngine::Annealed;
     bt::fatal("unknown planner engine '", name,
-              "' (expected solver|exhaustive|annealed)");
+              "' (expected exhaustive|annealed)");
 }
 
 std::uint64_t
@@ -73,9 +67,10 @@ PlannerSpec::fingerprint() const
     mixDouble(contention.ambientGbps);
     mixDouble(contention.budgetGbps);
     mix(contention.realTime ? 1 : 0);
-    // Exact engines (and memoize) are bit-identical by contract and
-    // stay out of the hash; a non-exactness-preserving engine's result
-    // depends on its identity and every annealing knob, so mix them in.
+    // The exact engine stays out of the hash, so cache keys minted by
+    // earlier exact planners stay valid; a non-exactness-preserving
+    // engine's result depends on its identity and every annealing
+    // knob, so mix them in.
     if (!exactnessPreserving()) {
         mix(0xA22EA1EDull); // annealed-engine marker
         mix(anneal.seed);
@@ -89,96 +84,13 @@ PlannerSpec::fingerprint() const
 
 namespace {
 
-/// Penalty offsets making the level-2 objective lexicographic: schedules
-/// violating the latency/utilization feasibility class sort after those
-/// merely exceeding the gapness budget, which sort after fully feasible
-/// ones. Latencies are in seconds (~1e-3), so the offsets dominate.
+/// Penalty offsets of the annealer's guide objectives: schedules
+/// violating the latency/utilization feasibility class score after those
+/// merely exceeding the gapness budget, which score after fully feasible
+/// ones. Latencies are in seconds (~1e-3), so the offsets dominate. They
+/// only steer the walk; the final selection ranks by (class, score).
 constexpr double kGapnessPenalty = 1e6;
 constexpr double kFeasibilityPenalty = 2e6;
-/// C6 violations (aggregate demand over budget) sort after everything,
-/// including out-of-class schedules.
-constexpr double kC6Penalty = 4e6;
-
-/** Variable layout helper: x(i, c) is true iff stage i runs on PU c. */
-struct VarGrid
-{
-    int numStages;
-    int numPus;
-    std::vector<solver::Var> vars;
-
-    solver::Var
-    at(int i, int c) const
-    {
-        return vars[static_cast<std::size_t>(i)
-                    * static_cast<std::size_t>(numPus)
-                    + static_cast<std::size_t>(c)];
-    }
-};
-
-VarGrid
-buildScheduleModel(solver::Model& model, int num_stages, int num_pus)
-{
-    VarGrid grid{num_stages, num_pus, {}};
-    grid.vars.reserve(static_cast<std::size_t>(num_stages)
-                      * static_cast<std::size_t>(num_pus));
-    for (int i = 0; i < num_stages; ++i)
-        for (int c = 0; c < num_pus; ++c)
-            grid.vars.push_back(model.newVar(
-                "x_" + std::to_string(i) + "_" + std::to_string(c)));
-
-    // C1: exactly one PU per stage.
-    for (int i = 0; i < num_stages; ++i) {
-        std::vector<solver::Var> row;
-        for (int c = 0; c < num_pus; ++c)
-            row.push_back(grid.at(i, c));
-        model.addExactlyOne(std::move(row));
-    }
-
-    // C2: contiguity - (x_{i,c} & x_{k,c}) -> x_{j,c} for i < j < k.
-    for (int c = 0; c < num_pus; ++c)
-        for (int i = 0; i < num_stages; ++i)
-            for (int k = i + 2; k < num_stages; ++k)
-                for (int j = i + 1; j < k; ++j)
-                    model.addImplication(
-                        {solver::pos(grid.at(i, c)),
-                         solver::pos(grid.at(k, c))},
-                        solver::pos(grid.at(j, c)));
-    return grid;
-}
-
-Schedule
-scheduleFromAssignment(const VarGrid& grid,
-                       const solver::Assignment& assignment)
-{
-    std::vector<int> stage_to_pu(static_cast<std::size_t>(
-        grid.numStages));
-    for (int i = 0; i < grid.numStages; ++i) {
-        int chosen = -1;
-        for (int c = 0; c < grid.numPus; ++c) {
-            if (assignment.value(grid.at(i, c))) {
-                BT_ASSERT(chosen < 0, "two PUs for one stage");
-                chosen = c;
-            }
-        }
-        BT_ASSERT(chosen >= 0, "stage ", i, " unassigned");
-        stage_to_pu[static_cast<std::size_t>(i)] = chosen;
-    }
-    return Schedule::fromAssignment(stage_to_pu);
-}
-
-/** Blocking clause C5: forbid this exact assignment. */
-void
-blockSchedule(solver::Model& model, const VarGrid& grid,
-              const Schedule& schedule)
-{
-    const auto assignment = schedule.toAssignment();
-    std::vector<solver::Lit> clause;
-    clause.reserve(assignment.size());
-    for (int i = 0; i < grid.numStages; ++i)
-        clause.push_back(solver::neg(
-            grid.at(i, assignment[static_cast<std::size_t>(i)])));
-    model.addClause(std::move(clause));
-}
 
 /** (first stage, last stage, pu) identity of one chunk assignment. */
 using ChunkKey = std::tuple<int, int, int>;
@@ -205,18 +117,6 @@ bottleneckKey(const Schedule& s, const ProfilingTable& table)
     return keyOf(s.chunks()[static_cast<std::size_t>(best)]);
 }
 
-/** Forbid ever assigning this chunk's stages to this PU again. */
-void
-blockChunk(solver::Model& model, const VarGrid& grid,
-           const ChunkKey& key)
-{
-    const auto [first, last, pu] = key;
-    std::vector<solver::Lit> clause;
-    for (int i = first; i <= last; ++i)
-        clause.push_back(solver::neg(grid.at(i, pu)));
-    model.addClause(std::move(clause));
-}
-
 /** Stretched copy of @p base: each cell scaled by the contention
  *  profile's slowdown under @p bucket. Empty for bucket 0 (unused;
  *  predictions bind to the base table directly). */
@@ -237,104 +137,7 @@ makeStretchedTable(const ProfilingTable& base,
     return t;
 }
 
-/// Transversal-count ceiling before C6 falls back to the pairwise
-/// over-approximation (the exact predicate still filters downstream).
-constexpr std::int64_t kMaxC6Transversals = 20000;
-
-/**
- * C6: cap the schedule's aggregate DRAM demand - the sum over used PUs
- * of the hungriest stage placed there - at the budget, so co-scheduled
- * tenants cannot oversubscribe the shared roofline.
- *
- * Exact pseudo-boolean encoding: for every transversal sigma picking
- * one stage per allowed PU, add
- *
- *     sum_c  d(sigma(c), c) * x(sigma(c), c)  <=  budget.
- *
- * Under any assignment each such sum counts at most one placed stage
- * per PU, so it never exceeds the schedule's aggregate demand; the
- * transversal picking each PU's hungriest placed stage attains it.
- * The family is therefore equivalent to the aggregate cap. Constraint
- * count is numStages^|allowedPus|; past kMaxC6Transversals we emit
- * only the single- and pairwise-placement bans (a sound relaxation -
- * every clause bans a provably infeasible placement) and rely on the
- * callers' exact demandOk predicate for the rest.
- */
-void
-addC6(solver::Model& model, const VarGrid& grid,
-      const platform::ContentionProfile& profile,
-      std::int64_t budget_milli, const std::vector<int>& allowed_pus)
-{
-    const int n = grid.numStages;
-    std::int64_t count = 1;
-    for (std::size_t k = 0;
-         k < allowed_pus.size() && count <= kMaxC6Transversals; ++k)
-        count *= n;
-    if (count <= kMaxC6Transversals) {
-        std::vector<int> sigma(allowed_pus.size(), 0);
-        while (true) {
-            std::int64_t total = 0;
-            for (std::size_t k = 0; k < sigma.size(); ++k)
-                total += profile.demandMilli(
-                    sigma[k], allowed_pus[k]);
-            if (total > budget_milli) { // non-vacuous only
-                std::vector<solver::PbTerm> terms;
-                for (std::size_t k = 0; k < sigma.size(); ++k) {
-                    const std::int64_t d = profile.demandMilli(
-                        sigma[k], allowed_pus[k]);
-                    if (d > 0)
-                        terms.push_back(
-                            {solver::pos(grid.at(sigma[k],
-                                                 allowed_pus[k])),
-                             d});
-                }
-                model.addLinearLe(std::move(terms), budget_milli);
-            }
-            std::size_t k = 0;
-            for (; k < sigma.size(); ++k) {
-                if (++sigma[k] < n)
-                    break;
-                sigma[k] = 0;
-            }
-            if (k == sigma.size())
-                break;
-        }
-        return;
-    }
-
-    for (std::size_t a = 0; a < allowed_pus.size(); ++a) {
-        const int ca = allowed_pus[a];
-        for (int i = 0; i < n; ++i) {
-            const std::int64_t di = profile.demandMilli(i, ca);
-            if (di > budget_milli) {
-                model.addClause({solver::neg(grid.at(i, ca))});
-                continue;
-            }
-            for (std::size_t b = a + 1; b < allowed_pus.size(); ++b) {
-                const int cb = allowed_pus[b];
-                for (int j = 0; j < n; ++j)
-                    if (di + profile.demandMilli(j, cb) > budget_milli)
-                        model.addClause(
-                            {solver::neg(grid.at(i, ca)),
-                             solver::neg(grid.at(j, cb))});
-            }
-        }
-    }
-}
-
 } // namespace
-
-Optimizer::Optimizer(const platform::SocDescription& soc_,
-                     const ProfilingTable& table_, PlannerSpec spec,
-                     ScheduleEvaluator* shared_eval,
-                     const platform::ContentionProfile* contention)
-    : Optimizer(soc_, table_, [&] {
-          spec.sharedEvaluator = shared_eval;
-          spec.contentionProfile = contention;
-          return std::move(spec);
-      }())
-{
-}
 
 Optimizer::Optimizer(const platform::SocDescription& soc_,
                      const ProfilingTable& table_, PlannerSpec spec)
@@ -388,10 +191,7 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
         BT_ASSERT(&config.sharedEvaluator->table() == &baseTable_,
                   "shared evaluator built over a different table");
         eval_ = config.sharedEvaluator;
-    } else if (config.memoize
-               || config.engine == PlannerEngine::Annealed) {
-        // The annealed engine always evaluates through the memo - its
-        // whole premise is that move evaluation is a cache lookup.
+    } else {
         ownedEval_ = std::make_unique<ScheduleEvaluator>(
             soc, baseTable_, powerModel, contention_);
         eval_ = ownedEval_.get();
@@ -409,73 +209,23 @@ Optimizer::puAllowed(int pu) const
 }
 
 bool
-Optimizer::demandOk(std::span<const int> stage_to_pu) const
-{
-    if (!c6Active_)
-        return true;
-    return contention_->aggregateDemandMilli(stage_to_pu)
-        <= budgetMilli_;
-}
-
-bool
 Optimizer::demandOk(const Schedule& s) const
 {
-    if (!c6Active_)
-        return true;
-    const auto assign = s.toAssignment();
-    return demandOk(std::span<const int>(assign));
+    return !c6Active_
+        || contention_->aggregateDemandMilli(s.toAssignment())
+        <= budgetMilli_;
 }
 
 Candidate
 Optimizer::makeCandidate(const Schedule& s) const
 {
-    if (eval_ != nullptr) {
-        const Prediction& p = eval_->predict(s, bucket_);
-        Candidate c;
-        c.schedule = s;
-        c.predictedLatency = p.latency;
-        c.predictedGapness = p.gapness;
-        c.predictedEnergyJ = p.energyJ;
-        c.predictedDemandGbps = p.demandGbps;
-        return c;
-    }
-
+    const Prediction& p = eval_->predict(s, bucket_);
     Candidate c;
     c.schedule = s;
-    c.predictedLatency = s.bottleneckTime(table);
-    c.predictedGapness = s.gapness(table);
-    if (contention_ != nullptr) {
-        // Aggregate demand: per chunk, the hungriest stage; summed.
-        std::int64_t demand = 0;
-        for (const auto& chunk : s.chunks()) {
-            std::int64_t d = 0;
-            for (int i = chunk.firstStage; i <= chunk.lastStage; ++i)
-                d = std::max(d, contention_->demandMilli(i, chunk.pu));
-            demand += d;
-        }
-        c.predictedDemandGbps = static_cast<double>(demand) / 1000.0;
-    }
-
-    // Predicted per-task energy: each used PU is active for its chunk
-    // time (duty-cycled against the bottleneck interval), idle for the
-    // rest; unused PUs idle throughout; plus the uncore floor.
-    const double interval = c.predictedLatency;
-    const int busy_others = s.numChunks() - 1;
-    double energy = soc.basePowerW * interval;
-    std::vector<bool> used(static_cast<std::size_t>(soc.numPus()),
-                           false);
-    for (int ch = 0; ch < s.numChunks(); ++ch) {
-        const int pu = s.chunks()[static_cast<std::size_t>(ch)].pu;
-        used[static_cast<std::size_t>(pu)] = true;
-        const double active = s.chunkTime(table, ch);
-        energy += active * powerModel.activePowerW(pu, busy_others)
-            + std::max(0.0, interval - active)
-                * soc.pu(pu).idlePowerW;
-    }
-    for (int p = 0; p < soc.numPus(); ++p)
-        if (!used[static_cast<std::size_t>(p)])
-            energy += interval * soc.pu(p).idlePowerW;
-    c.predictedEnergyJ = energy;
+    c.predictedLatency = p.latency;
+    c.predictedGapness = p.gapness;
+    c.predictedEnergyJ = p.energyJ;
+    c.predictedDemandGbps = p.demandGbps;
     return c;
 }
 
@@ -523,9 +273,9 @@ Optimizer::rankClass(const Candidate& c) const
 void
 Optimizer::sortCandidates(std::vector<Candidate>& cands) const
 {
-    // Tie-break on the lexicographically smallest stage-to-PU vector,
-    // which is exactly the order the DPLL solver (true-first, row-major
-    // variables) prefers - keeping both engines' outputs identical.
+    // Tie-break on the lexicographically smallest stage-to-PU vector:
+    // the order is total, so the selection never depends on the order
+    // the pool was produced in.
     std::stable_sort(cands.begin(), cands.end(),
                      [&](const Candidate& a, const Candidate& b) {
                          const int ra = rankClass(a);
@@ -563,337 +313,18 @@ Optimizer::optimize()
         BT_PANIC("planner.exact_space", "schedule space of ",
                  stats_.spaceSize, " schedules exceeds exactSpaceLimit ",
                  config.exactSpaceLimit,
-                 "; the exact engines refuse instances this large - "
+                 "; the exact engine refuses instances this large - "
                  "switch to PlannerEngine::Annealed");
 
-    auto cands = config.engine == PlannerEngine::Exhaustive
-        ? optimizeExhaustive()
-        : config.engine == PlannerEngine::Annealed
-            ? optimizeAnnealed()
-            : optimizeWithSolver();
-    sortCandidates(cands);
-    if (static_cast<int>(cands.size()) > config.numCandidates)
-        cands.resize(static_cast<std::size_t>(config.numCandidates));
-    stats_.candidatesWithinBound = 0;
+    // Both engines return selectDiverse output: ranked and truncated.
+    auto cands = config.engine == PlannerEngine::Annealed
+        ? optimizeAnnealed()
+        : optimizeExhaustive();
     for (const auto& c : cands)
         if (rankClass(c) == 0)
             ++stats_.candidatesWithinBound;
-    if (eval_ != nullptr) {
-        stats_.evalHits = eval_->stats().hits;
-        stats_.evalMisses = eval_->stats().misses;
-    }
-    return cands;
-}
-
-std::vector<Candidate>
-Optimizer::optimizeWithSolver()
-{
-    const int n = table.numStages();
-    const int m = soc.numPus();
-
-    solver::Model model;
-    const VarGrid grid = buildScheduleModel(model, n, m);
-
-    // Dropped / excluded PU classes: unit clauses banning every stage
-    // from the disallowed columns (the degradation re-plan hook).
-    for (int c = 0; c < m; ++c)
-        if (!puAllowed(c))
-            for (int i = 0; i < n; ++i)
-                model.addClause({solver::neg(grid.at(i, c))});
-
-    // C6: aggregate-bandwidth cap over the allowed columns. The
-    // feasibility pre-check in the constructor guarantees the model
-    // stays satisfiable.
-    if (c6Active_) {
-        std::vector<int> allowed;
-        for (int c = 0; c < m; ++c)
-            if (puAllowed(c))
-                allowed.push_back(c);
-        addC6(model, grid, *contention_, budgetMilli_, allowed);
-    }
-
-    if (eval_ != nullptr) {
-        // Throughput path. Every solver level minimizes a fixed
-        // objective (the bounds each level derives only feed *later*
-        // levels), and the model changes between solves only through
-        // blocking clauses, which remove known assignments. So instead
-        // of re-running the DPLL enumeration once per level and once
-        // per candidate (~numPus + numCandidates + 2 full sweeps),
-        // enumerate the feasible space exactly once, memoize every
-        // prediction, and replay the level logic over the harvested
-        // arrays. Each selection below mirrors Solver::minimize -
-        // strict less-than, first solution in DPLL enumeration order
-        // wins ties - so the candidate list is bit-identical to the
-        // multi-pass from-scratch path.
-        std::vector<int> flat; // num_sols * n stage-to-PU assignments
-        std::vector<Prediction> preds;
-        {
-            std::vector<int> assign_scratch(static_cast<std::size_t>(n));
-            solver::Solver s(model);
-            s.forEachSolution([&](const solver::Assignment& a) {
-                for (int i = 0; i < n; ++i) {
-                    int chosen = -1;
-                    for (int c = 0; c < m; ++c) {
-                        if (a.value(grid.at(i, c))) {
-                            chosen = c;
-                            break; // C1 guarantees exactly one
-                        }
-                    }
-                    BT_ASSERT(chosen >= 0, "stage ", i, " unassigned");
-                    assign_scratch[static_cast<std::size_t>(i)] = chosen;
-                }
-                // C6's fallback encoding over-admits; apply the exact
-                // integer predicate here so every downstream level
-                // replays over the feasible space only.
-                if (!demandOk(assign_scratch))
-                    return true;
-                flat.insert(flat.end(), assign_scratch.begin(),
-                            assign_scratch.end());
-                preds.push_back(eval_->predict(
-                    std::span<const int>(assign_scratch), bucket_));
-                return true;
-            });
-            stats_.solverNodes += s.nodesExplored();
-        }
-        const std::size_t num_sols = preds.size();
-        BT_ASSERT(num_sols > 0, "schedule space is empty");
-        auto assignOf = [&](std::size_t i) {
-            return std::span<const int>(
-                flat.data() + i * static_cast<std::size_t>(n),
-                static_cast<std::size_t>(n));
-        };
-
-        // Level 1a: unrestricted latency optimum (defines the Tmax
-        // bound).
-        double unrestricted
-            = std::numeric_limits<double>::infinity();
-        for (const Prediction& p : preds)
-            unrestricted = std::min(unrestricted, p.latency);
-        stats_.unrestrictedLatency = unrestricted;
-
-        if (config.utilizationFilter) {
-            stats_.latencyBound = stats_.unrestrictedLatency
-                    * (1.0 + config.latencySlack)
-                + 1e-12;
-
-            // Level 1b: the highest PU-class count attainable within
-            // the latency bound (maximize utilization subject to C3).
-            stats_.requiredPus = 1;
-            for (int r = std::min(m, n); r >= 1; --r) {
-                double best_score
-                    = std::numeric_limits<double>::infinity();
-                std::size_t best_i = 0;
-                for (std::size_t i = 0; i < num_sols; ++i) {
-                    const Prediction& p = preds[i];
-                    const double sc = p.numChunks < r
-                        ? kFeasibilityPenalty + p.latency
-                        : p.latency;
-                    if (sc < best_score) {
-                        best_score = sc;
-                        best_i = i;
-                    }
-                }
-                const Prediction& best = preds[best_i];
-                if (best.numChunks >= r
-                    && best.latency <= stats_.latencyBound) {
-                    stats_.requiredPus = r;
-                    break;
-                }
-            }
-
-            // Level 1c: minimal gapness within the feasibility class
-            // (objective O1 under C3).
-            double best_score
-                = std::numeric_limits<double>::infinity();
-            std::size_t best_i = 0;
-            for (std::size_t i = 0; i < num_sols; ++i) {
-                const Prediction& p = preds[i];
-                const double sc = (p.numChunks < stats_.requiredPus
-                                   || p.latency > stats_.latencyBound)
-                    ? kFeasibilityPenalty + p.gapness
-                    : p.gapness;
-                if (sc < best_score) {
-                    best_score = sc;
-                    best_i = i;
-                }
-            }
-            stats_.minimalGapness = preds[best_i].gapness;
-            stats_.gapnessBound = stats_.minimalGapness
-                    * (1.0 + config.gapnessSlack)
-                + 1e-9;
-        }
-
-        // Level 2: K diverse candidates. Picking a winner "blocks" its
-        // exact assignment (C5); saturating a performance tier blocks
-        // every assignment that maps the tier's stage range onto its
-        // PU - precisely the solutions blockChunk's clause would
-        // remove from the model.
-        std::vector<Candidate> cands;
-        std::vector<char> taken(num_sols, 0);
-        std::vector<ChunkKey> blocked_chunks;
-        std::map<ChunkKey, int> tier_count;
-        auto inBlockedChunk = [&](std::size_t i) {
-            const auto a = assignOf(i);
-            for (const auto& [first, last, pu] : blocked_chunks) {
-                bool covered = true;
-                for (int s = first; s <= last && covered; ++s)
-                    covered = (a[static_cast<std::size_t>(s)] == pu);
-                if (covered)
-                    return true;
-            }
-            return false;
-        };
-        for (int k = 0; k < config.numCandidates; ++k) {
-            double best_score
-                = std::numeric_limits<double>::infinity();
-            std::size_t best_i = num_sols;
-            for (std::size_t i = 0; i < num_sols; ++i) {
-                if (taken[i] != 0 || inBlockedChunk(i))
-                    continue;
-                const Prediction& p = preds[i];
-                const int cls
-                    = rankClassOf(p.latency, p.gapness, p.numChunks);
-                const double score
-                    = rankScoreOf(p.latency, p.energyJ);
-                const double sc = cls == 2
-                    ? kFeasibilityPenalty + score
-                    : cls == 1 ? kGapnessPenalty + score : score;
-                if (sc < best_score) {
-                    best_score = sc;
-                    best_i = i;
-                }
-            }
-            if (best_i == num_sols)
-                break; // space exhausted
-            taken[best_i] = 1;
-            const auto a = assignOf(best_i);
-            const Schedule sched = Schedule::fromAssignment(
-                std::vector<int>(a.begin(), a.end()));
-            cands.push_back(makeCandidate(sched));
-
-            if (config.maxPerTier > 0) {
-                const ChunkKey tier = bottleneckKey(sched, table);
-                if (++tier_count[tier] >= config.maxPerTier)
-                    blocked_chunks.push_back(tier);
-            }
-        }
-        return cands;
-    }
-
-    // From-scratch path. The C6 fallback encoding can leave violating
-    // assignments in the model; every callback pushes them past all
-    // feasible scores (kC6Penalty), so a violating winner proves the
-    // feasible space is exhausted - mirroring the harvest filter above.
-    auto latencyOf = [&](const solver::Assignment& a) {
-        const Schedule sched = scheduleFromAssignment(grid, a);
-        if (!demandOk(sched))
-            return kC6Penalty + sched.bottleneckTime(table);
-        return sched.bottleneckTime(table);
-    };
-
-    // Level 1a: unrestricted latency optimum (defines the Tmax bound).
-    {
-        solver::Solver s(model);
-        auto best = s.minimize(latencyOf);
-        stats_.solverNodes += s.nodesExplored();
-        BT_ASSERT(best.has_value(), "schedule space is empty");
-        stats_.unrestrictedLatency = latencyOf(*best);
-    }
-
-    if (config.utilizationFilter) {
-        stats_.latencyBound = stats_.unrestrictedLatency
-                * (1.0 + config.latencySlack)
-            + 1e-12;
-
-        // Level 1b: the highest PU-class count attainable within the
-        // latency bound (maximize utilization subject to C3).
-        stats_.requiredPus = 1;
-        for (int r = std::min(m, n); r >= 1; --r) {
-            solver::Solver s(model);
-            auto best = s.minimize([&](const solver::Assignment& a) {
-                const Schedule sched = scheduleFromAssignment(grid, a);
-                if (!demandOk(sched))
-                    return kC6Penalty + sched.bottleneckTime(table);
-                if (sched.numChunks() < r)
-                    return kFeasibilityPenalty
-                        + sched.bottleneckTime(table);
-                return sched.bottleneckTime(table);
-            });
-            stats_.solverNodes += s.nodesExplored();
-            if (best.has_value()) {
-                const Schedule sched
-                    = scheduleFromAssignment(grid, *best);
-                if (sched.numChunks() >= r
-                    && sched.bottleneckTime(table)
-                        <= stats_.latencyBound
-                    && demandOk(sched)) {
-                    stats_.requiredPus = r;
-                    break;
-                }
-            }
-        }
-
-        // Level 1c: minimal gapness within the feasibility class
-        // (objective O1 under C3).
-        solver::Solver s(model);
-        auto best = s.minimize([&](const solver::Assignment& a) {
-            const Schedule sched = scheduleFromAssignment(grid, a);
-            if (!demandOk(sched))
-                return kC6Penalty + sched.gapness(table);
-            if (sched.numChunks() < stats_.requiredPus
-                || sched.bottleneckTime(table) > stats_.latencyBound)
-                return kFeasibilityPenalty + sched.gapness(table);
-            return sched.gapness(table);
-        });
-        stats_.solverNodes += s.nodesExplored();
-        BT_ASSERT(best.has_value());
-        stats_.minimalGapness
-            = scheduleFromAssignment(grid, *best).gapness(table);
-        stats_.gapnessBound = stats_.minimalGapness
-                * (1.0 + config.gapnessSlack)
-            + 1e-9;
-    }
-
-    // Level 2: K diverse candidates; each found schedule is blocked
-    // (C5) and the solve repeated. The penalty terms mirror the final
-    // ranking so in-class schedules surface first; once a performance
-    // tier (critical chunk assignment) is saturated, the whole tier is
-    // blocked so the list spans tiers.
-    std::vector<Candidate> cands;
-    std::map<ChunkKey, int> tier_count;
-    for (int k = 0; k < config.numCandidates; ++k) {
-        solver::Solver s(model);
-        auto next = s.minimize([&](const solver::Assignment& a) {
-            const Candidate c
-                = makeCandidate(scheduleFromAssignment(grid, a));
-            const int cls = rankClass(c);
-            const double score = rankScore(c);
-            if (!demandOk(c.schedule))
-                return kC6Penalty + score;
-            switch (cls) {
-              case 2:
-                return kFeasibilityPenalty + score;
-              case 1:
-                return kGapnessPenalty + score;
-              default:
-                return score;
-            }
-        });
-        stats_.solverNodes += s.nodesExplored();
-        if (!next.has_value())
-            break; // space exhausted
-        const Schedule sched = scheduleFromAssignment(grid, *next);
-        if (!demandOk(sched))
-            break; // only C6-violating assignments remain
-        cands.push_back(makeCandidate(sched));
-        blockSchedule(model, grid, sched);
-
-        if (config.maxPerTier > 0) {
-            const ChunkKey tier = bottleneckKey(sched, table);
-            if (++tier_count[tier] >= config.maxPerTier)
-                blockChunk(model, grid, tier);
-        }
-    }
+    stats_.evalHits = eval_->stats().hits;
+    stats_.evalMisses = eval_->stats().misses;
     return cands;
 }
 
@@ -902,16 +333,18 @@ Optimizer::optimizeExhaustive()
 {
     const int n = table.numStages();
     const int m = soc.numPus();
-    const auto all = enumerateSchedules(n, m);
+    // Excluded classes (degradation re-plan hook, service leases) are
+    // pruned during enumeration, so the pool is the allowed space only.
+    std::uint32_t allowed_mask = 0;
+    for (int c = 0; c < m; ++c)
+        if (puAllowed(c))
+            allowed_mask |= 1u << c;
+    const auto all = enumerateSchedules(n, m, allowed_mask);
+    stats_.solverNodes = all.size();
 
     std::vector<Candidate> cands;
     cands.reserve(all.size());
     for (const auto& s : all) {
-        bool admitted = true;
-        for (const auto& chunk : s.chunks())
-            admitted = admitted && puAllowed(chunk.pu);
-        if (!admitted)
-            continue; // excluded class (degradation re-plan hook)
         if (!demandOk(s))
             continue; // over the C6 aggregate-demand budget
         cands.push_back(makeCandidate(s));
@@ -952,9 +385,9 @@ Optimizer::selectDiverse(std::vector<Candidate> cands)
             = min_gap * (1.0 + config.gapnessSlack) + 1e-9;
     }
 
-    // Selection with the same tier-diversity rule as the solver path:
-    // walk schedules best-first, cap per-tier membership, and treat a
-    // saturated tier's chunk assignment as blocked anywhere.
+    // Level 2: walk schedules best-first (C5: each is picked at most
+    // once), cap per-tier membership, and treat a saturated tier's
+    // chunk assignment as blocked anywhere.
     sortCandidates(cands);
     std::vector<Candidate> picked;
     std::map<ChunkKey, int> tier_count;
@@ -963,8 +396,7 @@ Optimizer::selectDiverse(std::vector<Candidate> cands)
         if (static_cast<int>(picked.size()) >= config.numCandidates)
             break;
         // A blocked (range, pu) bans every schedule assigning that
-        // whole stage range to that PU - even inside a larger chunk -
-        // exactly like the solver's blocking clause.
+        // whole stage range to that PU - even inside a larger chunk.
         const auto assign = c.schedule.toAssignment();
         bool banned = false;
         for (const auto& [first, last, pu] : blocked) {
@@ -988,7 +420,6 @@ Optimizer::selectDiverse(std::vector<Candidate> cands)
 std::vector<Candidate>
 Optimizer::optimizeAnnealed()
 {
-    BT_ASSERT(eval_ != nullptr); // the constructor forces one
     std::vector<int> allowed;
     for (int c = 0; c < soc.numPus(); ++c)
         if (puAllowed(c))
@@ -1005,9 +436,9 @@ Optimizer::optimizeAnnealed()
         runAnnealPhases(annealer, m_eff);
 
     // Harvest: the pool is this engine's "enumeration"; the final
-    // selection applies the exact engines' level arithmetic over it,
+    // selection applies the exact engine's level arithmetic over it,
     // which is why annealed results are cost-equal to the exact
-    // solver whenever the pool covers the relevant optima.
+    // engine whenever the pool covers the relevant optima.
     std::vector<Candidate> cands;
     cands.reserve(annealer.pool().size());
     for (const auto& e : annealer.pool()) {
@@ -1041,7 +472,7 @@ Optimizer::runAnnealPhases(Annealer& annealer, int m_eff)
         return s;
     };
     // Provisional level-1 bounds over the pool visited so far, using
-    // the exact engines' arithmetic; later phases guide against them
+    // the exact engine's arithmetic; later phases guide against them
     // and the final selection re-derives them over the full pool.
     const auto poolBounds = [&] {
         double best = std::numeric_limits<double>::infinity();
@@ -1065,7 +496,7 @@ Optimizer::runAnnealPhases(Annealer& annealer, int m_eff)
             = min_gap * (1.0 + config.gapnessSlack) + 1e-9;
     };
 
-    // The phase sequence mirrors the exact engines' levels: 1a hunt
+    // The phase sequence mirrors the exact engine's levels: 1a hunt
     // the unrestricted latency optimum, 1b maximize PU-class count
     // within the bound, 1c minimize gapness within the class, then
     // level 2's ranking objective.

@@ -10,19 +10,22 @@
  *     the minimal Gapness = Tmax - Tmin there (objective O1) - keeping
  *     predictions close to the interference-heavy conditions the table
  *     was profiled under without sacrificing latency.
- *  2. *Ranking*: enumerate K diverse candidates (blocking clauses C5,
- *     with a per-performance-tier cap) ordered by the configured
+ *  2. *Ranking*: pick K diverse candidates (each schedule at most once,
+ *     C5, with a per-performance-tier cap) ordered by the configured
  *     objective (latency, energy-delay, or the e^k*d family).
  *  3. *Autotuning* is a separate component (autotuner.hpp) because it
  *     needs an executor.
  *
- * Three engines. The constraint solver (the Z3 stand-in) and
- * brute-force enumeration are *exact* and produce identical results;
- * tests cross-validate them. The annealed engine (anneal.hpp) is a
- * seeded local search over the same evaluator for instances whose
- * schedule space exceeds PlannerSpec::exactSpaceLimit - it is
- * deterministic per seed but not exactness-preserving, which the
- * planner fingerprint reflects.
+ * Two engines, both "admissible pool, then selectDiverse". The exact
+ * engine enumerates the C1/C2 schedule space over the allowed PUs in
+ * closed form (enumerateSchedules), drops schedules over the C6
+ * budget, and scores the rest through the ScheduleEvaluator; tests
+ * cross-validate it against a reference built on the DPLL solver in
+ * src/solver/ (the paper's Z3 stand-in). The annealed engine
+ * (anneal.hpp) is a seeded local search over the same evaluator for
+ * instances whose schedule space exceeds PlannerSpec::exactSpaceLimit
+ * - it is deterministic per seed but not exactness-preserving, which
+ * the planner fingerprint reflects.
  */
 
 #ifndef BT_CORE_OPTIMIZER_HPP
@@ -43,21 +46,18 @@
 namespace bt::core {
 
 /**
- * Planning engine. Solver and Exhaustive are exact and bit-identical
- * to each other; Annealed is a seeded local search (deterministic per
- * PlannerSpec::anneal, but it only guarantees feasibility, not
- * optimality). Exact engines refuse instances whose schedule space
- * exceeds PlannerSpec::exactSpaceLimit.
+ * Planning engine. Exhaustive is exact; Annealed is a seeded local
+ * search (deterministic per PlannerSpec::anneal, but it only
+ * guarantees feasibility, not optimality). The exact engine refuses
+ * instances whose schedule space exceeds PlannerSpec::exactSpaceLimit.
  */
 enum class PlannerEngine
 {
-    Solver,
     Exhaustive,
     Annealed,
-    ConstraintSolver = Solver, ///< deprecated spelling (pre-PlannerSpec)
 };
 
-/** "solver" / "exhaustive" / "annealed". */
+/** "exhaustive" / "annealed". */
 const char* plannerEngineName(PlannerEngine engine);
 
 /** Inverse of plannerEngineName; panics on unknown names. */
@@ -65,9 +65,7 @@ PlannerEngine plannerEngineFromName(const std::string& name);
 
 /**
  * The planner specification: every knob of a planning run, passed to
- * Optimizer as one struct. This replaces the old (config, shared_eval,
- * contention) constructor parameter list; `OptimizerConfig` remains as
- * an alias for one release.
+ * Optimizer as one struct.
  */
 struct PlannerSpec
 {
@@ -97,33 +95,20 @@ struct PlannerSpec
      */
     int maxPerTier = 3;
 
-    using Engine = PlannerEngine; ///< deprecated spelling
-    PlannerEngine engine = PlannerEngine::Solver;
+    PlannerEngine engine = PlannerEngine::Exhaustive;
 
-    /** Knobs of the annealed engine (ignored by the exact ones). */
+    /** Knobs of the annealed engine (ignored by the exact one). */
     AnnealSpec anneal;
 
     /**
-     * Refusal threshold of the exact engines: when the closed-form
+     * Refusal threshold of the exact engine: when the closed-form
      * schedule-space size (scheduleSpaceSize over the allowed PUs)
-     * exceeds this, Solver/Exhaustive panic instead of attempting an
+     * exceeds this, Exhaustive panics instead of attempting an
      * enumeration that would not terminate in reasonable time - the
      * caller must switch to the annealed engine (bt::Service does so
      * automatically for large tenants). 0 disables the check.
      */
     std::uint64_t exactSpaceLimit = 200'000;
-
-    /**
-     * Memoized schedule evaluation (the throughput-oriented planning
-     * path): predicted costs are decomposed into per-chunk
-     * contributions cached across the enumeration order, and whole
-     * predictions are served from a keyed cache shared by every solver
-     * objective callback. Bit-identical to the from-scratch path (the
-     * tests cross-validate over entire schedule spaces); disable only
-     * to measure the baseline. The annealed engine always evaluates
-     * through a memoized evaluator regardless of this knob.
-     */
-    bool memoize = true;
 
     /**
      * Restrict the schedule space to these PU classes (empty = all).
@@ -187,9 +172,8 @@ struct PlannerSpec
      * Optional externally-owned evaluator built over the *same* table;
      * lets short-lived optimizers (fault-time replans, autotuner
      * campaigns) reuse a warm prediction cache. Null: the optimizer
-     * owns a private one when memoize is set (or the engine is
-     * Annealed). Not part of the fingerprint - sharing never changes
-     * results, only cache temperature.
+     * owns a private one. Not part of the fingerprint - sharing never
+     * changes results, only cache temperature.
      */
     ScheduleEvaluator* sharedEvaluator = nullptr;
 
@@ -201,8 +185,7 @@ struct PlannerSpec
      */
     const platform::ContentionProfile* contentionProfile = nullptr;
 
-    /** Whether this spec's engine returns the exact optimum (and is
-     *  bit-identical to every other exactness-preserving engine). */
+    /** Whether this spec's engine returns the exact optimum. */
     bool
     exactnessPreserving() const
     {
@@ -214,11 +197,11 @@ struct PlannerSpec
      * schedule the optimizer returns - the planner component of a
      * schedule-cache key (bt::service keys its cache by application,
      * platform, ambient-load bucket, PU lease, and this fingerprint).
-     * The exact engines (and the memoize flag) are deliberately
-     * folded together: they are bit-identical by contract, so
-     * flipping between them must keep hitting the same cache entries.
-     * The annealed engine is NOT exactness-preserving, so its identity
-     * and every annealing knob (seed, budget, restarts, temperatures)
+     * The exact engine's identity is deliberately left out: an exact
+     * plan is defined by the knobs alone, so its cache key stays
+     * stable however the exact planner is implemented. The annealed
+     * engine is NOT exactness-preserving, so its identity and every
+     * annealing knob (seed, budget, restarts, temperatures)
      * are mixed in - a cache can never serve an annealed plan where an
      * exact one was requested, or vice versa. The sharedEvaluator /
      * contentionProfile pointers are excluded (sharing and storage
@@ -226,9 +209,6 @@ struct PlannerSpec
      */
     std::uint64_t fingerprint() const;
 };
-
-/** Pre-PlannerSpec name, kept as an alias for one release. */
-using OptimizerConfig = PlannerSpec;
 
 /** One optimizer output with its model-predicted costs. */
 struct Candidate
@@ -252,7 +232,7 @@ struct Candidate
 /** Summary of one optimization run. */
 struct OptimizeStats
 {
-    PlannerEngine engine = PlannerEngine::Solver; ///< engine that ran
+    PlannerEngine engine = PlannerEngine::Exhaustive; ///< engine that ran
     /** Closed-form schedule-space size over the allowed PUs
      *  (saturating; what the exact-engine refusal checks). */
     std::uint64_t spaceSize = 0;
@@ -262,7 +242,11 @@ struct OptimizeStats
     int requiredPus = 1;              ///< utilization level achieved
     double minimalGapness = 0.0;      ///< level-1 optimum g*
     double gapnessBound = 0.0;        ///< bound applied in level 2
-    std::uint64_t solverNodes = 0;    ///< search nodes across all calls
+    /** Schedules the exact engine enumerated: the C1/C2 space over
+     *  the allowed PUs, before the C6 filter (equal to spaceSize); 0
+     *  for the annealed engine. Keeps its name for existing readers
+     *  such as perfbench/plan_flow.cpp. */
+    std::uint64_t solverNodes = 0;
     int candidatesWithinBound = 0;
 
     /** C6 aggregate-demand budget applied (GB/s; 0 when C6 is off). */
@@ -272,12 +256,13 @@ struct OptimizeStats
     bool c6Relaxed = false;
 
     /** Prediction-cache counters (since evaluator construction; a
-     *  shared evaluator accumulates across replans). Zero when
-     *  memoization is off. */
+     *  shared evaluator accumulates across replans). Both stay zero
+     *  only on instances too large for the packed memo key (more than
+     *  16 stages or PU classes), which are evaluated unkeyed. */
     std::uint64_t evalHits = 0;
     std::uint64_t evalMisses = 0;
 
-    /** Annealed-engine counters (zero for the exact engines). */
+    /** Annealed-engine counters (zero for the exact engine). */
     std::int64_t annealProposed = 0; ///< moves drawn (vs. moveBudget)
     std::int64_t annealAccepted = 0; ///< moves taken
     std::int64_t annealFiltered = 0; ///< moves cut by the C6 filter
@@ -295,20 +280,11 @@ class Optimizer
     Optimizer(const platform::SocDescription& soc,
               const ProfilingTable& table, PlannerSpec spec = {});
 
-    /** Pre-PlannerSpec shim: fold @p shared_eval / @p contention into
-     *  the spec instead (PlannerSpec::sharedEvaluator /
-     *  PlannerSpec::contentionProfile). */
-    [[deprecated("pass sharedEvaluator/contentionProfile inside "
-                 "PlannerSpec")]]
-    Optimizer(const platform::SocDescription& soc,
-              const ProfilingTable& table, PlannerSpec spec,
-              ScheduleEvaluator* shared_eval,
-              const platform::ContentionProfile* contention = nullptr);
-
     /**
      * Run levels 1 and 2.
-     * @return up to K candidates sorted by predicted latency (ties by
-     *         gapness); never empty for a valid table.
+     * @return up to K candidates ranked by (feasibility class,
+     *         objective score, assignment); never empty for a valid
+     *         table.
      */
     std::vector<Candidate> optimize();
 
@@ -316,19 +292,19 @@ class Optimizer
     const OptimizeStats& stats() const { return stats_; }
 
   private:
-    std::vector<Candidate> optimizeWithSolver();
     std::vector<Candidate> optimizeExhaustive();
     std::vector<Candidate> optimizeAnnealed();
     /** The annealed engine's phase schedule (skipped when the annealer
      *  swept the whole space at construction): split the move budget
-     *  across guide phases mirroring the exact engines' levels. */
+     *  across guide phases mirroring the exact engine's levels. */
     void runAnnealPhases(Annealer& annealer, int m_eff);
     /**
      * The shared level-1/level-2 selection arithmetic over a set of
      * admissible candidates: derive the latency bound, required PU
      * count and gapness bound from the set, then pick up to K diverse
-     * candidates (C5 blocking + per-tier caps). The exhaustive engine
-     * feeds it the whole space; the annealed engine feeds it the
+     * candidates (C5 blocking + per-tier caps), ranked by (class,
+     * score, assignment) and truncated to K. The exhaustive engine
+     * feeds it the admissible space; the annealed engine feeds it the
      * visited pool - which is exactly why their results agree whenever
      * the pool covers the relevant optima.
      */
@@ -337,7 +313,6 @@ class Optimizer
     /** Whether spec allowedPus admits @p pu (empty list = all). */
     bool puAllowed(int pu) const;
     /** C6 predicate: aggregate demand within budget (true if C6 off). */
-    bool demandOk(std::span<const int> stage_to_pu) const;
     bool demandOk(const Schedule& s) const;
     /** 0 = fully feasible, 1 = over gapness budget, 2 = out of class. */
     int rankClass(const Candidate& c) const;
@@ -364,7 +339,7 @@ class Optimizer
     bool c6Relaxed_ = false;
     OptimizeStats stats_;
     std::unique_ptr<ScheduleEvaluator> ownedEval_;
-    ScheduleEvaluator* eval_ = nullptr; ///< null = from-scratch path
+    ScheduleEvaluator* eval_ = nullptr; ///< owned or shared, never null
 };
 
 } // namespace bt::core

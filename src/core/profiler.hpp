@@ -45,7 +45,7 @@ struct ProfileResult
     ProfilingTable isolated;
     ProfilingTable interference;
     /** Per-(stage, PU) bandwidth demand and ambient-bucket stretch
-     *  factors, for contention-aware planning (solver C6, evaluator
+     *  factors, for contention-aware planning (the C6 filter, evaluator
      *  buckets, service leases). Noise-free: derived analytically from
      *  the same model the timing measurements sample. */
     platform::ContentionProfile contention;

@@ -183,13 +183,15 @@ enumerateRec(int start, int n, int num_pus, std::uint32_t used_mask,
 } // namespace
 
 std::vector<Schedule>
-enumerateSchedules(int num_stages, int num_pus)
+enumerateSchedules(int num_stages, int num_pus, std::uint32_t allowed_mask)
 {
     BT_ASSERT(num_stages > 0 && num_pus > 0);
     BT_ASSERT(num_pus <= 32, "PU mask limited to 32 classes");
     std::vector<Schedule> out;
     std::vector<Chunk> acc;
-    enumerateRec(0, num_stages, num_pus, 0u, acc, &out, nullptr);
+    // Excluded PUs start out "used", so the walk never assigns them.
+    enumerateRec(0, num_stages, num_pus, ~allowed_mask, acc, &out,
+                 nullptr);
     return out;
 }
 

@@ -7,13 +7,13 @@
  * partition of the stage sequence into chunks, each chunk assigned to a
  * distinct PU class. This module provides the data type, predicted-cost
  * queries against a profiling table, and exhaustive enumeration of the
- * whole schedule space (used both as a baseline optimizer and to
- * cross-validate the constraint solver).
+ * whole schedule space (the exact optimizer's admissible pool).
  */
 
 #ifndef BT_CORE_SCHEDULE_HPP
 #define BT_CORE_SCHEDULE_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -89,9 +89,12 @@ class Schedule
  * (contiguity, i.e. distinct PUs per chunk): all ordered partitions of
  * the stage sequence into at most @p num_pus chunks with pairwise
  * distinct PU assignments. For 9 stages and 4 PUs this is 2,116
- * schedules.
+ * schedules. Only PUs whose bit is set in @p allowed_mask are
+ * assigned; excluded PUs are pruned during the walk, so the cost is
+ * proportional to the restricted space, not to the full one.
  */
-std::vector<Schedule> enumerateSchedules(int num_stages, int num_pus);
+std::vector<Schedule> enumerateSchedules(int num_stages, int num_pus,
+                                         std::uint32_t allowed_mask = ~0u);
 
 /** Count of schedules enumerateSchedules would return. */
 std::uint64_t countSchedules(int num_stages, int num_pus);

@@ -3,10 +3,10 @@
  * Memoized schedule evaluation for the throughput-oriented planning
  * path (BT-Optimizer hot loop).
  *
- * Producing a deployed schedule means scoring tens of thousands of
- * (stage -> PU) assignments: every solver minimize() call walks the
- * whole propagation-pruned space, the exhaustive engine re-scores each
- * enumerated schedule, and fault-time replans repeat both. All of those
+ * Producing a deployed schedule means scoring thousands of
+ * (stage -> PU) assignments: the exact engine scores every enumerated
+ * schedule, the annealed engine re-scores the schedules its walk
+ * revisits, and fault-time replans repeat both. All of those
  * scores decompose into per-chunk contributions - the predicted time of
  * running stages [first, last] back-to-back on one PU - and the chunk
  * space is tiny (O(stages^2 x PUs)) while the schedule space is
@@ -17,8 +17,8 @@
  *     computes, so every entry is bit-identical to the from-scratch sum;
  *  2. a *keyed prediction cache*: full Prediction records (latency,
  *     gapness, energy, chunk count) memoized by a packed assignment key,
- *     shared across solver objective callbacks, exhaustive enumeration,
- *     the annealed engine's move loop (anneal.hpp - millions of move
+ *     shared across exhaustive enumeration, the annealed engine's move
+ *     loop (anneal.hpp - millions of move
  *     evaluations become cache lookups), and graceful-degradation
  *     replans against the same table.
  *
@@ -32,12 +32,13 @@
  * uncontended baseline and shares the bit-exactness contract below.
  *
  * Bit-exactness contract: every number an evaluator returns is the
- * exact double the unmemoized path (Schedule::bottleneckTime /
- * Schedule::gapness / Optimizer's from-scratch energy model) would
- * produce. Latency and gapness are max/min folds over cached chunk
- * times; the energy model replicates the from-scratch loop
- * operation-for-operation over the same cached values. Tests
- * cross-validate this over entire schedule spaces.
+ * exact double a from-scratch fold over the schedule would produce:
+ * Schedule::bottleneckTime / Schedule::gapness for latency and
+ * gapness, and for energy the per-chunk loop in evaluate() run over
+ * Schedule::chunkTime. Latency and gapness are max/min folds over
+ * cached chunk times; the energy loop runs over the same cached
+ * values. Tests cross-validate all of it, demand included, over
+ * entire schedule spaces against from-scratch folds of their own.
  *
  * Thread compatibility: the evaluator memoizes internally and is NOT
  * safe for concurrent use. The planning path is single-threaded (only

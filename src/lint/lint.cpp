@@ -530,7 +530,7 @@ lintPlannerSpec(const core::PlannerSpec& spec, int num_stages,
                 msg("schedule space of ", space,
                     " schedules exceeds exactSpaceLimit ",
                     spec.exactSpaceLimit,
-                    "; the exact engines refuse it - switch to "
+                    "; the exact engine refuses it - switch to "
                     "PlannerEngine::Annealed or raise the limit")));
     }
     return r;

@@ -62,7 +62,6 @@ replanConfig(const platform::SocDescription& soc,
     BT_ASSERT(alive.size() == static_cast<std::size_t>(soc.numPus()));
     core::PlannerSpec cfg;
     cfg.numCandidates = 1;
-    cfg.engine = core::PlannerEngine::Exhaustive;
     for (int p = 0; p < soc.numPus(); ++p)
         if (alive[static_cast<std::size_t>(p)])
             cfg.allowedPus.push_back(p);

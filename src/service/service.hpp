@@ -168,8 +168,7 @@ struct ServiceReport
     double planSeconds = 0.0;   ///< total wall time spent planning
     std::int64_t batches = 0;   ///< pipeline runs (>= 1 request each)
 
-    /** Configured planner engine ("solver" / "exhaustive" /
-     *  "annealed"). */
+    /** Configured planner engine ("exhaustive" / "annealed"). */
     std::string plannerEngine;
     /** Plans where an exact engine was configured but the tenant's
      *  schedule space exceeded exactSpaceLimit, so the service fell

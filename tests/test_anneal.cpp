@@ -4,7 +4,7 @@
  * closed-form schedule-space sizing, annealed-vs-exact cross-validation
  * on every enumerable instance, seed determinism (including autotuner
  * thread-count invariance), fingerprint coverage of the annealing
- * knobs, the exact engines' large-instance refusal, and bt::Service's
+ * knobs, the exact engine's large-instance refusal, and bt::Service's
  * annealed fallback for large tenants.
  */
 
@@ -32,7 +32,7 @@ namespace bt::core {
 namespace {
 
 // ---------------------------------------------------------------------
-// scheduleSpaceSize: the exact engines' refusal predicate.
+// scheduleSpaceSize: the exact engine's refusal predicate.
 
 TEST(ScheduleSpaceSize, MatchesEnumerationOnSmallSpaces)
 {
@@ -60,19 +60,19 @@ TEST(ScheduleSpaceSize, SaturatesInsteadOfOverflowing)
 
 TEST(PlannerEngineNames, RoundTrip)
 {
-    EXPECT_STREQ(plannerEngineName(PlannerEngine::Solver), "solver");
     EXPECT_STREQ(plannerEngineName(PlannerEngine::Exhaustive),
                  "exhaustive");
     EXPECT_STREQ(plannerEngineName(PlannerEngine::Annealed),
                  "annealed");
-    EXPECT_EQ(plannerEngineFromName("solver"), PlannerEngine::Solver);
     EXPECT_EQ(plannerEngineFromName("exhaustive"),
               PlannerEngine::Exhaustive);
     EXPECT_EQ(plannerEngineFromName("annealed"),
               PlannerEngine::Annealed);
-    // The deprecated spelling still parses.
-    EXPECT_EQ(plannerEngineFromName("constraint_solver"),
-              PlannerEngine::Solver);
+    // Retired names are unknown like any other.
+    for (const char* name : {"solver", "constraint_solver", "bogus"})
+        EXPECT_DEATH_IF_SUPPORTED(
+            (void)plannerEngineFromName(name),
+            "unknown planner engine.*expected exhaustive.annealed");
 }
 
 // ---------------------------------------------------------------------
@@ -95,7 +95,7 @@ frontCost(const Candidate& c, const PlannerSpec& spec)
 }
 
 /**
- * The acceptance check: on an instance the exact engines can
+ * The acceptance check: on an instance the exact engine can
  * enumerate, the annealed engine's front candidate must be cost-equal
  * to the exact optimum (identical evaluator arithmetic on both sides,
  * so the comparison is bit-exact, not approximate), and the level-1
@@ -109,7 +109,7 @@ expectAnnealedMatchesExact(
 {
     spec.contentionProfile = contention;
     PlannerSpec exact_spec = spec;
-    exact_spec.engine = PlannerEngine::Solver;
+    exact_spec.engine = PlannerEngine::Exhaustive;
     PlannerSpec annealed_spec = spec;
     annealed_spec.engine = PlannerEngine::Annealed;
 
@@ -308,18 +308,14 @@ TEST(AnnealedDeterminism, AutotunerReportInvariantAcrossThreadCounts)
 // ---------------------------------------------------------------------
 // Fingerprint coverage.
 
-TEST(PlannerFingerprint, ExactEnginesAndMemoizationFoldTogether)
+TEST(PlannerFingerprint, DefaultValuesPinned)
 {
-    PlannerSpec solver;
-    PlannerSpec exhaustive = solver;
-    exhaustive.engine = PlannerEngine::Exhaustive;
-    PlannerSpec unmemoized = solver;
-    unmemoized.memoize = false;
-
-    // Exact engines are bit-identical by contract, so flipping between
-    // them (or toggling memoization) must keep the same cache entries.
-    EXPECT_EQ(solver.fingerprint(), exhaustive.fingerprint());
-    EXPECT_EQ(solver.fingerprint(), unmemoized.fingerprint());
+    // Schedule-cache keys embed these values; pinning them keeps keys
+    // minted by earlier builds addressable.
+    EXPECT_EQ(PlannerSpec{}.fingerprint(), 0xe360348aa1e29e06ull);
+    PlannerSpec annealed;
+    annealed.engine = PlannerEngine::Annealed;
+    EXPECT_EQ(annealed.fingerprint(), 0x715e8858dcb5ddcdull);
 }
 
 TEST(PlannerFingerprint, AnnealedEngineAndKnobsAreCovered)
@@ -422,14 +418,30 @@ TEST_F(LargeInstance, ExactEnginesRefuse)
 {
     EXPECT_GT(scheduleSpaceSize(table->numStages(), soc.numPus()),
               PlannerSpec{}.exactSpaceLimit);
-    for (const auto engine :
-         {PlannerEngine::Solver, PlannerEngine::Exhaustive}) {
-        PlannerSpec spec;
-        spec.engine = engine;
-        Optimizer opt(soc, *table, spec);
-        EXPECT_DEATH_IF_SUPPORTED((void)opt.optimize(),
-                                  "exceeds exactSpaceLimit");
-    }
+    Optimizer opt(soc, *table, PlannerSpec{});
+    EXPECT_DEATH_IF_SUPPORTED((void)opt.optimize(),
+                              "exceeds exactSpaceLimit");
+}
+
+TEST_F(LargeInstance, LeasedExactPlanEnumeratesOnlyTheAllowedSpace)
+{
+    // A four-PU lease of the 8-class rig fits the exact limit; the
+    // pool is built over the lease alone, never the 1.7e8-schedule
+    // full space.
+    PlannerSpec spec;
+    spec.allowedPus = {0, 2, 4, 6};
+    ASSERT_LE(scheduleSpaceSize(table->numStages(), 4),
+              spec.exactSpaceLimit);
+
+    Optimizer opt(soc, *table, spec);
+    const auto cands = opt.optimize();
+    ASSERT_FALSE(cands.empty());
+    EXPECT_EQ(opt.stats().solverNodes,
+              scheduleSpaceSize(table->numStages(), 4));
+    EXPECT_EQ(opt.stats().solverNodes, opt.stats().spaceSize);
+    for (const auto& c : cands)
+        for (const auto& chunk : c.schedule.chunks())
+            EXPECT_EQ(chunk.pu % 2, 0) << c.schedule.compactString();
 }
 
 TEST_F(LargeInstance, AnnealedPlansFeasiblyUnderC6)
@@ -483,7 +495,7 @@ TEST(ServiceAnnealedFallback, LargeTenantAnnealsInsteadOfFailing)
     const auto plan = service.freshPlan("AlexNet-Sparse", 0, 0, 1);
     EXPECT_TRUE(plan.schedule.valid(9, soc.numPus()));
     const auto report = service.report();
-    EXPECT_EQ(report.plannerEngine, "solver"); // the configured engine
+    EXPECT_EQ(report.plannerEngine, "exhaustive"); // the configured one
     EXPECT_GE(report.annealedFallbacks, 1);
 
     // Disabling the refusal threshold keeps the exact engine, so the
@@ -508,7 +520,7 @@ TEST(ServiceAnnealedFallback, SmallTenantKeepsTheExactEngine)
     const auto plan = service.freshPlan("AlexNet-Sparse", 0, 0, 1);
     EXPECT_TRUE(plan.schedule.valid(9, soc.numPus()));
     const auto report = service.report();
-    EXPECT_EQ(report.plannerEngine, "solver");
+    EXPECT_EQ(report.plannerEngine, "exhaustive");
     EXPECT_EQ(report.annealedFallbacks, 0);
 }
 

@@ -4,9 +4,10 @@
  * consumes it: ContentionModel/ContentionProfile quantization and
  * demand math, PerfModel's delegation and overload forwarding
  * (bit-exactness), bucketed ScheduleEvaluator predictions, the
- * optimizer's C6 aggregate-bandwidth constraint family (solver =
- * exhaustive = memoized, budget respected, infeasible budgets relaxed,
- * single-tenant byte-identity), the service's contention-aware
+ * optimizer's C6 aggregate-bandwidth constraint family (budget
+ * respected, infeasible budgets relaxed, single-tenant byte-identity;
+ * the C6 plan itself is checked against the solver reference in
+ * test_optimizer), the service's contention-aware
  * two-tenant planning on the bandwidth-starved contention rig, and
  * agreement between the planner's stretched predictions and both time
  * backends under ambient co-runner demand.
@@ -33,39 +34,18 @@
 #include "runtime/host_backend.hpp"
 #include "service/service.hpp"
 
+#include "mem_pipeline.hpp"
+
 namespace bt::core {
 namespace {
 
 // ---------------------------------------------------------------------
 // Fixtures: synthetic pipelines on the bandwidth-starved contention
-// rig. The memory block (m1, m2) saturates whichever link it lands on;
-// c1 is a small compute tail. MemHeavy moves twice the bytes of
+// rig (tests/mem_pipeline.hpp). MemHeavy moves twice the bytes of
 // MemLight, so the two-tenant scenarios are asymmetric.
 
-Application
-memPipeline(const std::string& name, double byte_scale)
-{
-    Application app(name, "buffer", "synthetic memory-bound");
-    const auto add = [&](const char* sname, double flops,
-                         double bytes) {
-        platform::WorkProfile w;
-        w.flops = flops;
-        w.bytes = bytes;
-        w.parallelFraction = 1.0;
-        w.pattern = platform::Pattern::Dense;
-        app.addStage(Stage(sname, w, [](KernelCtx&) {}, nullptr));
-    };
-    add("m1", 2e5, 8e5 * byte_scale);
-    add("m2", 1e5, 6e5 * byte_scale);
-    add("c1", 2e5, 1e3);
-    return app;
-}
-
-Application
-memHeavy()
-{
-    return memPipeline("MemHeavy", 1.0);
-}
+using fixtures::memHeavy;
+using fixtures::memPipeline;
 
 Application
 memLight()
@@ -346,38 +326,6 @@ TEST_F(ContentionRig, EvaluatorBucketsMatchAManuallyStretchedTable)
 
 // ---------------------------------------------------------------------
 // Optimizer: the C6 aggregate-bandwidth constraint family.
-
-TEST_F(ContentionRig, C6EnginesAndMemoizationAgree)
-{
-    PlannerSpec cfg;
-    cfg.contention.budgetGbps = 5.0;
-    cfg.contention.ambientGbps = 5.0;
-    cfg.contentionProfile = &result.contention;
-
-    PlannerSpec brute = cfg;
-    brute.engine = PlannerEngine::Exhaustive;
-    PlannerSpec unmemoized = cfg;
-    unmemoized.memoize = false;
-
-    Optimizer a(soc, result.interference, cfg);
-    Optimizer b(soc, result.interference, brute);
-    Optimizer c(soc, result.interference, unmemoized);
-    const auto ca = a.optimize();
-    const auto cb = b.optimize();
-    const auto cc = c.optimize();
-
-    ASSERT_FALSE(ca.empty());
-    ASSERT_EQ(ca.size(), cb.size());
-    ASSERT_EQ(ca.size(), cc.size());
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-        EXPECT_EQ(ca[i].schedule, cb[i].schedule) << "rank " << i;
-        EXPECT_EQ(ca[i].schedule, cc[i].schedule) << "rank " << i;
-        EXPECT_DOUBLE_EQ(ca[i].predictedLatency, cb[i].predictedLatency);
-        EXPECT_DOUBLE_EQ(ca[i].predictedLatency, cc[i].predictedLatency);
-        EXPECT_DOUBLE_EQ(ca[i].predictedDemandGbps,
-                         cb[i].predictedDemandGbps);
-    }
-}
 
 TEST_F(ContentionRig, C6CandidatesRespectTheBudget)
 {
