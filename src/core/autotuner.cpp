@@ -36,10 +36,12 @@ AutoTuner::tune(const Application& app,
     BT_ASSERT(!candidates.empty(), "autotuner needs candidates");
     BT_ASSERT(threads_ >= 1, "autotuner thread count must be positive");
 
-    // Execute every candidate. Each execution is self-contained (a
+    // Measure every candidate. Each run is self-contained (a
     // VirtualTimeBackend run builds its own session, engine, and energy
     // meter over const inputs), so the campaign fans out over a worker
-    // team; each run lands in its candidate's indexed slot.
+    // team; each run lands in its candidate's indexed slot. Runs are
+    // untraced whatever the executor's config says: the report keeps
+    // only timings, which tracing never changes.
     const std::size_t n = candidates.size();
     std::vector<runtime::RunResult> runs(n);
     const int team = std::min(threads_, static_cast<int>(n));
@@ -49,11 +51,11 @@ AutoTuner::tune(const Application& app,
             0, static_cast<std::int64_t>(n), [&](std::int64_t i) {
                 const auto idx = static_cast<std::size_t>(i);
                 runs[idx]
-                    = executor_.execute(app, candidates[idx].schedule);
+                    = executor_.measure(app, candidates[idx].schedule);
             });
     } else {
         for (std::size_t i = 0; i < n; ++i)
-            runs[i] = executor_.execute(app, candidates[i].schedule);
+            runs[i] = executor_.measure(app, candidates[i].schedule);
     }
 
     // Merge in candidate order: the campaign-cost sum folds in the same

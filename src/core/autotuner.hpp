@@ -6,6 +6,12 @@
  * candidate runs through the simulated executor, whose virtual cost is
  * accumulated so the campaign cost (~200 s per device/application in the
  * paper) can be reported.
+ *
+ * Candidate runs are measurements (SimExecutor::measure): they record no
+ * trace, whatever the executor's RunConfig::recordTrace says, because
+ * the report keeps only timings and tracing never changes a timing. A
+ * traced executor therefore tunes at untraced cost and still traces its
+ * execute() runs, such as the facade's deployment run.
  */
 
 #ifndef BT_CORE_AUTOTUNER_HPP
@@ -76,7 +82,8 @@ class AutoTuner
     {
     }
 
-    /** Measure every candidate and rank. Candidates must be non-empty. */
+    /** Measure every candidate (untraced) and rank. Candidates must
+     *  be non-empty. */
     TuningReport tune(const Application& app,
                       const std::vector<Candidate>& candidates) const;
 

@@ -273,22 +273,37 @@ Optimizer::rankClass(const Candidate& c) const
 void
 Optimizer::sortCandidates(std::vector<Candidate>& cands) const
 {
-    // Tie-break on the lexicographically smallest stage-to-PU vector:
-    // the order is total, so the selection never depends on the order
-    // the pool was produced in.
-    std::stable_sort(cands.begin(), cands.end(),
-                     [&](const Candidate& a, const Candidate& b) {
-                         const int ra = rankClass(a);
-                         const int rb = rankClass(b);
-                         if (ra != rb)
-                             return ra < rb;
-                         const double sa = rankScore(a);
-                         const double sb = rankScore(b);
-                         if (sa != sb)
-                             return sa < sb;
-                         return a.schedule.toAssignment()
-                             < b.schedule.toAssignment();
+    // Rank by (class, score), tie-broken on the lexicographically
+    // smallest stage-to-PU vector: the order is total, so the selection
+    // never depends on the order the pool was produced in. Each
+    // candidate's key is built once, so comparisons never allocate.
+    struct RankKey
+    {
+        int cls;
+        double score;
+        std::vector<int> assignment;
+        std::size_t index;
+    };
+    std::vector<RankKey> keys;
+    keys.reserve(cands.size());
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        const Candidate& c = cands[i];
+        keys.push_back(RankKey{rankClass(c), rankScore(c),
+                               c.schedule.toAssignment(), i});
+    }
+    std::stable_sort(keys.begin(), keys.end(),
+                     [](const RankKey& a, const RankKey& b) {
+                         if (a.cls != b.cls)
+                             return a.cls < b.cls;
+                         if (a.score != b.score)
+                             return a.score < b.score;
+                         return a.assignment < b.assignment;
                      });
+    std::vector<Candidate> sorted;
+    sorted.reserve(cands.size());
+    for (const RankKey& k : keys)
+        sorted.push_back(std::move(cands[k.index]));
+    cands = std::move(sorted);
 }
 
 std::vector<Candidate>

@@ -44,7 +44,7 @@ BetterTogether::measureHomogeneous(const Application& app, int pu) const
 {
     const SimExecutor executor(model_, config.executor);
     const auto schedule = Schedule::homogeneous(app.numStages(), pu);
-    return executor.execute(app, schedule).taskIntervalSeconds;
+    return executor.measure(app, schedule).taskIntervalSeconds;
 }
 
 BetterTogetherReport
@@ -73,7 +73,7 @@ BetterTogether::run(const Application& app) const
     } else {
         report.bestSchedule = report.candidates.front().schedule;
         report.bestLatencySeconds
-            = executor.execute(app, report.bestSchedule)
+            = executor.measure(app, report.bestSchedule)
                   .taskIntervalSeconds;
     }
 

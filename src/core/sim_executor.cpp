@@ -6,9 +6,10 @@ namespace bt::core {
 
 SimExecutor::SimExecutor(const platform::PerfModel& model,
                          SimExecConfig cfg)
-    : backend(model), config(cfg)
+    : backend(model), config(cfg), measureConfig(cfg)
 {
     BT_ASSERT(config.numTasks > 0);
+    measureConfig.recordTrace = false;
 }
 
 runtime::RunResult
@@ -16,6 +17,13 @@ SimExecutor::execute(const Application& app,
                      const Schedule& schedule) const
 {
     return backend.run(app, schedule, config);
+}
+
+runtime::RunResult
+SimExecutor::measure(const Application& app,
+                     const Schedule& schedule) const
+{
+    return backend.run(app, schedule, measureConfig);
 }
 
 } // namespace bt::core

@@ -34,9 +34,19 @@ class SimExecutor
     runtime::RunResult execute(const Application& app,
                                const Schedule& schedule) const;
 
+    /**
+     * execute() with recordTrace forced off: the same timing, energy
+     * and recovery fields bit for bit (tracing never changes the event
+     * sequence), and an empty trace. For runs that only want the
+     * numbers - autotuning candidates, homogeneous baselines.
+     */
+    runtime::RunResult measure(const Application& app,
+                               const Schedule& schedule) const;
+
   private:
     runtime::VirtualTimeBackend backend;
     SimExecConfig config;
+    SimExecConfig measureConfig; ///< config with recordTrace = false
 };
 
 } // namespace bt::core

@@ -1,8 +1,10 @@
 #include "platform/perf_model.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <set>
+#include <cstdint>
 
 #include "common/logging.hpp"
 
@@ -12,6 +14,8 @@ PerfModel::PerfModel(const SocDescription& soc_)
     : desc(soc_), contention_(soc_)
 {
     desc.validate();
+    BT_ASSERT(desc.numPus() <= kMaxPus, "the interference fold keeps PU "
+              "classes in a 64-bit mask; ", desc.numPus(), " is too many");
 }
 
 double
@@ -87,52 +91,23 @@ PerfModel::timeOf(std::size_t idx, std::span<const Load> active,
 }
 
 double
-PerfModel::timeOfImpl(std::size_t idx, std::span<const Load> active,
-                      std::span<const double> clock_scale,
-                      double ambient_gbps) const
+PerfModel::stageTime(const Load& self, int busy_others, int same_pu,
+                     double demand_total,
+                     std::span<const double> clock_scale,
+                     double ambient_gbps) const
 {
-    BT_ASSERT(idx < active.size(), "load index out of range");
-    BT_ASSERT(ambient_gbps >= 0.0, "ambient demand must be nonnegative");
-    const Load& self = active[idx];
-    BT_ASSERT(self.work != nullptr);
     const PuModel& p = desc.pu(self.pu);
-
-    // How many *other* PU classes have at least one active load, and how
-    // many loads share our own PU (timeslicing).
-    std::set<int> other_classes;
-    int same_pu = 0;
-    for (const auto& l : active) {
-        BT_ASSERT(l.work != nullptr);
-        if (l.pu == self.pu)
-            ++same_pu;
-        else
-            other_classes.insert(l.pu);
-    }
-    const int busy_others = static_cast<int>(other_classes.size());
     const bool contended = busy_others > 0 || ambient_gbps > 0.0;
 
     double freq = effectiveFreqGhz(self.pu, busy_others);
-    if (!clock_scale.empty()) {
-        BT_ASSERT(clock_scale.size()
-                  == static_cast<std::size_t>(desc.numPus()));
+    if (!clock_scale.empty())
         freq *= clock_scale[static_cast<std::size_t>(self.pu)];
-    }
     double comp = computeTime(*self.work, p, freq);
 
     // Memory side: demand-proportional DRAM sharing (ContentionModel).
-    const double llc = contention_.llcFactor(contended);
-    double demand_total = 0.0;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-        const Load& l = active[i];
-        const PuModel& lp = desc.pu(l.pu);
-        const double demand = contention_.demandGbps(*l.work, lp);
-        // Other PUs' traffic is partially absorbed by bank-level
-        // parallelism; our own demand counts in full.
-        demand_total
-            += contention_.weightedDemand(demand, l.pu == self.pu);
-    }
     // Cross-tenant ambient traffic joins the pool like any foreign
     // PU's demand (adding 0.0 keeps the fold bit-identical).
+    const double llc = contention_.llcFactor(contended);
     demand_total += contention_.weightedDemand(ambient_gbps, false);
     const double scale = contention_.bandwidthScale(demand_total);
     const double bw = p.memBwGbps * scale;
@@ -143,6 +118,85 @@ PerfModel::timeOfImpl(std::size_t idx, std::span<const Load> active,
     mem *= same_pu;
 
     return std::max(comp, mem) + p.dispatchOverheadUs * 1e-6;
+}
+
+double
+PerfModel::timeOfImpl(std::size_t idx, std::span<const Load> active,
+                      std::span<const double> clock_scale,
+                      double ambient_gbps) const
+{
+    BT_ASSERT(idx < active.size(), "load index out of range");
+    BT_ASSERT(ambient_gbps >= 0.0, "ambient demand must be nonnegative");
+    BT_ASSERT(clock_scale.empty()
+              || clock_scale.size()
+                  == static_cast<std::size_t>(desc.numPus()));
+    const Load& self = active[idx];
+    BT_ASSERT(self.work != nullptr);
+
+    // Which *other* PU classes have at least one active load (one bit
+    // each), how many loads share our own PU (timeslicing), and the
+    // weighted demand every active load puts on the DRAM pool: other
+    // PUs' traffic is partially absorbed by bank-level parallelism, our
+    // own demand counts in full.
+    std::uint64_t others = 0;
+    int same_pu = 0;
+    double demand_total = 0.0;
+    for (const auto& l : active) {
+        BT_ASSERT(l.work != nullptr);
+        if (l.pu == self.pu)
+            ++same_pu;
+        else
+            others |= std::uint64_t{1} << l.pu;
+        demand_total += contention_.weightedDemand(
+            contention_.demandGbps(*l.work, desc.pu(l.pu)),
+            l.pu == self.pu);
+    }
+    return stageTime(self, std::popcount(others), same_pu, demand_total,
+                     clock_scale, ambient_gbps);
+}
+
+void
+PerfModel::timesOf(std::span<const Load> active,
+                   std::span<const double> clock_scale,
+                   double ambient_gbps, std::span<double> times_out) const
+{
+    BT_ASSERT(times_out.size() == active.size(),
+              "one output slot per load");
+    BT_ASSERT(ambient_gbps >= 0.0, "ambient demand must be nonnegative");
+    BT_ASSERT(clock_scale.empty()
+              || clock_scale.size()
+                  == static_cast<std::size_t>(desc.numPus()));
+
+    // Everything timeOf(i) folds depends on load i only through its PU
+    // class, so fold once per busy class. times_out holds each load's
+    // raw demand until its class's fold has read it.
+    std::uint64_t busy = 0;
+    std::array<int, kMaxPus> on_pu{};
+    for (std::size_t i = 0; i < active.size(); ++i) {
+        const Load& l = active[i];
+        BT_ASSERT(l.work != nullptr);
+        busy |= std::uint64_t{1} << l.pu;
+        on_pu[static_cast<std::size_t>(l.pu)] += 1;
+        times_out[i] = contention_.demandGbps(*l.work, desc.pu(l.pu));
+    }
+    std::array<double, kMaxPus> demand_total{};
+    for (std::uint64_t left = busy; left != 0; left &= left - 1) {
+        const int pu = std::countr_zero(left);
+        double total = 0.0;
+        for (std::size_t i = 0; i < active.size(); ++i)
+            total += contention_.weightedDemand(times_out[i],
+                                                active[i].pu == pu);
+        demand_total[static_cast<std::size_t>(pu)] = total;
+    }
+    for (std::size_t i = 0; i < active.size(); ++i) {
+        const Load& self = active[i];
+        const auto pu = static_cast<std::size_t>(self.pu);
+        const int busy_others
+            = std::popcount(busy & ~(std::uint64_t{1} << self.pu));
+        times_out[i] = stageTime(self, busy_others, on_pu[pu],
+                                 demand_total[pu], clock_scale,
+                                 ambient_gbps);
+    }
 }
 
 double

@@ -48,6 +48,9 @@ struct Load
 class PerfModel
 {
   public:
+    /** PU classes the interference fold tracks (one bit each). */
+    static constexpr int kMaxPus = 64;
+
     explicit PerfModel(const SocDescription& soc_);
 
     const SocDescription& soc() const { return desc; }
@@ -80,6 +83,19 @@ class PerfModel
     double timeOf(std::size_t idx, std::span<const Load> active,
                   std::span<const double> clock_scale,
                   double ambient_gbps) const;
+
+    /**
+     * Batched timeOf: writes timeOf(i, active, clock_scale,
+     * ambient_gbps) into @p times_out[i] for every i, bit for bit, and
+     * allocates nothing. Each load's bandwidth demand is computed once
+     * (not once per load it shares the SoC with), and loads on one PU
+     * class share one demand fold - the fold depends only on which
+     * loads count as "own PU" - kept in the per-load operand order.
+     * The DES rate refresh calls this once per active-set change.
+     */
+    void timesOf(std::span<const Load> active,
+                 std::span<const double> clock_scale, double ambient_gbps,
+                 std::span<double> times_out) const;
 
     /** Execution time of @p w on @p pu with nothing else running. */
     double isolatedTime(const WorkProfile& w, int pu) const;
@@ -122,6 +138,17 @@ class PerfModel
     double timeOfImpl(std::size_t idx, std::span<const Load> active,
                       std::span<const double> clock_scale,
                       double ambient_gbps) const;
+
+    /**
+     * The fold's tail shared by timeOfImpl and timesOf: @p self's time
+     * given @p busy_others other busy PU classes, @p same_pu loads on
+     * its own PU (itself included) and the in-pipeline weighted demand
+     * @p demand_total (ambient not yet added).
+     */
+    double stageTime(const Load& self, int busy_others, int same_pu,
+                     double demand_total,
+                     std::span<const double> clock_scale,
+                     double ambient_gbps) const;
 
     /** Compute-side time, before memory effects. */
     double computeTime(const WorkProfile& w, const PuModel& p,

@@ -76,9 +76,10 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
     std::vector<double> complete_time(static_cast<std::size_t>(
         cfg.numTasks), 0.0);
 
+    std::vector<platform::Load> loads; // reused across rate refreshes
     sim::Engine engine([&](std::span<const sim::ActiveTask> active,
                            std::span<double> rates) {
-        std::vector<platform::Load> loads(active.size());
+        loads.resize(active.size());
         for (std::size_t i = 0; i < active.size(); ++i) {
             const int pu = static_cast<int>(active[i].tag);
             BT_ASSERT(pu_state[static_cast<std::size_t>(pu)]
@@ -88,10 +89,9 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
                      .work(),
                 pu};
         }
-        for (std::size_t i = 0; i < active.size(); ++i)
-            rates[i] = 1.0
-                / model_.timeOf(i, loads, {},
-                                cfg.ambientBandwidthGbps);
+        model_.timesOf(loads, {}, cfg.ambientBandwidthGbps, rates);
+        for (double& r : rates)
+            r = 1.0 / r;
     });
 
     EnergyMeter meter(model_, [&](std::vector<bool>& active) {
@@ -103,12 +103,12 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
     meter.attach(engine);
 
     auto coRunnersOf = [&](int self) {
-        std::vector<int> pus;
+        std::uint64_t pus = 0;
         for (int p = 0; p < num_pus; ++p)
             if (p != self
                 && pu_state[static_cast<std::size_t>(p)]
                     == PuState::Running)
-                pus.push_back(p);
+                pus |= std::uint64_t{1} << p;
         return pus;
     };
 

@@ -191,14 +191,14 @@ HostTimeBackend::run(const core::Application& app,
     };
 
     auto coRunnersOf = [&](int self) {
-        std::vector<int> pus;
+        std::uint64_t pus = 0;
         for (int c = 0; c < num_chunks; ++c) {
             if (c == self)
                 continue;
             const int pu = running[static_cast<std::size_t>(c)].load(
                 std::memory_order_relaxed);
             if (pu >= 0)
-                pus.push_back(pu);
+                pus |= std::uint64_t{1} << pu;
         }
         return pus;
     };
@@ -250,7 +250,7 @@ HostTimeBackend::run(const core::Application& app,
                         && injector.transientFailure(task, s, cur_pu,
                                                      attempt);
                     const double start = secondsSince(t0);
-                    const std::vector<int> co = coRunnersOf(c);
+                    const std::uint64_t co = coRunnersOf(c);
                     if (!will_fail)
                         session.runStage(c, s, token->token,
                                          cur_pu == ch.pu ? team.get()

@@ -1,6 +1,7 @@
 #include "runtime/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 #include <sstream>
 
@@ -118,6 +119,9 @@ TraceTimeline::TraceTimeline(std::string backend, int num_pus,
       puNames_(std::move(pu_names)), stageNames_(std::move(stage_names))
 {
     BT_ASSERT(numPus_ > 0);
+    if (numPus_ > kMaxPus)
+        BT_PANIC("trace.pu_mask", "timeline of ", numPus_,
+                 " PU classes; co-runner masks hold at most ", kMaxPus);
 }
 
 void
@@ -202,7 +206,7 @@ TraceTimeline::stats() const
         auto& pu = st.perPu[static_cast<std::size_t>(e.pu)];
         pu.busySeconds += d;
         pu.events += 1;
-        if (!e.coRunners.empty())
+        if (e.coRunners != 0)
             interfered += d;
         wait += e.queueWaitSeconds;
     }
@@ -330,10 +334,11 @@ TraceTimeline::writeChromeJson(std::ostream& os) const
             os << ",\"session\":" << e.session;
         os << ",\"queue_wait_us\":" << e.queueWaitSeconds * 1e6
            << ",\"co_runners\":[";
-        for (std::size_t i = 0; i < e.coRunners.size(); ++i) {
-            if (i > 0)
+        for (std::uint64_t left = e.coRunners; left != 0;
+             left &= left - 1) {
+            os << std::countr_zero(left);
+            if ((left & (left - 1)) != 0)
                 os << ",";
-            os << e.coRunners[i];
         }
         os << "]}}";
     }

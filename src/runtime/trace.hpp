@@ -9,7 +9,8 @@
  * in the backend's own time domain (virtual seconds for the DES, wall
  * seconds for the host), and which other PUs were busy at the moment it
  * started (the instantaneous co-runner set the interference model - and
- * D-Shim-style contention analyses - care about).
+ * D-Shim-style contention analyses - care about), as a PU bitmask so
+ * recording a stage allocates nothing.
  *
  * The timeline exports to the Chrome chrome://tracing JSON format and
  * derives occupancy / pipeline-bubble / interference statistics plus a
@@ -67,8 +68,9 @@ struct TraceEvent
     double startSeconds = 0.0;
     double endSeconds = 0.0;
 
-    /** Other PUs busy when this execution started. */
-    std::vector<int> coRunners;
+    /** Other PUs busy when this execution started: bit p set = PU
+     *  class p was busy (a timeline has at most 64 PU classes). */
+    std::uint64_t coRunners = 0;
 
     /** Stage for ordinary executions; a recovery incident otherwise.
      *  (Appended after the original fields so existing aggregate
@@ -142,6 +144,10 @@ class TraceTimeline
 {
   public:
     TraceTimeline() = default;
+    /** Largest PU count a timeline supports (coRunners is a mask). */
+    static constexpr int kMaxPus = 64;
+
+    /** @p num_pus must be in [1, kMaxPus]. */
     TraceTimeline(std::string backend, int num_pus,
                   std::vector<std::string> pu_names,
                   std::vector<std::string> stage_names);

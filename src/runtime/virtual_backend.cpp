@@ -141,10 +141,10 @@ VirtualTimeBackend::run(const core::Application& app,
                 &app.stage(rt.curStage).work(),
                 chunk_pu[static_cast<std::size_t>(active[i].tag)]};
         }
-        for (std::size_t i = 0; i < active.size(); ++i)
-            rates[i] = 1.0
-                / model_.timeOf(i, loads, clock_scale,
-                                cfg.ambientBandwidthGbps);
+        model_.timesOf(loads, clock_scale, cfg.ambientBandwidthGbps,
+                       rates);
+        for (double& r : rates)
+            r = 1.0 / r;
     });
 
     EnergyMeter meter(model_, [&](std::vector<bool>& active) {
@@ -157,10 +157,11 @@ VirtualTimeBackend::run(const core::Application& app,
     meter.attach(engine);
 
     auto coRunnersOf = [&](int self) {
-        std::vector<int> pus;
+        std::uint64_t pus = 0;
         for (int c = 0; c < num_chunks; ++c)
             if (c != self && chunks[static_cast<std::size_t>(c)].busy)
-                pus.push_back(chunk_pu[static_cast<std::size_t>(c)]);
+                pus |= std::uint64_t{1}
+                    << chunk_pu[static_cast<std::size_t>(c)];
         return pus;
     };
     auto puOf = [&](int c) {

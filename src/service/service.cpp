@@ -235,10 +235,7 @@ Service::freshPlan(const std::string& app_name, int /*load_bucket*/,
 
     CachedPlan plan;
     if (cfg_.autotune) {
-        runtime::RunConfig exec = cfg_.run;
-        exec.recordTrace = false;
-        exec.sessionId = -1;
-        const core::SimExecutor executor(model_, exec);
+        const core::SimExecutor executor(model_, cfg_.run);
         const core::AutoTuner tuner(executor);
         const core::TuningReport tuning = tuner.tune(app, candidates);
         plan.schedule = tuning.best().candidate.schedule;

@@ -496,6 +496,13 @@ TEST(LintFramework, PreflightReportRidesAlongOnCleanRuns)
     EXPECT_TRUE(report.preflight.clean());
     EXPECT_GT(report.preflight.stats.passes, 0);
     EXPECT_GT(report.bestLatencySeconds, 0.0);
+
+    // Candidate runs are untraced, but the deployment run keeps its
+    // trace: one stage event per task and stage.
+    const auto& deployed = report.deployedRun;
+    ASSERT_FALSE(deployed.trace.empty());
+    EXPECT_EQ(deployed.trace.stats().events,
+              deployed.tasks * cleanApp().numStages());
 }
 
 // ---------------------------------------------------------------------

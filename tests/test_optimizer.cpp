@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,6 +22,7 @@
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
 #include "core/application.hpp"
+#include "core/autotuner.hpp"
 #include "core/optimizer.hpp"
 #include "core/schedule_eval.hpp"
 #include "core/profiler.hpp"
@@ -537,6 +539,76 @@ TEST_F(ProfiledPixel, SharedEvaluatorServesSecondOptimizerFromCache)
     for (const auto& chunk : plan_b.front().schedule.chunks())
         EXPECT_LE(chunk.pu, 2);
     (void)plan_a;
+}
+
+// ---------------------------------------------------------------------
+// Trace independence: measurement runs record no trace, and recording
+// one never changes a number the planning path keeps.
+
+/** Bit pattern of @p x, so EXPECT_EQ compares doubles byte for byte. */
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST_F(ProfiledPixel, TuningReportIsIdenticalWithAndWithoutTraceConfig)
+{
+    Optimizer optimizer(soc, result.interference);
+    const auto candidates = optimizer.optimize();
+    ASSERT_GT(candidates.size(), 1u);
+
+    runtime::RunConfig traced;
+    traced.recordTrace = true;
+    traced.sessionId = 3;
+    runtime::RunConfig plain = traced;
+    plain.recordTrace = false;
+    const SimExecutor traced_exec(*model, traced);
+    const SimExecutor plain_exec(*model, plain);
+    const TuningReport a = AutoTuner(traced_exec).tune(*app, candidates);
+    const TuningReport b = AutoTuner(plain_exec).tune(*app, candidates);
+
+    ASSERT_EQ(a.all.size(), b.all.size());
+    EXPECT_EQ(a.bestIndex, b.bestIndex);
+    EXPECT_EQ(bitsOf(a.campaignCostSeconds), bitsOf(b.campaignCostSeconds));
+    for (std::size_t i = 0; i < a.all.size(); ++i) {
+        EXPECT_EQ(a.all[i].rankPredicted, b.all[i].rankPredicted) << i;
+        EXPECT_EQ(a.all[i].candidate.schedule.toAssignment(),
+                  b.all[i].candidate.schedule.toAssignment())
+            << i;
+        EXPECT_EQ(bitsOf(a.all[i].measuredLatency),
+                  bitsOf(b.all[i].measuredLatency))
+            << i;
+    }
+}
+
+TEST_F(ProfiledPixel, MeasureIsExecuteWithoutTheTrace)
+{
+    runtime::RunConfig cfg;
+    cfg.recordTrace = true;
+    const SimExecutor executor(*model, cfg);
+    const Schedule s = Schedule::fromAssignment(
+        {0, 0, 1, 1, 2, 2, 3, 3, 3});
+    ASSERT_EQ(s.numStages(), app->numStages());
+
+    const runtime::RunResult traced = executor.execute(*app, s);
+    const runtime::RunResult measured = executor.measure(*app, s);
+    EXPECT_FALSE(traced.trace.empty());
+    EXPECT_TRUE(measured.trace.empty());
+    EXPECT_EQ(measured.tasks, traced.tasks);
+    EXPECT_EQ(bitsOf(measured.makespanSeconds),
+              bitsOf(traced.makespanSeconds));
+    EXPECT_EQ(bitsOf(measured.taskIntervalSeconds),
+              bitsOf(traced.taskIntervalSeconds));
+    EXPECT_EQ(bitsOf(measured.meanLatencySeconds),
+              bitsOf(traced.meanLatencySeconds));
+    EXPECT_EQ(bitsOf(measured.energyJoules), bitsOf(traced.energyJoules));
+    ASSERT_EQ(measured.chunkBusyFraction.size(),
+              traced.chunkBusyFraction.size());
+    for (std::size_t c = 0; c < traced.chunkBusyFraction.size(); ++c)
+        EXPECT_EQ(bitsOf(measured.chunkBusyFraction[c]),
+                  bitsOf(traced.chunkBusyFraction[c]))
+            << c;
 }
 
 // ---------------------------------------------------------------------

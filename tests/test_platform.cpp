@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "platform/devices.hpp"
 #include "platform/perf_model.hpp"
 
@@ -191,6 +194,60 @@ TEST(PerfModel, TimeslicingSamePuStretchesBoth)
     const double shared = model.timeOf(0, two);
     const double alone = model.isolatedTime(w, 2);
     EXPECT_NEAR(shared / alone, 2.0, 0.01);
+}
+
+TEST(PerfModel, BatchedTimesOfIsBitIdenticalToTimeOf)
+{
+    // The DES refreshes every active stage's rate with one timesOf
+    // call; it must reproduce the per-load fold bit for bit on every
+    // device (8 PU classes on manycoreRig), with and without throttled
+    // clocks and cross-tenant ambient demand, including active sets
+    // that timeslice one PU.
+    std::vector<SocDescription> socs = paperDevices();
+    socs.push_back(contentionRig());
+    socs.push_back(manycoreRig());
+    ASSERT_EQ(socs.back().numPus(), 8);
+
+    Rng rng(0x7135);
+    std::vector<WorkProfile> works(16);
+    for (auto& w : works) {
+        w.flops = rng.nextRange(1e5, 1e10);
+        w.bytes = rng.nextRange(1e3, 1e9);
+        w.parallelFraction = rng.nextDouble();
+        w.pattern = static_cast<Pattern>(rng.nextBounded(kNumPatterns));
+        w.cpuWorkScale = rng.nextRange(1.0, 4.0);
+    }
+
+    int compared = 0;
+    for (const auto& soc : socs) {
+        const PerfModel model(soc);
+        const auto m = static_cast<std::uint64_t>(soc.numPus());
+        for (int trial = 0; trial < 200; ++trial) {
+            std::vector<Load> active(1 + rng.nextBounded(2 * m));
+            for (auto& l : active)
+                l = Load{&works[rng.nextBounded(works.size())],
+                         static_cast<int>(rng.nextBounded(m))};
+            std::vector<double> clocks;
+            if (trial % 2 == 1)
+                for (std::uint64_t p = 0; p < m; ++p)
+                    clocks.push_back(rng.nextRange(0.3, 1.0));
+            const double ambient = trial % 4 >= 2
+                ? rng.nextRange(0.1, 2.0 * soc.mem.dramBwGbps)
+                : 0.0;
+
+            std::vector<double> times(active.size());
+            model.timesOf(active, clocks, ambient, times);
+            for (std::size_t i = 0; i < active.size(); ++i) {
+                const double one = model.timeOf(i, active, clocks, ambient);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(times[i]),
+                          std::bit_cast<std::uint64_t>(one))
+                    << soc.name << " trial " << trial << " load " << i
+                    << ": " << times[i] << " vs " << one;
+                ++compared;
+            }
+        }
+    }
+    EXPECT_GT(compared, 1000);
 }
 
 TEST(PerfModel, EffectiveFreqStepsWithLoad)

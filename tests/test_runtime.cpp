@@ -67,8 +67,10 @@ TEST(TraceTimeline, StatsOnHandBuiltTimeline)
     // PU0 busy [0,1) and [2,3); PU1 busy [0.5,2.5).
     using runtime::TraceEventKind;
     tl.record({0, 0, 0, 0, 0.0, 0.0, 1.0, {}, TraceEventKind::Stage, {}});
-    tl.record({0, 1, 1, 1, 0.1, 0.5, 2.5, {0}, TraceEventKind::Stage, {}});
-    tl.record({1, 0, 0, 0, 0.3, 2.0, 3.0, {1}, TraceEventKind::Stage, {}});
+    tl.record({0, 1, 1, 1, 0.1, 0.5, 2.5, 1u << 0, TraceEventKind::Stage,
+               {}});
+    tl.record({1, 0, 0, 0, 0.3, 2.0, 3.0, 1u << 1, TraceEventKind::Stage,
+               {}});
     tl.sortByStart();
 
     const auto st = tl.stats();
@@ -88,6 +90,48 @@ TEST(TraceTimeline, StatsOnHandBuiltTimeline)
     EXPECT_DOUBLE_EQ(st.coResidency(0, 1), 1.0);
     EXPECT_DOUBLE_EQ(st.coResidency(1, 0), 1.0);
     EXPECT_DOUBLE_EQ(st.coResidency(0, 0), 2.0);
+}
+
+TEST(TraceTimeline, ChromeExportListsCoRunnerMaskAscending)
+{
+    using runtime::TraceEventKind;
+    runtime::TraceTimeline tl("test", 8, {}, {"a"});
+    tl.record({0, 0, 0, 5, 0.0, 0.0, 1.0,
+               (1u << 7) | (1u << 0) | (1u << 3), TraceEventKind::Stage,
+               {}});
+    tl.record({1, 0, 0, 5, 0.0, 1.0, 2.0, 0, TraceEventKind::Stage, {}});
+    const std::string json = tl.chromeJson();
+    EXPECT_NE(json.find("\"co_runners\":[0,3,7]"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"co_runners\":[]"), std::string::npos)
+        << json;
+}
+
+TEST(TraceTimeline, SortByStartIsStableOnTies)
+{
+    // Record in a scrambled start order with ties; the sort must order
+    // by start and keep tied events in the order they were recorded.
+    using runtime::TraceEventKind;
+    runtime::TraceTimeline tl("test", 2, {}, {"a"});
+    const double starts[] = {3.0, 1.0, 2.0, 1.0, 0.5, 3.0, 2.0, 1.0};
+    for (std::int64_t task = 0; task < 8; ++task) {
+        const double t = starts[task];
+        tl.record({task, 0, 0, 0, 0.0, t, t + 1.0, 0,
+                   TraceEventKind::Stage, {}});
+    }
+    tl.sortByStart();
+    std::vector<std::int64_t> order;
+    for (const auto& e : tl.events())
+        order.push_back(e.task);
+    EXPECT_EQ(order, (std::vector<std::int64_t>{4, 1, 3, 7, 2, 6, 0, 5}));
+}
+
+TEST(TraceTimelineDeath, MoreThan64PusIsATypedPanic)
+{
+    EXPECT_DEATH_IF_SUPPORTED(
+        runtime::TraceTimeline("test", runtime::TraceTimeline::kMaxPus + 1,
+                               {}, {}),
+        "trace.pu_mask");
 }
 
 // ---------------------------------------------------------------------
