@@ -5,7 +5,8 @@
  * dispatcher threads, lock-free SPSC queues, recycled TaskObjects -
  * with every stage's kernels executing functionally and the outputs
  * validated per task. This is the executor a deployment on a physical
- * UMA SoC would use (paper Sec. 3.4).
+ * UMA SoC would use (paper Sec. 3.4). Exits non-zero if any schedule's
+ * outputs fail validation.
  */
 
 #include <cstdio>
@@ -27,6 +28,7 @@ main()
     auto app = apps::octreeApp(apps::OctreeConfig{
         .numPoints = 20000, .withValidator = true});
 
+    bool all_valid = true;
     for (const auto& assignment :
          {std::vector<int>{0, 0, 0, 0, 0, 0, 0},
           std::vector<int>{0, 0, 0, 1, 1, 1, 1},
@@ -41,6 +43,7 @@ main()
         cfg.numTasks = 12;
         const core::NativeExecutor executor(soc, cfg);
         const auto result = executor.execute(app, schedule);
+        all_valid = all_valid && result.valid();
 
         std::printf("\nschedule %s\n",
                     schedule.toString(soc, names).c_str());
@@ -62,5 +65,5 @@ main()
                     stats.interferedFraction * 1e2,
                     stats.meanQueueWaitSeconds * 1e3);
     }
-    return 0;
+    return all_valid ? 0 : 1;
 }

@@ -4,10 +4,10 @@
  *
  * Application stage bodies build their CpuExec/GpuExec through these
  * helpers so every kernel call site picks up the chunk's worker team
- * uniformly. Device stages forward the team too: today GPU chunks own no
- * team (native_executor gives them none, so the launch stays serial and
- * deterministic), but an executor that does grant one gets pooled
- * functional execution of device kernels with no app changes.
+ * uniformly. Device stages forward the team too: the host backend gives
+ * GPU chunks a team of the SIMT PU's cores, so device kernels launch
+ * across it (bit-identical to the serial launch for race-free kernels);
+ * with no team the launch runs serially on the caller.
  */
 
 #ifndef BT_APPS_APP_EXEC_HPP

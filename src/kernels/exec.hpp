@@ -69,7 +69,8 @@ struct CpuExec
  * The default configuration is the fast path: templated serial launch in
  * block order. The remaining knobs select other dispatch strategies with
  * identical results for race-free kernels:
- *  - `pool`    distributes blocks over a host team (functional speed-up);
+ *  - `pool`    distributes blocks over a host team: the SIMT PU's
+ *              parallelism on native pipelines, whose GPU chunks own one;
  *  - `order`   Shuffled visits blocks in a seeded pseudo-random order
  *              (debug: exposes inter-block ordering bugs);
  *  - `erased`  routes through the type-erased simt::Kernel tier, paying

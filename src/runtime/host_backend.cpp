@@ -207,15 +207,11 @@ HostTimeBackend::run(const core::Application& app,
         const ChunkSpec& ch = session.chunk(c);
         const platform::PuModel& pu = soc_.pu(ch.pu);
 
-        // Per-chunk worker team bound to this PU's cores. GPU chunks get
-        // no team: kernels run through the SIMT layer on the dispatcher.
-        std::unique_ptr<sched::ThreadPool> team;
-        if (pu.kind == platform::PuKind::Cpu) {
-            team = std::make_unique<sched::ThreadPool>(pu.cores,
-                                                       pu.coreIds);
-            if (!pu.coreIds.empty() && !team->affinityApplied())
-                affinity_ok.store(false, std::memory_order_relaxed);
-        }
+        // Every chunk owns a team of its PU's cores. SIMT PUs declare no
+        // coreIds, so their teams are unbound.
+        sched::ThreadPool team(pu.cores, pu.coreIds);
+        if (!pu.coreIds.empty() && !team.affinityApplied())
+            affinity_ok.store(false, std::memory_order_relaxed);
 
         auto& in = *queues[static_cast<std::size_t>(c)];
         auto& out = *queues[static_cast<std::size_t>(c + 1)];
@@ -253,8 +249,7 @@ HostTimeBackend::run(const core::Application& app,
                     const std::uint64_t co = coRunnersOf(c);
                     if (!will_fail)
                         session.runStage(c, s, token->token,
-                                         cur_pu == ch.pu ? team.get()
-                                                     : nullptr,
+                                         cur_pu == ch.pu ? &team : nullptr,
                                          cur_pu);
                     double end = secondsSince(t0);
 
@@ -377,8 +372,6 @@ HostTimeBackend::run(const core::Application& app,
             const double done = secondsSince(t0);
             busy[static_cast<std::size_t>(c)] += done - popped;
 
-            if (c == num_chunks - 1)
-                session.complete(token->token, done);
             token->enqueuedAt = done;
             while (!out.tryPush(*token))
                 std::this_thread::yield();
@@ -386,8 +379,9 @@ HostTimeBackend::run(const core::Application& app,
         }
     };
 
-    // Recycler: moves finished tokens from the last queue back to the
-    // front queue (keeps every queue strictly SPSC).
+    // Recycler: completes (validates) each finished task off the tail's
+    // critical path, at the time the tail stamped into enqueuedAt, then
+    // moves its token back to the front queue (keeps queues SPSC).
     std::thread recycler([&] {
         auto& from = *queues[static_cast<std::size_t>(num_chunks)];
         auto& to = *queues[0];
@@ -397,6 +391,7 @@ HostTimeBackend::run(const core::Application& app,
                 std::this_thread::yield();
                 continue;
             }
+            session.complete(token->token, token->enqueuedAt);
             while (!to.tryPush(*token))
                 std::this_thread::yield();
             ++moved;

@@ -5,8 +5,10 @@
  * Executes a pipeline schedule with real host threads, exactly as paper
  * Sec. 3.4 describes - one long-lived dispatcher thread per chunk,
  * lock-free SPSC queues passing tokens, the session's recycled
- * multi-buffer pool, per-chunk thread teams bound with
- * sched_setaffinity, and wall-clock measurement.
+ * multi-buffer pool, a thread team of `cores` per chunk (CPU teams bound
+ * with sched_setaffinity, SIMT teams unbound), a recycler thread that
+ * validates finished tasks off the tail dispatcher, and wall-clock
+ * measurement.
  *
  * On the simulated paper devices the VirtualTimeBackend provides
  * timing; this backend provides a real concurrent implementation for

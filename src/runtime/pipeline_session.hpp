@@ -8,16 +8,17 @@
  * closing the loop. This class holds every piece of that machinery that
  * is independent of *how time passes*: chunk geometry, the TaskObject
  * pool, token -> task binding, injection/refresh at the head chunk,
- * completion/validation at the tail chunk, trace recording, and the
+ * completion/validation after the tail chunk, trace recording, and the
  * shared result accounting. Time backends (virtual DES or real host
  * threads) drive it from their own time domain and contribute only the
  * domain-specific parts: how a queue hand-off waits and how long a
  * stage takes.
  *
  * Threading contract: inject() is called only by the head dispatcher,
- * complete() only by the tail dispatcher, runStage() by the owning
- * chunk's dispatcher; recordEvent() may be called from any dispatcher
- * and is internally synchronized.
+ * complete() only by the recycler, once per task, before the token
+ * returns to the head; runStage() by the owning chunk's dispatcher;
+ * recordEvent() may be called from any thread and is internally
+ * synchronized (the virtual backend plays every role on one thread).
  */
 
 #ifndef BT_RUNTIME_PIPELINE_SESSION_HPP
@@ -105,9 +106,10 @@ class PipelineSession
     void recordFailure(std::int64_t task, int stage);
 
     /**
-     * Tail-chunk completion: record the completion time of the task
-     * carried by @p token and validate its outputs (functional runs,
-     * bounded error collection).
+     * Record @p now as the completion time of the task carried by
+     * @p token and validate its outputs (functional runs, bounded error
+     * collection). Called once per task, after the tail chunk and
+     * before inject() rebinds the token.
      */
     void complete(int token, double now);
 

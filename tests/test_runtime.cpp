@@ -11,11 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "apps/features.hpp"
 #include "apps/octree_app.hpp"
@@ -25,6 +29,7 @@
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
+#include "runtime/host_backend.hpp"
 #include "runtime/run_types.hpp"
 #include "runtime/trace.hpp"
 
@@ -840,6 +845,179 @@ TEST(TraceTimeline, ChromeJsonEscapesHostileNames)
     roundTrips(pu);
     roundTrips(backend);
     roundTrips(note);
+}
+
+// ---------------------------------------------------------------------
+// Native pipelines: every chunk owns its PU's team, and the recycler
+// validates each task before its buffer returns to the head.
+
+int
+puOfKind(const platform::SocDescription& soc, platform::PuKind kind)
+{
+    for (int p = 0; p < soc.numPus(); ++p)
+        if (soc.pu(p).kind == kind)
+            return p;
+    return -1;
+}
+
+/**
+ * Two-stage app whose kernels record the size of the team they ran on
+ * (0 = no team). The validator requires stage 0 to have seen the CPU
+ * PU's team and stage 1 the GPU PU's.
+ */
+Application
+teamProbeApp(int cpu_cores, int gpu_cores)
+{
+    Application app("TeamProbe", "token", "test");
+    platform::WorkProfile w;
+    w.flops = 1e3;
+    w.bytes = 1e2;
+    w.parallelFraction = 1.0;
+    w.pattern = platform::Pattern::Dense;
+    for (const char* key : {"team0", "team1"}) {
+        const KernelFn probe = [key](KernelCtx& ctx) {
+            ctx.task.setScalar(key, ctx.pool ? ctx.pool->threads() : 0);
+        };
+        app.addStage(Stage(key, w, probe, probe));
+    }
+    app.setTaskFactory([](std::int64_t, std::uint64_t) {
+        return std::make_unique<TaskObject>();
+    });
+    app.setTaskRefresher([](TaskObject&, std::int64_t, std::uint64_t) {});
+    app.setValidator([cpu_cores, gpu_cores](const TaskObject& obj) {
+        const auto seen = [&](const char* key) {
+            return obj.hasScalar(key) ? obj.scalar(key) : -1;
+        };
+        if (seen("team0") != cpu_cores || seen("team1") != gpu_cores)
+            return "teams " + std::to_string(seen("team0")) + "/"
+                + std::to_string(seen("team1")) + ", want "
+                + std::to_string(cpu_cores) + "/"
+                + std::to_string(gpu_cores);
+        return std::string();
+    });
+    return app;
+}
+
+TEST(HostBackendTeams, GpuChunkRunsOnItsPusTeam)
+{
+    const auto soc = platform::nativeHost();
+    const int cpu = puOfKind(soc, platform::PuKind::Cpu);
+    const int gpu = puOfKind(soc, platform::PuKind::Gpu);
+    ASSERT_GE(cpu, 0);
+    ASSERT_GE(gpu, 0);
+    const auto app = teamProbeApp(soc.pu(cpu).cores, soc.pu(gpu).cores);
+
+    runtime::RunConfig cfg;
+    cfg.numTasks = 6;
+    const auto run = runtime::HostTimeBackend(soc).run(
+        app, Schedule::fromAssignment({cpu, gpu}), cfg);
+    EXPECT_EQ(run.tasks, cfg.numTasks);
+    EXPECT_TRUE(run.validationErrors.empty())
+        << run.validationErrors.front();
+}
+
+TEST(HostBackendTeams, OctreeSimtStagesOnATeamAreBitIdentical)
+{
+    apps::OctreeConfig oc;
+    oc.numPoints = 4096;
+    const auto app = apps::octreeApp(oc);
+    ASSERT_EQ(app.numStages(), 7);
+    EXPECT_EQ(app.stage(3).name(), "radix_tree");
+    EXPECT_EQ(app.stage(6).name(), "build_octree");
+
+    // Stages 0-2 on the host serially, then the SIMT stages 3-6 either
+    // across a 4-thread team or serially on the caller.
+    sched::ThreadPool team(4);
+    const auto build = [&](sched::ThreadPool* simt_team) {
+        auto task = app.makeTask(0, 0x9005);
+        for (int s = 0; s < app.numStages(); ++s) {
+            KernelCtx ctx{*task, s >= 3 ? simt_team : nullptr};
+            if (s >= 3)
+                app.stage(s).runGpu(ctx);
+            else
+                app.stage(s).runCpu(ctx);
+        }
+        return task;
+    };
+    const auto pooled = build(&team);
+    const auto serial = build(nullptr);
+
+    EXPECT_GT(serial->scalar("oct_nodes"), 1);
+    EXPECT_EQ(pooled->scalar("oct_nodes"), serial->scalar("oct_nodes"));
+    for (const char* name :
+         {"oct_prefix", "oct_level", "oct_parent", "oct_childmask",
+          "oct_first", "oct_count", "rt_left", "rt_right", "rt_parent",
+          "rt_leafparent", "rt_prefixlen", "rt_first", "rt_last"}) {
+        const auto& a = pooled->buffer(name);
+        const auto& b = serial->buffer(name);
+        ASSERT_EQ(a.sizeBytes(), b.sizeBytes()) << name;
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.sizeBytes()), 0)
+            << name << " differs between pooled and serial SIMT launches";
+    }
+}
+
+/**
+ * The equivalence pipeline plus a tail stage that corrupts task
+ * @p corrupt_task's output (-1 = none), with a validator that counts
+ * its calls in @p calls.
+ */
+Application
+countedApp(std::uint64_t device_seed, std::int64_t corrupt_task,
+           std::shared_ptr<std::atomic<int>> calls)
+{
+    auto reference = std::make_shared<Application>(equivalenceApp(
+        device_seed, std::make_shared<Fingerprints>()));
+    Application app = *reference;
+    platform::WorkProfile w;
+    w.flops = 1e3;
+    w.bytes = 1e2;
+    w.parallelFraction = 1.0;
+    w.pattern = platform::Pattern::Dense;
+    app.addStage(Stage("tail", w,
+                       [corrupt_task](KernelCtx& ctx) {
+                           if (ctx.task.taskIndex() == corrupt_task)
+                               ctx.task.view<std::uint32_t>("data")[0]
+                                   ^= 1u;
+                       },
+                       nullptr));
+    app.setValidator([reference, calls](const TaskObject& obj) {
+        calls->fetch_add(1, std::memory_order_relaxed);
+        // A slow checker widens the window in which a validator racing
+        // the token's return to the head would see its buffer rebound.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return reference->validate(obj);
+    });
+    return app;
+}
+
+TEST(HostBackendValidation, RecyclerValidatesEveryTaskBeforeReuse)
+{
+    const auto soc = platform::nativeHost();
+    const int cpu = puOfKind(soc, platform::PuKind::Cpu);
+    const int gpu = puOfKind(soc, platform::PuKind::Gpu);
+    const auto schedule = Schedule::fromAssignment({cpu, cpu, gpu, gpu});
+
+    runtime::RunConfig cfg;
+    cfg.numTasks = 32;
+    cfg.queueCapacity = 1;
+
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    const auto clean = runtime::HostTimeBackend(soc).run(
+        countedApp(soc.seed, -1, calls), schedule, cfg);
+    EXPECT_EQ(calls->load(), cfg.numTasks);
+    EXPECT_EQ(clean.tasks, cfg.numTasks);
+    EXPECT_TRUE(clean.validationErrors.empty())
+        << clean.validationErrors.front();
+
+    // Only task 7 is wrong: the recycler must validate the task its
+    // token carried, before inject() rebinds and refreshes the buffer.
+    calls->store(0);
+    const auto corrupt = runtime::HostTimeBackend(soc).run(
+        countedApp(soc.seed, 7, calls), schedule, cfg);
+    EXPECT_EQ(calls->load(), cfg.numTasks);
+    ASSERT_EQ(corrupt.validationErrors.size(), 1u);
+    EXPECT_EQ(corrupt.validationErrors.front().rfind("task 7:", 0), 0u)
+        << corrupt.validationErrors.front();
 }
 
 } // namespace
