@@ -14,12 +14,11 @@
 #include <iostream>
 
 #include "bench/common/bench_util.hpp"
+#include "bt.hpp"
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/data_parallel.hpp"
-#include "core/dynamic_executor.hpp"
-#include "core/pipeline.hpp"
 
 using namespace bt;
 using namespace bt::bench;
@@ -38,7 +37,7 @@ main()
 
     std::vector<double> bt_vs_dyn;
     for (const auto& soc : devices()) {
-        const core::BetterTogether bt_flow(soc);
+        const Framework bt_flow(soc);
         for (int a = 0; a < kNumApps; ++a) {
             const auto app = paperApp(a);
             const auto report = bt_flow.run(app);
@@ -52,12 +51,12 @@ main()
                         "bt_static", Table::num(bt_ms, 4)});
 
             for (const double overhead_us : {0.0, 50.0, 200.0}) {
-                core::DynamicExecConfig cfg;
-                cfg.dispatchOverheadUs = overhead_us;
-                const core::DynamicExecutor dyn(
-                    bt_flow.model(), report.profile.interference, cfg);
+                runtime::GreedyParams params;
+                params.dispatchOverheadUs = overhead_us;
+                const runtime::GreedyRuntime dyn(
+                    bt_flow.model(), report.profile.interference);
                 const double ms
-                    = dyn.execute(app).taskIntervalSeconds * 1e3;
+                    = dyn.run(app, {}, params).taskIntervalSeconds * 1e3;
                 row.push_back(Table::num(ms, 2));
                 csv.addRow({soc.name,
                             kAppNames[static_cast<std::size_t>(a)],

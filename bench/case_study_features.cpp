@@ -13,10 +13,10 @@
 
 #include "apps/features.hpp"
 #include "bench/common/bench_util.hpp"
+#include "bt.hpp"
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/pipeline.hpp"
 #include "core/sim_executor.hpp"
 
 using namespace bt;
@@ -42,7 +42,7 @@ main()
 
     std::vector<double> speedups;
     for (const auto& soc : devices()) {
-        const core::BetterTogether flow(soc);
+        const Framework flow(soc);
         const auto report = flow.run(app);
 
         // Model-accuracy check on the fresh workload.

@@ -5,6 +5,7 @@
 
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
+#include "bt.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -43,9 +44,9 @@ core::BetterTogetherReport
 runFlow(const platform::SocDescription& soc,
         const core::Application& app)
 {
-    core::BetterTogetherConfig cfg;
-    cfg.executor.noiseSalt = benchNoiseSalt();
-    const core::BetterTogether bt(soc, cfg);
+    FrameworkConfig cfg;
+    cfg.run.noiseSalt = benchNoiseSalt();
+    const Framework bt(soc, cfg);
     return bt.run(app);
 }
 

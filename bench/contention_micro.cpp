@@ -96,7 +96,7 @@ coRunIntervalSeconds(const platform::PerfModel& model,
                      const core::Application& app,
                      const core::Schedule& plan, double partner_gbps)
 {
-    core::SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 24;
     cfg.ambientBandwidthGbps = partner_gbps;
     return core::SimExecutor(model, cfg)

@@ -13,10 +13,10 @@
 #include <iostream>
 
 #include "bench/common/bench_util.hpp"
+#include "bt.hpp"
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/pipeline.hpp"
 #include "core/sim_executor.hpp"
 
 using namespace bt;
@@ -41,7 +41,7 @@ main()
 
     std::vector<double> bt_vs_gpu_energy;
     for (const auto& soc : devices()) {
-        const core::BetterTogether bt_flow(soc);
+        const Framework bt_flow(soc);
         const core::SimExecutor executor(bt_flow.model());
         for (int a = 0; a < kNumApps; ++a) {
             const auto app = paperApp(a);

@@ -28,16 +28,16 @@ using namespace bt;
 
 const std::vector<int> kAssignment = {0, 1, 1, 3, 3, 3, 2};
 
-core::SimExecConfig
+runtime::RunConfig
 baseConfig()
 {
-    core::SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.noiseSalt = bench::benchNoiseSalt();
     return cfg;
 }
 
 void
-runAndReport(benchmark::State& state, const core::SimExecConfig& cfg)
+runAndReport(benchmark::State& state, const runtime::RunConfig& cfg)
 {
     const auto soc = platform::pixel7a();
     const platform::PerfModel model(soc);

@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,6 +24,7 @@
 #include "kernels/sort.hpp"
 #include "kernels/sparse_conv.hpp"
 #include "kernels/unique.hpp"
+#include "simt/simt.hpp"
 
 namespace {
 
@@ -182,20 +184,39 @@ BM_ExclusiveScan(benchmark::State& state)
 BENCHMARK(BM_ExclusiveScan)->Arg(1 << 16)->Arg(1 << 18);
 
 // ---------------------------------------------------------------------
-// Dispatch-tier benchmarks: the same device kernel launched through the
-// statically-templated SIMT tier (the default) and through the
-// type-erased simt::Kernel tier (one indirect call per SIMT thread; this
-// is the cost profile every launch paid before the templated tier
-// existed, so Erased vs Templated is the dispatch overhead itself).
-// Geometry covers one element per thread, as a real GPU launch would.
+// Dispatch benchmarks: device kernels launched through the statically
+// templated SIMT tier. Morton and Scan also launch their grid-stride
+// body wrapped in a std::function (one indirect call per SIMT thread;
+// the cost profile every launch paid before the templated tier existed,
+// so Erased vs Templated is the dispatch overhead itself). Geometry
+// covers one element per thread, as a real GPU launch would.
 // ---------------------------------------------------------------------
 
+constexpr int kDispatchMaxGrid = 1 << 20; // one element per thread
+
+/** GpuExec::forEach's launch of @p body over [0, n), optionally with
+ *  the block body type-erased. */
+template <typename Body>
+void
+launchMap(std::int64_t n, const Body& body, bool erased)
+{
+    const auto cfg = simt::LaunchConfig::cover(n, 64, kDispatchMaxGrid);
+    auto block = [&](const simt::WorkItem& item) {
+        simt::gridStride(item, n, body);
+    };
+    if (erased) {
+        const std::function<void(const simt::WorkItem&)> kernel = block;
+        simt::launch(cfg, kernel);
+    } else {
+        simt::launch(cfg, block);
+    }
+}
+
 GpuExec
-dispatchExec(bool erased)
+dispatchExec()
 {
     GpuExec exec;
-    exec.maxGrid = 1 << 20; // one element per thread, like a GPU launch
-    exec.erased = erased;
+    exec.maxGrid = kDispatchMaxGrid;
     return exec;
 }
 
@@ -205,9 +226,13 @@ BM_MortonGpuDispatch(benchmark::State& state, bool erased)
     const std::int64_t n = 1 << 16;
     const auto pts = randomFloats(static_cast<std::size_t>(3 * n), 21);
     std::vector<std::uint32_t> codes(static_cast<std::size_t>(n));
-    const GpuExec exec = dispatchExec(erased);
+    const auto encode = [&](std::int64_t i) {
+        const auto p = static_cast<std::size_t>(3 * i);
+        codes[static_cast<std::size_t>(i)]
+            = morton32(pts[p], pts[p + 1], pts[p + 2]);
+    };
     for (auto _ : state) {
-        mortonEncodeGpu(exec, pts, codes, n);
+        launchMap(n, encode, erased);
         benchmark::DoNotOptimize(codes.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -216,14 +241,13 @@ BENCHMARK_CAPTURE(BM_MortonGpuDispatch, Templated, false);
 BENCHMARK_CAPTURE(BM_MortonGpuDispatch, Erased, true);
 
 void
-BM_MaxpoolGpuDispatch(benchmark::State& state, bool erased)
+BM_MaxpoolGpuDispatch(benchmark::State& state, const GpuExec& exec)
 {
     const Shape3 shape{32, 64, 64};
     const auto in = randomFloats(static_cast<std::size_t>(shape.elems()),
                                  22);
     std::vector<float> out(static_cast<std::size_t>(
         pooledShape(shape).elems()));
-    const GpuExec exec = dispatchExec(erased);
     for (auto _ : state) {
         maxpoolGpu(exec, shape, in, out);
         benchmark::DoNotOptimize(out.data());
@@ -231,46 +255,41 @@ BM_MaxpoolGpuDispatch(benchmark::State& state, bool erased)
     state.SetItemsProcessed(state.iterations()
                             * pooledShape(shape).elems());
 }
-BENCHMARK_CAPTURE(BM_MaxpoolGpuDispatch, Templated, false);
-BENCHMARK_CAPTURE(BM_MaxpoolGpuDispatch, Erased, true);
+BENCHMARK_CAPTURE(BM_MaxpoolGpuDispatch, Templated, dispatchExec());
 
 void
-BM_BlurHGpuDispatch(benchmark::State& state, bool erased)
+BM_BlurHGpuDispatch(benchmark::State& state, const GpuExec& exec)
 {
     const ImageShape shape{512, 512};
     const auto in = randomFloats(static_cast<std::size_t>(
         shape.pixels()), 23);
     std::vector<float> out(static_cast<std::size_t>(shape.pixels()));
-    const GpuExec exec = dispatchExec(erased);
     for (auto _ : state) {
         blurHGpu(exec, shape, in, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * shape.pixels());
 }
-BENCHMARK_CAPTURE(BM_BlurHGpuDispatch, Templated, false);
-BENCHMARK_CAPTURE(BM_BlurHGpuDispatch, Erased, true);
+BENCHMARK_CAPTURE(BM_BlurHGpuDispatch, Templated, dispatchExec());
 
 void
-BM_NmsGpuDispatch(benchmark::State& state, bool erased)
+BM_NmsGpuDispatch(benchmark::State& state, const GpuExec& exec)
 {
     const ImageShape shape{512, 512};
     const auto in = randomFloats(static_cast<std::size_t>(
         shape.pixels()), 24);
     std::vector<std::uint32_t> flags(static_cast<std::size_t>(
         shape.pixels()));
-    const GpuExec exec = dispatchExec(erased);
     for (auto _ : state) {
         nmsGpu(exec, shape, in, 0.5f, flags);
         benchmark::DoNotOptimize(flags.data());
     }
     state.SetItemsProcessed(state.iterations() * shape.pixels());
 }
-BENCHMARK_CAPTURE(BM_NmsGpuDispatch, Templated, false);
-BENCHMARK_CAPTURE(BM_NmsGpuDispatch, Erased, true);
+BENCHMARK_CAPTURE(BM_NmsGpuDispatch, Templated, dispatchExec());
 
 void
-BM_Conv2dGpuDispatch(benchmark::State& state, bool erased)
+BM_Conv2dGpuDispatch(benchmark::State& state, const GpuExec& exec)
 {
     const ConvShape shape{Shape3{8, 32, 32}, 16};
     const auto in = randomFloats(static_cast<std::size_t>(
@@ -281,15 +300,13 @@ BM_Conv2dGpuDispatch(benchmark::State& state, bool erased)
                                 27);
     std::vector<float> out(static_cast<std::size_t>(
         shape.out().elems()));
-    const GpuExec exec = dispatchExec(erased);
     for (auto _ : state) {
         conv2dGpu(exec, shape, in, w, b, out);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * shape.out().elems());
 }
-BENCHMARK_CAPTURE(BM_Conv2dGpuDispatch, Templated, false);
-BENCHMARK_CAPTURE(BM_Conv2dGpuDispatch, Erased, true);
+BENCHMARK_CAPTURE(BM_Conv2dGpuDispatch, Templated, dispatchExec());
 
 void
 BM_ScanGpuDispatch(benchmark::State& state, bool erased)
@@ -304,14 +321,14 @@ BM_ScanGpuDispatch(benchmark::State& state, bool erased)
         f = static_cast<std::uint32_t>(rng.nextBounded(2));
     std::vector<std::uint32_t> offsets(flags.size());
     std::vector<std::uint32_t> compacted(flags.size());
-    const GpuExec exec = dispatchExec(erased);
+    const auto scatter = [&](std::int64_t i) {
+        if (flags[static_cast<std::size_t>(i)])
+            compacted[offsets[static_cast<std::size_t>(i)]]
+                = static_cast<std::uint32_t>(i);
+    };
     for (auto _ : state) {
         exclusiveScanGpu(flags, offsets);
-        exec.forEach(n, [&](std::int64_t i) {
-            if (flags[static_cast<std::size_t>(i)])
-                compacted[offsets[static_cast<std::size_t>(i)]]
-                    = static_cast<std::uint32_t>(i);
-        });
+        launchMap(n, scatter, erased);
         benchmark::DoNotOptimize(compacted.data());
     }
     state.SetItemsProcessed(state.iterations() * n);

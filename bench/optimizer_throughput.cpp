@@ -79,7 +79,7 @@ BM_PlanEndToEnd(benchmark::State& state, int threads)
     const platform::PerfModel model(soc);
     const auto app = apps::alexnetSparse();
 
-    core::SimExecConfig exec_cfg;
+    runtime::RunConfig exec_cfg;
     exec_cfg.noiseSalt = bench::benchNoiseSalt();
     const core::SimExecutor executor(model, exec_cfg);
 

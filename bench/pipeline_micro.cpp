@@ -16,10 +16,10 @@
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
 #include "bench/common/bench_util.hpp"
-#include "core/dynamic_executor.hpp"
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
+#include "runtime/greedy_runtime.hpp"
 
 namespace {
 
@@ -57,7 +57,7 @@ BM_VirtualPipeline(benchmark::State& state)
     const auto app = sc.app();
     const auto schedule = core::Schedule::fromAssignment(sc.assignment);
 
-    core::SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.noiseSalt = bench::benchNoiseSalt();
     const core::SimExecutor executor(model, cfg);
 
@@ -82,7 +82,7 @@ BM_VirtualPipelineNoTrace(benchmark::State& state)
     const auto app = sc.app();
     const auto schedule = core::Schedule::fromAssignment(sc.assignment);
 
-    core::SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.noiseSalt = bench::benchNoiseSalt();
     cfg.recordTrace = false;
     const core::SimExecutor executor(model, cfg);
@@ -108,13 +108,13 @@ BM_GreedyDynamic(benchmark::State& state)
     const core::Profiler profiler(model);
     const auto profile = profiler.profile(app);
 
-    core::DynamicExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.noiseSalt = bench::benchNoiseSalt();
-    const core::DynamicExecutor dyn(model, profile.interference, cfg);
+    const runtime::GreedyRuntime dyn(model, profile.interference);
 
     double makespan = 0.0;
     for (auto _ : state) {
-        const auto run = dyn.execute(app);
+        const auto run = dyn.run(app, cfg, {});
         makespan = run.makespanSeconds;
         benchmark::ClobberMemory();
     }

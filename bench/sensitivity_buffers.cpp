@@ -12,9 +12,9 @@
 #include <iostream>
 
 #include "bench/common/bench_util.hpp"
+#include "bt.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
-#include "core/pipeline.hpp"
 #include "core/sim_executor.hpp"
 
 using namespace bt;
@@ -33,7 +33,7 @@ main()
                    "mj_per_task"});
 
     for (const auto& soc : devices()) {
-        const core::BetterTogether flow(soc);
+        const Framework flow(soc);
         for (int a = 0; a < kNumApps; ++a) {
             const auto app = paperApp(a);
             const auto report = flow.run(app);
@@ -42,7 +42,7 @@ main()
                 soc.name, kAppNames[static_cast<std::size_t>(a)],
                 std::to_string(report.bestSchedule.numChunks())};
             for (const int buffers : {1, 2, 3, 5, 8}) {
-                core::SimExecConfig cfg;
+                runtime::RunConfig cfg;
                 cfg.numBuffers = buffers;
                 const core::SimExecutor exec(flow.model(), cfg);
                 const auto run

@@ -11,8 +11,8 @@
 
 #include "bench/common/bench_util.hpp"
 #include "common/csv.hpp"
+#include "bt.hpp"
 #include "common/table.hpp"
-#include "core/sim_executor.hpp"
 
 using namespace bt;
 using namespace bt::bench;
@@ -32,7 +32,7 @@ main()
     const auto socs = devices();
     for (int d = 0; d < kNumDevices; ++d) {
         const auto& soc = socs[static_cast<std::size_t>(d)];
-        const core::BetterTogether bt_flow(soc);
+        const Framework bt_flow(soc);
         for (int a = 0; a < kNumApps; ++a) {
             const auto app = paperApp(a);
             const double cpu_ms = bt_flow.measureHomogeneous(

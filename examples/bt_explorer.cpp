@@ -37,16 +37,16 @@
 #include "apps/alexnet.hpp"
 #include "apps/app_check.hpp"
 #include "apps/octree_app.hpp"
+#include "bt.hpp"
 #include "check/fixtures.hpp"
 #include "common/flags.hpp"
 #include "common/logging.hpp"
 #include "lint/fixtures.hpp"
 #include "lint/lint.hpp"
 #include "core/data_parallel.hpp"
-#include "core/dynamic_executor.hpp"
-#include "core/pipeline.hpp"
 #include "platform/devices.hpp"
 #include "runtime/fault_plan.hpp"
+#include "runtime/greedy_runtime.hpp"
 #include "service/service.hpp"
 
 using namespace bt;
@@ -546,7 +546,7 @@ main(int argc, char** argv)
                     tuned.campaignCostSeconds);
     }
 
-    core::SimExecConfig deploy_cfg;
+    runtime::RunConfig deploy_cfg;
     if (!opt.faults_file.empty()) {
         std::ifstream in(opt.faults_file);
         runtime::PlanParseError perr;
@@ -581,7 +581,7 @@ main(int argc, char** argv)
                 run.latencyMs(), run.makespanSeconds * 1e3, run.tasks);
 
     // Baselines.
-    const core::BetterTogether flow(soc);
+    const Framework flow(soc);
     const double cpu_ms
         = flow.measureHomogeneous(app, soc.bigCpuIndex()) * 1e3;
     const double gpu_ms
@@ -639,8 +639,9 @@ main(int argc, char** argv)
     }
 
     if (opt.compare_dynamic) {
-        const core::DynamicExecutor dyn(model, profile.interference);
-        const auto dyn_run = dyn.execute(app);
+        const auto dyn_run
+            = runtime::GreedyRuntime{model, profile.interference}.run(
+                app, {}, {});
         const double dp_ms
             = core::dataParallelLatency(app, profile.interference)
             * 1e3;

@@ -39,7 +39,7 @@ main()
         for (const auto& s : app.stages())
             names.push_back(s.name());
 
-        core::NativeExecConfig cfg;
+        runtime::RunConfig cfg;
         cfg.numTasks = 12;
         const core::NativeExecutor executor(soc, cfg);
         const auto result = executor.execute(app, schedule);

@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "apps/octree_app.hpp"
-#include "core/pipeline.hpp"
+#include "bt.hpp"
 #include "platform/devices.hpp"
 
 using namespace bt;
@@ -27,7 +27,7 @@ main()
     for (const auto& soc : platform::paperDevices()) {
         std::printf("=== %s ===\n", soc.name.c_str());
 
-        const core::BetterTogether bt_flow(soc);
+        const Framework bt_flow(soc);
         const auto report = bt_flow.run(app);
 
         std::printf("Interference-aware stage latencies (ms):\n");

@@ -5,7 +5,7 @@
 namespace bt::core {
 
 NativeExecutor::NativeExecutor(const platform::SocDescription& soc,
-                               NativeExecConfig cfg)
+                               runtime::RunConfig cfg)
     : backend(soc), config(cfg)
 {
     BT_ASSERT(config.numTasks > 0);

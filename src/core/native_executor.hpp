@@ -24,15 +24,12 @@
 
 namespace bt::core {
 
-/** Native execution knobs (the unified runtime config). */
-using NativeExecConfig = runtime::RunConfig;
-
 /** Threaded pipeline executor for the local host. */
 class NativeExecutor
 {
   public:
     explicit NativeExecutor(const platform::SocDescription& soc,
-                            NativeExecConfig cfg = {});
+                            runtime::RunConfig cfg = {});
 
     /** Execute @p app under @p schedule with real dispatcher threads. */
     runtime::RunResult execute(const Application& app,
@@ -40,7 +37,7 @@ class NativeExecutor
 
   private:
     runtime::HostTimeBackend backend;
-    NativeExecConfig config;
+    runtime::RunConfig config;
 };
 
 } // namespace bt::core

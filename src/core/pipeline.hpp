@@ -1,34 +1,22 @@
 /**
  * @file
- * End-to-end BetterTogether facade (paper Fig. 2): profile -> optimize
- * -> autotune -> report, plus the homogeneous CPU/GPU baselines every
- * evaluation compares against. This is the one-call entry point used by
- * the examples and the benchmark harness.
+ * What the end-to-end flow (paper Fig. 2: profile -> optimize ->
+ * autotune -> deploy) produced, plus the homogeneous CPU/GPU baselines
+ * every evaluation compares against. bt::Framework (bt.hpp) runs the
+ * flow and returns this report.
  */
 
 #ifndef BT_CORE_PIPELINE_HPP
 #define BT_CORE_PIPELINE_HPP
 
+#include <vector>
+
 #include "core/autotuner.hpp"
 #include "core/optimizer.hpp"
 #include "core/profiler.hpp"
-#include "core/sim_executor.hpp"
-#include "platform/perf_model.hpp"
+#include "runtime/run_types.hpp"
 
 namespace bt::core {
-
-/** Knobs for the full flow. */
-struct BetterTogetherConfig
-{
-    ProfilerConfig profiler;
-    PlannerSpec optimizer;
-    SimExecConfig executor;
-    bool autotune = true; ///< run level 3; else take the predicted best
-
-    /** Worker threads for the autotuning campaign (1 = serial). The
-     *  TuningReport is bit-identical at any value; see AutoTuner. */
-    int tunerThreads = 1;
-};
 
 /** Everything the flow produced, for reporting and tests. */
 struct BetterTogetherReport
@@ -56,26 +44,6 @@ struct BetterTogetherReport
     double speedupOverBestBaseline() const;
     double speedupOverCpu() const;
     double speedupOverGpu() const;
-};
-
-/** One-call driver for a (device, application) pair. */
-class BetterTogether
-{
-  public:
-    BetterTogether(const platform::SocDescription& soc,
-                   BetterTogetherConfig cfg = {});
-
-    /** Run the complete flow on @p app. */
-    BetterTogetherReport run(const Application& app) const;
-
-    /** Measure a homogeneous schedule on @p pu (baseline helper). */
-    double measureHomogeneous(const Application& app, int pu) const;
-
-    const platform::PerfModel& model() const { return model_; }
-
-  private:
-    platform::PerfModel model_;
-    BetterTogetherConfig config;
 };
 
 } // namespace bt::core

@@ -5,7 +5,7 @@
 namespace bt::core {
 
 SimExecutor::SimExecutor(const platform::PerfModel& model,
-                         SimExecConfig cfg)
+                         runtime::RunConfig cfg)
     : backend(model), config(cfg), measureConfig(cfg)
 {
     BT_ASSERT(config.numTasks > 0);

@@ -20,15 +20,12 @@
 
 namespace bt::core {
 
-/** Execution knobs (the unified runtime config). */
-using SimExecConfig = runtime::RunConfig;
-
 /** Virtual-time pipeline executor over one simulated device. */
 class SimExecutor
 {
   public:
     explicit SimExecutor(const platform::PerfModel& model,
-                         SimExecConfig cfg = {});
+                         runtime::RunConfig cfg = {});
 
     /** Execute @p app under @p schedule and measure it. */
     runtime::RunResult execute(const Application& app,
@@ -45,8 +42,8 @@ class SimExecutor
 
   private:
     runtime::VirtualTimeBackend backend;
-    SimExecConfig config;
-    SimExecConfig measureConfig; ///< config with recordTrace = false
+    runtime::RunConfig config;
+    runtime::RunConfig measureConfig; ///< config with recordTrace = false
 };
 
 } // namespace bt::core

@@ -11,10 +11,7 @@
  *
  * Both adapters run on the statically-dispatched (templated) tier of the
  * SIMT and thread-pool layers: the kernel body inlines into the block
- * loop and no std::function is constructed on the hot path. GpuExec can
- * additionally be pointed at the erased tier or a shuffled block order,
- * which the dispatch-equivalence tests and microbenchmarks use to prove
- * and price the two tiers against each other.
+ * loop and no std::function is constructed on the hot path.
  */
 
 #ifndef BT_KERNELS_EXEC_HPP
@@ -67,31 +64,21 @@ struct CpuExec
  * Device-side data-parallel execution: grid-stride SIMT launch.
  *
  * The default configuration is the fast path: templated serial launch in
- * block order. The remaining knobs select other dispatch strategies with
- * identical results for race-free kernels:
+ * block order. Two knobs select other dispatch strategies with identical
+ * results for race-free kernels:
  *  - `pool`    distributes blocks over a host team: the SIMT PU's
  *              parallelism on native pipelines, whose GPU chunks own one;
- *  - `order`   Shuffled visits blocks in a seeded pseudo-random order
- *              (debug: exposes inter-block ordering bugs);
- *  - `erased`  routes through the type-erased simt::Kernel tier, paying
- *              one indirect call per SIMT thread (measurement baseline
- *              and ABI-stable fallback).
  *  - `observer` non-null opts this executor into checked execution
  *              (bt::check): launches run serially under instrumentation
  *              and are re-executed under shuffled block orders, ignoring
- *              the pool/order/erased knobs. Kernels that see a non-null
- *              observer must hand it tracked views of their buffers.
+ *              the pool. Kernels that see a non-null observer must hand
+ *              it tracked views of their buffers.
  */
 struct GpuExec
 {
-    enum class Order { Sequential, Shuffled };
-
     int blockDim = 64;
     int maxGrid = 256;
     sched::ThreadPool* pool = nullptr;
-    Order order = Order::Sequential;
-    std::uint64_t shuffleSeed = 0;
-    bool erased = false;
     simt::LaunchObserver* observer = nullptr;
 
     template <typename Fn>
@@ -109,25 +96,10 @@ struct GpuExec
                                 simt::GeometryStyle::GridStride);
             return;
         }
-        if (erased) {
-            const simt::Kernel kernel = body;
-            dispatch(cfg, kernel);
-        } else {
-            dispatch(cfg, body);
-        }
-    }
-
-  private:
-    template <typename K>
-    void
-    dispatch(const simt::LaunchConfig& cfg, const K& kernel) const
-    {
-        if (order == Order::Shuffled)
-            simt::launchShuffled(cfg, kernel, shuffleSeed);
-        else if (pool)
-            simt::launch(*pool, cfg, kernel);
+        if (pool)
+            simt::launch(*pool, cfg, body);
         else
-            simt::launch(cfg, kernel);
+            simt::launch(cfg, body);
     }
 };
 

@@ -122,27 +122,4 @@ ThreadPool::runRegion(std::int64_t begin, std::int64_t end, RangeFn fn,
     regionCtx = nullptr;
 }
 
-void
-ThreadPool::parallelFor(std::int64_t begin, std::int64_t end,
-                        const std::function<void(std::int64_t)>& fn)
-{
-    // Thin wrapper over the templated tier: the erased call happens once
-    // per index here, matching the historical contract.
-    parallelForBlocks(begin, end,
-                      [&fn](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t i = lo; i < hi; ++i)
-                              fn(i);
-                      });
-}
-
-void
-ThreadPool::parallelForBlocks(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t)>& fn)
-{
-    parallelForBlocks<const std::function<void(std::int64_t,
-                                               std::int64_t)>&>(
-        begin, end, fn);
-}
-
 } // namespace bt::sched

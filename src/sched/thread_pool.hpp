@@ -13,8 +13,7 @@
  * the workers as one raw function pointer + context per region, so the
  * only indirect call is per *chunk*, never per index. Workers pull
  * contiguous chunks from an atomic counter (dynamic schedule), which both
- * balances uneven iterations and batches many blocks per wake-up. The
- * std::function overloads remain as thin ABI-stable wrappers.
+ * balances uneven iterations and batches many blocks per wake-up.
  */
 
 #ifndef BT_SCHED_THREAD_POOL_HPP
@@ -24,7 +23,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -109,15 +107,6 @@ class ThreadPool
                   const_cast<void*>(
                       static_cast<const void*>(std::addressof(fn))));
     }
-
-    /** Erased thin wrapper kept for ABI-stable callers. */
-    void parallelFor(std::int64_t begin, std::int64_t end,
-                     const std::function<void(std::int64_t)>& fn);
-
-    /** Erased thin wrapper kept for ABI-stable callers. */
-    void parallelForBlocks(
-        std::int64_t begin, std::int64_t end,
-        const std::function<void(std::int64_t, std::int64_t)>& fn);
 
   private:
     void workerLoop(int worker_id);

@@ -216,7 +216,7 @@ Service::freshPlan(const std::string& app_name, int /*load_bucket*/,
     const auto t0 = Clock::now();
     const core::Application& app = appOf(app_name);
 
-    // The planner pass mirrors BetterTogether::run: interference-aware
+    // The planner pass mirrors bt::Framework::run: interference-aware
     // profiling, then lease-constrained schedule generation.
     const core::Profiler profiler(model_, cfg_.profiler);
     const core::ProfileResult profile = profiler.profile(app);

@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "sched/thread_pool.hpp"
 
 namespace bt::simt {
 
@@ -39,31 +38,6 @@ shuffledBlockOrder(int grid_dim, std::uint64_t seed)
         std::swap(order[i - 1], order[j]);
     }
     return order;
-}
-
-// The erased tier funnels back into the templated tier with the
-// std::function as the functor: one indirect call per thread, exactly the
-// cost profile ABI-stable callers signed up for.
-
-void
-launch(const LaunchConfig& cfg, const Kernel& kernel)
-{
-    launch(cfg, [&kernel](const WorkItem& item) { kernel(item); });
-}
-
-void
-launch(sched::ThreadPool& pool, const LaunchConfig& cfg,
-       const Kernel& kernel)
-{
-    launch(pool, cfg, [&kernel](const WorkItem& item) { kernel(item); });
-}
-
-void
-launchShuffled(const LaunchConfig& cfg, const Kernel& kernel,
-               std::uint64_t seed)
-{
-    launchShuffled(cfg, [&kernel](const WorkItem& item) { kernel(item); },
-                   seed);
 }
 
 } // namespace bt::simt

@@ -13,18 +13,15 @@
  * Execution is functional and deterministic on the host; timing of GPU
  * work is the job of the platform performance model, not this layer.
  *
- * Dispatch tiers (see docs/DISPATCH.md): the templated launch overloads
- * instantiate the kernel functor statically, so the per-thread call
- * inlines into the block loop; the std::function overloads are thin
- * wrappers kept for ABI-stable callers and pay one type-erased indirect
- * call per SIMT thread. Hot paths must use the templated tier.
+ * Dispatch (see docs/DISPATCH.md): the launch templates instantiate the
+ * kernel functor statically, so the per-thread call inlines into the
+ * block loop.
  */
 
 #ifndef BT_SIMT_SIMT_HPP
 #define BT_SIMT_SIMT_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -77,9 +74,6 @@ struct WorkItem
         return static_cast<std::int64_t>(gridDim) * blockDim;
     }
 };
-
-/** A type-erased device kernel body (the slow, ABI-stable tier). */
-using Kernel = std::function<void(const WorkItem&)>;
 
 /**
  * Execute every thread of block @p block of @p cfg against @p kernel.
@@ -154,17 +148,6 @@ launchShuffled(const LaunchConfig& cfg, F&& kernel, std::uint64_t seed)
     for (int b : shuffledBlockOrder(cfg.gridDim, seed))
         runBlock(cfg, kernel, b);
 }
-
-/** Erased-tier launch: one indirect call per SIMT thread. */
-void launch(const LaunchConfig& cfg, const Kernel& kernel);
-
-/** Erased-tier pooled launch. */
-void launch(sched::ThreadPool& pool, const LaunchConfig& cfg,
-            const Kernel& kernel);
-
-/** Erased-tier shuffled launch. */
-void launchShuffled(const LaunchConfig& cfg, const Kernel& kernel,
-                    std::uint64_t seed);
 
 /**
  * Run @p body for every index in [0, n) using a grid-stride loop from

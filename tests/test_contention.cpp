@@ -498,7 +498,7 @@ TEST(ServiceContention, WorstTenantCoRunLatencyImproves)
     const auto coRunLatency = [&](const Application& app,
                                   const Schedule& plan,
                                   double partner_demand) {
-        SimExecConfig cfg;
+        runtime::RunConfig cfg;
         cfg.numTasks = 24;
         cfg.ambientBandwidthGbps = partner_demand;
         return SimExecutor(model, cfg)
@@ -600,9 +600,9 @@ TEST_F(ContentionRig, VirtualBackendTracksThePredictedStretch)
             = eval.predict(assign, bucket).latency
             / eval.predict(assign, 0).latency;
 
-        SimExecConfig quiet;
+        runtime::RunConfig quiet;
         quiet.numTasks = 24;
-        SimExecConfig loud = quiet;
+        runtime::RunConfig loud = quiet;
         loud.ambientBandwidthGbps = ambient;
         const double quietInterval
             = SimExecutor(*model, quiet)

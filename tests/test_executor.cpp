@@ -12,9 +12,9 @@
 
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
+#include "bt.hpp"
 #include "core/autotuner.hpp"
 #include "core/native_executor.hpp"
-#include "core/pipeline.hpp"
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
@@ -59,7 +59,7 @@ TEST(SimExecutor, SingleChunkMatchesAnalyticTime)
     const platform::PerfModel model(soc);
     const auto app = syntheticApp(3);
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 10;
     const SimExecutor exec(model, cfg);
     const auto schedule = Schedule::homogeneous(3, 0);
@@ -80,7 +80,7 @@ TEST(SimExecutor, PipelineThroughputBeatsSerial)
     const platform::PerfModel model(soc);
     const auto app = syntheticApp(4);
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 30;
     const SimExecutor exec(model, cfg);
 
@@ -97,7 +97,7 @@ TEST(SimExecutor, SteadyStateIntervalTracksBottleneck)
     const platform::PerfModel model(soc);
     const auto app = syntheticApp(2);
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 40;
     const SimExecutor exec(model, cfg);
     const auto schedule = Schedule::fromAssignment({0, 1});
@@ -136,7 +136,7 @@ TEST(SimExecutor, NoiseSaltChangesMeasurement)
     const platform::SocDescription soc = platform::pixel7a();
     const platform::PerfModel model(soc);
     const auto app = syntheticApp(5);
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.noiseSalt = 1;
     const SimExecutor a(model);
     const SimExecutor b(model, cfg);
@@ -166,9 +166,9 @@ TEST(SimExecutor, MoreBuffersNeverSlowsSteadyState)
     const auto soc = quietJetson();
     const platform::PerfModel model(soc);
     const auto app = syntheticApp(4);
-    SimExecConfig small_cfg;
+    runtime::RunConfig small_cfg;
     small_cfg.numBuffers = 1;
-    SimExecConfig big_cfg;
+    runtime::RunConfig big_cfg;
     big_cfg.numBuffers = 6;
     const auto s = Schedule::fromAssignment({0, 0, 1, 1});
     const double t_small = SimExecutor(model, small_cfg)
@@ -198,7 +198,7 @@ TEST_P(FunctionalSchedules, SimExecutorValidatesOctreeOutputs)
         assign.push_back(*c - '0');
     ASSERT_EQ(assign.size(), 7u);
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 3;
     cfg.runKernels = true;
     const SimExecutor exec(model, cfg);
@@ -222,7 +222,7 @@ TEST(SimExecutor, AlexNetFunctionalOutputsValidate)
     auto app = apps::alexnetDense(apps::AlexNetConfig{
         .batch = 1, .withValidator = true});
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 2;
     cfg.runKernels = true;
     const SimExecutor exec(model, cfg);
@@ -246,7 +246,7 @@ TEST(SimExecutor, ClusteredOctreeInputsValidate)
         .numClusters = 4,
         .withValidator = true});
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 3;
     cfg.runKernels = true;
     const SimExecutor exec(model, cfg);
@@ -265,7 +265,7 @@ TEST(SimExecutor, DenseAlexNetBatchTwoValidates)
     auto app = apps::alexnetDense(apps::AlexNetConfig{
         .batch = 2, .withValidator = true});
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 2;
     cfg.runKernels = true;
     const SimExecutor exec(model, cfg);
@@ -283,7 +283,7 @@ TEST(NativeExecutor, RunsOctreePipelineCorrectly)
     auto app = apps::octreeApp(apps::OctreeConfig{
         .numPoints = 1500, .withValidator = true});
 
-    NativeExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 4;
     const NativeExecutor exec(soc, cfg);
     const auto result
@@ -303,7 +303,7 @@ TEST(NativeExecutor, SparseAlexNetAcrossBothPus)
     auto app = apps::alexnetSparse(apps::AlexNetConfig{
         .batch = 2, .sparse = true, .withValidator = true});
 
-    NativeExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 3;
     const NativeExecutor exec(soc, cfg);
     const auto result = exec.execute(
@@ -321,7 +321,7 @@ TEST(NativeExecutor, TightQueueCapacityStillCompletes)
     auto app = apps::octreeApp(apps::OctreeConfig{
         .numPoints = 800, .withValidator = true});
 
-    NativeExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 6;
     cfg.queueCapacity = 1;
     cfg.numBuffers = 3;
@@ -360,10 +360,10 @@ TEST(AutoTuner, RanksByMeasuredLatency)
     EXPECT_GE(report.autotuningGain(), 1.0);
 }
 
-TEST(BetterTogether, FullFlowProducesSpeedupOnPixelOctree)
+TEST(Framework, FullFlowProducesSpeedupOnPixelOctree)
 {
     const auto soc = platform::pixel7a();
-    const BetterTogether bt(soc);
+    const Framework bt(soc);
     const auto report = bt.run(apps::octreeApp());
 
     EXPECT_EQ(report.candidates.size(), 20u);
@@ -375,21 +375,21 @@ TEST(BetterTogether, FullFlowProducesSpeedupOnPixelOctree)
     EXPECT_GT(report.speedupOverBestBaseline(), 1.0);
 }
 
-TEST(BetterTogether, AutotuningNeverPicksWorseThanPredictedBest)
+TEST(Framework, AutotuningNeverPicksWorseThanPredictedBest)
 {
     const auto soc = platform::oneplus11();
-    const BetterTogether bt(soc);
+    const Framework bt(soc);
     const auto report = bt.run(apps::alexnetSparse());
     ASSERT_FALSE(report.tuning.all.empty());
     EXPECT_GE(report.tuning.autotuningGain(), 1.0 - 1e-12);
 }
 
-TEST(BetterTogether, NoAutotuneUsesPredictedBest)
+TEST(Framework, NoAutotuneUsesPredictedBest)
 {
     const auto soc = platform::jetsonOrinNano();
-    BetterTogetherConfig cfg;
+    FrameworkConfig cfg;
     cfg.autotune = false;
-    const BetterTogether bt(soc, cfg);
+    const Framework bt(soc, cfg);
     const auto report = bt.run(apps::alexnetDense());
     EXPECT_EQ(report.bestSchedule.compactString(),
               report.candidates.front().schedule.compactString());

@@ -10,12 +10,12 @@
 
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
+#include "bt.hpp"
 #include "core/data_parallel.hpp"
-#include "core/dynamic_executor.hpp"
-#include "core/pipeline.hpp"
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
+#include "runtime/greedy_runtime.hpp"
 
 namespace bt::core {
 namespace {
@@ -123,11 +123,12 @@ TEST_P(DynamicOverheads, ExecutesAllTasks)
     const Profiler profiler(model);
     const auto profile = profiler.profile(app);
 
-    DynamicExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 12;
-    cfg.dispatchOverheadUs = GetParam();
-    const DynamicExecutor dyn(model, profile.interference, cfg);
-    const auto run = dyn.execute(app);
+    runtime::GreedyParams params;
+    params.dispatchOverheadUs = GetParam();
+    const auto run = runtime::GreedyRuntime{model, profile.interference}
+                         .run(app, cfg, params);
     EXPECT_EQ(run.tasks, 12);
     EXPECT_GT(run.taskIntervalSeconds, 0.0);
     EXPECT_GT(run.makespanSeconds, 0.0);
@@ -138,7 +139,7 @@ TEST_P(DynamicOverheads, ExecutesAllTasks)
 INSTANTIATE_TEST_SUITE_P(Overheads, DynamicOverheads,
                          ::testing::Values(0.0, 50.0, 500.0));
 
-TEST(DynamicExecutor, OverheadMonotonicallyHurts)
+TEST(GreedyRuntime, OverheadMonotonicallyHurts)
 {
     auto soc = platform::jetsonOrinNano();
     soc.noiseSigma = 0.0;
@@ -149,29 +150,29 @@ TEST(DynamicExecutor, OverheadMonotonicallyHurts)
 
     double prev = 0.0;
     for (const double us : {0.0, 100.0, 1000.0}) {
-        DynamicExecConfig cfg;
-        cfg.dispatchOverheadUs = us;
-        const DynamicExecutor dyn(model, profile.interference, cfg);
-        const double t = dyn.execute(app).taskIntervalSeconds;
+        runtime::GreedyParams params;
+        params.dispatchOverheadUs = us;
+        const runtime::GreedyRuntime dyn(model, profile.interference);
+        const double t = dyn.run(app, {}, params).taskIntervalSeconds;
         EXPECT_GT(t, prev);
         prev = t;
     }
 }
 
-TEST(DynamicExecutor, DeterministicAcrossRuns)
+TEST(GreedyRuntime, DeterministicAcrossRuns)
 {
     const auto soc = platform::oneplus11();
     const platform::PerfModel model(soc);
     const auto app = apps::octreeApp();
     const Profiler profiler(model);
     const auto profile = profiler.profile(app);
-    const DynamicExecutor dyn(model, profile.interference);
-    const auto a = dyn.execute(app);
-    const auto b = dyn.execute(app);
+    const runtime::GreedyRuntime dyn(model, profile.interference);
+    const auto a = dyn.run(app, {}, {});
+    const auto b = dyn.run(app, {}, {});
     EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
 }
 
-TEST(DynamicExecutor, SingleStageAppUsesFastestPu)
+TEST(GreedyRuntime, SingleStageAppUsesFastestPu)
 {
     auto soc = platform::jetsonOrinNano();
     soc.noiseSigma = 0.0;
@@ -180,11 +181,11 @@ TEST(DynamicExecutor, SingleStageAppUsesFastestPu)
     const Profiler profiler(model);
     const auto profile = profiler.profile(app);
 
-    DynamicExecConfig cfg;
-    cfg.dispatchOverheadUs = 0.0;
-    cfg.tasksInFlight = 1;
-    const DynamicExecutor dyn(model, profile.interference, cfg);
-    const auto run = dyn.execute(app);
+    runtime::GreedyParams params;
+    params.dispatchOverheadUs = 0.0;
+    params.tasksInFlight = 1;
+    const auto run = runtime::GreedyRuntime{model, profile.interference}
+                         .run(app, {}, params);
     // With one task in flight and one stage, every task lands on the
     // table-fastest PU; the other stays idle.
     const int fastest = profile.interference.at(0, 0)
@@ -301,7 +302,7 @@ TEST(DataParallel, LosesOnMixedWorkloads)
     // sorting hurts. On octree/Pixel the BT pipeline must beat the
     // data-parallel estimate.
     const auto soc = platform::pixel7a();
-    const BetterTogether bt(soc);
+    const Framework bt(soc);
     const auto app = apps::octreeApp();
     const auto report = bt.run(app);
     const double dp = dataParallelLatency(

@@ -149,12 +149,12 @@ TEST(EmptyFaultPlan, BitIdenticalAcrossAllSchedules)
     const platform::PerfModel model(soc);
     const auto app = exactlyOnceApp(soc.seed);
 
-    SimExecConfig plain;
+    runtime::RunConfig plain;
     plain.numTasks = 6;
 
     // Same run with the whole recovery config populated: an empty plan
     // must keep every fault path cold regardless of the policy.
-    SimExecConfig armed = plain;
+    runtime::RunConfig armed = plain;
     armed.faults.faultSeed = 0xabcdef;
     armed.recovery.timeoutFactor = 2.0;
     armed.recovery.maxRetries = 9;
@@ -188,7 +188,7 @@ TEST(FaultDeterminism, SameSaltReproducesFaultsAndRecoveryExactly)
     const auto schedule
         = Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2});
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.noiseSalt = 0xfeedface;
     cfg.faults.transients.push_back({-1, -1, 0.2});
     cfg.faults.stragglers.push_back({-1, 0.1, 4.0});
@@ -204,7 +204,7 @@ TEST(FaultDeterminism, SameSaltReproducesFaultsAndRecoveryExactly)
     EXPECT_EQ(a.trace.size(), b.trace.size());
 
     // A different fault seed draws a different fault pattern.
-    SimExecConfig other = cfg;
+    runtime::RunConfig other = cfg;
     other.faults.faultSeed = 0x5eed;
     const auto c = SimExecutor(model, other).execute(app, schedule);
     EXPECT_TRUE(c.makespanSeconds != a.makespanSeconds
@@ -244,7 +244,7 @@ TEST(FaultRecovery, VirtualRetriesKeepKernelsExactlyOnce)
     const platform::PerfModel model(soc);
     const auto app = exactlyOnceApp(soc.seed);
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 16;
     cfg.runKernels = true;
     cfg.faults.transients.push_back({-1, -1, 0.25});
@@ -268,7 +268,7 @@ TEST(FaultRecovery, HostRetriesKeepKernelsExactlyOnce)
     const auto soc = platform::nativeHost();
     const auto app = exactlyOnceApp(soc.seed);
 
-    NativeExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 16;
     cfg.faults.transients.push_back({-1, -1, 0.25});
 
@@ -300,7 +300,7 @@ TEST(FaultRecovery, StragglersTripTimeoutsAndRecover)
     const platform::PerfModel model(soc);
     const auto app = apps::octreeApp();
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.faults.stragglers.push_back({-1, 0.05, 100.0});
     cfg.recovery.timeoutFactor = 8.0;
 
@@ -328,11 +328,11 @@ TEST(FaultInjection, SlowdownWindowStretchesTheRun)
     const auto schedule
         = Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2});
 
-    SimExecConfig clean;
+    runtime::RunConfig clean;
     const auto base = SimExecutor(model, clean).execute(app, schedule);
 
     // Throttle the bottleneck chunk's PU: the whole stream slows.
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.faults.slowdowns.push_back({0, 0.0, 10.0, 0.4});
     const auto slow = SimExecutor(model, cfg).execute(app, schedule);
     EXPECT_GT(slow.makespanSeconds, 1.2 * base.makespanSeconds);
@@ -355,7 +355,7 @@ TEST(FaultRecovery, DropoutMidStreamCompletesAllTasks)
     const auto schedule
         = Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2});
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.faults.dropouts.push_back({3, 0.02}); // lose the GPU mid-run
 
     const auto run = SimExecutor(model, cfg).execute(app, schedule);
@@ -378,7 +378,7 @@ TEST(FaultRecovery, DropoutMidStreamCompletesAllTasks)
     }
 
     // With degradation off, per-chunk failover still finishes the run.
-    SimExecConfig failover = cfg;
+    runtime::RunConfig failover = cfg;
     failover.recovery.degrade = false;
     const auto alt = SimExecutor(model, failover).execute(app, schedule);
     EXPECT_EQ(alt.tasks, 30);

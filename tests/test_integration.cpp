@@ -13,8 +13,8 @@
 
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
+#include "bt.hpp"
 #include "common/stats.hpp"
-#include "core/pipeline.hpp"
 #include "core/profiler.hpp"
 #include "platform/devices.hpp"
 
@@ -50,14 +50,14 @@ class FullFlow : public ::testing::TestWithParam<Combo>
             GetParam().device)];
         app = std::make_unique<Application>(
             appByIndex(GetParam().app));
-        flow = std::make_unique<BetterTogether>(soc);
+        flow = std::make_unique<Framework>(soc);
         report = flow->run(*app);
     }
 
     platform::SocDescription soc;
     std::unique_ptr<Application> app;
-    std::unique_ptr<BetterTogether> flow;
-    BetterTogetherReport report;
+    std::unique_ptr<Framework> flow;
+    FrameworkReport report;
 };
 
 TEST_P(FullFlow, NeverRegressesBelowBestBaseline)
@@ -147,7 +147,7 @@ TEST(IntegrationHeadline, MobileSpeedupsExceedJetson)
     std::vector<double> mobile, jetson;
     const auto devices = platform::paperDevices();
     for (int d = 0; d < 4; ++d) {
-        const BetterTogether flow(devices[static_cast<std::size_t>(d)]);
+        const Framework flow(devices[static_cast<std::size_t>(d)]);
         for (int a = 0; a < 3; ++a) {
             const double s = flow.run(appByIndex(a))
                                  .speedupOverBestBaseline();

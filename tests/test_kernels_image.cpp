@@ -275,7 +275,7 @@ TEST_P(FeaturesSchedules, PipelineValidatesUnderAnyChunking)
         assign.push_back(*c - '0');
     ASSERT_EQ(assign.size(), 7u);
 
-    core::SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 3;
     cfg.runKernels = true;
     const core::SimExecutor exec(model, cfg);
@@ -296,7 +296,7 @@ TEST(FeaturesApp, NativePipelineRuns)
     const auto soc = platform::nativeHost();
     auto app = apps::featuresApp(apps::FeaturesConfig{
         .width = 96, .height = 64, .withValidator = true});
-    core::NativeExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 3;
     const core::NativeExecutor exec(soc, cfg);
     const auto result = exec.execute(

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -485,6 +486,11 @@ TEST(LintFramework, PreflightErrorsPanicWithKindPrefix)
 
 TEST(LintFramework, PreflightReportRidesAlongOnCleanRuns)
 {
+    // The framework's performance model refers to the framework's own
+    // copy of the device, so the framework cannot be copied, and a
+    // temporary device argument is safe.
+    static_assert(!std::is_copy_constructible_v<Framework>);
+    static_assert(!std::is_copy_assignable_v<Framework>);
     FrameworkConfig cfg;
     cfg.run.numTasks = 8;
     cfg.run.warmupTasks = 2;

@@ -23,12 +23,12 @@
 
 #include "apps/features.hpp"
 #include "apps/octree_app.hpp"
-#include "core/dynamic_executor.hpp"
+#include "bt.hpp"
 #include "core/native_executor.hpp"
-#include "core/pipeline.hpp"
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
+#include "runtime/greedy_runtime.hpp"
 #include "runtime/host_backend.hpp"
 #include "runtime/run_types.hpp"
 #include "runtime/trace.hpp"
@@ -50,17 +50,6 @@ TEST(RunConfig, ResolveBuffersDefaultsToSlotsPlusOne)
     EXPECT_EQ(cfg.resolveBuffers(3), 4);
     cfg.numBuffers = 2;
     EXPECT_EQ(cfg.resolveBuffers(3), 2);
-}
-
-TEST(RunTypes, LegacyResultTypesAreTheUnifiedResult)
-{
-    // The deprecated ExecutionResult/NativeResult aliases are gone;
-    // the config aliases remain the unified RunConfig.
-    static_assert(std::is_same_v<SimExecConfig, runtime::RunConfig>);
-    static_assert(std::is_same_v<NativeExecConfig, runtime::RunConfig>);
-    static_assert(
-        std::is_base_of_v<runtime::RunConfig, DynamicExecConfig>);
-    SUCCEED();
 }
 
 // ---------------------------------------------------------------------
@@ -330,7 +319,7 @@ TEST(TraceTimeline, ChromeJsonRoundTripsThroughParser)
     const platform::PerfModel model(soc);
     const auto app = apps::octreeApp();
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 6;
     const SimExecutor exec(model, cfg);
     const auto run = exec.execute(
@@ -364,13 +353,13 @@ TEST(TraceTimeline, MergeKeepsSessionsDistinguishable)
     const auto features = apps::featuresApp();
 
     // Two tenants, different applications, distinct session ids.
-    SimExecConfig cfgA;
+    runtime::RunConfig cfgA;
     cfgA.numTasks = 4;
     cfgA.sessionId = 7;
     const auto runA = SimExecutor(model, cfgA).execute(
         octree, Schedule::homogeneous(octree.numStages(), 0));
 
-    SimExecConfig cfgB;
+    runtime::RunConfig cfgB;
     cfgB.numTasks = 3;
     cfgB.sessionId = 12;
     const auto runB = SimExecutor(model, cfgB).execute(
@@ -418,7 +407,7 @@ TEST(TraceTimeline, MergeKeepsSessionsDistinguishable)
     EXPECT_TRUE(outerParsed.parse());
 
     // Untagged runs keep the legacy export: no session args at all.
-    SimExecConfig plain;
+    runtime::RunConfig plain;
     plain.numTasks = 2;
     const auto runPlain = SimExecutor(model, plain).execute(
         octree, Schedule::homogeneous(octree.numStages(), 0));
@@ -437,7 +426,7 @@ TEST(TraceTimeline, MergeResolvesNamesPerRunWithinOneSession)
     // One tenant session running two different applications: each
     // merged run must keep resolving against the stage names it ran
     // with (name tables travel per run, not per session).
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 2;
     cfg.sessionId = 3;
     const auto runA = SimExecutor(model, cfg).execute(
@@ -467,7 +456,7 @@ TEST(VirtualBackendTrace, AgreesWithRunResult)
     const platform::PerfModel model(soc);
     const auto app = apps::octreeApp();
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 8;
     const SimExecutor exec(model, cfg);
     const auto schedule = Schedule::fromAssignment({0, 0, 0, 1, 1, 1, 1});
@@ -493,7 +482,7 @@ TEST(VirtualBackendTrace, AgreesWithRunResult)
     EXPECT_GT(st.interferedFraction, 0.0);
     EXPECT_GT(st.coResidency(0, 1), 0.0);
     // Disabling recording yields an identical measurement, no trace.
-    SimExecConfig quiet = cfg;
+    runtime::RunConfig quiet = cfg;
     quiet.recordTrace = false;
     const auto bare = SimExecutor(model, quiet).execute(app, schedule);
     EXPECT_DOUBLE_EQ(bare.makespanSeconds, run.makespanSeconds);
@@ -508,10 +497,10 @@ TEST(GreedyRuntimeTrace, AgreesWithRunResult)
     const Profiler profiler(model);
     const auto profile = profiler.profile(app);
 
-    DynamicExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.numTasks = 10;
-    const DynamicExecutor dyn(model, profile.interference, cfg);
-    const auto run = dyn.execute(app);
+    const auto run = runtime::GreedyRuntime{model, profile.interference}
+                         .run(app, cfg, {});
 
     EXPECT_EQ(run.trace.size(),
               static_cast<std::size_t>(cfg.numTasks * app.numStages()));
@@ -647,11 +636,11 @@ TEST(CrossBackendEquivalence, AllSchedulesAllBackendsBitIdentical)
             fp->byTask.clear();
             runtime::RunResult run;
             if (host) {
-                NativeExecConfig cfg;
+                runtime::RunConfig cfg;
                 cfg.numTasks = num_tasks;
                 run = NativeExecutor(soc, cfg).execute(app, schedule);
             } else {
-                SimExecConfig cfg;
+                runtime::RunConfig cfg;
                 cfg.numTasks = num_tasks;
                 cfg.runKernels = true;
                 run = SimExecutor(model, cfg).execute(app, schedule);
@@ -686,7 +675,7 @@ TEST(NoiseSalt, SameSaltReproducesStaticPipelineExactly)
     const auto app = apps::octreeApp();
     const auto schedule = Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2});
 
-    SimExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.noiseSalt = 0xfeedface;
     const auto a = SimExecutor(model, cfg).execute(app, schedule);
     const auto b = SimExecutor(model, cfg).execute(app, schedule);
@@ -694,7 +683,7 @@ TEST(NoiseSalt, SameSaltReproducesStaticPipelineExactly)
     EXPECT_DOUBLE_EQ(a.taskIntervalSeconds, b.taskIntervalSeconds);
     EXPECT_DOUBLE_EQ(a.energyJoules, b.energyJoules);
 
-    SimExecConfig other = cfg;
+    runtime::RunConfig other = cfg;
     other.noiseSalt = 0xdeadbeef;
     const auto c = SimExecutor(model, other).execute(app, schedule);
     EXPECT_NE(a.makespanSeconds, c.makespanSeconds);
@@ -708,18 +697,17 @@ TEST(NoiseSalt, SameSaltReproducesDynamicRunExactly)
     const Profiler profiler(model);
     const auto profile = profiler.profile(app);
 
-    DynamicExecConfig cfg;
+    runtime::RunConfig cfg;
     cfg.noiseSalt = 0xfeedface;
-    const DynamicExecutor dyn(model, profile.interference, cfg);
-    const auto a = dyn.execute(app);
-    const auto b = dyn.execute(app);
+    const runtime::GreedyRuntime dyn(model, profile.interference);
+    const auto a = dyn.run(app, cfg, {});
+    const auto b = dyn.run(app, cfg, {});
     EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
     EXPECT_DOUBLE_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
 
-    DynamicExecConfig other = cfg;
+    runtime::RunConfig other = cfg;
     other.noiseSalt = 0xdeadbeef;
-    const DynamicExecutor dyn2(model, profile.interference, other);
-    EXPECT_NE(dyn2.execute(app).makespanSeconds, a.makespanSeconds);
+    EXPECT_NE(dyn.run(app, other, {}).makespanSeconds, a.makespanSeconds);
 }
 
 // ---------------------------------------------------------------------
@@ -728,9 +716,9 @@ TEST(NoiseSalt, SameSaltReproducesDynamicRunExactly)
 TEST(PipelineFlow, ReportCarriesDeployedTrace)
 {
     const auto soc = platform::pixel7a();
-    BetterTogetherConfig cfg;
+    FrameworkConfig cfg;
     cfg.autotune = false;
-    const BetterTogether flow(soc, cfg);
+    const Framework flow(soc, cfg);
     const auto report = flow.run(apps::octreeApp());
 
     ASSERT_FALSE(report.deployedRun.trace.empty());

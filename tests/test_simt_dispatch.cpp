@@ -1,12 +1,11 @@
 /**
  * @file
- * Dispatch-tier equivalence tests: every device kernel must produce
+ * Dispatch equivalence tests: every device kernel must produce
  * bit-identical output no matter which GpuExec dispatch strategy runs
- * it — templated serial (the default), the type-erased simt::Kernel
- * tier, seeded shuffled block order, and pooled launches over worker
- * teams of size 1, 2, and 8. This is the contract that lets the
- * scheduler, the debug shuffler, and the benchmarks pick dispatch
- * strategies freely.
+ * it — templated serial (the default), pooled launches over worker
+ * teams of size 1, 2, and 8, and checked execution, which reruns every
+ * launch under shuffled block orders. This is the contract that lets
+ * the scheduler and the checker pick dispatch strategies freely.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "check/checker.hpp"
 #include "common/rng.hpp"
 #include "kernels/conv2d.hpp"
 #include "kernels/image.hpp"
@@ -59,7 +59,9 @@ expectBitIdentical(const std::vector<T>& golden, const std::vector<T>& got,
 /**
  * Run @p run under every dispatch strategy and require bit-identical
  * results against the templated serial baseline. @p run maps a GpuExec
- * to the kernel's flattened output.
+ * to the kernel's flattened output. The checked run reruns every launch
+ * under shuffled block orders and flags any output that depends on the
+ * block order.
  */
 template <typename Run>
 void
@@ -69,19 +71,12 @@ expectDispatchInvariant(Run&& run)
     const auto golden = run(baseline);
 
     {
-        GpuExec exec;
-        exec.erased = true;
-        expectBitIdentical(golden, run(exec), "erased");
-    }
-    for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42}}) {
-        GpuExec exec;
-        exec.order = GpuExec::Order::Shuffled;
-        exec.shuffleSeed = seed;
-        expectBitIdentical(golden, run(exec),
-                           "shuffled/" + std::to_string(seed));
-        exec.erased = true;
-        expectBitIdentical(golden, run(exec),
-                           "shuffled+erased/" + std::to_string(seed));
+        check::Checker checker;
+        expectBitIdentical(golden, run(GpuExec{.observer = &checker}),
+                           "checked");
+        const check::Report& report = checker.report();
+        EXPECT_TRUE(report.clean()) << report.summary();
+        EXPECT_GT(report.stats.reruns, 0);
     }
     for (int team : {1, 2, 8}) {
         sched::ThreadPool pool(team);
@@ -89,9 +84,6 @@ expectDispatchInvariant(Run&& run)
         exec.pool = &pool;
         expectBitIdentical(golden, run(exec),
                            "pooled/" + std::to_string(team));
-        exec.erased = true;
-        expectBitIdentical(golden, run(exec),
-                           "pooled+erased/" + std::to_string(team));
     }
 }
 
