@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 
 namespace bt::check {
@@ -19,29 +20,6 @@ mix(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
-}
-
-void
-jsonEscape(std::ostream& os, std::string_view s)
-{
-    for (const char c : s) {
-        switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\b': os << "\\b"; break;
-        case '\f': os << "\\f"; break;
-        case '\n': os << "\\n"; break;
-        case '\r': os << "\\r"; break;
-        case '\t': os << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                constexpr const char* hex = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
 }
 
 void
@@ -148,21 +126,18 @@ Report::writeJson(std::ostream& os) const
             os << ", ";
         comma = true;
         os << "{\"kind\": \"" << findingKindName(f.kind)
-           << "\", \"context\": \"";
-        jsonEscape(os, f.context);
-        os << "\", \"kernel\": \"";
-        jsonEscape(os, f.kernel);
-        os << "\", \"launch\": " << f.launch
+           << "\", \"context\": \"" << JsonEscaped{f.context}
+           << "\", \"kernel\": \"" << JsonEscaped{f.kernel}
+           << "\", \"launch\": " << f.launch
            << ", \"grid_dim\": " << f.gridDim
-           << ", \"block_dim\": " << f.blockDim << ", \"buffer\": \"";
-        jsonEscape(os, f.buffer);
-        os << "\", \"element\": " << f.element << ", \"first\": ";
+           << ", \"block_dim\": " << f.blockDim << ", \"buffer\": \""
+           << JsonEscaped{f.buffer} << "\", \"element\": " << f.element
+           << ", \"first\": ";
         writeThread(os, f.first);
         os << ", \"second\": ";
         writeThread(os, f.second);
-        os << ", \"count\": " << f.count << ", \"note\": \"";
-        jsonEscape(os, f.note);
-        os << "\"}";
+        os << ", \"count\": " << f.count << ", \"note\": \""
+           << JsonEscaped{f.note} << "\"}";
     }
     os << "]}";
 }

@@ -116,14 +116,6 @@ Application::validate(const TaskObject& task) const
     return validator_(task);
 }
 
-void
-Application::runAllCpu(TaskObject& task, sched::ThreadPool* pool) const
-{
-    KernelCtx ctx{task, pool};
-    for (const auto& s : stages_)
-        s.runCpu(ctx);
-}
-
 int
 TaskGraph::addNode(Stage stage)
 {

@@ -174,9 +174,6 @@ class Application
     /** Validate a completed task; empty string = OK. */
     std::string validate(const TaskObject& task) const;
 
-    /** Run every stage in order on the CPU backend (reference path). */
-    void runAllCpu(TaskObject& task, sched::ThreadPool* pool) const;
-
   private:
     std::string name_;
     std::string inputKind_;

@@ -83,46 +83,4 @@ AutoTuner::tune(const Application& app,
     return report;
 }
 
-TuningReport
-AutoTuner::tuneAnnealed(const Application& app,
-                        const platform::SocDescription& soc,
-                        const ProfilingTable& table, PlannerSpec spec,
-                        const AnnealCampaign& campaign) const
-{
-    BT_ASSERT(!campaign.seeds.empty(), "campaign needs seeds");
-    BT_ASSERT(!campaign.initialTemperatures.empty(),
-              "campaign needs temperatures");
-    spec.engine = PlannerEngine::Annealed;
-
-    // All variants walk the same space over the same table, so one
-    // warm evaluator serves every planning pass.
-    platform::PerfModel power(soc);
-    ScheduleEvaluator shared_eval(soc, table, power,
-                                  spec.contentionProfile);
-    spec.sharedEvaluator = &shared_eval;
-
-    std::vector<Candidate> champions;
-    for (const std::uint64_t seed : campaign.seeds) {
-        for (const double t0 : campaign.initialTemperatures) {
-            PlannerSpec variant = spec;
-            variant.anneal.seed = seed;
-            variant.anneal.initialTemperature = t0;
-            Optimizer optimizer(soc, table, std::move(variant));
-            const auto cands = optimizer.optimize();
-            BT_ASSERT(!cands.empty());
-            // Dedup by assignment, first-seen order, so the tuned
-            // list (and rankPredicted indexing) is deterministic.
-            const auto assign = cands.front().schedule.toAssignment();
-            const bool seen = std::any_of(
-                champions.begin(), champions.end(),
-                [&](const Candidate& c) {
-                    return c.schedule.toAssignment() == assign;
-                });
-            if (!seen)
-                champions.push_back(cands.front());
-        }
-    }
-    return tune(app, champions);
-}
-
 } // namespace bt::core

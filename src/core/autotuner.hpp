@@ -48,19 +48,6 @@ struct TuningReport
     double autotuningGain() const;
 };
 
-/**
- * A sweep over annealing knobs: the annealed engine's result depends
- * on its seed and temperature, so instead of trusting one walk, tune
- * across several - each (seed, temperature) variant plans once and
- * contributes its front candidate to the measured campaign.
- */
-struct AnnealCampaign
-{
-    std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
-    /** Initial temperatures to sweep; 0 = the engine default. */
-    std::vector<double> initialTemperatures = {0.0};
-};
-
 /** Runs candidates through an executor and ranks them by measurement. */
 class AutoTuner
 {
@@ -86,22 +73,6 @@ class AutoTuner
      *  be non-empty. */
     TuningReport tune(const Application& app,
                       const std::vector<Candidate>& candidates) const;
-
-    /**
-     * Annealed planning campaign: plan @p app once per (seed, initial
-     * temperature) in @p campaign - forcing spec.engine to Annealed
-     * and sharing one warm evaluator across variants - then measure
-     * the deduplicated variant champions with tune(). The first
-     * variant's champion keeps rankPredicted 0, so autotuningGain()
-     * reports the measured win over the single-walk plan. Deterministic
-     * at any thread count (the campaign plans serially; only
-     * measurement fans out).
-     */
-    TuningReport tuneAnnealed(const Application& app,
-                              const platform::SocDescription& soc,
-                              const ProfilingTable& table,
-                              PlannerSpec spec,
-                              const AnnealCampaign& campaign) const;
 
   private:
     const SimExecutor& executor_;

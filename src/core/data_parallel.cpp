@@ -8,6 +8,9 @@
 
 namespace bt::core {
 
+namespace {
+
+/** Per-stage terms of dataParallelLatency, in stage order. */
 std::vector<double>
 dataParallelStageTimes(const Application& app,
                        const ProfilingTable& table,
@@ -38,6 +41,8 @@ dataParallelStageTimes(const Application& app,
     }
     return times;
 }
+
+} // namespace
 
 double
 dataParallelLatency(const Application& app, const ProfilingTable& table,

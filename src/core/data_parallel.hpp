@@ -44,11 +44,6 @@ double dataParallelLatency(const Application& app,
                            const ProfilingTable& table,
                            DataParallelConfig cfg = {});
 
-/** Per-stage breakdown of the same estimate (for reporting). */
-std::vector<double> dataParallelStageTimes(const Application& app,
-                                           const ProfilingTable& table,
-                                           DataParallelConfig cfg = {});
-
 } // namespace bt::core
 
 #endif // BT_CORE_DATA_PARALLEL_HPP

@@ -20,8 +20,8 @@
  * engine enumerates the C1/C2 schedule space over the allowed PUs in
  * closed form (enumerateSchedules), drops schedules over the C6
  * budget, and scores the rest through the ScheduleEvaluator; tests
- * cross-validate it against a reference built on the DPLL solver in
- * src/solver/ (the paper's Z3 stand-in). The annealed engine
+ * cross-validate it against a reference built on a DPLL solver, the
+ * paper's Z3 stand-in, that only the tests build. The annealed engine
  * (anneal.hpp) is a seeded local search over the same evaluator for
  * instances whose schedule space exceeds PlannerSpec::exactSpaceLimit
  * - it is deterministic per seed but not exactness-preserving, which

@@ -8,6 +8,18 @@
 
 namespace bt::core {
 
+namespace {
+
+/**
+ * Fixed per-measurement cost (timer setup, co-load launch, cool down)
+ * added to the virtual campaign cost; with the default repetitions a
+ * full table lands near the paper's ~6 minutes per device and
+ * application.
+ */
+constexpr double kPerRepOverheadSeconds = 0.15;
+
+} // namespace
+
 Profiler::Profiler(const platform::PerfModel& model_, ProfilerConfig cfg)
     : model(model_), config(cfg)
 {
@@ -16,8 +28,8 @@ Profiler::Profiler(const platform::PerfModel& model_, ProfilerConfig cfg)
 
 double
 Profiler::measureCell(const platform::WorkProfile& work, int stage_index,
-                      int pu, bool interference_heavy,
-                      double* stddev_out, double* cost_out) const
+                      int pu, bool interference_heavy, double& stddev_out,
+                      double& cost_out) const
 {
     const auto& soc = model.soc();
     const double base = interference_heavy
@@ -41,14 +53,12 @@ Profiler::measureCell(const platform::WorkProfile& work, int stage_index,
         // Interference-heavy reps keep all PUs busy for the duration;
         // every rep also pays the fixed setup cost.
         cost += (interference_heavy ? t * soc.numPus() : t)
-            + config.perRepOverheadSeconds;
+            + kPerRepOverheadSeconds;
     }
 
     const Summary s = summarize(reps);
-    if (stddev_out)
-        *stddev_out = s.stddev;
-    if (cost_out)
-        *cost_out += cost;
+    stddev_out = s.stddev;
+    cost_out += cost;
     return s.mean;
 }
 
@@ -81,17 +91,17 @@ Profiler::profile(const Application& app) const
         for (int p = 0; p < soc.numPus(); ++p) {
             double sd = 0.0;
             const double iso
-                = measureCell(work, s, p, false, &sd, &cost);
+                = measureCell(work, s, p, false, sd, cost);
             result.isolated.set(s, p, iso);
             result.isolated.setStddev(s, p, sd);
 
             const double intf
-                = measureCell(work, s, p, true, &sd, &cost);
+                = measureCell(work, s, p, true, sd, cost);
             result.interference.set(s, p, intf);
             result.interference.setStddev(s, p, sd);
         }
     }
-    result.profilingCostSeconds = config.recordCost ? cost : 0.0;
+    result.profilingCostSeconds = cost;
     return result;
 }
 

@@ -27,16 +27,7 @@ namespace bt::core {
 /** Profiler knobs. */
 struct ProfilerConfig
 {
-    int repetitions = 30;  ///< measurements per (stage, PU) cell
-    bool recordCost = true; ///< accumulate the virtual profiling cost
-
-    /**
-     * Fixed per-measurement cost (timer setup, co-load launch, cool
-     * down) added to the virtual campaign cost; with the default
-     * configuration a full table lands near the paper's ~6 minutes per
-     * device and application.
-     */
-    double perRepOverheadSeconds = 0.15;
+    int repetitions = 30; ///< measurements per (stage, PU) cell
 };
 
 /** Both tables plus the virtual time the campaign consumed. */
@@ -50,15 +41,6 @@ struct ProfileResult
      *  the same model the timing measurements sample. */
     platform::ContentionProfile contention;
     double profilingCostSeconds = 0.0;
-
-    /**
-     * Table to feed the optimizer: interference-aware for pipelined
-     * execution (more than one chunk), per the BetterTogether method.
-     */
-    const ProfilingTable& tableFor(bool interference_aware) const
-    {
-        return interference_aware ? interference : isolated;
-    }
 };
 
 /** Profiles applications against one simulated device. */
@@ -71,16 +53,16 @@ class Profiler
     /** Run the full campaign for @p app. */
     ProfileResult profile(const Application& app) const;
 
+  private:
     /**
      * Mean measured latency for a single (stage, PU) cell in the given
-     * mode; exposed for the Fig. 7 interference analysis.
+     * mode; writes the sample stddev and adds the cell's virtual
+     * campaign cost.
      */
     double measureCell(const platform::WorkProfile& work, int stage_index,
-                       int pu, bool interference_heavy,
-                       double* stddev_out = nullptr,
-                       double* cost_out = nullptr) const;
+                       int pu, bool interference_heavy, double& stddev_out,
+                       double& cost_out) const;
 
-  private:
     const platform::PerfModel& model;
     ProfilerConfig config;
 };

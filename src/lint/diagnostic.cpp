@@ -4,27 +4,10 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 
 namespace bt::lint {
-
-namespace {
-
-void
-jsonEscape(std::ostream& os, std::string_view s)
-{
-    for (const char c : s) {
-        switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default: os << c; break;
-        }
-    }
-}
-
-} // namespace
 
 std::string_view
 diagnosticKindName(DiagnosticKind kind)
@@ -167,14 +150,11 @@ Report::writeJson(std::ostream& os) const
         const auto& d = diagnostics[i];
         os << (i ? ", " : "") << "{\"kind\": \""
            << diagnosticKindName(d.kind) << "\", \"severity\": \""
-           << severityName(d.severity) << "\", \"subject\": \"";
-        jsonEscape(os, d.subject);
-        os << "\", \"buffer\": \"";
-        jsonEscape(os, d.buffer);
-        os << "\", \"stage\": " << d.stage << ", \"chunk\": " << d.chunk
-           << ", \"pu\": " << d.pu << ", \"message\": \"";
-        jsonEscape(os, d.message);
-        os << "\"}";
+           << severityName(d.severity) << "\", \"subject\": \""
+           << JsonEscaped{d.subject} << "\", \"buffer\": \""
+           << JsonEscaped{d.buffer} << "\", \"stage\": " << d.stage
+           << ", \"chunk\": " << d.chunk << ", \"pu\": " << d.pu
+           << ", \"message\": \"" << JsonEscaped{d.message} << "\"}";
     }
     os << "]}";
 }

@@ -20,7 +20,7 @@
  *    traffic;
  *  - quantization helpers: ambient demand bucketized into kBuckets
  *    levels (for memoization / cache keys) and demands quantized to
- *    integer milli-GB/s (for the solver's pseudo-boolean C6 family).
+ *    integer milli-GB/s (for the planner's exact integer C6 test).
  *
  * ContentionProfile is the per-application snapshot the planner layers
  * carry around: per-(stage, PU) demand plus per-bucket slowdown
@@ -63,7 +63,7 @@ struct ContentionProfile
         return demandGbps_[cellIndex(stage, pu)];
     }
 
-    /** Same demand quantized to integer milli-GB/s (solver C6 terms). */
+    /** Same demand quantized to integer milli-GB/s (C6 terms). */
     std::int64_t
     demandMilli(int stage, int pu) const
     {
@@ -175,8 +175,8 @@ class ContentionModel
                          : desc.mem.llcFactorIsolated;
     }
 
-    /** Quantize @p gbps to integer milli-GB/s (solver C6 coefficients;
-     *  exact integer arithmetic instead of float comparisons). */
+    /** Quantize @p gbps to integer milli-GB/s (C6 coefficients: exact
+     *  integer arithmetic instead of float comparisons). */
     static std::int64_t milliGbps(double gbps);
 
     /** Quantize an ambient demand into one of kBuckets levels;

@@ -5,61 +5,10 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 
 namespace bt::runtime {
-
-namespace {
-
-/**
- * JSON string escaping per RFC 8259: quote, backslash, the common
- * control-character shorthands, and \u00XX for the rest of the C0
- * range. Stage names are normally plain identifiers, but nothing
- * enforces that - a hostile name must not corrupt the trace file.
- */
-std::string
-escape(const std::string& s)
-{
-    static const char* hex = "0123456789abcdef";
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\b':
-            out += "\\b";
-            break;
-          case '\f':
-            out += "\\f";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += "\\u00";
-                out += hex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-                out += hex[static_cast<unsigned char>(c) & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 const char*
 traceEventKindName(TraceEventKind kind)
@@ -284,7 +233,7 @@ void
 TraceTimeline::writeChromeJson(std::ostream& os) const
 {
     os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"backend\":\""
-       << escape(backend_) << "\",\"numPus\":" << numPus_
+       << JsonEscaped{backend_} << "\",\"numPus\":" << numPus_
        << ",\"events\":" << events_.size() << "},\"traceEvents\":[";
 
     bool first = true;
@@ -303,7 +252,7 @@ TraceTimeline::writeChromeJson(std::ostream& os) const
             : "pu" + std::to_string(p);
         os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
            << "\"tid\":" << p << ",\"args\":{\"name\":\""
-           << escape(name) << "\"}}";
+           << JsonEscaped{name} << "\"}}";
     }
 
     os.precision(17);
@@ -321,10 +270,10 @@ TraceTimeline::writeChromeJson(std::ostream& os) const
                << ",\"pu\":" << e.pu;
             if (e.session >= 0)
                 os << ",\"session\":" << e.session;
-            os << ",\"note\":\"" << escape(e.note) << "\"}}";
+            os << ",\"note\":\"" << JsonEscaped{e.note} << "\"}}";
             continue;
         }
-        os << "{\"name\":\"" << escape(stageNameOf(e))
+        os << "{\"name\":\"" << JsonEscaped{stageNameOf(e)}
            << "\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":0,\"tid\":"
            << e.pu << ",\"ts\":" << e.startSeconds * 1e6
            << ",\"dur\":" << e.durationSeconds() * 1e6

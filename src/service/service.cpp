@@ -31,6 +31,7 @@ ServiceReport::writeJson(std::ostream& os) const
     os << "  \"submitted\": " << submitted << ",\n";
     os << "  \"completed\": " << completed << ",\n";
     os << "  \"dropped\": " << dropped << ",\n";
+    os << "  \"rejected\": " << rejected << ",\n";
     os << "  \"failed\": " << failed << ",\n";
     os << "  \"tenants_rejected\": " << tenantsRejected << ",\n";
     os << "  \"wall_seconds\": " << wallSeconds << ",\n";
@@ -40,7 +41,6 @@ ServiceReport::writeJson(std::ostream& os) const
        << " },\n";
     os << "  \"plans\": " << plans << ",\n";
     os << "  \"plan_seconds\": " << planSeconds << ",\n";
-    os << "  \"batches\": " << batches << ",\n";
     os << "  \"planner\": { \"engine\": \"" << plannerEngine
        << "\", \"annealed_fallbacks\": " << annealedFallbacks
        << " },\n";
@@ -62,15 +62,12 @@ ServiceReport::writeJson(std::ostream& os) const
 
 Service::Service(const platform::SocDescription& soc, ServiceConfig cfg)
     : soc_(soc), cfg_(std::move(cfg)), model_(soc_), backend_(model_),
-      leases_(soc_, cfg_.maxLeaseGroups > 0
-                  ? cfg_.maxLeaseGroups
-                  : std::min(std::max(cfg_.workers, 1), soc_.numPus())),
+      leases_(soc_, std::min(std::max(cfg_.workers, 1), soc_.numPus())),
       cache_(cfg_.cache)
 {
     BT_ASSERT(cfg_.workers >= 1, "service needs at least one worker");
     BT_ASSERT(cfg_.queueCapacity >= 1, "admission queue needs capacity");
     BT_ASSERT(cfg_.loadBuckets >= 1, "need at least one load bucket");
-    BT_ASSERT(cfg_.maxBatch >= 1, "batch size must be positive");
 }
 
 Service::~Service()
@@ -277,6 +274,12 @@ Service::submit(Request req)
         dropped_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
+    // registerApp refuses to run on a started service, so apps_ is
+    // read-only here and needs no lock.
+    if (apps_.find(req.app) == apps_.end()) {
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+    }
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         if (static_cast<int>(queue_.size()) >= cfg_.queueCapacity) {
@@ -328,7 +331,7 @@ void
 Service::workerLoop(int worker_index)
 {
     for (;;) {
-        std::vector<Pending> batch;
+        Pending pending;
         {
             std::unique_lock<std::mutex> lock(queueMutex_);
             queueCv_.wait(lock, [this] {
@@ -338,21 +341,12 @@ Service::workerLoop(int worker_index)
                 BT_ASSERT(stopping_);
                 return;
             }
-            batch.push_back(std::move(queue_.front()));
+            pending = std::move(queue_.front());
             queue_.pop_front();
-            // Opportunistic batching: coalesce the contiguous run of
-            // same-application requests at the head of the queue (FIFO
-            // order is preserved; only the head run is taken).
-            while (static_cast<int>(batch.size()) < cfg_.maxBatch
-                   && !queue_.empty()
-                   && queue_.front().req.app == batch.front().req.app) {
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
             ++busyWorkers_;
         }
 
-        serveBatch(std::move(batch), worker_index);
+        serve(std::move(pending), worker_index);
 
         {
             std::lock_guard<std::mutex> lock(queueMutex_);
@@ -364,10 +358,10 @@ Service::workerLoop(int worker_index)
 }
 
 void
-Service::serveBatch(std::vector<Pending> batch, int worker_index)
+Service::serve(Pending pending, int worker_index)
 {
     const auto pickup = Clock::now();
-    const core::Application& app = appOf(batch.front().req.app);
+    const core::Application& app = appOf(pending.req.app);
 
     // Ambient load -> lease partition -> cache key. The bucket is
     // quantized (lease.hpp) so nearby load levels share cache entries.
@@ -412,9 +406,7 @@ Service::serveBatch(std::vector<Pending> batch, int worker_index)
 
     runtime::RunConfig rcfg = cfg_.run;
     rcfg.recordTrace = recordTrace;
-    rcfg.sessionId = batch.front().req.session;
-    // A batch is one pipeline run over the coalesced task stream.
-    rcfg.numTasks = cfg_.run.numTasks * static_cast<int>(batch.size());
+    rcfg.sessionId = pending.req.session;
     // Execute under the same co-runner demand the plan was made for
     // (0 for real-time tenants: their slices are protected).
     rcfg.ambientBandwidthGbps = ambientFor(app.name(), groups);
@@ -436,38 +428,29 @@ Service::serveBatch(std::vector<Pending> batch, int worker_index)
 
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        for (const Pending& pending : batch) {
-            latencies_.push_back(
-                secondsBetween(pending.admitted, done));
-            ++perSession_[pending.req.session];
-        }
+        latencies_.push_back(secondsBetween(pending.admitted, done));
+        ++perSession_[pending.req.session];
     }
 
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(static_cast<std::int64_t>(batch.size()),
-                         std::memory_order_relaxed);
+    completed_.fetch_add(1, std::memory_order_relaxed);
     if (!ok)
-        failed_.fetch_add(static_cast<std::int64_t>(batch.size()),
-                          std::memory_order_relaxed);
-    inflight_.fetch_sub(static_cast<int>(batch.size()),
-                        std::memory_order_relaxed);
+        failed_.fetch_add(1, std::memory_order_relaxed);
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
 
-    for (const Pending& pending : batch) {
-        if (!pending.req.onDone)
-            continue;
-        RequestResult result;
-        result.id = pending.id;
-        result.session = pending.req.session;
-        result.ok = ok;
-        result.cacheHit = hit;
-        result.planned = planned;
-        result.queueSeconds = secondsBetween(pending.admitted, pickup);
-        result.serviceSeconds = secondsBetween(pickup, done);
-        result.latencySeconds = secondsBetween(pending.admitted, done);
-        result.schedule = plan.schedule;
-        result.run = run;
-        pending.req.onDone(result);
-    }
+    if (!pending.req.onDone)
+        return;
+    RequestResult result;
+    result.id = pending.id;
+    result.session = pending.req.session;
+    result.ok = ok;
+    result.cacheHit = hit;
+    result.planned = planned;
+    result.queueSeconds = secondsBetween(pending.admitted, pickup);
+    result.serviceSeconds = secondsBetween(pickup, done);
+    result.latencySeconds = secondsBetween(pending.admitted, done);
+    result.schedule = plan.schedule;
+    result.run = run;
+    pending.req.onDone(result);
 }
 
 ServiceReport
@@ -477,11 +460,11 @@ Service::report() const
     report.submitted = submitted_.load(std::memory_order_relaxed);
     report.completed = completed_.load(std::memory_order_relaxed);
     report.dropped = dropped_.load(std::memory_order_relaxed);
+    report.rejected = rejected_.load(std::memory_order_relaxed);
     report.failed = failed_.load(std::memory_order_relaxed);
     report.tenantsRejected
         = tenantsRejected_.load(std::memory_order_relaxed);
     report.plans = plans_.load(std::memory_order_relaxed);
-    report.batches = batches_.load(std::memory_order_relaxed);
     report.plannerEngine
         = core::plannerEngineName(cfg_.optimizer.engine);
     report.annealedFallbacks

@@ -7,10 +7,9 @@
  * sharing one SoC. Service adds the three pieces that turn the planner
  * + runtime into a serving system:
  *
- *  1. an admission/batching front end: a bounded queue accepting
- *     requests from any thread (overflow = dropped, counted), with
- *     optional same-application batching so queued requests amortize
- *     one pipeline ramp-up;
+ *  1. an admission front end: a bounded queue accepting requests from
+ *     any thread (overflow = dropped, unknown application = rejected,
+ *     both counted);
  *  2. a worker pool co-scheduling pipelines over the shared SoC model,
  *     with per-tenant PU leases (lease.hpp) derived from the ambient
  *     load and fed through the optimizer's allowedPus hook, so
@@ -106,9 +105,6 @@ struct ServiceConfig
     /** Ambient-load quantization levels for the cache key / leases. */
     int loadBuckets = 4;
 
-    /** Most PU-lease partitions ever formed; 0 = min(workers, PUs). */
-    int maxLeaseGroups = 0;
-
     /**
      * Contention-aware leases: when tenants share the SoC (more than
      * one lease group), each plan is budgeted an equal share of the
@@ -123,10 +119,6 @@ struct ServiceConfig
      *  the cold-path baseline the load bench compares against). */
     bool cacheEnabled = true;
     ScheduleCacheConfig cache;
-
-    /** Max same-application requests coalesced into one pipeline run
-     *  (1 = no batching). Batched requests share a completion time. */
-    int maxBatch = 1;
 
     core::ProfilerConfig profiler;
     core::PlannerSpec optimizer;
@@ -150,8 +142,9 @@ struct ServiceReport
 {
     std::int64_t submitted = 0;
     std::int64_t completed = 0;
-    std::int64_t dropped = 0; ///< admission-queue overflow
-    std::int64_t failed = 0;  ///< completed but invalid outputs
+    std::int64_t dropped = 0;  ///< admission-queue overflow
+    std::int64_t rejected = 0; ///< named an unregistered application
+    std::int64_t failed = 0;   ///< completed but invalid outputs
     /** Applications refused by registerApp: their static lint found
      *  errors, so they never became tenants. */
     std::int64_t tenantsRejected = 0;
@@ -166,7 +159,6 @@ struct ServiceReport
 
     std::int64_t plans = 0;     ///< planner invocations
     double planSeconds = 0.0;   ///< total wall time spent planning
-    std::int64_t batches = 0;   ///< pipeline runs (>= 1 request each)
 
     /** Configured planner engine ("exhaustive" / "annealed"). */
     std::string plannerEngine;
@@ -224,8 +216,9 @@ class Service
     void start();
 
     /**
-     * Admit @p req (thread-safe, non-blocking). False = queue full;
-     * the request was dropped and counted.
+     * Admit @p req (thread-safe, non-blocking). False = refused and
+     * counted: dropped when the service is stopped or the queue is
+     * full, rejected when @p req names no registered application.
      */
     bool submit(Request req);
 
@@ -266,7 +259,7 @@ class Service
     };
 
     void workerLoop(int worker_index);
-    void serveBatch(std::vector<Pending> batch, int worker_index);
+    void serve(Pending pending, int worker_index);
     const core::Application& appOf(const std::string& name) const;
     bool tenantRealTime(const std::string& app_name) const;
 
@@ -317,11 +310,11 @@ class Service
     std::atomic<std::int64_t> nextId_{0};
     std::atomic<std::int64_t> submitted_{0};
     std::atomic<std::int64_t> dropped_{0};
+    std::atomic<std::int64_t> rejected_{0};
     std::atomic<std::int64_t> completed_{0};
     std::atomic<std::int64_t> failed_{0};
     std::atomic<std::int64_t> tenantsRejected_{0};
     std::atomic<std::int64_t> plans_{0};
-    std::atomic<std::int64_t> batches_{0};
     /** Mutable: freshPlan is const (a test hook) but still counts. */
     mutable std::atomic<std::int64_t> annealedFallbacks_{0};
 

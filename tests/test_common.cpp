@@ -16,6 +16,7 @@
 
 #include "common/csv.hpp"
 #include "common/flags.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -233,6 +234,28 @@ class Argv
     std::vector<std::string> strings_;
     std::vector<char*> ptrs_;
 };
+
+TEST(Json, EscapesQuotesBackslashesAndEveryControlByte)
+{
+    std::string raw = "q\"b\\";
+    for (int c = 0; c < 0x20; ++c)
+        raw += static_cast<char>(c);
+    raw += "\x7f\xc3\xa9 end"; // DEL and UTF-8 pass through
+
+    std::ostringstream os;
+    os << JsonEscaped{raw};
+    EXPECT_EQ(os.str(),
+              "q\\\"b\\\\"
+              "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+              "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+              "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+              "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+              "\x7f\xc3\xa9 end");
+
+    std::ostringstream plain;
+    plain << JsonEscaped{"plain"} << JsonEscaped{""};
+    EXPECT_EQ(plain.str(), "plain");
+}
 
 TEST(Flags, ParsesSwitchesAndValues)
 {

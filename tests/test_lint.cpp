@@ -9,6 +9,7 @@
  * admission).
  */
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <sstream>
@@ -435,6 +436,33 @@ TEST(LintReport, JsonRoundTripsThroughParser)
               static_cast<int>(merged.diagnostics.size()));
     EXPECT_EQ(json.keyCount("severity"),
               static_cast<int>(merged.diagnostics.size()));
+}
+
+TEST(LintReport, JsonEscapesControlBytesInNames)
+{
+    // Subjects are user-supplied app and buffer names; a control byte
+    // in one must still serialize as valid JSON.
+    lint::Diagnostic d;
+    d.kind = lint::DiagnosticKind::UseBeforeDef;
+    d.subject = "a\rb\x01";
+    d.buffer = "tab\tend";
+    d.message = "quote \" backslash \\ feed\f";
+    lint::Report report;
+    report.diagnostics.push_back(d);
+
+    const std::string text = toJson(report);
+    EXPECT_NE(text.find(R"("subject": "a\rb\u0001")"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find(R"("buffer": "tab\tend")"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find(R"("message": "quote \" backslash \\ feed\f")"),
+              std::string::npos)
+        << text;
+    EXPECT_TRUE(std::none_of(text.begin(), text.end(), [](char c) {
+        return static_cast<unsigned char>(c) < 0x20;
+    })) << text;
+    MiniJson json(text);
+    EXPECT_TRUE(json.parse()) << text;
 }
 
 // ---------------------------------------------------------------------

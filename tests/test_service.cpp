@@ -382,6 +382,35 @@ TEST(Service, OverflowDropsAreCountedNotLost)
     EXPECT_GT(report.dropped, 0);
 }
 
+TEST(Service, UnknownAppIsRejectedNotFatal)
+{
+    Service service(platform::pixel7a(), quickConfig(1));
+    service.registerApp(apps::octreeApp());
+    service.start();
+
+    // A request naming no registered app is refused at admission: it
+    // never reaches a worker, and its callback never runs.
+    bool rejectedRan = false;
+    EXPECT_FALSE(service.submit(
+        {0, "NoSuchApp", [&](const RequestResult&) { rejectedRan = true; }}));
+    // The service keeps serving.
+    EXPECT_TRUE(service.submit({0, "Octree", nullptr}));
+    constexpr int kSubmits = 2;
+    service.stop();
+
+    const auto report = service.report();
+    EXPECT_FALSE(rejectedRan);
+    EXPECT_EQ(report.rejected, 1);
+    EXPECT_EQ(report.submitted, 1);
+    EXPECT_EQ(report.completed, 1);
+    EXPECT_EQ(report.completed + report.dropped + report.rejected,
+              kSubmits);
+
+    std::ostringstream os;
+    report.writeJson(os);
+    EXPECT_NE(os.str().find("\"rejected\": 1"), std::string::npos);
+}
+
 TEST(Service, MergedTraceTagsSessions)
 {
     auto cfg = quickConfig();
