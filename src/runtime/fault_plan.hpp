@@ -163,15 +163,16 @@ struct RecoveryPolicy
     /**
      * Per-stage timeout budget as a multiple of the stage's profiled
      * isolated time on its PU. Attempts exceeding the budget are
-     * aborted and retried (virtual backend; the host backend detects
-     * overruns at stage end). <= 0 disables timeouts.
+     * aborted mid-flight and retried. Only the virtual backend
+     * enforces it; the host backend never times an attempt out. A
+     * factor <= 0 disables timeouts.
      */
     double timeoutFactor = 16.0;
 
     /** Retries per stage execution before failing over. */
     int maxRetries = 3;
 
-    /** Backoff before retry r: base * multiplier^r. */
+    /** Backoff before retry r (1-based): base * multiplier^(r - 1). */
     double backoffBaseSeconds = 1e-4;
     double backoffMultiplier = 2.0;
 

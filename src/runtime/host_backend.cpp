@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -40,28 +39,6 @@ sleepSeconds(double s)
     if (s > 0.0)
         std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
-
-/**
- * Recovery state the dispatcher threads share. One mutex serializes all
- * fault decisions: faults are rare events by construction, so the lock
- * is far off the fault-free hot path (which never takes it).
- *
- * Host-backend fault semantics (wall time cannot be rewound):
- *  - slowdown windows stretch a stage by sleeping elapsed*(1/f - 1);
- *  - transient failures skip the kernel and retry after a real backoff
- *    sleep;
- *  - dropouts apply when the first dispatcher observes the deadline;
- *  - per-stage timeouts are not emulated (aborting a host kernel
- *    mid-flight is not safe) - the virtual backend covers that path.
- */
-struct HostFaultState
-{
-    std::mutex mutex;
-    std::vector<bool> puAlive;
-    std::vector<int> chunkPu;
-    std::vector<bool> dropoutDone;
-    RecoveryStats stats;
-};
 
 } // namespace
 
@@ -107,88 +84,23 @@ HostTimeBackend::run(const core::Application& app,
             -1, std::memory_order_relaxed);
 
     // --- fault layer (inert on fault-free runs) ------------------------
+    // The controller decides every recovery step; this backend adds the
+    // wall clock. One mutex serializes every controller call: faults are
+    // rare by construction, and fault-free runs never take it.
+    //  - slowdown windows and stragglers stretch a completed stage by
+    //    sleeping elapsed * (stretch - 1);
+    //  - transient failures skip the kernel and retry after a real
+    //    backoff sleep;
+    //  - dropouts apply when the first dispatcher observes the deadline;
+    //  - per-stage timeouts are not emulated (aborting a host kernel
+    //    mid-flight is not safe) - the virtual backend covers that path.
     const platform::PerfModel model(soc_);
-    const FaultInjector injector(cfg.faults, soc_.seed ^ cfg.noiseSalt);
-    const bool faulty = injector.enabled();
-    // Degradation replans share one table + prediction cache per run;
-    // only ever touched under fs.mutex (applyDueDropouts).
-    ReplanPlanner replanner(model, app);
-    HostFaultState fs;
-    if (faulty) {
-        fs.puAlive.assign(static_cast<std::size_t>(soc_.numPus()),
-                          true);
-        fs.chunkPu.resize(static_cast<std::size_t>(num_chunks));
-        for (int c = 0; c < num_chunks; ++c)
-            fs.chunkPu[static_cast<std::size_t>(c)]
-                = session.chunk(c).pu;
-        fs.dropoutDone.assign(injector.dropouts().size(), false);
-    }
+    RecoveryController recovery(model, app, session);
+    const FaultInjector& injector = recovery.injector();
+    const bool faulty = recovery.enabled();
+    std::mutex fault_mutex;
 
     const auto t0 = Clock::now();
-
-    // Apply every dropout whose deadline has passed. Caller holds
-    // fs.mutex.
-    auto applyDueDropouts = [&](double now) {
-        const auto& drops = injector.dropouts();
-        for (std::size_t i = 0; i < drops.size(); ++i) {
-            if (fs.dropoutDone[i] || now < drops[i].atSeconds)
-                continue;
-            fs.dropoutDone[i] = true;
-            const int dead = drops[i].pu;
-            if (!fs.puAlive[static_cast<std::size_t>(dead)])
-                continue;
-            fs.puAlive[static_cast<std::size_t>(dead)] = false;
-            fs.stats.dropouts += 1;
-            session.recordEvent(makeFaultEvent(TraceEventKind::Dropout,
-                                               -1, -1, -1, dead, now,
-                                               now));
-
-            std::vector<int> affected;
-            for (int c = 0; c < num_chunks; ++c)
-                if (fs.chunkPu[static_cast<std::size_t>(c)] == dead)
-                    affected.push_back(c);
-            if (affected.empty())
-                continue;
-
-            if (cfg.recovery.degrade) {
-                const core::Schedule plan
-                    = replanner.replan(fs.puAlive);
-                fs.stats.replans += 1;
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Replan, -1, -1, -1, dead, now,
-                    now));
-                const auto assign = plan.toAssignment();
-                for (const int c : affected) {
-                    const int target = assign[static_cast<std::size_t>(
-                        session.chunk(c).firstStage)];
-                    fs.chunkPu[static_cast<std::size_t>(c)] = target;
-                    fs.stats.remaps += 1;
-                    session.recordEvent(makeFaultEvent(
-                        TraceEventKind::Remap, -1, -1, c, target, now,
-                        now,
-                        "pu " + std::to_string(dead) + " -> "
-                            + std::to_string(target)));
-                }
-            } else {
-                for (const int c : affected) {
-                    const ChunkSpec& spec = session.chunk(c);
-                    const int target = nextBestPu(
-                        model, app, spec.firstStage, spec.lastStage,
-                        fs.puAlive,
-                        fs.chunkPu[static_cast<std::size_t>(c)]);
-                    if (target < 0)
-                        continue;
-                    fs.chunkPu[static_cast<std::size_t>(c)] = target;
-                    fs.stats.remaps += 1;
-                    session.recordEvent(makeFaultEvent(
-                        TraceEventKind::Remap, -1, -1, c, target, now,
-                        now,
-                        "pu " + std::to_string(dead) + " -> "
-                            + std::to_string(target)));
-                }
-            }
-        }
-    };
 
     auto coRunnersOf = [&](int self) {
         std::uint64_t pus = 0;
@@ -231,20 +143,24 @@ HostTimeBackend::run(const core::Application& app,
             running[static_cast<std::size_t>(c)].store(
                 ch.pu, std::memory_order_relaxed);
             for (int s = ch.firstStage; s <= ch.lastStage; ++s) {
-                int attempt = 0;
-                bool remapped = false;
+                Attempt attempt;
                 for (;;) {
                     int cur_pu = ch.pu;
+                    bool will_fail = false;
+                    double stretch = 1.0;
                     if (faulty) {
-                        std::lock_guard<std::mutex> lock(fs.mutex);
-                        applyDueDropouts(secondsSince(t0));
-                        cur_pu = fs.chunkPu[static_cast<std::size_t>(c)];
+                        std::lock_guard<std::mutex> lock(fault_mutex);
+                        const double now = secondsSince(t0);
+                        for (const auto& d : injector.dropouts())
+                            if (now >= d.atSeconds)
+                                recovery.dropout(d.pu, now);
+                        cur_pu = recovery.puOf(c);
+                        will_fail = recovery.transient(c, task, s, attempt);
+                        stretch = recovery.straggle(c, task, s, attempt,
+                                                    now);
                         running[static_cast<std::size_t>(c)].store(
                             cur_pu, std::memory_order_relaxed);
                     }
-                    const bool will_fail = faulty
-                        && injector.transientFailure(task, s, cur_pu,
-                                                     attempt);
                     const double start = secondsSince(t0);
                     const std::uint64_t co = coRunnersOf(c);
                     if (!will_fail)
@@ -258,19 +174,8 @@ HostTimeBackend::run(const core::Application& app,
                             // Straggler inflation and throttle windows
                             // stretch the stage by sleeping out the
                             // extra wall time.
-                            double stretch = injector.stragglerFactor(
-                                task, s, attempt);
-                            if (stretch > 1.0) {
-                                std::lock_guard<std::mutex> lock(
-                                    fs.mutex);
-                                fs.stats.stragglers += 1;
-                                session.recordEvent(makeFaultEvent(
-                                    TraceEventKind::Straggler, task, s,
-                                    c, cur_pu, start, end));
-                            }
-                            const double f
-                                = injector.slowdownFactor(cur_pu, start);
-                            stretch /= f;
+                            stretch /= injector.slowdownFactor(cur_pu,
+                                                               start);
                             if (stretch > 1.0) {
                                 sleepSeconds((end - start)
                                              * (stretch - 1.0));
@@ -298,8 +203,8 @@ HostTimeBackend::run(const core::Application& app,
                         }
                         session.recordEvent(TraceEvent{
                             task, s, c, cur_pu,
-                            s == ch.firstStage && attempt == 0
-                                    && !remapped
+                            s == ch.firstStage && attempt.number == 0
+                                    && !attempt.remapped
                                 ? queue_wait
                                 : 0.0,
                             start, end, co, TraceEventKind::Stage,
@@ -309,61 +214,19 @@ HostTimeBackend::run(const core::Application& app,
 
                     // Transient failure: the kernel never ran, so a
                     // retry is always side-effect free.
-                    {
-                        std::lock_guard<std::mutex> lock(fs.mutex);
-                        fs.stats.transientFaults += 1;
-                        session.recordEvent(makeFaultEvent(
-                            TraceEventKind::Transient, task, s, c, cur_pu,
-                            start, end));
-                    }
-                    ++attempt;
-                    if (attempt <= cfg.recovery.maxRetries) {
-                        const double backoff
-                            = cfg.recovery.backoffBaseSeconds
-                            * std::pow(cfg.recovery.backoffMultiplier,
-                                       attempt - 1);
-                        {
-                            std::lock_guard<std::mutex> lock(fs.mutex);
-                            fs.stats.retries += 1;
-                            fs.stats.backoffSeconds += backoff;
-                            session.recordEvent(makeFaultEvent(
-                                TraceEventKind::Retry, task, s, c, cur_pu,
-                                end, end,
-                                "attempt " + std::to_string(attempt)));
-                        }
-                        sleepSeconds(backoff);
-                        continue;
-                    }
-                    bool abandoned = true;
-                    if (cfg.recovery.failover && !remapped) {
-                        std::lock_guard<std::mutex> lock(fs.mutex);
-                        const int target = nextBestPu(
-                            model, app, ch.firstStage, ch.lastStage,
-                            fs.puAlive, cur_pu);
-                        if (target >= 0) {
-                            fs.chunkPu[static_cast<std::size_t>(c)]
-                                = target;
-                            fs.stats.remaps += 1;
-                            session.recordEvent(makeFaultEvent(
-                                TraceEventKind::Remap, task, s, c,
-                                target, end, end,
-                                "cur_pu " + std::to_string(cur_pu) + " -> "
-                                    + std::to_string(target)));
-                            remapped = true;
-                            attempt = 0;
-                            abandoned = false;
-                        }
-                    }
-                    if (abandoned) {
-                        {
-                            std::lock_guard<std::mutex> lock(fs.mutex);
-                            fs.stats.unrecovered += 1;
-                            session.recordEvent(makeFaultEvent(
-                                TraceEventKind::Abandon, task, s, c,
-                                cur_pu, end, end));
-                        }
-                        session.recordFailure(task, s);
+                    std::unique_lock<std::mutex> lock(fault_mutex);
+                    const NextStep step = recovery.fail(
+                        c, task, s, TraceEventKind::Transient, start, end,
+                        attempt);
+                    const double backoff = recovery.backoffSeconds(attempt);
+                    lock.unlock();
+                    if (step == NextStep::Abandon)
                         break;
+                    if (step == NextStep::Retry) {
+                        sleepSeconds(backoff);
+                        lock.lock();
+                        recovery.retry(c, task, s, attempt,
+                                       secondsSince(t0));
                     }
                 }
             }
@@ -409,7 +272,7 @@ HostTimeBackend::run(const core::Application& app,
     RunResult result = session.finish(
         secondsSince(t0), busy,
         affinity_ok.load(std::memory_order_relaxed));
-    result.recovery = fs.stats;
+    result.recovery = recovery.stats();
     return result;
 }
 

@@ -1,13 +1,22 @@
 #include "runtime/recovery.hpp"
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "core/optimizer.hpp"
+#include "runtime/pipeline_session.hpp"
 
 namespace bt::runtime {
 
+namespace {
+
+/**
+ * Profiled next-best surviving PU for stages [first, last]: the alive
+ * PU (excluding @p exclude) minimizing the summed interference-heavy
+ * stage time. @return -1 when no alive PU remains.
+ */
 int
 nextBestPu(const platform::PerfModel& model,
            const core::Application& app, int first_stage,
@@ -31,19 +40,16 @@ nextBestPu(const platform::PerfModel& model,
     return best;
 }
 
+/**
+ * The noiseless profiled table recovery decisions rank against: one
+ * interference-heavy model query per (stage, PU) — the mean the
+ * BT-Profiler's 30 noisy repetitions converge to.
+ */
 core::ProfilingTable
 modelTable(const platform::PerfModel& model,
            const core::Application& app)
 {
-    std::vector<std::string> stage_names;
-    for (const auto& s : app.stages())
-        stage_names.push_back(s.name());
-    std::vector<std::string> pu_labels;
-    for (const auto& p : model.soc().pus)
-        pu_labels.push_back(p.label);
-
-    core::ProfilingTable table(std::move(stage_names),
-                               std::move(pu_labels));
+    core::ProfilingTable table(stageNames(app), puNames(model.soc()));
     for (int s = 0; s < app.numStages(); ++s)
         for (int p = 0; p < model.soc().numPus(); ++p)
             table.set(s, p,
@@ -51,8 +57,6 @@ modelTable(const platform::PerfModel& model,
                                                   p));
     return table;
 }
-
-namespace {
 
 /** The planner spec every degradation replan uses. */
 core::PlannerSpec
@@ -108,6 +112,150 @@ ReplanPlanner::replan(const std::vector<bool>& alive)
     spec.sharedEvaluator = eval_.get();
     core::Optimizer optimizer(soc, *table_, std::move(spec));
     return bestOnSurvivors(optimizer);
+}
+
+RecoveryController::RecoveryController(const platform::PerfModel& model,
+                                       const core::Application& app,
+                                       PipelineSession& session)
+    : model_(model), app_(app), session_(session),
+      policy_(session.config().recovery),
+      injector_(session.config().faults,
+                model.soc().seed ^ session.config().noiseSalt),
+      replanner_(model, app),
+      alive_(static_cast<std::size_t>(model.soc().numPus()), true)
+{
+    chunkPu_.reserve(static_cast<std::size_t>(session.numChunks()));
+    for (int c = 0; c < session.numChunks(); ++c)
+        chunkPu_.push_back(session.chunk(c).pu);
+}
+
+bool
+RecoveryController::transient(int chunk, std::int64_t task, int stage,
+                              const Attempt& attempt) const
+{
+    return injector_.transientFailure(task, stage, puOf(chunk),
+                                      attempt.number);
+}
+
+double
+RecoveryController::straggle(int chunk, std::int64_t task, int stage,
+                             const Attempt& attempt, double now)
+{
+    const double factor
+        = injector_.stragglerFactor(task, stage, attempt.number);
+    if (factor > 1.0) {
+        stats_.stragglers += 1;
+        session_.recordEvent(makeFaultEvent(TraceEventKind::Straggler,
+                                            task, stage, chunk,
+                                            puOf(chunk), now, now,
+                                            factor));
+    }
+    return factor;
+}
+
+NextStep
+RecoveryController::fail(int chunk, std::int64_t task, int stage,
+                         TraceEventKind kind, double t0, double t1,
+                         Attempt& attempt)
+{
+    BT_ASSERT(kind == TraceEventKind::Transient
+                  || kind == TraceEventKind::Timeout,
+              "fail() takes a transient or a timeout");
+    (kind == TraceEventKind::Timeout ? stats_.timeouts
+                                     : stats_.transientFaults)
+        += 1;
+    session_.recordEvent(
+        makeFaultEvent(kind, task, stage, chunk, puOf(chunk), t0, t1));
+
+    attempt.number += 1;
+    if (attempt.number <= policy_.maxRetries) {
+        stats_.retries += 1;
+        stats_.backoffSeconds += backoffSeconds(attempt);
+        return NextStep::Retry;
+    }
+    if (policy_.failover && !attempt.remapped) {
+        const ChunkSpec& spec = session_.chunk(chunk);
+        const int target = nextBestPu(model_, app_, spec.firstStage,
+                                      spec.lastStage, alive_,
+                                      puOf(chunk));
+        if (target >= 0) {
+            rebind(chunk, target, task, stage, t1);
+            attempt = Attempt{0, true};
+            return NextStep::Failover;
+        }
+    }
+    stats_.unrecovered += 1;
+    session_.recordEvent(makeFaultEvent(TraceEventKind::Abandon, task,
+                                        stage, chunk, puOf(chunk), t1,
+                                        t1));
+    session_.recordFailure(task, stage);
+    return NextStep::Abandon;
+}
+
+double
+RecoveryController::backoffSeconds(const Attempt& attempt) const
+{
+    return policy_.backoffBaseSeconds
+        * std::pow(policy_.backoffMultiplier, attempt.number - 1);
+}
+
+void
+RecoveryController::retry(int chunk, std::int64_t task, int stage,
+                          const Attempt& attempt, double now)
+{
+    session_.recordEvent(makeFaultEvent(TraceEventKind::Retry, task,
+                                        stage, chunk, puOf(chunk), now,
+                                        now, attempt.number));
+}
+
+std::vector<int>
+RecoveryController::dropout(int pu, double now)
+{
+    std::vector<int> affected;
+    if (!alive_[static_cast<std::size_t>(pu)])
+        return affected;
+    alive_[static_cast<std::size_t>(pu)] = false;
+    stats_.dropouts += 1;
+    session_.recordEvent(makeFaultEvent(TraceEventKind::Dropout, -1, -1,
+                                        -1, pu, now, now));
+
+    for (int c = 0; c < session_.numChunks(); ++c)
+        if (puOf(c) == pu)
+            affected.push_back(c);
+    if (affected.empty())
+        return affected;
+
+    if (policy_.degrade) {
+        const auto assign = replanner_.replan(alive_).toAssignment();
+        stats_.replans += 1;
+        session_.recordEvent(makeFaultEvent(TraceEventKind::Replan, -1,
+                                            -1, -1, pu, now, now));
+        for (const int c : affected)
+            rebind(c,
+                   assign[static_cast<std::size_t>(
+                       session_.chunk(c).firstStage)],
+                   -1, -1, now);
+    } else {
+        for (const int c : affected) {
+            const ChunkSpec& spec = session_.chunk(c);
+            const int target = nextBestPu(model_, app_, spec.firstStage,
+                                          spec.lastStage, alive_, pu);
+            if (target >= 0) // else nothing is left; attempts abandon
+                rebind(c, target, -1, -1, now);
+        }
+    }
+    return affected;
+}
+
+void
+RecoveryController::rebind(int chunk, int target, std::int64_t task,
+                           int stage, double now)
+{
+    session_.recordEvent(makeFaultEvent(TraceEventKind::Remap, task,
+                                        stage, chunk, target, now, now,
+                                        puOf(chunk)));
+    stats_.remaps += 1;
+    chunkPu_[static_cast<std::size_t>(chunk)] = target;
 }
 
 } // namespace bt::runtime

@@ -38,8 +38,7 @@ traceEventKindName(TraceEventKind kind)
 
 TraceEvent
 makeFaultEvent(TraceEventKind kind, std::int64_t task, int stage,
-               int chunk, int pu, double t0, double t1,
-               std::string note)
+               int chunk, int pu, double t0, double t1, double detail)
 {
     TraceEvent e;
     e.task = task;
@@ -49,7 +48,7 @@ makeFaultEvent(TraceEventKind kind, std::int64_t task, int stage,
     e.startSeconds = t0;
     e.endSeconds = t1;
     e.kind = kind;
-    e.note = std::move(note);
+    e.detail = detail;
     return e;
 }
 
@@ -270,7 +269,15 @@ TraceTimeline::writeChromeJson(std::ostream& os) const
                << ",\"pu\":" << e.pu;
             if (e.session >= 0)
                 os << ",\"session\":" << e.session;
-            os << ",\"note\":\"" << JsonEscaped{e.note} << "\"}}";
+            // The note is rendered from the incident's one number.
+            os << ",\"note\":\"";
+            if (e.kind == TraceEventKind::Remap)
+                os << "pu " << static_cast<int>(e.detail) << " -> " << e.pu;
+            else if (e.kind == TraceEventKind::Retry)
+                os << "attempt " << static_cast<int>(e.detail);
+            else if (e.kind == TraceEventKind::Straggler)
+                os << "x" << std::to_string(e.detail); // six decimals
+            os << "\"}}";
             continue;
         }
         os << "{\"name\":\"" << JsonEscaped{stageNameOf(e)}

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace bt::runtime {
@@ -53,7 +54,7 @@ struct TraceEvent;
 /** Convenience constructor for a typed recovery incident. */
 TraceEvent makeFaultEvent(TraceEventKind kind, std::int64_t task,
                           int stage, int chunk, int pu, double t0,
-                          double t1, std::string note = {});
+                          double t1, double detail = 0.0);
 
 /** One stage execution on one PU. */
 struct TraceEvent
@@ -77,8 +78,12 @@ struct TraceEvent
      *  initializers keep meaning what they meant.) */
     TraceEventKind kind = TraceEventKind::Stage;
 
-    /** Free-form detail for recovery incidents ("pu 2 -> 0", ...). */
-    std::string note;
+    /**
+     * The one number a recovery incident carries: the from-PU of a
+     * Remap, the attempt number of a Retry, the factor of a Straggler
+     * (0 otherwise). The Chrome export renders it as the "note" text.
+     */
+    double detail = 0.0;
 
     /**
      * Concurrent-serving session that produced this event, or -1 for
@@ -99,6 +104,9 @@ struct TraceEvent
     double durationSeconds() const { return endSeconds - startSeconds; }
     bool isStage() const { return kind == TraceEventKind::Stage; }
 };
+
+static_assert(std::is_trivially_copyable_v<TraceEvent>,
+              "trace events are recorded, merged and sorted by copy");
 
 /** Per-PU aggregate over a timeline. */
 struct PuTraceStats

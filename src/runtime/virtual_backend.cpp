@@ -26,9 +26,8 @@ struct ChunkRuntime
     TraceEvent pending;     ///< stage execution being recorded
 
     // --- fault-layer state (untouched on fault-free runs) ---
-    int attempt = 0;          ///< retry count of the current stage
+    Attempt attempt;          ///< ladder position of the current stage
     bool willFail = false;    ///< this attempt was drawn as a transient
-    bool remapped = false;    ///< already failed over once this stage
     std::uint64_t seq = 0;    ///< invalidates stale timeout/retry timers
     sim::TaskId simId = -1;   ///< engine task of the in-flight attempt
 };
@@ -93,20 +92,14 @@ VirtualTimeBackend::run(const core::Application& app,
         static_cast<std::size_t>(num_chunks));
 
     // --- fault layer ---------------------------------------------------
-    // Everything below is inert on fault-free runs: chunkPu mirrors the
-    // deployed bindings, clockScale stays empty (the performance model
-    // short-circuits an empty span), and no timer is ever armed - the
-    // event sequence is bit-identical to a build without this layer.
-    const FaultInjector injector(cfg.faults, soc.seed ^ cfg.noiseSalt);
-    const bool faulty = injector.enabled();
-    // Degradation replans share one table + prediction cache per run;
-    // free until the first dropout actually replans.
-    ReplanPlanner replanner(model_, app);
-    RecoveryStats stats;
-    std::vector<int> chunk_pu(static_cast<std::size_t>(num_chunks));
-    for (int c = 0; c < num_chunks; ++c)
-        chunk_pu[static_cast<std::size_t>(c)] = session.chunk(c).pu;
-    std::vector<bool> pu_alive(static_cast<std::size_t>(num_pus), true);
+    // The controller decides every recovery step; this backend only arms
+    // the timers. Everything is inert on fault-free runs: the bindings
+    // stay the deployed ones, clockScale stays empty (the performance
+    // model short-circuits an empty span), and no timer is ever armed -
+    // the event sequence is bit-identical to a build without this layer.
+    RecoveryController recovery(model_, app, session);
+    const FaultInjector& injector = recovery.injector();
+    const bool faulty = recovery.enabled();
     std::vector<double> clock_scale; // empty = no throttling anywhere
     if (faulty)
         clock_scale.assign(static_cast<std::size_t>(num_pus), 1.0);
@@ -139,7 +132,7 @@ VirtualTimeBackend::run(const core::Application& app,
                       "active task on idle chunk");
             loads[i] = platform::Load{
                 &app.stage(rt.curStage).work(),
-                chunk_pu[static_cast<std::size_t>(active[i].tag)]};
+                recovery.puOf(static_cast<int>(active[i].tag))};
         }
         model_.timesOf(loads, clock_scale, cfg.ambientBandwidthGbps,
                        rates);
@@ -150,9 +143,7 @@ VirtualTimeBackend::run(const core::Application& app,
     EnergyMeter meter(model_, [&](std::vector<bool>& active) {
         for (int c = 0; c < num_chunks; ++c)
             if (chunks[static_cast<std::size_t>(c)].busy)
-                active[static_cast<std::size_t>(
-                    chunk_pu[static_cast<std::size_t>(c)])]
-                    = true;
+                active[static_cast<std::size_t>(recovery.puOf(c))] = true;
     });
     meter.attach(engine);
 
@@ -160,12 +151,8 @@ VirtualTimeBackend::run(const core::Application& app,
         std::uint64_t pus = 0;
         for (int c = 0; c < num_chunks; ++c)
             if (c != self && chunks[static_cast<std::size_t>(c)].busy)
-                pus |= std::uint64_t{1}
-                    << chunk_pu[static_cast<std::size_t>(c)];
+                pus |= std::uint64_t{1} << recovery.puOf(c);
         return pus;
-    };
-    auto puOf = [&](int c) {
-        return chunk_pu[static_cast<std::size_t>(c)];
     };
 
     // Mutual recursion across the dispatch/recovery state machine.
@@ -184,7 +171,7 @@ VirtualTimeBackend::run(const core::Application& app,
         rt.pending = TraceEvent{rt.curTask,
                                 stage,
                                 c,
-                                puOf(c),
+                                recovery.puOf(c),
                                 queue_wait,
                                 engine.now(),
                                 0.0,
@@ -194,32 +181,25 @@ VirtualTimeBackend::run(const core::Application& app,
         double work = noiseFactor(soc, cfg.noiseSalt, 0, rt.curTask,
                                   stage);
         if (faulty) {
-            rt.willFail = injector.transientFailure(rt.curTask, stage,
-                                                    puOf(c), rt.attempt);
-            const double straggle
-                = injector.stragglerFactor(rt.curTask, stage,
-                                           rt.attempt);
-            if (straggle > 1.0) {
-                stats.stragglers += 1;
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Straggler, rt.curTask, stage, c,
-                    puOf(c), engine.now(), engine.now(),
-                    "x" + std::to_string(straggle)));
-                work *= straggle;
-            }
+            rt.willFail
+                = recovery.transient(c, rt.curTask, stage, rt.attempt);
+            work *= recovery.straggle(c, rt.curTask, stage, rt.attempt,
+                                      engine.now());
+        }
+        if (faulty && cfg.recovery.timeoutFactor > 0.0) {
             // Arm the watchdog: abort the attempt when it exceeds its
             // share-agnostic budget. The seq guard retires the timer if
             // the attempt finishes (or is re-dispatched) first.
             const std::uint64_t seq = ++rt.seq;
             const double budget = cfg.recovery.timeoutFactor
-                * model_.isolatedTime(app.stage(stage).work(), puOf(c));
+                * model_.isolatedTime(app.stage(stage).work(),
+                                      recovery.puOf(c));
             engine.scheduleAt(engine.now() + budget, [&, c, seq] {
                 auto& w = chunks[static_cast<std::size_t>(c)];
                 if (w.seq != seq || !w.busy)
                     return;
                 if (engine.cancelTask(w.simId))
                     w.busyAccum += engine.now() - w.stageStart;
-                stats.timeouts += 1;
                 handleFailure(c, TraceEventKind::Timeout);
             });
         }
@@ -231,8 +211,7 @@ VirtualTimeBackend::run(const core::Application& app,
     advanceChunk = [&](int c) {
         auto& rt = chunks[static_cast<std::size_t>(c)];
         if (rt.curStage < session.chunk(c).lastStage) {
-            rt.attempt = 0;
-            rt.remapped = false;
+            rt.attempt = {};
             startAttempt(c, rt.curStage + 1, 0.0);
             return;
         }
@@ -242,8 +221,7 @@ VirtualTimeBackend::run(const core::Application& app,
         rt.curStage = -1;
         rt.curToken = -1;
         rt.curTask = -1;
-        rt.attempt = 0;
-        rt.remapped = false;
+        rt.attempt = {};
 
         if (c + 1 < num_chunks) {
             enqueue_time[static_cast<std::size_t>(c + 1)]
@@ -263,60 +241,34 @@ VirtualTimeBackend::run(const core::Application& app,
         tryStart(c); // pull the next token into this chunk
     };
 
-    /** One attempt failed (transient or timeout): retry with backoff,
-     *  then fail over to the profiled next-best PU, then abandon. */
+    /** One attempt failed (transient or timeout): turn the
+     *  controller's next step into timers. */
     handleFailure = [&](int c, TraceEventKind kind) {
         auto& rt = chunks[static_cast<std::size_t>(c)];
-        session.recordEvent(makeFaultEvent(kind, rt.curTask, rt.curStage, c,
-                                       puOf(c), rt.stageStart,
-                                       engine.now()));
-        rt.attempt += 1;
-        if (rt.attempt <= cfg.recovery.maxRetries) {
-            const double backoff = cfg.recovery.backoffBaseSeconds
-                * std::pow(cfg.recovery.backoffMultiplier,
-                           rt.attempt - 1);
-            stats.retries += 1;
-            stats.backoffSeconds += backoff;
+        switch (recovery.fail(c, rt.curTask, rt.curStage, kind,
+                              rt.stageStart, engine.now(), rt.attempt)) {
+          case NextStep::Retry: {
             const std::uint64_t seq = ++rt.seq;
-            engine.scheduleAt(engine.now() + backoff, [&, c, seq] {
-                auto& w = chunks[static_cast<std::size_t>(c)];
-                if (w.seq != seq)
-                    return; // superseded (e.g. dropout re-dispatch)
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Retry, w.curTask, w.curStage, c,
-                    puOf(c), engine.now(), engine.now(),
-                    "attempt " + std::to_string(w.attempt)));
-                startAttempt(c, w.curStage, 0.0);
-            });
+            engine.scheduleAt(
+                engine.now() + recovery.backoffSeconds(rt.attempt),
+                [&, c, seq] {
+                    auto& w = chunks[static_cast<std::size_t>(c)];
+                    if (w.seq != seq)
+                        return; // superseded (e.g. dropout re-dispatch)
+                    recovery.retry(c, w.curTask, w.curStage, w.attempt,
+                                   engine.now());
+                    startAttempt(c, w.curStage, 0.0);
+                });
+            return;
+          }
+          case NextStep::Failover:
+            startAttempt(c, rt.curStage, 0.0);
+            return;
+          case NextStep::Abandon:
+            // Surface the loss and keep the stream moving.
+            advanceChunk(c);
             return;
         }
-        const ChunkSpec& spec = session.chunk(c);
-        if (cfg.recovery.failover && !rt.remapped) {
-            const int target
-                = nextBestPu(model_, app, spec.firstStage,
-                             spec.lastStage, pu_alive, puOf(c));
-            if (target >= 0) {
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Remap, rt.curTask, rt.curStage, c,
-                    target, engine.now(), engine.now(),
-                    "pu " + std::to_string(puOf(c)) + " -> "
-                        + std::to_string(target)));
-                stats.remaps += 1;
-                chunk_pu[static_cast<std::size_t>(c)] = target;
-                rt.remapped = true;
-                rt.attempt = 0;
-                startAttempt(c, rt.curStage, 0.0);
-                return;
-            }
-        }
-        // Out of options: surface the loss and keep the stream moving.
-        stats.unrecovered += 1;
-        session.recordEvent(makeFaultEvent(TraceEventKind::Abandon,
-                                       rt.curTask, rt.curStage, c,
-                                       puOf(c), engine.now(),
-                                       engine.now()));
-        session.recordFailure(rt.curTask, rt.curStage);
-        advanceChunk(c);
     };
 
     tryStart = [&](int c) {
@@ -335,8 +287,7 @@ VirtualTimeBackend::run(const core::Application& app,
         if (c == 0)
             session.inject(token, engine.now());
         rt.curTask = session.taskOf(token);
-        rt.attempt = 0;
-        rt.remapped = false;
+        rt.attempt = {};
         startAttempt(c, session.chunk(c).firstStage,
                      engine.now()
                          - enqueue_time[static_cast<std::size_t>(c)]
@@ -351,7 +302,6 @@ VirtualTimeBackend::run(const core::Application& app,
         rt.busyAccum += engine.now() - rt.stageStart;
         if (faulty && rt.willFail) {
             rt.willFail = false;
-            stats.transientFaults += 1;
             handleFailure(c, TraceEventKind::Transient);
             return;
         }
@@ -360,7 +310,8 @@ VirtualTimeBackend::run(const core::Application& app,
         // Kernels run at stage completion, not dispatch: a failed or
         // aborted attempt must commit no side effects, or a retry would
         // re-apply an in-place stage mutation.
-        session.runStage(c, rt.curStage, rt.curToken, nullptr, puOf(c));
+        session.runStage(c, rt.curStage, rt.curToken, nullptr,
+                         recovery.puOf(c));
         advanceChunk(c);
     });
 
@@ -387,65 +338,9 @@ VirtualTimeBackend::run(const core::Application& app,
 
         for (const auto& d : injector.dropouts()) {
             engine.scheduleAt(d.atSeconds, [&, d] {
-                if (!pu_alive[static_cast<std::size_t>(d.pu)])
-                    return;
-                pu_alive[static_cast<std::size_t>(d.pu)] = false;
-                stats.dropouts += 1;
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Dropout, -1, -1, -1, d.pu,
-                    engine.now(), engine.now()));
-
-                std::vector<int> affected;
-                for (int c = 0; c < num_chunks; ++c)
-                    if (puOf(c) == d.pu)
-                        affected.push_back(c);
-                if (affected.empty())
-                    return;
-
-                // Rebind the dead chunks: degrade re-plans the whole
-                // remaining schedule on the survivors; otherwise each
-                // chunk just fails over individually.
-                if (cfg.recovery.degrade) {
-                    const core::Schedule plan
-                        = replanner.replan(pu_alive);
-                    stats.replans += 1;
-                    session.recordEvent(makeFaultEvent(
-                        TraceEventKind::Replan, -1, -1, -1, d.pu,
-                        engine.now(), engine.now()));
-                    const auto assign = plan.toAssignment();
-                    for (const int c : affected) {
-                        const int target = assign[static_cast<
-                            std::size_t>(session.chunk(c).firstStage)];
-                        session.recordEvent(makeFaultEvent(
-                            TraceEventKind::Remap, -1, -1, c, target,
-                            engine.now(), engine.now(),
-                            "pu " + std::to_string(d.pu) + " -> "
-                                + std::to_string(target)));
-                        stats.remaps += 1;
-                        chunk_pu[static_cast<std::size_t>(c)] = target;
-                    }
-                } else {
-                    for (const int c : affected) {
-                        const ChunkSpec& spec = session.chunk(c);
-                        const int target
-                            = nextBestPu(model_, app, spec.firstStage,
-                                         spec.lastStage, pu_alive,
-                                         puOf(c));
-                        if (target < 0)
-                            continue; // nothing left; attempts abandon
-                        session.recordEvent(makeFaultEvent(
-                            TraceEventKind::Remap, -1, -1, c, target,
-                            engine.now(), engine.now(),
-                            "pu " + std::to_string(d.pu) + " -> "
-                                + std::to_string(target)));
-                        stats.remaps += 1;
-                        chunk_pu[static_cast<std::size_t>(c)] = target;
-                    }
-                }
-
                 // Re-dispatch attempts that were in flight on the dead
                 // PU (also cancels pending retries via the seq bump).
-                for (const int c : affected) {
+                for (const int c : recovery.dropout(d.pu, engine.now())) {
                     auto& rt = chunks[static_cast<std::size_t>(c)];
                     if (!rt.busy)
                         continue;
@@ -453,8 +348,7 @@ VirtualTimeBackend::run(const core::Application& app,
                         rt.busyAccum += engine.now() - rt.stageStart;
                     ++rt.seq;
                     rt.willFail = false;
-                    rt.attempt = 0;
-                    rt.remapped = false;
+                    rt.attempt = {};
                     startAttempt(c, rt.curStage, 0.0);
                 }
             });
@@ -481,7 +375,7 @@ VirtualTimeBackend::run(const core::Application& app,
     RunResult result = session.finish(engine.now(), busy,
                                       /*affinity_applied=*/true);
     result.energyJoules = meter.joules();
-    result.recovery = stats;
+    result.recovery = recovery.stats();
     return result;
 }
 

@@ -4,15 +4,18 @@
  * bit-identity invariant across every enumerable schedule, seeded
  * determinism of injected faults and every recovery decision,
  * exactly-once kernel semantics under retries in both time backends,
- * timeout/straggler interplay, slowdown windows, mid-stream PU dropout
- * with graceful degradation, and the FaultPlan JSON round trip.
+ * the same recovery decisions from both backends, timeout/straggler
+ * interplay, slowdown windows, mid-stream PU dropout with graceful
+ * degradation in both backends, and the FaultPlan JSON round trip.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <regex>
 #include <sstream>
+#include <string>
 
 #include "apps/octree_app.hpp"
 #include "core/native_executor.hpp"
@@ -291,6 +294,73 @@ TEST(FaultRecovery, HostRetriesKeepKernelsExactlyOnce)
 }
 
 // ---------------------------------------------------------------------
+// One recovery policy: both backends take the same decisions.
+
+/** Transients dense enough that some stage executions exhaust their one
+ *  retry and fail over. */
+runtime::RunConfig
+failoverConfig()
+{
+    runtime::RunConfig cfg;
+    cfg.numTasks = 24;
+    cfg.faults.transients.push_back({-1, -1, 0.35});
+    cfg.recovery.maxRetries = 1;
+    cfg.recovery.timeoutFactor = 0.0; // the host has no watchdog
+    return cfg;
+}
+
+TEST(FaultRecovery, BothBackendsTakeTheSameRecoveryDecisions)
+{
+    const auto soc = platform::nativeHost();
+    const platform::PerfModel model(soc);
+    const auto app = exactlyOnceApp(soc.seed);
+    const auto schedule = Schedule::fromAssignment({0, 1, 1});
+
+    runtime::RunConfig virtual_cfg = failoverConfig();
+    virtual_cfg.runKernels = true;
+    const auto sim = SimExecutor(model, virtual_cfg)
+                         .execute(app, schedule);
+    const auto host = NativeExecutor(soc, failoverConfig())
+                          .execute(app, schedule);
+
+    EXPECT_TRUE(sim.valid());
+    EXPECT_TRUE(host.valid());
+    EXPECT_GT(sim.recovery.remaps, 0);
+    expectSameStats(sim.recovery, host.recovery);
+}
+
+TEST(FaultRecovery, HostFailoverRemapsNameTheirPus)
+{
+    const auto soc = platform::nativeHost();
+    const auto app = exactlyOnceApp(soc.seed);
+
+    const auto run = NativeExecutor(soc, failoverConfig())
+                         .execute(app, Schedule::fromAssignment(
+                                           {0, 1, 1}));
+    EXPECT_TRUE(run.valid());
+    const int remaps
+        = countKind(run.trace, runtime::TraceEventKind::Remap);
+    EXPECT_GT(remaps, 0);
+    EXPECT_EQ(remaps, run.recovery.remaps);
+
+    // Every exported Remap reads "pu <from> -> <to>", <to> its own PU.
+    const std::string json = run.trace.chromeJson();
+    const std::regex remap(
+        R"re("name":"remap"[^}]*"pu":(\d+),"note":"([^"]*)")re");
+    const std::regex note(R"re(pu (\d+) -> (\d+))re");
+    int checked = 0;
+    for (auto it = std::sregex_iterator(json.begin(), json.end(), remap);
+         it != std::sregex_iterator(); ++it, ++checked) {
+        const std::string text = (*it)[2];
+        std::smatch m;
+        ASSERT_TRUE(std::regex_match(text, m, note)) << text;
+        EXPECT_EQ(m[2].str(), (*it)[1].str()) << text;
+        EXPECT_NE(m[1].str(), m[2].str()) << text;
+    }
+    EXPECT_EQ(checked, remaps);
+}
+
+// ---------------------------------------------------------------------
 // Timeout watchdog: stragglers big enough to blow the budget are
 // aborted and retried; the run still completes every task.
 
@@ -315,6 +385,30 @@ TEST(FaultRecovery, StragglersTripTimeoutsAndRecover)
     EXPECT_EQ(run.recovery.unrecovered, 0);
     EXPECT_EQ(countKind(run.trace, runtime::TraceEventKind::Timeout),
               run.recovery.timeouts);
+}
+
+// A timeoutFactor <= 0 disables the watchdog instead of timing every
+// attempt out at once (0) or arming a timer in the past (< 0).
+TEST(FaultRecovery, NonPositiveTimeoutFactorDisablesTimeouts)
+{
+    const auto soc = platform::pixel7a();
+    const platform::PerfModel model(soc);
+    const auto app = apps::octreeApp();
+
+    for (const double factor : {0.0, -1.0}) {
+        runtime::RunConfig cfg;
+        cfg.faults.transients.push_back({-1, -1, 0.01});
+        cfg.recovery.timeoutFactor = factor;
+
+        const auto run = SimExecutor(model, cfg).execute(
+            app, Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2}));
+        EXPECT_TRUE(run.valid()) << factor;
+        EXPECT_EQ(run.recovery.timeouts, 0) << factor;
+        EXPECT_EQ(run.recovery.unrecovered, 0) << factor;
+        EXPECT_EQ(countKind(run.trace, runtime::TraceEventKind::Stage),
+                  run.tasks * app.numStages())
+            << factor;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -385,6 +479,39 @@ TEST(FaultRecovery, DropoutMidStreamCompletesAllTasks)
     EXPECT_EQ(alt.recovery.replans, 0);
     EXPECT_GT(alt.recovery.remaps, 0);
     EXPECT_EQ(alt.recovery.unrecovered, 0);
+}
+
+// The host backend rebinds a chunk whose PU is gone before it runs a
+// single stage there, with and without degradation.
+TEST(FaultRecovery, HostDropoutRebindsTheDeadChunk)
+{
+    const auto soc = platform::nativeHost();
+    const auto app = exactlyOnceApp(soc.seed);
+
+    for (const bool degrade : {true, false}) {
+        runtime::RunConfig cfg;
+        cfg.numTasks = 16;
+        cfg.faults.dropouts.push_back({1, 0.0});
+        cfg.recovery.degrade = degrade;
+
+        const auto run = NativeExecutor(soc, cfg)
+                             .execute(app, Schedule::fromAssignment(
+                                               {0, 1, 1}));
+        EXPECT_TRUE(run.valid()) << degrade;
+        EXPECT_EQ(run.tasks, 16) << degrade;
+        EXPECT_EQ(run.recovery.dropouts, 1) << degrade;
+        EXPECT_EQ(run.recovery.replans, degrade ? 1 : 0) << degrade;
+        EXPECT_EQ(run.recovery.remaps, 1) << degrade;
+        EXPECT_EQ(run.recovery.unrecovered, 0) << degrade;
+        EXPECT_EQ(countKind(run.trace, runtime::TraceEventKind::Stage),
+                  16 * app.numStages())
+            << degrade;
+        for (const auto& e : run.trace.events()) {
+            if (e.isStage()) {
+                EXPECT_NE(e.pu, 1) << degrade;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
