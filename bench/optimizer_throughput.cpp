@@ -173,11 +173,11 @@ BENCHMARK(BM_ReplanAfterDropout_Throughput)
 /**
  * Large-instance tier: the annealed engine plans the 14-stage deep
  * pipeline on the 8-class manycore rig - ~1.7e8 schedules over 112
- * assignment variables, far past the exact engine's enumeration limit
- * (it refuses the instance outright; exact_enumerable records the
- * refusal predicate) - under an active C6 budget, inside a fixed move
- * budget. Single flavour: there is no from-scratch exact baseline at
- * this scale, which is the point of the tier.
+ * assignment variables, far past exactSpaceLimit, so the default spec
+ * anneals it (exact_enumerable records the engine rule) - under an
+ * active C6 budget, inside a fixed move budget. Single flavour: there
+ * is no from-scratch exact baseline at this scale, which is the point
+ * of the tier.
  */
 void
 BM_LargeInstanceAnnealed(benchmark::State& state)
@@ -187,7 +187,6 @@ BM_LargeInstanceAnnealed(benchmark::State& state)
     const auto contention = bench::deepPipelineContention(soc, table);
 
     core::PlannerSpec spec;
-    spec.engine = core::PlannerEngine::Annealed;
     spec.contention.budgetGbps = soc.mem.dramBwGbps;
     spec.contentionProfile = &contention;
 

@@ -6,7 +6,7 @@
  * and data-parallel baselines and report energy.
  *
  *     bt_explorer --device pixel --app octree
- *     bt_explorer --device manycore --app dense --engine annealed
+ *     bt_explorer --device manycore --app dense --no-autotune
  *     bt_explorer --device jetson --app sparse --no-autotune --energy
  *     bt_explorer --device oneplus --app dense \
  *                 --save-profile /tmp/p.csv
@@ -57,7 +57,6 @@ struct Options
 {
     std::string device = "pixel";
     std::string app = "octree";
-    std::string engine = "exhaustive";
     int candidates = 20;
     bool no_autotune = false;
     bool energy = false;
@@ -82,7 +81,7 @@ struct Options
 
 /**
  * The planner's objective value of @p c under @p spec — what the
- * selected engine ranked by, echoed as "plan_cost" in every JSON
+ * engine that ran ranked by, echoed as "plan_cost" in every JSON
  * report so engines can be compared like for like.
  */
 double
@@ -108,9 +107,6 @@ parse(int argc, char** argv, Options& opt)
                 "pixel)");
     flags.value("--app", &opt.app, "NAME",
                 "dense|sparse|octree (default octree)");
-    flags.value("--engine", &opt.engine, "NAME",
-                "planner engine: exhaustive|annealed (default "
-                "exhaustive; every mode honors it)");
     flags.value("--candidates", &opt.candidates, "K",
                 "optimizer output size (default 20)");
     flags.flag("--no-autotune", &opt.no_autotune,
@@ -222,7 +218,6 @@ runLint(const Options& opt)
 
     const auto soc = pickDevice(opt.device);
     core::PlannerSpec spec;
-    spec.engine = core::plannerEngineFromName(opt.engine);
     spec.numCandidates = opt.candidates;
     spec.latencySlack = opt.latency_slack;
     spec.gapnessSlack = opt.gapness_slack;
@@ -264,8 +259,8 @@ runLint(const Options& opt)
 }
 
 /** `--check`: sweep the selected workload(s) under bt::check, then
- *  plan each of them with the selected engine so the report also says
- *  what the planner would deploy on the chosen device. */
+ *  plan each of them so the report also says what the planner would
+ *  deploy on the chosen device. */
 int
 runCheck(const Options& opt)
 {
@@ -284,30 +279,30 @@ runCheck(const Options& opt)
     }
     merged.print(std::cout);
 
-    // Planning pass: same engine selection as --app / --serve.
+    // Planning pass: the optimizer picks each app's engine from the
+    // size of its schedule space, as in every other mode.
     const auto soc = pickDevice(opt.device);
     const platform::PerfModel model(soc);
-    core::PlannerSpec spec;
-    spec.engine = core::plannerEngineFromName(opt.engine);
-    std::string planning_json = "  \"planning\": {\"engine\": \""
-        + std::string(core::plannerEngineName(spec.engine))
-        + "\", \"apps\": [";
+    const core::PlannerSpec spec;
+    std::string planning_json = "  \"planning\": {\"apps\": [";
     for (std::size_t i = 0; i < names.size(); ++i) {
         const auto app = pickApp(names[i]);
         const auto profile = core::Profiler(model).profile(app);
         core::Optimizer optimizer(soc, profile.interference, spec);
         const auto cands = optimizer.optimize();
         const double cost = planCost(cands.front(), spec);
+        const char* engine
+            = core::plannerEngineName(optimizer.stats().engine);
         std::printf("[%s] planned with the %s engine on %s: front "
                     "cost %.3f ms over %llu schedules\n",
-                    names[i].c_str(),
-                    core::plannerEngineName(spec.engine),
-                    soc.name.c_str(), cost * 1e3,
+                    names[i].c_str(), engine, soc.name.c_str(),
+                    cost * 1e3,
                     static_cast<unsigned long long>(
                         optimizer.stats().spaceSize));
         planning_json += std::string(i == 0 ? "" : ", ")
-            + "{\"app\": \"" + names[i] + "\", \"plan_cost\": "
-            + std::to_string(cost) + "}";
+            + "{\"app\": \"" + names[i] + "\", \"engine\": \""
+            + engine + "\", \"plan_cost\": " + std::to_string(cost)
+            + "}";
     }
     planning_json += "]}\n";
 
@@ -348,7 +343,6 @@ runServe(const Options& opt, const platform::SocDescription& soc)
     cfg.queueCapacity = std::max(opt.serve_requests, 1);
     cfg.run.numTasks = 12;
     cfg.collectTraces = !opt.trace_file.empty();
-    cfg.optimizer.engine = core::plannerEngineFromName(opt.engine);
 
     service::Service svc(soc, cfg);
     svc.registerApp(apps::alexnetDense());
@@ -399,10 +393,7 @@ runServe(const Options& opt, const platform::SocDescription& soc)
                      report.cache.evictions),
                  static_cast<long long>(report.plans),
                  report.planSeconds * 1e3);
-    std::fprintf(hout,
-                 "planner: %s engine (%lld tenants fell back to "
-                 "annealed)\n",
-                 report.plannerEngine.c_str(),
+    std::fprintf(hout, "planner: %lld plans annealed\n",
                  static_cast<long long>(report.annealedFallbacks));
     for (const auto& [session, count] : report.perSession)
         std::fprintf(hout, "  session %d: %lld requests\n", session,
@@ -516,7 +507,6 @@ main(int argc, char** argv)
 
     // Optimize (+ autotune).
     core::PlannerSpec ocfg;
-    ocfg.engine = core::plannerEngineFromName(opt.engine);
     ocfg.numCandidates = opt.candidates;
     ocfg.latencySlack = opt.latency_slack;
     ocfg.gapnessSlack = opt.gapness_slack;
@@ -525,10 +515,11 @@ main(int argc, char** argv)
     core::Optimizer optimizer(soc, profile.interference, ocfg);
     const auto candidates = optimizer.optimize();
     const double front_cost = planCost(candidates.front(), ocfg);
+    const char* engine
+        = core::plannerEngineName(optimizer.stats().engine);
     std::printf("\nplanner: %s engine, %llu-schedule space, front "
                 "cost %.3f ms\n",
-                core::plannerEngineName(ocfg.engine),
-                static_cast<unsigned long long>(
+                engine, static_cast<unsigned long long>(
                     optimizer.stats().spaceSize),
                 front_cost * 1e3);
 
@@ -658,8 +649,7 @@ main(int argc, char** argv)
         out << "{\n"
             << "  \"device\": \"" << soc.name << "\",\n"
             << "  \"app\": \"" << app.name() << "\",\n"
-            << "  \"engine\": \""
-            << core::plannerEngineName(ocfg.engine) << "\",\n"
+            << "  \"engine\": \"" << engine << "\",\n"
             << "  \"plan_cost\": " << front_cost << ",\n"
             << "  \"schedule\": \"" << best.toString(soc, names)
             << "\",\n"

@@ -106,11 +106,10 @@ class Framework
      * Profile -> optimize -> autotune -> deploy @p app, then measure the
      * homogeneous CPU and GPU baselines.
      *
-     * Runs the static preflight first: errors (a schedule space the
-     * exact engine refuses, a C6 budget below the demand floor, a
-     * fault plan that starves every PU...) panic with every finding
-     * and its remediation before any simulated time is spent;
-     * warnings ride along in the report's `preflight` member.
+     * Runs the static preflight first: errors (a C6 budget below the
+     * demand floor, a fault plan that starves every PU...) panic with
+     * every finding and its remediation before any simulated time is
+     * spent; warnings ride along in the report's `preflight` member.
      */
     FrameworkReport
     run(const core::Application& app) const

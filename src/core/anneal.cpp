@@ -24,6 +24,7 @@ toAssignment(const std::vector<Chunk>& chunks, std::vector<int>& out)
 Annealer::Annealer(const platform::SocDescription& soc,
                    ScheduleEvaluator& eval, const AnnealSpec& spec,
                    int bucket, std::vector<int> allowed_pus,
+                   std::uint64_t space_size,
                    const platform::ContentionProfile* contention,
                    std::int64_t budget_milli)
     : soc_(soc), eval_(eval), bucket_(bucket),
@@ -49,21 +50,20 @@ Annealer::Annealer(const platform::SocDescription& soc,
                                         : 0.25;
     coolFraction_ = spec.finalTemperature;
     seedChains(spec);
-    maybeSweep(spec);
+    maybeSweep(spec, space_size);
 }
 
 void
-Annealer::maybeSweep(const AnnealSpec& spec)
+Annealer::maybeSweep(const AnnealSpec& spec, std::uint64_t space_size)
 {
     // A walk over a space that fits comfortably inside the move budget
     // is pure waste: sweep it instead, so the pool is the full
     // enumeration and the harvested result matches the exhaustive
-    // engine exactly. scheduleSpaceSize saturates, so huge instances
+    // engine exactly. The space size saturates, so huge instances
     // compare safely.
-    const int m_eff = static_cast<int>(allowed_.size());
-    const std::uint64_t space = scheduleSpaceSize(numStages_, m_eff);
-    if (space > static_cast<std::uint64_t>(spec.moveBudget / 4))
+    if (space_size > static_cast<std::uint64_t>(spec.moveBudget / 4))
         return;
+    const int m_eff = static_cast<int>(allowed_.size());
     for (const Schedule& s : enumerateSchedules(numStages_, m_eff)) {
         // enumerateSchedules indexes PUs 0..m_eff-1; map onto the
         // allowed set (sorted, so restricted sweeps stay canonical).

@@ -42,9 +42,9 @@
 namespace bt::core {
 
 /**
- * Annealing knobs (PlannerSpec::anneal). All defaults are part of the
- * planner fingerprint when the engine is Annealed, because unlike the
- * exact engine the result depends on them.
+ * Annealing knobs (PlannerSpec::anneal). Every value is part of the
+ * planner fingerprint: whenever the space is large enough for
+ * optimize() to anneal, the result depends on them.
  */
 struct AnnealSpec
 {
@@ -110,6 +110,8 @@ class Annealer
     /**
      * @param allowed_pus non-empty list of admissible PU classes; moves
      *        never leave it.
+     * @param space_size schedule-space size over @p allowed_pus (the
+     *        Optimizer's OptimizeStats::spaceSize).
      * @param contention optional profile for the C6 demand filter.
      * @param budget_milli C6 aggregate-demand cap (milli-GB/s); 0
      *        disables the filter. When nonzero the caller must
@@ -118,7 +120,7 @@ class Annealer
      */
     Annealer(const platform::SocDescription& soc, ScheduleEvaluator& eval,
              const AnnealSpec& spec, int bucket,
-             std::vector<int> allowed_pus,
+             std::vector<int> allowed_pus, std::uint64_t space_size,
              const platform::ContentionProfile* contention,
              std::int64_t budget_milli);
 
@@ -152,7 +154,7 @@ class Annealer
     };
 
     void seedChains(const AnnealSpec& spec);
-    void maybeSweep(const AnnealSpec& spec);
+    void maybeSweep(const AnnealSpec& spec, std::uint64_t space_size);
     std::vector<Chunk> frugalHomogeneous() const;
     std::vector<Chunk> randomPartition(Rng& rng) const;
     /** Draw one move into prop_; false if the drawn move does not

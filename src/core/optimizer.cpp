@@ -24,17 +24,6 @@ plannerEngineName(PlannerEngine engine)
     }
 }
 
-PlannerEngine
-plannerEngineFromName(const std::string& name)
-{
-    if (name == "exhaustive")
-        return PlannerEngine::Exhaustive;
-    if (name == "annealed")
-        return PlannerEngine::Annealed;
-    bt::fatal("unknown planner engine '", name,
-              "' (expected exhaustive|annealed)");
-}
-
 std::uint64_t
 PlannerSpec::fingerprint() const
 {
@@ -67,18 +56,14 @@ PlannerSpec::fingerprint() const
     mixDouble(contention.ambientGbps);
     mixDouble(contention.budgetGbps);
     mix(contention.realTime ? 1 : 0);
-    // The exact engine stays out of the hash, so cache keys minted by
-    // earlier exact planners stay valid; a non-exactness-preserving
-    // engine's result depends on its identity and every annealing
-    // knob, so mix them in.
-    if (!exactnessPreserving()) {
-        mix(0xA22EA1EDull); // annealed-engine marker
-        mix(anneal.seed);
-        mix(static_cast<std::uint64_t>(anneal.moveBudget));
-        mix(static_cast<std::uint64_t>(anneal.restarts));
-        mixDouble(anneal.initialTemperature);
-        mixDouble(anneal.finalTemperature);
-    }
+    // The engine rule and the annealing knobs: which engine runs, and
+    // so whether the knobs matter, follows from the space size.
+    mix(exactSpaceLimit);
+    mix(anneal.seed);
+    mix(static_cast<std::uint64_t>(anneal.moveBudget));
+    mix(static_cast<std::uint64_t>(anneal.restarts));
+    mixDouble(anneal.initialTemperature);
+    mixDouble(anneal.finalTemperature);
     return h;
 }
 
@@ -310,7 +295,6 @@ std::vector<Candidate>
 Optimizer::optimize()
 {
     stats_ = OptimizeStats{};
-    stats_.engine = config.engine;
     stats_.latencyBound = std::numeric_limits<double>::infinity();
     stats_.gapnessBound = std::numeric_limits<double>::infinity();
     stats_.demandBudgetGbps
@@ -323,16 +307,13 @@ Optimizer::optimize()
     BT_ASSERT(allowed_count > 0, "allowedPus admits no PU");
     stats_.spaceSize
         = scheduleSpaceSize(table.numStages(), allowed_count);
-    if (config.exactnessPreserving() && config.exactSpaceLimit > 0
-        && stats_.spaceSize > config.exactSpaceLimit)
-        BT_PANIC("planner.exact_space", "schedule space of ",
-                 stats_.spaceSize, " schedules exceeds exactSpaceLimit ",
-                 config.exactSpaceLimit,
-                 "; the exact engine refuses instances this large - "
-                 "switch to PlannerEngine::Annealed");
-
-    // Both engines return selectDiverse output: ranked and truncated.
-    auto cands = config.engine == PlannerEngine::Annealed
+    // The engine rule: enumerate what fits under the limit, anneal the
+    // rest. Both engines return selectDiverse output: ranked and
+    // truncated.
+    stats_.engine = stats_.spaceSize > config.exactSpaceLimit
+        ? PlannerEngine::Annealed
+        : PlannerEngine::Exhaustive;
+    auto cands = stats_.engine == PlannerEngine::Annealed
         ? optimizeAnnealed()
         : optimizeExhaustive();
     for (const auto& c : cands)
@@ -442,7 +423,7 @@ Optimizer::optimizeAnnealed()
     const int m_eff = static_cast<int>(allowed.size());
 
     Annealer annealer(soc, *eval_, config.anneal, bucket_,
-                      std::move(allowed), contention_,
+                      std::move(allowed), stats_.spaceSize, contention_,
                       c6Active_ ? budgetMilli_ : 0);
 
     // A swept pool is already the full enumeration; phases could only

@@ -22,10 +22,10 @@
  * budget, and scores the rest through the ScheduleEvaluator; tests
  * cross-validate it against a reference built on a DPLL solver, the
  * paper's Z3 stand-in, that only the tests build. The annealed engine
- * (anneal.hpp) is a seeded local search over the same evaluator for
- * instances whose schedule space exceeds PlannerSpec::exactSpaceLimit
- * - it is deterministic per seed but not exactness-preserving, which
- * the planner fingerprint reflects.
+ * (anneal.hpp) is a seeded local search over the same evaluator,
+ * deterministic per seed but not exactness-preserving. optimize()
+ * picks the engine itself: it anneals exactly when the schedule space
+ * over the allowed PUs exceeds PlannerSpec::exactSpaceLimit.
  */
 
 #ifndef BT_CORE_OPTIMIZER_HPP
@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/anneal.hpp"
@@ -46,10 +45,11 @@
 namespace bt::core {
 
 /**
- * Planning engine. Exhaustive is exact; Annealed is a seeded local
- * search (deterministic per PlannerSpec::anneal, but it only
- * guarantees feasibility, not optimality). The exact engine refuses
- * instances whose schedule space exceeds PlannerSpec::exactSpaceLimit.
+ * The engine a planning run used (OptimizeStats::engine). Exhaustive
+ * is exact; Annealed is a seeded local search (deterministic per
+ * PlannerSpec::anneal, but it only guarantees feasibility, not
+ * optimality). Chosen by optimize() from the schedule-space size,
+ * never set by the caller.
  */
 enum class PlannerEngine
 {
@@ -59,9 +59,6 @@ enum class PlannerEngine
 
 /** "exhaustive" / "annealed". */
 const char* plannerEngineName(PlannerEngine engine);
-
-/** Inverse of plannerEngineName; panics on unknown names. */
-PlannerEngine plannerEngineFromName(const std::string& name);
 
 /**
  * The planner specification: every knob of a planning run, passed to
@@ -95,18 +92,14 @@ struct PlannerSpec
      */
     int maxPerTier = 3;
 
-    PlannerEngine engine = PlannerEngine::Exhaustive;
-
-    /** Knobs of the annealed engine (ignored by the exact one). */
+    /** Knobs of the annealed engine (used only when it runs). */
     AnnealSpec anneal;
 
     /**
-     * Refusal threshold of the exact engine: when the closed-form
+     * Engine rule: optimize() anneals exactly when the closed-form
      * schedule-space size (scheduleSpaceSize over the allowed PUs)
-     * exceeds this, Exhaustive panics instead of attempting an
-     * enumeration that would not terminate in reasonable time - the
-     * caller must switch to the annealed engine (bt::Service does so
-     * automatically for large tenants). 0 disables the check.
+     * exceeds this, and enumerates the space exactly otherwise. 0
+     * always anneals; UINT64_MAX always enumerates.
      */
     std::uint64_t exactSpaceLimit = 200'000;
 
@@ -185,27 +178,18 @@ struct PlannerSpec
      */
     const platform::ContentionProfile* contentionProfile = nullptr;
 
-    /** Whether this spec's engine returns the exact optimum. */
-    bool
-    exactnessPreserving() const
-    {
-        return engine != PlannerEngine::Annealed;
-    }
-
     /**
      * Stable 64-bit fingerprint of every knob that can change which
      * schedule the optimizer returns - the planner component of a
      * schedule-cache key (bt::service keys its cache by application,
      * platform, ambient-load bucket, PU lease, and this fingerprint).
-     * The exact engine's identity is deliberately left out: an exact
-     * plan is defined by the knobs alone, so its cache key stays
-     * stable however the exact planner is implemented. The annealed
-     * engine is NOT exactness-preserving, so its identity and every
-     * annealing knob (seed, budget, restarts, temperatures)
-     * are mixed in - a cache can never serve an annealed plan where an
-     * exact one was requested, or vice versa. The sharedEvaluator /
-     * contentionProfile pointers are excluded (sharing and storage
-     * location never change results).
+     * exactSpaceLimit and every annealing knob (seed, budget,
+     * restarts, temperatures) are mixed in for every spec: whether
+     * they matter depends on the schedule space, which the rest of a
+     * cache key (application, lease) already fixes, so one key still
+     * names one plan. The sharedEvaluator / contentionProfile
+     * pointers are excluded (sharing and storage location never
+     * change results).
      */
     std::uint64_t fingerprint() const;
 };
@@ -234,7 +218,8 @@ struct OptimizeStats
 {
     PlannerEngine engine = PlannerEngine::Exhaustive; ///< engine that ran
     /** Closed-form schedule-space size over the allowed PUs
-     *  (saturating; what the exact-engine refusal checks). */
+     *  (saturating; what the engine rule compares against
+     *  exactSpaceLimit). */
     std::uint64_t spaceSize = 0;
 
     double unrestrictedLatency = 0.0; ///< predicted optimum, no filter
@@ -281,7 +266,9 @@ class Optimizer
               const ProfilingTable& table, PlannerSpec spec = {});
 
     /**
-     * Run levels 1 and 2.
+     * Run levels 1 and 2 with the engine the space calls for: the
+     * annealed one when stats().spaceSize exceeds exactSpaceLimit, the
+     * exact one otherwise.
      * @return up to K candidates ranked by (feasibility class,
      *         objective score, assignment); never empty for a valid
      *         table.

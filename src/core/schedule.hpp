@@ -107,9 +107,8 @@ std::uint64_t countSchedules(int num_stages, int num_pus);
  * (choose the k-1 chunk boundaries, then an ordered selection of k
  * distinct PUs). Equal to countSchedules but O(min(n,m)) instead of
  * walking the whole enumeration tree, so it serves as the cheap
- * refusal predicate of the exact planner engines
- * (PlannerSpec::exactSpaceLimit). Saturates at UINT64_MAX for spaces
- * past 2^64.
+ * input of the planner's engine rule (PlannerSpec::exactSpaceLimit).
+ * Saturates at UINT64_MAX for spaces past 2^64.
  */
 std::uint64_t scheduleSpaceSize(int num_stages, int num_pus);
 

@@ -22,8 +22,6 @@ diagnosticKindName(DiagnosticKind kind)
     case DiagnosticKind::ScheduleCoverage: return "schedule_coverage";
     case DiagnosticKind::UnknownPu: return "unknown_pu";
     case DiagnosticKind::DisallowedPu: return "disallowed_pu";
-    case DiagnosticKind::ExactSpaceExceeded:
-        return "exact_space_exceeded";
     case DiagnosticKind::QueueUndersized: return "queue_undersized";
     case DiagnosticKind::PipelineUnderfilled:
         return "pipeline_underfilled";

@@ -42,7 +42,6 @@ enum class DiagnosticKind
     ScheduleCoverage,   ///< stages uncovered/overlapping/non-contiguous
     UnknownPu,          ///< chunk assigned to a PU absent from the SoC
     DisallowedPu,       ///< chunk assigned outside allowedPus/lease
-    ExactSpaceExceeded, ///< exact engine past exactSpaceLimit
 
     // Pass 3: handoff/deadlock lint.
     QueueUndersized,    ///< bounded handoff queue can wedge the pipeline

@@ -197,14 +197,6 @@ runSeededDefects()
                                DiagnosticKind::DisallowedPu,
                                lintSchedule(s, 2, soc, spec)));
     }
-    {
-        // 24 stages on 2 PUs is far beyond a limit of 10 schedules.
-        PlannerSpec spec;
-        spec.exactSpaceLimit = 10;
-        results.push_back(fold("exact_space_exceeded",
-                               DiagnosticKind::ExactSpaceExceeded,
-                               lintPlannerSpec(spec, 24, soc)));
-    }
 
     // --- Passes 3+4: handoff + fault plan ------------------------------
     {
@@ -233,7 +225,7 @@ runSeededDefects()
         PlannerSpec spec;
         spec.numCandidates = 0;
         results.push_back(fold("spec_range", DiagnosticKind::SpecRange,
-                               lintPlannerSpec(spec, 2, soc)));
+                               lintPlannerSpec(spec, soc)));
     }
     {
         RunConfig run;
@@ -296,7 +288,7 @@ runSeededDefects()
         spec.allowedPus = {5, 6};
         results.push_back(fold("lease_uncovered",
                                DiagnosticKind::LeaseUncovered,
-                               lintPlannerSpec(spec, 2, soc)));
+                               lintPlannerSpec(spec, soc)));
     }
     {
         // realTime tenant on a service with unbounded co-runners.

@@ -458,7 +458,7 @@ lintRunConfig(const runtime::RunConfig& run, int num_stages,
 }
 
 Report
-lintPlannerSpec(const core::PlannerSpec& spec, int num_stages,
+lintPlannerSpec(const core::PlannerSpec& spec,
                 const platform::SocDescription& soc)
 {
     Report r;
@@ -511,28 +511,11 @@ lintPlannerSpec(const core::PlannerSpec& spec, int num_stages,
             d.pu = p;
             r.diagnostics.push_back(std::move(d));
         }
-    const std::vector<int> effective
-        = effectiveAllowed(spec.allowedPus, num_pus);
-    if (effective.empty())
+    if (effectiveAllowed(spec.allowedPus, num_pus).empty())
         r.diagnostics.push_back(diag(
             DiagnosticKind::LeaseUncovered, Severity::Error, "spec",
             "the lease (allowedPus) admits no PU class of this SoC; "
             "no schedule can be planned inside it"));
-
-    if (spec.exactnessPreserving() && spec.exactSpaceLimit > 0
-        && num_stages > 0 && !effective.empty()) {
-        const std::uint64_t space = core::scheduleSpaceSize(
-            num_stages, static_cast<int>(effective.size()));
-        if (space > spec.exactSpaceLimit)
-            r.diagnostics.push_back(diag(
-                DiagnosticKind::ExactSpaceExceeded, Severity::Error,
-                "spec",
-                msg("schedule space of ", space,
-                    " schedules exceeds exactSpaceLimit ",
-                    spec.exactSpaceLimit,
-                    "; the exact engine refuses it - switch to "
-                    "PlannerEngine::Annealed or raise the limit")));
-    }
     return r;
 }
 
@@ -595,7 +578,7 @@ lintPreflight(const platform::SocDescription& soc,
               const runtime::RunConfig& run)
 {
     Report r = lintApplication(app);
-    r.merge(lintPlannerSpec(spec, app.numStages(), soc));
+    r.merge(lintPlannerSpec(spec, soc));
     r.merge(lintRunConfig(run, app.numStages(), soc.numPus(),
                           spec.allowedPus));
     r.merge(lintContention(app, soc, spec));

@@ -24,11 +24,10 @@
  *  4. (folded into lintRunConfig) fault-plan ranges, dropout
  *     starvation, too-tight watchdogs, futile retry budgets,
  *     overlapping slowdown windows;
- *  5. lintPlannerSpec / lintContention - spec ranges, exact-engine
- *     space refusals, empty leases, and C6 budgets whose demand lower
- *     bound (min over allowed PUs of the hungriest stage) already
- *     exceeds the budget - computed from ContentionModel's pure math,
- *     no profiling involved.
+ *  5. lintPlannerSpec / lintContention - spec ranges, empty leases,
+ *     and C6 budgets whose demand lower bound (min over allowed PUs of
+ *     the hungriest stage) already exceeds the budget - computed from
+ *     ContentionModel's pure math, no profiling involved.
  *
  * lintPreflight composes 1-5 for one (soc, app, spec, run) tuple;
  * lintTenant adds the serving-side checks (real-time tenants sharing
@@ -70,8 +69,8 @@ Report lintRunConfig(const runtime::RunConfig& run, int num_stages,
                      int num_pus,
                      const std::vector<int>& allowed_pus = {});
 
-/** Pass 5a: planner-spec ranges, exact-engine refusal, empty leases. */
-Report lintPlannerSpec(const core::PlannerSpec& spec, int num_stages,
+/** Pass 5a: planner-spec ranges and empty leases. */
+Report lintPlannerSpec(const core::PlannerSpec& spec,
                        const platform::SocDescription& soc);
 
 /**

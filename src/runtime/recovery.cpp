@@ -58,7 +58,9 @@ modelTable(const platform::PerfModel& model,
     return table;
 }
 
-/** The planner spec every degradation replan uses. */
+/** The planner spec every degradation replan uses: the default one,
+ *  so optimize() picks the engine for the survivors' space by the same
+ *  rule as every other plan. */
 core::PlannerSpec
 replanConfig(const platform::SocDescription& soc,
              const std::vector<bool>& alive)

@@ -7,7 +7,6 @@
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "core/autotuner.hpp"
-#include "core/schedule.hpp"
 #include "core/sim_executor.hpp"
 #include "lint/lint.hpp"
 
@@ -41,9 +40,8 @@ ServiceReport::writeJson(std::ostream& os) const
        << " },\n";
     os << "  \"plans\": " << plans << ",\n";
     os << "  \"plan_seconds\": " << planSeconds << ",\n";
-    os << "  \"planner\": { \"engine\": \"" << plannerEngine
-       << "\", \"annealed_fallbacks\": " << annealedFallbacks
-       << " },\n";
+    os << "  \"planner\": { \"annealed_fallbacks\": "
+       << annealedFallbacks << " },\n";
     os << "  \"cache\": { \"hits\": " << cache.hits << ", \"misses\": "
        << cache.misses << ", \"evictions\": " << cache.evictions
        << ", \"insertions\": " << cache.insertions
@@ -85,20 +83,11 @@ lint::Report
 Service::lintTenant(const core::Application& app,
                     TenantOptions opts) const
 {
-    // Mirror plannerSpecFor's large-tenant fallback: a schedule space
-    // an exact engine would refuse is annealed at serve time, not
-    // failed, so it must not read as an admission error either.
-    core::PlannerSpec spec = cfg_.optimizer;
-    if (spec.exactnessPreserving() && spec.exactSpaceLimit > 0
-        && core::scheduleSpaceSize(app.numStages(), soc_.numPus())
-            > spec.exactSpaceLimit)
-        spec.engine = core::PlannerEngine::Annealed;
-
     lint::TenantLintInput tenant;
     tenant.realTime = opts.realTime;
     tenant.contentionAware = cfg_.contentionAware;
     tenant.leaseGroups = leases_.maxGroups();
-    return lint::lintTenant(soc_, app, spec, cfg_.run, tenant);
+    return lint::lintTenant(soc_, app, cfg_.optimizer, cfg_.run, tenant);
 }
 
 bool
@@ -186,23 +175,6 @@ Service::plannerSpecFor(const std::string& app_name, int lease_group,
         spec.contention.ambientGbps
             = ambientFor(app_name, lease_groups);
     }
-
-    // Large-tenant fallback: an exact engine refuses any schedule
-    // space beyond exactSpaceLimit, and relaxing C6 to shrink the
-    // space would break the budget contract - so the service anneals
-    // the plan instead of failing it. The flip lives in the spec, so
-    // keyFor()'s fingerprint covers it (plus the annealing seed and
-    // budget): an annealed plan can never be served from a key minted
-    // for an exact one.
-    if (spec.exactnessPreserving() && spec.exactSpaceLimit > 0) {
-        const int allowed = spec.allowedPus.empty()
-            ? soc_.numPus()
-            : static_cast<int>(spec.allowedPus.size());
-        const std::uint64_t space = core::scheduleSpaceSize(
-            appOf(app_name).numStages(), allowed);
-        if (space > spec.exactSpaceLimit)
-            spec.engine = core::PlannerEngine::Annealed;
-    }
     return spec;
 }
 
@@ -220,15 +192,14 @@ Service::freshPlan(const std::string& app_name, int /*load_bucket*/,
 
     core::PlannerSpec ocfg
         = plannerSpecFor(app_name, lease_group, lease_groups);
-    if (!ocfg.exactnessPreserving()
-        && cfg_.optimizer.exactnessPreserving())
-        annealedFallbacks_.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.contentionAware && lease_groups > 1)
         ocfg.contentionProfile = &profile.contention;
     core::Optimizer optimizer(soc_, profile.interference,
                               std::move(ocfg));
     const std::vector<core::Candidate> candidates = optimizer.optimize();
     BT_ASSERT(!candidates.empty(), "optimizer found no schedule");
+    if (optimizer.stats().engine == core::PlannerEngine::Annealed)
+        annealedFallbacks_.fetch_add(1, std::memory_order_relaxed);
 
     CachedPlan plan;
     if (cfg_.autotune) {
@@ -465,8 +436,6 @@ Service::report() const
     report.tenantsRejected
         = tenantsRejected_.load(std::memory_order_relaxed);
     report.plans = plans_.load(std::memory_order_relaxed);
-    report.plannerEngine
-        = core::plannerEngineName(cfg_.optimizer.engine);
     report.annealedFallbacks
         = annealedFallbacks_.load(std::memory_order_relaxed);
     report.cache = cache_.stats();

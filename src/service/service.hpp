@@ -160,11 +160,8 @@ struct ServiceReport
     std::int64_t plans = 0;     ///< planner invocations
     double planSeconds = 0.0;   ///< total wall time spent planning
 
-    /** Configured planner engine ("exhaustive" / "annealed"). */
-    std::string plannerEngine;
-    /** Plans where an exact engine was configured but the tenant's
-     *  schedule space exceeded exactSpaceLimit, so the service fell
-     *  back to the annealed engine instead of failing. */
+    /** Plans the optimizer annealed because the tenant's schedule
+     *  space was too large to enumerate. */
     std::int64_t annealedFallbacks = 0;
 
     ScheduleCacheStats cache;
@@ -274,12 +271,11 @@ class Service
 
     /**
      * The exact planner spec a fresh plan of (app, group, groups)
-     * would run: the base config plus the per-plan lease, contention
-     * knobs, and - when the tenant's schedule space is too large for
-     * an exact engine - the annealed fallback. keyFor() fingerprints
-     * this spec, so the key contract - one key, one byte-identical
-     * plan - holds: an annealed plan can never be served where an
-     * exact one was requested, or vice versa.
+     * would run: the base config plus the per-plan lease and
+     * contention knobs. keyFor() fingerprints this spec; with the app
+     * and lease in the key fixing the schedule space, and so the
+     * engine optimize() picks, the key contract - one key, one
+     * byte-identical plan - holds.
      */
     core::PlannerSpec plannerSpecFor(const std::string& app_name,
                                      int lease_group,

@@ -4,8 +4,8 @@
  * closed-form schedule-space sizing, annealed-vs-exact cross-validation
  * on every enumerable instance, seed determinism (including autotuner
  * thread-count invariance), fingerprint coverage of the annealing
- * knobs, the exact engine's large-instance refusal, and bt::Service's
- * annealed fallback for large tenants.
+ * knobs and the engine rule, the rule's choice on large instances, and
+ * bt::Service annealing large tenants.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +32,7 @@ namespace bt::core {
 namespace {
 
 // ---------------------------------------------------------------------
-// scheduleSpaceSize: the exact engine's refusal predicate.
+// scheduleSpaceSize: the input of the planner's engine rule.
 
 TEST(ScheduleSpaceSize, MatchesEnumerationOnSmallSpaces)
 {
@@ -64,15 +64,6 @@ TEST(PlannerEngineNames, RoundTrip)
                  "exhaustive");
     EXPECT_STREQ(plannerEngineName(PlannerEngine::Annealed),
                  "annealed");
-    EXPECT_EQ(plannerEngineFromName("exhaustive"),
-              PlannerEngine::Exhaustive);
-    EXPECT_EQ(plannerEngineFromName("annealed"),
-              PlannerEngine::Annealed);
-    // Retired names are unknown like any other.
-    for (const char* name : {"solver", "constraint_solver", "bogus"})
-        EXPECT_DEATH_IF_SUPPORTED(
-            (void)plannerEngineFromName(name),
-            "unknown planner engine.*expected exhaustive.annealed");
 }
 
 // ---------------------------------------------------------------------
@@ -94,6 +85,16 @@ frontCost(const Candidate& c, const PlannerSpec& spec)
     return c.predictedLatency;
 }
 
+/** @p spec with the engine rule forced to @p engine at any size. */
+PlannerSpec
+forcing(PlannerSpec spec, PlannerEngine engine)
+{
+    spec.exactSpaceLimit = engine == PlannerEngine::Annealed
+        ? 0
+        : std::numeric_limits<std::uint64_t>::max();
+    return spec;
+}
+
 /**
  * The acceptance check: on an instance the exact engine can
  * enumerate, the annealed engine's front candidate must be cost-equal
@@ -108,18 +109,16 @@ expectAnnealedMatchesExact(
     const platform::ContentionProfile* contention = nullptr)
 {
     spec.contentionProfile = contention;
-    PlannerSpec exact_spec = spec;
-    exact_spec.engine = PlannerEngine::Exhaustive;
-    PlannerSpec annealed_spec = spec;
-    annealed_spec.engine = PlannerEngine::Annealed;
-
-    Optimizer exact_opt(soc, table, exact_spec);
+    Optimizer exact_opt(soc, table,
+                        forcing(spec, PlannerEngine::Exhaustive));
     const auto exact_cands = exact_opt.optimize();
-    Optimizer annealed_opt(soc, table, annealed_spec);
+    Optimizer annealed_opt(soc, table,
+                           forcing(spec, PlannerEngine::Annealed));
     const auto annealed_cands = annealed_opt.optimize();
 
     ASSERT_FALSE(exact_cands.empty());
     ASSERT_FALSE(annealed_cands.empty());
+    EXPECT_EQ(exact_opt.stats().engine, PlannerEngine::Exhaustive);
     EXPECT_EQ(annealed_opt.stats().engine, PlannerEngine::Annealed);
     EXPECT_EQ(annealed_opt.stats().spaceSize,
               exact_opt.stats().spaceSize);
@@ -205,9 +204,9 @@ TEST(AnnealedCrossValidation, ContentionRigWithC6Budget)
                                &profile.contention);
 
     // And the annealed candidates all honor the budget.
-    spec.engine = PlannerEngine::Annealed;
     spec.contentionProfile = &profile.contention;
-    Optimizer opt(soc, profile.interference, spec);
+    Optimizer opt(soc, profile.interference,
+                  forcing(spec, PlannerEngine::Annealed));
     for (const auto& c : opt.optimize())
         EXPECT_LE(c.predictedDemandGbps, 5.0 + 1e-9)
             << c.schedule.compactString();
@@ -226,8 +225,8 @@ TEST(AnnealedCrossValidation, RestrictedPuSet)
     spec.allowedPus = {0, 1, 2};
     expectAnnealedMatchesExact(soc, profile.interference, spec);
 
-    spec.engine = PlannerEngine::Annealed;
-    Optimizer opt(soc, profile.interference, spec);
+    Optimizer opt(soc, profile.interference,
+                  forcing(spec, PlannerEngine::Annealed));
     for (const auto& c : opt.optimize())
         for (const auto& chunk : c.schedule.chunks())
             EXPECT_LE(chunk.pu, 2);
@@ -243,8 +242,7 @@ TEST(AnnealedDeterminism, SameSeedSameSchedulesByteForByte)
     const auto app = apps::alexnetSparse();
     const auto profile = Profiler(model).profile(app);
 
-    PlannerSpec spec;
-    spec.engine = PlannerEngine::Annealed;
+    const PlannerSpec spec = forcing({}, PlannerEngine::Annealed);
 
     Optimizer first(soc, profile.interference, spec);
     const auto a = first.optimize();
@@ -281,8 +279,7 @@ TEST(AnnealedDeterminism, AutotunerReportInvariantAcrossThreadCounts)
     // order, then measure the champions at every thread count.
     std::vector<Candidate> champions;
     for (const std::uint64_t seed : {1, 2, 3, 4}) {
-        PlannerSpec spec;
-        spec.engine = PlannerEngine::Annealed;
+        PlannerSpec spec = forcing({}, PlannerEngine::Annealed);
         spec.anneal.seed = seed;
         Optimizer optimizer(soc, profile.interference, spec);
         const auto cands = optimizer.optimize();
@@ -327,37 +324,35 @@ TEST(PlannerFingerprint, DefaultValuesPinned)
 {
     // Schedule-cache keys embed these values; pinning them keeps keys
     // minted by earlier builds addressable.
-    EXPECT_EQ(PlannerSpec{}.fingerprint(), 0xe360348aa1e29e06ull);
-    PlannerSpec annealed;
-    annealed.engine = PlannerEngine::Annealed;
-    EXPECT_EQ(annealed.fingerprint(), 0x715e8858dcb5ddcdull);
+    EXPECT_EQ(PlannerSpec{}.fingerprint(), 0xd159fde0ea9a57f3ull);
+    EXPECT_EQ(forcing({}, PlannerEngine::Annealed).fingerprint(),
+              0xe08da4bc836bea5bull);
 }
 
 TEST(PlannerFingerprint, AnnealedEngineAndKnobsAreCovered)
 {
-    PlannerSpec exact;
-    PlannerSpec annealed = exact;
-    annealed.engine = PlannerEngine::Annealed;
-    EXPECT_NE(exact.fingerprint(), annealed.fingerprint());
-
-    // Every annealing knob matters once the engine is Annealed...
-    PlannerSpec seed = annealed;
+    // Every annealing knob and the engine rule's limit change the
+    // fingerprint, for every spec: whether they matter depends on the
+    // schedule space, which the rest of a cache key fixes.
+    const PlannerSpec base;
+    PlannerSpec limit = base;
+    limit.exactSpaceLimit = 0;
+    EXPECT_NE(base.fingerprint(), limit.fingerprint());
+    PlannerSpec seed = base;
     seed.anneal.seed ^= 1;
-    EXPECT_NE(annealed.fingerprint(), seed.fingerprint());
-    PlannerSpec budget = annealed;
+    EXPECT_NE(base.fingerprint(), seed.fingerprint());
+    PlannerSpec budget = base;
     budget.anneal.moveBudget += 1;
-    EXPECT_NE(annealed.fingerprint(), budget.fingerprint());
-    PlannerSpec restarts = annealed;
+    EXPECT_NE(base.fingerprint(), budget.fingerprint());
+    PlannerSpec restarts = base;
     restarts.anneal.restarts += 1;
-    EXPECT_NE(annealed.fingerprint(), restarts.fingerprint());
-    PlannerSpec temp = annealed;
-    temp.anneal.initialTemperature = 0.5;
-    EXPECT_NE(annealed.fingerprint(), temp.fingerprint());
-
-    // ...and none of them matter under an exactness-preserving engine.
-    PlannerSpec exact_seed = exact;
-    exact_seed.anneal.seed ^= 1;
-    EXPECT_EQ(exact.fingerprint(), exact_seed.fingerprint());
+    EXPECT_NE(base.fingerprint(), restarts.fingerprint());
+    PlannerSpec initial = base;
+    initial.anneal.initialTemperature = 0.5;
+    EXPECT_NE(base.fingerprint(), initial.fingerprint());
+    PlannerSpec final_temp = base;
+    final_temp.anneal.finalTemperature = 0.5;
+    EXPECT_NE(base.fingerprint(), final_temp.fingerprint());
 }
 
 TEST(PlannerFingerprint, SharedPointersAreExcluded)
@@ -379,10 +374,10 @@ TEST(PlannerFingerprint, SharedPointersAreExcluded)
 TEST(PlannerFingerprint, CacheKeysAnnealedAndExactPlansApart)
 {
     // The schedule-cache contract: a key minted for an exact plan can
-    // never serve an annealed one, because the fingerprint differs.
-    PlannerSpec exact;
-    PlannerSpec annealed = exact;
-    annealed.engine = PlannerEngine::Annealed;
+    // never serve an annealed one, because the limits that pick the
+    // two engines give different fingerprints.
+    const PlannerSpec exact = forcing({}, PlannerEngine::Exhaustive);
+    const PlannerSpec annealed = forcing({}, PlannerEngine::Annealed);
 
     service::ScheduleKey exact_key;
     exact_key.app = "tenant";
@@ -411,7 +406,7 @@ TEST(PlannerFingerprint, CacheKeysAnnealedAndExactPlansApart)
 }
 
 // ---------------------------------------------------------------------
-// Large instances: exact refusal, annealed feasibility.
+// Large instances: the default spec anneals them, feasibly.
 
 class LargeInstance : public ::testing::Test
 {
@@ -429,13 +424,17 @@ class LargeInstance : public ::testing::Test
     platform::ContentionProfile contention;
 };
 
-TEST_F(LargeInstance, ExactEnginesRefuse)
+TEST_F(LargeInstance, DefaultSpecAnneals)
 {
     EXPECT_GT(scheduleSpaceSize(table->numStages(), soc.numPus()),
               PlannerSpec{}.exactSpaceLimit);
     Optimizer opt(soc, *table, PlannerSpec{});
-    EXPECT_DEATH_IF_SUPPORTED((void)opt.optimize(),
-                              "exceeds exactSpaceLimit");
+    const auto cands = opt.optimize();
+    EXPECT_EQ(opt.stats().engine, PlannerEngine::Annealed);
+    ASSERT_FALSE(cands.empty());
+    for (const auto& c : cands)
+        EXPECT_TRUE(c.schedule.valid(table->numStages(), soc.numPus()))
+            << c.schedule.compactString();
 }
 
 TEST_F(LargeInstance, LeasedExactPlanEnumeratesOnlyTheAllowedSpace)
@@ -451,6 +450,7 @@ TEST_F(LargeInstance, LeasedExactPlanEnumeratesOnlyTheAllowedSpace)
     Optimizer opt(soc, *table, spec);
     const auto cands = opt.optimize();
     ASSERT_FALSE(cands.empty());
+    EXPECT_EQ(opt.stats().engine, PlannerEngine::Exhaustive);
     EXPECT_EQ(opt.stats().solverNodes,
               scheduleSpaceSize(table->numStages(), 4));
     EXPECT_EQ(opt.stats().solverNodes, opt.stats().spaceSize);
@@ -462,7 +462,6 @@ TEST_F(LargeInstance, LeasedExactPlanEnumeratesOnlyTheAllowedSpace)
 TEST_F(LargeInstance, AnnealedPlansFeasiblyUnderC6)
 {
     PlannerSpec spec;
-    spec.engine = PlannerEngine::Annealed;
     spec.contention.budgetGbps = soc.mem.dramBwGbps;
     spec.contentionProfile = &contention;
 
@@ -491,33 +490,35 @@ TEST_F(LargeInstance, AnnealedPlansFeasiblyUnderC6)
 }
 
 // ---------------------------------------------------------------------
-// bt::Service: large tenants fall back to the annealed engine.
+// bt::Service: large tenants are annealed.
 
 TEST(ServiceAnnealedFallback, LargeTenantAnnealsInsteadOfFailing)
 {
     // AlexNet-sparse (9 stages) on the 8-class rig is ~3.16M schedules
-    // - beyond the exact limit, so the service must flip the plan to
-    // the annealed engine rather than panic or relax C6.
+    // - beyond the exact limit, so the plan is annealed rather than
+    // panicking or relaxing C6.
     const auto soc = platform::manycoreRig();
     service::ServiceConfig cfg;
     cfg.workers = 1;
     service::Service service(soc, cfg);
     service.registerApp(apps::alexnetSparse());
 
+    // The service plans with its configured spec (one group leases
+    // every PU); the engine follows from the space inside optimize().
     const auto key = service.keyFor("AlexNet-Sparse", 0, 0, 1);
-    EXPECT_NE(key.plannerFingerprint, cfg.optimizer.fingerprint());
+    EXPECT_EQ(key.plannerFingerprint, cfg.optimizer.fingerprint());
 
     const auto plan = service.freshPlan("AlexNet-Sparse", 0, 0, 1);
     EXPECT_TRUE(plan.schedule.valid(9, soc.numPus()));
     const auto report = service.report();
-    EXPECT_EQ(report.plannerEngine, "exhaustive"); // the configured one
     EXPECT_GE(report.annealedFallbacks, 1);
 
-    // Disabling the refusal threshold keeps the exact engine, so the
-    // two configurations mint different cache keys: an annealed plan
-    // can never be served where an exact one was requested.
+    // An unlimited exact engine keeps enumerating, so the two
+    // configurations mint different cache keys: an annealed plan can
+    // never be served where an exact one was requested.
     service::ServiceConfig unlimited = cfg;
-    unlimited.optimizer.exactSpaceLimit = 0;
+    unlimited.optimizer.exactSpaceLimit
+        = std::numeric_limits<std::uint64_t>::max();
     service::Service exact_service(soc, unlimited);
     exact_service.registerApp(apps::alexnetSparse());
     const auto exact_key = exact_service.keyFor("AlexNet-Sparse", 0, 0, 1);
@@ -535,7 +536,6 @@ TEST(ServiceAnnealedFallback, SmallTenantKeepsTheExactEngine)
     const auto plan = service.freshPlan("AlexNet-Sparse", 0, 0, 1);
     EXPECT_TRUE(plan.schedule.valid(9, soc.numPus()));
     const auto report = service.report();
-    EXPECT_EQ(report.plannerEngine, "exhaustive");
     EXPECT_EQ(report.annealedFallbacks, 0);
 }
 

@@ -395,6 +395,20 @@ TEST(Framework, NoAutotuneUsesPredictedBest)
               report.candidates.front().schedule.compactString());
 }
 
+TEST(Framework, DefaultConfigPlansTheManycoreRig)
+{
+    // AlexNet-Sparse on the 8-class rig is a ~3.16M-schedule space:
+    // the preflight admits it and optimize() anneals it.
+    FrameworkConfig cfg;
+    cfg.autotune = false;
+    const Framework bt(platform::manycoreRig(), cfg);
+    const auto report = bt.run(apps::alexnetSparse());
+    EXPECT_EQ(report.preflight.errors(), 0);
+    EXPECT_FALSE(report.candidates.empty());
+    EXPECT_TRUE(report.bestSchedule.valid(9, 8))
+        << report.bestSchedule.compactString();
+}
+
 TEST(AutoTuner, ParallelCampaignBitIdenticalAcrossThreadCounts)
 {
     // The acceptance bar for parallel autotuning: the TuningReport must

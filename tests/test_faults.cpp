@@ -6,7 +6,8 @@
  * exactly-once kernel semantics under retries in both time backends,
  * the same recovery decisions from both backends, timeout/straggler
  * interplay, slowdown windows, mid-stream PU dropout with graceful
- * degradation in both backends, and the FaultPlan JSON round trip.
+ * degradation in both backends (also on a rig whose survivors' space
+ * is annealed), and the FaultPlan JSON round trip.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <sstream>
 #include <string>
 
+#include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
 #include "core/native_executor.hpp"
 #include "core/sim_executor.hpp"
@@ -479,6 +481,33 @@ TEST(FaultRecovery, DropoutMidStreamCompletesAllTasks)
     EXPECT_EQ(alt.recovery.replans, 0);
     EXPECT_GT(alt.recovery.remaps, 0);
     EXPECT_EQ(alt.recovery.unrecovered, 0);
+}
+
+// On the 8-class rig the replan faces the 7 survivors' 653,023-schedule
+// space; optimize() anneals it like any other plan of that size.
+TEST(FaultRecovery, DegradeReplanOnManycoreDoesNotAbort)
+{
+    const auto soc = platform::manycoreRig();
+    const platform::PerfModel model(soc);
+    const auto app = apps::alexnetSparse();
+    const auto schedule
+        = Schedule::fromAssignment({0, 0, 1, 1, 6, 6, 6, 7, 7});
+    constexpr double kDropAt = 0.0005;
+
+    runtime::RunConfig cfg;
+    cfg.faults.dropouts.push_back({0, kDropAt});
+    ASSERT_TRUE(cfg.recovery.degrade);
+
+    const auto run = SimExecutor(model, cfg).execute(app, schedule);
+    EXPECT_TRUE(run.valid());
+    EXPECT_EQ(run.recovery.dropouts, 1);
+    EXPECT_EQ(run.recovery.replans, 1);
+    EXPECT_EQ(run.recovery.unrecovered, 0);
+    for (const auto& e : run.trace.events()) {
+        if (e.isStage() && e.pu == 0) {
+            EXPECT_LE(e.startSeconds, kDropAt + 1e-9);
+        }
+    }
 }
 
 // The host backend rebinds a chunk whose PU is gone before it runs a

@@ -33,7 +33,6 @@ namespace {
 using core::Application;
 using core::BufferAccess;
 using core::KernelCtx;
-using core::PlannerSpec;
 using core::Stage;
 using core::StageIo;
 using platform::Pattern;
@@ -317,16 +316,7 @@ TEST(LintShippedApps, CleanOnEveryDeviceRig)
 
     for (const auto& soc : rigs) {
         for (const auto& app : shipped) {
-            // Same annealed fallback Service::plannerSpecFor applies:
-            // the exact engines refuse spaces past exactSpaceLimit.
-            PlannerSpec spec;
-            if (spec.exactnessPreserving()
-                && core::scheduleSpaceSize(app.numStages(),
-                                           soc.numPus())
-                       > spec.exactSpaceLimit)
-                spec.engine = core::PlannerEngine::Annealed;
-            const auto report
-                = lint::lintPreflight(soc, app, spec, {});
+            const auto report = lint::lintPreflight(soc, app, {}, {});
             EXPECT_TRUE(report.clean())
                 << app.name() << " on " << soc.name << ":\n"
                 << toJson(report);
@@ -334,20 +324,6 @@ TEST(LintShippedApps, CleanOnEveryDeviceRig)
                 << app.name() << " should declare full IO";
         }
     }
-}
-
-TEST(LintShippedApps, ManycoreDefaultSpecIsCaughtBeforeThePanic)
-{
-    // The exact engine would panic on this space at optimize() time;
-    // lint reports it statically instead, with remediation.
-    const auto report = lint::lintPreflight(platform::manycoreRig(),
-                                            apps::octreeApp(), {}, {});
-    EXPECT_EQ(report.errors(), 1);
-    ASSERT_FALSE(report.diagnostics.empty());
-    EXPECT_EQ(report.diagnostics[0].kind,
-              lint::DiagnosticKind::ExactSpaceExceeded);
-    EXPECT_NE(report.diagnostics[0].message.find("Annealed"),
-              std::string::npos);
 }
 
 TEST(LintShippedApps, DeclaredIoMatchesTheOctreeTaskLayout)
@@ -380,9 +356,6 @@ TEST(LintReport, KindAndSeverityNamesAreStable)
     using lint::DiagnosticKind;
     EXPECT_EQ(lint::diagnosticKindName(DiagnosticKind::UseBeforeDef),
               "use_before_def");
-    EXPECT_EQ(
-        lint::diagnosticKindName(DiagnosticKind::ExactSpaceExceeded),
-        "exact_space_exceeded");
     EXPECT_EQ(
         lint::diagnosticKindName(DiagnosticKind::BandwidthOverBudget),
         "bandwidth_over_budget");

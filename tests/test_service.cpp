@@ -5,7 +5,8 @@
  * cached and fresh plans, concurrent hammer), PU leasing (disjoint
  * covering partitions, load quantization), and the Service itself
  * (every admitted request completes, cache hits dominate steady state,
- * per-session accounting, merged session-tagged traces).
+ * per-session accounting, merged session-tagged traces, a manycore
+ * tenant whose plan and dropout replan are annealed).
  *
  * The hammer and end-to-end tests are also the TSan workload for the
  * service layer: they exercise concurrent lookups, racing insertions,
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/alexnet.hpp"
 #include "apps/features.hpp"
 #include "apps/octree_app.hpp"
 #include "bt.hpp"
@@ -300,6 +302,31 @@ TEST(Service, EveryAdmittedRequestCompletes)
     EXPECT_EQ(sessions, report.completed);
     EXPECT_GT(report.p50Ms, 0.0);
     EXPECT_GE(report.p99Ms, report.p50Ms);
+}
+
+TEST(Service, ManycoreTenantSurvivesADropoutReplan)
+{
+    // Both the tenant's plan (3.16M schedules) and the degradation
+    // replan after PU 0 drops (653,023 schedules on the survivors)
+    // are annealed; neither may take the service down.
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.run.numTasks = 8;
+    cfg.run.faults.dropouts = {{0, 0.0005}};
+    Service service(platform::manycoreRig(), cfg);
+    ASSERT_TRUE(service.registerApp(apps::alexnetSparse()));
+    service.start();
+
+    Request req;
+    req.app = apps::alexnetSparse().name();
+    ASSERT_TRUE(service.submit(std::move(req)));
+    service.drain();
+    const auto report = service.report();
+    service.stop();
+
+    EXPECT_EQ(report.completed, 1);
+    EXPECT_EQ(report.failed, 0);
+    EXPECT_GE(report.annealedFallbacks, 1);
 }
 
 TEST(Service, CachedPlanIsByteIdenticalToFreshPlan)
