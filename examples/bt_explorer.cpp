@@ -22,8 +22,9 @@
  *     bt_explorer --serve --serve-requests 400 --json serve.json
  *
  * Exit codes (uniform across every mode): 0 = clean, 1 = usage error
- * or fixture failure, 2 = findings (check/lint findings, an invalid
- * deployed run, failed serving requests).
+ * (including a flag or fault plan outside its range rules) or fixture
+ * failure, 2 = findings (check/lint findings, an invalid deployed run,
+ * failed serving requests).
  */
 
 #include <cmath>
@@ -205,6 +206,61 @@ runLintFixtures()
 core::Application pickApp(const std::string& name);
 platform::SocDescription pickDevice(const std::string& name);
 
+/** The planner spec the flags ask for. */
+core::PlannerSpec
+specFrom(const Options& opt)
+{
+    core::PlannerSpec spec;
+    spec.numCandidates = opt.candidates;
+    spec.latencySlack = opt.latency_slack;
+    spec.gapnessSlack = opt.gapness_slack;
+    if (opt.edp_objective)
+        spec.objective = core::PlannerSpec::Objective::EnergyDelay;
+    return spec;
+}
+
+/** Parse the --faults plan, if one is given, into @p run; false, with
+ *  the parse error on stderr, when it does not parse. */
+bool
+loadFaults(const Options& opt, runtime::RunConfig& run)
+{
+    if (opt.faults_file.empty())
+        return true;
+    std::ifstream in(opt.faults_file);
+    runtime::PlanParseError perr;
+    auto plan = runtime::FaultPlan::fromJson(in, perr);
+    if (!plan) {
+        std::fprintf(stderr, "could not parse fault plan %s: %s\n",
+                     opt.faults_file.c_str(), perr.toString().c_str());
+        return false;
+    }
+    run.faults = std::move(*plan);
+    return true;
+}
+
+/**
+ * Before anything runs: false, with every broken range rule of the
+ * spec and the run config on stderr, when a flag or the fault plan is
+ * out of range - a usage error (exit 1), not a planner or backend
+ * panic.
+ */
+bool
+inRange(const core::PlannerSpec& spec, const runtime::RunConfig& run,
+        int num_stages, int num_pus)
+{
+    auto problems = spec.problems(num_pus);
+    for (auto& p : run.problems(num_stages, num_pus))
+        problems.push_back(std::move(p));
+    bool ok = true;
+    for (const auto& p : problems) {
+        if (p.kind != runtime::PlanParseErrorKind::Range)
+            continue;
+        std::fprintf(stderr, "out of range: %s\n", p.message.c_str());
+        ok = false;
+    }
+    return ok;
+}
+
 /** `--lint`: static preflight of the selected workload(s) - pipeline
  *  IO, planner spec, run config and fault plan - with no execution. */
 int
@@ -217,27 +273,10 @@ runLint(const Options& opt)
         names = {opt.app};
 
     const auto soc = pickDevice(opt.device);
-    core::PlannerSpec spec;
-    spec.numCandidates = opt.candidates;
-    spec.latencySlack = opt.latency_slack;
-    spec.gapnessSlack = opt.gapness_slack;
-    if (opt.edp_objective)
-        spec.objective = core::PlannerSpec::Objective::EnergyDelay;
-
+    const core::PlannerSpec spec = specFrom(opt);
     runtime::RunConfig run;
-    if (!opt.faults_file.empty()) {
-        std::ifstream in(opt.faults_file);
-        runtime::PlanParseError perr;
-        auto plan = runtime::FaultPlan::fromJson(in, perr);
-        if (!plan) {
-            std::fprintf(stderr,
-                         "could not parse fault plan %s: %s\n",
-                         opt.faults_file.c_str(),
-                         perr.toString().c_str());
-            return 1;
-        }
-        run.faults = *plan;
-    }
+    if (!loadFaults(opt, run))
+        return 1;
 
     lint::Report merged;
     for (const auto& name : names) {
@@ -472,6 +511,11 @@ main(int argc, char** argv)
 
     const auto soc = pickDevice(opt.device);
     const auto app = pickApp(opt.app);
+    const core::PlannerSpec ocfg = specFrom(opt);
+    runtime::RunConfig deploy_cfg;
+    if (!loadFaults(opt, deploy_cfg)
+        || !inRange(ocfg, deploy_cfg, app.numStages(), soc.numPus()))
+        return 1;
     const platform::PerfModel model(soc);
     std::printf("device: %s | app: %s (%d stages)\n\n",
                 soc.name.c_str(), app.name().c_str(), app.numStages());
@@ -506,12 +550,6 @@ main(int argc, char** argv)
     profile.interference.print(std::cout);
 
     // Optimize (+ autotune).
-    core::PlannerSpec ocfg;
-    ocfg.numCandidates = opt.candidates;
-    ocfg.latencySlack = opt.latency_slack;
-    ocfg.gapnessSlack = opt.gapness_slack;
-    if (opt.edp_objective)
-        ocfg.objective = core::PlannerSpec::Objective::EnergyDelay;
     core::Optimizer optimizer(soc, profile.interference, ocfg);
     const auto candidates = optimizer.optimize();
     const double front_cost = planCost(candidates.front(), ocfg);
@@ -537,20 +575,7 @@ main(int argc, char** argv)
                     tuned.campaignCostSeconds);
     }
 
-    runtime::RunConfig deploy_cfg;
     if (!opt.faults_file.empty()) {
-        std::ifstream in(opt.faults_file);
-        runtime::PlanParseError perr;
-        auto plan = runtime::FaultPlan::fromJson(in, perr);
-        if (!plan) {
-            std::fprintf(stderr,
-                         "could not parse fault plan %s: %s\n",
-                         opt.faults_file.c_str(),
-                         perr.toString().c_str());
-            return 1;
-        }
-        plan->validate(soc.numPus());
-        deploy_cfg.faults = *plan;
         std::printf("\ninjecting fault plan from %s (%zu slowdowns, "
                     "%zu transients, %zu stragglers, %zu dropouts)\n",
                     opt.faults_file.c_str(),

@@ -21,13 +21,12 @@ toAssignment(const std::vector<Chunk>& chunks, std::vector<int>& out)
 
 } // namespace
 
-Annealer::Annealer(const platform::SocDescription& soc,
-                   ScheduleEvaluator& eval, const AnnealSpec& spec,
+Annealer::Annealer(ScheduleEvaluator& eval, const AnnealSpec& spec,
                    int bucket, std::vector<int> allowed_pus,
                    std::uint64_t space_size,
                    const platform::ContentionProfile* contention,
                    std::int64_t budget_milli)
-    : soc_(soc), eval_(eval), bucket_(bucket),
+    : eval_(eval), bucket_(bucket),
       allowed_(std::move(allowed_pus)), contention_(contention),
       budgetMilli_(budget_milli), numStages_(eval.numStages()),
       keyed_(eval.keyed())
@@ -36,15 +35,8 @@ Annealer::Annealer(const platform::SocDescription& soc,
     std::sort(allowed_.begin(), allowed_.end());
     allowed_.erase(std::unique(allowed_.begin(), allowed_.end()),
                    allowed_.end());
-    for (const int pu : allowed_)
-        BT_ASSERT(pu >= 0 && pu < soc_.numPus(),
-                  "allowed PU ", pu, " outside the device");
     BT_ASSERT(budgetMilli_ == 0 || contention_ != nullptr,
               "C6 filtering needs a contention profile");
-    BT_ASSERT(spec.moveBudget > 0, "moveBudget must be positive");
-    BT_ASSERT(spec.finalTemperature > 0.0
-                  && spec.finalTemperature <= 1.0,
-              "finalTemperature must be in (0, 1]");
     assignScratch_.assign(static_cast<std::size_t>(numStages_), 0);
     t0_ = spec.initialTemperature > 0.0 ? spec.initialTemperature
                                         : 0.25;
@@ -79,23 +71,11 @@ Annealer::maybeSweep(const AnnealSpec& spec, std::uint64_t space_size)
 std::vector<Chunk>
 Annealer::frugalHomogeneous() const
 {
-    // The single-chunk schedule on the allowed PU with the smallest
-    // worst-stage demand - the same schedule the Optimizer's C6
-    // feasibility pre-check reasons about, so it is feasible whenever
-    // the filter is active.
+    // The schedule at the C6 demand floor the Optimizer's feasibility
+    // pre-check compares against, so it is feasible whenever the
+    // filter is active.
     BT_ASSERT(contention_ != nullptr);
-    std::int64_t best = std::numeric_limits<std::int64_t>::max();
-    int best_pu = allowed_.front();
-    for (const int pu : allowed_) {
-        std::int64_t d = 0;
-        for (int s = 0; s < numStages_; ++s)
-            d = std::max(d, contention_->demandMilli(s, pu));
-        if (d < best) {
-            best = d;
-            best_pu = pu;
-        }
-    }
-    return {Chunk{0, numStages_ - 1, best_pu}};
+    return {Chunk{0, numStages_ - 1, contention_->frugalestPu(allowed_)}};
 }
 
 void

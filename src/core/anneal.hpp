@@ -37,7 +37,6 @@
 #include "core/schedule.hpp"
 #include "core/schedule_eval.hpp"
 #include "platform/contention.hpp"
-#include "platform/soc.hpp"
 
 namespace bt::core {
 
@@ -108,8 +107,10 @@ class Annealer
     using Guide = std::function<double(const Prediction&)>;
 
     /**
-     * @param allowed_pus non-empty list of admissible PU classes; moves
-     *        never leave it.
+     * @param spec in range per PlannerSpec::problems (the Optimizer
+     *        refuses a spec that is not).
+     * @param allowed_pus non-empty list of admissible PU classes, all
+     *        on the device; moves never leave it.
      * @param space_size schedule-space size over @p allowed_pus (the
      *        Optimizer's OptimizeStats::spaceSize).
      * @param contention optional profile for the C6 demand filter.
@@ -118,8 +119,8 @@ class Annealer
      *        guarantee at least one feasible schedule exists (the
      *        Optimizer pre-checks the frugalest single-chunk one).
      */
-    Annealer(const platform::SocDescription& soc, ScheduleEvaluator& eval,
-             const AnnealSpec& spec, int bucket,
+    Annealer(ScheduleEvaluator& eval, const AnnealSpec& spec,
+             int bucket,
              std::vector<int> allowed_pus, std::uint64_t space_size,
              const platform::ContentionProfile* contention,
              std::int64_t budget_milli);
@@ -167,7 +168,6 @@ class Annealer
     void poolInsert(const std::vector<int>& assignment,
                     const Prediction& pred);
 
-    const platform::SocDescription& soc_;
     ScheduleEvaluator& eval_;
     int bucket_;
     std::vector<int> allowed_;

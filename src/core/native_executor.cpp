@@ -1,15 +1,14 @@
 #include "core/native_executor.hpp"
 
-#include "common/logging.hpp"
-
 namespace bt::core {
 
 NativeExecutor::NativeExecutor(const platform::SocDescription& soc,
                                runtime::RunConfig cfg)
     : backend(soc), config(cfg)
 {
-    BT_ASSERT(config.numTasks > 0);
-    BT_ASSERT(config.queueCapacity > 0);
+    // Stage-bounded fault rules wait for the app: the backend checks
+    // them on every run.
+    config.requireInRange(0, soc.numPus());
 }
 
 runtime::RunResult

@@ -1,6 +1,7 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -65,6 +66,48 @@ PlannerSpec::fingerprint() const
     mixDouble(anneal.initialTemperature);
     mixDouble(anneal.finalTemperature);
     return h;
+}
+
+std::vector<runtime::PlanParseError>
+PlannerSpec::problems(int num_pus) const
+{
+    using runtime::atLeastRule;
+    std::vector<runtime::PlanParseError> out;
+    const auto fail = [&out](const auto&... parts) {
+        out.push_back({runtime::PlanParseErrorKind::Range,
+                       detail::concat(parts...)});
+    };
+    atLeastRule(out, "numCandidates", numCandidates, 1);
+    atLeastRule(out, "latencySlack", latencySlack, 0.0);
+    atLeastRule(out, "gapnessSlack", gapnessSlack, 0.0);
+    atLeastRule(out, "maxPerTier", maxPerTier, 0);
+    if (objective == Objective::EnergyKDelay)
+        atLeastRule(out, "energyExponent", energyExponent, 0.0);
+    atLeastRule(out, "contention.ambientGbps", contention.ambientGbps, 0.0);
+    atLeastRule(out, "contention.budgetGbps", contention.budgetGbps, 0.0);
+    for (const int p : allowedPus) {
+        atLeastRule(out, "allowedPus ids", p, 0);
+        if (num_pus > 0 && p >= num_pus)
+            fail("allowedPus ids must be in [0, ", num_pus, "), got ", p);
+    }
+    atLeastRule(out, "anneal.moveBudget", anneal.moveBudget, 1);
+    if (!(anneal.finalTemperature > 0.0
+          && anneal.finalTemperature <= 1.0))
+        fail("anneal.finalTemperature must be in (0, 1], got ",
+             anneal.finalTemperature);
+    return out;
+}
+
+std::vector<int>
+admittedPus(const std::vector<int>& allowed_pus, int num_pus)
+{
+    std::vector<int> admitted;
+    for (int p = 0; p < num_pus; ++p)
+        if (allowed_pus.empty()
+            || std::find(allowed_pus.begin(), allowed_pus.end(), p)
+                != allowed_pus.end())
+            admitted.push_back(p);
+    return admitted;
 }
 
 namespace {
@@ -138,35 +181,28 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
 {
     BT_ASSERT(baseTable_.numPus() == soc.numPus(),
               "profiling table PU count does not match device");
-    BT_ASSERT(config.numCandidates > 0);
-    BT_ASSERT(config.gapnessSlack >= 0.0);
-    BT_ASSERT(config.latencySlack >= 0.0);
-    for (const int p : config.allowedPus)
-        BT_ASSERT(p >= 0 && p < soc.numPus(),
-                  "allowedPus names unknown PU ", p);
+    if (const std::string bad
+        = runtime::rangeErrors(config.problems(soc.numPus()));
+        !bad.empty())
+        BT_PANIC("spec.range", bad);
     if (contention_ != nullptr)
         BT_ASSERT(contention_->numStages == baseTable_.numStages()
                       && contention_->numPus == baseTable_.numPus(),
                   "contention profile grid does not match table");
+    const std::vector<int> allowed
+        = admittedPus(config.allowedPus, soc.numPus());
+    BT_ASSERT(!allowed.empty(), "allowedPus admits no PU");
+    for (const int c : allowed)
+        allowedMask_ |= 1u << c;
 
     if (contention_ != nullptr && config.contention.budgetGbps > 0.0) {
         budgetMilli_ = platform::ContentionModel::milliGbps(
             config.contention.budgetGbps);
-        // Feasibility pre-check: the frugalest schedule is the single
-        // chunk on the allowed PU with the smallest worst-stage
-        // demand. A budget below that admits nothing - relax C6 and
-        // report it instead of returning an empty candidate list.
-        std::int64_t min_demand
-            = std::numeric_limits<std::int64_t>::max();
-        for (int c = 0; c < soc.numPus(); ++c) {
-            if (!puAllowed(c))
-                continue;
-            std::int64_t d = 0;
-            for (int i = 0; i < baseTable_.numStages(); ++i)
-                d = std::max(d, contention_->demandMilli(i, c));
-            min_demand = std::min(min_demand, d);
-        }
-        if (budgetMilli_ >= min_demand)
+        // Feasibility pre-check: a budget below the C6 demand floor
+        // admits nothing - relax C6 and report it instead of returning
+        // an empty candidate list.
+        if (budgetMilli_ >= contention_->worstStageDemandMilli(
+                contention_->frugalestPu(allowed)))
             c6Active_ = true;
         else
             c6Relaxed_ = true;
@@ -181,16 +217,6 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
             soc, baseTable_, powerModel, contention_);
         eval_ = ownedEval_.get();
     }
-}
-
-bool
-Optimizer::puAllowed(int pu) const
-{
-    if (config.allowedPus.empty())
-        return true;
-    return std::find(config.allowedPus.begin(),
-                     config.allowedPus.end(), pu)
-        != config.allowedPus.end();
 }
 
 bool
@@ -301,12 +327,8 @@ Optimizer::optimize()
         = c6Active_ ? config.contention.budgetGbps : 0.0;
     stats_.c6Relaxed = c6Relaxed_;
 
-    int allowed_count = 0;
-    for (int c = 0; c < soc.numPus(); ++c)
-        allowed_count += puAllowed(c) ? 1 : 0;
-    BT_ASSERT(allowed_count > 0, "allowedPus admits no PU");
-    stats_.spaceSize
-        = scheduleSpaceSize(table.numStages(), allowed_count);
+    stats_.spaceSize = scheduleSpaceSize(table.numStages(),
+                                         std::popcount(allowedMask_));
     // The engine rule: enumerate what fits under the limit, anneal the
     // rest. Both engines return selectDiverse output: ranked and
     // truncated.
@@ -331,11 +353,7 @@ Optimizer::optimizeExhaustive()
     const int m = soc.numPus();
     // Excluded classes (degradation re-plan hook, service leases) are
     // pruned during enumeration, so the pool is the allowed space only.
-    std::uint32_t allowed_mask = 0;
-    for (int c = 0; c < m; ++c)
-        if (puAllowed(c))
-            allowed_mask |= 1u << c;
-    const auto all = enumerateSchedules(n, m, allowed_mask);
+    const auto all = enumerateSchedules(n, m, allowedMask_);
     stats_.solverNodes = all.size();
 
     std::vector<Candidate> cands;
@@ -416,14 +434,10 @@ Optimizer::selectDiverse(std::vector<Candidate> cands)
 std::vector<Candidate>
 Optimizer::optimizeAnnealed()
 {
-    std::vector<int> allowed;
-    for (int c = 0; c < soc.numPus(); ++c)
-        if (puAllowed(c))
-            allowed.push_back(c);
-    const int m_eff = static_cast<int>(allowed.size());
-
-    Annealer annealer(soc, *eval_, config.anneal, bucket_,
-                      std::move(allowed), stats_.spaceSize, contention_,
+    const int m_eff = std::popcount(allowedMask_);
+    Annealer annealer(*eval_, config.anneal, bucket_,
+                      admittedPus(config.allowedPus, soc.numPus()),
+                      stats_.spaceSize, contention_,
                       c6Active_ ? budgetMilli_ : 0);
 
     // A swept pool is already the full enumeration; phases could only
@@ -458,8 +472,7 @@ Optimizer::optimizeAnnealed()
 void
 Optimizer::runAnnealPhases(Annealer& annealer, int m_eff)
 {
-    const std::int64_t budget
-        = std::max<std::int64_t>(config.anneal.moveBudget, 1);
+    const std::int64_t budget = config.anneal.moveBudget;
     std::int64_t spent = 0;
     const auto slice = [&](int permille) {
         const std::int64_t s

@@ -41,6 +41,7 @@
 #include "core/schedule_eval.hpp"
 #include "platform/perf_model.hpp"
 #include "platform/soc.hpp"
+#include "runtime/fault_plan.hpp"
 
 namespace bt::core {
 
@@ -192,7 +193,27 @@ struct PlannerSpec
      * change results).
      */
     std::uint64_t fingerprint() const;
+
+    /**
+     * Every range rule of a spec on a SoC with @p num_pus classes
+     * (<= 0 = unknown, skipping the allowedPus upper bound):
+     * numCandidates >= 1; latencySlack, gapnessSlack, maxPerTier and
+     * both contention GB/s values >= 0; energyExponent >= 0 under
+     * EnergyKDelay; allowedPus ids in [0, num_pus); anneal.moveBudget
+     * >= 1 and anneal.finalTemperature in (0, 1]. Lint and the
+     * Optimizer read this; a valid spec yields an empty list.
+     */
+    std::vector<runtime::PlanParseError> problems(int num_pus) const;
 };
+
+/**
+ * The PU classes @p allowed_pus (PlannerSpec::allowedPus) admits on a
+ * SoC of @p num_pus classes, in index order. Ids off the SoC are
+ * dropped (PlannerSpec::problems reports them); an empty list admits
+ * every class.
+ */
+std::vector<int> admittedPus(const std::vector<int>& allowed_pus,
+                             int num_pus);
 
 /** One optimizer output with its model-predicted costs. */
 struct Candidate
@@ -297,8 +318,6 @@ class Optimizer
      */
     std::vector<Candidate> selectDiverse(std::vector<Candidate> cands);
     Candidate makeCandidate(const Schedule& s) const;
-    /** Whether spec allowedPus admits @p pu (empty list = all). */
-    bool puAllowed(int pu) const;
     /** C6 predicate: aggregate demand within budget (true if C6 off). */
     bool demandOk(const Schedule& s) const;
     /** 0 = fully feasible, 1 = over gapness budget, 2 = out of class. */
@@ -321,6 +340,7 @@ class Optimizer
     ProfilingTable stretchedStorage_; ///< base x stretch, bucket > 0
     const ProfilingTable& table; ///< what predictions fold over
     platform::PerfModel powerModel;
+    std::uint32_t allowedMask_ = 0; ///< bit c: allowedPus admits class c
     std::int64_t budgetMilli_ = 0; ///< C6 cap, milli-GB/s
     bool c6Active_ = false;
     bool c6Relaxed_ = false;

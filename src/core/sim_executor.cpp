@@ -1,14 +1,11 @@
 #include "core/sim_executor.hpp"
 
-#include "common/logging.hpp"
-
 namespace bt::core {
 
 SimExecutor::SimExecutor(const platform::PerfModel& model,
                          runtime::RunConfig cfg)
     : backend(model), config(cfg), measureConfig(cfg)
 {
-    BT_ASSERT(config.numTasks > 0);
     measureConfig.recordTrace = false;
 }
 

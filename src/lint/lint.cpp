@@ -33,25 +33,6 @@ msg(Args&&... args)
     return os.str();
 }
 
-/** The PU classes @p spec admits on @p num_pus classes, in index
- *  order; out-of-range entries are dropped (lintPlannerSpec reports
- *  them separately). Empty allowedPus = every class. */
-std::vector<int>
-effectiveAllowed(const std::vector<int>& allowed_pus, int num_pus)
-{
-    std::vector<int> effective;
-    if (allowed_pus.empty()) {
-        for (int p = 0; p < num_pus; ++p)
-            effective.push_back(p);
-        return effective;
-    }
-    for (int p = 0; p < num_pus; ++p)
-        if (std::find(allowed_pus.begin(), allowed_pus.end(), p)
-            != allowed_pus.end())
-            effective.push_back(p);
-    return effective;
-}
-
 } // namespace
 
 Report
@@ -311,16 +292,26 @@ lintRunConfig(const runtime::RunConfig& run, int num_stages,
         plan.slowdowns.size() + plan.transients.size()
         + plan.stragglers.size() + plan.dropouts.size());
 
-    if (run.numTasks < 1)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "run",
-                 msg("numTasks must be >= 1, got ", run.numTasks)));
-    if (run.warmupTasks < 0)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "run",
-                 msg("warmupTasks must be >= 0, got ",
-                     run.warmupTasks)));
-    else if (run.numTasks >= 1 && run.warmupTasks >= run.numTasks)
+    // Field ranges are RunConfig's own rules; lint only picks the kind
+    // each one reports under, from the field path its message opens
+    // with. An overlap is the one problem the runtime accepts.
+    for (auto& p : run.problems(num_stages, num_pus)) {
+        const bool fault = p.message.starts_with("faults.");
+        DiagnosticKind kind = fault ? DiagnosticKind::FaultRange
+            : p.message.starts_with("queueCapacity")
+            ? DiagnosticKind::QueueUndersized
+            : DiagnosticKind::SpecRange;
+        Severity severity = Severity::Error;
+        if (p.kind == runtime::PlanParseErrorKind::Overlap) {
+            kind = DiagnosticKind::OverlappingSlowdowns;
+            severity = Severity::Warn;
+        }
+        r.diagnostics.push_back(diag(kind, severity,
+                                     fault ? "faults" : "run",
+                                     std::move(p.message)));
+    }
+
+    if (run.warmupTasks >= run.numTasks)
         r.diagnostics.push_back(diag(
             DiagnosticKind::WarmupExceedsTasks, Severity::Warn, "run",
             msg("warmupTasks ", run.warmupTasks, " >= numTasks ",
@@ -334,14 +325,7 @@ lintRunConfig(const runtime::RunConfig& run, int num_stages,
     // always starved, and a capacity below the buffer count could not
     // even hold the free pool at rest.
     const int max_chunks = std::max(1, std::min(num_stages, num_pus));
-    if (run.queueCapacity <= 0)
-        r.diagnostics.push_back(diag(
-            DiagnosticKind::QueueUndersized, Severity::Error, "run",
-            msg("queueCapacity must be positive, got ",
-                run.queueCapacity,
-                "; the host backend refuses a zero-capacity handoff "
-                "queue")));
-    else if (run.numBuffers > 0 && run.queueCapacity < run.numBuffers)
+    if (run.numBuffers > 0 && run.queueCapacity < run.numBuffers)
         r.diagnostics.push_back(diag(
             DiagnosticKind::QueueUndersized, Severity::Warn, "run",
             msg("queueCapacity ", run.queueCapacity,
@@ -355,71 +339,10 @@ lintRunConfig(const runtime::RunConfig& run, int num_stages,
                 " possible chunks keeps at least one chunk idle; the "
                 "paper's default is chunks + 1 (numBuffers = 0)")));
 
-    // Fault-plan consistency (same ranges FaultPlan::validate panics
-    // on, reported as diagnostics instead of aborting).
-    const auto fault = [&r](std::string m) {
-        r.diagnostics.push_back(diag(DiagnosticKind::FaultRange,
-                                     Severity::Error, "faults",
-                                     std::move(m)));
-    };
-    for (const auto& w : plan.slowdowns) {
-        if (w.pu < 0 || w.pu >= num_pus)
-            fault(msg("slowdown window on unknown PU ", w.pu));
-        if (w.endSeconds <= w.startSeconds)
-            fault(msg("slowdown window [", w.startSeconds, ", ",
-                      w.endSeconds, "] has no positive length"));
-        if (w.clockFactor <= 0.0 || w.clockFactor > 1.0)
-            fault(msg("slowdown clockFactor must be in (0, 1], got ",
-                      w.clockFactor));
-    }
-    for (std::size_t i = 0; i < plan.slowdowns.size(); ++i)
-        for (std::size_t j = i + 1; j < plan.slowdowns.size(); ++j) {
-            const auto& a = plan.slowdowns[i];
-            const auto& b = plan.slowdowns[j];
-            if (a.pu == b.pu && a.startSeconds < b.endSeconds
-                && b.startSeconds < a.endSeconds) {
-                Diagnostic d = diag(
-                    DiagnosticKind::OverlappingSlowdowns,
-                    Severity::Warn, "faults",
-                    msg("slowdown windows ", i, " and ", j,
-                        " overlap on PU ", a.pu,
-                        "; their clock factors compound "
-                        "multiplicatively - merge them if one "
-                        "throttling episode was meant"));
-                d.pu = a.pu;
-                r.diagnostics.push_back(std::move(d));
-            }
-        }
-    for (const auto& t : plan.transients) {
-        if (t.pu < -1 || t.pu >= num_pus)
-            fault(msg("transient rule on unknown PU ", t.pu));
-        if (t.stage < -1 || (num_stages > 0 && t.stage >= num_stages))
-            fault(msg("transient rule on unknown stage ", t.stage));
-        if (t.probability < 0.0 || t.probability > 1.0)
-            fault(msg("transient probability out of [0, 1]: ",
-                      t.probability));
-    }
-    for (const auto& s : plan.stragglers) {
-        if (s.stage < -1 || (num_stages > 0 && s.stage >= num_stages))
-            fault(msg("straggler rule on unknown stage ", s.stage));
-        if (s.probability < 0.0 || s.probability > 1.0)
-            fault(msg("straggler probability out of [0, 1]: ",
-                      s.probability));
-        if (s.factor < 1.0)
-            fault(msg("straggler factor must be >= 1, got ",
-                      s.factor));
-    }
-    for (const auto& d : plan.dropouts) {
-        if (d.pu < 0 || d.pu >= num_pus)
-            fault(msg("dropout of unknown PU ", d.pu));
-        if (d.atSeconds < 0.0)
-            fault(msg("dropout in the past (at ", d.atSeconds, "s)"));
-    }
-
     // Dropout starvation: every PU class the lease admits dies.
     if (!plan.dropouts.empty() && num_pus > 0) {
         const std::vector<int> capable
-            = effectiveAllowed(allowed_pus, num_pus);
+            = core::admittedPus(allowed_pus, num_pus);
         bool survivor = false;
         for (const int p : capable) {
             bool dropped = false;
@@ -438,11 +361,6 @@ lintRunConfig(const runtime::RunConfig& run, int num_stages,
     }
 
     const runtime::RecoveryPolicy& rec = run.recovery;
-    if (rec.maxRetries < 0)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "run",
-                 msg("recovery.maxRetries must be >= 0, got ",
-                     rec.maxRetries)));
     if (rec.timeoutFactor > 0.0 && rec.timeoutFactor <= 1.0)
         r.diagnostics.push_back(diag(
             DiagnosticKind::WatchdogTooTight, Severity::Warn, "run",
@@ -465,53 +383,11 @@ lintPlannerSpec(const core::PlannerSpec& spec,
     r.stats.passes = 1;
     const int num_pus = soc.numPus();
 
-    if (spec.numCandidates < 1)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "spec",
-                 msg("numCandidates must be >= 1, got ",
-                     spec.numCandidates)));
-    if (spec.latencySlack < 0.0)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "spec",
-                 msg("latencySlack must be >= 0, got ",
-                     spec.latencySlack)));
-    if (spec.gapnessSlack < 0.0)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "spec",
-                 msg("gapnessSlack must be >= 0, got ",
-                     spec.gapnessSlack)));
-    if (spec.maxPerTier < 0)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "spec",
-                 msg("maxPerTier must be >= 0, got ",
-                     spec.maxPerTier)));
-    if (spec.objective == core::PlannerSpec::Objective::EnergyKDelay
-        && spec.energyExponent < 0.0)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "spec",
-                 msg("energyExponent must be >= 0, got ",
-                     spec.energyExponent)));
-    if (spec.contention.ambientGbps < 0.0)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "spec",
-                 msg("contention.ambientGbps must be >= 0, got ",
-                     spec.contention.ambientGbps)));
-    if (spec.contention.budgetGbps < 0.0)
-        r.diagnostics.push_back(
-            diag(DiagnosticKind::SpecRange, Severity::Error, "spec",
-                 msg("contention.budgetGbps must be >= 0, got ",
-                     spec.contention.budgetGbps)));
-
-    for (const int p : spec.allowedPus)
-        if (p < 0 || p >= num_pus) {
-            Diagnostic d = diag(
-                DiagnosticKind::SpecRange, Severity::Error, "spec",
-                msg("allowedPus names unknown PU ", p, " (SoC has ",
-                    num_pus, " classes)"));
-            d.pu = p;
-            r.diagnostics.push_back(std::move(d));
-        }
-    if (effectiveAllowed(spec.allowedPus, num_pus).empty())
+    for (auto& p : spec.problems(num_pus))
+        r.diagnostics.push_back(diag(DiagnosticKind::SpecRange,
+                                     Severity::Error, "spec",
+                                     std::move(p.message)));
+    if (core::admittedPus(spec.allowedPus, num_pus).empty())
         r.diagnostics.push_back(diag(
             DiagnosticKind::LeaseUncovered, Severity::Error, "spec",
             "the lease (allowedPus) admits no PU class of this SoC; "
@@ -530,14 +406,17 @@ lintContention(const core::Application& app,
         return r;
 
     const std::vector<int> allowed
-        = effectiveAllowed(spec.allowedPus, soc.numPus());
+        = core::admittedPus(spec.allowedPus, soc.numPus());
     if (allowed.empty() || app.numStages() == 0)
         return r;
 
     // The frugalest schedule is the single chunk on the allowed PU
-    // with the smallest worst-stage demand - the same lower bound the
-    // optimizer's C6 pre-check uses (in the same milli-GB/s integer
-    // quantization), computed from the analytic demand curves alone.
+    // with the smallest worst-stage demand - the lower bound the
+    // optimizer's C6 pre-check reads off
+    // ContentionProfile::frugalestPu, in the same milli-GB/s integer
+    // quantization. Lint runs before anything is profiled, so it has
+    // no profile and recomputes the bound from the analytic demand
+    // curves alone.
     const platform::ContentionModel model(soc);
     std::int64_t min_demand = std::numeric_limits<std::int64_t>::max();
     int frugalest = -1;

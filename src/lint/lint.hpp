@@ -29,6 +29,13 @@
  *     the hungriest stage) already exceeds the budget - computed from
  *     ContentionModel's pure math, no profiling involved.
  *
+ * The range rules are not lint's own: RunConfig::problems,
+ * FaultPlan::problems and PlannerSpec::problems hold them, and the
+ * parser, the Optimizer and the backends read the same lists, so an
+ * Error here is exactly a value the runtime would refuse. Lint keeps
+ * only the passes that relate one config to another (or to the app,
+ * device and lease).
+ *
  * lintPreflight composes 1-5 for one (soc, app, spec, run) tuple;
  * lintTenant adds the serving-side checks (real-time tenants sharing
  * with unbounded co-runners). All functions are const over their

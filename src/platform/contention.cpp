@@ -49,6 +49,24 @@ ContentionProfile::aggregateDemandMilli(
     return total;
 }
 
+std::int64_t
+ContentionProfile::worstStageDemandMilli(int pu) const
+{
+    std::int64_t d = 0;
+    for (int s = 0; s < numStages; ++s)
+        d = std::max(d, demandMilli(s, pu));
+    return d;
+}
+
+int
+ContentionProfile::frugalestPu(std::span<const int> pus) const
+{
+    BT_ASSERT(!pus.empty());
+    return *std::min_element(pus.begin(), pus.end(), [this](int a, int b) {
+        return worstStageDemandMilli(a) < worstStageDemandMilli(b);
+    });
+}
+
 double
 ContentionModel::computeSeconds(const WorkProfile& w, const PuModel& p,
                                 double freq_ghz) const

@@ -98,6 +98,18 @@ struct ContentionProfile
     std::int64_t
     aggregateDemandMilli(std::span<const int> stage_to_pu) const;
 
+    /** Demand of the single-chunk schedule on @p pu: its hungriest
+     *  stage's draw (milli-GB/s). */
+    std::int64_t worstStageDemandMilli(int pu) const;
+
+    /**
+     * The PU among @p pus (non-empty; first wins ties) whose
+     * single-chunk schedule draws the least. That draw is the C6
+     * demand floor: no schedule over @p pus demands less, so a budget
+     * below it admits nothing.
+     */
+    int frugalestPu(std::span<const int> pus) const;
+
     // Dense storage, filled by ContentionModel::profileStages.
     std::vector<double> demandGbps_;        ///< [stage][pu]
     std::vector<std::int64_t> demandMilli_; ///< [stage][pu]

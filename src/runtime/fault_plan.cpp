@@ -235,25 +235,18 @@ contains(std::initializer_list<const char*> names,
     return false;
 }
 
-/**
- * Strict row shape check: every field in @p required must be present,
- * and every field present must be in @p required or @p optional.
- */
 /** "<section>[<index>].<name>" / "<section>[<index>]" (no name). */
 std::string
 rowRef(const char* section, std::size_t index, const char* name)
 {
-    std::string ref(section);
-    ref += '[';
-    ref += std::to_string(index);
-    ref += ']';
-    if (name != nullptr) {
-        ref += '.';
-        ref += name;
-    }
-    return ref;
+    return detail::concat(section, '[', index, ']', name ? "." : "",
+                          name ? name : "");
 }
 
+/**
+ * Strict row shape check: every field in @p required must be present,
+ * and every field present must be in @p required or @p optional.
+ */
 bool
 checkRow(const std::map<std::string, double>& row, const char* section,
          std::size_t index, std::initializer_list<const char*> required,
@@ -262,54 +255,73 @@ checkRow(const std::map<std::string, double>& row, const char* section,
 {
     for (const char* name : required) {
         if (row.count(name) == 0) {
-            err.kind = PlanParseErrorKind::MissingField;
-            err.message = rowRef(section, index, nullptr);
-            err.message += " is missing required field \"";
-            err.message += name;
-            err.message += '"';
+            err = {PlanParseErrorKind::MissingField,
+                   detail::concat(rowRef(section, index, nullptr),
+                                  " is missing required field \"",
+                                  name, '"')};
             return false;
         }
     }
     for (const auto& [name, value] : row) {
         (void)value;
         if (!contains(required, name) && !contains(optional, name)) {
-            err.kind = PlanParseErrorKind::UnknownField;
-            err.message = rowRef(section, index, nullptr);
-            err.message += " has unknown field \"";
-            err.message += name;
-            err.message += '"';
+            err = {PlanParseErrorKind::UnknownField,
+                   detail::concat(rowRef(section, index, nullptr),
+                                  " has unknown field \"", name, '"')};
             return false;
         }
     }
     return true;
 }
 
-/** A PU / stage id field must be a whole number >= @p floor - 1.5 or
- *  -3 as a PU id is a plan bug, not a cast. */
+/** A PU / stage id field must be a whole number that fits an int -
+ *  1.5 as a PU id is a plan bug, not a cast. Its range is a rule of
+ *  FaultPlan::problems. */
 bool
-checkId(double v, int floor, const char* section, std::size_t index,
+checkId(double v, const char* section, std::size_t index,
         const char* name, PlanParseError& err)
 {
-    if (v != static_cast<double>(static_cast<int>(v))
-        || static_cast<int>(v) < floor) {
-        err.kind = PlanParseErrorKind::Range;
-        err.message = rowRef(section, index, name);
-        err.message += " must be a whole number >= ";
-        err.message += std::to_string(floor);
-        return false;
-    }
-    return true;
+    if (std::trunc(v) == v
+        && std::abs(v) <= std::numeric_limits<int>::max())
+        return true;
+    err = {PlanParseErrorKind::Range,
+           detail::concat(rowRef(section, index, name),
+                          " must be a whole number, got ", v)};
+    return false;
 }
 
-bool
-rangeError(const char* section, std::size_t index, const char* name,
-           const char* domain, PlanParseError& err)
+/** Append a Range problem "<section>[<index>].<name> must be ...". */
+template <typename... Parts>
+void
+rangeProblem(std::vector<PlanParseError>& out, const char* section,
+             std::size_t index, const char* name, const Parts&... parts)
 {
-    err.kind = PlanParseErrorKind::Range;
-    err.message = rowRef(section, index, name);
-    err.message += " must be ";
-    err.message += domain;
-    return false;
+    out.push_back({PlanParseErrorKind::Range,
+                   detail::concat(rowRef(section, index, name),
+                                  " must be ", parts...)});
+}
+
+/** Id rule: @p v in [floor, count), or v >= floor when the count is
+ *  unknown (<= 0). A floor of -1 is the "any" wildcard. */
+void
+idRule(std::vector<PlanParseError>& out, const char* section,
+       std::size_t index, const char* name, int v, int floor, int count)
+{
+    if (v < floor)
+        rangeProblem(out, section, index, name, ">= ", floor, ", got ",
+                     v);
+    else if (count > 0 && v >= count)
+        rangeProblem(out, section, index, name, "in [", floor, ", ",
+                     count, "), got ", v);
+}
+
+void
+probabilityRule(std::vector<PlanParseError>& out, const char* section,
+                std::size_t index, double p)
+{
+    if (!(p >= 0.0 && p <= 1.0))
+        rangeProblem(out, section, index, "probability",
+                     "in [0, 1], got ", p);
 }
 
 } // namespace
@@ -338,32 +350,78 @@ PlanParseError::toString() const
     return text;
 }
 
-void
-FaultPlan::validate(int num_pus) const
+std::string
+rangeErrors(const std::vector<PlanParseError>& problems)
 {
-    for (const auto& w : slowdowns) {
-        BT_ASSERT(w.pu >= 0 && w.pu < num_pus,
-                  "slowdown window on unknown PU ", w.pu);
-        BT_ASSERT(w.endSeconds > w.startSeconds,
-                  "slowdown window must have positive length");
-        BT_ASSERT(w.clockFactor > 0.0 && w.clockFactor <= 1.0,
-                  "clockFactor must be in (0, 1], got ", w.clockFactor);
+    std::string text;
+    for (const auto& p : problems) {
+        if (p.kind != PlanParseErrorKind::Range)
+            continue;
+        if (!text.empty())
+            text += "; ";
+        text += p.message;
     }
-    for (const auto& t : transients) {
-        BT_ASSERT(t.pu < num_pus, "transient rule on unknown PU ", t.pu);
-        BT_ASSERT(t.probability >= 0.0 && t.probability <= 1.0,
-                  "transient probability out of [0, 1]");
+    return text;
+}
+
+std::vector<PlanParseError>
+FaultPlan::problems(int num_pus, int num_stages) const
+{
+    std::vector<PlanParseError> out;
+    for (std::size_t i = 0; i < slowdowns.size(); ++i) {
+        const auto& w = slowdowns[i];
+        idRule(out, "slowdowns", i, "pu", w.pu, 0, num_pus);
+        if (!(w.startSeconds >= 0.0))
+            rangeProblem(out, "slowdowns", i, "start", ">= 0, got ",
+                         w.startSeconds);
+        if (!(w.endSeconds > w.startSeconds))
+            rangeProblem(out, "slowdowns", i, "end", "> start ",
+                         w.startSeconds, ", got ", w.endSeconds);
+        if (!(w.clockFactor > 0.0 && w.clockFactor <= 1.0))
+            rangeProblem(out, "slowdowns", i, "clockFactor",
+                         "in (0, 1], got ", w.clockFactor);
     }
-    for (const auto& s : stragglers) {
-        BT_ASSERT(s.probability >= 0.0 && s.probability <= 1.0,
-                  "straggler probability out of [0, 1]");
-        BT_ASSERT(s.factor >= 1.0, "straggler factor must be >= 1");
+    // Same-PU overlapping windows compound multiplicatively at run
+    // time, which is nearly always an authoring mistake.
+    for (std::size_t a = 0; a < slowdowns.size(); ++a) {
+        for (std::size_t b = a + 1; b < slowdowns.size(); ++b) {
+            const auto& wa = slowdowns[a];
+            const auto& wb = slowdowns[b];
+            if (wa.pu == wb.pu && wa.startSeconds < wb.endSeconds
+                && wb.startSeconds < wa.endSeconds)
+                out.push_back({PlanParseErrorKind::Overlap,
+                               detail::concat(
+                                   rowRef("slowdowns", a, nullptr),
+                                   " and ",
+                                   rowRef("slowdowns", b, nullptr),
+                                   " overlap on pu ", wa.pu,
+                                   "; their clock factors compound - "
+                                   "merge them if one throttling "
+                                   "episode was meant")});
+        }
     }
-    for (const auto& d : dropouts) {
-        BT_ASSERT(d.pu >= 0 && d.pu < num_pus,
-                  "dropout of unknown PU ", d.pu);
-        BT_ASSERT(d.atSeconds >= 0.0, "dropout in the past");
+    for (std::size_t i = 0; i < transients.size(); ++i) {
+        const auto& t = transients[i];
+        idRule(out, "transients", i, "stage", t.stage, -1, num_stages);
+        idRule(out, "transients", i, "pu", t.pu, -1, num_pus);
+        probabilityRule(out, "transients", i, t.probability);
     }
+    for (std::size_t i = 0; i < stragglers.size(); ++i) {
+        const auto& s = stragglers[i];
+        idRule(out, "stragglers", i, "stage", s.stage, -1, num_stages);
+        probabilityRule(out, "stragglers", i, s.probability);
+        if (!(s.factor >= 1.0))
+            rangeProblem(out, "stragglers", i, "factor", ">= 1, got ",
+                         s.factor);
+    }
+    for (std::size_t i = 0; i < dropouts.size(); ++i) {
+        const auto& d = dropouts[i];
+        idRule(out, "dropouts", i, "pu", d.pu, 0, num_pus);
+        if (!(d.atSeconds >= 0.0))
+            rangeProblem(out, "dropouts", i, "at", ">= 0, got ",
+                         d.atSeconds);
+    }
+    return out;
 }
 
 std::optional<FaultPlan>
@@ -385,20 +443,16 @@ FaultPlan::fromJson(std::istream& is, PlanParseError& err)
         if (!contains({"slowdowns", "transients", "stragglers",
                        "dropouts"},
                       name)) {
-            err.kind = PlanParseErrorKind::UnknownSection;
-            err.message = "unknown section \"";
-            err.message += name;
-            err.message += '"';
+            err = {PlanParseErrorKind::UnknownSection,
+                   detail::concat("unknown section \"", name, '"')};
             return std::nullopt;
         }
     }
     for (const auto& [name, value] : scalars) {
         (void)value;
         if (name != "faultSeed") {
-            err.kind = PlanParseErrorKind::UnknownSection;
-            err.message = "unknown scalar member \"";
-            err.message += name;
-            err.message += '"';
+            err = {PlanParseErrorKind::UnknownSection,
+                   detail::concat("unknown scalar member \"", name, '"')};
             return std::nullopt;
         }
     }
@@ -407,119 +461,67 @@ FaultPlan::fromJson(std::istream& is, PlanParseError& err)
     std::size_t i = 0;
     for (const auto& row : sections["slowdowns"]) {
         if (!checkRow(row, "slowdowns", i, {"pu", "start", "end"},
-                      {"clockFactor"}, err))
+                      {"clockFactor"}, err)
+            || !checkId(field(row, "pu", 0), "slowdowns", i, "pu", err))
             return std::nullopt;
-        SlowdownWindow w;
-        if (!checkId(field(row, "pu", 0), 0, "slowdowns", i, "pu", err))
-            return std::nullopt;
-        w.pu = static_cast<int>(field(row, "pu", 0));
-        w.startSeconds = field(row, "start", 0.0);
-        w.endSeconds = field(row, "end", 0.0);
-        w.clockFactor = field(row, "clockFactor", 0.5);
-        if (w.startSeconds < 0.0 || w.endSeconds <= w.startSeconds) {
-            rangeError("slowdowns", i, "start/end",
-                       "a non-empty window with start >= 0", err);
-            return std::nullopt;
-        }
-        if (w.clockFactor <= 0.0 || w.clockFactor > 1.0) {
-            rangeError("slowdowns", i, "clockFactor", "in (0, 1]",
-                       err);
-            return std::nullopt;
-        }
-        plan.slowdowns.push_back(w);
+        plan.slowdowns.push_back(
+            {static_cast<int>(field(row, "pu", 0)),
+             field(row, "start", 0.0), field(row, "end", 0.0),
+             field(row, "clockFactor", 0.5)});
         ++i;
     }
     i = 0;
     for (const auto& row : sections["transients"]) {
         if (!checkRow(row, "transients", i, {"probability"},
-                      {"stage", "pu"}, err))
+                      {"stage", "pu"}, err)
+            || !checkId(field(row, "stage", -1), "transients", i,
+                        "stage", err)
+            || !checkId(field(row, "pu", -1), "transients", i, "pu",
+                        err))
             return std::nullopt;
-        TransientFaultRule t;
-        if (!checkId(field(row, "stage", -1), -1, "transients", i,
-                     "stage", err)
-            || !checkId(field(row, "pu", -1), -1, "transients", i,
-                        "pu", err))
-            return std::nullopt;
-        t.stage = static_cast<int>(field(row, "stage", -1));
-        t.pu = static_cast<int>(field(row, "pu", -1));
-        t.probability = field(row, "probability", 0.0);
-        if (t.probability < 0.0 || t.probability > 1.0) {
-            rangeError("transients", i, "probability", "in [0, 1]",
-                       err);
-            return std::nullopt;
-        }
-        plan.transients.push_back(t);
+        plan.transients.push_back(
+            {static_cast<int>(field(row, "stage", -1)),
+             static_cast<int>(field(row, "pu", -1)),
+             field(row, "probability", 0.0)});
         ++i;
     }
     i = 0;
     for (const auto& row : sections["stragglers"]) {
         if (!checkRow(row, "stragglers", i, {"probability"},
-                      {"stage", "factor"}, err))
+                      {"stage", "factor"}, err)
+            || !checkId(field(row, "stage", -1), "stragglers", i,
+                        "stage", err))
             return std::nullopt;
-        StragglerRule s;
-        if (!checkId(field(row, "stage", -1), -1, "stragglers", i,
-                     "stage", err))
-            return std::nullopt;
-        s.stage = static_cast<int>(field(row, "stage", -1));
-        s.probability = field(row, "probability", 0.0);
-        s.factor = field(row, "factor", 8.0);
-        if (s.probability < 0.0 || s.probability > 1.0) {
-            rangeError("stragglers", i, "probability", "in [0, 1]",
-                       err);
-            return std::nullopt;
-        }
-        if (s.factor < 1.0) {
-            rangeError("stragglers", i, "factor", ">= 1", err);
-            return std::nullopt;
-        }
-        plan.stragglers.push_back(s);
+        plan.stragglers.push_back(
+            {static_cast<int>(field(row, "stage", -1)),
+             field(row, "probability", 0.0), field(row, "factor", 8.0)});
         ++i;
     }
     i = 0;
     for (const auto& row : sections["dropouts"]) {
-        if (!checkRow(row, "dropouts", i, {"pu", "at"}, {}, err))
+        if (!checkRow(row, "dropouts", i, {"pu", "at"}, {}, err)
+            || !checkId(field(row, "pu", 0), "dropouts", i, "pu", err))
             return std::nullopt;
-        PuDropout d;
-        if (!checkId(field(row, "pu", 0), 0, "dropouts", i, "pu", err))
-            return std::nullopt;
-        d.pu = static_cast<int>(field(row, "pu", 0));
-        d.atSeconds = field(row, "at", 0.0);
-        if (d.atSeconds < 0.0) {
-            rangeError("dropouts", i, "at", ">= 0", err);
-            return std::nullopt;
-        }
-        plan.dropouts.push_back(d);
+        plan.dropouts.push_back(
+            {static_cast<int>(field(row, "pu", 0)), field(row, "at", 0.0)});
         ++i;
-    }
-
-    // Same-PU overlapping windows compound multiplicatively at run
-    // time, which is nearly always an authoring mistake - reject at
-    // parse time where the plan can still be fixed.
-    for (std::size_t a = 0; a < plan.slowdowns.size(); ++a) {
-        for (std::size_t b = a + 1; b < plan.slowdowns.size(); ++b) {
-            const auto& wa = plan.slowdowns[a];
-            const auto& wb = plan.slowdowns[b];
-            if (wa.pu == wb.pu && wa.startSeconds < wb.endSeconds
-                && wb.startSeconds < wa.endSeconds) {
-                err.kind = PlanParseErrorKind::Overlap;
-                err.message = rowRef("slowdowns", a, nullptr);
-                err.message += " and ";
-                err.message += rowRef("slowdowns", b, nullptr);
-                err.message += " overlap on pu ";
-                err.message += std::to_string(wa.pu);
-                return std::nullopt;
-            }
-        }
     }
 
     const auto seed = scalars.find("faultSeed");
     if (seed != scalars.end()) {
         if (seed->second < 0.0) {
-            err.kind = PlanParseErrorKind::Range;
-            err.message = "faultSeed must be >= 0";
+            err = {PlanParseErrorKind::Range, "faultSeed must be >= 0"};
             return std::nullopt;
         }
         plan.faultSeed = static_cast<std::uint64_t>(seed->second);
+    }
+
+    // Domains and overlaps are the plan's own rules; the parser knows
+    // neither the device nor the app, so only the lower bounds apply.
+    auto problems = plan.problems(0, 0);
+    if (!problems.empty()) {
+        err = std::move(problems.front());
+        return std::nullopt;
     }
     return plan;
 }

@@ -33,7 +33,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "common/logging.hpp"
 
 namespace bt::runtime {
 
@@ -60,6 +63,28 @@ struct PlanParseError
     /** "[<kind>] <message>" - what drivers print. */
     std::string toString() const;
 };
+
+/**
+ * The Range entries of @p problems, "; "-joined: what a consumer that
+ * refuses an out-of-range config panics with. Overlap entries are left
+ * out - overlapping windows only compound, which the runtime handles;
+ * the parser alone rejects them. Empty when every value is in range.
+ */
+std::string rangeErrors(const std::vector<PlanParseError>& problems);
+
+/** The one-line form of most scalar range rules: append the Range
+ *  problem "<name> must be >= <floor>, got <value>" to @p out unless
+ *  value >= floor (a NaN fails). */
+template <typename T>
+void
+atLeastRule(std::vector<PlanParseError>& out, const char* name, T value,
+            std::type_identity_t<T> floor)
+{
+    if (!(value >= floor))
+        out.push_back({PlanParseErrorKind::Range,
+                       detail::concat(name, " must be >= ", floor,
+                                      ", got ", value)});
+}
 
 /**
  * Clock throttling of one PU class over a time window (thermal
@@ -127,8 +152,18 @@ struct FaultPlan
             && stragglers.empty() && dropouts.empty();
     }
 
-    /** Panics unless PU indices / windows / probabilities are sane. */
-    void validate(int num_pus) const;
+    /**
+     * Every range rule of a plan, in one place: each field outside its
+     * documented domain (docs/RUNTIME.md) is one Range problem, and each
+     * pair of same-PU slowdown windows that overlap in time is one
+     * Overlap problem. Messages name the row, e.g.
+     * "slowdowns[1].clockFactor must be in (0, 1], got 1.5". A count
+     * <= 0 means "unknown" and skips that upper bound. Lint, the parser
+     * and both time backends all read this; a valid plan yields an
+     * empty list and allocates nothing.
+     */
+    std::vector<PlanParseError> problems(int num_pus,
+                                         int num_stages) const;
 
     /**
      * Parse a plan from JSON, e.g.
@@ -139,11 +174,10 @@ struct FaultPlan
      *
      * Parsing is strict: unknown sections or fields, missing required
      * fields (slowdowns need pu/start/end, transients and stragglers
-     * need probability, dropouts need pu/at), out-of-domain values
-     * (negative or fractional PU ids, clockFactor outside (0, 1],
-     * probabilities outside [0, 1], empty windows), and same-PU
-     * overlapping slowdown windows are all typed errors - never UB or
-     * a silent default.
+     * need probability, dropouts need pu/at), fractional ids, a
+     * negative faultSeed, and the first of problems(0, 0) - a value
+     * outside its domain, or same-PU overlapping slowdown windows - are
+     * all typed errors, never UB or a silent default.
      *
      * @return the plan, or std::nullopt with @p err filled in.
      */

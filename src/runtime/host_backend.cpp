@@ -52,8 +52,7 @@ HostTimeBackend::run(const core::Application& app,
                      const core::Schedule& schedule,
                      const RunConfig& cfg) const
 {
-    BT_ASSERT(cfg.queueCapacity > 0);
-    cfg.faults.validate(soc_.numPus());
+    cfg.requireInRange(app.numStages(), soc_.numPus());
 
     PipelineSession session(app, schedule, soc_, cfg, "host",
                             /*functional=*/true);

@@ -32,8 +32,6 @@ PipelineSession::PipelineSession(const core::Application& app,
                                  bool functional)
     : app_(app), soc_(soc), cfg_(cfg), functional_(functional)
 {
-    BT_ASSERT(cfg_.numTasks > 0);
-    BT_ASSERT(cfg_.warmupTasks >= 0);
     BT_ASSERT(schedule.valid(app.numStages(), soc.numPus()),
               "schedule does not fit application/device");
 

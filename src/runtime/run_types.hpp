@@ -87,6 +87,20 @@ struct RunConfig
 
     /** resolveBuffers applied to this config's numBuffers. */
     int resolveBuffers(int num_chunks) const;
+
+    /**
+     * Every range rule of a run: numTasks >= 1, warmupTasks >= 0,
+     * queueCapacity >= 1 and recovery.maxRetries >= 0, then the fault
+     * plan's FaultPlan::problems with each message prefixed "faults.".
+     * Counts <= 0 mean "unknown", as there. Lint and every backend read
+     * this; a valid config yields an empty list.
+     */
+    std::vector<PlanParseError> problems(int num_stages,
+                                         int num_pus) const;
+
+    /** Panic under "[run.range]" with every Range entry of
+     *  problems(num_stages, num_pus): what every backend runs first. */
+    void requireInRange(int num_stages, int num_pus) const;
 };
 
 /** Measured outcome of one pipeline execution, any backend. */

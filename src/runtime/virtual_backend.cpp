@@ -80,7 +80,7 @@ VirtualTimeBackend::run(const core::Application& app,
 {
     const auto& soc = model_.soc();
     const int num_pus = soc.numPus();
-    cfg.faults.validate(num_pus);
+    cfg.requireInRange(app.numStages(), num_pus);
     PipelineSession session(app, schedule, soc, cfg, "virtual",
                             cfg.runKernels);
 

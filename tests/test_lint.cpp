@@ -6,11 +6,14 @@
  * 8-thread concurrent-lint hammer proving the analyzer is read-only
  * over shared Applications, and the Framework/Service integration
  * (preflight panic with a stable kind prefix, tenant rejection at
- * admission).
+ * admission), and the agreement table: every range rule is an error to
+ * lint, a typed error to the fault-plan parser where JSON can express
+ * it, and a refusal to the Optimizer or the virtual backend.
  */
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -26,6 +29,7 @@
 #include "lint/fixtures.hpp"
 #include "lint/lint.hpp"
 #include "platform/devices.hpp"
+#include "runtime/virtual_backend.hpp"
 
 namespace bt {
 namespace {
@@ -510,6 +514,189 @@ TEST(LintFramework, PreflightReportRidesAlongOnCleanRuns)
     ASSERT_FALSE(deployed.trace.empty());
     EXPECT_EQ(deployed.trace.stats().events,
               deployed.tasks * cleanApp().numStages());
+}
+
+// ---------------------------------------------------------------------
+// Agreement: lint, the fault-plan parser and the runtime apply one set
+// of range rules (PlannerSpec / RunConfig / FaultPlan::problems). One
+// violating value per rule; lint must report it as an error of the
+// expected kind, and the planner or backend must refuse it rather than
+// run. A JSON form is given where the parser can judge the rule alone:
+// upper bounds need the device or the app, which only lint and the
+// runtime know.
+
+TEST(LintAgreement, LintParserAndRuntimeApplyTheSameRangeRules)
+{
+    using runtime::PlanParseErrorKind;
+    const auto soc = platform::pixel7a();
+    const platform::PerfModel model(soc);
+    const Application app = cleanApp();
+    const int pus = soc.numPus();
+    const int stages = app.numStages();
+    const auto table = core::Profiler(model).profile(app).interference;
+    const auto schedule = core::Schedule::homogeneous(stages, 0);
+
+    struct Rule
+    {
+        const char* name; ///< field, as a regex on the runtime's panic
+        std::function<void(core::PlannerSpec&, runtime::RunConfig&)>
+            set;
+        lint::DiagnosticKind kind;
+        const char* json = nullptr; ///< plan with only this violation
+    };
+    using K = lint::DiagnosticKind;
+    const std::vector<Rule> spec_rules = {
+        {"numCandidates", [](auto& s, auto&) { s.numCandidates = 0; },
+         K::SpecRange},
+        {"latencySlack", [](auto& s, auto&) { s.latencySlack = -1; },
+         K::SpecRange},
+        {"gapnessSlack", [](auto& s, auto&) { s.gapnessSlack = -1; },
+         K::SpecRange},
+        {"maxPerTier", [](auto& s, auto&) { s.maxPerTier = -1; },
+         K::SpecRange},
+        {"energyExponent",
+         [](auto& s, auto&) {
+             s.objective = core::PlannerSpec::Objective::EnergyKDelay;
+             s.energyExponent = -1;
+         },
+         K::SpecRange},
+        {"ambientGbps",
+         [](auto& s, auto&) { s.contention.ambientGbps = -1; },
+         K::SpecRange},
+        {"budgetGbps",
+         [](auto& s, auto&) { s.contention.budgetGbps = -1; },
+         K::SpecRange},
+        {"allowedPus", [pus](auto& s, auto&) { s.allowedPus = {pus}; },
+         K::SpecRange},
+        {"moveBudget", [](auto& s, auto&) { s.anneal.moveBudget = 0; },
+         K::SpecRange},
+        {"finalTemperature",
+         [](auto& s, auto&) { s.anneal.finalTemperature = 2.0; },
+         K::SpecRange},
+    };
+    const std::vector<Rule> run_rules = {
+        {"numTasks", [](auto&, auto& r) { r.numTasks = 0; },
+         K::SpecRange},
+        {"warmupTasks", [](auto&, auto& r) { r.warmupTasks = -1; },
+         K::SpecRange},
+        {"queueCapacity", [](auto&, auto& r) { r.queueCapacity = 0; },
+         K::QueueUndersized},
+        {"maxRetries", [](auto&, auto& r) { r.recovery.maxRetries = -1; },
+         K::SpecRange},
+        {"slowdowns\\[0\\]\\.pu",
+         [](auto&, auto& r) { r.faults.slowdowns = {{-1, 0, 1, 0.5}}; },
+         K::FaultRange,
+         R"({"slowdowns":[{"pu":-1,"start":0,"end":1}]})"},
+        {"slowdowns\\[0\\]\\.start",
+         [](auto&, auto& r) {
+             r.faults.slowdowns = {{0, -0.5, 1, 0.5}};
+         },
+         K::FaultRange,
+         R"({"slowdowns":[{"pu":0,"start":-0.5,"end":1}]})"},
+        {"slowdowns\\[0\\]\\.end",
+         [](auto&, auto& r) { r.faults.slowdowns = {{0, 1, 1, 0.5}}; },
+         K::FaultRange,
+         R"({"slowdowns":[{"pu":0,"start":1,"end":1}]})"},
+        {"clockFactor",
+         [](auto&, auto& r) { r.faults.slowdowns = {{0, 0, 1, 1.5}}; },
+         K::FaultRange,
+         R"({"slowdowns":[{"pu":0,"start":0,"end":1,"clockFactor":1.5}]})"},
+        {"transients\\[0\\]\\.stage",
+         [stages](auto&, auto& r) {
+             r.faults.transients = {{stages, -1, 0.1}};
+         },
+         K::FaultRange},
+        {"transients\\[0\\]\\.pu",
+         [](auto&, auto& r) { r.faults.transients = {{-1, -2, 0.1}}; },
+         K::FaultRange,
+         R"({"transients":[{"pu":-2,"probability":0.1}]})"},
+        {"transients\\[0\\]\\.probability",
+         [](auto&, auto& r) { r.faults.transients = {{-1, -1, 1.5}}; },
+         K::FaultRange, R"({"transients":[{"probability":1.5}]})"},
+        {"stragglers\\[0\\]\\.stage",
+         [](auto&, auto& r) { r.faults.stragglers = {{-2, 0.1, 8}}; },
+         K::FaultRange,
+         R"({"stragglers":[{"stage":-2,"probability":0.1}]})"},
+        {"stragglers\\[0\\]\\.probability",
+         [](auto&, auto& r) { r.faults.stragglers = {{-1, -0.1, 8}}; },
+         K::FaultRange, R"({"stragglers":[{"probability":-0.1}]})"},
+        {"factor",
+         [](auto&, auto& r) { r.faults.stragglers = {{-1, 0.1, 0.5}}; },
+         K::FaultRange,
+         R"({"stragglers":[{"probability":0.1,"factor":0.5}]})"},
+        {"dropouts\\[0\\]\\.pu",
+         [pus](auto&, auto& r) { r.faults.dropouts = {{pus, 0.1}}; },
+         K::FaultRange},
+        {"dropouts\\[0\\]\\.at",
+         [](auto&, auto& r) { r.faults.dropouts = {{0, -1}}; },
+         K::FaultRange, R"({"dropouts":[{"pu":0,"at":-1}]})"},
+    };
+
+    const auto check = [&](const Rule& rule, bool spec_rule) {
+        SCOPED_TRACE(rule.name);
+        core::PlannerSpec spec;
+        runtime::RunConfig run;
+        run.numTasks = 4;
+        run.warmupTasks = 1;
+        rule.set(spec, run);
+
+        const auto report = lint::lintPreflight(soc, app, spec, run);
+        const auto hit = std::find_if(
+            report.diagnostics.begin(), report.diagnostics.end(),
+            [&](const lint::Diagnostic& d) {
+                return d.kind == rule.kind
+                    && d.severity == lint::Severity::Error;
+            });
+        EXPECT_NE(hit, report.diagnostics.end()) << toJson(report);
+
+        if (rule.json != nullptr) {
+            std::stringstream in(rule.json);
+            runtime::PlanParseError err;
+            EXPECT_FALSE(runtime::FaultPlan::fromJson(in, err).has_value());
+            EXPECT_EQ(err.kind, PlanParseErrorKind::Range)
+                << err.toString();
+        }
+
+        if (spec_rule) {
+            EXPECT_DEATH_IF_SUPPORTED(
+                (void)core::Optimizer(soc, table, spec),
+                std::string("spec.range.*") + rule.name);
+        } else {
+            EXPECT_DEATH_IF_SUPPORTED(
+                (void)runtime::VirtualTimeBackend(model).run(
+                    app, schedule, run),
+                std::string("run.range.*") + rule.name);
+        }
+    };
+    for (const Rule& rule : spec_rules)
+        check(rule, true);
+    for (const Rule& rule : run_rules)
+        check(rule, false);
+
+    // Overlapping windows are the one rule that is not a range error:
+    // the parser refuses them, lint only warns, and the runtime runs
+    // the plan with the factors compounded.
+    runtime::RunConfig run;
+    run.numTasks = 4;
+    run.faults.slowdowns = {{0, 0, 1, 0.5}, {0, 0.5, 2, 0.5}};
+    std::stringstream in(
+        R"({"slowdowns":[{"pu":0,"start":0,"end":1},)"
+        R"({"pu":0,"start":0.5,"end":2}]})");
+    runtime::PlanParseError err;
+    EXPECT_FALSE(runtime::FaultPlan::fromJson(in, err).has_value());
+    EXPECT_EQ(err.kind, PlanParseErrorKind::Overlap);
+    const auto report = lint::lintRunConfig(run, stages, pus);
+    EXPECT_EQ(report.errors(), 0);
+    EXPECT_TRUE(std::any_of(
+        report.diagnostics.begin(), report.diagnostics.end(),
+        [](const lint::Diagnostic& d) {
+            return d.kind == K::OverlappingSlowdowns;
+        }))
+        << toJson(report);
+    EXPECT_EQ(runtime::VirtualTimeBackend(model)
+                  .run(app, schedule, run)
+                  .tasks,
+              4);
 }
 
 // ---------------------------------------------------------------------
