@@ -17,7 +17,6 @@
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/sim_executor.hpp"
 
 using namespace bt;
 using namespace bt::bench;
@@ -46,12 +45,11 @@ main()
         const auto report = flow.run(app);
 
         // Model-accuracy check on the fresh workload.
-        const core::SimExecutor executor(flow.model());
         std::vector<double> predicted, measured;
         for (const auto& c : report.candidates) {
             predicted.push_back(c.predictedLatency);
-            measured.push_back(executor.execute(app, c.schedule)
-                                   .taskIntervalSeconds);
+            measured.push_back(
+                flow.deploy(app, c.schedule).taskIntervalSeconds);
         }
         const double r = pearson(predicted, measured);
         const double speedup = report.speedupOverBestBaseline();

@@ -17,7 +17,6 @@
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/sim_executor.hpp"
 
 using namespace bt;
 using namespace bt::bench;
@@ -42,7 +41,6 @@ main()
     std::vector<double> bt_vs_gpu_energy;
     for (const auto& soc : devices()) {
         const Framework bt_flow(soc);
-        const core::SimExecutor executor(bt_flow.model());
         for (int a = 0; a < kNumApps; ++a) {
             const auto app = paperApp(a);
             const auto report = bt_flow.run(app);
@@ -62,7 +60,7 @@ main()
 
             double gpu_energy = 0.0, bt_energy = 0.0;
             for (const auto& v : variants) {
-                const auto run = executor.execute(app, v.schedule);
+                const auto run = bt_flow.deploy(app, v.schedule);
                 const double ms = run.taskIntervalSeconds * 1e3;
                 const double mj = run.energyPerTaskJ() * 1e3;
                 if (std::string(v.name) == "GPU")

@@ -15,9 +15,7 @@
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/optimizer.hpp"
-#include "core/profiler.hpp"
-#include "core/sim_executor.hpp"
+#include "flow/framework.hpp"
 
 using namespace bt;
 using namespace bt::bench;
@@ -38,19 +36,16 @@ main()
         for (const double sigma : {0.0, 0.01, 0.03, 0.06, 0.10}) {
             auto soc = platform::pixel7a();
             soc.noiseSigma = sigma;
-            const platform::PerfModel model(soc);
+            const Framework flow(soc);
             const auto app = paperApp(a);
-            const core::Profiler profiler(model);
-            const auto profile = profiler.profile(app);
-            core::Optimizer opt(soc, profile.interference);
-            const auto cands = opt.optimize();
+            const auto cands
+                = flow.optimize(flow.profile(app), {}).candidates;
 
-            const core::SimExecutor executor(model);
             std::vector<double> predicted, measured;
             for (const auto& c : cands) {
                 predicted.push_back(c.predictedLatency);
-                measured.push_back(executor.execute(app, c.schedule)
-                                       .taskIntervalSeconds);
+                measured.push_back(
+                    flow.deploy(app, c.schedule).taskIntervalSeconds);
             }
             const double r = pearson(predicted, measured);
             row.push_back(Table::num(r, 3));

@@ -12,9 +12,7 @@
 #include "bench/common/bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
-#include "core/autotuner.hpp"
-#include "core/optimizer.hpp"
-#include "core/profiler.hpp"
+#include "flow/framework.hpp"
 
 using namespace bt;
 using namespace bt::bench;
@@ -25,20 +23,13 @@ main()
     printHeader("Top-10 schedules, AlexNet-sparse on Google Pixel (ms)",
                 "paper Table 4");
 
-    const auto soc = platform::pixel7a();
-    const platform::PerfModel model(soc);
+    const Framework flow(platform::pixel7a());
     const auto app = paperApp(1);
 
-    const core::Profiler profiler(model);
-    const auto profile = profiler.profile(app);
-    core::Optimizer opt(soc, profile.interference);
-    auto cands = opt.optimize();
+    auto cands = flow.optimize(flow.profile(app), {}).candidates;
     if (cands.size() > 10)
         cands.resize(10);
-
-    const core::SimExecutor executor(model);
-    const core::AutoTuner tuner(executor);
-    const auto report = tuner.tune(app, cands);
+    const auto report = flow.autotune(app, cands);
 
     // Re-assemble in predicted rank order for the table rows.
     std::vector<const core::TunedCandidate*> by_rank(cands.size());

@@ -10,10 +10,7 @@
 #include <cstdio>
 
 #include "apps/alexnet.hpp"
-#include "core/autotuner.hpp"
-#include "core/optimizer.hpp"
-#include "core/profiler.hpp"
-#include "core/sim_executor.hpp"
+#include "flow/framework.hpp"
 #include "platform/devices.hpp"
 
 using namespace bt;
@@ -21,13 +18,11 @@ using namespace bt;
 int
 main()
 {
-    const auto soc = platform::pixel7a();
-    const platform::PerfModel model(soc);
+    const Framework flow(platform::pixel7a());
     const auto app = apps::alexnetSparse();
 
     // Level 0: interference-aware profiling.
-    const core::Profiler profiler(model);
-    const auto profile = profiler.profile(app);
+    const auto profile = flow.profile(app);
     std::printf("Profiling done: %d stages x %d PUs, virtual cost "
                 "%.0f s (paper reports ~6 min per device/app)\n\n",
                 profile.interference.numStages(),
@@ -35,9 +30,7 @@ main()
                 profile.profilingCostSeconds);
 
     // Levels 1+2: candidate generation.
-    core::Optimizer optimizer(soc, profile.interference);
-    const auto candidates = optimizer.optimize();
-    const auto& st = optimizer.stats();
+    const auto [candidates, st] = flow.optimize(profile, {});
     std::printf("Level 1: unrestricted latency optimum %.3f ms; "
                 "accepted bound %.3f ms; utilization: %d PU classes; "
                 "minimal gapness %.3f ms\n",
@@ -48,9 +41,7 @@ main()
                 static_cast<unsigned long long>(st.solverNodes));
 
     // Level 3: autotuning.
-    const core::SimExecutor executor(model);
-    const core::AutoTuner tuner(executor);
-    const auto report = tuner.tune(app, candidates);
+    const auto report = flow.autotune(app, candidates);
 
     std::printf("%-4s %-12s %-12s %-10s %s\n", "#", "predicted",
                 "measured", "meas.rank", "schedule");

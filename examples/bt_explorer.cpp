@@ -321,23 +321,19 @@ runCheck(const Options& opt)
     // Planning pass: the optimizer picks each app's engine from the
     // size of its schedule space, as in every other mode.
     const auto soc = pickDevice(opt.device);
-    const platform::PerfModel model(soc);
+    const Framework flow(soc);
     const core::PlannerSpec spec;
     std::string planning_json = "  \"planning\": {\"apps\": [";
     for (std::size_t i = 0; i < names.size(); ++i) {
-        const auto app = pickApp(names[i]);
-        const auto profile = core::Profiler(model).profile(app);
-        core::Optimizer optimizer(soc, profile.interference, spec);
-        const auto cands = optimizer.optimize();
+        const auto [cands, stats]
+            = flow.optimize(flow.profile(pickApp(names[i])), spec);
         const double cost = planCost(cands.front(), spec);
-        const char* engine
-            = core::plannerEngineName(optimizer.stats().engine);
+        const char* engine = core::plannerEngineName(stats.engine);
         std::printf("[%s] planned with the %s engine on %s: front "
                     "cost %.3f ms over %llu schedules\n",
                     names[i].c_str(), engine, soc.name.c_str(),
                     cost * 1e3,
-                    static_cast<unsigned long long>(
-                        optimizer.stats().spaceSize));
+                    static_cast<unsigned long long>(stats.spaceSize));
         planning_json += std::string(i == 0 ? "" : ", ")
             + "{\"app\": \"" + names[i] + "\", \"engine\": \""
             + engine + "\", \"plan_cost\": " + std::to_string(cost)
@@ -511,12 +507,15 @@ main(int argc, char** argv)
 
     const auto soc = pickDevice(opt.device);
     const auto app = pickApp(opt.app);
-    const core::PlannerSpec ocfg = specFrom(opt);
-    runtime::RunConfig deploy_cfg;
-    if (!loadFaults(opt, deploy_cfg)
-        || !inRange(ocfg, deploy_cfg, app.numStages(), soc.numPus()))
+    FrameworkConfig fcfg;
+    fcfg.optimizer = specFrom(opt);
+    if (!loadFaults(opt, fcfg.run)
+        || !inRange(fcfg.optimizer, fcfg.run, app.numStages(),
+                    soc.numPus()))
         return 1;
-    const platform::PerfModel model(soc);
+    // Tuning and the baselines measure fault-free; the FaultPlan
+    // applies only to the deployment run.
+    const Framework flow(soc, fcfg);
     std::printf("device: %s | app: %s (%d stages)\n\n",
                 soc.name.c_str(), app.name().c_str(), app.numStages());
 
@@ -535,8 +534,7 @@ main(int argc, char** argv)
         std::printf("loaded cached profiling table from %s\n",
                     opt.load_profile.c_str());
     } else {
-        const core::Profiler profiler(model);
-        profile = profiler.profile(app);
+        profile = flow.profile(app);
         std::printf("profiled in %.0f virtual seconds\n",
                     profile.profilingCostSeconds);
     }
@@ -550,24 +548,19 @@ main(int argc, char** argv)
     profile.interference.print(std::cout);
 
     // Optimize (+ autotune).
-    core::Optimizer optimizer(soc, profile.interference, ocfg);
-    const auto candidates = optimizer.optimize();
-    const double front_cost = planCost(candidates.front(), ocfg);
-    const char* engine
-        = core::plannerEngineName(optimizer.stats().engine);
+    const auto [candidates, planner]
+        = flow.optimize(profile, fcfg.optimizer);
+    const double front_cost = planCost(candidates.front(), fcfg.optimizer);
+    const char* engine = core::plannerEngineName(planner.engine);
     std::printf("\nplanner: %s engine, %llu-schedule space, front "
                 "cost %.3f ms\n",
-                engine, static_cast<unsigned long long>(
-                    optimizer.stats().spaceSize),
+                engine,
+                static_cast<unsigned long long>(planner.spaceSize),
                 front_cost * 1e3);
 
-    // Tuning always measures fault-free; an injected FaultPlan applies
-    // only to the deployment run below.
-    const core::SimExecutor executor(model);
     core::Schedule best = candidates.front().schedule;
     if (!opt.no_autotune) {
-        const core::AutoTuner tuner(executor);
-        const auto tuned = tuner.tune(app, candidates);
+        const auto tuned = flow.autotune(app, candidates);
         best = tuned.best().candidate.schedule;
         std::printf("\nautotuned over %zu candidates (gain %.2fx, "
                     "campaign %.0f s virtual)\n",
@@ -576,20 +569,18 @@ main(int argc, char** argv)
     }
 
     if (!opt.faults_file.empty()) {
+        const runtime::FaultPlan& faults = fcfg.run.faults;
         std::printf("\ninjecting fault plan from %s (%zu slowdowns, "
                     "%zu transients, %zu stragglers, %zu dropouts)\n",
-                    opt.faults_file.c_str(),
-                    deploy_cfg.faults.slowdowns.size(),
-                    deploy_cfg.faults.transients.size(),
-                    deploy_cfg.faults.stragglers.size(),
-                    deploy_cfg.faults.dropouts.size());
+                    opt.faults_file.c_str(), faults.slowdowns.size(),
+                    faults.transients.size(), faults.stragglers.size(),
+                    faults.dropouts.size());
     }
 
     std::vector<std::string> names;
     for (const auto& s : app.stages())
         names.push_back(s.name());
-    const core::SimExecutor deployer(model, deploy_cfg);
-    const auto run = deployer.execute(app, best);
+    const auto run = flow.deploy(app, best);
     std::printf("\ndeployed schedule: %s\n",
                 best.toString(soc, names).c_str());
     std::printf("latency: %.3f ms/task (makespan %.1f ms for %d "
@@ -597,7 +588,6 @@ main(int argc, char** argv)
                 run.latencyMs(), run.makespanSeconds * 1e3, run.tasks);
 
     // Baselines.
-    const Framework flow(soc);
     const double cpu_ms
         = flow.measureHomogeneous(app, soc.bigCpuIndex()) * 1e3;
     const double gpu_ms
@@ -656,8 +646,8 @@ main(int argc, char** argv)
 
     if (opt.compare_dynamic) {
         const auto dyn_run
-            = runtime::GreedyRuntime{model, profile.interference}.run(
-                app, {}, {});
+            = runtime::GreedyRuntime{flow.model(), profile.interference}
+                  .run(app, {}, {});
         const double dp_ms
             = core::dataParallelLatency(app, profile.interference)
             * 1e3;

@@ -2,8 +2,8 @@
  * @file
  * What the end-to-end flow (paper Fig. 2: profile -> optimize ->
  * autotune -> deploy) produced, plus the homogeneous CPU/GPU baselines
- * every evaluation compares against. bt::Framework (bt.hpp) runs the
- * flow and returns this report.
+ * every evaluation compares against. bt::Framework
+ * (flow/framework.hpp) runs the flow and returns this report.
  */
 
 #ifndef BT_CORE_PIPELINE_HPP

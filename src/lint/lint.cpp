@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "platform/contention.hpp"
+#include "platform/perf_model.hpp"
 
 namespace bt::lint {
 
@@ -410,27 +410,19 @@ lintContention(const core::Application& app,
     if (allowed.empty() || app.numStages() == 0)
         return r;
 
-    // The frugalest schedule is the single chunk on the allowed PU
-    // with the smallest worst-stage demand - the lower bound the
-    // optimizer's C6 pre-check reads off
-    // ContentionProfile::frugalestPu, in the same milli-GB/s integer
-    // quantization. Lint runs before anything is profiled, so it has
-    // no profile and recomputes the bound from the analytic demand
-    // curves alone.
-    const platform::ContentionModel model(soc);
-    std::int64_t min_demand = std::numeric_limits<std::int64_t>::max();
-    int frugalest = -1;
-    for (const int p : allowed) {
-        std::int64_t d = 0;
-        for (int s = 0; s < app.numStages(); ++s)
-            d = std::max(d, platform::ContentionModel::milliGbps(
-                                model.demandGbps(app.stage(s).work(),
-                                                 soc.pu(p))));
-        if (d < min_demand) {
-            min_demand = d;
-            frugalest = p;
-        }
-    }
+    // The C6 demand floor the optimizer's pre-check applies, read off
+    // the same analytic contention snapshot the profiler attaches
+    // (noise-free, so no profiling run is needed).
+    const platform::PerfModel model(soc);
+    std::vector<platform::WorkProfile> works;
+    works.reserve(static_cast<std::size_t>(app.numStages()));
+    for (const auto& s : app.stages())
+        works.push_back(s.work());
+    const platform::ContentionProfile profile
+        = model.contention().profileStages(model, works);
+    const int frugalest = profile.frugalestPu(allowed);
+    const std::int64_t min_demand
+        = profile.worstStageDemandMilli(frugalest);
     const std::int64_t budget = platform::ContentionModel::milliGbps(
         spec.contention.budgetGbps);
     if (budget < min_demand) {

@@ -26,8 +26,9 @@
  *     overlapping slowdown windows;
  *  5. lintPlannerSpec / lintContention - spec ranges, empty leases,
  *     and C6 budgets whose demand lower bound (min over allowed PUs of
- *     the hungriest stage) already exceeds the budget - computed from
- *     ContentionModel's pure math, no profiling involved.
+ *     the hungriest stage) already exceeds the budget - read off the
+ *     analytic ContentionModel::profileStages snapshot the optimizer
+ *     plans with, no profiling involved.
  *
  * The range rules are not lint's own: RunConfig::problems,
  * FaultPlan::problems and PlannerSpec::problems hold them, and the
@@ -84,8 +85,10 @@ Report lintPlannerSpec(const core::PlannerSpec& spec,
  * Pass 5b: C6 feasibility. When @p spec carries a bandwidth budget,
  * compute the *lower bound* of the schedule's aggregate DRAM demand -
  * the frugalest single-chunk schedule draws the hungriest stage's
- * demand on its one PU, minimized over the allowed PUs - from
- * ContentionModel's analytic curves. A budget below that bound cannot
+ * demand on its one PU, minimized over the allowed PUs - as
+ * ContentionProfile::frugalestPu / worstStageDemandMilli of a
+ * ContentionModel::profileStages snapshot (built only when a budget is
+ * set), the optimizer's own floor. A budget below that bound cannot
  * be met by any schedule; the optimizer would relax C6 and break the
  * budget contract, so lint rejects it up front.
  */

@@ -71,6 +71,9 @@ struct CachedPlan
     /** Aggregate DRAM demand (GB/s) the plan draws; what co-tenant
      *  budgets are accounted against. */
     double predictedDemandGbps = 0.0;
+    /** The optimizer annealed this plan: the tenant's schedule space
+     *  was too large to enumerate. */
+    bool annealed = false;
     double planWallSeconds = 0.0; ///< wall time the planner spent
 };
 

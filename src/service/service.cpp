@@ -6,8 +6,6 @@
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
-#include "core/autotuner.hpp"
-#include "core/sim_executor.hpp"
 #include "lint/lint.hpp"
 
 namespace bt::service {
@@ -59,8 +57,13 @@ ServiceReport::writeJson(std::ostream& os) const
 }
 
 Service::Service(const platform::SocDescription& soc, ServiceConfig cfg)
-    : soc_(soc), cfg_(std::move(cfg)), model_(soc_), backend_(model_),
-      leases_(soc_, std::min(std::max(cfg_.workers, 1), soc_.numPus())),
+    : cfg_(std::move(cfg)),
+      flow_(soc, {.profiler = cfg_.profiler,
+                  .optimizer = cfg_.optimizer,
+                  .run = cfg_.run,
+                  .autotune = cfg_.autotune}),
+      backend_(flow_.model()),
+      leases_(soc, std::min(std::max(cfg_.workers, 1), soc.numPus())),
       cache_(cfg_.cache)
 {
     BT_ASSERT(cfg_.workers >= 1, "service needs at least one worker");
@@ -87,7 +90,8 @@ Service::lintTenant(const core::Application& app,
     tenant.realTime = opts.realTime;
     tenant.contentionAware = cfg_.contentionAware;
     tenant.leaseGroups = leases_.maxGroups();
-    return lint::lintTenant(soc_, app, cfg_.optimizer, cfg_.run, tenant);
+    return lint::lintTenant(model().soc(), app, cfg_.optimizer, cfg_.run,
+                            tenant);
 }
 
 bool
@@ -121,7 +125,7 @@ Service::ambientFor(const std::string& app_name, int groups) const
     if (!cfg_.contentionAware || groups <= 1
         || tenantRealTime(app_name))
         return 0.0;
-    const double roofline = model_.contention().rooflineGbps();
+    const double roofline = model().contention().rooflineGbps();
     return roofline * static_cast<double>(groups - 1)
         / static_cast<double>(groups);
 }
@@ -140,11 +144,11 @@ Service::keyFor(const std::string& app_name, int load_bucket,
 {
     ScheduleKey key;
     key.app = app_name;
-    key.platform = soc_.name;
+    key.platform = model().soc().name;
     key.loadBucket = load_bucket;
     key.lease = lease_group;
     key.leaseGroups = lease_groups;
-    key.bandwidthBucket = model_.contention().bucketOf(
+    key.bandwidthBucket = model().contention().bucketOf(
         ambientFor(app_name, lease_groups));
     key.plannerFingerprint
         = plannerSpecFor(app_name, lease_group, lease_groups)
@@ -168,7 +172,7 @@ Service::plannerSpecFor(const std::string& app_name, int lease_group,
     // tenant *draws*; the ambient a co-tenant *feels* is weighted by
     // the model's contendedDemandWeight inside the slowdown fold.)
     if (cfg_.contentionAware && lease_groups > 1) {
-        const double roofline = model_.contention().rooflineGbps();
+        const double roofline = model().contention().rooflineGbps();
         spec.contention.budgetGbps
             = roofline / static_cast<double>(lease_groups);
         spec.contention.realTime = tenantRealTime(app_name);
@@ -184,38 +188,25 @@ Service::freshPlan(const std::string& app_name, int /*load_bucket*/,
 {
     const auto t0 = Clock::now();
     const core::Application& app = appOf(app_name);
+    const core::ProfileResult profile = flow_.profile(app);
+    const OptimizeResult optimized = flow_.optimize(
+        profile, plannerSpecFor(app_name, lease_group, lease_groups));
 
-    // The planner pass mirrors bt::Framework::run: interference-aware
-    // profiling, then lease-constrained schedule generation.
-    const core::Profiler profiler(model_, cfg_.profiler);
-    const core::ProfileResult profile = profiler.profile(app);
-
-    core::PlannerSpec ocfg
-        = plannerSpecFor(app_name, lease_group, lease_groups);
-    if (cfg_.contentionAware && lease_groups > 1)
-        ocfg.contentionProfile = &profile.contention;
-    core::Optimizer optimizer(soc_, profile.interference,
-                              std::move(ocfg));
-    const std::vector<core::Candidate> candidates = optimizer.optimize();
-    BT_ASSERT(!candidates.empty(), "optimizer found no schedule");
-    if (optimizer.stats().engine == core::PlannerEngine::Annealed)
-        annealedFallbacks_.fetch_add(1, std::memory_order_relaxed);
+    core::Candidate best = optimized.candidates.front();
+    double latency = best.predictedLatency;
+    if (cfg_.autotune) {
+        const core::TuningReport tuning
+            = flow_.autotune(app, optimized.candidates);
+        best = tuning.best().candidate;
+        latency = tuning.best().measuredLatency;
+    }
 
     CachedPlan plan;
-    if (cfg_.autotune) {
-        const core::SimExecutor executor(model_, cfg_.run);
-        const core::AutoTuner tuner(executor);
-        const core::TuningReport tuning = tuner.tune(app, candidates);
-        plan.schedule = tuning.best().candidate.schedule;
-        plan.predictedLatencySeconds = tuning.best().measuredLatency;
-        plan.predictedDemandGbps
-            = tuning.best().candidate.predictedDemandGbps;
-    } else {
-        plan.schedule = candidates.front().schedule;
-        plan.predictedLatencySeconds = candidates.front().predictedLatency;
-        plan.predictedDemandGbps
-            = candidates.front().predictedDemandGbps;
-    }
+    plan.schedule = best.schedule;
+    plan.predictedLatencySeconds = latency;
+    plan.predictedDemandGbps = best.predictedDemandGbps;
+    plan.annealed
+        = optimized.stats.engine == core::PlannerEngine::Annealed;
     plan.planWallSeconds = secondsBetween(t0, Clock::now());
     return plan;
 }
@@ -358,6 +349,8 @@ Service::serve(Pending pending, int worker_index)
         plan = freshPlan(app.name(), bucket, group, groups);
         planned = true;
         plans_.fetch_add(1, std::memory_order_relaxed);
+        if (plan.annealed)
+            annealedFallbacks_.fetch_add(1, std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
             planSeconds_ += plan.planWallSeconds;

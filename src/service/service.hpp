@@ -4,8 +4,9 @@
  *
  * bt::Framework plans and runs exactly one pipeline per call; a server
  * faces a *stream* of inference requests from many concurrent sessions
- * sharing one SoC. Service adds the three pieces that turn the planner
- * + runtime into a serving system:
+ * sharing one SoC. Service holds one Framework, plans through its
+ * phases (profile, optimize, autotune), and adds the three pieces that
+ * turn the planner + runtime into a serving system:
  *
  *  1. an admission front end: a bounded queue accepting requests from
  *     any thread (overflow = dropped, unknown application = rejected,
@@ -45,10 +46,8 @@
 #include <vector>
 
 #include "core/application.hpp"
-#include "core/optimizer.hpp"
-#include "core/profiler.hpp"
+#include "flow/framework.hpp"
 #include "lint/diagnostic.hpp"
-#include "platform/perf_model.hpp"
 #include "runtime/run_types.hpp"
 #include "runtime/virtual_backend.hpp"
 #include "service/lease.hpp"
@@ -128,7 +127,8 @@ struct ServiceConfig
     runtime::RunConfig run;
 
     /** Run the measurement-driven autotuning level when planning
-     *  (costlier cold path; candidates are executed, not just ranked). */
+     *  (costlier cold path; candidates are executed fault-free, not
+     *  just ranked). */
     bool autotune = false;
 
     /** Merge per-request traces (up to maxTracedRequests) into the
@@ -231,12 +231,14 @@ class Service
     ServiceReport report() const;
 
     const ScheduleCache& cache() const { return cache_; }
-    const platform::PerfModel& model() const { return model_; }
+    const platform::PerfModel& model() const { return flow_.model(); }
 
     /**
      * The plan the service would use for (app, bucket, group, groups):
-     * cache key derivation + planner, without touching the cache. Lets
-     * tests verify cached entries are byte-identical to fresh plans.
+     * Framework's profile -> optimize (-> autotune) phases under the
+     * key's planner spec, without touching the cache or any counter.
+     * Lets tests verify cached entries are byte-identical to fresh
+     * plans.
      */
     CachedPlan freshPlan(const std::string& app_name, int load_bucket,
                          int lease_group, int lease_groups) const;
@@ -281,10 +283,9 @@ class Service
                                      int lease_group,
                                      int lease_groups) const;
 
-    platform::SocDescription soc_;
     ServiceConfig cfg_;
-    platform::PerfModel model_;
-    runtime::VirtualTimeBackend backend_;
+    Framework flow_; ///< the planner: profile, optimize, autotune
+    runtime::VirtualTimeBackend backend_; ///< per-request runs
     PuLeaseManager leases_;
 
     std::unordered_map<std::string, core::Application> apps_;
@@ -311,8 +312,7 @@ class Service
     std::atomic<std::int64_t> failed_{0};
     std::atomic<std::int64_t> tenantsRejected_{0};
     std::atomic<std::int64_t> plans_{0};
-    /** Mutable: freshPlan is const (a test hook) but still counts. */
-    mutable std::atomic<std::int64_t> annealedFallbacks_{0};
+    std::atomic<std::int64_t> annealedFallbacks_{0};
 
     Clock::time_point startTime_;
     double wallSecondsStopped_ = 0.0;

@@ -18,6 +18,8 @@
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
+#include "runtime/fault_plan.hpp"
+#include "service/service.hpp"
 
 namespace bt::core {
 namespace {
@@ -405,8 +407,100 @@ TEST(Framework, DefaultConfigPlansTheManycoreRig)
     const auto report = bt.run(apps::alexnetSparse());
     EXPECT_EQ(report.preflight.errors(), 0);
     EXPECT_FALSE(report.candidates.empty());
+    EXPECT_EQ(report.optimizeStats.engine, PlannerEngine::Annealed);
     EXPECT_TRUE(report.bestSchedule.valid(9, 8))
         << report.bestSchedule.compactString();
+}
+
+TEST(Framework, HonorsTheC6Budget)
+{
+    // A C6 budget set on the config reaches the optimizer: the flow
+    // plans exactly what an Optimizer handed the profile's contention
+    // snapshot plans, and that plan draws within the budget.
+    const auto soc = platform::pixel7a();
+    FrameworkConfig cfg;
+    cfg.autotune = false;
+    cfg.optimizer.contention.budgetGbps = 5.0;
+    const Framework bt(soc, cfg);
+    const auto report = bt.run(apps::alexnetDense());
+
+    PlannerSpec spec = cfg.optimizer;
+    spec.contentionProfile = &report.profile.contention;
+    Optimizer optimizer(soc, report.profile.interference, spec);
+    const Candidate expected = optimizer.optimize().front();
+    const Candidate& front = report.candidates.front();
+    EXPECT_EQ(front.schedule.toAssignment(),
+              expected.schedule.toAssignment())
+        << front.schedule.compactString() << " vs "
+        << expected.schedule.compactString();
+    EXPECT_EQ(front.predictedLatency, expected.predictedLatency);
+    EXPECT_GT(front.predictedDemandGbps, 0.0);
+    EXPECT_LE(front.predictedDemandGbps, 5.0);
+}
+
+/** The fault plan CI's explorer run injects: 2% transient failures on
+ *  every stage and PU, and PU 2 dropping out 50 ms in. */
+runtime::FaultPlan
+ciFaultPlan()
+{
+    runtime::FaultPlan plan;
+    plan.transients = {{-1, -1, 0.02}};
+    plan.dropouts = {{2, 0.05}};
+    plan.faultSeed = 7;
+    return plan;
+}
+
+TEST(Framework, MeasuresCleanAndDeploysUnderTheFaultPlan)
+{
+    // The fault plan describes the deployment, not the measurements
+    // that choose it: tuning and baselines are those of a fault-free
+    // flow, and only the deployment run meets the faults.
+    const auto soc = platform::pixel7a();
+    const auto app = apps::octreeApp();
+    FrameworkConfig faulty;
+    faulty.run.faults = ciFaultPlan();
+    const auto clean = Framework(soc).run(app);
+    const auto report = Framework(soc, faulty).run(app);
+
+    ASSERT_EQ(report.tuning.all.size(), clean.tuning.all.size());
+    for (std::size_t i = 0; i < clean.tuning.all.size(); ++i) {
+        const auto& got = report.tuning.all[i];
+        const auto& want = clean.tuning.all[i];
+        EXPECT_EQ(got.candidate.schedule.toAssignment(),
+                  want.candidate.schedule.toAssignment());
+        EXPECT_EQ(got.measuredLatency, want.measuredLatency);
+        EXPECT_EQ(got.rankPredicted, want.rankPredicted);
+    }
+    EXPECT_EQ(report.tuning.campaignCostSeconds,
+              clean.tuning.campaignCostSeconds);
+    EXPECT_EQ(report.bestSchedule.toAssignment(),
+              clean.bestSchedule.toAssignment())
+        << report.bestSchedule.compactString() << " vs "
+        << clean.bestSchedule.compactString();
+    EXPECT_EQ(report.bestLatencySeconds, clean.bestLatencySeconds);
+    EXPECT_EQ(report.cpuBaselineSeconds, clean.cpuBaselineSeconds);
+    EXPECT_EQ(report.gpuBaselineSeconds, clean.gpuBaselineSeconds);
+    EXPECT_TRUE(clean.deployedRun.recovery.cleanRun());
+    EXPECT_FALSE(report.deployedRun.recovery.cleanRun());
+
+    // The service plans through the same phases, so a fault plan in
+    // its run config changes no plan either.
+    service::ServiceConfig scfg;
+    scfg.workers = 1;
+    scfg.autotune = true;
+    service::ServiceConfig sfaulty = scfg;
+    sfaulty.run.faults = ciFaultPlan();
+    service::Service plain(soc, scfg);
+    service::Service withFaults(soc, sfaulty);
+    ASSERT_TRUE(plain.registerApp(app));
+    ASSERT_TRUE(withFaults.registerApp(app));
+    const auto want = plain.freshPlan(app.name(), 0, 0, 1);
+    const auto got = withFaults.freshPlan(app.name(), 0, 0, 1);
+    EXPECT_EQ(got.schedule.toAssignment(), want.schedule.toAssignment())
+        << got.schedule.compactString() << " vs "
+        << want.schedule.compactString();
+    EXPECT_EQ(got.predictedLatencySeconds, want.predictedLatencySeconds);
+    EXPECT_EQ(got.predictedDemandGbps, want.predictedDemandGbps);
 }
 
 TEST(AutoTuner, ParallelCampaignBitIdenticalAcrossThreadCounts)

@@ -329,6 +329,30 @@ TEST(Service, ManycoreTenantSurvivesADropoutReplan)
     EXPECT_GE(report.annealedFallbacks, 1);
 }
 
+TEST(Service, FreshPlanIsPure)
+{
+    // freshPlan is a query: every call plans the key the same way and
+    // counts nothing. Only serve's miss path counts plans and annealed
+    // fallbacks (ManycoreTenantSurvivesADropoutReplan covers that).
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    Service service(platform::manycoreRig(), cfg);
+    const auto app = apps::alexnetSparse();
+    ASSERT_TRUE(service.registerApp(app));
+
+    const auto first = service.freshPlan(app.name(), 0, 0, 1);
+    for (int i = 0; i < 2; ++i) {
+        const auto again = service.freshPlan(app.name(), 0, 0, 1);
+        EXPECT_EQ(again.schedule.toAssignment(),
+                  first.schedule.toAssignment());
+        EXPECT_EQ(again.predictedLatencySeconds,
+                  first.predictedLatencySeconds);
+    }
+    const auto report = service.report();
+    EXPECT_EQ(report.annealedFallbacks, 0);
+    EXPECT_EQ(report.plans, 0);
+}
+
 TEST(Service, AnnealKnobsOutOfRangeAreRefusedAtAdmission)
 {
     // The manycore tenant's plan is annealed, so an out-of-range
