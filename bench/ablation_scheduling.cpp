@@ -51,12 +51,13 @@ main()
                         "bt_static", Table::num(bt_ms, 4)});
 
             for (const double overhead_us : {0.0, 50.0, 200.0}) {
-                runtime::GreedyParams params;
-                params.dispatchOverheadUs = overhead_us;
-                const runtime::GreedyRuntime dyn(
-                    bt_flow.model(), report.profile.interference);
+                const runtime::GreedyDispatch greedy{
+                    &report.profile.interference, overhead_us};
                 const double ms
-                    = dyn.run(app, {}, params).taskIntervalSeconds * 1e3;
+                    = runtime::VirtualTimeBackend(bt_flow.model())
+                          .run(app, greedy, {})
+                          .taskIntervalSeconds
+                    * 1e3;
                 row.push_back(Table::num(ms, 2));
                 csv.addRow({soc.name,
                             kAppNames[static_cast<std::size_t>(a)],

@@ -19,7 +19,7 @@
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
-#include "runtime/greedy_runtime.hpp"
+#include "runtime/virtual_backend.hpp"
 
 namespace {
 
@@ -110,11 +110,12 @@ BM_GreedyDynamic(benchmark::State& state)
 
     runtime::RunConfig cfg;
     cfg.noiseSalt = bench::benchNoiseSalt();
-    const runtime::GreedyRuntime dyn(model, profile.interference);
+    const runtime::VirtualTimeBackend backend(model);
+    const runtime::GreedyDispatch greedy{&profile.interference};
 
     double makespan = 0.0;
     for (auto _ : state) {
-        const auto run = dyn.run(app, cfg, {});
+        const auto run = backend.run(app, greedy, cfg);
         makespan = run.makespanSeconds;
         benchmark::ClobberMemory();
     }

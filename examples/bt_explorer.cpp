@@ -47,7 +47,7 @@
 #include "core/data_parallel.hpp"
 #include "platform/devices.hpp"
 #include "runtime/fault_plan.hpp"
-#include "runtime/greedy_runtime.hpp"
+#include "runtime/virtual_backend.hpp"
 #include "service/service.hpp"
 
 using namespace bt;
@@ -645,9 +645,11 @@ main(int argc, char** argv)
     }
 
     if (opt.compare_dynamic) {
+        // Same RunConfig as the deployment, fault plan included.
         const auto dyn_run
-            = runtime::GreedyRuntime{flow.model(), profile.interference}
-                  .run(app, {}, {});
+            = runtime::VirtualTimeBackend(flow.model())
+                  .run(app, runtime::GreedyDispatch{&profile.interference},
+                       fcfg.run);
         const double dp_ms
             = core::dataParallelLatency(app, profile.interference)
             * 1e3;

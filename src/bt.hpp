@@ -6,8 +6,9 @@
  * `#include "bt.hpp"` pulls in everything a user program needs: the
  * application model, the simulated devices, the profile -> optimize ->
  * autotune flow, the unified pipeline runtime (including fault
- * injection and recovery) with its virtual-time, host-thread and greedy
- * dynamic backends, and the multi-tenant serving front end
+ * injection and recovery) with its virtual-time backend (static
+ * pipeline or greedy dynamic dispatch) and host-thread backend, and
+ * the multi-tenant serving front end
  * (bt::Service).
  *
  * bt::Framework (flow/framework.hpp) runs the whole paper flow from a
@@ -34,7 +35,6 @@
 #include "platform/devices.hpp"
 #include "platform/perf_model.hpp"
 #include "runtime/fault_plan.hpp"
-#include "runtime/greedy_runtime.hpp"
 #include "runtime/run_types.hpp"
 #include "service/service.hpp"
 

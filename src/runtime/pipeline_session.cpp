@@ -1,6 +1,9 @@
 #include "runtime/pipeline_session.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
+#include "common/stats.hpp"
 
 namespace bt::runtime {
 
@@ -24,27 +27,78 @@ stageNames(const core::Application& app)
     return names;
 }
 
+namespace {
+
+std::vector<ChunkSpec>
+chunkSpecs(const core::Schedule& schedule, int num_stages, int num_pus)
+{
+    BT_ASSERT(schedule.valid(num_stages, num_pus),
+              "schedule does not fit application/device");
+    std::vector<ChunkSpec> chunks;
+    chunks.reserve(schedule.chunks().size());
+    for (const core::Chunk& ch : schedule.chunks())
+        chunks.push_back(ChunkSpec{static_cast<int>(chunks.size()),
+                                   ch.firstStage, ch.lastStage, ch.pu});
+    return chunks;
+}
+
+/** Steady-state interval over the sorted post-warmup completions (the
+ *  identity sort for in-order dispatch) and mean end-to-end latency. */
+void
+finalizeTiming(RunResult& result, std::span<const double> inject_time,
+               std::span<const double> complete_time, int warmup_tasks)
+{
+    const int n = result.tasks;
+    BT_ASSERT(n > 0
+              && complete_time.size() == static_cast<std::size_t>(n));
+
+    std::vector<double> completions(complete_time.begin(),
+                                    complete_time.end());
+    std::sort(completions.begin(), completions.end());
+
+    const int w = std::min(warmup_tasks, n - 1);
+    if (n - w >= 2) {
+        result.taskIntervalSeconds
+            = (completions[static_cast<std::size_t>(n - 1)]
+               - completions[static_cast<std::size_t>(w)])
+            / static_cast<double>(n - 1 - w);
+    } else {
+        result.taskIntervalSeconds
+            = result.makespanSeconds / static_cast<double>(n);
+    }
+
+    std::vector<double> latencies(static_cast<std::size_t>(n));
+    for (int t = 0; t < n; ++t)
+        latencies[static_cast<std::size_t>(t)]
+            = complete_time[static_cast<std::size_t>(t)]
+            - inject_time[static_cast<std::size_t>(t)];
+    result.meanLatencySeconds = mean(latencies);
+}
+
+} // namespace
+
 PipelineSession::PipelineSession(const core::Application& app,
                                  const core::Schedule& schedule,
                                  const platform::SocDescription& soc,
                                  const RunConfig& cfg,
                                  std::string backend_name,
                                  bool functional)
-    : app_(app), soc_(soc), cfg_(cfg), functional_(functional)
+    : PipelineSession(app,
+                      chunkSpecs(schedule, app.numStages(), soc.numPus()),
+                      soc, cfg, std::move(backend_name), functional)
 {
-    BT_ASSERT(schedule.valid(app.numStages(), soc.numPus()),
-              "schedule does not fit application/device");
+}
 
-    const int num_chunks = schedule.numChunks();
-    chunks_.reserve(static_cast<std::size_t>(num_chunks));
-    for (int c = 0; c < num_chunks; ++c) {
-        const core::Chunk& ch
-            = schedule.chunks()[static_cast<std::size_t>(c)];
-        chunks_.push_back(
-            ChunkSpec{c, ch.firstStage, ch.lastStage, ch.pu});
-    }
-    numBuffers_ = cfg_.resolveBuffers(num_chunks);
-
+PipelineSession::PipelineSession(const core::Application& app,
+                                 std::vector<ChunkSpec> slots,
+                                 const platform::SocDescription& soc,
+                                 const RunConfig& cfg,
+                                 std::string backend_name,
+                                 bool functional)
+    : app_(app), soc_(soc), cfg_(cfg), functional_(functional),
+      chunks_(std::move(slots)),
+      numBuffers_(cfg_.resolveBuffers(numChunks()))
+{
     if (functional_) {
         pool_.reserve(static_cast<std::size_t>(numBuffers_));
         for (int b = 0; b < numBuffers_; ++b)
@@ -139,9 +193,12 @@ PipelineSession::finish(double makespan_seconds,
     result.makespanSeconds = makespan_seconds;
     result.affinityApplied = affinity_applied;
     result.validationErrors = std::move(validationErrors_);
-    finalizeTiming(result, injectTime_, completeTime_, cfg_.warmupTasks,
-                   /*sort_completions=*/false);
-    finalizeBusyFractions(result, chunk_busy_seconds);
+    finalizeTiming(result, injectTime_, completeTime_, cfg_.warmupTasks);
+    result.chunkBusyFraction.resize(chunk_busy_seconds.size());
+    for (std::size_t c = 0; c < chunk_busy_seconds.size(); ++c)
+        result.chunkBusyFraction[c] = makespan_seconds > 0.0
+            ? chunk_busy_seconds[c] / makespan_seconds
+            : 0.0;
     if (cfg_.recordTrace) {
         trace_.sortByStart();
         result.trace = std::move(trace_);

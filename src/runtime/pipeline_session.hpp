@@ -37,7 +37,8 @@
 
 namespace bt::runtime {
 
-/** One chunk of the static schedule, as the dispatchers see it. */
+/** One dispatcher slot: a chunk of a static schedule, or a greedy
+ *  dispatcher that starts on PU class `pu` and may run any stage. */
 struct ChunkSpec
 {
     int index = 0;
@@ -46,17 +47,26 @@ struct ChunkSpec
     int pu = 0;         ///< PU class executing this chunk
 };
 
-/** Shared dispatcher state for one static-schedule pipeline run. */
+/** Shared dispatcher state for one pipeline run. */
 class PipelineSession
 {
   public:
     /**
+     * One slot per chunk of @p schedule.
      * @param functional whether TaskObjects exist and stage kernels
      *        actually run (host backend: always; virtual backend: the
      *        runKernels knob).
      */
     PipelineSession(const core::Application& app,
                     const core::Schedule& schedule,
+                    const platform::SocDescription& soc,
+                    const RunConfig& cfg, std::string backend_name,
+                    bool functional);
+
+    /** Explicit dispatcher @p slots; the pool holds
+     *  RunConfig::resolveBuffers(slots.size()) tokens. */
+    PipelineSession(const core::Application& app,
+                    std::vector<ChunkSpec> slots,
                     const platform::SocDescription& soc,
                     const RunConfig& cfg, std::string backend_name,
                     bool functional);
@@ -117,9 +127,10 @@ class PipelineSession
     void recordEvent(TraceEvent event);
 
     /**
-     * Assemble the unified RunResult: makespan, steady-state interval,
-     * latencies, per-chunk utilization, validation errors, and the
-     * recorded timeline.
+     * Assemble the unified RunResult: makespan, steady-state interval
+     * over the sorted post-warmup completions, mean end-to-end latency,
+     * per-slot busy fractions, validation errors, and the recorded
+     * timeline.
      */
     RunResult finish(double makespan_seconds,
                      std::span<const double> chunk_busy_seconds,

@@ -2,20 +2,19 @@
  * @file
  * The unified runtime's configuration and result types.
  *
- * Every BT-Implementer execution - virtual-time (DES), host threads, or
- * the greedy dynamic baseline - is configured by one RunConfig and
- * reports one RunResult, so results from different backends are
- * directly comparable (the isolated-vs-pipelined comparisons of the
- * paper's Fig. 5/6 hinge on exactly this). RunResult merges what used
- * to be two divergent structs (ExecutionResult / NativeResult) and
- * always carries the structured TraceTimeline of what actually ran.
+ * Every BT-Implementer execution - virtual time (DES) under the static
+ * pipeline or the greedy dynamic policy, or host threads - is
+ * configured by one RunConfig and reports one RunResult, so results
+ * from different backends and policies are directly comparable (the
+ * isolated-vs-pipelined comparisons of the paper's Fig. 5/6 hinge on
+ * exactly this). RunResult always carries the structured TraceTimeline
+ * of what actually ran.
  */
 
 #ifndef BT_RUNTIME_RUN_TYPES_HPP
 #define BT_RUNTIME_RUN_TYPES_HPP
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,8 @@ struct RunConfig
     /** Streaming inputs to process (the paper measures runs of 30). */
     int numTasks = 30;
 
-    /** TaskObjects in flight; 0 = one per chunk plus one. */
+    /** TaskObjects in flight; 0 = one per dispatcher slot plus one
+     *  (a slot is a chunk, or a PU class under greedy dispatch). */
     int numBuffers = 0;
 
     /** Virtual backends: also run kernels functionally. (The host
@@ -141,21 +141,6 @@ struct RunResult
 
     bool valid() const { return validationErrors.empty(); }
 };
-
-/**
- * Shared accounting: steady-state interval over the post-warmup
- * completion stream (sorted first when the backend completes tasks out
- * of order), mean end-to-end latency, and per-dispatcher busy
- * fractions. Used identically by every backend.
- */
-void finalizeTiming(RunResult& result,
-                    std::span<const double> inject_time,
-                    std::span<const double> complete_time,
-                    int warmup_tasks, bool sort_completions);
-
-/** Fill chunkBusyFraction = busy / makespan per dispatcher. */
-void finalizeBusyFractions(RunResult& result,
-                           std::span<const double> busy_seconds);
 
 } // namespace bt::runtime
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
+#include <limits>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -14,54 +16,44 @@ namespace bt::runtime {
 
 namespace {
 
-/** Event-driven dispatcher state for one chunk. */
-struct ChunkRuntime
+/** A token waiting for a slot to run its @p stage. */
+struct WorkItem
 {
-    bool busy = false;
-    int curStage = -1;      ///< stage currently "executing"
-    int curToken = -1;      ///< buffer id being processed
+    int token;
+    int stage;
+    double since; ///< when it became ready (queue-wait attribution)
+};
+
+/** Event-driven dispatcher state for one slot. */
+struct SlotRuntime
+{
+    bool busy = false;        ///< holds a work item
+    bool dispatching = false; ///< greedy: paying the dispatch overhead
+    int curStage = -1;        ///< stage currently "executing"
+    int curToken = -1;        ///< buffer id being processed
     std::int64_t curTask = -1;
     double stageStart = 0.0;
     double busyAccum = 0.0;
     TraceEvent pending;     ///< stage execution being recorded
 
+    /** Running a stage (not waiting out a dispatch overhead). */
+    bool running() const { return busy && !dispatching; }
+
     // --- fault-layer state (untouched on fault-free runs) ---
     Attempt attempt;          ///< ladder position of the current stage
     bool willFail = false;    ///< this attempt was drawn as a transient
-    std::uint64_t seq = 0;    ///< invalidates stale timeout/retry timers
+    std::uint64_t seq = 0;    ///< invalidates stale timers
     sim::TaskId simId = -1;   ///< engine task of the in-flight attempt
 };
 
-} // namespace
-
-EnergyMeter::EnergyMeter(
-    const platform::PerfModel& model,
-    std::function<void(std::vector<bool>&)> fill_active)
-    : model_(model), fillActive_(std::move(fill_active)),
-      scratch_(static_cast<std::size_t>(model.soc().numPus()), false)
-{
-}
-
-void
-EnergyMeter::attach(sim::Engine& engine)
-{
-    engine.onAdvance([this](double t0, double t1) {
-        std::fill(scratch_.begin(), scratch_.end(), false);
-        fillActive_(scratch_);
-        joules_ += (t1 - t0) * model_.systemPowerW(scratch_);
-    });
-}
-
-VirtualTimeBackend::VirtualTimeBackend(const platform::PerfModel& model)
-    : model_(model)
-{
-}
-
+/**
+ * Deterministic measurement-noise factor for one stage execution: the
+ * device seed, the run's noiseSalt, and a per-policy @p domain tag
+ * select a seeded log-normal stream keyed by (task, stage).
+ */
 double
-VirtualTimeBackend::noiseFactor(const platform::SocDescription& soc,
-                                std::uint64_t salt,
-                                std::uint64_t domain, std::int64_t task,
-                                int stage)
+noiseFactor(const platform::SocDescription& soc, std::uint64_t salt,
+            std::uint64_t domain, std::int64_t task, int stage)
 {
     const std::uint64_t key = hashCombine(
         hashCombine(soc.seed ^ salt ^ domain,
@@ -73,23 +65,23 @@ VirtualTimeBackend::noiseFactor(const platform::SocDescription& soc,
         : 1.0;
 }
 
+/**
+ * The one run body. @p greedy selects the dispatch policy: null runs
+ * the session's chunks as a static pipeline (each chunk pops tokens
+ * from its own queue and hands them downstream); otherwise every slot
+ * drains a FIFO that earliest-finish ranking fills from a ready set.
+ */
 RunResult
-VirtualTimeBackend::run(const core::Application& app,
-                        const core::Schedule& schedule,
-                        const RunConfig& cfg) const
+simulate(const platform::PerfModel& model, const core::Application& app,
+         PipelineSession& session, const GreedyDispatch* greedy)
 {
-    const auto& soc = model_.soc();
+    const auto& soc = model.soc();
+    const RunConfig& cfg = session.config();
     const int num_pus = soc.numPus();
-    cfg.requireInRange(app.numStages(), num_pus);
-    PipelineSession session(app, schedule, soc, cfg, "virtual",
-                            cfg.runKernels);
+    const int num_slots = session.numChunks();
+    const std::uint64_t noise_domain = greedy ? 0xd12a : 0;
 
-    const int num_chunks = session.numChunks();
-    const int num_buffers = session.numBuffers();
-
-    // --- dispatcher state ---------------------------------------------
-    std::vector<ChunkRuntime> chunks(
-        static_cast<std::size_t>(num_chunks));
+    std::vector<SlotRuntime> slots(static_cast<std::size_t>(num_slots));
 
     // --- fault layer ---------------------------------------------------
     // The controller decides every recovery step; this backend only arms
@@ -97,7 +89,7 @@ VirtualTimeBackend::run(const core::Application& app,
     // stay the deployed ones, clockScale stays empty (the performance
     // model short-circuits an empty span), and no timer is ever armed -
     // the event sequence is bit-identical to a build without this layer.
-    RecoveryController recovery(model_, app, session);
+    RecoveryController recovery(model, app, session);
     const FaultInjector& injector = recovery.injector();
     const bool faulty = recovery.enabled();
     std::vector<double> clock_scale; // empty = no throttling anywhere
@@ -106,85 +98,101 @@ VirtualTimeBackend::run(const core::Application& app,
     int completed_tasks = 0;
     bool done = false;
 
-    // queues[c] feeds chunk c; the last queue recycles into queue 0.
-    std::vector<std::deque<int>> queues(
-        static_cast<std::size_t>(num_chunks));
-    // enqueueTime[c][token]: when the token entered queue c (for the
-    // timeline's queue-wait attribution).
-    std::vector<std::vector<double>> enqueue_time(
-        static_cast<std::size_t>(num_chunks),
-        std::vector<double>(static_cast<std::size_t>(num_buffers),
-                            0.0));
-    for (int b = 0; b < num_buffers; ++b)
-        queues[0].push_back(b);
+    // queues[c] feeds slot c. Static: the previous chunk's output, the
+    // last chunk recycling into queue 0. Greedy: the slot's FIFO of
+    // earliest-finish assignments, fed from the ready set; `available`
+    // is each slot's estimated drain time and `free_tokens` the unused
+    // part of the in-flight pool.
+    std::vector<std::deque<WorkItem>> queues(
+        static_cast<std::size_t>(num_slots));
+    std::deque<WorkItem> ready;
+    std::vector<double> available;
+    std::vector<int> free_tokens;
+    for (int b = 0; b < session.numBuffers(); ++b) {
+        if (greedy)
+            free_tokens.push_back(b);
+        else
+            queues[0].push_back(WorkItem{b, 0, 0.0});
+    }
+    if (greedy)
+        available.assign(static_cast<std::size_t>(num_slots), 0.0);
 
     // --- virtual-time engine ------------------------------------------
-    // Tag = chunk index; each chunk executes at most one stage at a time,
-    // so the chunk's runtime state identifies the running stage.
+    // Tag = slot index; each slot executes at most one stage at a time,
+    // so the slot's runtime state identifies the running stage.
     std::vector<platform::Load> loads; // reused across rate refreshes
     sim::Engine engine([&](std::span<const sim::ActiveTask> active,
                            std::span<double> rates) {
         loads.resize(active.size());
         for (std::size_t i = 0; i < active.size(); ++i) {
-            const auto& rt = chunks[static_cast<std::size_t>(
-                active[i].tag)];
-            BT_ASSERT(rt.busy && rt.curStage >= 0,
-                      "active task on idle chunk");
-            loads[i] = platform::Load{
-                &app.stage(rt.curStage).work(),
-                recovery.puOf(static_cast<int>(active[i].tag))};
+            const int c = static_cast<int>(active[i].tag);
+            const auto& rt = slots[static_cast<std::size_t>(c)];
+            BT_ASSERT(rt.running() && rt.curStage >= 0,
+                      "active task on idle slot");
+            loads[i] = platform::Load{&app.stage(rt.curStage).work(),
+                                      recovery.puOf(c)};
         }
-        model_.timesOf(loads, clock_scale, cfg.ambientBandwidthGbps,
-                       rates);
+        model.timesOf(loads, clock_scale, cfg.ambientBandwidthGbps,
+                      rates);
         for (double& r : rates)
             r = 1.0 / r;
     });
 
-    EnergyMeter meter(model_, [&](std::vector<bool>& active) {
-        for (int c = 0; c < num_chunks; ++c)
-            if (chunks[static_cast<std::size_t>(c)].busy)
-                active[static_cast<std::size_t>(recovery.puOf(c))] = true;
-    });
-    meter.attach(engine);
-
-    auto coRunnersOf = [&](int self) {
+    /** PU classes of the running slots other than @p except. */
+    auto runningPus = [&](int except) {
         std::uint64_t pus = 0;
-        for (int c = 0; c < num_chunks; ++c)
-            if (c != self && chunks[static_cast<std::size_t>(c)].busy)
+        for (int c = 0; c < num_slots; ++c)
+            if (c != except && slots[static_cast<std::size_t>(c)].running())
                 pus |= std::uint64_t{1} << recovery.puOf(c);
         return pus;
     };
+
+    // Between engine events the set of running PU classes is constant,
+    // so power is piecewise constant and integration is exact. Power is
+    // a pure function of that set: recompute it only when it changes.
+    double joules = 0.0;
+    std::vector<bool> powered(static_cast<std::size_t>(num_pus));
+    std::uint64_t powered_mask = 0;
+    double power_w = model.systemPowerW(powered);
+    engine.onAdvance([&](double t0, double t1) {
+        if (const std::uint64_t mask = runningPus(-1);
+            mask != powered_mask) {
+            for (int p = 0; p < num_pus; ++p)
+                powered[static_cast<std::size_t>(p)] = (mask >> p) & 1U;
+            power_w = model.systemPowerW(powered);
+            powered_mask = mask;
+        }
+        joules += (t1 - t0) * power_w;
+    });
 
     // Mutual recursion across the dispatch/recovery state machine.
     std::function<void(int)> tryStart;
     std::function<void(int, int, double)> startAttempt;
     std::function<void(int, TraceEventKind)> handleFailure;
-    std::function<void(int)> advanceChunk;
+    std::function<void(int)> advance;
 
-    /** Begin one attempt of (chunk c, stage). On fault-free runs this
-     *  is exactly the old startStage: one engine task whose work is the
-     *  seeded noise factor. */
-    startAttempt = [&](int c, int stage, double queue_wait) {
-        auto& rt = chunks[static_cast<std::size_t>(c)];
-        rt.curStage = stage;
-        rt.stageStart = engine.now();
+    /** Start the attempt's engine task: one task whose work is the
+     *  seeded noise factor (times a straggler factor under faults). */
+    auto launch = [&](int c, double since) {
+        auto& rt = slots[static_cast<std::size_t>(c)];
+        rt.dispatching = false;
         rt.pending = TraceEvent{rt.curTask,
-                                stage,
+                                rt.curStage,
                                 c,
                                 recovery.puOf(c),
-                                queue_wait,
+                                engine.now() - since,
                                 engine.now(),
                                 0.0,
-                                coRunnersOf(c),
+                                runningPus(c),
                                 TraceEventKind::Stage,
                                 {}};
-        double work = noiseFactor(soc, cfg.noiseSalt, 0, rt.curTask,
-                                  stage);
+        double work = noiseFactor(soc, cfg.noiseSalt, noise_domain,
+                                  rt.curTask, rt.curStage);
         if (faulty) {
-            rt.willFail
-                = recovery.transient(c, rt.curTask, stage, rt.attempt);
-            work *= recovery.straggle(c, rt.curTask, stage, rt.attempt,
-                                      engine.now());
+            rt.willFail = recovery.transient(c, rt.curTask, rt.curStage,
+                                             rt.attempt);
+            work *= recovery.straggle(c, rt.curTask, rt.curStage,
+                                      rt.attempt, engine.now());
         }
         if (faulty && cfg.recovery.timeoutFactor > 0.0) {
             // Arm the watchdog: abort the attempt when it exceeds its
@@ -192,10 +200,10 @@ VirtualTimeBackend::run(const core::Application& app,
             // the attempt finishes (or is re-dispatched) first.
             const std::uint64_t seq = ++rt.seq;
             const double budget = cfg.recovery.timeoutFactor
-                * model_.isolatedTime(app.stage(stage).work(),
-                                      recovery.puOf(c));
+                * model.isolatedTime(app.stage(rt.curStage).work(),
+                                     recovery.puOf(c));
             engine.scheduleAt(engine.now() + budget, [&, c, seq] {
-                auto& w = chunks[static_cast<std::size_t>(c)];
+                auto& w = slots[static_cast<std::size_t>(c)];
                 if (w.seq != seq || !w.busy)
                     return;
                 if (engine.cancelTask(w.simId))
@@ -206,45 +214,104 @@ VirtualTimeBackend::run(const core::Application& app,
         rt.simId = engine.startTask(static_cast<std::uint64_t>(c), work);
     };
 
-    /** Stage done (or abandoned): move to the next stage or hand the
-     *  token downstream / recycle it. */
-    advanceChunk = [&](int c) {
-        auto& rt = chunks[static_cast<std::size_t>(c)];
-        if (rt.curStage < session.chunk(c).lastStage) {
-            rt.attempt = {};
-            startAttempt(c, rt.curStage + 1, 0.0);
+    /** Begin one attempt of (slot c, stage), waiting since @p since.
+     *  Greedy dispatch pays its overhead first. */
+    startAttempt = [&](int c, int stage, double since) {
+        auto& rt = slots[static_cast<std::size_t>(c)];
+        rt.curStage = stage;
+        rt.stageStart = engine.now();
+        if (!greedy) {
+            launch(c, since);
             return;
         }
-        // Chunk finished: hand the token downstream (or recycle).
+        rt.dispatching = true;
+        const std::uint64_t seq = ++rt.seq;
+        engine.scheduleAt(
+            engine.now() + greedy->dispatchOverheadUs * 1e-6,
+            [&, c, seq, since] {
+                if (slots[static_cast<std::size_t>(c)].seq == seq)
+                    launch(c, since);
+            });
+    };
+
+    /** Greedy: admit tasks while the pool has tokens, then give every
+     *  ready item to the slot with the earliest predicted finish -
+     *  which may mean queueing behind a busy fast PU rather than
+     *  running at once on a slow idle one. */
+    auto dispatchReady = [&] {
+        while (!free_tokens.empty() && !session.exhausted()) {
+            const int token = free_tokens.back();
+            free_tokens.pop_back();
+            session.inject(token, engine.now());
+            ready.push_back(WorkItem{token, 0, engine.now()});
+        }
+        while (!ready.empty()) {
+            const WorkItem item = ready.front();
+            ready.pop_front();
+            int best = 0;
+            double best_finish = std::numeric_limits<double>::infinity();
+            for (int c = 0; c < num_slots; ++c) {
+                const double finish
+                    = std::max(available[static_cast<std::size_t>(c)],
+                               engine.now())
+                    + greedy->costs->at(item.stage, recovery.puOf(c))
+                    + greedy->dispatchOverheadUs * 1e-6;
+                if (finish < best_finish) {
+                    best_finish = finish;
+                    best = c;
+                }
+            }
+            queues[static_cast<std::size_t>(best)].push_back(item);
+            available[static_cast<std::size_t>(best)] = best_finish;
+            tryStart(best);
+        }
+    };
+
+    /** Stage done (or abandoned): run the chunk's next stage, or pass
+     *  the token on - downstream or back to the head (static), to the
+     *  ready set or the free pool (greedy). */
+    advance = [&](int c) {
+        auto& rt = slots[static_cast<std::size_t>(c)];
+        if (!greedy && rt.curStage < session.chunk(c).lastStage) {
+            rt.attempt = {};
+            startAttempt(c, rt.curStage + 1, engine.now());
+            return;
+        }
         const int token = rt.curToken;
+        const int next_stage = rt.curStage + 1;
         rt.busy = false;
         rt.curStage = -1;
         rt.curToken = -1;
         rt.curTask = -1;
         rt.attempt = {};
 
-        if (c + 1 < num_chunks) {
-            enqueue_time[static_cast<std::size_t>(c + 1)]
-                        [static_cast<std::size_t>(token)]
-                = engine.now();
-            queues[static_cast<std::size_t>(c + 1)].push_back(token);
-            tryStart(c + 1);
-        } else {
+        const bool last = next_stage == app.numStages();
+        if (last) {
             session.complete(token, engine.now());
             if (++completed_tasks == cfg.numTasks)
                 done = true;
-            enqueue_time[0][static_cast<std::size_t>(token)]
-                = engine.now();
-            queues[0].push_back(token);
-            tryStart(0);
         }
-        tryStart(c); // pull the next token into this chunk
+        if (greedy) {
+            if (last)
+                free_tokens.push_back(token);
+            else
+                ready.push_back(WorkItem{token, next_stage, engine.now()});
+            // Estimates drift from reality; re-anchor this slot's clock.
+            available[static_cast<std::size_t>(c)] = engine.now();
+            dispatchReady();
+        } else {
+            const int next = last ? 0 : c + 1;
+            queues[static_cast<std::size_t>(next)].push_back(WorkItem{
+                token, session.chunk(next).firstStage, engine.now()});
+            tryStart(next);
+        }
+        tryStart(c); // pull the next item into this slot
     };
 
     /** One attempt failed (transient or timeout): turn the
      *  controller's next step into timers. */
     handleFailure = [&](int c, TraceEventKind kind) {
-        auto& rt = chunks[static_cast<std::size_t>(c)];
+        auto& rt = slots[static_cast<std::size_t>(c)];
         switch (recovery.fail(c, rt.curTask, rt.curStage, kind,
                               rt.stageStart, engine.now(), rt.attempt)) {
           case NextStep::Retry: {
@@ -252,52 +319,47 @@ VirtualTimeBackend::run(const core::Application& app,
             engine.scheduleAt(
                 engine.now() + recovery.backoffSeconds(rt.attempt),
                 [&, c, seq] {
-                    auto& w = chunks[static_cast<std::size_t>(c)];
+                    auto& w = slots[static_cast<std::size_t>(c)];
                     if (w.seq != seq)
                         return; // superseded (e.g. dropout re-dispatch)
                     recovery.retry(c, w.curTask, w.curStage, w.attempt,
                                    engine.now());
-                    startAttempt(c, w.curStage, 0.0);
+                    startAttempt(c, w.curStage, engine.now());
                 });
             return;
           }
           case NextStep::Failover:
-            startAttempt(c, rt.curStage, 0.0);
+            startAttempt(c, rt.curStage, engine.now());
             return;
           case NextStep::Abandon:
             // Surface the loss and keep the stream moving.
-            advanceChunk(c);
+            advance(c);
             return;
         }
     };
 
     tryStart = [&](int c) {
-        auto& rt = chunks[static_cast<std::size_t>(c)];
-        if (rt.busy)
-            return;
+        auto& rt = slots[static_cast<std::size_t>(c)];
         auto& q = queues[static_cast<std::size_t>(c)];
-        if (q.empty())
+        if (rt.busy || q.empty())
             return;
-        if (c == 0 && session.exhausted())
+        const bool head = !greedy && c == 0;
+        if (head && session.exhausted())
             return; // input stream exhausted
-        const int token = q.front();
+        const WorkItem item = q.front();
         q.pop_front();
+        if (head)
+            session.inject(item.token, engine.now());
         rt.busy = true;
-        rt.curToken = token;
-        if (c == 0)
-            session.inject(token, engine.now());
-        rt.curTask = session.taskOf(token);
+        rt.curToken = item.token;
+        rt.curTask = session.taskOf(item.token);
         rt.attempt = {};
-        startAttempt(c, session.chunk(c).firstStage,
-                     engine.now()
-                         - enqueue_time[static_cast<std::size_t>(c)]
-                                       [static_cast<std::size_t>(
-                                           token)]);
+        startAttempt(c, item.stage, item.since);
     };
 
     engine.onComplete([&](sim::TaskId, std::uint64_t tag) {
         const int c = static_cast<int>(tag);
-        auto& rt = chunks[static_cast<std::size_t>(c)];
+        auto& rt = slots[static_cast<std::size_t>(c)];
         ++rt.seq; // retire the attempt's watchdog
         rt.busyAccum += engine.now() - rt.stageStart;
         if (faulty && rt.willFail) {
@@ -312,7 +374,7 @@ VirtualTimeBackend::run(const core::Application& app,
         // re-apply an in-place stage mutation.
         session.runStage(c, rt.curStage, rt.curToken, nullptr,
                          recovery.puOf(c));
-        advanceChunk(c);
+        advance(c);
     });
 
     // --- scheduled fault sources (throttle windows, dropouts) ----------
@@ -341,7 +403,7 @@ VirtualTimeBackend::run(const core::Application& app,
                 // Re-dispatch attempts that were in flight on the dead
                 // PU (also cancels pending retries via the seq bump).
                 for (const int c : recovery.dropout(d.pu, engine.now())) {
-                    auto& rt = chunks[static_cast<std::size_t>(c)];
+                    auto& rt = slots[static_cast<std::size_t>(c)];
                     if (!rt.busy)
                         continue;
                     if (engine.cancelTask(rt.simId))
@@ -349,7 +411,7 @@ VirtualTimeBackend::run(const core::Application& app,
                     ++rt.seq;
                     rt.willFail = false;
                     rt.attempt = {};
-                    startAttempt(c, rt.curStage, 0.0);
+                    startAttempt(c, rt.curStage, engine.now());
                 }
             });
         }
@@ -359,7 +421,10 @@ VirtualTimeBackend::run(const core::Application& app,
     // timers scheduled past the last completion (a dropout that never
     // came, the tail of a throttle window), so the faulty path steps
     // until the stream drains instead of draining the timer queue.
-    tryStart(0);
+    if (greedy)
+        dispatchReady();
+    else
+        tryStart(0);
     if (faulty) {
         while (!done && engine.step()) {
         }
@@ -367,16 +432,56 @@ VirtualTimeBackend::run(const core::Application& app,
         engine.run();
     }
 
-    std::vector<double> busy(static_cast<std::size_t>(num_chunks));
-    for (int c = 0; c < num_chunks; ++c)
-        busy[static_cast<std::size_t>(c)]
-            = chunks[static_cast<std::size_t>(c)].busyAccum;
+    std::vector<double> busy;
+    busy.reserve(slots.size());
+    for (const SlotRuntime& rt : slots)
+        busy.push_back(rt.busyAccum);
 
     RunResult result = session.finish(engine.now(), busy,
                                       /*affinity_applied=*/true);
-    result.energyJoules = meter.joules();
+    result.energyJoules = joules;
     result.recovery = recovery.stats();
     return result;
+}
+
+} // namespace
+
+VirtualTimeBackend::VirtualTimeBackend(const platform::PerfModel& model)
+    : model_(model)
+{
+}
+
+RunResult
+VirtualTimeBackend::run(const core::Application& app,
+                        const core::Schedule& schedule,
+                        const RunConfig& cfg) const
+{
+    cfg.requireInRange(app.numStages(), model_.soc().numPus());
+    PipelineSession session(app, schedule, model_.soc(), cfg, "virtual",
+                            cfg.runKernels);
+    return simulate(model_, app, session, nullptr);
+}
+
+RunResult
+VirtualTimeBackend::run(const core::Application& app,
+                        const GreedyDispatch& greedy,
+                        const RunConfig& cfg) const
+{
+    const auto& soc = model_.soc();
+    cfg.requireInRange(app.numStages(), soc.numPus());
+    BT_ASSERT(greedy.dispatchOverheadUs >= 0.0);
+    BT_ASSERT(greedy.costs != nullptr
+                  && greedy.costs->numStages() == app.numStages()
+                  && greedy.costs->numPus() == soc.numPus(),
+              "cost table does not match application/device");
+    // Slot p starts on PU class p and may run any stage; recovery
+    // rebinds it like a chunk.
+    std::vector<ChunkSpec> slots;
+    for (int p = 0; p < soc.numPus(); ++p)
+        slots.push_back(ChunkSpec{p, 0, app.numStages() - 1, p});
+    PipelineSession session(app, std::move(slots), soc, cfg, "greedy",
+                            cfg.runKernels);
+    return simulate(model_, app, session, &greedy);
 }
 
 } // namespace bt::runtime

@@ -11,58 +11,47 @@
  * does - which is what makes the Fig. 5/6 accuracy experiments and the
  * autotuning level meaningful.
  *
+ * One run body serves two dispatch policies, which differ only in how a
+ * dispatcher slot gets its next (task, stage): the static pipeline (a
+ * slot per chunk, fed by the previous chunk's queue) and the greedy
+ * earliest-finish baseline (a slot per PU class, fed by a ready set).
+ * Both share the engine, the energy meter, the noise derivation, the
+ * PipelineSession and the RecoveryController, so fault plans, range
+ * checks and kernels apply to both alike.
+ *
  * Optionally, every stage's kernel is also executed functionally on the
  * host so output correctness under any schedule can be validated.
- *
- * The file also hosts the shared virtual-time utilities - the uniform
- * noise-factor derivation and the piecewise-constant energy meter -
- * used by both the static-pipeline policy here and the greedy policy in
- * greedy_runtime.
  */
 
 #ifndef BT_RUNTIME_VIRTUAL_BACKEND_HPP
 #define BT_RUNTIME_VIRTUAL_BACKEND_HPP
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
 #include "core/application.hpp"
+#include "core/profiling_table.hpp"
 #include "core/schedule.hpp"
 #include "platform/perf_model.hpp"
 #include "runtime/run_types.hpp"
 
-namespace bt::sim {
-class Engine;
-}
-
 namespace bt::runtime {
 
 /**
- * Integrates SoC energy over a virtual-time run: between engine events
- * the set of active PU classes is constant, so power is piecewise
- * constant and integration is exact.
+ * Greedy earliest-finish dynamic dispatch, the contrast case to static
+ * pipelining (paper Sec. 6): every ready (task, stage) goes to the PU
+ * with the best predicted completion time under @p costs (normally the
+ * interference-aware profiling table), StarPU-style, and each dispatch
+ * pays @p dispatchOverheadUs. RunConfig::numBuffers caps the tasks in
+ * flight (0 = one per PU class plus one).
  */
-class EnergyMeter
+struct GreedyDispatch
 {
-  public:
-    /** @param fill_active writes which PU classes are busy right now. */
-    EnergyMeter(const platform::PerfModel& model,
-                std::function<void(std::vector<bool>&)> fill_active);
+    const core::ProfilingTable* costs = nullptr;
 
-    /** Register on @p engine's interval observer. */
-    void attach(sim::Engine& engine);
-
-    double joules() const { return joules_; }
-
-  private:
-    const platform::PerfModel& model_;
-    std::function<void(std::vector<bool>&)> fillActive_;
-    std::vector<bool> scratch_;
-    double joules_ = 0.0;
+    /** Runtime cost charged per dispatch decision (queue locks, cost
+     *  model lookup, kernel argument marshalling). */
+    double dispatchOverheadUs = 50.0;
 };
 
-/** Virtual-time execution of static pipeline schedules. */
+/** Virtual-time execution under either dispatch policy. */
 class VirtualTimeBackend
 {
   public:
@@ -70,20 +59,15 @@ class VirtualTimeBackend
 
     const platform::PerfModel& model() const { return model_; }
 
-    /** Execute @p app under @p schedule in virtual time. */
+    /** Execute @p app under the static @p schedule in virtual time. */
     RunResult run(const core::Application& app,
                   const core::Schedule& schedule,
                   const RunConfig& cfg) const;
 
-    /**
-     * Deterministic measurement-noise factor for one stage execution,
-     * uniform across every virtual-time policy: the device seed, the
-     * run's noiseSalt, and a per-policy @p domain tag select a seeded
-     * log-normal stream keyed by (task, stage).
-     */
-    static double noiseFactor(const platform::SocDescription& soc,
-                              std::uint64_t salt, std::uint64_t domain,
-                              std::int64_t task, int stage);
+    /** Execute @p app under greedy dynamic dispatch in virtual time. */
+    RunResult run(const core::Application& app,
+                  const GreedyDispatch& greedy,
+                  const RunConfig& cfg) const;
 
   private:
     const platform::PerfModel& model_;

@@ -15,7 +15,7 @@
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
-#include "runtime/greedy_runtime.hpp"
+#include "runtime/virtual_backend.hpp"
 
 namespace bt::core {
 namespace {
@@ -125,10 +125,9 @@ TEST_P(DynamicOverheads, ExecutesAllTasks)
 
     runtime::RunConfig cfg;
     cfg.numTasks = 12;
-    runtime::GreedyParams params;
-    params.dispatchOverheadUs = GetParam();
-    const auto run = runtime::GreedyRuntime{model, profile.interference}
-                         .run(app, cfg, params);
+    const auto run = runtime::VirtualTimeBackend(model).run(
+        app, runtime::GreedyDispatch{&profile.interference, GetParam()},
+        cfg);
     EXPECT_EQ(run.tasks, 12);
     EXPECT_GT(run.taskIntervalSeconds, 0.0);
     EXPECT_GT(run.makespanSeconds, 0.0);
@@ -150,10 +149,9 @@ TEST(GreedyRuntime, OverheadMonotonicallyHurts)
 
     double prev = 0.0;
     for (const double us : {0.0, 100.0, 1000.0}) {
-        runtime::GreedyParams params;
-        params.dispatchOverheadUs = us;
-        const runtime::GreedyRuntime dyn(model, profile.interference);
-        const double t = dyn.run(app, {}, params).taskIntervalSeconds;
+        const runtime::GreedyDispatch greedy{&profile.interference, us};
+        const runtime::VirtualTimeBackend dyn(model);
+        const double t = dyn.run(app, greedy, {}).taskIntervalSeconds;
         EXPECT_GT(t, prev);
         prev = t;
     }
@@ -166,9 +164,10 @@ TEST(GreedyRuntime, DeterministicAcrossRuns)
     const auto app = apps::octreeApp();
     const Profiler profiler(model);
     const auto profile = profiler.profile(app);
-    const runtime::GreedyRuntime dyn(model, profile.interference);
-    const auto a = dyn.run(app, {}, {});
-    const auto b = dyn.run(app, {}, {});
+    const runtime::VirtualTimeBackend dyn(model);
+    const runtime::GreedyDispatch greedy{&profile.interference};
+    const auto a = dyn.run(app, greedy, {});
+    const auto b = dyn.run(app, greedy, {});
     EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
 }
 
@@ -181,11 +180,10 @@ TEST(GreedyRuntime, SingleStageAppUsesFastestPu)
     const Profiler profiler(model);
     const auto profile = profiler.profile(app);
 
-    runtime::GreedyParams params;
-    params.dispatchOverheadUs = 0.0;
-    params.tasksInFlight = 1;
-    const auto run = runtime::GreedyRuntime{model, profile.interference}
-                         .run(app, {}, params);
+    runtime::RunConfig cfg;
+    cfg.numBuffers = 1;
+    const auto run = runtime::VirtualTimeBackend(model).run(
+        app, runtime::GreedyDispatch{&profile.interference, 0.0}, cfg);
     // With one task in flight and one stage, every task lands on the
     // table-fastest PU; the other stays idle.
     const int fastest = profile.interference.at(0, 0)
@@ -197,6 +195,62 @@ TEST(GreedyRuntime, SingleStageAppUsesFastestPu)
     EXPECT_LT(run.chunkBusyFraction[static_cast<std::size_t>(
                   1 - fastest)],
               0.01);
+}
+
+TEST(GreedyRuntime, FaultFreeResultsArePinned)
+{
+    // Fault-free greedy runs, bit for bit, as the standalone greedy
+    // runtime measured them before it became a dispatch policy of the
+    // virtual backend: the shared session, recovery layer and energy
+    // meter must leave a clean run untouched.
+    struct Pin
+    {
+        platform::SocDescription soc;
+        double overheadUs;
+        int numBuffers;
+        double makespan, interval, latency, energy;
+        std::vector<double> busy;
+    };
+    const std::vector<Pin> pins = {
+        {platform::pixel7a(), 0.0, 0, 0.06791962967185998,
+         0.0020372349893361878, 0.010824188972632449,
+         0.61900011919078823,
+         {0, 0.37981180110089918, 0.7409980181046929,
+          0.83854575995516978}},
+        {platform::pixel7a(), 50.0, 0, 0.074233152226624438,
+         0.0022378727120974922, 0.011786385408116933,
+         0.64019955503430481,
+         {0, 0.29294458382460192, 0.74066652903940267,
+          0.88085093017495542}},
+        {platform::pixel7a(), 200.0, 0, 0.089744805961065877,
+         0.0027046946808102885, 0.014412182492570499,
+         0.64775061699241565,
+         {0, 0.20385744696037486, 0.77710170547198654,
+          0.92869628794766967}},
+        {platform::jetsonOrinNano(), 50.0, 1, 0.039559941826355201,
+         0.0013187065708156565, 0.0013186647275451734,
+         0.56170702268276551, {0, 1}},
+    };
+    const auto app = apps::octreeApp();
+    for (const Pin& pin : pins) {
+        SCOPED_TRACE(pin.soc.name + " " + std::to_string(pin.overheadUs)
+                     + "us");
+        const platform::PerfModel model(pin.soc);
+        const auto profile = Profiler(model).profile(app);
+        runtime::RunConfig cfg;
+        cfg.numBuffers = pin.numBuffers;
+        const auto run = runtime::VirtualTimeBackend(model).run(
+            app,
+            runtime::GreedyDispatch{&profile.interference,
+                                    pin.overheadUs},
+            cfg);
+        EXPECT_EQ(run.makespanSeconds, pin.makespan);
+        EXPECT_EQ(run.taskIntervalSeconds, pin.interval);
+        EXPECT_EQ(run.meanLatencySeconds, pin.latency);
+        EXPECT_EQ(run.energyJoules, pin.energy);
+        EXPECT_EQ(run.chunkBusyFraction, pin.busy);
+        EXPECT_EQ(run.trace.size(), 210u);
+    }
 }
 
 TEST(EnergyObjective, CandidatesCarryEnergyPredictions)

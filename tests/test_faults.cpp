@@ -7,7 +7,8 @@
  * the same recovery decisions from both backends, timeout/straggler
  * interplay, slowdown windows, mid-stream PU dropout with graceful
  * degradation in both backends (also on a rig whose survivors' space
- * is annealed), and the FaultPlan JSON round trip.
+ * is annealed) and under greedy dispatch, and the FaultPlan JSON round
+ * trip.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
 #include "core/native_executor.hpp"
+#include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
 #include "runtime/fault_plan.hpp"
@@ -481,6 +483,43 @@ TEST(FaultRecovery, DropoutMidStreamCompletesAllTasks)
     EXPECT_EQ(alt.recovery.replans, 0);
     EXPECT_GT(alt.recovery.remaps, 0);
     EXPECT_EQ(alt.recovery.unrecovered, 0);
+}
+
+// The greedy dynamic policy recovers through the same controller: its
+// per-PU dispatcher slots retry, get rebound on dropout, and record the
+// same incidents as the static pipeline's chunks.
+TEST(GreedyDispatch, RecoversUnderAFaultPlan)
+{
+    const auto soc = platform::pixel7a();
+    const platform::PerfModel model(soc);
+    const auto app = apps::octreeApp();
+    const auto table = Profiler(model).profile(app).interference;
+    constexpr double kDropAt = 0.02;
+
+    runtime::RunConfig cfg;
+    cfg.faults.dropouts.push_back({3, kDropAt}); // lose the GPU mid-run
+    cfg.faults.transients.push_back({-1, -1, 0.05});
+    cfg.faults.faultSeed = 7;
+
+    const auto run = runtime::VirtualTimeBackend(model).run(
+        app, runtime::GreedyDispatch{&table}, cfg);
+    EXPECT_TRUE(run.valid());
+    EXPECT_EQ(countKind(run.trace, runtime::TraceEventKind::Stage),
+              30 * app.numStages());
+    EXPECT_EQ(run.recovery.dropouts, 1);
+    EXPECT_GT(run.recovery.transientFaults, 0);
+    EXPECT_EQ(run.recovery.unrecovered, 0);
+    for (const auto kind :
+         {runtime::TraceEventKind::Dropout, runtime::TraceEventKind::Remap,
+          runtime::TraceEventKind::Retry})
+        EXPECT_GT(countKind(run.trace, kind), 0)
+            << runtime::traceEventKindName(kind);
+    // Nothing executes on the dead PU after the dropout instant.
+    for (const auto& e : run.trace.events()) {
+        if (e.isStage() && e.pu == 3) {
+            EXPECT_LE(e.endSeconds, kDropAt);
+        }
+    }
 }
 
 // On the 8-class rig the replan faces the 7 survivors' 653,023-schedule

@@ -662,9 +662,14 @@ TEST(LintAgreement, LintParserAndRuntimeApplyTheSameRangeRules)
                 (void)core::Optimizer(soc, table, spec),
                 std::string("spec.range.*") + rule.name);
         } else {
+            // Both dispatch policies refuse it.
+            const runtime::VirtualTimeBackend backend(model);
             EXPECT_DEATH_IF_SUPPORTED(
-                (void)runtime::VirtualTimeBackend(model).run(
-                    app, schedule, run),
+                (void)backend.run(app, schedule, run),
+                std::string("run.range.*") + rule.name);
+            EXPECT_DEATH_IF_SUPPORTED(
+                (void)backend.run(app, runtime::GreedyDispatch{&table},
+                                  run),
                 std::string("run.range.*") + rule.name);
         }
     };

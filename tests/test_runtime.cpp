@@ -28,7 +28,6 @@
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
-#include "runtime/greedy_runtime.hpp"
 #include "runtime/host_backend.hpp"
 #include "runtime/run_types.hpp"
 #include "runtime/trace.hpp"
@@ -499,8 +498,8 @@ TEST(GreedyRuntimeTrace, AgreesWithRunResult)
 
     runtime::RunConfig cfg;
     cfg.numTasks = 10;
-    const auto run = runtime::GreedyRuntime{model, profile.interference}
-                         .run(app, cfg, {});
+    const auto run = runtime::VirtualTimeBackend(model).run(
+        app, runtime::GreedyDispatch{&profile.interference}, cfg);
 
     EXPECT_EQ(run.trace.size(),
               static_cast<std::size_t>(cfg.numTasks * app.numStages()));
@@ -663,6 +662,21 @@ TEST(CrossBackendEquivalence, AllSchedulesAllBackendsBitIdentical)
                 EXPECT_EQ(fp->byTask, reference) << label;
         }
     }
+
+    // Greedy dispatch moves each task's stages across PUs; the shared
+    // session must still run every kernel once, in order.
+    fp->byTask.clear();
+    runtime::RunConfig cfg;
+    cfg.numTasks = num_tasks;
+    cfg.runKernels = true;
+    const auto table = Profiler(model).profile(app).interference;
+    const auto run = runtime::VirtualTimeBackend(model).run(
+        app, runtime::GreedyDispatch{&table}, cfg);
+    EXPECT_TRUE(run.validationErrors.empty())
+        << "greedy: " << run.validationErrors.front();
+    EXPECT_EQ(run.trace.size(),
+              static_cast<std::size_t>(num_tasks * app.numStages()));
+    EXPECT_EQ(fp->byTask, reference) << "greedy";
 }
 
 // ---------------------------------------------------------------------
@@ -699,15 +713,17 @@ TEST(NoiseSalt, SameSaltReproducesDynamicRunExactly)
 
     runtime::RunConfig cfg;
     cfg.noiseSalt = 0xfeedface;
-    const runtime::GreedyRuntime dyn(model, profile.interference);
-    const auto a = dyn.run(app, cfg, {});
-    const auto b = dyn.run(app, cfg, {});
+    const runtime::VirtualTimeBackend dyn(model);
+    const runtime::GreedyDispatch greedy{&profile.interference};
+    const auto a = dyn.run(app, greedy, cfg);
+    const auto b = dyn.run(app, greedy, cfg);
     EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
     EXPECT_DOUBLE_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
 
     runtime::RunConfig other = cfg;
     other.noiseSalt = 0xdeadbeef;
-    EXPECT_NE(dyn.run(app, other, {}).makespanSeconds, a.makespanSeconds);
+    EXPECT_NE(dyn.run(app, greedy, other).makespanSeconds,
+              a.makespanSeconds);
 }
 
 // ---------------------------------------------------------------------
