@@ -41,6 +41,7 @@
 #include "bt.hpp"
 #include "check/fixtures.hpp"
 #include "common/flags.hpp"
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "lint/fixtures.hpp"
 #include "lint/lint.hpp"
@@ -323,32 +324,27 @@ runCheck(const Options& opt)
     const auto soc = pickDevice(opt.device);
     const Framework flow(soc);
     const core::PlannerSpec spec;
-    std::string planning_json = "  \"planning\": {\"apps\": [";
-    for (std::size_t i = 0; i < names.size(); ++i) {
+    std::ostringstream report;
+    json::Writer w(report);
+    w.beginObject();
+    merged.writeMembers(w);
+    w.key("planning").beginObject().key("apps").beginArray();
+    for (const auto& name : names) {
         const auto [cands, stats]
-            = flow.optimize(flow.profile(pickApp(names[i])), spec);
+            = flow.optimize(flow.profile(pickApp(name)), spec);
         const double cost = planCost(cands.front(), spec);
         const char* engine = core::plannerEngineName(stats.engine);
         std::printf("[%s] planned with the %s engine on %s: front "
                     "cost %.3f ms over %llu schedules\n",
-                    names[i].c_str(), engine, soc.name.c_str(),
-                    cost * 1e3,
+                    name.c_str(), engine, soc.name.c_str(), cost * 1e3,
                     static_cast<unsigned long long>(stats.spaceSize));
-        planning_json += std::string(i == 0 ? "" : ", ")
-            + "{\"app\": \"" + names[i] + "\", \"engine\": \""
-            + engine + "\", \"plan_cost\": " + std::to_string(cost)
-            + "}";
+        w.beginObject().member("app", name).member("engine", engine);
+        w.member("plan_cost", cost).endObject();
     }
-    planning_json += "]}\n";
+    w.endArray().endObject().endObject();
 
     if (!opt.json_file.empty()) {
-        std::ostringstream json;
-        merged.writeJson(json);
-        std::string text = json.str();
-        // Splice the planning block into the check report object.
-        text.insert(text.rfind('}'), ",\n" + planning_json);
-        std::ofstream out(opt.json_file);
-        out << text;
+        std::ofstream(opt.json_file) << report.str();
         std::printf("wrote check report to %s\n",
                     opt.json_file.c_str());
     }
@@ -443,6 +439,7 @@ runServe(const Options& opt, const platform::SocDescription& soc)
     if (!opt.json_file.empty()) {
         if (opt.json_file == "-") {
             report.writeJson(std::cout);
+            std::cout << '\n';
         } else {
             std::ofstream out(opt.json_file);
             report.writeJson(out);
@@ -663,44 +660,30 @@ main(int argc, char** argv)
     if (!opt.json_file.empty()) {
         std::ofstream out(opt.json_file);
         const auto& rec = run.recovery;
-        out << "{\n"
-            << "  \"device\": \"" << soc.name << "\",\n"
-            << "  \"app\": \"" << app.name() << "\",\n"
-            << "  \"engine\": \"" << engine << "\",\n"
-            << "  \"plan_cost\": " << front_cost << ",\n"
-            << "  \"schedule\": \"" << best.toString(soc, names)
-            << "\",\n"
-            << "  \"tasks\": " << run.tasks << ",\n"
-            << "  \"latency_ms\": " << run.latencyMs() << ",\n"
-            << "  \"makespan_ms\": " << run.makespanSeconds * 1e3
-            << ",\n"
-            << "  \"mean_latency_ms\": "
-            << run.meanLatencySeconds * 1e3 << ",\n"
-            << "  \"energy_per_task_mj\": "
-            << run.energyPerTaskJ() * 1e3 << ",\n"
-            << "  \"average_power_w\": " << run.averagePowerW()
-            << ",\n"
-            << "  \"cpu_baseline_ms\": " << cpu_ms << ",\n"
-            << "  \"gpu_baseline_ms\": " << gpu_ms << ",\n"
-            << "  \"valid\": " << (run.valid() ? "true" : "false")
-            << ",\n"
-            << "  \"trace\": {\"stage_events\": " << stats.events
-            << ", \"recovery_events\": " << stats.recoveryEvents
-            << ", \"bubble_fraction\": " << stats.bubbleFraction
-            << ", \"interfered_fraction\": "
-            << stats.interferedFraction
-            << ", \"mean_queue_wait_ms\": "
-            << stats.meanQueueWaitSeconds * 1e3 << "},\n"
-            << "  \"recovery\": {\"transient_faults\": "
-            << rec.transientFaults << ", \"timeouts\": "
-            << rec.timeouts << ", \"stragglers\": " << rec.stragglers
-            << ", \"retries\": " << rec.retries << ", \"remaps\": "
-            << rec.remaps << ", \"dropouts\": " << rec.dropouts
-            << ", \"replans\": " << rec.replans
-            << ", \"unrecovered\": " << rec.unrecovered
-            << ", \"backoff_ms\": " << rec.backoffSeconds * 1e3
-            << "}\n"
-            << "}\n";
+        json::Writer w(out);
+        w.beginObject().member("device", soc.name).member("app", app.name());
+        w.member("engine", engine).member("plan_cost", front_cost);
+        w.member("schedule", best.toString(soc, names));
+        w.member("tasks", run.tasks).member("latency_ms", run.latencyMs());
+        w.member("makespan_ms", run.makespanSeconds * 1e3);
+        w.member("mean_latency_ms", run.meanLatencySeconds * 1e3);
+        w.member("energy_per_task_mj", run.energyPerTaskJ() * 1e3);
+        w.member("average_power_w", run.averagePowerW());
+        w.member("cpu_baseline_ms", cpu_ms).member("gpu_baseline_ms", gpu_ms);
+        w.member("valid", run.valid()).key("trace").beginObject();
+        w.member("stage_events", stats.events);
+        w.member("recovery_events", stats.recoveryEvents);
+        w.member("bubble_fraction", stats.bubbleFraction);
+        w.member("interfered_fraction", stats.interferedFraction);
+        w.member("mean_queue_wait_ms", stats.meanQueueWaitSeconds * 1e3);
+        w.endObject().key("recovery").beginObject();
+        w.member("transient_faults", rec.transientFaults);
+        w.member("timeouts", rec.timeouts).member("stragglers", rec.stragglers);
+        w.member("retries", rec.retries).member("remaps", rec.remaps);
+        w.member("dropouts", rec.dropouts).member("replans", rec.replans);
+        w.member("unrecovered", rec.unrecovered);
+        w.member("backoff_ms", rec.backoffSeconds * 1e3).endObject();
+        w.endObject();
         std::printf("wrote JSON report to %s\n",
                     opt.json_file.c_str());
     }

@@ -22,13 +22,6 @@ mix(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-void
-writeThread(std::ostream& os, const ThreadId& id)
-{
-    os << "{\"block\": " << id.block << ", \"thread\": " << id.thread
-       << "}";
-}
-
 std::string
 threadLabel(const ThreadId& id)
 {
@@ -113,33 +106,34 @@ Report::print(std::ostream& os) const
 void
 Report::writeJson(std::ostream& os) const
 {
-    os << "{\"clean\": " << (clean() ? "true" : "false")
-       << ", \"suppressed\": " << suppressed << ", \"stats\": {"
-       << "\"kernels\": " << stats.kernels
-       << ", \"launches\": " << stats.launches
-       << ", \"reruns\": " << stats.reruns
-       << ", \"regions\": " << stats.regions
-       << ", \"accesses\": " << stats.accesses << "}, \"findings\": [";
-    bool comma = false;
+    json::Writer w(os);
+    w.beginObject();
+    writeMembers(w);
+    w.endObject();
+}
+
+void
+Report::writeMembers(json::Writer& w) const
+{
+    w.member("clean", clean()).member("suppressed", suppressed);
+    w.key("stats").beginObject().member("kernels", stats.kernels);
+    w.member("launches", stats.launches).member("reruns", stats.reruns);
+    w.member("regions", stats.regions);
+    w.member("accesses", stats.accesses).endObject();
+    w.key("findings").beginArray();
     for (const Finding& f : findings) {
-        if (comma)
-            os << ", ";
-        comma = true;
-        os << "{\"kind\": \"" << findingKindName(f.kind)
-           << "\", \"context\": \"" << JsonEscaped{f.context}
-           << "\", \"kernel\": \"" << JsonEscaped{f.kernel}
-           << "\", \"launch\": " << f.launch
-           << ", \"grid_dim\": " << f.gridDim
-           << ", \"block_dim\": " << f.blockDim << ", \"buffer\": \""
-           << JsonEscaped{f.buffer} << "\", \"element\": " << f.element
-           << ", \"first\": ";
-        writeThread(os, f.first);
-        os << ", \"second\": ";
-        writeThread(os, f.second);
-        os << ", \"count\": " << f.count << ", \"note\": \""
-           << JsonEscaped{f.note} << "\"}";
+        w.beginObject().member("kind", findingKindName(f.kind));
+        w.member("context", f.context).member("kernel", f.kernel);
+        w.member("launch", f.launch).member("grid_dim", f.gridDim);
+        w.member("block_dim", f.blockDim).member("buffer", f.buffer);
+        w.member("element", f.element).key("first").beginObject();
+        w.member("block", f.first.block).member("thread", f.first.thread);
+        w.endObject().key("second").beginObject();
+        w.member("block", f.second.block).member("thread", f.second.thread);
+        w.endObject();
+        w.member("count", f.count).member("note", f.note).endObject();
     }
-    os << "]}";
+    w.endArray();
 }
 
 void

@@ -37,6 +37,10 @@
 
 #include "simt/instrument.hpp"
 
+namespace bt::json {
+class Writer;
+}
+
 namespace bt::check {
 
 enum class FindingKind
@@ -107,6 +111,10 @@ struct Report
 
     /** Machine-readable report (a JSON object). */
     void writeJson(std::ostream& os) const;
+
+    /** The members of writeJson's object, into an object @p w has
+     *  open - for callers that add members of their own. */
+    void writeMembers(json::Writer& w) const;
 
     /** Append another report's findings and stats (multi-app sweeps). */
     void merge(Report other);

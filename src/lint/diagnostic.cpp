@@ -134,27 +134,22 @@ Report::print(std::ostream& os) const
 void
 Report::writeJson(std::ostream& os) const
 {
-    os << "{\"clean\": " << (clean() ? "true" : "false")
-       << ", \"errors\": " << errors()
-       << ", \"warnings\": " << warnings()
-       << ", \"infos\": " << infos() << ", \"stats\": {\"subjects\": "
-       << stats.subjects << ", \"stages\": " << stats.stages
-       << ", \"buffers\": " << stats.buffers
-       << ", \"chunks\": " << stats.chunks
-       << ", \"fault_rules\": " << stats.faultRules
-       << ", \"passes\": " << stats.passes
-       << "}, \"diagnostics\": [";
-    for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-        const auto& d = diagnostics[i];
-        os << (i ? ", " : "") << "{\"kind\": \""
-           << diagnosticKindName(d.kind) << "\", \"severity\": \""
-           << severityName(d.severity) << "\", \"subject\": \""
-           << JsonEscaped{d.subject} << "\", \"buffer\": \""
-           << JsonEscaped{d.buffer} << "\", \"stage\": " << d.stage
-           << ", \"chunk\": " << d.chunk << ", \"pu\": " << d.pu
-           << ", \"message\": \"" << JsonEscaped{d.message} << "\"}";
+    json::Writer w(os);
+    w.beginObject().member("clean", clean()).member("errors", errors());
+    w.member("warnings", warnings()).member("infos", infos());
+    w.key("stats").beginObject().member("subjects", stats.subjects);
+    w.member("stages", stats.stages).member("buffers", stats.buffers);
+    w.member("chunks", stats.chunks).member("fault_rules", stats.faultRules);
+    w.member("passes", stats.passes).endObject();
+    w.key("diagnostics").beginArray();
+    for (const auto& d : diagnostics) {
+        w.beginObject().member("kind", diagnosticKindName(d.kind));
+        w.member("severity", severityName(d.severity));
+        w.member("subject", d.subject).member("buffer", d.buffer);
+        w.member("stage", d.stage).member("chunk", d.chunk);
+        w.member("pu", d.pu).member("message", d.message).endObject();
     }
-    os << "]}";
+    w.endArray().endObject();
 }
 
 void

@@ -1,16 +1,14 @@
 #include "runtime/fault_plan.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <initializer_list>
 #include <istream>
 #include <limits>
-#include <map>
-#include <ostream>
 #include <sstream>
 #include <string>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 
@@ -35,194 +33,12 @@ faultDraw(std::uint64_t seed, std::uint64_t domain, std::int64_t task,
     return Rng(key).nextDouble();
 }
 
-/**
- * Minimal recursive-descent JSON reader for fault plans: one top-level
- * object whose members are either numbers or arrays of flat objects
- * with numeric fields. Anything else is a parse error.
- */
-class PlanReader
-{
-  public:
-    explicit PlanReader(std::istream& is)
-    {
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        text_ = buf.str();
-    }
-
-    /** Parse the whole document into section -> list of field maps.
-     *  Scalar top-level members land in @p scalars. */
-    bool
-    parse(std::map<std::string,
-                   std::vector<std::map<std::string, double>>>& sections,
-          std::map<std::string, double>& scalars)
-    {
-        pos_ = 0;
-        ws();
-        if (!expect('{'))
-            return false;
-        ws();
-        if (peek() == '}')
-            return ++pos_, tail();
-        while (true) {
-            std::string key;
-            if (!string(key))
-                return false;
-            ws();
-            if (!expect(':'))
-                return false;
-            ws();
-            if (peek() == '[') {
-                std::vector<std::map<std::string, double>> rows;
-                if (!rowArray(rows))
-                    return false;
-                sections[key] = std::move(rows);
-            } else {
-                double v = 0.0;
-                if (!number(v))
-                    return false;
-                scalars[key] = v;
-            }
-            ws();
-            if (peek() == ',') {
-                ++pos_;
-                ws();
-                continue;
-            }
-            break;
-        }
-        return expect('}') && tail();
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    ws()
-    {
-        while (pos_ < text_.size()
-               && std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    bool
-    tail()
-    {
-        ws();
-        return pos_ == text_.size();
-    }
-
-    bool
-    string(std::string& out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"')
-            out += text_[pos_++];
-        return expect('"');
-    }
-
-    bool
-    number(double& out)
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size()
-               && (std::isdigit(
-                       static_cast<unsigned char>(text_[pos_]))
-                   || text_[pos_] == '-' || text_[pos_] == '+'
-                   || text_[pos_] == '.' || text_[pos_] == 'e'
-                   || text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            return false;
-        try {
-            out = std::stod(text_.substr(start, pos_ - start));
-        } catch (...) {
-            return false;
-        }
-        return true;
-    }
-
-    bool
-    rowArray(std::vector<std::map<std::string, double>>& rows)
-    {
-        if (!expect('['))
-            return false;
-        ws();
-        if (peek() == ']')
-            return ++pos_, true;
-        while (true) {
-            std::map<std::string, double> row;
-            if (!object(row))
-                return false;
-            rows.push_back(std::move(row));
-            ws();
-            if (peek() == ',') {
-                ++pos_;
-                ws();
-                continue;
-            }
-            break;
-        }
-        return expect(']');
-    }
-
-    bool
-    object(std::map<std::string, double>& fields)
-    {
-        ws();
-        if (!expect('{'))
-            return false;
-        ws();
-        if (peek() == '}')
-            return ++pos_, true;
-        while (true) {
-            std::string key;
-            if (!string(key))
-                return false;
-            ws();
-            if (!expect(':'))
-                return false;
-            ws();
-            double v = 0.0;
-            if (!number(v))
-                return false;
-            fields[key] = v;
-            ws();
-            if (peek() == ',') {
-                ++pos_;
-                ws();
-                continue;
-            }
-            break;
-        }
-        return expect('}');
-    }
-
-    std::string text_;
-    std::size_t pos_ = 0;
-};
-
+/** The numeric field @p name of a plan row, or @p fallback. */
 double
-field(const std::map<std::string, double>& row, const char* name,
-      double fallback)
+field(const json::Value& row, const char* name, double fallback)
 {
-    const auto it = row.find(name);
-    return it == row.end() ? fallback : it->second;
+    const json::Value* v = row.find(name);
+    return v ? v->number : fallback;
 }
 
 bool
@@ -244,33 +60,36 @@ rowRef(const char* section, std::size_t index, const char* name)
 }
 
 /**
- * Strict row shape check: every field in @p required must be present,
- * and every field present must be in @p required or @p optional.
+ * Strict row shape check: the row is an object of numbers, every field
+ * in @p required is present, and every field present is in @p required
+ * or @p optional.
  */
 bool
-checkRow(const std::map<std::string, double>& row, const char* section,
-         std::size_t index, std::initializer_list<const char*> required,
+checkRow(const json::Value& row, const char* section, std::size_t index,
+         std::initializer_list<const char*> required,
          std::initializer_list<const char*> optional,
          PlanParseError& err)
 {
-    for (const char* name : required) {
-        if (row.count(name) == 0) {
-            err = {PlanParseErrorKind::MissingField,
-                   detail::concat(rowRef(section, index, nullptr),
-                                  " is missing required field \"",
-                                  name, '"')};
-            return false;
-        }
-    }
-    for (const auto& [name, value] : row) {
-        (void)value;
-        if (!contains(required, name) && !contains(optional, name)) {
-            err = {PlanParseErrorKind::UnknownField,
-                   detail::concat(rowRef(section, index, nullptr),
-                                  " has unknown field \"", name, '"')};
-            return false;
-        }
-    }
+    const auto refuse = [&](PlanParseErrorKind kind, const auto&... parts) {
+        err = {kind, detail::concat(rowRef(section, index, nullptr),
+                                    parts...)};
+        return false;
+    };
+    const auto numeric = [](const json::Member& m) {
+        return m.value.kind == json::Value::Kind::Number;
+    };
+    if (row.kind != json::Value::Kind::Object
+        || !std::all_of(row.members.begin(), row.members.end(), numeric))
+        return refuse(PlanParseErrorKind::Syntax,
+                      " must be an object of numbers");
+    for (const char* name : required)
+        if (row.find(name) == nullptr)
+            return refuse(PlanParseErrorKind::MissingField,
+                          " is missing required field \"", name, '"');
+    for (const auto& m : row.members)
+        if (!contains(required, m.name) && !contains(optional, m.name))
+            return refuse(PlanParseErrorKind::UnknownField,
+                          " has unknown field \"", m.name, '"');
     return true;
 }
 
@@ -287,6 +106,73 @@ checkId(double v, const char* section, std::size_t index,
     err = {PlanParseErrorKind::Range,
            detail::concat(rowRef(section, index, name),
                           " must be a whole number, got ", v)};
+    return false;
+}
+
+/** Append row @p i of @p section (a known section) to @p plan; false,
+ *  with @p err set, when the row breaks a shape rule. */
+bool
+addRow(FaultPlan& plan, const std::string& section, std::size_t i,
+       const json::Value& row, PlanParseError& err)
+{
+    const char* s = section.c_str();
+    if (section == "slowdowns") {
+        if (!checkRow(row, s, i, {"pu", "start", "end"}, {"clockFactor"},
+                      err)
+            || !checkId(field(row, "pu", 0), s, i, "pu", err))
+            return false;
+        plan.slowdowns.push_back(
+            {static_cast<int>(field(row, "pu", 0)),
+             field(row, "start", 0.0), field(row, "end", 0.0),
+             field(row, "clockFactor", 0.5)});
+    } else if (section == "transients") {
+        if (!checkRow(row, s, i, {"probability"}, {"stage", "pu"}, err)
+            || !checkId(field(row, "stage", -1), s, i, "stage", err)
+            || !checkId(field(row, "pu", -1), s, i, "pu", err))
+            return false;
+        plan.transients.push_back(
+            {static_cast<int>(field(row, "stage", -1)),
+             static_cast<int>(field(row, "pu", -1)),
+             field(row, "probability", 0.0)});
+    } else if (section == "stragglers") {
+        if (!checkRow(row, s, i, {"probability"}, {"stage", "factor"},
+                      err)
+            || !checkId(field(row, "stage", -1), s, i, "stage", err))
+            return false;
+        plan.stragglers.push_back(
+            {static_cast<int>(field(row, "stage", -1)),
+             field(row, "probability", 0.0), field(row, "factor", 8.0)});
+    } else {
+        if (!checkRow(row, s, i, {"pu", "at"}, {}, err)
+            || !checkId(field(row, "pu", 0), s, i, "pu", err))
+            return false;
+        plan.dropouts.push_back(
+            {static_cast<int>(field(row, "pu", 0)), field(row, "at", 0.0)});
+    }
+    return true;
+}
+
+/** faultSeed is a whole number in [0, 2^64). A plain integer literal is
+ *  read exactly - through a double, 2^53 + 1 would round - and other
+ *  spellings ("7.0", "1e3") through the double. */
+bool
+readSeed(const json::Value& v, std::uint64_t& seed, PlanParseError& err)
+{
+    const double d = v.number;
+    if (v.kind != json::Value::Kind::Number) {
+        err = {PlanParseErrorKind::Syntax, "faultSeed must be a number"};
+        return false;
+    }
+    if (const auto exact = v.exactUnsigned()) {
+        seed = *exact;
+        return true;
+    }
+    if (d >= 0.0 && d < 0x1p64 && std::trunc(d) == d) {
+        seed = static_cast<std::uint64_t>(d);
+        return true;
+    }
+    err = {PlanParseErrorKind::Range,
+           "faultSeed must be a whole number in [0, 2^64), got " + v.text};
     return false;
 }
 
@@ -427,93 +313,43 @@ FaultPlan::problems(int num_pus, int num_stages) const
 std::optional<FaultPlan>
 FaultPlan::fromJson(std::istream& is, PlanParseError& err)
 {
-    PlanReader reader(is);
-    std::map<std::string, std::vector<std::map<std::string, double>>>
-        sections;
-    std::map<std::string, double> scalars;
-    if (!reader.parse(sections, scalars)) {
-        err.kind = PlanParseErrorKind::Syntax;
-        err.message = "not the documented fault-plan JSON subset (one "
-                      "object of numeric scalars and arrays of flat "
-                      "numeric objects)";
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    json::Error jerr;
+    const auto doc = json::parse(buf.str(), jerr);
+    if (!doc || doc->kind != json::Value::Kind::Object) {
+        err = {PlanParseErrorKind::Syntax,
+               doc ? "a fault plan is one JSON object"
+                   : "not valid JSON: " + jerr.toString()};
         return std::nullopt;
     }
-    for (const auto& [name, rows] : sections) {
-        (void)rows;
+
+    FaultPlan plan;
+    for (const auto& [name, value] : doc->members) {
+        if (name == "faultSeed") {
+            if (!readSeed(value, plan.faultSeed, err))
+                return std::nullopt;
+            continue;
+        }
+        const bool rows = value.kind == json::Value::Kind::Array;
         if (!contains({"slowdowns", "transients", "stragglers",
                        "dropouts"},
                       name)) {
             err = {PlanParseErrorKind::UnknownSection,
-                   detail::concat("unknown section \"", name, '"')};
+                   detail::concat("unknown ",
+                                  rows ? "section" : "scalar member",
+                                  " \"", name, '"')};
             return std::nullopt;
         }
-    }
-    for (const auto& [name, value] : scalars) {
-        (void)value;
-        if (name != "faultSeed") {
-            err = {PlanParseErrorKind::UnknownSection,
-                   detail::concat("unknown scalar member \"", name, '"')};
+        if (!rows) {
+            err = {PlanParseErrorKind::Syntax,
+                   detail::concat("section \"", name,
+                                  "\" must be an array of rows")};
             return std::nullopt;
         }
-    }
-
-    FaultPlan plan;
-    std::size_t i = 0;
-    for (const auto& row : sections["slowdowns"]) {
-        if (!checkRow(row, "slowdowns", i, {"pu", "start", "end"},
-                      {"clockFactor"}, err)
-            || !checkId(field(row, "pu", 0), "slowdowns", i, "pu", err))
-            return std::nullopt;
-        plan.slowdowns.push_back(
-            {static_cast<int>(field(row, "pu", 0)),
-             field(row, "start", 0.0), field(row, "end", 0.0),
-             field(row, "clockFactor", 0.5)});
-        ++i;
-    }
-    i = 0;
-    for (const auto& row : sections["transients"]) {
-        if (!checkRow(row, "transients", i, {"probability"},
-                      {"stage", "pu"}, err)
-            || !checkId(field(row, "stage", -1), "transients", i,
-                        "stage", err)
-            || !checkId(field(row, "pu", -1), "transients", i, "pu",
-                        err))
-            return std::nullopt;
-        plan.transients.push_back(
-            {static_cast<int>(field(row, "stage", -1)),
-             static_cast<int>(field(row, "pu", -1)),
-             field(row, "probability", 0.0)});
-        ++i;
-    }
-    i = 0;
-    for (const auto& row : sections["stragglers"]) {
-        if (!checkRow(row, "stragglers", i, {"probability"},
-                      {"stage", "factor"}, err)
-            || !checkId(field(row, "stage", -1), "stragglers", i,
-                        "stage", err))
-            return std::nullopt;
-        plan.stragglers.push_back(
-            {static_cast<int>(field(row, "stage", -1)),
-             field(row, "probability", 0.0), field(row, "factor", 8.0)});
-        ++i;
-    }
-    i = 0;
-    for (const auto& row : sections["dropouts"]) {
-        if (!checkRow(row, "dropouts", i, {"pu", "at"}, {}, err)
-            || !checkId(field(row, "pu", 0), "dropouts", i, "pu", err))
-            return std::nullopt;
-        plan.dropouts.push_back(
-            {static_cast<int>(field(row, "pu", 0)), field(row, "at", 0.0)});
-        ++i;
-    }
-
-    const auto seed = scalars.find("faultSeed");
-    if (seed != scalars.end()) {
-        if (seed->second < 0.0) {
-            err = {PlanParseErrorKind::Range, "faultSeed must be >= 0"};
-            return std::nullopt;
-        }
-        plan.faultSeed = static_cast<std::uint64_t>(seed->second);
+        for (std::size_t i = 0; i < value.items.size(); ++i)
+            if (!addRow(plan, name, i, value.items[i], err))
+                return std::nullopt;
     }
 
     // Domains and overlaps are the plan's own rules; the parser knows
@@ -536,37 +372,30 @@ FaultPlan::fromJson(std::istream& is)
 void
 FaultPlan::toJson(std::ostream& os) const
 {
-    os.precision(17);
-    os << "{";
-    os << "\"slowdowns\":[";
-    for (std::size_t i = 0; i < slowdowns.size(); ++i) {
-        const auto& w = slowdowns[i];
-        os << (i ? "," : "") << "{\"pu\":" << w.pu
-           << ",\"start\":" << w.startSeconds
-           << ",\"end\":" << w.endSeconds
-           << ",\"clockFactor\":" << w.clockFactor << "}";
+    json::Writer w(os);
+    w.beginObject().key("slowdowns").beginArray();
+    for (const auto& sw : slowdowns) {
+        w.beginObject().member("pu", sw.pu).member("start", sw.startSeconds);
+        w.member("end", sw.endSeconds);
+        w.member("clockFactor", sw.clockFactor).endObject();
     }
-    os << "],\"transients\":[";
-    for (std::size_t i = 0; i < transients.size(); ++i) {
-        const auto& t = transients[i];
-        os << (i ? "," : "") << "{\"stage\":" << t.stage
-           << ",\"pu\":" << t.pu
-           << ",\"probability\":" << t.probability << "}";
+    w.endArray().key("transients").beginArray();
+    for (const auto& t : transients) {
+        w.beginObject().member("stage", t.stage).member("pu", t.pu);
+        w.member("probability", t.probability).endObject();
     }
-    os << "],\"stragglers\":[";
-    for (std::size_t i = 0; i < stragglers.size(); ++i) {
-        const auto& s = stragglers[i];
-        os << (i ? "," : "") << "{\"stage\":" << s.stage
-           << ",\"probability\":" << s.probability
-           << ",\"factor\":" << s.factor << "}";
+    w.endArray().key("stragglers").beginArray();
+    for (const auto& st : stragglers) {
+        w.beginObject().member("stage", st.stage);
+        w.member("probability", st.probability);
+        w.member("factor", st.factor).endObject();
     }
-    os << "],\"dropouts\":[";
-    for (std::size_t i = 0; i < dropouts.size(); ++i) {
-        const auto& d = dropouts[i];
-        os << (i ? "," : "") << "{\"pu\":" << d.pu
-           << ",\"at\":" << d.atSeconds << "}";
+    w.endArray().key("dropouts").beginArray();
+    for (const auto& d : dropouts) {
+        w.beginObject().member("pu", d.pu);
+        w.member("at", d.atSeconds).endObject();
     }
-    os << "],\"faultSeed\":" << faultSeed << "}";
+    w.endArray().member("faultSeed", faultSeed).endObject();
 }
 
 void

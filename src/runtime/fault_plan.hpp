@@ -43,7 +43,7 @@ namespace bt::runtime {
 /** Why a fault plan failed to parse (FaultPlan::fromJson). */
 enum class PlanParseErrorKind
 {
-    Syntax,         ///< not the documented JSON subset
+    Syntax,         ///< not RFC 8259 JSON, or not a plan's shape
     UnknownSection, ///< top-level member that is not a plan section
     UnknownField,   ///< row field no rule of that section defines
     MissingField,   ///< required row field absent
@@ -172,12 +172,14 @@ struct FaultPlan
      *  "stragglers":[{"probability":0.01,"factor":10}],
      *  "dropouts":[{"pu":3,"at":0.2}], "faultSeed":7}
      *
-     * Parsing is strict: unknown sections or fields, missing required
+     * Parsing is strict: anything json::parse refuses (duplicate
+     * members included), unknown sections or fields, missing required
      * fields (slowdowns need pu/start/end, transients and stragglers
      * need probability, dropouts need pu/at), fractional ids, a
-     * negative faultSeed, and the first of problems(0, 0) - a value
-     * outside its domain, or same-PU overlapping slowdown windows - are
-     * all typed errors, never UB or a silent default.
+     * faultSeed that is not a whole number in [0, 2^64), and the first
+     * of problems(0, 0) - a value outside its domain, or same-PU
+     * overlapping slowdown windows - are all typed errors, never UB or
+     * a silent default.
      *
      * @return the plan, or std::nullopt with @p err filled in.
      */
@@ -187,7 +189,7 @@ struct FaultPlan
     /** As above, discarding the error detail. */
     static std::optional<FaultPlan> fromJson(std::istream& is);
 
-    /** Serialize in the format fromJson accepts. */
+    /** Serialize in the format fromJson accepts (json::Writer). */
     void toJson(std::ostream& os) const;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <ostream>
 #include <sstream>
 
 #include "common/json.hpp"
@@ -231,74 +230,64 @@ TraceTimeline::stageNameOf(const TraceEvent& e) const
 void
 TraceTimeline::writeChromeJson(std::ostream& os) const
 {
-    os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"backend\":\""
-       << JsonEscaped{backend_} << "\",\"numPus\":" << numPus_
-       << ",\"events\":" << events_.size() << "},\"traceEvents\":[";
-
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            os << ",";
-        first = false;
-    };
+    json::Writer w(os);
+    w.beginObject().member("displayTimeUnit", "ms").key("otherData");
+    w.beginObject().member("backend", backend_).member("numPus", numPus_);
+    w.member("events", events_.size()).endObject();
+    w.key("traceEvents").beginArray();
 
     // Name one chrome "thread" per PU class.
     for (int p = 0; p < numPus_; ++p) {
-        sep();
         const std::string name
             = p < static_cast<int>(puNames_.size())
             ? puNames_[static_cast<std::size_t>(p)]
             : "pu" + std::to_string(p);
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-           << "\"tid\":" << p << ",\"args\":{\"name\":\""
-           << JsonEscaped{name} << "\"}}";
+        w.beginObject().member("name", "thread_name").member("ph", "M");
+        w.member("pid", 0).member("tid", p).key("args").beginObject();
+        w.member("name", name).endObject().endObject();
     }
 
-    os.precision(17);
     for (const auto& e : events_) {
-        sep();
         if (!e.isStage()) {
             // Recovery incidents export as process-scoped instants so
             // they show up as markers above the PU rows.
-            os << "{\"name\":\"" << traceEventKindName(e.kind)
-               << "\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\","
-               << "\"pid\":0,\"tid\":" << std::max(e.pu, 0)
-               << ",\"ts\":" << e.startSeconds * 1e6
-               << ",\"args\":{\"task\":" << e.task
-               << ",\"stage\":" << e.stage << ",\"chunk\":" << e.chunk
-               << ",\"pu\":" << e.pu;
+            w.beginObject().member("name", traceEventKindName(e.kind));
+            w.member("cat", "fault").member("ph", "i").member("s", "p");
+            w.member("pid", 0).member("tid", std::max(e.pu, 0));
+            w.member("ts", e.startSeconds * 1e6).key("args").beginObject();
+            w.member("task", e.task).member("stage", e.stage);
+            w.member("chunk", e.chunk).member("pu", e.pu);
             if (e.session >= 0)
-                os << ",\"session\":" << e.session;
+                w.member("session", e.session);
             // The note is rendered from the incident's one number.
-            os << ",\"note\":\"";
+            std::string note;
             if (e.kind == TraceEventKind::Remap)
-                os << "pu " << static_cast<int>(e.detail) << " -> " << e.pu;
+                note = detail::concat("pu ", static_cast<int>(e.detail),
+                                      " -> ", e.pu);
             else if (e.kind == TraceEventKind::Retry)
-                os << "attempt " << static_cast<int>(e.detail);
+                note = detail::concat("attempt ",
+                                      static_cast<int>(e.detail));
             else if (e.kind == TraceEventKind::Straggler)
-                os << "x" << std::to_string(e.detail); // six decimals
-            os << "\"}}";
+                note = "x" + std::to_string(e.detail); // six decimals
+            w.member("note", note).endObject().endObject();
             continue;
         }
-        os << "{\"name\":\"" << JsonEscaped{stageNameOf(e)}
-           << "\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":0,\"tid\":"
-           << e.pu << ",\"ts\":" << e.startSeconds * 1e6
-           << ",\"dur\":" << e.durationSeconds() * 1e6
-           << ",\"args\":{\"task\":" << e.task
-           << ",\"stage\":" << e.stage << ",\"chunk\":" << e.chunk;
+        w.beginObject().member("name", stageNameOf(e));
+        w.member("cat", "stage").member("ph", "X").member("pid", 0);
+        w.member("tid", e.pu).member("ts", e.startSeconds * 1e6);
+        w.member("dur", e.durationSeconds() * 1e6).key("args").beginObject();
+        w.member("task", e.task).member("stage", e.stage);
+        w.member("chunk", e.chunk);
         if (e.session >= 0)
-            os << ",\"session\":" << e.session;
-        os << ",\"queue_wait_us\":" << e.queueWaitSeconds * 1e6
-           << ",\"co_runners\":[";
+            w.member("session", e.session);
+        w.member("queue_wait_us", e.queueWaitSeconds * 1e6);
+        w.key("co_runners").beginArray();
         for (std::uint64_t left = e.coRunners; left != 0;
-             left &= left - 1) {
-            os << std::countr_zero(left);
-            if ((left & (left - 1)) != 0)
-                os << ",";
-        }
-        os << "]}}";
+             left &= left - 1)
+            w.value(std::countr_zero(left));
+        w.endArray().endObject().endObject();
     }
-    os << "]}";
+    w.endArray().endObject();
 }
 
 std::string

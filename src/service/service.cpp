@@ -1,9 +1,9 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <utility>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "lint/lint.hpp"
@@ -24,36 +24,27 @@ secondsBetween(std::chrono::steady_clock::time_point from,
 void
 ServiceReport::writeJson(std::ostream& os) const
 {
-    os << "{\n";
-    os << "  \"submitted\": " << submitted << ",\n";
-    os << "  \"completed\": " << completed << ",\n";
-    os << "  \"dropped\": " << dropped << ",\n";
-    os << "  \"rejected\": " << rejected << ",\n";
-    os << "  \"failed\": " << failed << ",\n";
-    os << "  \"tenants_rejected\": " << tenantsRejected << ",\n";
-    os << "  \"wall_seconds\": " << wallSeconds << ",\n";
-    os << "  \"throughput_rps\": " << throughputRps << ",\n";
-    os << "  \"latency_ms\": { \"p50\": " << p50Ms << ", \"p99\": "
-       << p99Ms << ", \"mean\": " << meanMs << ", \"max\": " << maxMs
-       << " },\n";
-    os << "  \"plans\": " << plans << ",\n";
-    os << "  \"plan_seconds\": " << planSeconds << ",\n";
-    os << "  \"planner\": { \"annealed_fallbacks\": "
-       << annealedFallbacks << " },\n";
-    os << "  \"cache\": { \"hits\": " << cache.hits << ", \"misses\": "
-       << cache.misses << ", \"evictions\": " << cache.evictions
-       << ", \"insertions\": " << cache.insertions
-       << ", \"raced_insertions\": " << cache.racedInsertions
-       << ", \"size\": " << cache.size << ", \"hit_rate\": "
-       << cache.hitRate() << " },\n";
-    os << "  \"sessions\": {";
-    bool first = true;
-    for (const auto& [session, count] : perSession) {
-        os << (first ? " " : ", ") << '"' << session << "\": " << count;
-        first = false;
-    }
-    os << " }\n";
-    os << "}\n";
+    json::Writer w(os);
+    w.beginObject().member("submitted", submitted);
+    w.member("completed", completed).member("dropped", dropped);
+    w.member("rejected", rejected).member("failed", failed);
+    w.member("tenants_rejected", tenantsRejected);
+    w.member("wall_seconds", wallSeconds);
+    w.member("throughput_rps", throughputRps);
+    w.key("latency_ms").beginObject().member("p50", p50Ms);
+    w.member("p99", p99Ms).member("mean", meanMs).member("max", maxMs);
+    w.endObject().member("plans", plans);
+    w.member("plan_seconds", planSeconds).key("planner").beginObject();
+    w.member("annealed_fallbacks", annealedFallbacks).endObject();
+    w.key("cache").beginObject().member("hits", cache.hits);
+    w.member("misses", cache.misses).member("evictions", cache.evictions);
+    w.member("insertions", cache.insertions);
+    w.member("raced_insertions", cache.racedInsertions);
+    w.member("size", cache.size).member("hit_rate", cache.hitRate());
+    w.endObject().key("sessions").beginObject();
+    for (const auto& [session, count] : perSession)
+        w.member(std::to_string(session), count);
+    w.endObject().endObject();
 }
 
 Service::Service(const platform::SocDescription& soc, ServiceConfig cfg)

@@ -17,6 +17,7 @@
 #include "apps/app_check.hpp"
 #include "check/checker.hpp"
 #include "check/fixtures.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "kernels/exec.hpp"
 #include "kernels/prefix_sum.hpp"
@@ -303,15 +304,15 @@ TEST(Report, JsonShape)
 
     std::ostringstream os;
     report.writeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"clean\": false"), std::string::npos);
-    EXPECT_NE(json.find("\"kind\": \"write_write_race\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"kernel\": \"collide\""), std::string::npos);
-    // The hostile buffer name is escaped, not emitted raw.
-    EXPECT_NE(json.find("na\\\"me"), std::string::npos);
-    EXPECT_NE(json.find("\"stats\""), std::string::npos);
-    EXPECT_NE(json.find("\"findings\""), std::string::npos);
+    const auto doc = json::parse(os.str());
+    ASSERT_TRUE(doc.has_value()) << os.str();
+    EXPECT_FALSE(doc->at("clean").boolean);
+    EXPECT_EQ(doc->at("stats").at("kernels").number, 1.0);
+    const auto& finding = doc->at("findings").items.at(0);
+    EXPECT_EQ(finding.at("kind").text, "write_write_race");
+    EXPECT_EQ(finding.at("kernel").text, "collide");
+    // The hostile buffer name comes back as it went in.
+    EXPECT_EQ(finding.at("buffer").text, "na\"me");
 
     EXPECT_FALSE(report.summary().empty());
     EXPECT_FALSE(report.findings.front().toString().empty());

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -243,18 +245,90 @@ TEST(Json, EscapesQuotesBackslashesAndEveryControlByte)
     raw += "\x7f\xc3\xa9 end"; // DEL and UTF-8 pass through
 
     std::ostringstream os;
-    os << JsonEscaped{raw};
+    json::Writer(os).value(raw);
     EXPECT_EQ(os.str(),
-              "q\\\"b\\\\"
+              "\"q\\\"b\\\\"
               "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
               "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
               "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
               "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
-              "\x7f\xc3\xa9 end");
+              "\x7f\xc3\xa9 end\"");
+    // Every byte string comes back from the reader as it went in.
+    const auto back = json::parse(os.str());
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->text, raw);
 
     std::ostringstream plain;
-    plain << JsonEscaped{"plain"} << JsonEscaped{""};
-    EXPECT_EQ(plain.str(), "plain");
+    json::Writer(plain).beginArray().value("plain").value("").endArray();
+    EXPECT_EQ(plain.str(), "[\"plain\",\"\"]");
+
+    // Separators are the writer's; integers exact; doubles as %.17g.
+    std::ostringstream all;
+    json::Writer w(all);
+    w.beginObject().member("u", ~std::uint64_t{0});
+    w.member("i", std::numeric_limits<std::int64_t>::min());
+    w.member("d", 0.1).member("whole", 1500.0);
+    w.member("nan", std::nan("")).member("b", false);
+    w.key("a").beginArray().beginObject().endObject();
+    w.beginArray().endArray().value(3).endArray().endObject();
+    EXPECT_EQ(all.str(),
+              R"({"u":18446744073709551615,"i":-9223372036854775808,)"
+              R"("d":0.10000000000000001,"whole":1500,"nan":null,)"
+              R"("b":false,"a":[{},[],3]})");
+}
+
+TEST(Json, ReaderDecodesEveryKindAndEscape)
+{
+    const auto v = json::parse(
+        " {\"n\": null, \"t\": true, \"f\": false, \"num\": -12.5e-1,"
+        " \"big\": 18446744073709551615, \"s\": \"a\\\"\\\\\\/\\b\\f\\n"
+        "\\r\\t\\u00e9\\ud83d\\ude00\", \"arr\": [1, [], {}]}\r\n");
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->members.front().name, "n"); // document order
+    EXPECT_EQ(v->at("n").kind, json::Value::Kind::Null);
+    EXPECT_TRUE(v->at("t").boolean);
+    EXPECT_EQ(v->at("f").kind, json::Value::Kind::Bool);
+    EXPECT_FALSE(v->at("f").boolean);
+    EXPECT_EQ(v->at("num").number, -1.25);
+    EXPECT_EQ(v->at("num").exactUnsigned(), std::nullopt);
+    // Exact where a double would round 2^64 - 1 up to 2^64.
+    EXPECT_EQ(v->at("big").exactUnsigned(), ~std::uint64_t{0});
+    EXPECT_EQ(json::parse("18446744073709551616")->exactUnsigned(),
+              std::nullopt);
+    EXPECT_EQ(v->at("s").text, "a\"\\/\b\f\n\r\t\xc3\xa9\xf0\x9f\x98\x80");
+    ASSERT_EQ(v->at("arr").items.size(), 3u);
+    EXPECT_EQ(v->at("arr").items[2].kind, json::Value::Kind::Object);
+}
+
+TEST(Json, ReaderRefusesWhatRfc8259Refuses)
+{
+    for (const char* text :
+         {"", "{} {}", "{\"a\": +7}", "[01]", "[1.]", "[.5]", "[1e]",
+          "[1-2]", "[1..5]", "[tru]", "[1,]", "{\"a\" 1}", "{\"a\": 1,}",
+          "{'a': 1}", "[\"tab\there\"]", "[\"bad \\x escape\"]",
+          "[\"\\u12\"]", "[\"\\ud83d\"]", "[\"\\ude00\"]",
+          "[\"unterminated]", "[1e400]", "\v[]"}) {
+        json::Error err;
+        EXPECT_FALSE(json::parse(text, err).has_value()) << text;
+        EXPECT_FALSE(err.message.empty()) << text;
+    }
+
+    // Duplicate members are refused at the repeated name, not merged.
+    json::Error err;
+    const std::string dup = R"({"x":[{"a":1}],"y":2,"x":[]})";
+    EXPECT_FALSE(json::parse(dup, err).has_value());
+    EXPECT_EQ(err.message, "duplicate member \"x\"");
+    EXPECT_EQ(err.offset, dup.rfind("\"x\""));
+    EXPECT_TRUE(json::parse(R"([{"x":1},{"x":2}])").has_value());
+
+    // Nesting is bounded: an error, never a stack overflow.
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(json::parse(nested(json::kMaxDepth)).has_value());
+    EXPECT_FALSE(json::parse(nested(json::kMaxDepth + 1), err));
+    EXPECT_EQ(err.offset, static_cast<std::size_t>(json::kMaxDepth));
+    EXPECT_FALSE(json::parse(std::string(100000, '[')).has_value());
 }
 
 TEST(Flags, ParsesSwitchesAndValues)

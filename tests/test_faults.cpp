@@ -21,6 +21,7 @@
 
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
+#include "common/rng.hpp"
 #include "core/native_executor.hpp"
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
@@ -585,7 +586,9 @@ TEST(FaultRecovery, HostDropoutRebindsTheDeadChunk)
 // ---------------------------------------------------------------------
 // FaultPlan JSON round trip (the bt_explorer --faults format).
 
-TEST(FaultPlanJson, RoundTripsThroughItsOwnSerialization)
+/** A plan with one row in every section. */
+runtime::FaultPlan
+fullPlan()
 {
     runtime::FaultPlan plan;
     plan.slowdowns.push_back({1, 0.1, 0.5, 0.4});
@@ -593,9 +596,21 @@ TEST(FaultPlanJson, RoundTripsThroughItsOwnSerialization)
     plan.stragglers.push_back({-1, 0.01, 10.0});
     plan.dropouts.push_back({3, 0.2});
     plan.faultSeed = 7;
+    return plan;
+}
 
-    std::stringstream ss;
-    plan.toJson(ss);
+std::string
+serialized(const runtime::FaultPlan& plan)
+{
+    std::ostringstream os;
+    plan.toJson(os);
+    return os.str();
+}
+
+TEST(FaultPlanJson, RoundTripsThroughItsOwnSerialization)
+{
+    runtime::FaultPlan plan = fullPlan();
+    std::stringstream ss(serialized(plan));
     const auto parsed = runtime::FaultPlan::fromJson(ss);
     ASSERT_TRUE(parsed.has_value());
     ASSERT_EQ(parsed->slowdowns.size(), 1u);
@@ -614,6 +629,16 @@ TEST(FaultPlanJson, RoundTripsThroughItsOwnSerialization)
     EXPECT_EQ(parsed->dropouts[0].pu, 3);
     EXPECT_DOUBLE_EQ(parsed->dropouts[0].atSeconds, 0.2);
     EXPECT_EQ(parsed->faultSeed, 7u);
+
+    // Seeds past 2^53 come back exactly, up to 2^64 - 1.
+    for (const std::uint64_t seed :
+         {(std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}}) {
+        plan.faultSeed = seed;
+        std::stringstream big(serialized(plan));
+        const auto back = runtime::FaultPlan::fromJson(big);
+        ASSERT_TRUE(back.has_value()) << seed;
+        EXPECT_EQ(back->faultSeed, seed);
+    }
 
     std::stringstream bad("{\"transients\": [{\"probability\": ");
     EXPECT_FALSE(runtime::FaultPlan::fromJson(bad).has_value());
@@ -638,6 +663,17 @@ TEST(FaultPlanJson, MalformedInputsProduceTypedErrors)
               runtime::PlanParseErrorKind::Syntax);
     EXPECT_EQ(parseKind("{} trailing"),
               runtime::PlanParseErrorKind::Syntax);
+
+    // Not RFC 8259 JSON: a bare expression, a range, a leading '+', a
+    // repeated section (which must not silently replace the first) and
+    // nesting deep enough to overflow a recursive reader's stack.
+    for (const std::string& text : std::vector<std::string>{
+             "{\"faultSeed\": 1-2}",
+             "{\"dropouts\":[{\"pu\":0,\"at\":1..5}]}", "{\"faultSeed\": +7}",
+             "{\"dropouts\":[{\"pu\":1,\"at\":0.001}],\"dropouts\":[]}",
+             std::string(100000, '[')})
+        EXPECT_EQ(parseKind(text), runtime::PlanParseErrorKind::Syntax)
+            << text.substr(0, 80);
 
     // Unknown sections / scalar members.
     EXPECT_EQ(parseKind("{\"slowups\": []}"),
@@ -680,6 +716,12 @@ TEST(FaultPlanJson, MalformedInputsProduceTypedErrors)
               runtime::PlanParseErrorKind::Range);
     EXPECT_EQ(parseKind("{\"faultSeed\": -1}"),
               runtime::PlanParseErrorKind::Range);
+    // faultSeed is a whole number in [0, 2^64): no fraction, no value
+    // a cast to uint64 would make undefined or wrap.
+    for (const char* text : {"{\"faultSeed\": 1.5}", "{\"faultSeed\": 1e30}",
+                             "{\"faultSeed\": 18446744073709551616}"})
+        EXPECT_EQ(parseKind(text), runtime::PlanParseErrorKind::Range)
+            << text;
 
     // Same-PU overlapping slowdown windows.
     EXPECT_EQ(parseKind("{\"slowdowns\": ["
@@ -694,6 +736,61 @@ TEST(FaultPlanJson, MalformedInputsProduceTypedErrors)
                          "{\"pu\": 0, \"start\": 0.5, \"end\": 3}]}");
     runtime::PlanParseError err;
     EXPECT_TRUE(runtime::FaultPlan::fromJson(ok, err).has_value());
+
+    // Ids and seeds may be spelled as any whole JSON number.
+    std::stringstream spelled("{\"dropouts\": [{\"pu\": 1.0e0, "
+                              "\"at\": 0.2}], \"faultSeed\": 7.0}");
+    const auto plan = runtime::FaultPlan::fromJson(spelled, err);
+    ASSERT_TRUE(plan.has_value()) << err.toString();
+    EXPECT_EQ(plan->dropouts.at(0).pu, 1);
+    EXPECT_EQ(plan->faultSeed, 7u);
+}
+
+// Seeded byte mutations (flip, insert, delete, truncate) of CI's plan
+// and of a plan with every section: the parser never crashes, refuses
+// with a known kind and a message, or accepts a plan whose
+// serialization is a fixed point of parse-then-serialize.
+TEST(FaultPlanJson, MutatedPlansParseOrFailCleanly)
+{
+    const std::string seeds[] = {
+        "{\"transients\": [{\"probability\": 0.02}],\n \"dropouts\": "
+        "[{\"pu\": 2, \"at\": 0.05}], \"faultSeed\": 7}\n",
+        serialized(fullPlan())};
+    Rng rng(0x5eed);
+    int accepted = 0;
+    for (int i = 0; i < 20000; ++i) {
+        std::string text = seeds[i % 2];
+        for (auto m = 1 + rng.nextBounded(3); m > 0; --m) {
+            const auto at = rng.nextBounded(text.size() + 1);
+            switch (rng.nextBounded(4)) {
+              case 0:
+                if (at < text.size())
+                    text[at] ^= static_cast<char>(1 << rng.nextBounded(8));
+                break;
+              case 1:
+                text.insert(at, 1, static_cast<char>(rng.nextBounded(256)));
+                break;
+              case 2: text.erase(at, 1); break;
+              default: text.resize(at);
+            }
+        }
+        std::stringstream in(text);
+        runtime::PlanParseError err;
+        const auto plan = runtime::FaultPlan::fromJson(in, err);
+        if (!plan) {
+            EXPECT_NE(runtime::planParseErrorKindName(err.kind), "?");
+            EXPECT_FALSE(err.message.empty()) << text;
+            continue;
+        }
+        ++accepted;
+        std::stringstream again(serialized(*plan));
+        const auto reparsed = runtime::FaultPlan::fromJson(again);
+        ASSERT_TRUE(reparsed.has_value()) << text;
+        EXPECT_EQ(serialized(*reparsed), serialized(*plan)) << text;
+    }
+    // The mutants exercise both outcomes.
+    EXPECT_GT(accepted, 100);
+    EXPECT_LT(accepted, 19000);
 }
 
 TEST(FaultPlanJson, ParseErrorsCarryKindPrefixAndDetail)
@@ -713,8 +810,7 @@ TEST(FaultPlanJson, ParseErrorsCarryKindPrefixAndDetail)
     runtime::FaultPlan plan;
     plan.slowdowns.push_back({1, 0.1, 0.5, 0.4});
     plan.dropouts.push_back({3, 0.2});
-    std::stringstream ss;
-    plan.toJson(ss);
+    std::stringstream ss(serialized(plan));
     runtime::PlanParseError unused;
     const auto parsed = runtime::FaultPlan::fromJson(ss, unused);
     ASSERT_TRUE(parsed.has_value());

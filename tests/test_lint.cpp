@@ -2,9 +2,9 @@
  * @file
  * bt::lint tests: the seeded-defect negative control, cleanliness of
  * every shipped app on every device rig, Report::merge associativity
- * and JSON round-trip (MiniJson pattern from test_runtime), the
- * 8-thread concurrent-lint hammer proving the analyzer is read-only
- * over shared Applications, and the Framework/Service integration
+ * and JSON round-trip through the json reader, the 8-thread
+ * concurrent-lint hammer proving the analyzer is read-only over shared
+ * Applications, and the Framework/Service integration
  * (preflight panic with a stable kind prefix, tenant rejection at
  * admission), and the agreement table: every range rule is an error to
  * lint, a typed error to the fault-plan parser where JSON can express
@@ -12,9 +12,7 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +24,7 @@
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
 #include "bt.hpp"
+#include "common/json.hpp"
 #include "lint/fixtures.hpp"
 #include "lint/lint.hpp"
 #include "platform/devices.hpp"
@@ -41,186 +40,6 @@ using core::Stage;
 using core::StageIo;
 using platform::Pattern;
 using platform::WorkProfile;
-
-// ---------------------------------------------------------------------
-// Minimal JSON parser (same pattern as test_runtime/test_service): just
-// enough to genuinely parse Report::writeJson output.
-
-class MiniJson
-{
-  public:
-    explicit MiniJson(const std::string& text) : s_(text) {}
-
-    bool
-    parse()
-    {
-        pos_ = 0;
-        if (!value())
-            return false;
-        ws();
-        return pos_ == s_.size();
-    }
-
-    int objects() const { return objects_; }
-
-    int
-    keyCount(const std::string& key) const
-    {
-        const auto it = keys_.find(key);
-        return it == keys_.end() ? 0 : it->second;
-    }
-
-  private:
-    void
-    ws()
-    {
-        while (pos_ < s_.size()
-               && std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    lit(const char* word)
-    {
-        const std::size_t n = std::char_traits<char>::length(word);
-        if (s_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool
-    string(std::string* out)
-    {
-        if (pos_ >= s_.size() || s_[pos_] != '"')
-            return false;
-        ++pos_;
-        std::string val;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size())
-                    return false;
-            }
-            val += s_[pos_++];
-        }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_;
-        if (out)
-            *out = val;
-        return true;
-    }
-
-    bool
-    number()
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
-            ++pos_;
-        bool digits = false;
-        while (pos_ < s_.size()
-               && (std::isdigit(static_cast<unsigned char>(s_[pos_]))
-                   || s_[pos_] == '.' || s_[pos_] == 'e'
-                   || s_[pos_] == 'E' || s_[pos_] == '-'
-                   || s_[pos_] == '+')) {
-            if (std::isdigit(static_cast<unsigned char>(s_[pos_])))
-                digits = true;
-            ++pos_;
-        }
-        return digits && pos_ > start;
-    }
-
-    bool
-    value()
-    {
-        ws();
-        if (pos_ >= s_.size())
-            return false;
-        const char c = s_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"')
-            return string(nullptr);
-        if (c == 't')
-            return lit("true");
-        if (c == 'f')
-            return lit("false");
-        if (c == 'n')
-            return lit("null");
-        return number();
-    }
-
-    bool
-    object()
-    {
-        ++pos_;
-        ++objects_;
-        ws();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            ws();
-            std::string key;
-            if (!string(&key))
-                return false;
-            ++keys_[key];
-            ws();
-            if (pos_ >= s_.size() || s_[pos_++] != ':')
-                return false;
-            if (!value())
-                return false;
-            ws();
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_;
-        ws();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            if (!value())
-                return false;
-            ws();
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    std::string s_;
-    std::size_t pos_ = 0;
-    int objects_ = 0;
-    std::map<std::string, int> keys_;
-};
 
 // ---------------------------------------------------------------------
 // Helpers.
@@ -401,18 +220,21 @@ TEST(LintReport, JsonRoundTripsThroughParser)
     for (const auto& r : lint::runSeededDefects())
         merged.merge(r.report);
 
-    const std::string text = toJson(merged);
-    MiniJson json(text);
-    ASSERT_TRUE(json.parse()) << text;
-    EXPECT_EQ(json.keyCount("clean"), 1);
-    EXPECT_EQ(json.keyCount("errors"), 1);
-    EXPECT_EQ(json.keyCount("warnings"), 1);
-    EXPECT_EQ(json.keyCount("stats"), 1);
-    EXPECT_EQ(json.keyCount("diagnostics"), 1);
-    EXPECT_EQ(json.keyCount("kind"),
-              static_cast<int>(merged.diagnostics.size()));
-    EXPECT_EQ(json.keyCount("severity"),
-              static_cast<int>(merged.diagnostics.size()));
+    const auto json = json::parse(toJson(merged)).value();
+    EXPECT_EQ(json.at("clean").boolean, merged.clean());
+    EXPECT_EQ(json.at("errors").number, merged.errors());
+    EXPECT_EQ(json.at("warnings").number, merged.warnings());
+    EXPECT_EQ(json.at("stats").at("passes").number, merged.stats.passes);
+    const auto& diagnostics = json.at("diagnostics").items;
+    ASSERT_EQ(diagnostics.size(), merged.diagnostics.size());
+    for (std::size_t i = 0; i < diagnostics.size(); ++i) {
+        const auto& d = merged.diagnostics[i];
+        EXPECT_EQ(diagnostics[i].at("kind").text,
+                  lint::diagnosticKindName(d.kind));
+        EXPECT_EQ(diagnostics[i].at("severity").text,
+                  lint::severityName(d.severity));
+        EXPECT_EQ(diagnostics[i].at("message").text, d.message);
+    }
 }
 
 TEST(LintReport, JsonEscapesControlBytesInNames)
@@ -428,18 +250,14 @@ TEST(LintReport, JsonEscapesControlBytesInNames)
     report.diagnostics.push_back(d);
 
     const std::string text = toJson(report);
-    EXPECT_NE(text.find(R"("subject": "a\rb\u0001")"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find(R"("buffer": "tab\tend")"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find(R"("message": "quote \" backslash \\ feed\f")"),
-              std::string::npos)
-        << text;
     EXPECT_TRUE(std::none_of(text.begin(), text.end(), [](char c) {
         return static_cast<unsigned char>(c) < 0x20;
     })) << text;
-    MiniJson json(text);
-    EXPECT_TRUE(json.parse()) << text;
+    const auto json = json::parse(text).value();
+    const auto& back = json.at("diagnostics").items.at(0);
+    EXPECT_EQ(back.at("subject").text, d.subject);
+    EXPECT_EQ(back.at("buffer").text, d.buffer);
+    EXPECT_EQ(back.at("message").text, d.message);
 }
 
 // ---------------------------------------------------------------------
@@ -723,10 +541,7 @@ TEST(LintService, RegisterAppRejectsErrorLintingTenants)
         report.writeJson(os);
         return os.str();
     }();
-    EXPECT_NE(json.find("\"tenants_rejected\": 2"), std::string::npos)
-        << json;
-    MiniJson parsed(json);
-    EXPECT_TRUE(parsed.parse()) << json;
+    EXPECT_EQ(json::parse(json).value().at("tenants_rejected").number, 2.0);
 }
 
 TEST(LintService, LintTenantExposesTheAdmissionDecision)

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -24,6 +23,7 @@
 #include "apps/features.hpp"
 #include "apps/octree_app.hpp"
 #include "bt.hpp"
+#include "common/json.hpp"
 #include "core/native_executor.hpp"
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
@@ -85,21 +85,6 @@ TEST(TraceTimeline, StatsOnHandBuiltTimeline)
     EXPECT_DOUBLE_EQ(st.coResidency(0, 0), 2.0);
 }
 
-TEST(TraceTimeline, ChromeExportListsCoRunnerMaskAscending)
-{
-    using runtime::TraceEventKind;
-    runtime::TraceTimeline tl("test", 8, {}, {"a"});
-    tl.record({0, 0, 0, 5, 0.0, 0.0, 1.0,
-               (1u << 7) | (1u << 0) | (1u << 3), TraceEventKind::Stage,
-               {}});
-    tl.record({1, 0, 0, 5, 0.0, 1.0, 2.0, 0, TraceEventKind::Stage, {}});
-    const std::string json = tl.chromeJson();
-    EXPECT_NE(json.find("\"co_runners\":[0,3,7]"), std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"co_runners\":[]"), std::string::npos)
-        << json;
-}
-
 TEST(TraceTimeline, SortByStartIsStableOnTies)
 {
     // Record in a scrambled start order with ties; the sort must order
@@ -127,190 +112,17 @@ TEST(TraceTimelineDeath, MoreThan64PusIsATypedPanic)
         "trace.pu_mask");
 }
 
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON parser: just enough to genuinely parse
-// the Chrome trace export (objects, arrays, strings, numbers, bools).
-
-class MiniJson
+/** The stage ("X") events of Chrome trace @p text, which must parse. */
+std::vector<json::Value>
+stageEvents(const std::string& text)
 {
-  public:
-    explicit MiniJson(const std::string& text) : s_(text) {}
-
-    /** Parse one full JSON value; false on any syntax error. */
-    bool
-    parse()
-    {
-        pos_ = 0;
-        if (!value())
-            return false;
-        ws();
-        return pos_ == s_.size();
-    }
-
-    int objects() const { return objects_; }
-    int arrays() const { return arrays_; }
-
-    /** Occurrences of string @p key used as an object key. */
-    int
-    keyCount(const std::string& key) const
-    {
-        const auto it = keys_.find(key);
-        return it == keys_.end() ? 0 : it->second;
-    }
-
-  private:
-    void
-    ws()
-    {
-        while (pos_ < s_.size()
-               && std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    lit(const char* word)
-    {
-        const std::size_t n = std::char_traits<char>::length(word);
-        if (s_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool
-    string(std::string* out)
-    {
-        if (pos_ >= s_.size() || s_[pos_] != '"')
-            return false;
-        ++pos_;
-        std::string val;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size())
-                    return false;
-            }
-            val += s_[pos_++];
-        }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_; // closing quote
-        if (out)
-            *out = val;
-        return true;
-    }
-
-    bool
-    number()
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
-            ++pos_;
-        bool digits = false;
-        while (pos_ < s_.size()
-               && (std::isdigit(static_cast<unsigned char>(s_[pos_]))
-                   || s_[pos_] == '.' || s_[pos_] == 'e'
-                   || s_[pos_] == 'E' || s_[pos_] == '-'
-                   || s_[pos_] == '+')) {
-            if (std::isdigit(static_cast<unsigned char>(s_[pos_])))
-                digits = true;
-            ++pos_;
-        }
-        return digits && pos_ > start;
-    }
-
-    bool
-    value()
-    {
-        ws();
-        if (pos_ >= s_.size())
-            return false;
-        const char c = s_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"')
-            return string(nullptr);
-        if (c == 't')
-            return lit("true");
-        if (c == 'f')
-            return lit("false");
-        if (c == 'n')
-            return lit("null");
-        return number();
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        ++objects_;
-        ws();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            ws();
-            std::string key;
-            if (!string(&key))
-                return false;
-            ++keys_[key];
-            ws();
-            if (pos_ >= s_.size() || s_[pos_++] != ':')
-                return false;
-            if (!value())
-                return false;
-            ws();
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        ++arrays_;
-        ws();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            if (!value())
-                return false;
-            ws();
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    std::string s_; ///< by value: callers may pass a temporary
-    std::size_t pos_ = 0;
-    int objects_ = 0;
-    int arrays_ = 0;
-    std::map<std::string, int> keys_;
-};
+    const auto trace = json::parse(text).value();
+    std::vector<json::Value> out;
+    for (const auto& e : trace.at("traceEvents").items)
+        if (e.at("ph").text == "X")
+            out.push_back(e);
+    return out;
+}
 
 TEST(TraceTimeline, ChromeJsonRoundTripsThroughParser)
 {
@@ -325,20 +137,17 @@ TEST(TraceTimeline, ChromeJsonRoundTripsThroughParser)
         app, Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2}));
 
     ASSERT_FALSE(run.trace.empty());
-    const std::string json = run.trace.chromeJson();
-    MiniJson parsed(json);
-    ASSERT_TRUE(parsed.parse()) << json.substr(0, 200);
+    const auto trace = json::parse(run.trace.chromeJson()).value();
 
-    // One metadata object per PU, one "X" object per stage execution,
-    // plus the root and the per-event args objects.
-    EXPECT_EQ(parsed.keyCount("ph"),
-              soc.numPus() + static_cast<int>(run.trace.size()));
-    EXPECT_EQ(parsed.keyCount("dur"),
-              static_cast<int>(run.trace.size()));
-    EXPECT_EQ(parsed.keyCount("traceEvents"), 1);
-    EXPECT_EQ(parsed.keyCount("displayTimeUnit"), 1);
-    EXPECT_GT(parsed.objects(),
-              soc.numPus() + static_cast<int>(run.trace.size()));
+    // One metadata object per PU, one "X" object per stage execution.
+    EXPECT_EQ(trace.at("displayTimeUnit").text, "ms");
+    EXPECT_EQ(trace.at("traceEvents").items.size(),
+              static_cast<std::size_t>(soc.numPus()) + run.trace.size());
+    const auto stages = stageEvents(run.trace.chromeJson());
+    ASSERT_EQ(stages.size(), run.trace.size());
+    for (std::size_t i = 0; i < stages.size(); ++i)
+        EXPECT_DOUBLE_EQ(stages[i].at("dur").number,
+                         run.trace.events()[i].durationSeconds() * 1e6);
 }
 
 // ---------------------------------------------------------------------
@@ -386,10 +195,10 @@ TEST(TraceTimeline, MergeKeepsSessionsDistinguishable)
     // stage event carries its session id, and names resolve through
     // the per-session stage tables with an "s<id>:" prefix.
     const std::string json = merged.chromeJson();
-    MiniJson parsed(json);
-    ASSERT_TRUE(parsed.parse()) << json.substr(0, 200);
-    EXPECT_EQ(parsed.keyCount("session"),
-              static_cast<int>(merged.size()));
+    const auto stages = stageEvents(json);
+    ASSERT_EQ(stages.size(), merged.size());
+    for (const auto& e : stages)
+        EXPECT_NE(e.at("args").find("session"), nullptr);
     EXPECT_NE(json.find("\"s7:" + octree.stage(0).name()),
               std::string::npos);
     EXPECT_NE(json.find("\"s12:" + features.stage(0).name()),
@@ -402,17 +211,15 @@ TEST(TraceTimeline, MergeKeepsSessionsDistinguishable)
     runtime::TraceTimeline outer;
     outer.merge(merged, 0.0);
     EXPECT_EQ(outer.size(), merged.size());
-    MiniJson outerParsed(outer.chromeJson());
-    EXPECT_TRUE(outerParsed.parse());
+    EXPECT_EQ(stageEvents(outer.chromeJson()).size(), merged.size());
 
     // Untagged runs keep the legacy export: no session args at all.
     runtime::RunConfig plain;
     plain.numTasks = 2;
     const auto runPlain = SimExecutor(model, plain).execute(
         octree, Schedule::homogeneous(octree.numStages(), 0));
-    MiniJson plainParsed(runPlain.trace.chromeJson());
-    ASSERT_TRUE(plainParsed.parse());
-    EXPECT_EQ(plainParsed.keyCount("session"), 0);
+    for (const auto& e : stageEvents(runPlain.trace.chromeJson()))
+        EXPECT_EQ(e.at("args").find("session"), nullptr);
 }
 
 TEST(TraceTimeline, MergeResolvesNamesPerRunWithinOneSession)
@@ -437,8 +244,7 @@ TEST(TraceTimeline, MergeResolvesNamesPerRunWithinOneSession)
     merged.merge(runA.trace, 0.0);
     merged.merge(runB.trace, 1.0);
     const std::string json = merged.chromeJson();
-    MiniJson parsed(json);
-    ASSERT_TRUE(parsed.parse());
+    EXPECT_EQ(stageEvents(json).size(), merged.size());
     EXPECT_NE(json.find("\"s3:" + octree.stage(0).name()),
               std::string::npos);
     EXPECT_NE(json.find("\"s3:" + features.stage(0).name()),
@@ -507,8 +313,7 @@ TEST(GreedyRuntimeTrace, AgreesWithRunResult)
     EXPECT_NEAR(st.makespanSeconds, run.makespanSeconds,
                 1e-9 * run.makespanSeconds);
     EXPECT_GT(run.energyJoules, 0.0);
-    MiniJson parsed(run.trace.chromeJson());
-    EXPECT_TRUE(parsed.parse());
+    EXPECT_EQ(stageEvents(run.trace.chromeJson()).size(), run.trace.size());
 }
 
 // ---------------------------------------------------------------------
@@ -744,49 +549,12 @@ TEST(PipelineFlow, ReportCarriesDeployedTrace)
     EXPECT_NEAR(st.makespanSeconds,
                 report.deployedRun.makespanSeconds,
                 1e-9 * st.makespanSeconds);
-    MiniJson parsed(report.deployedRun.trace.chromeJson());
-    EXPECT_TRUE(parsed.parse());
+    EXPECT_EQ(stageEvents(report.deployedRun.trace.chromeJson()).size(),
+              report.deployedRun.trace.size());
 }
 
 // ---------------------------------------------------------------------
 // Chrome-trace JSON escaping of hostile names.
-
-/** Decode one JSON string body (no surrounding quotes), RFC 8259. */
-std::string
-jsonUnescape(const std::string& s)
-{
-    std::string out;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\') {
-            out += s[i];
-            continue;
-        }
-        ++i;
-        EXPECT_LT(i, s.size()) << "dangling backslash";
-        switch (s[i]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            EXPECT_LE(i + 4, s.size() - 1) << "truncated \\u escape";
-            const unsigned code = static_cast<unsigned>(
-                std::stoul(s.substr(i + 1, 4), nullptr, 16));
-            EXPECT_LT(code, 0x80u) << "test only decodes ASCII";
-            out += static_cast<char>(code);
-            i += 4;
-            break;
-          }
-          default:
-            ADD_FAILURE() << "unknown escape \\" << s[i];
-        }
-    }
-    return out;
-}
 
 TEST(TraceTimeline, ChromeJsonEscapesHostileNames)
 {
@@ -803,52 +571,66 @@ TEST(TraceTimeline, ChromeJsonEscapesHostileNames)
     tl.record(runtime::makeFaultEvent(TraceEventKind::Retry, 0, 0, 0,
                                       0, 1.0, 1.1, 1.0));
     const std::string json = tl.chromeJson();
-
-    // Structurally valid JSON with no raw control characters.
-    MiniJson parsed(json);
-    ASSERT_TRUE(parsed.parse()) << json.substr(0, 400);
     for (const char c : json)
         EXPECT_GE(static_cast<unsigned char>(c), 0x20)
             << "raw control character leaked into the trace JSON";
 
-    // Every hostile string round-trips bit-exactly through a real
-    // unescape of its emitted form.
-    auto roundTrips = [&](const std::string& original) {
-        const std::string expected = [&] {
-            std::string e;
-            for (const char c : original) {
-                switch (c) {
-                  case '"': e += "\\\""; break;
-                  case '\\': e += "\\\\"; break;
-                  case '\b': e += "\\b"; break;
-                  case '\f': e += "\\f"; break;
-                  case '\n': e += "\\n"; break;
-                  case '\r': e += "\\r"; break;
-                  case '\t': e += "\\t"; break;
-                  default:
-                    if (static_cast<unsigned char>(c) < 0x20) {
-                        char buf[8];
-                        std::snprintf(buf, sizeof buf, "\\u%04x",
-                                      static_cast<unsigned>(
-                                          static_cast<unsigned char>(
-                                              c)));
-                        e += buf;
-                    } else {
-                        e += c;
-                    }
-                }
-            }
-            return e;
-        }();
-        EXPECT_NE(json.find(expected), std::string::npos)
-            << "escaped form of \"" << expected << "\" not in JSON";
-        EXPECT_EQ(jsonUnescape(expected), original);
-    };
-    roundTrips(stage);
-    roundTrips(pu);
-    roundTrips(backend);
+    // Every hostile string decodes back to the original bytes.
+    const auto trace = json::parse(json).value();
+    EXPECT_EQ(trace.at("otherData").at("backend").text, backend);
+    const auto& events = trace.at("traceEvents").items;
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0].at("args").at("name").text, pu);
+    EXPECT_EQ(events[1].at("name").text, stage);
     // Incident notes are rendered from the event's detail at export.
-    EXPECT_NE(json.find("\"note\":\"attempt 1\""), std::string::npos);
+    EXPECT_EQ(events[2].at("args").at("note").text, "attempt 1");
+}
+
+// The exact bytes of the Chrome export for a small session-tagged
+// timeline: co-runner masks list their PUs ascending ([] when none),
+// and one remap, retry and straggler incident each.
+TEST(TraceTimeline, ChromeJsonBytesArePinned)
+{
+    using runtime::TraceEventKind;
+    runtime::TraceTimeline tl("virtual", 3, {"cpu", "gpu"},
+                              {"load", "sort"});
+    tl.setSessionId(4);
+    tl.record({0, 0, 0, 0, 1.25e-4, 0.0, 0.0015, 0b101,
+               TraceEventKind::Stage, {}});
+    tl.record({0, 1, 1, 2, 1e-5, 0.0015, 0.0031, 0, TraceEventKind::Stage,
+               {}});
+    tl.record(runtime::makeFaultEvent(TraceEventKind::Remap, 1, 1, 1, 2,
+                                      0.002, 0.002, 1.0));
+    tl.record(runtime::makeFaultEvent(TraceEventKind::Retry, 1, 0, 0, 0,
+                                      0.0025, 0.0025, 2.0));
+    tl.record(runtime::makeFaultEvent(TraceEventKind::Straggler, 2, 1, 1,
+                                      1, 0.003, 0.0041, 8.5));
+    EXPECT_EQ(
+        tl.chromeJson(),
+        R"({"displayTimeUnit":"ms","otherData":{"backend":"virtual",)"
+        R"("numPus":3,"events":5},"traceEvents":[)"
+        R"({"name":"thread_name","ph":"M","pid":0,"tid":0,)"
+        R"("args":{"name":"cpu"}},)"
+        R"({"name":"thread_name","ph":"M","pid":0,"tid":1,)"
+        R"("args":{"name":"gpu"}},)"
+        R"({"name":"thread_name","ph":"M","pid":0,"tid":2,)"
+        R"("args":{"name":"pu2"}},)"
+        R"({"name":"s4:load","cat":"stage","ph":"X","pid":0,"tid":0,)"
+        R"("ts":0,"dur":1500,"args":{"task":0,"stage":0,"chunk":0,)"
+        R"("session":4,"queue_wait_us":125,"co_runners":[0,2]}},)"
+        R"({"name":"s4:sort","cat":"stage","ph":"X","pid":0,"tid":2,)"
+        R"("ts":1500,"dur":1599.9999999999998,"args":{"task":0,)"
+        R"("stage":1,"chunk":1,"session":4,"queue_wait_us":10,)"
+        R"("co_runners":[]}},)"
+        R"({"name":"remap","cat":"fault","ph":"i","s":"p","pid":0,)"
+        R"("tid":2,"ts":2000,"args":{"task":1,"stage":1,"chunk":1,)"
+        R"("pu":2,"session":4,"note":"pu 1 -> 2"}},)"
+        R"({"name":"retry","cat":"fault","ph":"i","s":"p","pid":0,)"
+        R"("tid":0,"ts":2500,"args":{"task":1,"stage":0,"chunk":0,)"
+        R"("pu":0,"session":4,"note":"attempt 2"}},)"
+        R"({"name":"straggler","cat":"fault","ph":"i","s":"p","pid":0,)"
+        R"("tid":1,"ts":3000,"args":{"task":2,"stage":1,"chunk":1,)"
+        R"("pu":1,"session":4,"note":"x8.500000"}}]})");
 }
 
 // ---------------------------------------------------------------------

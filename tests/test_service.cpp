@@ -28,6 +28,7 @@
 #include "apps/features.hpp"
 #include "apps/octree_app.hpp"
 #include "bt.hpp"
+#include "common/json.hpp"
 #include "platform/devices.hpp"
 #include "service/lease.hpp"
 #include "service/schedule_cache.hpp"
@@ -489,7 +490,9 @@ TEST(Service, UnknownAppIsRejectedNotFatal)
 
     std::ostringstream os;
     report.writeJson(os);
-    EXPECT_NE(os.str().find("\"rejected\": 1"), std::string::npos);
+    const auto json = bt::json::parse(os.str());
+    ASSERT_TRUE(json.has_value()) << os.str();
+    EXPECT_EQ(json->at("rejected").exactUnsigned(), 1u);
 }
 
 TEST(Service, MergedTraceTagsSessions)
@@ -525,13 +528,14 @@ TEST(Service, ReportJsonIsWellFormed)
 
     std::ostringstream os;
     service.report().writeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"cache\""), std::string::npos);
-    EXPECT_NE(json.find("\"hit_rate\""), std::string::npos);
-    EXPECT_NE(json.find("\"dropped\": 0"), std::string::npos);
-    // Balanced braces (the bench and CI parse this report).
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
+    // CI parses this report.
+    const auto json = bt::json::parse(os.str());
+    ASSERT_TRUE(json.has_value()) << os.str();
+    EXPECT_EQ(json->at("dropped").exactUnsigned(), 0u);
+    EXPECT_EQ(json->at("completed").exactUnsigned(), 3u);
+    EXPECT_EQ(json->at("cache").at("hit_rate").kind,
+              bt::json::Value::Kind::Number);
+    EXPECT_EQ(json->at("sessions").members.size(), 3u);
 }
 
 // Concurrent submitters against a running pool: the TSan end-to-end
