@@ -221,13 +221,19 @@ specFrom(const Options& opt)
 }
 
 /** Parse the --faults plan, if one is given, into @p run; false, with
- *  the parse error on stderr, when it does not parse. */
+ *  the reason on stderr, when the file cannot be opened or does not
+ *  parse. */
 bool
 loadFaults(const Options& opt, runtime::RunConfig& run)
 {
     if (opt.faults_file.empty())
         return true;
     std::ifstream in(opt.faults_file);
+    if (!in) {
+        std::fprintf(stderr, "could not open fault plan %s\n",
+                     opt.faults_file.c_str());
+        return false;
+    }
     runtime::PlanParseError perr;
     auto plan = runtime::FaultPlan::fromJson(in, perr);
     if (!plan) {

@@ -181,6 +181,47 @@ class Reader
         return true;
     }
 
+    /**
+     * One multi-byte UTF-8 sequence, its lead byte next. Refuses what
+     * RFC 3629 refuses (Unicode Table 3-7): stray continuation bytes,
+     * 0xC0/0xC1, 0xF5-0xFF, overlong forms, encoded surrogates and
+     * truncated sequences, at the sequence's first byte.
+     */
+    bool
+    utf8(std::string& out)
+    {
+        const std::size_t start = pos_;
+        const auto lead = static_cast<unsigned char>(s_[pos_]);
+        // Continuation bytes, and the range the first one must fall in.
+        int n = 0;
+        unsigned lo = 0x80;
+        unsigned hi = 0xbf;
+        if (lead >= 0xc2 && lead <= 0xdf) {
+            n = 1;
+        } else if (lead >= 0xe0 && lead <= 0xef) {
+            n = 2;
+            lo = lead == 0xe0 ? 0xa0 : lo; // overlong
+            hi = lead == 0xed ? 0x9f : hi; // surrogates
+        } else if (lead >= 0xf0 && lead <= 0xf4) {
+            n = 3;
+            lo = lead == 0xf0 ? 0x90 : lo; // overlong
+            hi = lead == 0xf4 ? 0x8f : hi; // past U+10FFFF
+        } else {
+            return fail("invalid UTF-8 lead byte");
+        }
+        ++pos_;
+        for (int i = 0; i < n; ++i, lo = 0x80, hi = 0xbf) {
+            const auto b = static_cast<unsigned char>(peek());
+            if (b < lo || b > hi) {
+                pos_ = start;
+                return fail("ill-formed UTF-8 sequence");
+            }
+            ++pos_;
+        }
+        out.append(s_.substr(start, pos_ - start));
+        return true;
+    }
+
     bool
     string(std::string& out)
     {
@@ -191,6 +232,11 @@ class Reader
             const char c = s_[pos_];
             if (static_cast<unsigned char>(c) < 0x20)
                 return fail("raw control character in a string");
+            if (static_cast<unsigned char>(c) >= 0x80) {
+                if (!utf8(out))
+                    return false;
+                continue;
+            }
             ++pos_;
             if (c != '\\') {
                 out += c;

@@ -74,10 +74,11 @@ struct Error
 /**
  * Parse one whole document by RFC 8259 and nothing looser: trailing
  * garbage, a leading '+' or zero, raw control characters, lone
- * surrogates, a repeated member name, a number past double's range and
- * nesting past kMaxDepth are errors. Escapes decode to UTF-8; other
- * bytes are taken as they are. @return the value, or std::nullopt with
- * @p err filled in.
+ * surrogates, ill-formed UTF-8 in a string (RFC 8259 section 8.1), a
+ * repeated member name, a number past double's range and nesting past
+ * kMaxDepth are errors. Escapes decode to UTF-8; well-formed UTF-8 is
+ * taken as it is. @return the value, or std::nullopt with @p err
+ * filled in.
  */
 std::optional<Value> parse(std::string_view text, Error& err);
 

@@ -26,6 +26,10 @@
 #ifndef BT_RUNTIME_VIRTUAL_BACKEND_HPP
 #define BT_RUNTIME_VIRTUAL_BACKEND_HPP
 
+#include <cstdint>
+#include <memory>
+#include <mutex>
+
 #include "core/application.hpp"
 #include "core/profiling_table.hpp"
 #include "core/schedule.hpp"
@@ -51,11 +55,21 @@ struct GreedyDispatch
     double dispatchOverheadUs = 50.0;
 };
 
-/** Virtual-time execution under either dispatch policy. */
+/** Seeded noise factors of one stream, by (task, stage). */
+struct NoiseTable;
+
+/**
+ * Virtual-time execution under either dispatch policy. Runs are
+ * independent and may run concurrently on one backend; the backend
+ * keeps only the noise table each policy last drew (see noiseTable).
+ */
 class VirtualTimeBackend
 {
   public:
     explicit VirtualTimeBackend(const platform::PerfModel& model);
+
+    /** A copy serves the same model and starts with no noise tables. */
+    VirtualTimeBackend(const VirtualTimeBackend& other);
 
     const platform::PerfModel& model() const { return model_; }
 
@@ -70,7 +84,21 @@ class VirtualTimeBackend
                   const RunConfig& cfg) const;
 
   private:
+    /**
+     * The noise factors of a run with @p salt under the static or the
+     * greedy policy, covering @p tasks x @p stages: the policy's
+     * published table when it holds that stream and covers the run,
+     * else a freshly drawn table that replaces it.
+     */
+    std::shared_ptr<const NoiseTable>
+    noiseTable(std::uint64_t salt, bool greedy, std::int64_t tasks,
+               int stages) const;
+
     const platform::PerfModel& model_;
+
+    mutable std::mutex noiseMutex_; ///< guards tables_
+    /** The last table each policy drew: static, then greedy. */
+    mutable std::shared_ptr<const NoiseTable> tables_[2];
 };
 
 } // namespace bt::runtime

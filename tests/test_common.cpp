@@ -313,8 +313,38 @@ TEST(Json, ReaderRefusesWhatRfc8259Refuses)
         EXPECT_FALSE(err.message.empty()) << text;
     }
 
-    // Duplicate members are refused at the repeated name, not merged.
+    // Ill-formed UTF-8 (RFC 8259 section 8.1) is refused at the first
+    // byte of its sequence, here always byte 2: stray continuation
+    // bytes, bytes no sequence may hold, overlong forms, encoded
+    // surrogates, code points past U+10FFFF and truncated sequences.
     json::Error err;
+    for (const char* text :
+         {"[\"\x80\"]", "[\"\xbf\"]", "[\"\xc0\x80\"]", "[\"\xc1\xbf\"]",
+          "[\"\xf5\x80\x80\x80\"]", "[\"\xff\"]", "[\"\xfe\"]",
+          "[\"\xe0\x80\x80\"]", "[\"\xe0\x9f\xbf\"]",
+          "[\"\xf0\x8f\xbf\xbf\"]", "[\"\xed\xa0\x80\"]",
+          "[\"\xed\xbf\xbf\"]", "[\"\xf4\x90\x80\x80\"]", "[\"\xc3\"]",
+          "[\"\xe2\x82\"]", "[\"\xf0\x9f\x98\"]", "[\"\xc3\x28\"]",
+          "[\"\xe2\x28\xa1\"]", "{\"\xff\": 1}", "[\"\xc3"}) {
+        EXPECT_FALSE(json::parse(text, err).has_value()) << text;
+        EXPECT_EQ(err.offset, 2U) << text;
+        EXPECT_NE(err.message.find("UTF-8"), std::string::npos) << text;
+    }
+    // Well-formed 2-, 3- and 4-byte text, at the edges of each form,
+    // still decodes byte for byte.
+    for (const char* text :
+         {"\xc2\x80", "\xc3\xa9", "\xdf\xbf", "\xe0\xa0\x80", "\xe2\x82\xac",
+          "\xed\x9f\xbf", "\xee\x80\x80", "\xef\xbf\xbf", "\xf0\x90\x80\x80",
+          "\xf0\x9f\x98\x80", "\xf4\x8f\xbf\xbf",
+          "a\xc3\xa9" "b\xe2\x82\xac" "c"}) {
+        std::string doc = "[\"";
+        doc.append(text).append("\"]");
+        const auto v = json::parse(doc);
+        ASSERT_TRUE(v.has_value()) << text;
+        EXPECT_EQ(v->items.at(0).text, text);
+    }
+
+    // Duplicate members are refused at the repeated name, not merged.
     const std::string dup = R"({"x":[{"a":1}],"y":2,"x":[]})";
     EXPECT_FALSE(json::parse(dup, err).has_value());
     EXPECT_EQ(err.message, "duplicate member \"x\"");

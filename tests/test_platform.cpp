@@ -199,10 +199,12 @@ TEST(PerfModel, TimeslicingSamePuStretchesBoth)
 TEST(PerfModel, BatchedTimesOfIsBitIdenticalToTimeOf)
 {
     // The DES refreshes every active stage's rate with one timesOf
-    // call; it must reproduce the per-load fold bit for bit on every
-    // device (8 PU classes on manycoreRig), with and without throttled
-    // clocks and cross-tenant ambient demand, including active sets
-    // that timeslice one PU.
+    // call over per-(stage, PU) cells; it must reproduce the per-load
+    // fold bit for bit on every device (8 PU classes on manycoreRig),
+    // with and without cross-tenant ambient demand, including active
+    // sets that timeslice one PU, under no throttling, random clock
+    // factors, and factors of exactly 1.0 (which read the cell's
+    // precomputed compute time) mixed with 0.5 (which recompute it).
     std::vector<SocDescription> socs = paperDevices();
     socs.push_back(contentionRig());
     socs.push_back(manycoreRig());
@@ -228,15 +230,21 @@ TEST(PerfModel, BatchedTimesOfIsBitIdenticalToTimeOf)
                 l = Load{&works[rng.nextBounded(works.size())],
                          static_cast<int>(rng.nextBounded(m))};
             std::vector<double> clocks;
-            if (trial % 2 == 1)
+            if (trial % 3 == 1)
                 for (std::uint64_t p = 0; p < m; ++p)
                     clocks.push_back(rng.nextRange(0.3, 1.0));
+            if (trial % 3 == 2)
+                for (std::uint64_t p = 0; p < m; ++p)
+                    clocks.push_back(rng.nextBounded(2) == 0 ? 1.0 : 0.5);
             const double ambient = trial % 4 >= 2
                 ? rng.nextRange(0.1, 2.0 * soc.mem.dramBwGbps)
                 : 0.0;
 
+            std::vector<LoadCell> cells;
+            for (const auto& l : active)
+                cells.push_back(model.cellOf(*l.work, l.pu));
             std::vector<double> times(active.size());
-            model.timesOf(active, clocks, ambient, times);
+            model.timesOf(cells, clocks, ambient, times);
             for (std::size_t i = 0; i < active.size(); ++i) {
                 const double one = model.timeOf(i, active, clocks, ambient);
                 EXPECT_EQ(std::bit_cast<std::uint64_t>(times[i]),

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <thread>
 
+#include "apps/alexnet.hpp"
 #include "apps/features.hpp"
 #include "apps/octree_app.hpp"
 #include "bt.hpp"
@@ -529,6 +530,170 @@ TEST(NoiseSalt, SameSaltReproducesDynamicRunExactly)
     other.noiseSalt = 0xdeadbeef;
     EXPECT_NE(dyn.run(app, greedy, other).makespanSeconds,
               a.makespanSeconds);
+}
+
+// ---------------------------------------------------------------------
+// Noise tables: a backend draws each noise factor once per stream and
+// reuses it, so a run on a backend that has served other runs (other
+// salts, apps of other depths, either policy, shorter and longer
+// streams, fault plans) equals the same run on a fresh backend.
+
+/** One run of the reuse sequence. */
+struct NoiseRun
+{
+    std::uint64_t salt;
+    bool octree; ///< 7-stage octree, else 9-stage AlexNet dense
+    bool greedy;
+    int numTasks;
+    bool faulty; ///< stragglers (some tripping the watchdog), transients
+};
+
+/** Every combination, in the order one backend serves them: the salt
+ *  changes last, so each table grows over apps and task counts before
+ *  another stream replaces it. */
+std::vector<NoiseRun>
+noiseRuns()
+{
+    std::vector<NoiseRun> runs;
+    for (const std::uint64_t salt : {0xfeedfaceULL, 0xdeadbeefULL})
+        for (const bool octree : {true, false})
+            for (const bool greedy : {false, true})
+                for (const int tasks : {5, 60})
+                    for (const bool faulty : {false, true})
+                        runs.push_back({salt, octree, greedy, tasks, faulty});
+    return runs;
+}
+
+/** The device, apps, schedules and greedy cost tables the runs use. */
+struct NoiseRig
+{
+    platform::SocDescription soc = platform::pixel7a(); // noisy device
+    platform::PerfModel model{soc};
+    Application octree = apps::octreeApp();
+    Application dense = apps::alexnetDense();
+    Schedule octreeSchedule = Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2});
+    Schedule denseSchedule
+        = Schedule::fromAssignment({0, 0, 0, 0, 1, 1, 1, 1, 1});
+    ProfilingTable octreeCosts = Profiler(model).profile(octree).interference;
+    ProfilingTable denseCosts = Profiler(model).profile(dense).interference;
+
+    runtime::RunResult
+    run(const runtime::VirtualTimeBackend& backend, const NoiseRun& r) const
+    {
+        runtime::RunConfig cfg;
+        cfg.noiseSalt = r.salt;
+        cfg.numTasks = r.numTasks;
+        cfg.recordTrace = false;
+        if (r.faulty) {
+            cfg.faults.transients.push_back({-1, -1, 0.05});
+            cfg.faults.stragglers.push_back({-1, 0.05, 20.0});
+            cfg.faults.faultSeed = 11;
+        }
+        const Application& app = r.octree ? octree : dense;
+        if (r.greedy)
+            return backend.run(
+                app,
+                runtime::GreedyDispatch{r.octree ? &octreeCosts
+                                                 : &denseCosts},
+                cfg);
+        return backend.run(app, r.octree ? octreeSchedule : denseSchedule,
+                           cfg);
+    }
+};
+
+/** Every number a RunResult carries, bit for bit. */
+void
+expectSameRun(const runtime::RunResult& a, const runtime::RunResult& b)
+{
+    EXPECT_EQ(a.tasks, b.tasks);
+    EXPECT_EQ(a.makespanSeconds, b.makespanSeconds);
+    EXPECT_EQ(a.taskIntervalSeconds, b.taskIntervalSeconds);
+    EXPECT_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
+    EXPECT_EQ(a.energyJoules, b.energyJoules);
+    EXPECT_EQ(a.chunkBusyFraction, b.chunkBusyFraction);
+    const auto& x = a.recovery;
+    const auto& y = b.recovery;
+    EXPECT_EQ(x.transientFaults, y.transientFaults);
+    EXPECT_EQ(x.timeouts, y.timeouts);
+    EXPECT_EQ(x.stragglers, y.stragglers);
+    EXPECT_EQ(x.retries, y.retries);
+    EXPECT_EQ(x.remaps, y.remaps);
+    EXPECT_EQ(x.dropouts, y.dropouts);
+    EXPECT_EQ(x.replans, y.replans);
+    EXPECT_EQ(x.unrecovered, y.unrecovered);
+    EXPECT_EQ(x.backoffSeconds, y.backoffSeconds);
+}
+
+std::string
+describe(const NoiseRun& r)
+{
+    std::ostringstream os;
+    os << std::hex << "salt " << r.salt << std::dec
+       << (r.octree ? " octree" : " dense")
+       << (r.greedy ? " greedy " : " static ") << r.numTasks << " tasks"
+       << (r.faulty ? " faulty" : "");
+    return os.str();
+}
+
+TEST(NoiseTable, ReusedBackendEqualsFreshBackend)
+{
+    const NoiseRig rig;
+    const auto runs = noiseRuns();
+    const runtime::VirtualTimeBackend reused(rig.model);
+    std::vector<runtime::RunResult> served;
+    for (const auto& r : runs)
+        served.push_back(rig.run(reused, r));
+
+    int faults = 0;
+    int timeouts = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        SCOPED_TRACE(describe(runs[i]));
+        expectSameRun(served[i],
+                      rig.run(runtime::VirtualTimeBackend(rig.model),
+                              runs[i]));
+        // A second pass reads only tables the backend already holds.
+        expectSameRun(served[i], rig.run(reused, runs[i]));
+        faults += served[i].recovery.faultsInjected();
+        timeouts += served[i].recovery.timeouts;
+    }
+    // The fault plan really fired, watchdog retries included.
+    EXPECT_GT(faults, 0);
+    EXPECT_GT(timeouts, 0);
+}
+
+TEST(NoiseTable, ConcurrentRunsOnOneBackendEqualFreshRuns)
+{
+    const NoiseRig rig;
+    const auto runs = noiseRuns();
+    std::vector<runtime::RunResult> fresh;
+    for (const auto& r : runs)
+        fresh.push_back(rig.run(runtime::VirtualTimeBackend(rig.model), r));
+
+    // Four threads walk the sequence from different offsets, so the two
+    // salts and both policies race for the backend's tables.
+    constexpr int kThreads = 4;
+    const runtime::VirtualTimeBackend shared(rig.model);
+    std::vector<std::vector<runtime::RunResult>> got(kThreads);
+    std::vector<std::thread> team;
+    for (int t = 0; t < kThreads; ++t)
+        team.emplace_back([&, t] {
+            for (std::size_t k = 0; k < runs.size(); ++k) {
+                const std::size_t i = (k + t * runs.size() / kThreads)
+                    % runs.size();
+                got[static_cast<std::size_t>(t)].push_back(
+                    rig.run(shared, runs[i]));
+            }
+        });
+    for (auto& th : team)
+        th.join();
+
+    for (int t = 0; t < kThreads; ++t)
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+            const std::size_t i = (k + t * runs.size() / kThreads)
+                % runs.size();
+            SCOPED_TRACE(describe(runs[i]));
+            expectSameRun(got[static_cast<std::size_t>(t)][k], fresh[i]);
+        }
 }
 
 // ---------------------------------------------------------------------
