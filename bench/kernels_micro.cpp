@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "kernels/conv2d.hpp"
-#include "kernels/gemm_conv.hpp"
 #include "kernels/image.hpp"
 #include "kernels/morton.hpp"
 #include "kernels/pooling.hpp"
@@ -415,31 +414,6 @@ BM_MaxpoolHostBody(benchmark::State& state, bool tuned)
 BENCHMARK_CAPTURE(BM_MaxpoolHostBody, Tuned, true);
 BENCHMARK_CAPTURE(BM_MaxpoolHostBody, SeedPath, false);
 
-void
-BM_GemmConv(benchmark::State& state)
-{
-    const int c = static_cast<int>(state.range(0));
-    const ConvShape shape{Shape3{c, 16, 16}, c * 2};
-    const auto in = randomFloats(static_cast<std::size_t>(
-        shape.in.elems()), 29);
-    const auto w = randomFloats(static_cast<std::size_t>(
-        shape.weightElems()), 30);
-    const auto b = randomFloats(static_cast<std::size_t>(shape.outC),
-                                31);
-    const std::int64_t pixels
-        = static_cast<std::int64_t>(shape.in.h) * shape.in.w;
-    std::vector<float> cols(static_cast<std::size_t>(shape.in.c) * 9
-                            * static_cast<std::size_t>(pixels));
-    std::vector<float> out(static_cast<std::size_t>(
-        shape.out().elems()));
-    for (auto _ : state) {
-        conv2dGemmCpu(CpuExec{nullptr}, shape, in, w, b, cols, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * shape.out().elems());
-}
-BENCHMARK(BM_GemmConv)->Arg(8)->Arg(32);
-
 // SIMD-vs-scalar tier pairs: same shape and data, dispatch pinned to
 // the widest available tier vs the scalar fallback. The Simd/Scalar
 // ratio inside one snapshot prices the vector layer without the
@@ -465,27 +439,6 @@ class ScopedBenchTier
     ScopedBenchTier(const ScopedBenchTier&) = delete;
     ScopedBenchTier& operator=(const ScopedBenchTier&) = delete;
 };
-
-void
-BM_GemmSimdTier(benchmark::State& state, bool simd)
-{
-    const ScopedBenchTier tier(simd);
-    const int m = 64;
-    const int n = 256;
-    const int k = 288;
-    const auto a = randomFloats(static_cast<std::size_t>(m) * k, 32);
-    const auto b = randomFloats(static_cast<std::size_t>(k) * n, 33);
-    std::vector<float> c(static_cast<std::size_t>(m) * n);
-    for (auto _ : state) {
-        gemmCpu(CpuExec{nullptr}, m, n, k, a, b, c);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2
-                            * static_cast<std::int64_t>(m) * n * k);
-    state.SetLabel(bt::simd::isaName(simdTier().isa));
-}
-BENCHMARK_CAPTURE(BM_GemmSimdTier, Simd, true);
-BENCHMARK_CAPTURE(BM_GemmSimdTier, Scalar, false);
 
 void
 BM_Conv2dSimdTier(benchmark::State& state, bool simd)

@@ -117,10 +117,10 @@ BENCHMARK(BM_PlanEndToEnd_Parallel)->Unit(benchmark::kMillisecond);
 
 /**
  * Replan latency after a simulated PU dropout: the fault-recovery
- * critical path. SeedPath rebuilds the model table and re-scores the
- * surviving space per replan (the old replanOnSurvivors); Throughput
- * replans through the shared ReplanPlanner cache, whose second and
- * later dropouts hit the warm prediction memo.
+ * critical path. SeedPath builds a fresh ReplanPlanner per replan, so
+ * each one rebuilds the model table and re-scores the surviving space;
+ * Throughput keeps one planner across both replans, whose second
+ * dropout hits the warm prediction memo.
  */
 void
 BM_ReplanAfterDropout(benchmark::State& state, bool cached)
@@ -138,18 +138,12 @@ BM_ReplanAfterDropout(benchmark::State& state, bool cached)
 
     std::string plan_digest;
     for (auto _ : state) {
-        if (cached) {
-            runtime::ReplanPlanner planner(model, app);
-            const auto a = planner.replan(first_loss);
-            const auto b = planner.replan(second_loss);
-            plan_digest = a.compactString() + "|" + b.compactString();
-        } else {
-            const auto a
-                = runtime::replanOnSurvivors(model, app, first_loss);
-            const auto b
-                = runtime::replanOnSurvivors(model, app, second_loss);
-            plan_digest = a.compactString() + "|" + b.compactString();
-        }
+        runtime::ReplanPlanner planner(model, app);
+        const auto a = planner.replan(first_loss);
+        const auto b = cached
+            ? planner.replan(second_loss)
+            : runtime::ReplanPlanner(model, app).replan(second_loss);
+        plan_digest = a.compactString() + "|" + b.compactString();
         benchmark::ClobberMemory();
     }
     state.SetLabel(plan_digest);

@@ -30,6 +30,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -228,9 +229,13 @@ loadFaults(const Options& opt, runtime::RunConfig& run)
 {
     if (opt.faults_file.empty())
         return true;
+    // A directory opens as a stream that reads nothing, which would
+    // surface as a JSON syntax error at byte 0.
+    std::error_code ec;
     std::ifstream in(opt.faults_file);
-    if (!in) {
-        std::fprintf(stderr, "could not open fault plan %s\n",
+    if (!in || std::filesystem::is_directory(opt.faults_file, ec)) {
+        std::fprintf(stderr,
+                     "could not open fault plan %s: not a readable file\n",
                      opt.faults_file.c_str());
         return false;
     }

@@ -158,12 +158,15 @@ constexpr double kActCacheFactor = 0.35;
  * SIMD row-saxpy body (kernels/simd_body.hpp) recovers the issue-width
  * gap of the old scalar loops (which sat near 8x), but the tap-sweep
  * formulation still streams the output plane once per (ic, ky, kx) tap
- * and so stays well short of the packed-GEMM roofline the lean kernels
- * reach. Measured as the conv2dCpu / conv2dGemmCpu ratio on the
- * BM_Conv2dDense vs BM_GemmConv micro pair (BENCH_kernels.json); the
- * GPU kernel maps near-roofline. This reproduces the paper's wide
- * CPU/GPU dense gap without distorting lean dense stages such as
- * Morton encoding or pooling.
+ * and so stays well short of the roofline a packed-GEMM convolution
+ * reaches. It was last measured at ~3.9 as the conv2dCpu ratio to a
+ * packed-GEMM convolution of the same shapes (EXPERIMENTS.md); that
+ * reference kernel is no longer in the tree, and the CSV anchors under
+ * results/ freeze the constant: changing it moves every anchor and
+ * needs a fresh reference measurement. The GPU kernel maps
+ * near-roofline. This reproduces the paper's wide CPU/GPU dense gap
+ * without distorting lean dense stages such as Morton encoding or
+ * pooling.
  */
 constexpr double kDirectConvCpuScale = 4.0;
 

@@ -31,6 +31,43 @@ appendUtf8(std::string& out, unsigned cp)
         out += static_cast<char>(0x80u | ((cp >> (6 * i)) & 0x3fu));
 }
 
+/**
+ * Length of the well-formed UTF-8 sequence at the front of @p s, whose
+ * first byte is >= 0x80; 0 when the bytes are what RFC 3629 refuses
+ * (Unicode Table 3-7): a stray continuation byte, 0xC0/0xC1, 0xF5-0xFF,
+ * an overlong form, an encoded surrogate or a truncated sequence.
+ */
+std::size_t
+utf8Length(std::string_view s)
+{
+    const auto lead = static_cast<unsigned char>(s[0]);
+    // Continuation bytes, and the range the first one must fall in.
+    std::size_t n = 0;
+    unsigned lo = 0x80;
+    unsigned hi = 0xbf;
+    if (lead >= 0xc2 && lead <= 0xdf) {
+        n = 1;
+    } else if (lead >= 0xe0 && lead <= 0xef) {
+        n = 2;
+        lo = lead == 0xe0 ? 0xa0 : lo; // overlong
+        hi = lead == 0xed ? 0x9f : hi; // surrogates
+    } else if (lead >= 0xf0 && lead <= 0xf4) {
+        n = 3;
+        lo = lead == 0xf0 ? 0x90 : lo; // overlong
+        hi = lead == 0xf4 ? 0x8f : hi; // past U+10FFFF
+    } else {
+        return 0;
+    }
+    if (s.size() <= n)
+        return 0;
+    for (std::size_t i = 1; i <= n; ++i, lo = 0x80, hi = 0xbf) {
+        const auto b = static_cast<unsigned char>(s[i]);
+        if (b < lo || b > hi)
+            return 0;
+    }
+    return n + 1;
+}
+
 /** Recursive descent over one document; the first failure wins. */
 class Reader
 {
@@ -181,47 +218,6 @@ class Reader
         return true;
     }
 
-    /**
-     * One multi-byte UTF-8 sequence, its lead byte next. Refuses what
-     * RFC 3629 refuses (Unicode Table 3-7): stray continuation bytes,
-     * 0xC0/0xC1, 0xF5-0xFF, overlong forms, encoded surrogates and
-     * truncated sequences, at the sequence's first byte.
-     */
-    bool
-    utf8(std::string& out)
-    {
-        const std::size_t start = pos_;
-        const auto lead = static_cast<unsigned char>(s_[pos_]);
-        // Continuation bytes, and the range the first one must fall in.
-        int n = 0;
-        unsigned lo = 0x80;
-        unsigned hi = 0xbf;
-        if (lead >= 0xc2 && lead <= 0xdf) {
-            n = 1;
-        } else if (lead >= 0xe0 && lead <= 0xef) {
-            n = 2;
-            lo = lead == 0xe0 ? 0xa0 : lo; // overlong
-            hi = lead == 0xed ? 0x9f : hi; // surrogates
-        } else if (lead >= 0xf0 && lead <= 0xf4) {
-            n = 3;
-            lo = lead == 0xf0 ? 0x90 : lo; // overlong
-            hi = lead == 0xf4 ? 0x8f : hi; // past U+10FFFF
-        } else {
-            return fail("invalid UTF-8 lead byte");
-        }
-        ++pos_;
-        for (int i = 0; i < n; ++i, lo = 0x80, hi = 0xbf) {
-            const auto b = static_cast<unsigned char>(peek());
-            if (b < lo || b > hi) {
-                pos_ = start;
-                return fail("ill-formed UTF-8 sequence");
-            }
-            ++pos_;
-        }
-        out.append(s_.substr(start, pos_ - start));
-        return true;
-    }
-
     bool
     string(std::string& out)
     {
@@ -233,8 +229,11 @@ class Reader
             if (static_cast<unsigned char>(c) < 0x20)
                 return fail("raw control character in a string");
             if (static_cast<unsigned char>(c) >= 0x80) {
-                if (!utf8(out))
-                    return false;
+                const std::size_t n = utf8Length(s_.substr(pos_));
+                if (n == 0)
+                    return fail("ill-formed UTF-8 sequence");
+                out.append(s_.substr(pos_, n));
+                pos_ += n;
                 continue;
             }
             ++pos_;
@@ -368,12 +367,20 @@ Writer::value(std::string_view text)
     std::size_t run = 0;
     for (std::size_t i = 0; i < text.size(); ++i) {
         const auto c = static_cast<unsigned char>(text[i]);
-        if (c >= 0x20 && c != '"' && c != '\\')
+        if (c >= 0x80) {
+            if (const std::size_t n = utf8Length(text.substr(i))) {
+                i += n - 1;
+                continue;
+            }
+        } else if (c >= 0x20 && c != '"' && c != '\\') {
             continue;
+        }
         os_.write(text.data() + run, static_cast<std::streamsize>(i - run));
         run = i + 1;
         const auto k = kUnescaped.find(static_cast<char>(c));
-        if (k != std::string_view::npos)
+        if (c >= 0x80)
+            os_ << "\xef\xbf\xbd"; // U+FFFD, so the reader takes it
+        else if (k != std::string_view::npos)
             os_ << '\\' << kEscaped[k];
         else
             os_ << "\\u00" << kHex[c >> 4] << kHex[c & 0xf];

@@ -92,8 +92,10 @@ inline constexpr int kMaxDepth = 512;
  * Compact streaming writer: no whitespace; commas and colons placed for
  * the caller, who nests begin/end calls and keys each member. Strings
  * are escaped (quote, backslash, the \b \f \n \r \t shorthands, \u00XX
- * for other bytes below 0x20; all else as is), integers are exact, and
- * doubles are "%.17g", which round-trips; non-finite doubles are null.
+ * for other bytes below 0x20, U+FFFD for each byte of ill-formed UTF-8;
+ * all else as is), so parse() takes back whatever it writes. Integers
+ * are exact, and doubles are "%.17g", which round-trips; non-finite
+ * doubles are null.
  */
 class Writer
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Portable SIMD core: ISA identification/detection, aligned allocation,
+ * Portable SIMD core: ISA identification/detection, alignment helpers,
  * and a generic fixed-width vector type the kernel bodies are written
  * against.
  *
@@ -29,8 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
-#include <vector>
 
 namespace bt::simd {
 
@@ -86,7 +84,7 @@ struct SimdRequest
  */
 SimdRequest simdRequestFromEnv();
 
-/** Alignment (bytes) of every kernel buffer and packing scratch. */
+/** Default alignment (bytes) assumeAligned promises. */
 inline constexpr std::size_t kAlign = 64;
 
 /** std::assume_aligned with the project-wide default. */
@@ -96,54 +94,6 @@ assumeAligned(T* p)
 {
     return std::assume_aligned<N>(p);
 }
-
-/**
- * Minimal allocator handing out kAlign-aligned storage, so vector
- * loads on packing scratch / tensor staging buffers can use the
- * aligned forms.
- */
-template <typename T, std::size_t Align = kAlign>
-struct AlignedAllocator
-{
-    using value_type = T;
-
-    /** Explicit rebind: the Align non-type parameter defeats
-     *  allocator_traits' default template-argument replacement. */
-    template <typename U>
-    struct rebind
-    {
-        using other = AlignedAllocator<U, Align>;
-    };
-
-    AlignedAllocator() = default;
-    template <typename U>
-    AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept
-    {
-    }
-
-    [[nodiscard]] T*
-    allocate(std::size_t n)
-    {
-        return static_cast<T*>(::operator new(
-            n * sizeof(T), std::align_val_t{Align}));
-    }
-
-    void
-    deallocate(T* p, std::size_t) noexcept
-    {
-        ::operator delete(p, std::align_val_t{Align});
-    }
-
-    template <typename U>
-    bool
-    operator==(const AlignedAllocator<U, Align>&) const noexcept
-    {
-        return true;
-    }
-};
-
-template <typename T>
-using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 /**
  * Reference vector: W float lanes as a plain array, every op a lane

@@ -7,17 +7,11 @@
  *
  * Bit-identity discipline (tested exhaustively in tests/test_simd.cpp):
  * every kernel vectorizes across *independent output elements* — W
- * adjacent pixels of a row saxpy, W output rows of a linear layer, W
- * C-matrix columns of a GEMM register tile — so each output element
- * accumulates exactly the scalar body's terms in exactly the scalar
- * order. Combined with Vec's unfused mulAdd and std::max-semantics max
- * (see simd.hpp), outputs are bit-identical to the scalar fallback at
- * any tier, thread count, and shape.
- *
- * The GEMM additionally cache-blocks over K (kGemmKc panels): panel
- * results accumulate into C memory, and since float loads/stores are
- * exact, splitting the k loop across panels preserves the per-element
- * ascending-k accumulation order.
+ * adjacent pixels of a row saxpy, W output rows of a linear layer —
+ * so each output element accumulates exactly the scalar body's terms
+ * in exactly the scalar order. Combined with Vec's unfused mulAdd and
+ * std::max-semantics max (see simd.hpp), outputs are bit-identical to
+ * the scalar fallback at any tier, thread count, and shape.
  */
 
 #ifndef BT_KERNELS_SIMD_BODY_HPP
@@ -52,24 +46,6 @@ fillRow(float* dst, float value, std::int64_t n)
     } else {
         for (; i < n; ++i)
             dst[i] = value;
-    }
-}
-
-template <typename V>
-inline void
-copyRow(float* dst, const float* src, std::int64_t n)
-{
-    std::int64_t i = 0;
-    for (; i + V::width <= n; i += V::width)
-        V::loadu(src + i).storeu(dst + i);
-    if constexpr (V::fastPartial) {
-        if (i < n) {
-            const int r = static_cast<int>(n - i);
-            V::loadPartial(src + i, r).storePartial(dst + i, r);
-        }
-    } else {
-        for (; i < n; ++i)
-            dst[i] = src[i];
     }
 }
 
@@ -256,43 +232,6 @@ maxpoolCpuV(const CpuExec& exec, const Shape3& in_shape, const float* in,
     });
 }
 
-// -------------------------------------------------------------- im2col
-
-template <typename V>
-void
-im2colV(const CpuExec& exec, const Shape3& in_shape, const float* in,
-        float* cols)
-{
-    const int h = in_shape.h;
-    const int w = in_shape.w;
-    const std::int64_t pixels = static_cast<std::int64_t>(h) * w;
-    const std::int64_t rows = static_cast<std::int64_t>(in_shape.c) * 9;
-    exec.forEach(rows, [&](std::int64_t r) {
-        const int ic = static_cast<int>(r / 9);
-        const int dy = static_cast<int>((r % 9) / 3) - 1;
-        const int dx = static_cast<int>(r % 3) - 1;
-        const int x0 = dx < 0 ? -dx : 0;
-        const int x1 = dx > 0 ? w - dx : w;
-        float* dst = cols + r * pixels;
-        const float* src_plane = in + static_cast<std::int64_t>(ic) * pixels;
-        for (int y = 0; y < h; ++y) {
-            float* drow = dst + static_cast<std::int64_t>(y) * w;
-            const int iy = y + dy;
-            if (iy < 0 || iy >= h) {
-                fillRow<V>(drow, 0.0f, w);
-                continue;
-            }
-            const float* srow = src_plane
-                + static_cast<std::int64_t>(iy) * w + dx;
-            for (int x = 0; x < x0; ++x)
-                drow[x] = 0.0f;
-            copyRow<V>(drow + x0, srow + x0, x1 - x0);
-            for (int x = x1; x < w; ++x)
-                drow[x] = 0.0f;
-        }
-    });
-}
-
 // -------------------------------------------------------------- linear
 
 template <typename V>
@@ -326,257 +265,6 @@ linearCpuV(const CpuExec& exec, int in_features, int out_features,
     });
 }
 
-// ------------------------------------------------------- bias epilogue
-
-template <typename V>
-void
-biasReluPlanesV(const CpuExec& exec, int planes, std::int64_t plane,
-                const float* bias, float* out)
-{
-    exec.forEachBlock(planes, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t p = lo; p < hi; ++p) {
-            const V vb = V::broadcast(bias[p]);
-            const V z = V::zero();
-            float* dst = out + p * plane;
-            std::int64_t i = 0;
-            for (; i + V::width <= plane; i += V::width) {
-                V::max(V::add(V::loadu(dst + i), vb), z)
-                    .storeu(dst + i);
-            }
-            if constexpr (V::fastPartial) {
-                if (i < plane) {
-                    const int r = static_cast<int>(plane - i);
-                    V::max(V::add(V::loadPartial(dst + i, r), vb), z)
-                        .storePartial(dst + i, r);
-                }
-            } else {
-                for (; i < plane; ++i) {
-                    const float s = dst[i] + bias[p];
-                    dst[i] = s < 0.0f ? 0.0f : s;
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------- gemm
-
-/// Register tile: kGemmVMr rows of C, 2 vectors (2*W columns) per row.
-inline constexpr int kGemmVMr = 4;
-/// K cache-block: one packed A/B panel's K extent (fits L1/L2 streams).
-inline constexpr int kGemmKc = 256;
-
-/**
- * Scalar remainder tile for the columns right of the last full vector
- * strip (cols < 2*W <= 16). `first` selects fresh accumulators vs
- * continuing from the previous K panel's partial sums in C.
- */
-inline void
-gemmPanelEdge(std::int64_t n, int kblk, int rows, int cols,
-              const float* a0, std::int64_t lda, const float* b0,
-              float* c0, bool first)
-{
-    float acc[kGemmVMr][16];
-    for (int mr = 0; mr < rows; ++mr) {
-        for (int j = 0; j < cols; ++j)
-            acc[mr][j] = first ? 0.0f : c0[mr * n + j];
-    }
-    for (int kk = 0; kk < kblk; ++kk) {
-        const float* brow = b0 + static_cast<std::int64_t>(kk) * n;
-        for (int mr = 0; mr < rows; ++mr) {
-            const float av = a0[mr * lda + kk];
-            for (int j = 0; j < cols; ++j)
-                acc[mr][j] += av * brow[j];
-        }
-    }
-    for (int mr = 0; mr < rows; ++mr) {
-        for (int j = 0; j < cols; ++j)
-            c0[mr * n + j] = acc[mr][j];
-    }
-}
-
-/**
- * Full MR x 2W register tile over a packed A tile ([kk][MR], aligned)
- * and packed B strip ([kk][2W], aligned).
- */
-template <typename V, int MR>
-inline void
-gemmMicroPacked(int kblk, const float* ap, const float* bp, float* c0,
-                std::int64_t n, bool first)
-{
-    constexpr int W = V::width;
-    V acc0[MR];
-    V acc1[MR];
-    for (int mr = 0; mr < MR; ++mr) {
-        if (first) {
-            acc0[mr] = V::zero();
-            acc1[mr] = V::zero();
-        } else {
-            acc0[mr] = V::loadu(c0 + mr * n);
-            acc1[mr] = V::loadu(c0 + mr * n + W);
-        }
-    }
-    for (int kk = 0; kk < kblk; ++kk) {
-        const float* bk = bp + static_cast<std::int64_t>(kk) * 2 * W;
-        const V b0 = V::load(bk);
-        const V b1 = V::load(bk + W);
-        const float* ak = ap + static_cast<std::int64_t>(kk) * MR;
-        for (int mr = 0; mr < MR; ++mr) {
-            const V av = V::broadcast(ak[mr]);
-            acc0[mr] = V::mulAdd(av, b0, acc0[mr]);
-            acc1[mr] = V::mulAdd(av, b1, acc1[mr]);
-        }
-    }
-    for (int mr = 0; mr < MR; ++mr) {
-        acc0[mr].storeu(c0 + mr * n);
-        acc1[mr].storeu(c0 + mr * n + W);
-    }
-}
-
-/** Last row tile (rows < MR): same kernel with runtime row bound. */
-template <typename V>
-inline void
-gemmMicroPackedRows(int rows, int kblk, const float* ap, const float* bp,
-                    float* c0, std::int64_t n, bool first)
-{
-    constexpr int W = V::width;
-    V acc0[kGemmVMr];
-    V acc1[kGemmVMr];
-    for (int mr = 0; mr < rows; ++mr) {
-        if (first) {
-            acc0[mr] = V::zero();
-            acc1[mr] = V::zero();
-        } else {
-            acc0[mr] = V::loadu(c0 + mr * n);
-            acc1[mr] = V::loadu(c0 + mr * n + W);
-        }
-    }
-    for (int kk = 0; kk < kblk; ++kk) {
-        const float* bk = bp + static_cast<std::int64_t>(kk) * 2 * W;
-        const V b0 = V::load(bk);
-        const V b1 = V::load(bk + W);
-        const float* ak = ap + static_cast<std::int64_t>(kk) * kGemmVMr;
-        for (int mr = 0; mr < rows; ++mr) {
-            const V av = V::broadcast(ak[mr]);
-            acc0[mr] = V::mulAdd(av, b0, acc0[mr]);
-            acc1[mr] = V::mulAdd(av, b1, acc1[mr]);
-        }
-    }
-    for (int mr = 0; mr < rows; ++mr) {
-        acc0[mr].storeu(c0 + mr * n);
-        acc1[mr].storeu(c0 + mr * n + W);
-    }
-}
-
-/** Pack A rows [0, m) x K panel [k0, k0+kblk) as [tile][kk][MR],
- *  zero-padding the last tile's missing rows. */
-inline void
-packGemmA(int m, int k0, int kblk, const float* a, std::int64_t lda,
-          float* pa)
-{
-    const int tiles = (m + kGemmVMr - 1) / kGemmVMr;
-    for (int t = 0; t < tiles; ++t) {
-        const int r0 = t * kGemmVMr;
-        const int rows = std::min(kGemmVMr, m - r0);
-        float* dst = pa
-            + static_cast<std::int64_t>(t) * kblk * kGemmVMr;
-        for (int kk = 0; kk < kblk; ++kk) {
-            for (int mr = 0; mr < kGemmVMr; ++mr) {
-                dst[static_cast<std::int64_t>(kk) * kGemmVMr + mr]
-                    = mr < rows
-                    ? a[static_cast<std::int64_t>(r0 + mr) * lda + k0
-                        + kk]
-                    : 0.0f;
-            }
-        }
-    }
-}
-
-/** Pack B's full vector strips of the K panel as [strip][kk][NR]. */
-template <typename V>
-inline void
-packGemmB(int strips, int k0, int kblk, const float* b, std::int64_t n,
-          float* pb)
-{
-    constexpr int NR = 2 * V::width;
-    for (int s = 0; s < strips; ++s) {
-        const float* src = b + static_cast<std::int64_t>(k0) * n
-            + static_cast<std::int64_t>(s) * NR;
-        float* dst = pb + static_cast<std::int64_t>(s) * kblk * NR;
-        for (int kk = 0; kk < kblk; ++kk) {
-            const float* srow = src + static_cast<std::int64_t>(kk) * n;
-            float* drow = dst + static_cast<std::int64_t>(kk) * NR;
-            V::loadu(srow).store(drow);
-            V::loadu(srow + V::width).store(drow + V::width);
-        }
-    }
-}
-
-/**
- * Packed-panel GEMM: C = A * B, K blocked into kGemmKc panels whose
- * A tiles / B strips are packed for unit-stride aligned streams, with
- * an MR x 2W vector register tile. Work is parallelized over the full
- * (row tile x column strip) grid, so small-M/large-N shapes (the
- * im2col conv layout) still spread across the team.
- */
-template <typename V>
-void
-gemmCpuV(const CpuExec& exec, int m, int n, int k, const float* a,
-         const float* b, float* c)
-{
-    constexpr int NR = 2 * V::width;
-    const int tiles = (m + kGemmVMr - 1) / kGemmVMr;
-    const int strips = n / NR;
-    const int remCols = n - strips * NR;
-    const int unitsPerTile = strips + (remCols != 0 ? 1 : 0);
-    thread_local simd::AlignedVector<float> packedA;
-    thread_local simd::AlignedVector<float> packedB;
-    for (int k0 = 0; k0 < k; k0 += kGemmKc) {
-        const int kblk = std::min(kGemmKc, k - k0);
-        const bool first = k0 == 0;
-        packedA.resize(static_cast<std::size_t>(tiles) * kblk * kGemmVMr);
-        packedB.resize(static_cast<std::size_t>(strips) * kblk * NR);
-        packGemmA(m, k0, kblk, a, k, packedA.data());
-        packGemmB<V>(strips, k0, kblk, b, n, packedB.data());
-        const float* pa = packedA.data();
-        const float* pb = packedB.data();
-        exec.forEachBlock(
-            static_cast<std::int64_t>(tiles) * unitsPerTile,
-            [&](std::int64_t lo, std::int64_t hi) {
-                for (std::int64_t u = lo; u < hi; ++u) {
-                    const int t = static_cast<int>(u / unitsPerTile);
-                    const int s = static_cast<int>(u % unitsPerTile);
-                    const int r0 = t * kGemmVMr;
-                    const int rows = std::min(kGemmVMr, m - r0);
-                    float* c0 = c + static_cast<std::int64_t>(r0) * n;
-                    if (s < strips) {
-                        const float* ap = pa
-                            + static_cast<std::int64_t>(t) * kblk
-                                * kGemmVMr;
-                        const float* bp = pb
-                            + static_cast<std::int64_t>(s) * kblk * NR;
-                        float* ct = c0 + static_cast<std::int64_t>(s) * NR;
-                        if (rows == kGemmVMr) {
-                            gemmMicroPacked<V, kGemmVMr>(kblk, ap, bp, ct,
-                                                         n, first);
-                        } else {
-                            gemmMicroPackedRows<V>(rows, kblk, ap, bp, ct,
-                                                   n, first);
-                        }
-                    } else {
-                        gemmPanelEdge(
-                            n, kblk, rows, remCols,
-                            a + static_cast<std::int64_t>(r0) * k + k0, k,
-                            b + static_cast<std::int64_t>(k0) * n
-                                + static_cast<std::int64_t>(strips) * NR,
-                            c0 + static_cast<std::int64_t>(strips) * NR,
-                            first);
-                    }
-                }
-            });
-    }
-}
-
 // ------------------------------------------------------------ factory
 
 template <typename V>
@@ -585,13 +273,10 @@ makeSimdOps(simd::Isa isa)
 {
     SimdOps ops;
     ops.isa = isa;
-    ops.gemm = &gemmCpuV<V>;
     ops.conv2d = &conv2dCpuV<V>;
     ops.sparseConv = &sparseConvCpuV<V>;
     ops.maxpool = &maxpoolCpuV<V>;
-    ops.im2col = &im2colV<V>;
     ops.linear = &linearCpuV<V>;
-    ops.biasRelu = &biasReluPlanesV<V>;
     return ops;
 }
 

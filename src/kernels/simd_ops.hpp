@@ -19,8 +19,6 @@
 #ifndef BT_KERNELS_SIMD_OPS_HPP
 #define BT_KERNELS_SIMD_OPS_HPP
 
-#include <cstdint>
-
 #include "common/simd.hpp"
 #include "kernels/csr.hpp"
 #include "kernels/exec.hpp"
@@ -59,8 +57,6 @@ namespace detail {
 struct SimdOps
 {
     simd::Isa isa = simd::Isa::Scalar;
-    void (*gemm)(const CpuExec&, int m, int n, int k, const float* a,
-                 const float* b, float* c) = nullptr;
     void (*conv2d)(const CpuExec&, const ConvShape&, const float* in,
                    const float* weights, const float* bias,
                    float* out) = nullptr;
@@ -69,14 +65,9 @@ struct SimdOps
                        float* out) = nullptr;
     void (*maxpool)(const CpuExec&, const Shape3& in_shape,
                     const float* in, float* out) = nullptr;
-    void (*im2col)(const CpuExec&, const Shape3& in_shape,
-                   const float* in, float* cols) = nullptr;
     void (*linear)(const CpuExec&, int in_features, int out_features,
                    const float* in, const float* weights,
                    const float* bias, float* out) = nullptr;
-    /** out[p*plane + i] = max(out[p*plane + i] + bias[p], 0). */
-    void (*biasRelu)(const CpuExec&, int planes, std::int64_t plane,
-                     const float* bias, float* out) = nullptr;
 };
 
 /** Ops for the active tier; nullptr selects the scalar bodies. */

@@ -76,27 +76,7 @@ replanConfig(const platform::SocDescription& soc,
     return cfg;
 }
 
-core::Schedule
-bestOnSurvivors(core::Optimizer& optimizer)
-{
-    const auto candidates = optimizer.optimize();
-    BT_ASSERT(!candidates.empty(),
-              "optimizer found no schedule on surviving PUs");
-    return candidates.front().schedule;
-}
-
 } // namespace
-
-core::Schedule
-replanOnSurvivors(const platform::PerfModel& model,
-                  const core::Application& app,
-                  const std::vector<bool>& alive)
-{
-    const auto& soc = model.soc();
-    const auto table = modelTable(model, app);
-    core::Optimizer optimizer(soc, table, replanConfig(soc, alive));
-    return bestOnSurvivors(optimizer);
-}
 
 core::Schedule
 ReplanPlanner::replan(const std::vector<bool>& alive)
@@ -113,7 +93,10 @@ ReplanPlanner::replan(const std::vector<bool>& alive)
     core::PlannerSpec spec = replanConfig(soc, alive);
     spec.sharedEvaluator = eval_.get();
     core::Optimizer optimizer(soc, *table_, std::move(spec));
-    return bestOnSurvivors(optimizer);
+    const auto candidates = optimizer.optimize();
+    BT_ASSERT(!candidates.empty(),
+              "optimizer found no schedule on surviving PUs");
+    return candidates.front().schedule;
 }
 
 RecoveryController::RecoveryController(const platform::PerfModel& model,

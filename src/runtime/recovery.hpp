@@ -36,20 +36,12 @@ namespace bt::runtime {
 class PipelineSession;
 
 /**
- * Graceful degradation: run the Optimizer over @p app restricted to
- * the surviving PUs and return its best schedule. Panics if no PU
- * survives.
- */
-core::Schedule replanOnSurvivors(const platform::PerfModel& model,
-                                 const core::Application& app,
-                                 const std::vector<bool>& alive);
-
-/**
- * Replan cache for graceful degradation: one lazily-built model table
- * and one warm ScheduleEvaluator shared across every replan of a run,
+ * Graceful degradation: runs the Optimizer over the application
+ * restricted to the surviving PUs. One lazily-built model table and
+ * one warm ScheduleEvaluator are shared across every replan of a run,
  * so a second dropout pays neither the table rebuild nor re-prediction
- * of schedules the first replan already scored. replan() returns
- * exactly the schedule replanOnSurvivors would. Not thread-safe; free
+ * of schedules the first replan already scored; replan() returns
+ * exactly the schedule a fresh planner would. Not thread-safe; free
  * until the first replan.
  */
 class ReplanPlanner

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -257,6 +258,33 @@ TEST(Json, EscapesQuotesBackslashesAndEveryControlByte)
     const auto back = json::parse(os.str());
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->text, raw);
+
+    // Well-formed 2-, 3- and 4-byte text, at the edges of each form,
+    // round-trips byte for byte; each byte of ill-formed UTF-8 (a stray
+    // continuation, 0xC0, 0xFF, an overlong form, an encoded surrogate,
+    // a truncated 4-byte sequence) is written as U+FFFD, so the output
+    // still parses.
+    const std::string fffd = "\xef\xbf\xbd";
+    const std::pair<std::string, std::string> utf8_rows[] = {
+        {"\xc2\x80\xdf\xbf", "\xc2\x80\xdf\xbf"},
+        {"\xe0\xa0\x80\xed\x9f\xbf\xef\xbf\xbf",
+         "\xe0\xa0\x80\xed\x9f\xbf\xef\xbf\xbf"},
+        {"\xf0\x90\x80\x80\xf4\x8f\xbf\xbf",
+         "\xf0\x90\x80\x80\xf4\x8f\xbf\xbf"},
+        {"a\x80" "b", "a" + fffd + "b"},
+        {"\xc0\xaf", fffd + fffd},
+        {"\xff", fffd},
+        {"\xe0\x80\xaf", fffd + fffd + fffd},
+        {"\xed\xa0\x80", fffd + fffd + fffd},
+        {"\xf0\x9f\x98" "!", fffd + fffd + fffd + "!"},
+    };
+    for (const auto& [in, want] : utf8_rows) {
+        std::ostringstream w;
+        json::Writer(w).beginArray().value(in).endArray();
+        const auto v = json::parse(w.str());
+        ASSERT_TRUE(v.has_value()) << w.str();
+        EXPECT_EQ(v->items.at(0).text, want) << w.str();
+    }
 
     std::ostringstream plain;
     json::Writer(plain).beginArray().value("plain").value("").endArray();

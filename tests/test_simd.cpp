@@ -6,8 +6,6 @@
  *  - scalar-vs-SIMD bit-identity sweeps over every vectorized kernel
  *    at awkward shapes (lane-1, lane, lane+1, primes, minimal sizes)
  *    and thread counts, for every tier available on this host;
- *  - the gemm work decomposition (small-M/large-N must parallelize and
- *    stay bit-identical);
  *  - a chained conv-net forward (the app stage composition) across
  *    tiers;
  *  - bt::check interaction: seeded-defect fixtures still flag and
@@ -31,7 +29,6 @@
 #include "common/simd.hpp"
 #include "kernels/conv2d.hpp"
 #include "kernels/csr.hpp"
-#include "kernels/gemm_conv.hpp"
 #include "kernels/linear.hpp"
 #include "kernels/pooling.hpp"
 #include "kernels/simd_ops.hpp"
@@ -224,13 +221,6 @@ TEST(SimdVec, MaxMatchesStdMaxOnSpecials)
     }
 }
 
-TEST(SimdAlloc, AlignedVectorIsAligned)
-{
-    simd::AlignedVector<float> v(1027);
-    ASSERT_EQ(0,
-              reinterpret_cast<std::uintptr_t>(v.data()) % simd::kAlign);
-}
-
 TEST(SimdDispatch, TierReportsLanesAndAvailability)
 {
     const SimdTier tier = simdTier();
@@ -245,73 +235,6 @@ TEST(SimdDispatch, TierReportsLanesAndAvailability)
 }
 
 // --------------------------------------------------- kernel sweeps
-
-struct GemmCase
-{
-    int m;
-    int n;
-    int k;
-};
-
-class SimdGemm : public ::testing::TestWithParam<GemmCase>
-{
-};
-
-TEST_P(SimdGemm, BitIdenticalAcrossTiers)
-{
-    const auto [m, n, k] = GetParam();
-    const auto a = randomFloats(static_cast<std::size_t>(m) * k, 11);
-    const auto b = randomFloats(static_cast<std::size_t>(k) * n, 12);
-    expectTierInvariant([&](const CpuExec& exec) {
-        std::vector<float> c(static_cast<std::size_t>(m) * n, -42.0f);
-        gemmCpu(exec, m, n, k, a, b, c);
-        return c;
-    });
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SimdGemm,
-    ::testing::Values(
-        // lane-1 / lane / lane+1 around both SSE (4/8) and AVX2 (8/16)
-        // vector strips, primes, K spanning multiple 256-wide panels.
-        GemmCase{1, 1, 1}, GemmCase{1, 7, 3}, GemmCase{1, 8, 9},
-        GemmCase{1, 9, 2}, GemmCase{2, 15, 5}, GemmCase{2, 16, 7},
-        GemmCase{2, 17, 11}, GemmCase{3, 31, 13}, GemmCase{4, 32, 16},
-        GemmCase{5, 33, 17}, GemmCase{7, 13, 300}, GemmCase{4, 48, 257},
-        GemmCase{13, 129, 31}, GemmCase{2, 512, 64},
-        GemmCase{64, 100, 72}),
-    [](const auto& param_info) {
-        return "m" + std::to_string(param_info.param.m) + "_n"
-            + std::to_string(param_info.param.n) + "_k"
-            + std::to_string(param_info.param.k);
-    });
-
-/** Small-M/large-N (the im2col conv layout): the decomposition must
- *  spread over the team and still match the serial scalar result. */
-TEST(SimdGemm, SmallMLargeNParallelizesBitIdentically)
-{
-    const int m = 2;
-    const int n = 2048;
-    const int k = 64;
-    const auto a = randomFloats(static_cast<std::size_t>(m) * k, 21);
-    const auto b = randomFloats(static_cast<std::size_t>(k) * n, 22);
-    std::vector<float> golden(static_cast<std::size_t>(m) * n);
-    {
-        const ScopedTier scalar(simd::Isa::Scalar);
-        gemmCpu(CpuExec{}, m, n, k, a, b, golden);
-    }
-    sched::ThreadPool pool(8);
-    for (simd::Isa isa : availableVectorTiers()) {
-        const ScopedTier tier(isa);
-        std::vector<float> c(golden.size(), 0.0f);
-        gemmCpu(CpuExec{&pool}, m, n, k, a, b, c);
-        expectBitIdentical(golden, c, simd::isaName(isa));
-    }
-    const ScopedTier scalar(simd::Isa::Scalar);
-    std::vector<float> c(golden.size(), 0.0f);
-    gemmCpu(CpuExec{&pool}, m, n, k, a, b, c);
-    expectBitIdentical(golden, c, "scalar pooled");
-}
 
 struct ConvCase
 {
@@ -357,43 +280,6 @@ TEST_P(SimdConv, SparseBitIdenticalAcrossTiers)
             static_cast<std::size_t>(shape.out().elems()));
         sparseConvCpu(exec, shape, in, csr, bias, out);
         return out;
-    });
-}
-
-TEST_P(SimdConv, GemmConvBitIdenticalAcrossTiers)
-{
-    const auto [c, h, w, outC] = GetParam();
-    const ConvShape shape{Shape3{c, h, w}, outC};
-    const auto in = randomFloats(
-        static_cast<std::size_t>(shape.in.elems()), 51);
-    const auto wts = randomFloats(
-        static_cast<std::size_t>(shape.weightElems()), 52);
-    const auto bias = randomFloats(static_cast<std::size_t>(outC), 53);
-    const std::size_t colsElems = static_cast<std::size_t>(c) * 9
-        * static_cast<std::size_t>(h) * w;
-    expectTierInvariant([&](const CpuExec& exec) {
-        simd::AlignedVector<float> cols(colsElems);
-        std::vector<float> out(
-            static_cast<std::size_t>(shape.out().elems()));
-        conv2dGemmCpu(exec, shape, in, wts, bias,
-                      std::span<float>(cols.data(), cols.size()), out);
-        return out;
-    });
-}
-
-TEST_P(SimdConv, Im2colBitIdenticalAcrossTiers)
-{
-    const auto [c, h, w, outC] = GetParam();
-    (void)outC;
-    const Shape3 shape{c, h, w};
-    const auto in = randomFloats(
-        static_cast<std::size_t>(shape.elems()), 61);
-    const std::size_t colsElems = static_cast<std::size_t>(c) * 9
-        * static_cast<std::size_t>(h) * w;
-    expectTierInvariant([&](const CpuExec& exec) {
-        std::vector<float> cols(colsElems, -7.0f);
-        im2col(exec, shape, in, cols);
-        return cols;
     });
 }
 
