@@ -10,12 +10,14 @@
  * noise:
  *   BM_PlanEndToEnd_Serial / _Parallel  — one tuning thread vs one per
  *       hardware thread, both with the default planner spec;
- *   BM_ReplanAfterDropout_SeedPath / _Throughput — a fresh optimizer
- *       per replan vs the shared ReplanPlanner evaluator.
+ *   BM_ReplanAfterDropout_SeedPath / _Throughput — a fresh
+ *       ReplanPlanner per replan vs one shared across both replans.
  * The measured_best_latency_ms / candidates_tuned counters and the
  * replan-digest labels are semantic anchors: both flavours must report
- * identical values (tuning and the prediction memo are bit-exact), so
- * any divergence in the JSON is a correctness regression, not noise.
+ * identical values (tuning and the shared evaluator are bit-exact), and
+ * CI pins them, with the predicted and annealed best latencies, to the
+ * committed snapshot, so any divergence in the JSON is a correctness
+ * regression, not noise.
  */
 
 #include <benchmark/benchmark.h>
@@ -118,9 +120,11 @@ BENCHMARK(BM_PlanEndToEnd_Parallel)->Unit(benchmark::kMillisecond);
 /**
  * Replan latency after a simulated PU dropout: the fault-recovery
  * critical path. SeedPath builds a fresh ReplanPlanner per replan, so
- * each one rebuilds the model table and re-scores the surviving space;
- * Throughput keeps one planner across both replans, whose second
- * dropout hits the warm prediction memo.
+ * each one rebuilds the model table and its evaluator; Throughput
+ * keeps one planner across both replans and saves only that rebuild.
+ * Both re-score the surviving space: the exact engine scores each
+ * schedule once, in place, so there is no warm memo for the second
+ * dropout to hit.
  */
 void
 BM_ReplanAfterDropout(benchmark::State& state, bool cached)

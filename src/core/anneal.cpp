@@ -12,7 +12,7 @@ namespace bt::core {
 namespace {
 
 void
-toAssignment(const std::vector<Chunk>& chunks, std::vector<int>& out)
+toAssignment(std::span<const Chunk> chunks, std::vector<int>& out)
 {
     for (const Chunk& c : chunks)
         for (int s = c.firstStage; s <= c.lastStage; ++s)
@@ -55,16 +55,14 @@ Annealer::maybeSweep(const AnnealSpec& spec, std::uint64_t space_size)
     // compare safely.
     if (space_size > static_cast<std::uint64_t>(spec.moveBudget / 4))
         return;
-    const int m_eff = static_cast<int>(allowed_.size());
-    for (const Schedule& s : enumerateSchedules(numStages_, m_eff)) {
-        // enumerateSchedules indexes PUs 0..m_eff-1; map onto the
-        // allowed set (sorted, so restricted sweeps stay canonical).
-        std::vector<Chunk> chunks = s.chunks();
-        for (Chunk& c : chunks)
-            c.pu = allowed_[static_cast<std::size_t>(c.pu)];
-        ++proposed_;
-        evaluate(chunks);
-    }
+    std::uint32_t mask = 0;
+    for (const int pu : allowed_)
+        mask |= 1u << pu;
+    forEachSchedule(numStages_, eval_.numPus(), mask,
+                    [this](std::span<const Chunk> chunks) {
+                        ++proposed_;
+                        evaluate(chunks);
+                    });
     exhausted_ = true;
 }
 
@@ -193,7 +191,7 @@ Annealer::poolInsert(const std::vector<int>& assignment,
 }
 
 const Prediction*
-Annealer::evaluate(const std::vector<Chunk>& chunks)
+Annealer::evaluate(std::span<const Chunk> chunks)
 {
     toAssignment(chunks, assignScratch_);
     if (!demandOk(assignScratch_)) {

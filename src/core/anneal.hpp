@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -163,7 +164,7 @@ class Annealer
     bool propose(Chain& chain);
     /** Evaluate prop_; pools it when feasible. Returns the Prediction,
      *  or nullptr when the C6 filter rejects it. */
-    const Prediction* evaluate(const std::vector<Chunk>& chunks);
+    const Prediction* evaluate(std::span<const Chunk> chunks);
     bool demandOk(const std::vector<int>& assignment) const;
     void poolInsert(const std::vector<int>& assignment,
                     const Prediction& pred);

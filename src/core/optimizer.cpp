@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <tuple>
 
@@ -167,6 +168,87 @@ makeStretchedTable(const ProfilingTable& base,
 
 } // namespace
 
+/**
+ * The admissible schedules as level 1 and level 2 read them: one
+ * compact record per schedule plus its stage-to-PU assignment, one byte
+ * per stage, in a flat arena (record i owns bytes [i * n, (i + 1) * n)).
+ * Comparing arena bytes ranks assignments lexicographically for any
+ * stage count, so the (class, score, assignment) order is total without
+ * a packed key or a fallback.
+ */
+struct Optimizer::RankPool
+{
+    struct Record
+    {
+        double score = 0.0; ///< rankScoreOf(latency, energyJ)
+        double latency = 0.0;
+        double gapness = 0.0;
+        double energyJ = 0.0;
+        double demandGbps = 0.0;
+        std::uint8_t numChunks = 0;
+        std::uint8_t cls = 0; ///< rankClassOf, set once level 1 is known
+    };
+
+    explicit RankPool(int num_stages, std::uint64_t capacity)
+        : n(static_cast<std::size_t>(num_stages))
+    {
+        BT_ASSERT(capacity <= std::numeric_limits<std::uint32_t>::max(),
+                  "ranking pool of ", capacity, " schedules");
+        records.reserve(static_cast<std::size_t>(capacity));
+        arena.reserve(static_cast<std::size_t>(capacity) * n);
+    }
+
+    void
+    add(const Prediction& p, double score)
+    {
+        records.push_back(Record{score, p.latency, p.gapness, p.energyJ,
+                                 p.demandGbps,
+                                 static_cast<std::uint8_t>(p.numChunks),
+                                 0});
+    }
+
+    void
+    add(const Prediction& p, double score, std::span<const Chunk> chunks)
+    {
+        add(p, score);
+        for (const Chunk& c : chunks)
+            arena.insert(arena.end(),
+                         static_cast<std::size_t>(c.numStages()),
+                         static_cast<std::uint8_t>(c.pu));
+    }
+
+    void
+    add(const Prediction& p, double score, std::span<const int> assignment)
+    {
+        add(p, score);
+        for (const int pu : assignment)
+            arena.push_back(static_cast<std::uint8_t>(pu));
+    }
+
+    const std::uint8_t*
+    assignment(std::size_t i) const
+    {
+        return arena.data() + i * n;
+    }
+
+    /** The total ranking order: (class, score, assignment). */
+    bool
+    before(std::size_t a, std::size_t b) const
+    {
+        const Record& ra = records[a];
+        const Record& rb = records[b];
+        if (ra.cls != rb.cls)
+            return ra.cls < rb.cls;
+        if (ra.score != rb.score)
+            return ra.score < rb.score;
+        return std::memcmp(assignment(a), assignment(b), n) < 0;
+    }
+
+    std::size_t n; ///< stages, = arena bytes per record
+    std::vector<Record> records;
+    std::vector<std::uint8_t> arena;
+};
+
 Optimizer::Optimizer(const platform::SocDescription& soc_,
                      const ProfilingTable& table_, PlannerSpec spec)
     : soc(soc_), baseTable_(table_), config(std::move(spec)),
@@ -189,6 +271,7 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
         BT_ASSERT(contention_->numStages == baseTable_.numStages()
                       && contention_->numPus == baseTable_.numPus(),
                   "contention profile grid does not match table");
+    BT_ASSERT(soc.numPus() <= 32, "the allowed-PU mask holds 32 classes");
     const std::vector<int> allowed
         = admittedPus(config.allowedPus, soc.numPus());
     BT_ASSERT(!allowed.empty(), "allowedPus admits no PU");
@@ -212,6 +295,10 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
         BT_ASSERT(&config.sharedEvaluator->table() == &baseTable_,
                   "shared evaluator built over a different table");
         eval_ = config.sharedEvaluator;
+        // C6 reads the demand the evaluator folds, so it must fold the
+        // spec's profile.
+        BT_ASSERT(!c6Active_ || eval_->contention() == contention_,
+                  "shared evaluator built without the C6 profile");
     } else {
         ownedEval_ = std::make_unique<ScheduleEvaluator>(
             soc, baseTable_, powerModel, contention_);
@@ -220,24 +307,9 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
 }
 
 bool
-Optimizer::demandOk(const Schedule& s) const
+Optimizer::demandOk(const Prediction& p) const
 {
-    return !c6Active_
-        || contention_->aggregateDemandMilli(s.toAssignment())
-        <= budgetMilli_;
-}
-
-Candidate
-Optimizer::makeCandidate(const Schedule& s) const
-{
-    const Prediction& p = eval_->predict(s, bucket_);
-    Candidate c;
-    c.schedule = s;
-    c.predictedLatency = p.latency;
-    c.predictedGapness = p.gapness;
-    c.predictedEnergyJ = p.energyJ;
-    c.predictedDemandGbps = p.demandGbps;
-    return c;
+    return !c6Active_ || p.demandMilli <= budgetMilli_;
 }
 
 double
@@ -254,12 +326,6 @@ Optimizer::rankScoreOf(double latency, double energy_j) const
     }
 }
 
-double
-Optimizer::rankScore(const Candidate& c) const
-{
-    return rankScoreOf(c.predictedLatency, c.predictedEnergyJ);
-}
-
 int
 Optimizer::rankClassOf(double latency, double gapness,
                        int num_chunks) const
@@ -272,49 +338,6 @@ Optimizer::rankClassOf(double latency, double gapness,
     if (gapness > stats_.gapnessBound + 1e-12)
         return 1; // feasible but over the gapness budget
     return 0;
-}
-
-int
-Optimizer::rankClass(const Candidate& c) const
-{
-    return rankClassOf(c.predictedLatency, c.predictedGapness,
-                       c.schedule.numChunks());
-}
-
-void
-Optimizer::sortCandidates(std::vector<Candidate>& cands) const
-{
-    // Rank by (class, score), tie-broken on the lexicographically
-    // smallest stage-to-PU vector: the order is total, so the selection
-    // never depends on the order the pool was produced in. Each
-    // candidate's key is built once, so comparisons never allocate.
-    struct RankKey
-    {
-        int cls;
-        double score;
-        std::vector<int> assignment;
-        std::size_t index;
-    };
-    std::vector<RankKey> keys;
-    keys.reserve(cands.size());
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const Candidate& c = cands[i];
-        keys.push_back(RankKey{rankClass(c), rankScore(c),
-                               c.schedule.toAssignment(), i});
-    }
-    std::stable_sort(keys.begin(), keys.end(),
-                     [](const RankKey& a, const RankKey& b) {
-                         if (a.cls != b.cls)
-                             return a.cls < b.cls;
-                         if (a.score != b.score)
-                             return a.score < b.score;
-                         return a.assignment < b.assignment;
-                     });
-    std::vector<Candidate> sorted;
-    sorted.reserve(cands.size());
-    for (const RankKey& k : keys)
-        sorted.push_back(std::move(cands[k.index]));
-    cands = std::move(sorted);
 }
 
 std::vector<Candidate>
@@ -330,17 +353,14 @@ Optimizer::optimize()
     stats_.spaceSize = scheduleSpaceSize(table.numStages(),
                                          std::popcount(allowedMask_));
     // The engine rule: enumerate what fits under the limit, anneal the
-    // rest. Both engines return selectDiverse output: ranked and
-    // truncated.
+    // rest. Both engines return selectDiverse output over their
+    // ranking records: ranked and truncated.
     stats_.engine = stats_.spaceSize > config.exactSpaceLimit
         ? PlannerEngine::Annealed
         : PlannerEngine::Exhaustive;
     auto cands = stats_.engine == PlannerEngine::Annealed
         ? optimizeAnnealed()
         : optimizeExhaustive();
-    for (const auto& c : cands)
-        if (rankClass(c) == 0)
-            ++stats_.candidatesWithinBound;
     stats_.evalHits = eval_->stats().hits;
     stats_.evalMisses = eval_->stats().misses;
     return cands;
@@ -349,31 +369,32 @@ Optimizer::optimize()
 std::vector<Candidate>
 Optimizer::optimizeExhaustive()
 {
-    const int n = table.numStages();
-    const int m = soc.numPus();
-    // Excluded classes (degradation re-plan hook, service leases) are
-    // pruned during enumeration, so the pool is the allowed space only.
-    const auto all = enumerateSchedules(n, m, allowedMask_);
-    stats_.solverNodes = all.size();
-
-    std::vector<Candidate> cands;
-    cands.reserve(all.size());
-    for (const auto& s : all) {
-        if (!demandOk(s))
-            continue; // over the C6 aggregate-demand budget
-        cands.push_back(makeCandidate(s));
-    }
-    BT_ASSERT(!cands.empty(), "allowedPus admits no schedule");
-    return selectDiverse(std::move(cands));
+    // One walk over the allowed space (excluded classes - degradation
+    // re-plan hook, service leases - are pruned inside it): score each
+    // schedule in place, drop it if it is over the C6 budget, else keep
+    // its ranking record. No Schedule is built here.
+    RankPool pool(table.numStages(), stats_.spaceSize);
+    forEachSchedule(table.numStages(), soc.numPus(), allowedMask_,
+                    [&](std::span<const Chunk> chunks) {
+                        ++stats_.solverNodes;
+                        const Prediction p
+                            = eval_->evaluate(chunks, bucket_);
+                        if (demandOk(p))
+                            pool.add(p, rankScoreOf(p.latency, p.energyJ),
+                                     chunks);
+                    });
+    BT_ASSERT(!pool.records.empty(), "allowedPus admits no schedule");
+    return selectDiverse(pool);
 }
 
 std::vector<Candidate>
-Optimizer::selectDiverse(std::vector<Candidate> cands)
+Optimizer::selectDiverse(RankPool& pool)
 {
-    BT_ASSERT(!cands.empty(), "no admissible schedule to select from");
+    auto& recs = pool.records;
+    BT_ASSERT(!recs.empty(), "no admissible schedule to select from");
     double best_latency = std::numeric_limits<double>::infinity();
-    for (const auto& c : cands)
-        best_latency = std::min(best_latency, c.predictedLatency);
+    for (const auto& r : recs)
+        best_latency = std::min(best_latency, r.latency);
     stats_.unrestrictedLatency = best_latency;
 
     if (config.utilizationFilter) {
@@ -382,51 +403,75 @@ Optimizer::selectDiverse(std::vector<Candidate> cands)
 
         // Highest PU count within the latency bound.
         stats_.requiredPus = 1;
-        for (const auto& c : cands)
-            if (c.predictedLatency <= stats_.latencyBound)
-                stats_.requiredPus = std::max(
-                    stats_.requiredPus, c.schedule.numChunks());
+        for (const auto& r : recs)
+            if (r.latency <= stats_.latencyBound)
+                stats_.requiredPus
+                    = std::max<int>(stats_.requiredPus, r.numChunks);
 
         // Minimal gapness within the feasibility class.
         double min_gap = std::numeric_limits<double>::infinity();
-        for (const auto& c : cands)
-            if (c.predictedLatency <= stats_.latencyBound
-                && c.schedule.numChunks() >= stats_.requiredPus)
-                min_gap = std::min(min_gap, c.predictedGapness);
+        for (const auto& r : recs)
+            if (r.latency <= stats_.latencyBound
+                && r.numChunks >= stats_.requiredPus)
+                min_gap = std::min(min_gap, r.gapness);
         BT_ASSERT(min_gap < std::numeric_limits<double>::infinity());
         stats_.minimalGapness = min_gap;
         stats_.gapnessBound
             = min_gap * (1.0 + config.gapnessSlack) + 1e-9;
     }
+    for (auto& r : recs)
+        r.cls = static_cast<std::uint8_t>(
+            rankClassOf(r.latency, r.gapness, r.numChunks));
 
-    // Level 2: walk schedules best-first (C5: each is picked at most
+    // Level 2: pop records best-first (C5: each is picked at most
     // once), cap per-tier membership, and treat a saturated tier's
-    // chunk assignment as blocked anywhere.
-    sortCandidates(cands);
+    // chunk assignment as blocked anywhere. The heap orders lazily, so
+    // only the popped prefix of the ranking is ever sorted.
+    std::vector<std::uint32_t> heap(recs.size());
+    std::iota(heap.begin(), heap.end(), 0u);
+    const auto after = [&pool](std::uint32_t a, std::uint32_t b) {
+        return pool.before(b, a);
+    };
+    std::make_heap(heap.begin(), heap.end(), after);
+
     std::vector<Candidate> picked;
     std::map<ChunkKey, int> tier_count;
     std::set<ChunkKey> blocked;
-    for (const auto& c : cands) {
-        if (static_cast<int>(picked.size()) >= config.numCandidates)
-            break;
+    std::vector<int> assign(pool.n);
+    while (static_cast<int>(picked.size()) < config.numCandidates
+           && !heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), after);
+        const std::uint32_t i = heap.back();
+        heap.pop_back();
         // A blocked (range, pu) bans every schedule assigning that
         // whole stage range to that PU - even inside a larger chunk.
-        const auto assign = c.schedule.toAssignment();
+        const std::uint8_t* a = pool.assignment(i);
         bool banned = false;
         for (const auto& [first, last, pu] : blocked) {
             bool covered = true;
-            for (int i = first; i <= last && covered; ++i)
-                covered = assign[static_cast<std::size_t>(i)] == pu;
+            for (int s = first; s <= last && covered; ++s)
+                covered = a[s] == pu;
             banned = banned || covered;
         }
         if (banned)
             continue;
-        picked.push_back(c);
+
+        const auto& r = recs[i];
+        std::copy(a, a + pool.n, assign.begin());
+        Candidate c;
+        c.schedule = Schedule::fromAssignment(assign);
+        c.predictedLatency = r.latency;
+        c.predictedGapness = r.gapness;
+        c.predictedEnergyJ = r.energyJ;
+        c.predictedDemandGbps = r.demandGbps;
+        if (r.cls == 0)
+            ++stats_.candidatesWithinBound;
         if (config.maxPerTier > 0) {
             const ChunkKey tier = bottleneckKey(c.schedule, table);
             if (++tier_count[tier] >= config.maxPerTier)
                 blocked.insert(tier);
         }
+        picked.push_back(std::move(c));
     }
     return picked;
 }
@@ -449,24 +494,17 @@ Optimizer::optimizeAnnealed()
     // selection applies the exact engine's level arithmetic over it,
     // which is why annealed results are cost-equal to the exact
     // engine whenever the pool covers the relevant optima.
-    std::vector<Candidate> cands;
-    cands.reserve(annealer.pool().size());
-    for (const auto& e : annealer.pool()) {
-        Candidate c;
-        c.schedule = Schedule::fromAssignment(e.assignment);
-        c.predictedLatency = e.pred.latency;
-        c.predictedGapness = e.pred.gapness;
-        c.predictedEnergyJ = e.pred.energyJ;
-        c.predictedDemandGbps = e.pred.demandGbps;
-        cands.push_back(std::move(c));
-    }
+    RankPool pool(table.numStages(), annealer.pool().size());
+    for (const auto& e : annealer.pool())
+        pool.add(e.pred, rankScoreOf(e.pred.latency, e.pred.energyJ),
+                 std::span<const int>(e.assignment));
     const Annealer::Stats as = annealer.stats();
     stats_.annealProposed = as.proposed;
     stats_.annealAccepted = as.accepted;
     stats_.annealFiltered = as.filtered;
     stats_.annealDistinct = as.distinct;
     stats_.annealChains = as.chains;
-    return selectDiverse(std::move(cands));
+    return selectDiverse(pool);
 }
 
 void

@@ -16,16 +16,19 @@
  *  3. *Autotuning* is a separate component (autotuner.hpp) because it
  *     needs an executor.
  *
- * Two engines, both "admissible pool, then selectDiverse". The exact
- * engine enumerates the C1/C2 schedule space over the allowed PUs in
- * closed form (enumerateSchedules), drops schedules over the C6
- * budget, and scores the rest through the ScheduleEvaluator; tests
- * cross-validate it against a reference built on a DPLL solver, the
- * paper's Z3 stand-in, that only the tests build. The annealed engine
- * (anneal.hpp) is a seeded local search over the same evaluator,
- * deterministic per seed but not exactness-preserving. optimize()
- * picks the engine itself: it anneals exactly when the schedule space
- * over the allowed PUs exceeds PlannerSpec::exactSpaceLimit.
+ * Two engines, both "admissible pool of ranking records, then
+ * selectDiverse". The exact engine walks the C1/C2 schedule space over
+ * the allowed PUs once (forEachSchedule), scores each schedule in place
+ * with the ScheduleEvaluator's fold, drops those over the C6 budget and
+ * keeps a compact ranking record of the rest; only the K picked
+ * schedules are ever built. Tests cross-validate it against a reference
+ * built on a DPLL solver, the paper's Z3 stand-in, that only the tests
+ * build. The annealed engine (anneal.hpp) is a seeded local search over
+ * the same evaluator, deterministic per seed but not
+ * exactness-preserving; its visited pool becomes the records.
+ * optimize() picks the engine itself: it anneals exactly when the
+ * schedule space over the allowed PUs exceeds
+ * PlannerSpec::exactSpaceLimit.
  */
 
 #ifndef BT_CORE_OPTIMIZER_HPP
@@ -261,10 +264,13 @@ struct OptimizeStats
      *  single-chunk schedule) and C6 was therefore dropped. */
     bool c6Relaxed = false;
 
-    /** Prediction-cache counters (since evaluator construction; a
-     *  shared evaluator accumulates across replans). Both stay zero
-     *  only on instances too large for the packed memo key (more than
-     *  16 stages or PU classes), which are evaluated unkeyed. */
+    /** Prediction-cache counters of the evaluator (since its
+     *  construction; a shared evaluator accumulates across replans).
+     *  Only the annealed engine memoizes: the exact engine scores each
+     *  schedule once, in place, so exhaustive plans add nothing and
+     *  read 0 on a private evaluator. Instances too large for the
+     *  packed memo key (more than 16 stages or PU classes) are
+     *  evaluated unkeyed and also add nothing. */
     std::uint64_t evalHits = 0;
     std::uint64_t evalMisses = 0;
 
@@ -300,6 +306,9 @@ class Optimizer
     const OptimizeStats& stats() const { return stats_; }
 
   private:
+    /** Admissible schedules as compact ranking records (optimizer.cpp). */
+    struct RankPool;
+
     std::vector<Candidate> optimizeExhaustive();
     std::vector<Candidate> optimizeAnnealed();
     /** The annealed engine's phase schedule (skipped when the annealer
@@ -307,27 +316,25 @@ class Optimizer
      *  across guide phases mirroring the exact engine's levels. */
     void runAnnealPhases(Annealer& annealer, int m_eff);
     /**
-     * The shared level-1/level-2 selection arithmetic over a set of
-     * admissible candidates: derive the latency bound, required PU
-     * count and gapness bound from the set, then pick up to K diverse
-     * candidates (C5 blocking + per-tier caps), ranked by (class,
-     * score, assignment) and truncated to K. The exhaustive engine
-     * feeds it the admissible space; the annealed engine feeds it the
-     * visited pool - which is exactly why their results agree whenever
-     * the pool covers the relevant optima.
+     * The shared level-1/level-2 selection arithmetic over the
+     * admissible records: derive the latency bound, required PU count
+     * and gapness bound from them, then pop records best-first by
+     * (class, score, assignment) until K diverse ones are picked (C5
+     * blocking + per-tier caps), building a Candidate only for each
+     * pick. The exhaustive engine feeds it the admissible space; the
+     * annealed engine feeds it the visited pool - which is exactly why
+     * their results agree whenever the pool covers the relevant
+     * optima.
      */
-    std::vector<Candidate> selectDiverse(std::vector<Candidate> cands);
-    Candidate makeCandidate(const Schedule& s) const;
-    /** C6 predicate: aggregate demand within budget (true if C6 off). */
-    bool demandOk(const Schedule& s) const;
+    std::vector<Candidate> selectDiverse(RankPool& pool);
+    /** C6 predicate on a scored schedule: aggregate demand within
+     *  budget (true if C6 off). */
+    bool demandOk(const Prediction& p) const;
     /** 0 = fully feasible, 1 = over gapness budget, 2 = out of class. */
-    int rankClass(const Candidate& c) const;
     int rankClassOf(double latency, double gapness,
                     int num_chunks) const;
     /** Objective value used to order candidates within a class. */
-    double rankScore(const Candidate& c) const;
     double rankScoreOf(double latency, double energy_j) const;
-    void sortCandidates(std::vector<Candidate>& cands) const;
 
     // Declaration order matters to the initializer list: the stretched
     // table is built from baseTable_ x contention stretch, and `table`

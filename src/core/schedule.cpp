@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -14,13 +13,15 @@ Schedule::Schedule(std::vector<Chunk> chunks_in)
 {
     BT_ASSERT(!chunks_.empty(), "schedule needs at least one chunk");
     int expect = 0;
-    std::set<int> used;
-    for (const auto& c : chunks_) {
+    for (auto it = chunks_.begin(); it != chunks_.end(); ++it) {
+        const Chunk& c = *it;
         BT_ASSERT(c.firstStage == expect,
                   "chunks must tile the stage sequence");
         BT_ASSERT(c.lastStage >= c.firstStage, "empty chunk");
-        BT_ASSERT(used.insert(c.pu).second,
-                  "PU ", c.pu, " used by two chunks (violates C2)");
+        // At most one chunk per PU class, so a scan beats a set.
+        for (auto prev = chunks_.begin(); prev != it; ++prev)
+            BT_ASSERT(prev->pu != c.pu,
+                      "PU ", c.pu, " used by two chunks (violates C2)");
         expect = c.lastStage + 1;
     }
 }
@@ -150,48 +151,17 @@ Schedule::compactString() const
     return s;
 }
 
-namespace {
-
-/**
- * Recursive generator: split the remaining stages [start, n) into chunks
- * and assign each a PU not used so far.
- */
-void
-enumerateRec(int start, int n, int num_pus, std::uint32_t used_mask,
-             std::vector<Chunk>& acc, std::vector<Schedule>* out,
-             std::uint64_t* count)
-{
-    if (start == n) {
-        if (out)
-            out->push_back(Schedule(acc));
-        if (count)
-            ++*count;
-        return;
-    }
-    for (int end = start; end < n; ++end) {
-        for (int pu = 0; pu < num_pus; ++pu) {
-            if (used_mask & (1u << pu))
-                continue;
-            acc.push_back(Chunk{start, end, pu});
-            enumerateRec(end + 1, n, num_pus, used_mask | (1u << pu),
-                         acc, out, count);
-            acc.pop_back();
-        }
-    }
-}
-
-} // namespace
-
 std::vector<Schedule>
 enumerateSchedules(int num_stages, int num_pus, std::uint32_t allowed_mask)
 {
     BT_ASSERT(num_stages > 0 && num_pus > 0);
     BT_ASSERT(num_pus <= 32, "PU mask limited to 32 classes");
     std::vector<Schedule> out;
-    std::vector<Chunk> acc;
-    // Excluded PUs start out "used", so the walk never assigns them.
-    enumerateRec(0, num_stages, num_pus, ~allowed_mask, acc, &out,
-                 nullptr);
+    forEachSchedule(num_stages, num_pus, allowed_mask,
+                    [&out](std::span<const Chunk> chunks) {
+                        out.emplace_back(std::vector<Chunk>(
+                            chunks.begin(), chunks.end()));
+                    });
     return out;
 }
 
@@ -199,9 +169,10 @@ std::uint64_t
 countSchedules(int num_stages, int num_pus)
 {
     BT_ASSERT(num_stages > 0 && num_pus > 0);
+    BT_ASSERT(num_pus <= 32, "PU mask limited to 32 classes");
     std::uint64_t count = 0;
-    std::vector<Chunk> acc;
-    enumerateRec(0, num_stages, num_pus, 0u, acc, nullptr, &count);
+    forEachSchedule(num_stages, num_pus, ~0u,
+                    [&count](std::span<const Chunk>) { ++count; });
     return count;
 }
 

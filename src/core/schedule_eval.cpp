@@ -17,10 +17,13 @@ ScheduleEvaluator::ScheduleEvaluator(
 {
     BT_ASSERT(table_.numPus() == soc_.numPus(),
               "profiling table PU count does not match device");
+    BT_ASSERT(numPus_ <= 64, "the used-PU mask holds 64 classes");
     if (contention_) {
         BT_ASSERT(contention_->numStages == numStages_
                       && contention_->numPus == numPus_,
                   "contention profile grid does not match table");
+        bucketChunkTimes_.resize(
+            static_cast<std::size_t>(contention_->numBuckets));
     }
 
     // Fill the chunk-time table by extending each range one stage at a
@@ -41,10 +44,15 @@ ScheduleEvaluator::ScheduleEvaluator(
         }
     }
 
-    if (keyed_)
-        memo_.reserve(1024);
+    // The energy fold's power terms, read once: active power by (PU,
+    // busy others), idle power by PU.
+    for (int p = 0; p < numPus_; ++p) {
+        for (int busy = 0; busy < numPus_; ++busy)
+            activeW_.push_back(powerModel_.activePowerW(p, busy));
+        idleW_.push_back(soc_.pu(p).idlePowerW);
+    }
     assignScratch_.resize(static_cast<std::size_t>(numStages_));
-    usedScratch_.resize(static_cast<std::size_t>(numPus_));
+    chunkScratch_.reserve(static_cast<std::size_t>(numStages_));
 }
 
 const std::vector<double>&
@@ -56,14 +64,15 @@ ScheduleEvaluator::chunkTable(int bucket)
               "bucketed prediction without a contention profile");
     BT_ASSERT(bucket > 0 && bucket < contention_->numBuckets,
               "ambient bucket ", bucket, " out of range");
-    auto it = bucketChunkTimes_.find(bucket);
-    if (it != bucketChunkTimes_.end())
-        return it->second;
+    std::vector<double>& times
+        = bucketChunkTimes_[static_cast<std::size_t>(bucket)];
+    if (!times.empty())
+        return times;
 
     // Same left-fold as the base table, over stretched cells: each
     // stage's contribution is its base time times the profile's
     // slowdown under this ambient bucket.
-    std::vector<double> times(chunkTimes_.size(), 0.0);
+    times.assign(chunkTimes_.size(), 0.0);
     for (int p = 0; p < numPus_; ++p) {
         for (int first = 0; first < numStages_; ++first) {
             double acc = 0.0;
@@ -74,40 +83,33 @@ ScheduleEvaluator::chunkTable(int bucket)
             }
         }
     }
-    return bucketChunkTimes_.emplace(bucket, std::move(times))
-        .first->second;
+    return times;
 }
 
 Prediction
-ScheduleEvaluator::evaluate(std::span<const int> stage_to_pu, int bucket)
+ScheduleEvaluator::evaluate(std::span<const Chunk> chunks, int bucket)
 {
-    BT_ASSERT(static_cast<int>(stage_to_pu.size()) == numStages_,
-              "assignment covers ", stage_to_pu.size(), " of ",
-              numStages_, " stages");
     const std::vector<double>& times = chunkTable(bucket);
 
-    // Chunk boundaries and times, in stage order - the same chunk walk
-    // Schedule::fromAssignment would produce. Latency and gapness are
-    // max/min folds identical to Schedule::bottleneckTime / gapness.
+    // Latency and gapness are max/min folds over the chunk times in
+    // stage order, identical to Schedule::bottleneckTime / gapness.
     Prediction pred;
     double worst = 0.0;
     double lo = 0.0;
     double hi = 0.0;
-    std::fill(usedScratch_.begin(), usedScratch_.end(), 0);
-
-    int first = 0;
-    for (int s = 1; s <= numStages_; ++s) {
-        if (s != numStages_
-            && stage_to_pu[static_cast<std::size_t>(s)]
-                == stage_to_pu[static_cast<std::size_t>(first)])
-            continue;
-        const int pu = stage_to_pu[static_cast<std::size_t>(first)];
-        BT_ASSERT(pu >= 0 && pu < numPus_, "stage ", first,
-                  " assigned to unknown PU ", pu);
-        BT_ASSERT(!usedScratch_[static_cast<std::size_t>(pu)],
-                  "PU ", pu, " used by two chunks (violates C2)");
-        usedScratch_[static_cast<std::size_t>(pu)] = 1;
-        const double t = times[chunkIndex(first, s - 1, pu)];
+    std::uint64_t used = 0; ///< bit p: a chunk runs on PU p
+    int next = 0;           ///< first stage the next chunk must start at
+    for (const Chunk& c : chunks) {
+        BT_ASSERT(c.firstStage == next && c.lastStage >= c.firstStage
+                      && c.lastStage < numStages_,
+                  "chunks must tile the ", numStages_, " stages");
+        BT_ASSERT(c.pu >= 0 && c.pu < numPus_, "stage ", c.firstStage,
+                  " assigned to unknown PU ", c.pu);
+        BT_ASSERT((used >> c.pu & 1u) == 0,
+                  "PU ", c.pu, " used by two chunks (violates C2)");
+        used |= std::uint64_t{1} << c.pu;
+        next = c.lastStage + 1;
+        const double t = times[chunkIndex(c.firstStage, c.lastStage, c.pu)];
         worst = std::max(worst, t);
         if (pred.numChunks == 0) {
             lo = t;
@@ -121,42 +123,61 @@ ScheduleEvaluator::evaluate(std::span<const int> stage_to_pu, int bucket)
             // back-to-back); the schedule's aggregate is the sum over
             // chunks, matching aggregateDemandMilli.
             std::int64_t chunk_demand = 0;
-            for (int i = first; i < s; ++i)
+            for (int i = c.firstStage; i <= c.lastStage; ++i)
                 chunk_demand = std::max(
-                    chunk_demand, contention_->demandMilli(i, pu));
+                    chunk_demand, contention_->demandMilli(i, c.pu));
             pred.demandMilli += chunk_demand;
         }
         ++pred.numChunks;
-        first = s;
     }
+    BT_ASSERT(next == numStages_, "chunks cover ", next, " of ",
+              numStages_, " stages");
     pred.latency = worst;
     pred.gapness = hi - lo;
     pred.demandGbps = static_cast<double>(pred.demandMilli) / 1000.0;
 
     // Predicted per-task energy: each used PU is active for its chunk
     // time (duty-cycled against the bottleneck interval), idle for the
-    // rest; unused PUs idle throughout; plus the uncore floor.
+    // rest; PUs without a chunk idle throughout; plus the uncore floor.
     const double interval = pred.latency;
     const int busy_others = pred.numChunks - 1;
     double energy = soc_.basePowerW * interval;
-    first = 0;
+    for (const Chunk& c : chunks) {
+        const auto pu = static_cast<std::size_t>(c.pu);
+        const double active
+            = times[chunkIndex(c.firstStage, c.lastStage, c.pu)];
+        energy += active
+                * activeW_[pu * static_cast<std::size_t>(numPus_)
+                           + static_cast<std::size_t>(busy_others)]
+            + std::max(0.0, interval - active) * idleW_[pu];
+    }
+    for (int p = 0; p < numPus_; ++p)
+        if ((used >> p & 1u) == 0)
+            energy += interval * idleW_[static_cast<std::size_t>(p)];
+    pred.energyJ = energy;
+    return pred;
+}
+
+Prediction
+ScheduleEvaluator::evaluateAssignment(std::span<const int> stage_to_pu,
+                                      int bucket)
+{
+    BT_ASSERT(static_cast<int>(stage_to_pu.size()) == numStages_,
+              "assignment covers ", stage_to_pu.size(), " of ",
+              numStages_, " stages");
+    // The same chunk walk Schedule::fromAssignment performs.
+    chunkScratch_.clear();
+    int first = 0;
     for (int s = 1; s <= numStages_; ++s) {
         if (s != numStages_
             && stage_to_pu[static_cast<std::size_t>(s)]
                 == stage_to_pu[static_cast<std::size_t>(first)])
             continue;
-        const int pu = stage_to_pu[static_cast<std::size_t>(first)];
-        const double active = times[chunkIndex(first, s - 1, pu)];
-        energy += active * powerModel_.activePowerW(pu, busy_others)
-            + std::max(0.0, interval - active)
-                * soc_.pu(pu).idlePowerW;
+        chunkScratch_.push_back(Chunk{
+            first, s - 1, stage_to_pu[static_cast<std::size_t>(first)]});
         first = s;
     }
-    for (int p = 0; p < numPus_; ++p)
-        if (!usedScratch_[static_cast<std::size_t>(p)])
-            energy += interval * soc_.pu(p).idlePowerW;
-    pred.energyJ = energy;
-    return pred;
+    return evaluate(chunkScratch_, bucket);
 }
 
 const Prediction&
@@ -164,7 +185,7 @@ ScheduleEvaluator::predict(std::span<const int> stage_to_pu, int bucket)
 {
     if (!keyed_) {
         ++stats_.unkeyed;
-        scratch_ = evaluate(stage_to_pu, bucket);
+        scratch_ = evaluateAssignment(stage_to_pu, bucket);
         return scratch_;
     }
     // The packed key uses all 64 bits, so each bucket memoizes into
@@ -179,7 +200,7 @@ ScheduleEvaluator::predict(std::span<const int> stage_to_pu, int bucket)
         return it->second;
     }
     ++stats_.misses;
-    return memo.emplace(key, evaluate(stage_to_pu, bucket))
+    return memo.emplace(key, evaluateAssignment(stage_to_pu, bucket))
         .first->second;
 }
 

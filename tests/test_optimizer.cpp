@@ -17,6 +17,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "apps/alexnet.hpp"
@@ -451,10 +452,12 @@ TEST_F(ProfiledPixel, EvaluatorBitIdenticalOverAllSchedules)
     EXPECT_GE(eval.stats().hits, all.size());
 }
 
-/** A plan served from a warm memo must agree bit-for-bit with a cold
- *  one: same candidates, same predicted numbers, same stats. The warm
- *  run shares an evaluator that a default-spec plan has already
- *  filled with the whole space, so every prediction is a hit. */
+/** A plan over a shared, already used evaluator must agree bit-for-bit
+ *  with a cold one: same candidates, same predicted numbers, same
+ *  stats. The warm run shares an evaluator that a default-spec plan
+ *  under the same engine rule has already used. The exact engine
+ *  scores in place and never touches the memo; the annealed engine's
+ *  sweep fills it with the whole space, so its warm run only hits. */
 void
 expectSamePlan(const platform::SocDescription& soc,
                const platform::PerfModel& model,
@@ -465,6 +468,7 @@ expectSamePlan(const platform::SocDescription& soc,
 
     ScheduleEvaluator eval(soc, table, model);
     PlannerSpec warmup;
+    warmup.exactSpaceLimit = cfg.exactSpaceLimit;
     warmup.sharedEvaluator = &eval;
     Optimizer(soc, table, warmup).optimize();
     const auto misses = eval.stats().misses;
@@ -490,10 +494,17 @@ expectSamePlan(const platform::SocDescription& soc,
     EXPECT_EQ(cold.stats().solverNodes, warm.stats().solverNodes);
     EXPECT_EQ(cold.stats().candidatesWithinBound,
               warm.stats().candidatesWithinBound);
-    // Both runs went through an evaluator: the cold one filled its
-    // private memo, the warm one was served from the shared memo.
-    EXPECT_GT(cold.stats().evalMisses, 0u);
-    EXPECT_GT(warm.stats().evalHits, 0u);
+    ASSERT_EQ(cold.stats().engine, warm.stats().engine);
+    if (cold.stats().engine == PlannerEngine::Exhaustive) {
+        // The exact engine makes no memo traffic at all.
+        EXPECT_EQ(cold.stats().evalHits + cold.stats().evalMisses, 0u);
+        EXPECT_EQ(warm.stats().evalHits + warm.stats().evalMisses, 0u);
+    } else {
+        // The cold annealed run filled its private memo, the warm one
+        // was served from the shared memo.
+        EXPECT_GT(cold.stats().evalMisses, 0u);
+        EXPECT_GT(warm.stats().evalHits, 0u);
+    }
 }
 
 TEST_F(ProfiledPixel, MemoizedExhaustivePlanBitIdentical)
@@ -515,6 +526,15 @@ TEST_F(ProfiledPixel, MemoizedReplanShapeBitIdentical)
     PlannerSpec cfg;
     cfg.numCandidates = 1;
     cfg.allowedPus = {0, 1, 2};
+    expectSamePlan(soc, *model, result.interference, cfg);
+}
+
+TEST_F(ProfiledPixel, MemoizedAnnealedSweepPlanBitIdentical)
+{
+    // exactSpaceLimit 0 always anneals; the space fits the move budget,
+    // so the annealer sweeps it through the memo.
+    PlannerSpec cfg;
+    cfg.exactSpaceLimit = 0;
     expectSamePlan(soc, *model, result.interference, cfg);
 }
 
@@ -790,6 +810,7 @@ struct OracleCase
     Application (*app)();
     PlannerSpec spec;
     bool c6 = false; ///< budget 5 GB/s under 5 GB/s ambient load
+    bool ambient = false; ///< 5 GB/s ambient load, no budget
 };
 
 /** gtest prints a failing case by its name, not its bytes. */
@@ -817,6 +838,14 @@ latencyOnlySpec()
 }
 
 PlannerSpec
+uncappedTiersSpec()
+{
+    PlannerSpec spec;
+    spec.maxPerTier = 0;
+    return spec;
+}
+
+PlannerSpec
 replanSpec()
 {
     PlannerSpec spec;
@@ -838,10 +867,14 @@ TEST_P(ExactPlannerOracle, MatchesSolverReferenceByteForByte)
     const ProfileResult profile = Profiler(model).profile(app);
     const ProfilingTable& table = profile.interference;
     PlannerSpec spec = param.spec;
-    if (param.c6) {
-        spec.contention.budgetGbps = 5.0;
+    if (param.c6 || param.ambient) {
         spec.contention.ambientGbps = 5.0;
         spec.contentionProfile = &profile.contention;
+    }
+    if (param.c6)
+        spec.contention.budgetGbps = 5.0;
+    if (param.ambient) { // predictions must come from a stretched table
+        EXPECT_GT(profile.contention.bucketOf(5.0), 0);
     }
 
     Optimizer opt(soc, table, spec);
@@ -883,6 +916,24 @@ Application denseApp() { return apps::alexnetDense(); }
 Application sparseApp() { return apps::alexnetSparse(); }
 Application octree() { return apps::octreeApp(); }
 
+/** 17 synthetic stages: one more than a 4-bit-per-stage key packs. */
+Application
+seventeenStages()
+{
+    Application app("Seventeen", "buffer", "synthetic 17-stage chain");
+    for (int i = 0; i < 17; ++i) {
+        platform::WorkProfile w;
+        w.flops = 1e5 * (1 + (i * 7) % 11);
+        w.bytes = 4e4 * (1 + (i * 5) % 13);
+        w.parallelFraction = i % 3 == 0 ? 0.6 : 1.0;
+        w.pattern = i % 2 == 0 ? platform::Pattern::Dense
+                               : platform::Pattern::Irregular;
+        app.addStage(Stage("s" + std::to_string(i), w,
+                           [](KernelCtx&) {}, nullptr));
+    }
+    return app;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Pixel, ExactPlannerOracle,
     ::testing::Values(
@@ -915,14 +966,39 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{"Sparse_Replan", platform::pixel7a, sparseApp,
                    replanSpec()},
         OracleCase{"Octree_Replan", platform::pixel7a, octree,
-                   replanSpec()}),
+                   replanSpec()},
+        OracleCase{"Dense_UncappedTiers", platform::pixel7a, denseApp,
+                   uncappedTiersSpec()}),
+    oracleCaseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    OnePlus, ExactPlannerOracle,
+    ::testing::Values(OracleCase{"Sparse_Latency", platform::oneplus11,
+                                 sparseApp, PlannerSpec{}}),
+    oracleCaseName);
+
+// Both Jetson rigs have two PU classes: 18 schedules of a 9-stage app,
+// fewer than K = 20, so the selection runs out of records.
+INSTANTIATE_TEST_SUITE_P(
+    Jetson, ExactPlannerOracle,
+    ::testing::Values(
+        OracleCase{"OrinNano_Dense", platform::jetsonOrinNano, denseApp,
+                   PlannerSpec{}},
+        OracleCase{"OrinNanoLp_Dense", platform::jetsonOrinNanoLp,
+                   denseApp, PlannerSpec{}},
+        OracleCase{"OrinNano_Seventeen", platform::jetsonOrinNano,
+                   seventeenStages, PlannerSpec{}}),
     oracleCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     ContentionRig, ExactPlannerOracle,
     ::testing::Values(OracleCase{"MemHeavy_C6", platform::contentionRig,
                                  fixtures::memHeavy, PlannerSpec{},
-                                 true}),
+                                 true},
+                      OracleCase{"MemHeavy_Ambient",
+                                 platform::contentionRig,
+                                 fixtures::memHeavy, PlannerSpec{},
+                                 false, true}),
     oracleCaseName);
 
 } // namespace
