@@ -122,9 +122,9 @@ BENCHMARK(BM_PlanEndToEnd_Parallel)->Unit(benchmark::kMillisecond);
  * critical path. SeedPath builds a fresh ReplanPlanner per replan, so
  * each one rebuilds the model table and its evaluator; Throughput
  * keeps one planner across both replans and saves only that rebuild.
- * Both re-score the surviving space: the exact engine scores each
- * schedule once, in place, so there is no warm memo for the second
- * dropout to hit.
+ * Both re-score the surviving space: the evaluator keeps no
+ * per-schedule state, so the shared one lends the second dropout its
+ * chunk-time table and nothing else.
  */
 void
 BM_ReplanAfterDropout(benchmark::State& state, bool cached)

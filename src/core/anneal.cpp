@@ -29,7 +29,7 @@ Annealer::Annealer(ScheduleEvaluator& eval, const AnnealSpec& spec,
     : eval_(eval), bucket_(bucket),
       allowed_(std::move(allowed_pus)), contention_(contention),
       budgetMilli_(budget_milli), numStages_(eval.numStages()),
-      keyed_(eval.keyed())
+      keyed_(numStages_ <= 16 && eval.numPus() <= 16)
 {
     BT_ASSERT(!allowed_.empty(), "annealer needs at least one PU");
     std::sort(allowed_.begin(), allowed_.end());
@@ -116,7 +116,7 @@ Annealer::seedChains(const AnnealSpec& spec)
 }
 
 std::vector<Chunk>
-Annealer::randomPartition(Rng& rng) const
+Annealer::randomPartition(Rng& rng)
 {
     const int n = numStages_;
     const int m_eff = static_cast<int>(allowed_.size());
@@ -154,54 +154,42 @@ Annealer::randomPartition(Rng& rng) const
         start = last + 1;
     }
 
-    if (budgetMilli_ > 0) {
-        std::vector<int> assign(static_cast<std::size_t>(n));
-        toAssignment(chunks, assign);
-        if (!demandOk(assign))
-            return frugalHomogeneous(); // feasible fallback start
-    }
+    if (budgetMilli_ > 0
+        && eval_.evaluate(chunks, bucket_).demandMilli > budgetMilli_)
+        return frugalHomogeneous(); // feasible fallback start
     return chunks;
-}
-
-bool
-Annealer::demandOk(const std::vector<int>& assignment) const
-{
-    if (budgetMilli_ <= 0)
-        return true;
-    return contention_->aggregateDemandMilli(
-               std::span<const int>(assignment))
-        <= budgetMilli_;
-}
-
-void
-Annealer::poolInsert(const std::vector<int>& assignment,
-                     const Prediction& pred)
-{
-    if (keyed_) {
-        std::uint64_t key = 0;
-        for (std::size_t i = 0; i < assignment.size(); ++i)
-            key |= static_cast<std::uint64_t>(assignment[i]) << (4 * i);
-        if (!poolKeys_.insert(key).second)
-            return;
-    } else {
-        if (!poolKeysWide_.emplace(assignment, true).second)
-            return;
-    }
-    pool_.push_back(PoolEntry{assignment, pred});
 }
 
 const Prediction*
 Annealer::evaluate(std::span<const Chunk> chunks)
 {
     toAssignment(chunks, assignScratch_);
-    if (!demandOk(assignScratch_)) {
-        ++filtered_; // C6: the move is never even scored
+    std::uint64_t key = 0;
+    if (keyed_) {
+        for (std::size_t i = 0; i < assignScratch_.size(); ++i)
+            key |= static_cast<std::uint64_t>(assignScratch_[i])
+                << (4 * i);
+        if (const auto it = poolIndex_.find(key); it != poolIndex_.end()) {
+            ++revisits_;
+            return &pool_[it->second].pred;
+        }
+    } else if (const auto it = poolIndexWide_.find(assignScratch_);
+               it != poolIndexWide_.end()) {
+        ++revisits_;
+        return &pool_[it->second].pred;
+    }
+
+    const Prediction pred = eval_.evaluate(chunks, bucket_);
+    if (budgetMilli_ > 0 && pred.demandMilli > budgetMilli_) {
+        ++filtered_; // C6: never pooled, never a chain state
         return nullptr;
     }
-    predScratch_ = eval_.predict(
-        std::span<const int>(assignScratch_), bucket_);
-    poolInsert(assignScratch_, predScratch_);
-    return &predScratch_;
+    if (keyed_)
+        poolIndex_.emplace(key, pool_.size());
+    else
+        poolIndexWide_.emplace(assignScratch_, pool_.size());
+    pool_.push_back(PoolEntry{assignScratch_, pred});
+    return &pool_.back().pred;
 }
 
 bool
@@ -363,6 +351,7 @@ Annealer::stats() const
     s.accepted = accepted_;
     s.filtered = filtered_;
     s.distinct = static_cast<std::int64_t>(pool_.size());
+    s.revisits = revisits_;
     s.chains = static_cast<int>(chains_.size());
     return s;
 }

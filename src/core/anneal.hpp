@@ -2,14 +2,16 @@
  * @file
  * Annealed local-search planning engine (PlannerEngine::Annealed): a
  * seeded, deterministic simulated-annealing walk over the schedule
- * space, with the memoized ScheduleEvaluator as the inner-loop oracle.
- * This is how the planner scales past enumerable spaces — the exact
- * engines cap out around 36 variables (stages x PU classes), while a
- * move evaluation here is a table lookup, so millions of moves are
- * affordable.
+ * space, with ScheduleEvaluator::evaluate as the inner-loop oracle.
+ * This is how the planner scales past enumerable spaces: the exact
+ * engine visits every schedule, which optimize() allows only up to
+ * PlannerSpec::exactSpaceLimit of them, while the walk's cost is its
+ * move budget, whatever the space size.
  *
  * The engine does not rank schedules itself. It maintains a pool of
- * every distinct C6-feasible schedule it evaluates; the Optimizer runs
+ * every distinct C6-feasible schedule it evaluates, which doubles as
+ * its memo: a revisited schedule returns its pooled prediction, a new
+ * one is folded once. The Optimizer runs
  * a sequence of phases with different guide costs (mirroring the exact
  * engines' level structure) and then applies the *same* level-1/level-2
  * selection arithmetic as the exhaustive engine over the pool.
@@ -31,7 +33,7 @@
 #include <functional>
 #include <map>
 #include <span>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -101,6 +103,7 @@ class Annealer
         std::int64_t accepted = 0; ///< moves taken by a chain
         std::int64_t filtered = 0; ///< rejected by the C6 demand filter
         std::int64_t distinct = 0; ///< pool size (distinct feasible)
+        std::int64_t revisits = 0; ///< evaluations served by the pool
         int chains = 0;            ///< restart chains run
     };
 
@@ -158,16 +161,14 @@ class Annealer
     void seedChains(const AnnealSpec& spec);
     void maybeSweep(const AnnealSpec& spec, std::uint64_t space_size);
     std::vector<Chunk> frugalHomogeneous() const;
-    std::vector<Chunk> randomPartition(Rng& rng) const;
+    std::vector<Chunk> randomPartition(Rng& rng);
     /** Draw one move into prop_; false if the drawn move does not
      *  apply to the current state (still counts against the budget). */
     bool propose(Chain& chain);
-    /** Evaluate prop_; pools it when feasible. Returns the Prediction,
-     *  or nullptr when the C6 filter rejects it. */
+    /** Score @p chunks: the pooled Prediction on a revisit, else one
+     *  fold, pooled when feasible. nullptr when the C6 filter rejects
+     *  the schedule. Valid until the next call. */
     const Prediction* evaluate(std::span<const Chunk> chunks);
-    bool demandOk(const std::vector<int>& assignment) const;
-    void poolInsert(const std::vector<int>& assignment,
-                    const Prediction& pred);
 
     ScheduleEvaluator& eval_;
     int bucket_;
@@ -178,22 +179,22 @@ class Annealer
     std::vector<Chain> chains_;
     std::vector<Chunk> prop_;        ///< proposal scratch
     std::vector<int> assignScratch_; ///< stage -> PU scratch
-    Prediction predScratch_;         ///< last feasible evaluation
     int numStages_;
     double t0_;           ///< initial relative temperature
     double coolFraction_; ///< per-phase geometric cooling endpoint
 
     std::vector<PoolEntry> pool_;
-    /** Dedup index: packed 4-bit keys when the instance fits 16x16
-     *  (same condition as the evaluator's keyed cache), else a map on
-     *  the full assignment. */
-    std::unordered_set<std::uint64_t> poolKeys_;
-    std::map<std::vector<int>, bool> poolKeysWide_;
+    /** Pool position by assignment: packed 4-bit keys when the
+     *  instance fits 16 stages x 16 PU classes, else the full
+     *  assignment. */
+    std::unordered_map<std::uint64_t, std::size_t> poolIndex_;
+    std::map<std::vector<int>, std::size_t> poolIndexWide_;
     bool keyed_;
 
     std::int64_t proposed_ = 0;
     std::int64_t accepted_ = 0;
     std::int64_t filtered_ = 0;
+    std::int64_t revisits_ = 0;
     bool exhausted_ = false;
 };
 

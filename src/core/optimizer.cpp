@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -130,40 +131,63 @@ keyOf(const Chunk& c)
     return {c.firstStage, c.lastStage, c.pu};
 }
 
-/** The chunk that determines the schedule's bottleneck latency. */
+/** The chunk that determines the schedule's bottleneck latency under
+ *  ambient bucket @p bucket: the first chunk of maximal time. */
 ChunkKey
-bottleneckKey(const Schedule& s, const ProfilingTable& table)
+bottleneckKey(const Schedule& s, ScheduleEvaluator& eval, int bucket)
 {
-    int best = 0;
+    const Chunk* best = nullptr;
     double worst = -1.0;
-    for (int c = 0; c < s.numChunks(); ++c) {
-        const double t = s.chunkTime(table, c);
+    for (const Chunk& c : s.chunks()) {
+        const double t
+            = eval.chunkTime(c.firstStage, c.lastStage, c.pu, bucket);
         if (t > worst) {
             worst = t;
-            best = c;
+            best = &c;
         }
     }
-    return keyOf(s.chunks()[static_cast<std::size_t>(best)]);
+    return keyOf(*best);
 }
 
-/** Stretched copy of @p base: each cell scaled by the contention
- *  profile's slowdown under @p bucket. Empty for bucket 0 (unused;
- *  predictions bind to the base table directly). */
-ProfilingTable
-makeStretchedTable(const ProfilingTable& base,
-                   const platform::ContentionProfile* profile,
-                   int bucket)
+/**
+ * Level 1 (paper O1 + C3) over an admissible pool: the unrestricted
+ * latency optimum and, under the utilization filter, the latency
+ * bound, the highest PU count within it, the minimal gapness within
+ * that class and the gapness bound. @p proj maps a pool element to
+ * something with latency, gapness and numChunks members. The final
+ * selection and the annealer's provisional guides both read it.
+ */
+template <typename Pool, typename Proj>
+void
+levelOneBounds(const Pool& pool, Proj proj, const PlannerSpec& spec,
+               OptimizeStats& st)
 {
-    if (bucket == 0)
-        return {};
-    ProfilingTable t(base.stages(), base.pus());
-    for (int s = 0; s < base.numStages(); ++s) {
-        for (int p = 0; p < base.numPus(); ++p) {
-            t.set(s, p, base.at(s, p) * profile->stretch(s, p, bucket));
-            t.setStddev(s, p, base.stddevAt(s, p));
-        }
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& e : pool)
+        best = std::min(best, std::invoke(proj, e).latency);
+    st.unrestrictedLatency = best;
+    if (!spec.utilizationFilter)
+        return;
+    st.latencyBound = best * (1.0 + spec.latencySlack) + 1e-12;
+
+    // Highest PU count within the latency bound.
+    st.requiredPus = 1;
+    for (const auto& e : pool) {
+        const auto& p = std::invoke(proj, e);
+        if (p.latency <= st.latencyBound)
+            st.requiredPus = std::max<int>(st.requiredPus, p.numChunks);
     }
-    return t;
+
+    // Minimal gapness within the feasibility class.
+    double min_gap = std::numeric_limits<double>::infinity();
+    for (const auto& e : pool) {
+        const auto& p = std::invoke(proj, e);
+        if (p.latency <= st.latencyBound && p.numChunks >= st.requiredPus)
+            min_gap = std::min(min_gap, p.gapness);
+    }
+    BT_ASSERT(min_gap < std::numeric_limits<double>::infinity());
+    st.minimalGapness = min_gap;
+    st.gapnessBound = min_gap * (1.0 + spec.gapnessSlack) + 1e-9;
 }
 
 } // namespace
@@ -251,25 +275,22 @@ struct Optimizer::RankPool
 
 Optimizer::Optimizer(const platform::SocDescription& soc_,
                      const ProfilingTable& table_, PlannerSpec spec)
-    : soc(soc_), baseTable_(table_), config(std::move(spec)),
+    : soc(soc_), table(table_), config(std::move(spec)),
       contention_(config.contentionProfile),
       bucket_(contention_ != nullptr && !config.contention.realTime
                   ? contention_->bucketOf(config.contention.ambientGbps)
                   : 0),
-      stretchedStorage_(
-          makeStretchedTable(baseTable_, contention_, bucket_)),
-      table(bucket_ > 0 ? stretchedStorage_ : baseTable_),
       powerModel(soc_)
 {
-    BT_ASSERT(baseTable_.numPus() == soc.numPus(),
+    BT_ASSERT(table.numPus() == soc.numPus(),
               "profiling table PU count does not match device");
     if (const std::string bad
         = runtime::rangeErrors(config.problems(soc.numPus()));
         !bad.empty())
         BT_PANIC("spec.range", bad);
     if (contention_ != nullptr)
-        BT_ASSERT(contention_->numStages == baseTable_.numStages()
-                      && contention_->numPus == baseTable_.numPus(),
+        BT_ASSERT(contention_->numStages == table.numStages()
+                      && contention_->numPus == table.numPus(),
                   "contention profile grid does not match table");
     BT_ASSERT(soc.numPus() <= 32, "the allowed-PU mask holds 32 classes");
     const std::vector<int> allowed
@@ -292,16 +313,17 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
     }
 
     if (config.sharedEvaluator != nullptr) {
-        BT_ASSERT(&config.sharedEvaluator->table() == &baseTable_,
+        BT_ASSERT(&config.sharedEvaluator->table() == &table,
                   "shared evaluator built over a different table");
         eval_ = config.sharedEvaluator;
-        // C6 reads the demand the evaluator folds, so it must fold the
-        // spec's profile.
-        BT_ASSERT(!c6Active_ || eval_->contention() == contention_,
-                  "shared evaluator built without the C6 profile");
+        // C6 reads the demand the evaluator folds and ambient buckets
+        // its stretched chunk times, so it must fold the spec's profile.
+        BT_ASSERT((!c6Active_ && bucket_ == 0)
+                      || eval_->contention() == contention_,
+                  "shared evaluator built without the spec's profile");
     } else {
         ownedEval_ = std::make_unique<ScheduleEvaluator>(
-            soc, baseTable_, powerModel, contention_);
+            soc, table, powerModel, contention_);
         eval_ = ownedEval_.get();
     }
 }
@@ -358,12 +380,8 @@ Optimizer::optimize()
     stats_.engine = stats_.spaceSize > config.exactSpaceLimit
         ? PlannerEngine::Annealed
         : PlannerEngine::Exhaustive;
-    auto cands = stats_.engine == PlannerEngine::Annealed
-        ? optimizeAnnealed()
-        : optimizeExhaustive();
-    stats_.evalHits = eval_->stats().hits;
-    stats_.evalMisses = eval_->stats().misses;
-    return cands;
+    return stats_.engine == PlannerEngine::Annealed ? optimizeAnnealed()
+                                                    : optimizeExhaustive();
 }
 
 std::vector<Candidate>
@@ -392,33 +410,7 @@ Optimizer::selectDiverse(RankPool& pool)
 {
     auto& recs = pool.records;
     BT_ASSERT(!recs.empty(), "no admissible schedule to select from");
-    double best_latency = std::numeric_limits<double>::infinity();
-    for (const auto& r : recs)
-        best_latency = std::min(best_latency, r.latency);
-    stats_.unrestrictedLatency = best_latency;
-
-    if (config.utilizationFilter) {
-        stats_.latencyBound
-            = best_latency * (1.0 + config.latencySlack) + 1e-12;
-
-        // Highest PU count within the latency bound.
-        stats_.requiredPus = 1;
-        for (const auto& r : recs)
-            if (r.latency <= stats_.latencyBound)
-                stats_.requiredPus
-                    = std::max<int>(stats_.requiredPus, r.numChunks);
-
-        // Minimal gapness within the feasibility class.
-        double min_gap = std::numeric_limits<double>::infinity();
-        for (const auto& r : recs)
-            if (r.latency <= stats_.latencyBound
-                && r.numChunks >= stats_.requiredPus)
-                min_gap = std::min(min_gap, r.gapness);
-        BT_ASSERT(min_gap < std::numeric_limits<double>::infinity());
-        stats_.minimalGapness = min_gap;
-        stats_.gapnessBound
-            = min_gap * (1.0 + config.gapnessSlack) + 1e-9;
-    }
+    levelOneBounds(recs, std::identity{}, config, stats_);
     for (auto& r : recs)
         r.cls = static_cast<std::uint8_t>(
             rankClassOf(r.latency, r.gapness, r.numChunks));
@@ -467,7 +459,8 @@ Optimizer::selectDiverse(RankPool& pool)
         if (r.cls == 0)
             ++stats_.candidatesWithinBound;
         if (config.maxPerTier > 0) {
-            const ChunkKey tier = bottleneckKey(c.schedule, table);
+            const ChunkKey tier
+                = bottleneckKey(c.schedule, *eval_, bucket_);
             if (++tier_count[tier] >= config.maxPerTier)
                 blocked.insert(tier);
         }
@@ -504,6 +497,8 @@ Optimizer::optimizeAnnealed()
     stats_.annealFiltered = as.filtered;
     stats_.annealDistinct = as.distinct;
     stats_.annealChains = as.chains;
+    stats_.evalHits = static_cast<std::uint64_t>(as.revisits);
+    stats_.evalMisses = static_cast<std::uint64_t>(as.distinct);
     return selectDiverse(pool);
 }
 
@@ -518,29 +513,12 @@ Optimizer::runAnnealPhases(Annealer& annealer, int m_eff)
         spent += s;
         return s;
     };
-    // Provisional level-1 bounds over the pool visited so far, using
-    // the exact engine's arithmetic; later phases guide against them
-    // and the final selection re-derives them over the full pool.
+    // Provisional level-1 bounds over the pool visited so far; later
+    // phases guide against them and the final selection re-derives
+    // them over the full pool.
     const auto poolBounds = [&] {
-        double best = std::numeric_limits<double>::infinity();
-        for (const auto& e : annealer.pool())
-            best = std::min(best, e.pred.latency);
-        stats_.unrestrictedLatency = best;
-        stats_.latencyBound
-            = best * (1.0 + config.latencySlack) + 1e-12;
-        stats_.requiredPus = 1;
-        for (const auto& e : annealer.pool())
-            if (e.pred.latency <= stats_.latencyBound)
-                stats_.requiredPus
-                    = std::max(stats_.requiredPus, e.pred.numChunks);
-        double min_gap = std::numeric_limits<double>::infinity();
-        for (const auto& e : annealer.pool())
-            if (e.pred.latency <= stats_.latencyBound
-                && e.pred.numChunks >= stats_.requiredPus)
-                min_gap = std::min(min_gap, e.pred.gapness);
-        stats_.minimalGapness = min_gap;
-        stats_.gapnessBound
-            = min_gap * (1.0 + config.gapnessSlack) + 1e-9;
+        levelOneBounds(annealer.pool(), &Annealer::PoolEntry::pred, config,
+                       stats_);
     };
 
     // The phase sequence mirrors the exact engine's levels: 1a hunt

@@ -166,11 +166,12 @@ struct PlannerSpec
     Contention contention;
 
     /**
-     * Optional externally-owned evaluator built over the *same* table;
-     * lets short-lived optimizers (fault-time replans, autotuner
-     * campaigns) reuse a warm prediction cache. Null: the optimizer
-     * owns a private one. Not part of the fingerprint - sharing never
-     * changes results, only cache temperature.
+     * Optional externally-owned evaluator built over the *same* table
+     * (and, under C6 or an ambient bucket, the same contention
+     * profile); lets short-lived optimizers (fault-time replans,
+     * autotuner campaigns) reuse its chunk-time tables instead of
+     * rebuilding them. Null: the optimizer owns a private one. Not
+     * part of the fingerprint - sharing never changes results.
      */
     ScheduleEvaluator* sharedEvaluator = nullptr;
 
@@ -264,13 +265,10 @@ struct OptimizeStats
      *  single-chunk schedule) and C6 was therefore dropped. */
     bool c6Relaxed = false;
 
-    /** Prediction-cache counters of the evaluator (since its
-     *  construction; a shared evaluator accumulates across replans).
-     *  Only the annealed engine memoizes: the exact engine scores each
-     *  schedule once, in place, so exhaustive plans add nothing and
-     *  read 0 on a private evaluator. Instances too large for the
-     *  packed memo key (more than 16 stages or PU classes) are
-     *  evaluated unkeyed and also add nothing. */
+    /** The annealed engine's pool traffic in this run: evaluations a
+     *  pooled schedule served (hits) and new feasible schedules folded
+     *  and pooled (misses, equal to annealDistinct). The exact engine
+     *  scores each schedule once, in place, and reads 0 for both. */
     std::uint64_t evalHits = 0;
     std::uint64_t evalMisses = 0;
 
@@ -336,16 +334,13 @@ class Optimizer
     /** Objective value used to order candidates within a class. */
     double rankScoreOf(double latency, double energy_j) const;
 
-    // Declaration order matters to the initializer list: the stretched
-    // table is built from baseTable_ x contention stretch, and `table`
-    // then binds to whichever of the two this plan predicts against.
+    // Declaration order matters to the initializer list: bucket_ reads
+    // contention_, which reads config.
     const platform::SocDescription& soc;
-    const ProfilingTable& baseTable_;
+    const ProfilingTable& table; ///< unstretched; the evaluator stretches
     PlannerSpec config;
     const platform::ContentionProfile* contention_;
     int bucket_;               ///< ambient bucket this plan targets
-    ProfilingTable stretchedStorage_; ///< base x stretch, bucket > 0
-    const ProfilingTable& table; ///< what predictions fold over
     platform::PerfModel powerModel;
     std::uint32_t allowedMask_ = 0; ///< bit c: allowedPus admits class c
     std::int64_t budgetMilli_ = 0; ///< C6 cap, milli-GB/s

@@ -12,8 +12,7 @@ ScheduleEvaluator::ScheduleEvaluator(
     const platform::ContentionProfile* contention)
     : soc_(soc), table_(table), powerModel_(power_model),
       contention_(contention), numStages_(table.numStages()),
-      numPus_(table.numPus()),
-      keyed_(numStages_ <= 16 && numPus_ <= 16)
+      numPus_(table.numPus())
 {
     BT_ASSERT(table_.numPus() == soc_.numPus(),
               "profiling table PU count does not match device");
@@ -51,8 +50,6 @@ ScheduleEvaluator::ScheduleEvaluator(
             activeW_.push_back(powerModel_.activePowerW(p, busy));
         idleW_.push_back(soc_.pu(p).idlePowerW);
     }
-    assignScratch_.resize(static_cast<std::size_t>(numStages_));
-    chunkScratch_.reserve(static_cast<std::size_t>(numStages_));
 }
 
 const std::vector<double>&
@@ -156,63 +153,6 @@ ScheduleEvaluator::evaluate(std::span<const Chunk> chunks, int bucket)
             energy += interval * idleW_[static_cast<std::size_t>(p)];
     pred.energyJ = energy;
     return pred;
-}
-
-Prediction
-ScheduleEvaluator::evaluateAssignment(std::span<const int> stage_to_pu,
-                                      int bucket)
-{
-    BT_ASSERT(static_cast<int>(stage_to_pu.size()) == numStages_,
-              "assignment covers ", stage_to_pu.size(), " of ",
-              numStages_, " stages");
-    // The same chunk walk Schedule::fromAssignment performs.
-    chunkScratch_.clear();
-    int first = 0;
-    for (int s = 1; s <= numStages_; ++s) {
-        if (s != numStages_
-            && stage_to_pu[static_cast<std::size_t>(s)]
-                == stage_to_pu[static_cast<std::size_t>(first)])
-            continue;
-        chunkScratch_.push_back(Chunk{
-            first, s - 1, stage_to_pu[static_cast<std::size_t>(first)]});
-        first = s;
-    }
-    return evaluate(chunkScratch_, bucket);
-}
-
-const Prediction&
-ScheduleEvaluator::predict(std::span<const int> stage_to_pu, int bucket)
-{
-    if (!keyed_) {
-        ++stats_.unkeyed;
-        scratch_ = evaluateAssignment(stage_to_pu, bucket);
-        return scratch_;
-    }
-    // The packed key uses all 64 bits, so each bucket memoizes into
-    // its own map (bucket 0 keeps the original hot path).
-    auto& memo = bucket == 0 ? memo_ : bucketMemo_[bucket];
-    std::uint64_t key = 0;
-    for (const int pu : stage_to_pu)
-        key = (key << 4) | static_cast<std::uint64_t>(pu);
-    const auto it = memo.find(key);
-    if (it != memo.end()) {
-        ++stats_.hits;
-        return it->second;
-    }
-    ++stats_.misses;
-    return memo.emplace(key, evaluateAssignment(stage_to_pu, bucket))
-        .first->second;
-}
-
-const Prediction&
-ScheduleEvaluator::predict(const Schedule& schedule, int bucket)
-{
-    // toAssignment without the allocation: flatten into the reused
-    // scratch vector.
-    for (const auto& c : schedule.chunks())
-        for (int s = c.firstStage; s <= c.lastStage; ++s)
-            assignScratch_[static_cast<std::size_t>(s)] = c.pu;
-    return predict(std::span<const int>(assignScratch_), bucket);
 }
 
 } // namespace bt::core

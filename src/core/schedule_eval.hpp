@@ -5,33 +5,28 @@
  *
  * Producing a deployed schedule means scoring thousands of
  * (stage -> PU) assignments: the exact engine scores every enumerated
- * schedule once, the annealed engine re-scores the schedules its walk
- * revisits, and fault-time replans repeat both. All of those
- * scores decompose into per-chunk contributions - the predicted time of
- * running stages [first, last] back-to-back on one PU - and the chunk
- * space is tiny (O(stages^2 x PUs)) while the schedule space is
- * exponential. ScheduleEvaluator exploits that:
+ * schedule once, the annealed engine scores each schedule its walk
+ * visits (its pool returns revisits), and fault-time replans repeat
+ * both. All of those scores decompose into per-chunk contributions -
+ * the predicted time of running stages [first, last] back-to-back on
+ * one PU - and the chunk space is tiny (O(stages^2 x PUs)) while the
+ * schedule space is exponential. ScheduleEvaluator exploits that:
  *
  *  1. a dense *chunk-time table* filled once by extending each range one
  *     stage at a time - the same left-fold ProfilingTable::rangeTime
  *     computes, so every entry is bit-identical to the from-scratch sum;
  *  2. one *fold* (evaluate) that scores a chunk list in place over that
  *     table: latency, gapness, energy and C6 demand, allocating nothing.
- *     The exact engine calls it once per schedule of its walk;
- *  3. a *keyed prediction cache* over the fold: full Prediction records
- *     memoized by a packed assignment key (predict), for the annealed
- *     engine's move loop (anneal.hpp - millions of move evaluations
- *     that mostly revisit schedules become cache lookups).
+ *     It is the planner's only scoring entry.
  *
  * Cross-tenant co-placement rides the same machinery: when constructed
  * with a ContentionProfile, predictions can be asked for under an
  * ambient-bandwidth *bucket* (a co-runner's quantized DRAM demand).
  * Each bucket gets its own chunk-time table - the base table's cells
  * multiplied by the profile's per-(stage, PU, bucket) stretch factors,
- * built lazily on first use - and its own memo, so scoring a schedule
- * against any co-runner level costs the same as the baseline. Bucket 0
- * is the uncontended baseline and shares the bit-exactness contract
- * below.
+ * built lazily on first use - so scoring a schedule against any
+ * co-runner level costs the same as the baseline. Bucket 0 is the
+ * uncontended baseline and shares the bit-exactness contract below.
  *
  * Bit-exactness contract: every number an evaluator returns is the
  * exact double a from-scratch fold over the schedule would produce:
@@ -42,11 +37,10 @@
  * values. Tests cross-validate all of it, demand included, over
  * entire schedule spaces against from-scratch folds of their own.
  *
- * Thread compatibility: the evaluator builds bucket tables and
- * memoizes internally and is NOT safe for concurrent use. The planning
- * path is single-threaded (only candidate *executions* fan out, see
- * autotuner.hpp); fault-time replans serialize through their backend's
- * recovery lock.
+ * Thread compatibility: the evaluator builds bucket tables lazily and
+ * is NOT safe for concurrent use. The planning path is single-threaded
+ * (only candidate *executions* fan out, see autotuner.hpp); fault-time
+ * replans serialize through their backend's recovery lock.
  */
 
 #ifndef BT_CORE_SCHEDULE_EVAL_HPP
@@ -54,7 +48,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/profiling_table.hpp"
@@ -79,18 +72,10 @@ struct Prediction
     double demandGbps = 0.0;
 };
 
-/** Cache effectiveness counters (for stats and the bench harness). */
-struct EvalStats
-{
-    std::uint64_t hits = 0;        ///< predictions served from the memo
-    std::uint64_t misses = 0;      ///< predictions computed and stored
-    std::uint64_t unkeyed = 0;     ///< computed without memoization
-};
-
 /**
- * Incremental, memoizing evaluator over one (device, profiling table)
- * pair. Construction costs O(stages^2 x PUs); every evaluation after
- * that is O(stages + PUs) worst case and O(1) on a cache hit.
+ * Incremental evaluator over one (device, profiling table) pair.
+ * Construction costs O(stages^2 x PUs); every evaluation after that is
+ * O(stages + PUs).
  */
 class ScheduleEvaluator
 {
@@ -111,17 +96,14 @@ class ScheduleEvaluator
     int numStages() const { return numStages_; }
     int numPus() const { return numPus_; }
 
-    /** Whether assignments pack into 64-bit memo keys (instance fits
-     *  16 stages x 16 PU classes). The annealed engine reuses the same
-     *  condition for its visited-pool dedup keys. */
-    bool keyed() const { return keyed_; }
-
-    /** Chunk time of stages [first, last] on @p pu; bit-identical to
-     *  table().rangeTime(first, last, pu), O(1). */
+    /** Chunk time of stages [first, last] on @p pu under ambient
+     *  bucket @p bucket, O(1) once the bucket's table is built. At
+     *  bucket 0 it is bit-identical to table().rangeTime(first, last,
+     *  pu); above, to rangeTime over the table stretched cell by cell. */
     double
-    chunkTime(int first, int last, int pu) const
+    chunkTime(int first, int last, int pu, int bucket = 0)
     {
-        return chunkTimes_[chunkIndex(first, last, pu)];
+        return chunkTable(bucket)[chunkIndex(first, last, pu)];
     }
 
     /** The contention profile bucketed predictions and demand read
@@ -135,26 +117,10 @@ class ScheduleEvaluator
     /**
      * Score @p chunks under ambient bucket @p bucket in place: the one
      * fold behind every prediction. The chunks must tile the stages in
-     * order with at most one chunk per PU (C2). Reads and writes no
-     * memo, counts nothing in stats() and allocates nothing (after a
-     * bucket's table is built).
+     * order with at most one chunk per PU (C2). Allocates nothing
+     * (after a bucket's table is built).
      */
     Prediction evaluate(std::span<const Chunk> chunks, int bucket = 0);
-
-    /**
-     * Predict @p stage_to_pu (one PU index per stage, contiguity
-     * C2-respecting) under ambient bucket @p bucket. Memoized by
-     * packed key when the instance fits 16 stages x 16 PU classes;
-     * computed directly otherwise.
-     */
-    const Prediction& predict(std::span<const int> stage_to_pu,
-                              int bucket = 0);
-
-    /** Convenience overload scoring a built Schedule. */
-    const Prediction& predict(const Schedule& schedule, int bucket = 0);
-
-    /** Memo effectiveness since construction. */
-    const EvalStats& stats() const { return stats_; }
 
   private:
     std::size_t
@@ -167,10 +133,6 @@ class ScheduleEvaluator
             + static_cast<std::size_t>(pu);
     }
 
-    /** Split @p stage_to_pu into chunks and fold them (a memo miss). */
-    Prediction evaluateAssignment(std::span<const int> stage_to_pu,
-                                  int bucket);
-
     /** Chunk-time table of @p bucket, building it on first use. */
     const std::vector<double>& chunkTable(int bucket);
 
@@ -180,21 +142,13 @@ class ScheduleEvaluator
     const platform::ContentionProfile* contention_;
     int numStages_;
     int numPus_;
-    bool keyed_; ///< assignments pack into 64 bits
 
     std::vector<double> chunkTimes_; ///< [first][last][pu], left-fold
     std::vector<double> activeW_; ///< [pu][busy others] active power, W
     std::vector<double> idleW_;   ///< [pu] idle power, W
-    std::unordered_map<std::uint64_t, Prediction> memo_;
     /** Stretched chunk tables by bucket, each built on first use (empty
      *  until then; index 0 unused). */
     std::vector<std::vector<double>> bucketChunkTimes_;
-    std::unordered_map<int, std::unordered_map<std::uint64_t, Prediction>>
-        bucketMemo_;
-    Prediction scratch_; ///< returned for unkeyed instances
-    EvalStats stats_;
-    std::vector<int> assignScratch_;   ///< Schedule -> assignment, reused
-    std::vector<Chunk> chunkScratch_;  ///< assignment -> chunks, reused
 };
 
 } // namespace bt::core

@@ -275,8 +275,9 @@ TEST_F(ContentionRig, EvaluatorBucketZeroIgnoresTheProfile)
     const std::vector<std::vector<int>> assigns{
         {0, 0, 0}, {0, 0, 2}, {0, 2, 2}, {3, 3, 3}, {1, 1, 3}};
     for (const auto& a : assigns) {
-        const Prediction& lhs = plain.predict(a);
-        const Prediction rhs = bucketed.predict(a); // copy before next
+        const auto chunks = Schedule::fromAssignment(a).chunks();
+        const Prediction lhs = plain.evaluate(chunks);
+        const Prediction rhs = bucketed.evaluate(chunks);
         EXPECT_DOUBLE_EQ(lhs.latency, rhs.latency);
         EXPECT_DOUBLE_EQ(lhs.gapness, rhs.gapness);
         EXPECT_DOUBLE_EQ(lhs.energyJ, rhs.energyJ);
@@ -311,15 +312,16 @@ TEST_F(ContentionRig, EvaluatorBucketsMatchAManuallyStretchedTable)
     const std::vector<std::vector<int>> assigns{
         {0, 0, 0}, {0, 0, 2}, {0, 2, 2}, {3, 3, 3}, {2, 2, 3}};
     for (const auto& a : assigns) {
-        const Prediction& lhs = manual.predict(a);
-        const Prediction rhs = bucketed.predict(a, bucket);
+        const auto chunks = Schedule::fromAssignment(a).chunks();
+        const Prediction lhs = manual.evaluate(chunks);
+        const Prediction rhs = bucketed.evaluate(chunks, bucket);
         EXPECT_DOUBLE_EQ(lhs.latency, rhs.latency);
         EXPECT_DOUBLE_EQ(lhs.gapness, rhs.gapness);
         EXPECT_DOUBLE_EQ(lhs.energyJ, rhs.energyJ);
         // Demand is a property of the assignment, not the bucket.
         EXPECT_EQ(rhs.demandMilli,
                   result.contention.aggregateDemandMilli(a));
-        EXPECT_EQ(rhs.demandMilli, bucketed.predict(a, 0).demandMilli);
+        EXPECT_EQ(rhs.demandMilli, bucketed.evaluate(chunks).demandMilli);
     }
 }
 
@@ -596,8 +598,8 @@ TEST_F(ContentionRig, VirtualBackendTracksThePredictedStretch)
              {3, 3, 3}, {0, 0, 2}}) {
         const auto schedule = Schedule::fromAssignment(assign);
         const double predictedRatio
-            = eval.predict(assign, bucket).latency
-            / eval.predict(assign, 0).latency;
+            = eval.evaluate(schedule.chunks(), bucket).latency
+            / eval.evaluate(schedule.chunks()).latency;
 
         runtime::RunConfig quiet;
         quiet.numTasks = 24;

@@ -435,7 +435,7 @@ TEST_F(ProfiledPixel, EvaluatorBitIdenticalOverAllSchedules)
     const auto all
         = enumerateSchedules(app->numStages(), soc.numPus());
     for (const auto& s : all) {
-        const Prediction& p = eval.predict(s);
+        const Prediction p = eval.evaluate(s.chunks());
         EXPECT_EQ(p.latency, s.bottleneckTime(table));
         EXPECT_EQ(p.gapness, s.gapness(table));
         EXPECT_EQ(p.numChunks, s.numChunks());
@@ -444,20 +444,12 @@ TEST_F(ProfiledPixel, EvaluatorBitIdenticalOverAllSchedules)
         EXPECT_EQ(p.demandMilli, scratchDemandMilli(result.contention, s))
             << s.compactString();
     }
-    // Every schedule again: all hits this time.
-    const auto misses = eval.stats().misses;
-    for (const auto& s : all)
-        eval.predict(s);
-    EXPECT_EQ(eval.stats().misses, misses);
-    EXPECT_GE(eval.stats().hits, all.size());
 }
 
 /** A plan over a shared, already used evaluator must agree bit-for-bit
  *  with a cold one: same candidates, same predicted numbers, same
- *  stats. The warm run shares an evaluator that a default-spec plan
- *  under the same engine rule has already used. The exact engine
- *  scores in place and never touches the memo; the annealed engine's
- *  sweep fills it with the whole space, so its warm run only hits. */
+ *  stats, counters included. The warm run shares an evaluator that a
+ *  default-spec plan under the same engine rule has already used. */
 void
 expectSamePlan(const platform::SocDescription& soc,
                const platform::PerfModel& model,
@@ -471,11 +463,9 @@ expectSamePlan(const platform::SocDescription& soc,
     warmup.exactSpaceLimit = cfg.exactSpaceLimit;
     warmup.sharedEvaluator = &eval;
     Optimizer(soc, table, warmup).optimize();
-    const auto misses = eval.stats().misses;
     cfg.sharedEvaluator = &eval;
     Optimizer warm(soc, table, cfg);
     const auto b = warm.optimize();
-    EXPECT_EQ(eval.stats().misses, misses);
 
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -485,26 +475,26 @@ expectSamePlan(const platform::SocDescription& soc,
         EXPECT_EQ(a[i].predictedGapness, b[i].predictedGapness);
         EXPECT_EQ(a[i].predictedEnergyJ, b[i].predictedEnergyJ);
     }
-    EXPECT_EQ(cold.stats().unrestrictedLatency,
-              warm.stats().unrestrictedLatency);
-    EXPECT_EQ(cold.stats().latencyBound, warm.stats().latencyBound);
-    EXPECT_EQ(cold.stats().requiredPus, warm.stats().requiredPus);
-    EXPECT_EQ(cold.stats().minimalGapness, warm.stats().minimalGapness);
-    EXPECT_EQ(cold.stats().gapnessBound, warm.stats().gapnessBound);
-    EXPECT_EQ(cold.stats().solverNodes, warm.stats().solverNodes);
-    EXPECT_EQ(cold.stats().candidatesWithinBound,
-              warm.stats().candidatesWithinBound);
-    ASSERT_EQ(cold.stats().engine, warm.stats().engine);
-    if (cold.stats().engine == PlannerEngine::Exhaustive) {
-        // The exact engine makes no memo traffic at all.
-        EXPECT_EQ(cold.stats().evalHits + cold.stats().evalMisses, 0u);
-        EXPECT_EQ(warm.stats().evalHits + warm.stats().evalMisses, 0u);
-    } else {
-        // The cold annealed run filled its private memo, the warm one
-        // was served from the shared memo.
-        EXPECT_GT(cold.stats().evalMisses, 0u);
-        EXPECT_GT(warm.stats().evalHits, 0u);
-    }
+    const OptimizeStats& c = cold.stats();
+    const OptimizeStats& w = warm.stats();
+    EXPECT_EQ(c.engine, w.engine);
+    EXPECT_EQ(c.spaceSize, w.spaceSize);
+    EXPECT_EQ(c.unrestrictedLatency, w.unrestrictedLatency);
+    EXPECT_EQ(c.latencyBound, w.latencyBound);
+    EXPECT_EQ(c.requiredPus, w.requiredPus);
+    EXPECT_EQ(c.minimalGapness, w.minimalGapness);
+    EXPECT_EQ(c.gapnessBound, w.gapnessBound);
+    EXPECT_EQ(c.solverNodes, w.solverNodes);
+    EXPECT_EQ(c.candidatesWithinBound, w.candidatesWithinBound);
+    EXPECT_EQ(c.demandBudgetGbps, w.demandBudgetGbps);
+    EXPECT_EQ(c.c6Relaxed, w.c6Relaxed);
+    EXPECT_EQ(c.evalHits, w.evalHits);
+    EXPECT_EQ(c.evalMisses, w.evalMisses);
+    EXPECT_EQ(c.annealProposed, w.annealProposed);
+    EXPECT_EQ(c.annealAccepted, w.annealAccepted);
+    EXPECT_EQ(c.annealFiltered, w.annealFiltered);
+    EXPECT_EQ(c.annealDistinct, w.annealDistinct);
+    EXPECT_EQ(c.annealChains, w.annealChains);
 }
 
 TEST_F(ProfiledPixel, MemoizedExhaustivePlanBitIdentical)
@@ -532,7 +522,7 @@ TEST_F(ProfiledPixel, MemoizedReplanShapeBitIdentical)
 TEST_F(ProfiledPixel, MemoizedAnnealedSweepPlanBitIdentical)
 {
     // exactSpaceLimit 0 always anneals; the space fits the move budget,
-    // so the annealer sweeps it through the memo.
+    // so the annealer sweeps it into its pool.
     PlannerSpec cfg;
     cfg.exactSpaceLimit = 0;
     expectSamePlan(soc, *model, result.interference, cfg);
@@ -547,18 +537,25 @@ TEST_F(ProfiledPixel, SharedEvaluatorServesSecondOptimizerFromCache)
     cfg.sharedEvaluator = &eval;
 
     Optimizer first(soc, table, cfg);
-    const auto plan_a = first.optimize();
-    const auto misses_after_first = eval.stats().misses;
+    ASSERT_FALSE(first.optimize().empty());
 
     cfg.allowedPus = {0, 1, 2}; // a replan against the same table
     Optimizer second(soc, table, cfg);
     const auto plan_b = second.optimize();
-    // Nothing new to predict: the first pass scored the full space.
-    EXPECT_EQ(eval.stats().misses, misses_after_first);
     ASSERT_FALSE(plan_b.empty());
     for (const auto& chunk : plan_b.front().schedule.chunks())
         EXPECT_LE(chunk.pu, 2);
-    (void)plan_a;
+    // The shared chunk tables score the replan exactly as a private
+    // evaluator would.
+    cfg.sharedEvaluator = nullptr;
+    const auto cold = Optimizer(soc, table, cfg).optimize();
+    ASSERT_EQ(cold.size(), plan_b.size());
+    EXPECT_EQ(cold.front().schedule.toAssignment(),
+              plan_b.front().schedule.toAssignment());
+    EXPECT_EQ(cold.front().predictedLatency,
+              plan_b.front().predictedLatency);
+    EXPECT_EQ(cold.front().predictedEnergyJ,
+              plan_b.front().predictedEnergyJ);
 }
 
 // ---------------------------------------------------------------------
@@ -657,10 +654,12 @@ struct OraclePlan
 
 /**
  * The planner's contract, written out independently of
- * Optimizer::selectDiverse: the DPLL solver enumerates the C1/C2 space
- * over the allowed PUs, C6 keeps the assignments whose integer
- * aggregate demand fits the budget, each is scored through a fresh
- * evaluator, the level-1 bounds are derived over that pool, and level 2
+ * Optimizer::selectDiverse and of ScheduleEvaluator: the DPLL solver
+ * enumerates the C1/C2 space over the allowed PUs, C6 keeps the
+ * assignments whose integer aggregate demand fits the budget, each is
+ * scored from scratch (Schedule's folds over the table, stretched cell
+ * by cell under an ambient bucket, and scratchEnergyJ), the level-1
+ * bounds are derived over that pool, and level 2
  * picks K candidates by K argmin passes over (class, score, assignment)
  * tuples. A pick saturating its bottleneck tier blocks every
  * assignment placing the tier's stage range on the tier's PU.
@@ -677,14 +676,33 @@ oraclePlan(const platform::SocDescription& soc,
     const std::int64_t budget = profile != nullptr
         ? platform::ContentionModel::milliGbps(spec.contention.budgetGbps)
         : 0;
-    ScheduleEvaluator eval(soc, table, model, profile);
+    // Chunk times as the planner sees them: the base cells, stretched
+    // by the ambient bucket's slowdown.
+    ProfilingTable stretched(table.stages(), table.pus());
+    if (bucket > 0)
+        for (int s = 0; s < table.numStages(); ++s)
+            for (int p = 0; p < table.numPus(); ++p)
+                stretched.set(s, p,
+                              table.at(s, p)
+                                  * profile->stretch(s, p, bucket));
+    const ProfilingTable& scoring = bucket > 0 ? stretched : table;
 
     std::vector<OracleEntry> pool;
     for (auto& assign : solverAssignments(table.numStages(), soc.numPus(),
                                           spec.allowedPus)) {
-        if (budget > 0 && profile->aggregateDemandMilli(assign) > budget)
+        const std::int64_t demand
+            = profile != nullptr ? profile->aggregateDemandMilli(assign)
+                                 : 0;
+        if (budget > 0 && demand > budget)
             continue;
-        const Prediction pred = eval.predict(assign, bucket);
+        const Schedule s = Schedule::fromAssignment(assign);
+        Prediction pred;
+        pred.latency = s.bottleneckTime(scoring);
+        pred.gapness = s.gapness(scoring);
+        pred.energyJ = scratchEnergyJ(soc, model, scoring, s);
+        pred.numChunks = s.numChunks();
+        pred.demandMilli = demand;
+        pred.demandGbps = static_cast<double>(demand) / 1000.0;
         pool.push_back({std::move(assign), pred});
     }
 
@@ -730,16 +748,6 @@ oraclePlan(const platform::SocDescription& soc,
           default:
             return p.latency;
         }
-    };
-    // Chunk time as the planner sees it: the base cells, stretched by
-    // the ambient bucket's slowdown, summed left to right.
-    const auto chunkTime = [&](int first, int last, int pu) {
-        double t = 0.0;
-        for (int i = first; i <= last; ++i)
-            t += bucket > 0
-                ? table.at(i, pu) * profile->stretch(i, pu, bucket)
-                : table.at(i, pu);
-        return t;
     };
 
     using Tier = std::tuple<int, int, int>; // first, last, pu
@@ -788,7 +796,7 @@ oraclePlan(const platform::SocDescription& soc,
                        && pick.assign[static_cast<std::size_t>(last + 1)]
                            == pu)
                     ++last;
-                const double t = chunkTime(first, last, pu);
+                const double t = scoring.rangeTime(first, last, pu);
                 if (t > worst) {
                     worst = t;
                     tier = {first, last, pu};
