@@ -26,9 +26,7 @@
 #ifndef BT_COMMON_SIMD_HPP
 #define BT_COMMON_SIMD_HPP
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace bt::simd {
 
@@ -84,17 +82,6 @@ struct SimdRequest
  */
 SimdRequest simdRequestFromEnv();
 
-/** Default alignment (bytes) assumeAligned promises. */
-inline constexpr std::size_t kAlign = 64;
-
-/** std::assume_aligned with the project-wide default. */
-template <std::size_t N = kAlign, typename T>
-[[nodiscard]] constexpr T*
-assumeAligned(T* p)
-{
-    return std::assume_aligned<N>(p);
-}
-
 /**
  * Reference vector: W float lanes as a plain array, every op a lane
  * loop. The semantic model for the intrinsic implementations and the
@@ -130,13 +117,6 @@ struct VecGeneric
         return v;
     }
 
-    /** Aligned load (p must be width*sizeof(float)-aligned). */
-    static VecGeneric
-    load(const float* p)
-    {
-        return loadu(assumeAligned<W * sizeof(float)>(p));
-    }
-
     static VecGeneric
     loadu(const float* p)
     {
@@ -167,12 +147,6 @@ struct VecGeneric
     }
 
     void
-    store(float* p) const
-    {
-        storeu(assumeAligned<W * sizeof(float)>(p));
-    }
-
-    void
     storeu(float* p) const
     {
         for (int i = 0; i < W; ++i)
@@ -185,24 +159,6 @@ struct VecGeneric
     {
         for (int i = 0; i < n; ++i)
             p[i] = lane[i];
-    }
-
-    static VecGeneric
-    add(VecGeneric a, VecGeneric b)
-    {
-        VecGeneric v;
-        for (int i = 0; i < W; ++i)
-            v.lane[i] = a.lane[i] + b.lane[i];
-        return v;
-    }
-
-    static VecGeneric
-    mul(VecGeneric a, VecGeneric b)
-    {
-        VecGeneric v;
-        for (int i = 0; i < W; ++i)
-            v.lane[i] = a.lane[i] * b.lane[i];
-        return v;
     }
 
     /** Unfused a*b + acc: one multiply rounding, one add rounding. */

@@ -41,12 +41,6 @@ struct VecNeon
     }
 
     static VecNeon
-    load(const float* p)
-    {
-        return {vld1q_f32(assumeAligned<16>(p))};
-    }
-
-    static VecNeon
     loadu(const float* p)
     {
         return {vld1q_f32(p)};
@@ -70,12 +64,6 @@ struct VecNeon
     }
 
     void
-    store(float* p) const
-    {
-        vst1q_f32(assumeAligned<16>(p), v);
-    }
-
-    void
     storeu(float* p) const
     {
         vst1q_f32(p, v);
@@ -88,18 +76,6 @@ struct VecNeon
         vst1q_f32(tmp, v);
         for (int i = 0; i < n; ++i)
             p[i] = tmp[i];
-    }
-
-    static VecNeon
-    add(VecNeon a, VecNeon b)
-    {
-        return {vaddq_f32(a.v, b.v)};
-    }
-
-    static VecNeon
-    mul(VecNeon a, VecNeon b)
-    {
-        return {vmulq_f32(a.v, b.v)};
     }
 
     static VecNeon

