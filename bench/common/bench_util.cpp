@@ -99,7 +99,6 @@ deepPipelineContention(const platform::SocDescription& soc,
     prof.numStages = table.numStages();
     prof.numPus = table.numPus();
     prof.numBuckets = platform::ContentionModel::kBuckets;
-    prof.rooflineGbps = soc.mem.dramBwGbps;
 
     const std::size_t cells = static_cast<std::size_t>(prof.numStages)
         * static_cast<std::size_t>(prof.numPus);

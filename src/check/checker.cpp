@@ -455,7 +455,7 @@ Checker::addFinding(FindingKind kind, const std::string& buffer,
         }
     }
     if (static_cast<int>(report_.findings.size())
-        >= config_.maxFindings) {
+        >= CheckerConfig::kMaxFindings) {
         ++report_.suppressed;
         return;
     }

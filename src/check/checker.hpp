@@ -99,7 +99,7 @@ struct Report
 {
     std::vector<Finding> findings;
     CheckStats stats;
-    int suppressed = 0; ///< findings dropped past maxFindings
+    int suppressed = 0; ///< findings dropped past kMaxFindings
 
     bool clean() const { return findings.empty() && suppressed == 0; }
 
@@ -124,7 +124,7 @@ struct CheckerConfig
 {
     int reruns = 2;          ///< shuffled re-executions per launch
     std::uint64_t seed = 0x5eedu; ///< base seed for block permutations
-    int maxFindings = 256;   ///< hard cap on stored findings
+    static constexpr int kMaxFindings = 256; ///< cap on stored findings
 };
 
 class Checker final : public simt::LaunchObserver

@@ -82,39 +82,6 @@ pearson(std::span<const double> xs, std::span<const double> ys)
     return sxy / std::sqrt(sxx * syy);
 }
 
-std::vector<double>
-ranks(std::span<const double> xs)
-{
-    const std::size_t n = xs.size();
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-
-    std::vector<double> r(n, 0.0);
-    std::size_t i = 0;
-    while (i < n) {
-        // Extend over the run of ties and assign the average rank.
-        std::size_t j = i;
-        while (j + 1 < n && xs[order[j + 1]] == xs[order[i]])
-            ++j;
-        const double avg = 0.5 * (static_cast<double>(i)
-                                  + static_cast<double>(j)) + 1.0;
-        for (std::size_t k = i; k <= j; ++k)
-            r[order[k]] = avg;
-        i = j + 1;
-    }
-    return r;
-}
-
-double
-spearman(std::span<const double> xs, std::span<const double> ys)
-{
-    const auto rx = ranks(xs);
-    const auto ry = ranks(ys);
-    return pearson(rx, ry);
-}
-
 double
 percentile(std::span<const double> xs, double p)
 {

@@ -44,15 +44,6 @@ double geomean(std::span<const double> xs);
 double pearson(std::span<const double> xs, std::span<const double> ys);
 
 /**
- * Rank vector (average ranks for ties), the building block for Spearman
- * correlation used in the autotuning analysis.
- */
-std::vector<double> ranks(std::span<const double> xs);
-
-/** Spearman rank correlation: Pearson over the rank vectors. */
-double spearman(std::span<const double> xs, std::span<const double> ys);
-
-/**
  * The @p p-th percentile (p in [0, 100]) with linear interpolation
  * between order statistics, as serving-latency reports conventionally
  * compute p50/p99. Zero for empty input; @p xs need not be sorted.

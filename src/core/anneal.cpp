@@ -38,9 +38,6 @@ Annealer::Annealer(ScheduleEvaluator& eval, const AnnealSpec& spec,
     BT_ASSERT(budgetMilli_ == 0 || contention_ != nullptr,
               "C6 filtering needs a contention profile");
     assignScratch_.assign(static_cast<std::size_t>(numStages_), 0);
-    t0_ = spec.initialTemperature > 0.0 ? spec.initialTemperature
-                                        : 0.25;
-    coolFraction_ = spec.finalTemperature;
     seedChains(spec);
     maybeSweep(spec, space_size);
 }
@@ -79,8 +76,7 @@ Annealer::frugalHomogeneous() const
 void
 Annealer::seedChains(const AnnealSpec& spec)
 {
-    const int restarts = std::max(1, spec.restarts);
-    chains_.reserve(static_cast<std::size_t>(restarts));
+    chains_.reserve(AnnealSpec::kRestarts);
 
     // Chain 0 starts from the best feasible homogeneous baseline (also
     // guaranteeing the pool is never empty); the rest start from
@@ -104,7 +100,7 @@ Annealer::seedChains(const AnnealSpec& spec)
     first.chunks = {Chunk{0, numStages_ - 1, best_pu}};
     chains_.push_back(std::move(first));
 
-    for (int c = 1; c < restarts; ++c) {
+    for (int c = 1; c < AnnealSpec::kRestarts; ++c) {
         Chain ch;
         ch.rng = Rng(
             hashCombine(spec.seed, static_cast<std::uint64_t>(c)));
@@ -303,9 +299,9 @@ Annealer::runPhase(const Guide& guide, std::int64_t proposals)
             + (ci < proposals % nchains ? 1 : 0);
         if (steps <= 0)
             continue;
-        double t = t0_;
+        double t = AnnealSpec::kInitialTemperature;
         const double factor = steps > 1
-            ? std::pow(coolFraction_,
+            ? std::pow(AnnealSpec::kFinalTemperature,
                        1.0 / static_cast<double>(steps - 1))
             : 1.0;
         for (std::int64_t s = 0; s < steps; ++s, t *= factor) {

@@ -44,9 +44,10 @@
 namespace bt::core {
 
 /**
- * Annealing knobs (PlannerSpec::anneal). Every value is part of the
- * planner fingerprint: whenever the space is large enough for
- * optimize() to anneal, the result depends on them.
+ * Annealing knobs (PlannerSpec::anneal) and the walk's fixed
+ * constants. Both knobs are part of the planner fingerprint: whenever
+ * the space is large enough for optimize() to anneal, the result
+ * depends on them.
  */
 struct AnnealSpec
 {
@@ -58,20 +59,19 @@ struct AnnealSpec
     std::int64_t moveBudget = 200'000;
 
     /** Independent restart chains (run sequentially; each derives its
-     *  own Rng from the seed, so the count changes the walk but not
-     *  determinism). */
-    int restarts = 4;
+     *  own Rng from the seed). */
+    static constexpr int kRestarts = 4;
 
     /**
      * Initial temperature, *relative* to the current guide cost: an
      * uphill move of delta is accepted with probability
-     * exp(-delta / (T * |cost|)). 0 selects the default (0.25).
+     * exp(-delta / (T * |cost|)).
      */
-    double initialTemperature = 0.0;
+    static constexpr double kInitialTemperature = 0.25;
 
     /** Geometric cooling endpoint, as a fraction of the initial
      *  temperature (each phase cools from T0 down to T0 * this). */
-    double finalTemperature = 1e-4;
+    static constexpr double kFinalTemperature = 1e-4;
 };
 
 /**
@@ -180,8 +180,6 @@ class Annealer
     std::vector<Chunk> prop_;        ///< proposal scratch
     std::vector<int> assignScratch_; ///< stage -> PU scratch
     int numStages_;
-    double t0_;           ///< initial relative temperature
-    double coolFraction_; ///< per-phase geometric cooling endpoint
 
     std::vector<PoolEntry> pool_;
     /** Pool position by assignment: packed 4-bit keys when the

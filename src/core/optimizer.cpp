@@ -64,9 +64,13 @@ PlannerSpec::fingerprint() const
     mix(exactSpaceLimit);
     mix(anneal.seed);
     mix(static_cast<std::uint64_t>(anneal.moveBudget));
-    mix(static_cast<std::uint64_t>(anneal.restarts));
-    mixDouble(anneal.initialTemperature);
-    mixDouble(anneal.finalTemperature);
+    // The former restart and temperature knobs keep their positions at
+    // their old default values (restarts 4, initial temperature 0.0,
+    // which selected 0.25, final temperature 1e-4), so cached plans
+    // stay addressable.
+    mix(4);
+    mixDouble(0.0);
+    mixDouble(1e-4);
     return h;
 }
 
@@ -93,10 +97,6 @@ PlannerSpec::problems(int num_pus) const
             fail("allowedPus ids must be in [0, ", num_pus, "), got ", p);
     }
     atLeastRule(out, "anneal.moveBudget", anneal.moveBudget, 1);
-    if (!(anneal.finalTemperature > 0.0
-          && anneal.finalTemperature <= 1.0))
-        fail("anneal.finalTemperature must be in (0, 1], got ",
-             anneal.finalTemperature);
     return out;
 }
 
@@ -275,12 +275,12 @@ struct Optimizer::RankPool
 
 Optimizer::Optimizer(const platform::SocDescription& soc_,
                      const ProfilingTable& table_, PlannerSpec spec)
-    : soc(soc_), table(table_), config(std::move(spec)),
+    : soc(soc_), table(table_), config(std::move(spec)), powerModel(soc_),
       contention_(config.contentionProfile),
       bucket_(contention_ != nullptr && !config.contention.realTime
-                  ? contention_->bucketOf(config.contention.ambientGbps)
-                  : 0),
-      powerModel(soc_)
+                  ? powerModel.contention().bucketOf(
+                      config.contention.ambientGbps)
+                  : 0)
 {
     BT_ASSERT(table.numPus() == soc.numPus(),
               "profiling table PU count does not match device");

@@ -188,11 +188,10 @@ struct PlannerSpec
      * schedule the optimizer returns - the planner component of a
      * schedule-cache key (bt::service keys its cache by application,
      * platform, ambient-load bucket, PU lease, and this fingerprint).
-     * exactSpaceLimit and every annealing knob (seed, budget,
-     * restarts, temperatures) are mixed in for every spec: whether
-     * they matter depends on the schedule space, which the rest of a
-     * cache key (application, lease) already fixes, so one key still
-     * names one plan. The sharedEvaluator / contentionProfile
+     * exactSpaceLimit and both annealing knobs (seed, budget) are mixed
+     * in for every spec: whether they matter depends on the schedule
+     * space, which the rest of a cache key (application, lease)
+     * already fixes, so one key still names one plan. The sharedEvaluator / contentionProfile
      * pointers are excluded (sharing and storage location never
      * change results).
      */
@@ -204,8 +203,8 @@ struct PlannerSpec
      * numCandidates >= 1; latencySlack, gapnessSlack, maxPerTier and
      * both contention GB/s values >= 0; energyExponent >= 0 under
      * EnergyKDelay; allowedPus ids in [0, num_pus); anneal.moveBudget
-     * >= 1 and anneal.finalTemperature in (0, 1]. Lint and the
-     * Optimizer read this; a valid spec yields an empty list.
+     * >= 1. Lint and the Optimizer read this; a valid spec yields an
+     * empty list.
      */
     std::vector<runtime::PlanParseError> problems(int num_pus) const;
 };
@@ -335,13 +334,13 @@ class Optimizer
     double rankScoreOf(double latency, double energy_j) const;
 
     // Declaration order matters to the initializer list: bucket_ reads
-    // contention_, which reads config.
+    // powerModel and contention_, which reads config.
     const platform::SocDescription& soc;
     const ProfilingTable& table; ///< unstretched; the evaluator stretches
     PlannerSpec config;
+    platform::PerfModel powerModel;
     const platform::ContentionProfile* contention_;
     int bucket_;               ///< ambient bucket this plan targets
-    platform::PerfModel powerModel;
     std::uint32_t allowedMask_ = 0; ///< bit c: allowedPus admits class c
     std::int64_t budgetMilli_ = 0; ///< C6 cap, milli-GB/s
     bool c6Active_ = false;

@@ -4,49 +4,18 @@
 #include <cstring>
 #include <new>
 
-#include "common/logging.hpp"
-
 namespace bt::core {
 
-namespace {
-
-/** Host-memory allocator: 64-byte aligned, zero-initialized. */
-class HostUsmAllocator final : public UsmAllocator
+UsmBuffer::UsmBuffer(std::size_t bytes) : bytes_(bytes)
 {
-  public:
-    void*
-    allocate(std::size_t bytes) override
-    {
-        // Round the size up to the alignment as aligned_alloc requires.
-        const std::size_t padded = (bytes + 63) / 64 * 64;
-        void* p = std::aligned_alloc(64, padded);
-        if (!p)
-            throw std::bad_alloc();
-        std::memset(p, 0, padded);
-        return p;
-    }
-
-    void
-    deallocate(void* p, std::size_t) override
-    {
-        std::free(p);
-    }
-};
-
-} // namespace
-
-UsmAllocator&
-UsmAllocator::host()
-{
-    static HostUsmAllocator instance;
-    return instance;
-}
-
-UsmBuffer::UsmBuffer(std::size_t bytes, UsmAllocator& alloc)
-    : allocator(&alloc), bytes_(bytes)
-{
-    if (bytes_ > 0)
-        base = allocator->allocate(bytes_);
+    if (bytes_ == 0)
+        return;
+    // Round the size up to the alignment as aligned_alloc requires.
+    const std::size_t padded = (bytes_ + 63) / 64 * 64;
+    base = std::aligned_alloc(64, padded);
+    if (!base)
+        throw std::bad_alloc();
+    std::memset(base, 0, padded);
 }
 
 UsmBuffer::~UsmBuffer()
@@ -55,7 +24,7 @@ UsmBuffer::~UsmBuffer()
 }
 
 UsmBuffer::UsmBuffer(UsmBuffer&& other) noexcept
-    : allocator(other.allocator), base(other.base), bytes_(other.bytes_)
+    : base(other.base), bytes_(other.bytes_)
 {
     other.base = nullptr;
     other.bytes_ = 0;
@@ -66,7 +35,6 @@ UsmBuffer::operator=(UsmBuffer&& other) noexcept
 {
     if (this != &other) {
         release();
-        allocator = other.allocator;
         base = other.base;
         bytes_ = other.bytes_;
         other.base = nullptr;
@@ -79,7 +47,7 @@ void
 UsmBuffer::release()
 {
     if (base) {
-        allocator->deallocate(base, bytes_);
+        std::free(base);
         base = nullptr;
         bytes_ = 0;
     }

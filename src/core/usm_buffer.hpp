@@ -5,54 +5,29 @@
  * On a UMA SoC every PU addresses one DRAM pool, so a buffer is a single
  * allocation visible to host and device kernels with zero copies. The
  * paper fronts this with std::pmr::vector over backend allocators
- * (cudaMallocManaged on CUDA, VkBuffer memory on Vulkan); here the
- * backend allocator abstraction is kept - UsmAllocator - with a host
- * implementation, since the simulated devices share the host address
- * space anyway. Kernels receive raw pointers/spans into these buffers,
- * exactly as in the paper's kernel signatures (Fig. 3).
+ * (cudaMallocManaged on CUDA, VkBuffer memory on Vulkan); here every
+ * buffer is 64-byte-aligned host memory, since the simulated devices
+ * share the host address space anyway. Kernels receive raw
+ * pointers/spans into these buffers, exactly as in the paper's kernel
+ * signatures (Fig. 3).
  */
 
 #ifndef BT_CORE_USM_BUFFER_HPP
 #define BT_CORE_USM_BUFFER_HPP
 
 #include <cstddef>
-#include <memory>
 #include <span>
-#include <string>
 
 namespace bt::core {
 
-/**
- * Backend allocator for unified memory, the seam where
- * cudaMallocManaged / VkDeviceMemory would plug in on real hardware.
- */
-class UsmAllocator
-{
-  public:
-    virtual ~UsmAllocator() = default;
-
-    /** Allocate @p bytes with at least 64-byte alignment. */
-    virtual void* allocate(std::size_t bytes) = 0;
-
-    /** Release a pointer previously returned by allocate. */
-    virtual void deallocate(void* p, std::size_t bytes) = 0;
-
-    /** Process-wide host allocator instance. */
-    static UsmAllocator& host();
-};
-
-/**
- * One unified-memory allocation. Move-only; owns its storage via the
- * allocator it was created with.
- */
+/** One unified-memory allocation. Move-only; owns its storage. */
 class UsmBuffer
 {
   public:
     UsmBuffer() = default;
 
-    /** Allocate @p bytes (zero-initialized) from @p alloc. */
-    explicit UsmBuffer(std::size_t bytes,
-                       UsmAllocator& alloc = UsmAllocator::host());
+    /** Allocate @p bytes, 64-byte aligned and zero-initialized. */
+    explicit UsmBuffer(std::size_t bytes);
 
     ~UsmBuffer();
     UsmBuffer(UsmBuffer&& other) noexcept;
@@ -88,7 +63,6 @@ class UsmBuffer
   private:
     void release();
 
-    UsmAllocator* allocator = nullptr;
     void* base = nullptr;
     std::size_t bytes_ = 0;
 };

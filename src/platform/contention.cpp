@@ -8,25 +8,6 @@
 
 namespace bt::platform {
 
-int
-ContentionProfile::bucketOf(double ambient_gbps) const
-{
-    BT_ASSERT(numBuckets >= 2 && rooflineGbps > 0.0);
-    if (ambient_gbps <= 0.0)
-        return 0;
-    const double step = rooflineGbps / (numBuckets - 1);
-    const int b = static_cast<int>(std::ceil(ambient_gbps / step));
-    return std::min(numBuckets - 1, std::max(1, b));
-}
-
-double
-ContentionProfile::bucketCeilingGbps(int bucket) const
-{
-    BT_ASSERT(bucket >= 0 && bucket < numBuckets);
-    const double step = rooflineGbps / (numBuckets - 1);
-    return bucket * step;
-}
-
 std::int64_t
 ContentionProfile::aggregateDemandMilli(
     std::span<const int> stage_to_pu) const
@@ -128,7 +109,6 @@ ContentionModel::profileStages(const PerfModel& model,
     cp.numStages = static_cast<int>(works.size());
     cp.numPus = desc.numPus();
     cp.numBuckets = kBuckets;
-    cp.rooflineGbps = rooflineGbps();
 
     const std::size_t cells = static_cast<std::size_t>(cp.numStages)
         * static_cast<std::size_t>(cp.numPus);

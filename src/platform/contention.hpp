@@ -53,8 +53,7 @@ struct ContentionProfile
 {
     int numStages = 0;
     int numPus = 0;
-    int numBuckets = 0;        ///< ambient-demand quantization levels
-    double rooflineGbps = 0.0; ///< shared DRAM bandwidth ceiling
+    int numBuckets = 0; ///< ambient-demand quantization levels
 
     /** DRAM bandwidth the stage draws on that PU (GB/s). */
     double
@@ -72,7 +71,8 @@ struct ContentionProfile
 
     /**
      * Multiplicative slowdown of (stage, pu) under the ambient demand
-     * of @p bucket, relative to bucket 0. Bucket 0 is exactly 1.0.
+     * of @p bucket (ContentionModel::bucketOf), relative to bucket 0.
+     * Bucket 0 is exactly 1.0.
      */
     double
     stretch(int stage, int pu, int bucket) const
@@ -81,13 +81,6 @@ struct ContentionProfile
                             * static_cast<std::size_t>(numBuckets)
                         + static_cast<std::size_t>(bucket)];
     }
-
-    /** Quantize an ambient demand into a bucket; conservative (the
-     *  bucket ceiling is >= the demand). 0 iff demand <= 0. */
-    int bucketOf(double ambient_gbps) const;
-
-    /** Upper edge of @p bucket in GB/s (0.0 for bucket 0). */
-    double bucketCeilingGbps(int bucket) const;
 
     /**
      * Aggregate DRAM demand of a whole assignment in milli-GB/s: the
@@ -128,7 +121,7 @@ struct ContentionProfile
  * Stateless evaluator of the shared-memory side of one SocDescription.
  * All methods are const and thread-compatible; PerfModel owns one and
  * delegates every memory-leg computation to it, so the numbers here
- * are bit-identical to what timeOf folds internally.
+ * are bit-identical to what timesOf folds internally.
  */
 class ContentionModel
 {
@@ -192,7 +185,9 @@ class ContentionModel
     static std::int64_t milliGbps(double gbps);
 
     /** Quantize an ambient demand into one of kBuckets levels;
-     *  conservative (the bucket ceiling is >= the demand). */
+     *  conservative (the bucket ceiling is >= the demand). 0 iff
+     *  demand <= 0. The one bucket rule: the planner's stretch bucket
+     *  and the serving cache key both come from here. */
     int bucketOf(double ambient_gbps) const;
 
     /** Upper edge of @p bucket in GB/s (0.0 for bucket 0). */

@@ -36,12 +36,6 @@ PerfModel::cellOf(const WorkProfile& w, int pu) const
 }
 
 double
-PerfModel::memIntensity(const WorkProfile& w, const PuModel& p) const
-{
-    return contention_.memIntensity(w, p);
-}
-
-double
 PerfModel::effectiveFreqGhz(int pu, int busy_others) const
 {
     const PuModel& p = desc.pu(pu);
@@ -80,32 +74,11 @@ PerfModel::systemPowerW(const std::vector<bool>& pu_active) const
 }
 
 double
-PerfModel::timeOf(std::size_t idx, std::span<const Load> active) const
-{
-    return timeOfImpl(idx, active, {}, 0.0);
-}
-
-double
-PerfModel::timeOf(std::size_t idx, std::span<const Load> active,
-                  std::span<const double> clock_scale) const
-{
-    return timeOfImpl(idx, active, clock_scale, 0.0);
-}
-
-double
-PerfModel::timeOf(std::size_t idx, std::span<const Load> active,
-                  std::span<const double> clock_scale,
-                  double ambient_gbps) const
-{
-    return timeOfImpl(idx, active, clock_scale, ambient_gbps);
-}
-
-double
-PerfModel::stageTime(const Load& self, double comp, int busy_others,
-                     int same_pu, double demand_total,
+PerfModel::stageTime(const WorkProfile& w, int pu, double comp,
+                     int busy_others, int same_pu, double demand_total,
                      double ambient_gbps) const
 {
-    const PuModel& p = desc.pu(self.pu);
+    const PuModel& p = desc.pu(pu);
     const bool contended = busy_others > 0 || ambient_gbps > 0.0;
 
     // Memory side: demand-proportional DRAM sharing (ContentionModel).
@@ -115,51 +88,13 @@ PerfModel::stageTime(const Load& self, double comp, int busy_others,
     demand_total += contention_.weightedDemand(ambient_gbps, false);
     const double scale = contention_.bandwidthScale(demand_total);
     const double bw = p.memBwGbps * scale;
-    double mem = (self.work->bytes * llc) / (bw * 1e9);
+    double mem = (w.bytes * llc) / (bw * 1e9);
 
     // Loads time-sharing one PU stretch both components.
     comp *= same_pu;
     mem *= same_pu;
 
     return std::max(comp, mem) + p.dispatchOverheadUs * 1e-6;
-}
-
-double
-PerfModel::timeOfImpl(std::size_t idx, std::span<const Load> active,
-                      std::span<const double> clock_scale,
-                      double ambient_gbps) const
-{
-    BT_ASSERT(idx < active.size(), "load index out of range");
-    BT_ASSERT(ambient_gbps >= 0.0, "ambient demand must be nonnegative");
-    BT_ASSERT(clock_scale.empty()
-              || clock_scale.size()
-                  == static_cast<std::size_t>(desc.numPus()));
-    const Load& self = active[idx];
-    BT_ASSERT(self.work != nullptr);
-
-    // Which *other* PU classes have at least one active load (one bit
-    // each), how many loads share our own PU (timeslicing), and the
-    // weighted demand every active load puts on the DRAM pool: other
-    // PUs' traffic is partially absorbed by bank-level parallelism, our
-    // own demand counts in full.
-    std::uint64_t others = 0;
-    int same_pu = 0;
-    double demand_total = 0.0;
-    for (const auto& l : active) {
-        BT_ASSERT(l.work != nullptr);
-        if (l.pu == self.pu)
-            ++same_pu;
-        else
-            others |= std::uint64_t{1} << l.pu;
-        demand_total += contention_.weightedDemand(
-            contention_.demandGbps(*l.work, desc.pu(l.pu)),
-            l.pu == self.pu);
-    }
-    const int busy_others = std::popcount(others);
-    return stageTime(self,
-                     computeTime(*self.work, self.pu, busy_others,
-                                 clock_scale),
-                     busy_others, same_pu, demand_total, ambient_gbps);
 }
 
 void
@@ -174,8 +109,9 @@ PerfModel::timesOf(std::span<const LoadCell> active,
               || clock_scale.size()
                   == static_cast<std::size_t>(desc.numPus()));
 
-    // Everything timeOf(i) folds depends on load i only through its PU
-    // class, so fold once per busy class.
+    // Which PU classes are busy (one bit each) and how many loads
+    // timeslice each. Everything a load's fold reads depends on the
+    // load only through its PU class, so fold once per busy class.
     std::uint64_t busy = 0;
     std::array<int, kMaxPus> on_pu{};
     for (const LoadCell& c : active) {
@@ -186,6 +122,8 @@ PerfModel::timesOf(std::span<const LoadCell> active,
     std::array<double, kMaxPus> demand_total{};
     for (std::uint64_t left = busy; left != 0; left &= left - 1) {
         const int pu = std::countr_zero(left);
+        // Other PUs' traffic is partially absorbed by bank-level
+        // parallelism; our own class's demand counts in full.
         double total = 0.0;
         for (const LoadCell& c : active)
             total += contention_.weightedDemand(c.demandGbps,
@@ -203,40 +141,36 @@ PerfModel::timesOf(std::span<const LoadCell> active,
             = clock_scale.empty() || clock_scale[pu] == 1.0
             ? (busy_others > 0 ? c.computeBusy : c.computeIdle)
             : computeTime(*self.work, self.pu, busy_others, clock_scale);
-        times_out[i] = stageTime(self, comp, busy_others, on_pu[pu],
-                                 demand_total[pu], ambient_gbps);
+        times_out[i] = stageTime(*self.work, self.pu, comp, busy_others,
+                                 on_pu[pu], demand_total[pu],
+                                 ambient_gbps);
     }
 }
 
 double
 PerfModel::isolatedTime(const WorkProfile& w, int pu) const
 {
-    const Load self{&w, pu};
-    return timeOf(0, std::span<const Load>(&self, 1));
-}
-
-double
-PerfModel::interferenceHeavyTime(const WorkProfile& w, int pu) const
-{
-    return interferenceHeavyTime(w, pu, 0.0);
+    // The single load busies no other class and is alone on its own.
+    return stageTime(w, pu, computeTime(w, pu, 0, {}), 0, 1,
+                     contention_.demandGbps(w, desc.pu(pu)), 0.0);
 }
 
 double
 PerfModel::interferenceHeavyTime(const WorkProfile& w, int pu,
                                  double ambient_gbps) const
 {
-    // The profiler's interference-heavy mode: every other PU class runs
-    // the same computation while we measure `pu` (paper Sec. 3.2),
-    // optionally with cross-tenant ambient bandwidth demand on top.
-    std::vector<Load> loads;
-    loads.reserve(static_cast<std::size_t>(desc.numPus()));
-    std::size_t self_idx = 0;
-    for (int i = 0; i < desc.numPus(); ++i) {
-        if (i == pu)
-            self_idx = loads.size();
-        loads.push_back(Load{&w, i});
-    }
-    return timeOfImpl(self_idx, loads, {}, ambient_gbps);
+    // The profiler's interference-heavy mode: every PU class runs one
+    // load of the same computation while we measure `pu` (paper
+    // Sec. 3.2), so every other class is busy, `pu` holds one load, and
+    // the demand sums over the classes in PU order, as timesOf would.
+    BT_ASSERT(ambient_gbps >= 0.0, "ambient demand must be nonnegative");
+    double demand_total = 0.0;
+    for (int q = 0; q < desc.numPus(); ++q)
+        demand_total += contention_.weightedDemand(
+            contention_.demandGbps(w, desc.pu(q)), q == pu);
+    const int busy_others = desc.numPus() - 1;
+    return stageTime(w, pu, computeTime(w, pu, busy_others, {}),
+                     busy_others, 1, demand_total, ambient_gbps);
 }
 
 } // namespace bt::platform

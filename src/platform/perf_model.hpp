@@ -72,60 +72,39 @@ class PerfModel
      *  this class comes from. */
     const ContentionModel& contention() const { return contention_; }
 
-    /**
-     * Execution time (seconds) of active[idx] given that every entry of
-     * @p active runs concurrently. Entries sharing a PU timeslice it.
-     */
-    double timeOf(std::size_t idx, std::span<const Load> active) const;
-
-    /**
-     * Throttle-aware variant: @p clock_scale holds one factor per PU
-     * class (empty = all 1.0) multiplying its effective compute clock -
-     * the fault layer's emulated thermal-throttling windows. Only the
-     * compute side slows; memory bandwidth is unaffected.
-     */
-    double timeOf(std::size_t idx, std::span<const Load> active,
-                  std::span<const double> clock_scale) const;
-
-    /**
-     * Cross-tenant variant: @p ambient_gbps is DRAM bandwidth demand
-     * drawn by co-runners *outside* @p active (other tenants sharing
-     * the SoC). It joins the demand fold weighted like any foreign
-     * PU's traffic; 0.0 is bit-identical to the two-argument overload.
-     */
-    double timeOf(std::size_t idx, std::span<const Load> active,
-                  std::span<const double> clock_scale,
-                  double ambient_gbps) const;
-
     /** The co-runner-independent part of @p w's time on @p pu. */
     LoadCell cellOf(const WorkProfile& w, int pu) const;
 
     /**
-     * Batched timeOf over precomputed cells: writes timeOf(i, loads,
-     * clock_scale, ambient_gbps) into @p times_out[i] for every i, bit
-     * for bit, where loads[i] = active[i].load, and allocates nothing. Loads on one PU class share one demand fold -
-     * the fold depends only on which loads count as "own PU" - kept in
-     * the per-load operand order; a load whose clock factor is 1.0
-     * reads its compute time from its cell. The DES rate refresh calls
-     * this once per active-set change.
+     * Execution time (seconds) of every load in @p active, all running
+     * concurrently, written to @p times_out[i] for active[i]; allocates
+     * nothing. Loads sharing a PU timeslice it. @p clock_scale holds one
+     * factor per PU class (empty = all 1.0) multiplying its effective
+     * compute clock - the fault layer's emulated thermal-throttling
+     * windows; memory bandwidth is unaffected. @p ambient_gbps is DRAM
+     * demand drawn by co-runners outside @p active (other tenants on
+     * the SoC), weighted like any foreign PU's traffic. Loads on one PU
+     * class share one demand fold, summed in load order; a load whose
+     * clock factor is 1.0 reads its compute time from its cell. The DES
+     * rate refresh calls this once per active-set change.
      */
     void timesOf(std::span<const LoadCell> active,
                  std::span<const double> clock_scale, double ambient_gbps,
                  std::span<double> times_out) const;
 
-    /** Execution time of @p w on @p pu with nothing else running. */
+    /** Execution time of @p w on @p pu with nothing else running:
+     *  timesOf over the single load. */
     double isolatedTime(const WorkProfile& w, int pu) const;
 
     /**
      * Execution time of @p w on @p pu while every other PU runs the same
-     * computation - the profiler's interference-heavy mode (Sec. 3.2).
+     * computation - the profiler's interference-heavy mode (Sec. 3.2) -
+     * with @p ambient_gbps of cross-tenant DRAM demand on top (the
+     * contention-profile stretch basis). Equals timesOf over one load
+     * of @p w per PU class, in PU order.
      */
-    double interferenceHeavyTime(const WorkProfile& w, int pu) const;
-
-    /** Interference-heavy time with additional cross-tenant ambient
-     *  bandwidth demand on top (the contention-profile stretch basis). */
     double interferenceHeavyTime(const WorkProfile& w, int pu,
-                                 double ambient_gbps) const;
+                                 double ambient_gbps = 0.0) const;
 
     /** Effective clock of @p pu (GHz) when @p busy_others other PU
      *  classes are active. Exposed for the Fig. 7 analysis. */
@@ -147,31 +126,20 @@ class PerfModel
 
   private:
     /**
-     * The one slowdown-fold implementation every public timeOf overload
-     * forwards to (they differ only in defaulted arguments; the
-     * regression tests pin the forwarding bit-exact).
+     * The fold's tail shared by timesOf and its closed forms: the time
+     * of @p w on @p pu given its compute time @p comp, @p busy_others
+     * other busy PU classes, @p same_pu loads on its own PU (itself
+     * included) and the in-pipeline weighted demand @p demand_total
+     * (ambient not yet added).
      */
-    double timeOfImpl(std::size_t idx, std::span<const Load> active,
-                      std::span<const double> clock_scale,
-                      double ambient_gbps) const;
-
-    /**
-     * The fold's tail shared by timeOfImpl and timesOf: @p self's time
-     * given its compute time @p comp, @p busy_others other busy PU
-     * classes, @p same_pu loads on its own PU (itself included) and the
-     * in-pipeline weighted demand @p demand_total (ambient not yet
-     * added).
-     */
-    double stageTime(const Load& self, double comp, int busy_others,
-                     int same_pu, double demand_total,
+    double stageTime(const WorkProfile& w, int pu, double comp,
+                     int busy_others, int same_pu, double demand_total,
                      double ambient_gbps) const;
 
     /** Compute-side time of @p w on @p pu, before memory effects, with
      *  @p busy_others other busy classes and the throttle factors. */
     double computeTime(const WorkProfile& w, int pu, int busy_others,
                        std::span<const double> clock_scale) const;
-    /** Standalone memory intensity in [0,1] used for bandwidth demand. */
-    double memIntensity(const WorkProfile& w, const PuModel& p) const;
 
     const SocDescription& desc;
     ContentionModel contention_;

@@ -209,8 +209,8 @@ struct RecoveryPolicy
     int maxRetries = 3;
 
     /** Backoff before retry r (1-based): base * multiplier^(r - 1). */
-    double backoffBaseSeconds = 1e-4;
-    double backoffMultiplier = 2.0;
+    static constexpr double kBackoffBaseSeconds = 1e-4;
+    static constexpr double kBackoffMultiplier = 2.0;
 
     /** Remap a chunk whose retries are exhausted (or whose PU died) to
      *  the profiled next-best surviving PU. */

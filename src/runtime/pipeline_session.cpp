@@ -158,7 +158,7 @@ PipelineSession::complete(int token, double now)
         = tokenTask_[static_cast<std::size_t>(token)];
     BT_ASSERT(task >= 0, "completing an unbound token");
     completeTime_[static_cast<std::size_t>(task)] = now;
-    if (functional_ && cfg_.validate) {
+    if (functional_) {
         const std::string err
             = app_.validate(*pool_[static_cast<std::size_t>(token)]);
         if (!err.empty()) {

@@ -180,8 +180,8 @@ RecoveryController::fail(int chunk, std::int64_t task, int stage,
 double
 RecoveryController::backoffSeconds(const Attempt& attempt) const
 {
-    return policy_.backoffBaseSeconds
-        * std::pow(policy_.backoffMultiplier, attempt.number - 1);
+    return RecoveryPolicy::kBackoffBaseSeconds
+        * std::pow(RecoveryPolicy::kBackoffMultiplier, attempt.number - 1);
 }
 
 void

@@ -35,11 +35,9 @@ struct RunConfig
 
     /** Virtual backends: also run kernels functionally. (The host
      *  backend always executes kernels - it has no other notion of
-     *  running a stage.) */
+     *  running a stage.) Outputs are validated per task whenever
+     *  kernels run. */
     bool runKernels = false;
-
-    /** Validate outputs per task when kernels run. */
-    bool validate = true;
 
     /** Extra seed folded into measurement noise (0 = device seed). */
     std::uint64_t noiseSalt = 0;

@@ -160,23 +160,6 @@ TEST(Stats, PearsonKnownValue)
     EXPECT_NEAR(r, 5.5 / std::sqrt(43.75), 1e-12);
 }
 
-TEST(Stats, RanksWithTies)
-{
-    const std::vector<double> xs{10.0, 20.0, 20.0, 5.0};
-    const auto r = ranks(xs);
-    EXPECT_DOUBLE_EQ(r[3], 1.0);
-    EXPECT_DOUBLE_EQ(r[0], 2.0);
-    EXPECT_DOUBLE_EQ(r[1], 3.5);
-    EXPECT_DOUBLE_EQ(r[2], 3.5);
-}
-
-TEST(Stats, SpearmanMonotoneNonlinear)
-{
-    const std::vector<double> xs{1, 2, 3, 4, 5};
-    const std::vector<double> ys{1, 8, 27, 64, 125}; // monotone
-    EXPECT_NEAR(spearman(xs, ys), 1.0, 1e-12);
-}
-
 TEST(Table, AlignsAndCounts)
 {
     Table t({"name", "value"});

@@ -178,12 +178,12 @@ TEST(ContentionModel, StretchIsOneAtBucketZeroAndTracksHeavyTime)
             for (int b = 1; b < profile.numBuckets; ++b) {
                 const double stretch = profile.stretch(s, p, b);
                 // Exactly the interference-heavy slowdown under the
-                // bucket's ceiling demand - the number timeOf folds.
+                // bucket's ceiling demand - the number timesOf folds.
                 const auto& w = works[static_cast<std::size_t>(s)];
                 EXPECT_DOUBLE_EQ(
                     stretch,
                     model.interferenceHeavyTime(
-                        w, p, profile.bucketCeilingGbps(b))
+                        w, p, model.contention().bucketCeilingGbps(b))
                         / model.interferenceHeavyTime(w, p));
                 EXPECT_GE(stretch + 1e-12, prev); // monotone
                 prev = stretch;
@@ -221,32 +221,7 @@ TEST(ContentionModel, AggregateDemandSumsTheHungriestStagePerPu)
 }
 
 // ---------------------------------------------------------------------
-// PerfModel: overload forwarding is bit-exact; ambient demand only
-// affects memory-bound work.
-
-TEST(PerfModelForwarding, TimeOfOverloadsAreBitIdentical)
-{
-    const auto soc = platform::contentionRig();
-    const platform::PerfModel model(soc);
-    const auto works = worksOf(memHeavy());
-
-    // All three stages co-running on distinct PUs.
-    std::vector<platform::Load> loads{
-        {&works[0], 0}, {&works[1], 2}, {&works[2], 3}};
-    const std::vector<double> clocks{1.0, 1.0, 0.9, 1.0};
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        EXPECT_DOUBLE_EQ(model.timeOf(i, loads),
-                         model.timeOf(i, loads, {}));
-        EXPECT_DOUBLE_EQ(model.timeOf(i, loads),
-                         model.timeOf(i, loads, {}, 0.0));
-        EXPECT_DOUBLE_EQ(model.timeOf(i, loads, clocks),
-                         model.timeOf(i, loads, clocks, 0.0));
-    }
-    for (int p = 0; p < soc.numPus(); ++p)
-        for (const auto& w : works)
-            EXPECT_DOUBLE_EQ(model.interferenceHeavyTime(w, p),
-                             model.interferenceHeavyTime(w, p, 0.0));
-}
+// PerfModel: ambient demand only affects memory-bound work.
 
 TEST(PerfModelForwarding, AmbientSlowsMemoryBoundWorkOnly)
 {
@@ -592,7 +567,7 @@ TEST_F(ContentionRig, VirtualBackendTracksThePredictedStretch)
     ScheduleEvaluator eval(soc, result.interference, *model,
                            &result.contention);
     const double ambient = 5.0;
-    const int bucket = result.contention.bucketOf(ambient);
+    const int bucket = model->contention().bucketOf(ambient);
 
     for (const auto& assign : std::vector<std::vector<int>>{
              {3, 3, 3}, {0, 0, 2}}) {

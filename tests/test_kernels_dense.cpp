@@ -242,9 +242,11 @@ TEST(Csr, RoundTripThroughDense)
     // keeps |dense| entries incl. zeros at threshold; round trip must
     // preserve all nonzeros.
     const auto back = csrToDense(m);
-    for (std::size_t i = 0; i < dense.size(); ++i)
-        if (dense[i] != 0.0f)
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+        if (dense[i] != 0.0f) {
             EXPECT_FLOAT_EQ(back[i], dense[i]);
+        }
+    }
 }
 
 TEST(SparseConv, MatchesDenseWhenUnpruned)

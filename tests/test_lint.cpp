@@ -388,9 +388,6 @@ TEST(LintAgreement, LintParserAndRuntimeApplyTheSameRangeRules)
          K::SpecRange},
         {"moveBudget", [](auto& s, auto&) { s.anneal.moveBudget = 0; },
          K::SpecRange},
-        {"finalTemperature",
-         [](auto& s, auto&) { s.anneal.finalTemperature = 2.0; },
-         K::SpecRange},
     };
     const std::vector<Rule> run_rules = {
         {"numTasks", [](auto&, auto& r) { r.numTasks = 0; },

@@ -177,9 +177,10 @@ TEST_F(ProfiledPixel, UtilizationFilterMaximizesPuCountUnderBound)
     for (const auto& s :
          enumerateSchedules(result.interference.numStages(),
                             soc.numPus())) {
-        if (s.numChunks() > st.requiredPus)
+        if (s.numChunks() > st.requiredPus) {
             EXPECT_GT(s.bottleneckTime(result.interference),
                       st.latencyBound - 1e-12);
+        }
     }
 }
 
@@ -671,7 +672,7 @@ oraclePlan(const platform::SocDescription& soc,
 {
     const platform::ContentionProfile* profile = spec.contentionProfile;
     const int bucket = profile != nullptr && !spec.contention.realTime
-        ? profile->bucketOf(spec.contention.ambientGbps)
+        ? model.contention().bucketOf(spec.contention.ambientGbps)
         : 0;
     const std::int64_t budget = profile != nullptr
         ? platform::ContentionModel::milliGbps(spec.contention.budgetGbps)
@@ -882,7 +883,7 @@ TEST_P(ExactPlannerOracle, MatchesSolverReferenceByteForByte)
     if (param.c6)
         spec.contention.budgetGbps = 5.0;
     if (param.ambient) { // predictions must come from a stretched table
-        EXPECT_GT(profile.contention.bucketOf(5.0), 0);
+        EXPECT_GT(model.contention().bucketOf(5.0), 0);
     }
 
     Optimizer opt(soc, table, spec);

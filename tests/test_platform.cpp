@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -28,6 +31,66 @@ WorkProfile
 memoryBound()
 {
     return WorkProfile{1e3, 1e9, 1.0, Pattern::Dense};
+}
+
+/** Every cell's time with all of @p cells co-running, no throttling
+ *  and no ambient demand. */
+std::vector<double>
+coRunTimes(const PerfModel& model, const std::vector<LoadCell>& cells)
+{
+    std::vector<double> times(cells.size());
+    model.timesOf(cells, {}, 0.0, times);
+    return times;
+}
+
+/**
+ * The model's equations (docs/PERFORMANCE_MODEL.md) for load @p i of
+ * @p active, written out from the SocDescription fields and the
+ * ContentionModel's per-load terms (demand, Amdahl compute time) alone.
+ * It shares no code with PerfModel's fold, so a wrong term there - a
+ * dropped LLC condition, a mis-weighted demand - shows up as a
+ * mismatch here.
+ */
+double
+referenceTime(const SocDescription& soc, std::size_t i,
+              std::span<const Load> active, std::span<const double> clocks,
+              double ambient)
+{
+    const ContentionModel contention(soc);
+    const Load& self = active[i];
+    const PuModel& p = soc.pu(self.pu);
+
+    std::set<int> other_classes;
+    int same_pu = 0;
+    double demand = 0.0;
+    for (const Load& l : active) {
+        const double d = contention.demandGbps(*l.work, soc.pu(l.pu));
+        if (l.pu == self.pu) {
+            ++same_pu;
+            demand += d;
+        } else {
+            other_classes.insert(l.pu);
+            demand += d * soc.mem.contendedDemandWeight;
+        }
+    }
+    demand += ambient * soc.mem.contendedDemandWeight;
+    const bool others_busy = !other_classes.empty();
+
+    double freq = p.freqGhz * (others_busy ? p.busyFreqFactor : 1.0);
+    if (!clocks.empty())
+        freq *= clocks[static_cast<std::size_t>(self.pu)];
+    const double compute = contention.computeSeconds(*self.work, p, freq);
+
+    const double llc = others_busy || ambient > 0.0
+        ? soc.mem.llcFactorContended
+        : soc.mem.llcFactorIsolated;
+    const double share = demand > soc.mem.dramBwGbps
+        ? soc.mem.dramBwGbps / demand
+        : 1.0;
+    const double mem
+        = (self.work->bytes * llc) / (p.memBwGbps * share * 1e9);
+    return std::max(compute * same_pu, mem * same_pu)
+        + p.dispatchOverheadUs * 1e-6;
 }
 
 class PaperDevices : public ::testing::TestWithParam<int>
@@ -80,10 +143,11 @@ TEST_P(PaperDevices, InterferenceRatioMatchesBusyFactorDirection)
         const double heavy = model.interferenceHeavyTime(w, p);
         const double ratio = heavy / iso;
         const double busy = soc.pu(p).busyFreqFactor;
-        if (busy > 1.0)
+        if (busy > 1.0) {
             EXPECT_LT(ratio, 1.0) << soc.name << " pu " << p;
-        else if (busy < 1.0)
+        } else if (busy < 1.0) {
             EXPECT_GT(ratio, 1.0) << soc.name << " pu " << p;
+        }
     }
 }
 
@@ -162,10 +226,9 @@ TEST(PerfModel, BandwidthContentionSlowsMemoryBoundWork)
     // memory-bound time (shared DRAM + LLC degradation).
     const auto soc = jetsonOrinNano();
     const PerfModel model(soc);
-    const auto w = memoryBound;
-    const auto wp = w();
-    std::vector<Load> both{Load{&wp, 0}, Load{&wp, 1}};
-    const double together = model.timeOf(0, both);
+    const auto wp = memoryBound();
+    const double together
+        = coRunTimes(model, {model.cellOf(wp, 0), model.cellOf(wp, 1)})[0];
     const double alone = model.isolatedTime(wp, 0);
     EXPECT_GT(together, alone);
 }
@@ -178,8 +241,8 @@ TEST(PerfModel, ComputeBoundWorkSeesOnlyGovernorUnderMemCoRunner)
     const auto mem = memoryBound();
     // CPU compute-bound vs GPU memory-bound: the CPU slows only via
     // its governor (throttle), not via bandwidth.
-    std::vector<Load> both{Load{&heavy, 0}, Load{&mem, 1}};
-    const double together = model.timeOf(0, both);
+    const double together = coRunTimes(
+        model, {model.cellOf(heavy, 0), model.cellOf(mem, 1)})[0];
     const double alone = model.isolatedTime(heavy, 0);
     const double gov = soc.pu(0).busyFreqFactor;
     EXPECT_NEAR(together / alone, 1.0 / gov, 0.05);
@@ -190,21 +253,24 @@ TEST(PerfModel, TimeslicingSamePuStretchesBoth)
     const auto soc = pixel7a();
     const PerfModel model(soc);
     const auto w = computeBound();
-    std::vector<Load> two{Load{&w, 2}, Load{&w, 2}};
-    const double shared = model.timeOf(0, two);
+    const double shared
+        = coRunTimes(model, {model.cellOf(w, 2), model.cellOf(w, 2)})[0];
     const double alone = model.isolatedTime(w, 2);
     EXPECT_NEAR(shared / alone, 2.0, 0.01);
 }
 
-TEST(PerfModel, BatchedTimesOfIsBitIdenticalToTimeOf)
+TEST(PerfModel, TimesOfIsBitIdenticalToTheReferenceFold)
 {
     // The DES refreshes every active stage's rate with one timesOf
-    // call over per-(stage, PU) cells; it must reproduce the per-load
-    // fold bit for bit on every device (8 PU classes on manycoreRig),
-    // with and without cross-tenant ambient demand, including active
-    // sets that timeslice one PU, under no throttling, random clock
-    // factors, and factors of exactly 1.0 (which read the cell's
-    // precomputed compute time) mixed with 0.5 (which recompute it).
+    // call over per-(stage, PU) cells; it must reproduce the model's
+    // equations bit for bit on every device (8 PU classes on
+    // manycoreRig), with and without cross-tenant ambient demand,
+    // including active sets that timeslice one PU, under no
+    // throttling, random clock factors, and factors of exactly 1.0
+    // (which read the cell's precomputed compute time) mixed with 0.5
+    // (which recompute it). The closed forms isolatedTime and
+    // interferenceHeavyTime must match the same equations over their
+    // active sets.
     std::vector<SocDescription> socs = paperDevices();
     socs.push_back(contentionRig());
     socs.push_back(manycoreRig());
@@ -246,12 +312,35 @@ TEST(PerfModel, BatchedTimesOfIsBitIdenticalToTimeOf)
             std::vector<double> times(active.size());
             model.timesOf(cells, clocks, ambient, times);
             for (std::size_t i = 0; i < active.size(); ++i) {
-                const double one = model.timeOf(i, active, clocks, ambient);
+                const double one
+                    = referenceTime(soc, i, active, clocks, ambient);
                 EXPECT_EQ(std::bit_cast<std::uint64_t>(times[i]),
                           std::bit_cast<std::uint64_t>(one))
                     << soc.name << " trial " << trial << " load " << i
                     << ": " << times[i] << " vs " << one;
                 ++compared;
+            }
+        }
+
+        const double ambient = 0.5 * soc.mem.dramBwGbps;
+        for (const auto& w : works) {
+            std::vector<Load> all;
+            for (int p = 0; p < soc.numPus(); ++p)
+                all.push_back(Load{&w, p});
+            for (int p = 0; p < soc.numPus(); ++p) {
+                const Load alone{&w, p};
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              model.isolatedTime(w, p)),
+                          std::bit_cast<std::uint64_t>(referenceTime(
+                              soc, 0, {&alone, 1}, {}, 0.0)))
+                    << soc.name << " pu " << p;
+                const auto self = static_cast<std::size_t>(p);
+                for (const double a : {0.0, ambient})
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                                  model.interferenceHeavyTime(w, p, a)),
+                              std::bit_cast<std::uint64_t>(referenceTime(
+                                  soc, self, all, {}, a)))
+                        << soc.name << " pu " << p << " ambient " << a;
             }
         }
     }

@@ -19,7 +19,7 @@
 namespace bt {
 namespace {
 
-using platform::Load;
+using platform::LoadCell;
 using platform::Pattern;
 using platform::PerfModel;
 using platform::WorkProfile;
@@ -80,20 +80,20 @@ TEST_P(ModelProperties, MoreParallelFractionNeverSlower)
 
 TEST_P(ModelProperties, InterferenceHeavyEqualsTimeOfFullSet)
 {
-    // interferenceHeavyTime must be consistent with timeOf on the
-    // same-kernel-everywhere active set it documents.
+    // interferenceHeavyTime must be consistent with timesOf on the
+    // same-kernel-everywhere active set it documents, with and without
+    // ambient demand.
     const PerfModel model(soc);
     WorkProfile w{1e7, 1e6, 0.99, pattern};
-    for (int p = 0; p < soc.numPus(); ++p) {
-        std::vector<Load> loads;
-        std::size_t self = 0;
-        for (int q = 0; q < soc.numPus(); ++q) {
-            if (q == p)
-                self = loads.size();
-            loads.push_back(Load{&w, q});
-        }
-        EXPECT_DOUBLE_EQ(model.interferenceHeavyTime(w, p),
-                         model.timeOf(self, loads));
+    std::vector<LoadCell> cells;
+    for (int q = 0; q < soc.numPus(); ++q)
+        cells.push_back(model.cellOf(w, q));
+    std::vector<double> times(cells.size());
+    for (const double ambient : {0.0, 0.5 * soc.mem.dramBwGbps}) {
+        model.timesOf(cells, {}, ambient, times);
+        for (int p = 0; p < soc.numPus(); ++p)
+            EXPECT_DOUBLE_EQ(model.interferenceHeavyTime(w, p, ambient),
+                             times[static_cast<std::size_t>(p)]);
     }
 }
 

@@ -360,28 +360,24 @@ TEST(Service, AnnealKnobsOutOfRangeAreRefusedAtAdmission)
     // annealing knob that slipped past admission would abort the whole
     // process on the first request. Admission lint reads
     // PlannerSpec::problems and refuses the tenant instead.
-    ServiceConfig zero_budget;
-    zero_budget.optimizer.anneal.moveBudget = 0;
-    ServiceConfig hot_finish;
-    hot_finish.optimizer.anneal.finalTemperature = 2.0;
-    for (ServiceConfig cfg : {zero_budget, hot_finish}) {
-        cfg.workers = 1;
-        cfg.run.numTasks = 8;
-        Service service(platform::manycoreRig(), cfg);
-        EXPECT_FALSE(service.registerApp(apps::alexnetSparse()));
-        service.start();
+    ServiceConfig cfg;
+    cfg.optimizer.anneal.moveBudget = 0;
+    cfg.workers = 1;
+    cfg.run.numTasks = 8;
+    Service service(platform::manycoreRig(), cfg);
+    EXPECT_FALSE(service.registerApp(apps::alexnetSparse()));
+    service.start();
 
-        Request req;
-        req.app = apps::alexnetSparse().name();
-        EXPECT_FALSE(service.submit(std::move(req)));
-        service.drain();
-        const auto report = service.report();
-        service.stop();
+    Request req;
+    req.app = apps::alexnetSparse().name();
+    EXPECT_FALSE(service.submit(std::move(req)));
+    service.drain();
+    const auto report = service.report();
+    service.stop();
 
-        EXPECT_EQ(report.tenantsRejected, 1);
-        EXPECT_EQ(report.rejected, 1);
-        EXPECT_EQ(report.completed, 0);
-    }
+    EXPECT_EQ(report.tenantsRejected, 1);
+    EXPECT_EQ(report.rejected, 1);
+    EXPECT_EQ(report.completed, 0);
 }
 
 TEST(Service, CachedPlanIsByteIdenticalToFreshPlan)
