@@ -2,8 +2,8 @@
  * @file
  * Tests for the extension subsystems: the SoC energy model (power
  * envelopes, energy integration in the simulated executor), the
- * HEFT-style dynamic scheduling baseline, and the data-parallel
- * baseline model.
+ * HEFT-style dynamic scheduling baseline, the data-parallel baseline
+ * model, and the pinned bits of static and greedy DES runs.
  */
 
 #include <gtest/gtest.h>
@@ -250,6 +250,120 @@ TEST(GreedyRuntime, FaultFreeResultsArePinned)
         EXPECT_EQ(run.energyJoules, pin.energy);
         EXPECT_EQ(run.chunkBusyFraction, pin.busy);
         EXPECT_EQ(run.trace.size(), 210u);
+    }
+}
+
+TEST(VirtualRuntime, StaticResultsArePinned)
+{
+    // Static pipelines (and greedy dispatch under a fault plan), bit
+    // for bit, across every input the rate refresh reads: each paper
+    // device's PU classes, an ambient co-runner load, throttle windows
+    // whose boundaries fall mid-run, watchdog retries that leave a slot
+    // waiting out its backoff (it still counts as running for power),
+    // a PU dropout with failover, and greedy dispatch under a throttle.
+    struct Pin
+    {
+        std::string name;
+        platform::SocDescription soc;
+        bool greedy;
+        runtime::RunConfig cfg;
+        double makespan, interval, latency, energy;
+        std::vector<double> busy;
+        std::size_t traceSize;
+        std::uint64_t coRunners; ///< OR over every trace event
+        int retries = 0;
+    };
+    const auto devices = platform::paperDevices();
+    runtime::RunConfig ambient;
+    ambient.ambientBandwidthGbps = 3.0;
+    runtime::RunConfig slowdown;
+    slowdown.faults.slowdowns = {{0, 0.1, 0.2, 0.5},
+                                 {1, 0.15, 0.25, 0.4},
+                                 {3, 0.02, 0.05, 0.3}};
+    runtime::RunConfig retry;
+    retry.faults.stragglers.push_back({-1, 0.05, 100.0});
+    retry.faults.transients.push_back({-1, -1, 0.05});
+    retry.faults.dropouts.push_back({2, 0.03});
+    retry.faults.faultSeed = 11;
+    retry.recovery.timeoutFactor = 8.0;
+    runtime::RunConfig greedy_slowdown;
+    greedy_slowdown.faults.slowdowns.push_back({3, 0.005, 0.025, 0.3});
+
+    const std::vector<Pin> pins = {
+        {"pixel", devices[0], false, {}, 0.31383876068046107,
+         0.010332157532026523, 0.016384083858752514, 1.0197752003425373,
+         {0.9831850166952395, 0.45983176703540346, 0.068538114426794958,
+          0.054607658363186679},
+         210u, 0x7},
+        {"oneplus", devices[1], false, {}, 0.70851300074304224,
+         0.023422024744984893, 0.027141291050005196, 2.6281340151658306,
+         {0.99501610267004736, 0.10829687569215816, 0.024710004401024086,
+          0.021199022543991752},
+         210u, 0x3},
+        {"jetson", devices[2], false, {}, 0.066778062722566034,
+         0.0022099430168753364, 0.0027290934094257699,
+         1.0463602366635976, {0.99421095575985696, 0.23183243251451061},
+         210u, 0x3},
+        {"jetson_lp", devices[3], false, {}, 0.09259072235521329,
+         0.0030674292693098301, 0.0036104519522307107,
+         0.39468971389805679, {0.99647601850658085, 0.17333404249919943},
+         210u, 0x3},
+        {"ambient", platform::contentionRig(), false, ambient,
+         0.3363251118546583, 0.010805257707136095, 0.047468682518776249,
+         1.2064748177439473,
+         {0.72904650664742865, 0.96680108087946803, 0.21398620963981826,
+          0.15113353801935078},
+         210u, 0xf},
+        {"slowdown", platform::pixel7a(), false, slowdown,
+         0.36892022104635042, 0.012395554151200654, 0.019696991690091394,
+         1.2053294442119102,
+         {0.98569556988158247, 0.50261562210358768, 0.05830506343640763,
+          0.053937412250630382},
+         210u, 0x7},
+        {"retry_dropout", platform::pixel7a(), false, retry,
+         0.38933980401571544, 0.012035449611753972, 0.027513094388680149,
+         1.5014439899221723,
+         {0.97774783248019304, 0.63755988030984712, 0.06365818690927072,
+          0.062064490337802224},
+         279u, 0xb, 28},
+        {"greedy_slowdown", platform::pixel7a(), true, greedy_slowdown,
+         0.091824456270452659, 0.0024857911045075894,
+         0.014784291369474973, 0.6731045068003384,
+         {0, 0.23777034692008023, 0.61470457124335964,
+          0.82866628369131723},
+         210u, 0xe},
+    };
+    const auto app = apps::octreeApp();
+    for (const Pin& pin : pins) {
+        SCOPED_TRACE(pin.name);
+        const platform::PerfModel model(pin.soc);
+        const runtime::VirtualTimeBackend backend(model);
+        runtime::RunResult run;
+        if (pin.greedy) {
+            const auto profile = Profiler(model).profile(app);
+            run = backend.run(
+                app, runtime::GreedyDispatch{&profile.interference},
+                pin.cfg);
+        } else {
+            // Contiguous chunks spread over every PU class in order.
+            std::vector<int> assignment;
+            for (int s = 0; s < app.numStages(); ++s)
+                assignment.push_back(s * pin.soc.numPus()
+                                     / app.numStages());
+            run = backend.run(app, Schedule::fromAssignment(assignment),
+                              pin.cfg);
+        }
+        std::uint64_t co_runners = 0;
+        for (const auto& e : run.trace.events())
+            co_runners |= e.coRunners;
+        EXPECT_EQ(run.makespanSeconds, pin.makespan);
+        EXPECT_EQ(run.taskIntervalSeconds, pin.interval);
+        EXPECT_EQ(run.meanLatencySeconds, pin.latency);
+        EXPECT_EQ(run.energyJoules, pin.energy);
+        EXPECT_EQ(run.chunkBusyFraction, pin.busy);
+        EXPECT_EQ(run.trace.size(), pin.traceSize);
+        EXPECT_EQ(co_runners, pin.coRunners);
+        EXPECT_EQ(run.recovery.retries, pin.retries);
     }
 }
 
