@@ -165,27 +165,38 @@ Annealer::evaluate(std::span<const Chunk> chunks)
         for (std::size_t i = 0; i < assignScratch_.size(); ++i)
             key |= static_cast<std::uint64_t>(assignScratch_[i])
                 << (4 * i);
-        if (const auto it = poolIndex_.find(key); it != poolIndex_.end()) {
-            ++revisits_;
-            return &pool_[it->second].pred;
-        }
+        if (const auto it = poolIndex_.find(key); it != poolIndex_.end())
+            return revisit(it->second);
     } else if (const auto it = poolIndexWide_.find(assignScratch_);
                it != poolIndexWide_.end()) {
-        ++revisits_;
-        return &pool_[it->second].pred;
+        return revisit(it->second);
     }
 
     const Prediction pred = eval_.evaluate(chunks, bucket_);
-    if (budgetMilli_ > 0 && pred.demandMilli > budgetMilli_) {
+    const bool feasible
+        = budgetMilli_ <= 0 || pred.demandMilli <= budgetMilli_;
+    const std::size_t at = feasible ? pool_.size() : kFiltered;
+    if (keyed_)
+        poolIndex_.emplace(key, at);
+    else
+        poolIndexWide_.emplace(assignScratch_, at);
+    if (!feasible) {
         ++filtered_; // C6: never pooled, never a chain state
         return nullptr;
     }
-    if (keyed_)
-        poolIndex_.emplace(key, pool_.size());
-    else
-        poolIndexWide_.emplace(assignScratch_, pool_.size());
     pool_.push_back(PoolEntry{assignScratch_, pred});
     return &pool_.back().pred;
+}
+
+const Prediction*
+Annealer::revisit(std::size_t at)
+{
+    if (at == kFiltered) {
+        ++filtered_; // every C6-filtered proposal counts, first or not
+        return nullptr;
+    }
+    ++revisits_;
+    return &pool_[at].pred;
 }
 
 bool

@@ -169,6 +169,13 @@ class Annealer
      *  fold, pooled when feasible. nullptr when the C6 filter rejects
      *  the schedule. Valid until the next call. */
     const Prediction* evaluate(std::span<const Chunk> chunks);
+    /** evaluate's answer for an indexed assignment at pool position
+     *  @p at (kFiltered: known C6-filtered). */
+    const Prediction* revisit(std::size_t at);
+
+    /** Index position of an assignment the C6 filter rejected: its
+     *  revisits skip the fold but still count as filtered. */
+    static constexpr std::size_t kFiltered = SIZE_MAX;
 
     ScheduleEvaluator& eval_;
     int bucket_;
@@ -182,8 +189,8 @@ class Annealer
     int numStages_;
 
     std::vector<PoolEntry> pool_;
-    /** Pool position by assignment: packed 4-bit keys when the
-     *  instance fits 16 stages x 16 PU classes, else the full
+    /** Pool position (or kFiltered) by assignment: packed 4-bit keys
+     *  when the instance fits 16 stages x 16 PU classes, else the full
      *  assignment. */
     std::unordered_map<std::uint64_t, std::size_t> poolIndex_;
     std::map<std::vector<int>, std::size_t> poolIndexWide_;
