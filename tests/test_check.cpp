@@ -283,6 +283,34 @@ TEST(AppCheck, OctreePipelineClean)
     EXPECT_GT(report.stats.reruns, 0);
 }
 
+// The sweep bt_explorer --check runs, counted exactly: the checker's
+// rerun count and every kernel's launches, regions and accesses, with
+// no finding under the shuffled reruns.
+TEST(CheckedSweep, ScaledAppReportsArePinned)
+{
+    struct Pin
+    {
+        const char* app;
+        int kernels;
+        int launches;
+        int reruns;
+        std::int64_t regions;
+        std::int64_t accesses;
+    };
+    for (const Pin& pin : {Pin{"dense", 9, 9, 16, 28, 116541972},
+                           Pin{"sparse", 18, 18, 32, 72, 19852540},
+                           Pin{"octree", 7, 25, 38, 47, 2717452}}) {
+        const auto report = apps::checkScaledApp(pin.app);
+        EXPECT_EQ(report.stats.kernels, pin.kernels) << pin.app;
+        EXPECT_EQ(report.stats.launches, pin.launches) << pin.app;
+        EXPECT_EQ(report.stats.reruns, pin.reruns) << pin.app;
+        EXPECT_EQ(report.stats.regions, pin.regions) << pin.app;
+        EXPECT_EQ(report.stats.accesses, pin.accesses) << pin.app;
+        EXPECT_TRUE(report.findings.empty()) << report.summary();
+        EXPECT_EQ(report.suppressed, 0) << pin.app;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Report surface.
 
