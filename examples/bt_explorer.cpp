@@ -27,7 +27,6 @@
  * failed serving requests).
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -90,15 +89,9 @@ struct Options
 double
 planCost(const core::Candidate& c, const core::PlannerSpec& spec)
 {
-    switch (spec.objective) {
-      case core::PlannerSpec::Objective::EnergyDelay:
-        return c.predictedEnergyJ * c.predictedLatency;
-      case core::PlannerSpec::Objective::EnergyKDelay:
-        return std::pow(c.predictedEnergyJ, spec.energyExponent)
-            * c.predictedLatency;
-      default:
-        return c.predictedLatency;
-    }
+    return spec.objective == core::PlannerSpec::Objective::EnergyDelay
+        ? c.predictedEdp()
+        : c.predictedLatency;
 }
 
 bool

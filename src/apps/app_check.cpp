@@ -7,11 +7,10 @@
 namespace bt::apps {
 
 check::Report
-checkApplication(const core::Application& app,
-                 const check::CheckerConfig& config, std::uint64_t seed)
+checkApplication(const core::Application& app)
 {
-    check::Checker checker(config);
-    const auto task = app.makeTask(0, seed);
+    check::Checker checker;
+    const auto task = app.makeTask(0, /*seed=*/1);
     {
         const check::ContextScope app_scope(checker, app.name());
         core::KernelCtx ctx{*task, nullptr, &checker};
@@ -28,25 +27,24 @@ checkApplication(const core::Application& app,
 }
 
 check::Report
-checkScaledApp(std::string_view name, const check::CheckerConfig& config)
+checkScaledApp(std::string_view name)
 {
     if (name == "dense") {
         return checkApplication(
-            alexnetDense({.batch = 1, .withValidator = true}), config);
+            alexnetDense({.batch = 1, .withValidator = true}));
     }
     if (name == "sparse") {
         return checkApplication(alexnetSparse({.batch = 2,
                                                .sparse = true,
                                                .density = 0.05,
-                                               .withValidator = true}),
-                                config);
+                                               .withValidator = true}));
     }
     if (name == "octree") {
         OctreeConfig cfg;
         cfg.numPoints = 1 << 12;
         cfg.distribution = PointDistribution::Clustered;
         cfg.withValidator = true;
-        return checkApplication(octreeApp(cfg), config);
+        return checkApplication(octreeApp(cfg));
     }
     BT_PANIC("app.unknown", "unknown app for checked run: ", name);
 }

@@ -9,7 +9,6 @@
 #ifndef BT_APPS_APP_CHECK_HPP
 #define BT_APPS_APP_CHECK_HPP
 
-#include <cstdint>
 #include <string_view>
 
 #include "check/checker.hpp"
@@ -24,9 +23,7 @@ namespace bt::apps {
  * the application has a validator attached, it runs on the checked
  * outputs and a rejection becomes a ValidationFailure finding.
  */
-check::Report checkApplication(const core::Application& app,
-                               const check::CheckerConfig& config = {},
-                               std::uint64_t seed = 1);
+check::Report checkApplication(const core::Application& app);
 
 /**
  * Checked run of a named example workload - "dense", "sparse" or
@@ -34,8 +31,7 @@ check::Report checkApplication(const core::Application& app,
  * is serial and shadow-tracked, so paper-scale inputs are pointless).
  * Panics on an unknown name.
  */
-check::Report checkScaledApp(std::string_view name,
-                             const check::CheckerConfig& config = {});
+check::Report checkScaledApp(std::string_view name);
 
 } // namespace bt::apps
 

@@ -149,8 +149,6 @@ Report::merge(Report other)
     suppressed += other.suppressed;
 }
 
-Checker::Checker(CheckerConfig config) : config_(config) {}
-
 Checker::~Checker() = default;
 
 void
@@ -334,13 +332,13 @@ int
 Checker::rerunCount() const
 {
     // Single-block launches have only one schedule; nothing to shuffle.
-    return cfg_.gridDim > 1 ? config_.reruns : 0;
+    return cfg_.gridDim > 1 ? kReruns : 0;
 }
 
 std::uint64_t
 Checker::rerunSeed(int rerun) const
 {
-    return mix(config_.seed ^ mix(epoch_)
+    return mix(kSeed ^ mix(epoch_)
                ^ (static_cast<std::uint64_t>(rerun) << 32));
 }
 
@@ -454,8 +452,7 @@ Checker::addFinding(FindingKind kind, const std::string& buffer,
             return;
         }
     }
-    if (static_cast<int>(report_.findings.size())
-        >= CheckerConfig::kMaxFindings) {
+    if (static_cast<int>(report_.findings.size()) >= kMaxFindings) {
         ++report_.suppressed;
         return;
     }

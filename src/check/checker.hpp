@@ -99,7 +99,7 @@ struct Report
 {
     std::vector<Finding> findings;
     CheckStats stats;
-    int suppressed = 0; ///< findings dropped past kMaxFindings
+    int suppressed = 0; ///< findings dropped past Checker::kMaxFindings
 
     bool clean() const { return findings.empty() && suppressed == 0; }
 
@@ -120,17 +120,13 @@ struct Report
     void merge(Report other);
 };
 
-struct CheckerConfig
-{
-    int reruns = 2;          ///< shuffled re-executions per launch
-    std::uint64_t seed = 0x5eedu; ///< base seed for block permutations
-    static constexpr int kMaxFindings = 256; ///< cap on stored findings
-};
-
 class Checker final : public simt::LaunchObserver
 {
   public:
-    explicit Checker(CheckerConfig config = {});
+    static constexpr int kReruns = 2; ///< shuffled re-executions per launch
+    static constexpr std::uint64_t kSeed = 0x5eedu; ///< permutation seed
+    static constexpr int kMaxFindings = 256; ///< cap on stored findings
+
     ~Checker() override;
 
     /** Push/pop a context frame (app or stage name) onto findings. */
@@ -201,7 +197,6 @@ class Checker final : public simt::LaunchObserver
     void raceOn(FindingKind kind, Region& region, std::int64_t index,
                 std::int64_t earlier, std::int64_t current);
 
-    CheckerConfig config_;
     Report report_;
 
     std::vector<Region> regions_;

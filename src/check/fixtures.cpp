@@ -24,9 +24,9 @@ hasKind(const Report& report, FindingKind kind)
 
 /** Every thread of every block writes element 0. */
 Report
-writeWriteRace(const CheckerConfig& config)
+writeWriteRace()
 {
-    Checker checker(config);
+    Checker checker;
     std::vector<std::uint32_t> data(1, 0);
     {
         const simt::KernelScope scope(checker, "fixture.ww_race");
@@ -44,9 +44,9 @@ writeWriteRace(const CheckerConfig& config)
 
 /** Thread i writes slot i but reads its neighbour's slot unsynchronized. */
 Report
-readWriteRace(const CheckerConfig& config)
+readWriteRace()
 {
-    Checker checker(config);
+    Checker checker;
     constexpr std::int64_t n = 32;
     std::vector<std::uint32_t> data(n);
     std::iota(data.begin(), data.end(), 0u);
@@ -69,9 +69,9 @@ readWriteRace(const CheckerConfig& config)
 
 /** Grid-stride loop reads one element past the end. */
 Report
-oobRead(const CheckerConfig& config)
+oobRead()
 {
-    Checker checker(config);
+    Checker checker;
     constexpr std::int64_t n = 64;
     std::vector<std::uint32_t> in(n, 1);
     std::vector<std::uint32_t> out(n, 0);
@@ -97,9 +97,9 @@ oobRead(const CheckerConfig& config)
 
 /** Grid-stride loop writes one element past the end. */
 Report
-oobWrite(const CheckerConfig& config)
+oobWrite()
 {
-    Checker checker(config);
+    Checker checker;
     constexpr std::int64_t n = 64;
     std::vector<std::uint32_t> out(n, 0);
     {
@@ -122,9 +122,9 @@ oobWrite(const CheckerConfig& config)
 
 /** Direct-indexed kernel launched with fewer threads than items. */
 Report
-underCoveringLaunch(const CheckerConfig& config)
+underCoveringLaunch()
 {
-    Checker checker(config);
+    Checker checker;
     constexpr std::int64_t n = 64;
     std::vector<std::uint32_t> out(n, 0);
     {
@@ -146,9 +146,9 @@ underCoveringLaunch(const CheckerConfig& config)
 
 /** Grid-stride kernel launched with far more blocks than items need. */
 Report
-deadBlocks(const CheckerConfig& config)
+deadBlocks()
 {
-    Checker checker(config);
+    Checker checker;
     constexpr std::int64_t n = 10;
     std::vector<std::uint32_t> out(n, 0);
     {
@@ -174,9 +174,9 @@ deadBlocks(const CheckerConfig& config)
  * caught only by the shuffled-rerun output diff.
  */
 Report
-orderDependence(const CheckerConfig& config)
+orderDependence()
 {
-    Checker checker(config);
+    Checker checker;
     constexpr std::int64_t n = 32;
     std::vector<std::uint32_t> out(n, 0);
     {
@@ -209,24 +209,24 @@ evaluate(std::string name, FindingKind expected, const Report& report)
 } // namespace
 
 std::vector<FixtureResult>
-runSeededDefects(const CheckerConfig& config)
+runSeededDefects()
 {
     std::vector<FixtureResult> results;
     results.push_back(evaluate("ww_race", FindingKind::WriteWriteRace,
-                               writeWriteRace(config)));
+                               writeWriteRace()));
     results.push_back(evaluate("rw_race", FindingKind::ReadWriteRace,
-                               readWriteRace(config)));
+                               readWriteRace()));
     results.push_back(
-        evaluate("oob_read", FindingKind::OobRead, oobRead(config)));
+        evaluate("oob_read", FindingKind::OobRead, oobRead()));
     results.push_back(
-        evaluate("oob_write", FindingKind::OobWrite, oobWrite(config)));
+        evaluate("oob_write", FindingKind::OobWrite, oobWrite()));
     results.push_back(evaluate("under_cover",
                                FindingKind::UnderCoveringLaunch,
-                               underCoveringLaunch(config)));
+                               underCoveringLaunch()));
     results.push_back(evaluate("dead_blocks", FindingKind::DeadBlocks,
-                               deadBlocks(config)));
+                               deadBlocks()));
     results.push_back(evaluate("order_dep", FindingKind::OrderDependence,
-                               orderDependence(config)));
+                               orderDependence()));
     return results;
 }
 

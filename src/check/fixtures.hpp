@@ -31,7 +31,7 @@ struct FixtureResult
  * says whether its expected finding kind was reported.
  */
 std::vector<FixtureResult>
-runSeededDefects(const CheckerConfig& config = {});
+runSeededDefects();
 
 } // namespace bt::check
 

@@ -16,19 +16,15 @@
 
 namespace bt::core {
 
-/** Data-parallel estimate knobs. */
-struct DataParallelConfig
-{
-    /** Barrier + split/merge cost charged per stage (seconds). */
-    double syncOverheadSeconds = 50e-6;
+/** Barrier + split/merge cost charged per stage (seconds). */
+inline constexpr double kDataParallelSyncSeconds = 50e-6;
 
-    /**
-     * Fraction of a stage that can actually be split across PUs; the
-     * rest runs on the fastest PU alone (irregular stages rarely split
-     * perfectly).
-     */
-    double splittableFraction = 0.90;
-};
+/**
+ * Fraction of a stage that can actually be split across PUs; the rest
+ * runs on the fastest PU alone (irregular stages rarely split
+ * perfectly).
+ */
+inline constexpr double kDataParallelSplittable = 0.90;
 
 /**
  * Predicted per-task latency (seconds) of executing @p app with every
@@ -41,8 +37,7 @@ struct DataParallelConfig
  * stays on the fastest PU; each stage then pays the barrier cost.
  */
 double dataParallelLatency(const Application& app,
-                           const ProfilingTable& table,
-                           DataParallelConfig cfg = {});
+                           const ProfilingTable& table);
 
 } // namespace bt::core
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -47,12 +46,11 @@ PlannerSpec::fingerprint() const
     mix(utilizationFilter ? 1 : 0);
     mixDouble(gapnessSlack);
     mixDouble(latencySlack);
-    mix(static_cast<std::uint64_t>(maxPerTier));
+    // The former tier-cap knob keeps its position at its one value.
+    mix(static_cast<std::uint64_t>(kMaxPerTier));
     // Latency/EnergyDelay keep their pre-PlannerSpec encodings (0/1)
     // so existing cached plans stay addressable.
     mix(static_cast<std::uint64_t>(objective));
-    if (objective == Objective::EnergyKDelay)
-        mixDouble(energyExponent);
     mix(allowedPus.size());
     for (const int pu : allowedPus)
         mix(static_cast<std::uint64_t>(pu));
@@ -86,9 +84,6 @@ PlannerSpec::problems(int num_pus) const
     atLeastRule(out, "numCandidates", numCandidates, 1);
     atLeastRule(out, "latencySlack", latencySlack, 0.0);
     atLeastRule(out, "gapnessSlack", gapnessSlack, 0.0);
-    atLeastRule(out, "maxPerTier", maxPerTier, 0);
-    if (objective == Objective::EnergyKDelay)
-        atLeastRule(out, "energyExponent", energyExponent, 0.0);
     atLeastRule(out, "contention.ambientGbps", contention.ambientGbps, 0.0);
     atLeastRule(out, "contention.budgetGbps", contention.budgetGbps, 0.0);
     for (const int p : allowedPus) {
@@ -337,15 +332,9 @@ Optimizer::demandOk(const Prediction& p) const
 double
 Optimizer::rankScoreOf(double latency, double energy_j) const
 {
-    switch (config.objective) {
-      case PlannerSpec::Objective::EnergyDelay:
-        return energy_j * latency;
-      case PlannerSpec::Objective::EnergyKDelay:
-        // The e^k * d family; k = 1 coincides with EnergyDelay.
-        return std::pow(energy_j, config.energyExponent) * latency;
-      default:
-        return latency;
-    }
+    return config.objective == PlannerSpec::Objective::EnergyDelay
+        ? energy_j * latency
+        : latency;
 }
 
 int
@@ -458,12 +447,9 @@ Optimizer::selectDiverse(RankPool& pool)
         c.predictedDemandGbps = r.demandGbps;
         if (r.cls == 0)
             ++stats_.candidatesWithinBound;
-        if (config.maxPerTier > 0) {
-            const ChunkKey tier
-                = bottleneckKey(c.schedule, *eval_, bucket_);
-            if (++tier_count[tier] >= config.maxPerTier)
-                blocked.insert(tier);
-        }
+        const ChunkKey tier = bottleneckKey(c.schedule, *eval_, bucket_);
+        if (++tier_count[tier] >= PlannerSpec::kMaxPerTier)
+            blocked.insert(tier);
         picked.push_back(std::move(c));
     }
     return picked;

@@ -92,9 +92,8 @@ struct PlannerSpec
      * top schedules cluster into performance tiers defined by their
      * critical assignments; capping per-tier membership makes the
      * candidate list span tiers the way the paper's Table 4 does.
-     * 0 disables the cap.
      */
-    int maxPerTier = 3;
+    static constexpr int kMaxPerTier = 3;
 
     /** Knobs of the annealed engine (used only when it runs). */
     AnnealSpec anneal;
@@ -118,16 +117,10 @@ struct PlannerSpec
     /**
      * Ranking objective within the feasibility class (extension):
      * Latency reproduces the paper; EnergyDelay ranks by predicted
-     * energy-delay product; EnergyKDelay generalizes it to the
-     * e^k * d family (energy^energyExponent x delay, SET-style), so
-     * k < 1 leans toward latency and k > 1 toward battery life. All
-     * engines share the objective.
+     * energy-delay product. All engines share the objective.
      */
-    enum class Objective { Latency, EnergyDelay, EnergyKDelay };
+    enum class Objective { Latency, EnergyDelay };
     Objective objective = Objective::Latency;
-
-    /** k of the e^k * d family (EnergyKDelay only). */
-    double energyExponent = 1.0;
 
     /**
      * Cross-tenant contention knobs (only meaningful together with
@@ -200,10 +193,9 @@ struct PlannerSpec
     /**
      * Every range rule of a spec on a SoC with @p num_pus classes
      * (<= 0 = unknown, skipping the allowedPus upper bound):
-     * numCandidates >= 1; latencySlack, gapnessSlack, maxPerTier and
-     * both contention GB/s values >= 0; energyExponent >= 0 under
-     * EnergyKDelay; allowedPus ids in [0, num_pus); anneal.moveBudget
-     * >= 1. Lint and the Optimizer read this; a valid spec yields an
+     * numCandidates >= 1; latencySlack, gapnessSlack and both
+     * contention GB/s values >= 0; allowedPus ids in [0, num_pus);
+     * anneal.moveBudget >= 1. Lint and the Optimizer read this; a valid spec yields an
      * empty list.
      */
     std::vector<runtime::PlanParseError> problems(int num_pus) const;

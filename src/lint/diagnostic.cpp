@@ -32,7 +32,6 @@ diagnosticKindName(DiagnosticKind kind)
     case DiagnosticKind::DropoutStarvation:
         return "dropout_starvation";
     case DiagnosticKind::WatchdogTooTight: return "watchdog_too_tight";
-    case DiagnosticKind::RetryFutile: return "retry_futile";
     case DiagnosticKind::OverlappingSlowdowns:
         return "overlapping_slowdowns";
     case DiagnosticKind::BandwidthOverBudget:

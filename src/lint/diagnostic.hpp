@@ -55,7 +55,6 @@ enum class DiagnosticKind
     FaultRange,           ///< fault-plan field out of range
     DropoutStarvation,    ///< dropouts leave zero capable PUs
     WatchdogTooTight,     ///< timeout factor <= 1 cancels clean runs
-    RetryFutile,          ///< retries 0 and failover off under faults
     OverlappingSlowdowns, ///< windows compound on one PU
 
     // Pass 5: contention/lease feasibility.

@@ -251,15 +251,6 @@ runSeededDefects()
     }
     {
         RunConfig run;
-        run.recovery.maxRetries = 0;
-        run.recovery.failover = false;
-        run.faults.transients.push_back({-1, -1, 0.1});
-        results.push_back(fold("retry_futile",
-                               DiagnosticKind::RetryFutile,
-                               lintRunConfig(run, 2, soc.numPus())));
-    }
-    {
-        RunConfig run;
         run.faults.slowdowns.push_back({1, 0.0, 1.0, 0.5});
         run.faults.slowdowns.push_back({1, 0.5, 1.5, 0.5});
         results.push_back(fold("overlapping_slowdowns",

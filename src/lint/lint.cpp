@@ -357,7 +357,8 @@ lintRunConfig(const runtime::RunConfig& run, int num_stages,
                 msg("the fault plan drops every PU class the lease "
                     "admits (", capable.size(),
                     " of ", num_pus,
-                    "); no failover or degradation target survives")));
+                    "); once the last one drops, every stage "
+                    "execution is abandoned and the run is invalid")));
     }
 
     const runtime::RecoveryPolicy& rec = run.recovery;
@@ -367,11 +368,6 @@ lintRunConfig(const runtime::RunConfig& run, int num_stages,
             msg("recovery.timeoutFactor ", rec.timeoutFactor,
                 " <= 1 times out attempts running at profiled speed; "
                 "every clean execution is aborted and retried")));
-    if (rec.maxRetries == 0 && !rec.failover)
-        r.diagnostics.push_back(diag(
-            DiagnosticKind::RetryFutile, Severity::Warn, "run",
-            "recovery.maxRetries is 0 with failover disabled; any "
-            "fault or timeout is immediately unrecoverable"));
     return r;
 }
 

@@ -17,10 +17,10 @@
  * bit-identically. An empty plan disables the entire fault machinery;
  * that path is regression-tested to be bit-identical to fault-free runs.
  *
- * RecoveryPolicy declares how the runtime responds: per-stage timeout
- * with bounded retry and exponential backoff, failover remapping of a
- * failed chunk to the profiled next-best PU, and graceful degradation
- * that re-plans the remaining schedule on surviving PUs. RecoveryStats
+ * RecoveryPolicy sets the per-stage timeout and the retry budget with
+ * its exponential backoff; past the budget a failed chunk fails over to
+ * the profiled next-best PU, and a dropout re-plans the remaining
+ * schedule on the surviving PUs (RecoveryController). RecoveryStats
  * summarizes what actually happened and rides along in RunResult.
  */
 
@@ -211,14 +211,6 @@ struct RecoveryPolicy
     /** Backoff before retry r (1-based): base * multiplier^(r - 1). */
     static constexpr double kBackoffBaseSeconds = 1e-4;
     static constexpr double kBackoffMultiplier = 2.0;
-
-    /** Remap a chunk whose retries are exhausted (or whose PU died) to
-     *  the profiled next-best surviving PU. */
-    bool failover = true;
-
-    /** On PU dropout, re-plan the remaining schedule on surviving PUs
-     *  with the Optimizer instead of per-chunk next-best failover. */
-    bool degrade = true;
 };
 
 /** What the recovery machinery actually did during one run. */

@@ -153,6 +153,8 @@ HostTimeBackend::run(const core::Application& app,
                         for (const auto& d : injector.dropouts())
                             if (now >= d.atSeconds)
                                 recovery.dropout(d.pu, now);
+                        if (recovery.stranded(c, task, s, now))
+                            break;
                         cur_pu = recovery.puOf(c);
                         will_fail = recovery.transient(c, task, s, attempt);
                         stretch = recovery.straggle(c, task, s, attempt,

@@ -148,7 +148,7 @@ PipelineSession::recordFailure(std::int64_t task, int stage)
     if (validationErrors_.size() < 8)
         validationErrors_.push_back(
             "task " + std::to_string(task) + ": stage "
-            + std::to_string(stage) + " abandoned after retries");
+            + std::to_string(stage) + " abandoned");
 }
 
 void

@@ -83,7 +83,6 @@ class PipelineSession
 
     /** Whether every task has already been injected at the head. */
     bool exhausted() const { return nextTask_ >= cfg_.numTasks; }
-    int tasksInjected() const { return static_cast<int>(nextTask_); }
 
     /**
      * Head-chunk acquisition: bind @p token to the next streaming input,
@@ -109,9 +108,10 @@ class PipelineSession
                   sched::ThreadPool* team, int pu_override = -1) const;
 
     /**
-     * Record an unrecovered stage (retries exhausted, no failover
-     * target): counts as a validation error so RunResult::valid() is
-     * false. Thread-safe; bounded like kernel validation errors.
+     * Record an unrecovered stage (retries exhausted with no failover
+     * target, or no PU left): counts as a validation error so
+     * RunResult::valid() is false. Thread-safe; bounded like kernel
+     * validation errors.
      */
     void recordFailure(std::int64_t task, int stage);
 

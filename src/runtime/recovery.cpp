@@ -1,5 +1,6 @@
 #include "runtime/recovery.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -158,7 +159,7 @@ RecoveryController::fail(int chunk, std::int64_t task, int stage,
         stats_.backoffSeconds += backoffSeconds(attempt);
         return NextStep::Retry;
     }
-    if (policy_.failover && !attempt.remapped) {
+    if (!attempt.remapped) {
         const ChunkSpec& spec = session_.chunk(chunk);
         const int target = nextBestPu(model_, app_, spec.firstStage,
                                       spec.lastStage, alive_,
@@ -169,12 +170,18 @@ RecoveryController::fail(int chunk, std::int64_t task, int stage,
             return NextStep::Failover;
         }
     }
-    stats_.unrecovered += 1;
-    session_.recordEvent(makeFaultEvent(TraceEventKind::Abandon, task,
-                                        stage, chunk, puOf(chunk), t1,
-                                        t1));
-    session_.recordFailure(task, stage);
+    abandon(chunk, task, stage, t1);
     return NextStep::Abandon;
+}
+
+bool
+RecoveryController::stranded(int chunk, std::int64_t task, int stage,
+                             double now)
+{
+    if (alive_[static_cast<std::size_t>(puOf(chunk))])
+        return false;
+    abandon(chunk, task, stage, now);
+    return true;
 }
 
 double
@@ -207,29 +214,33 @@ RecoveryController::dropout(int pu, double now)
     for (int c = 0; c < session_.numChunks(); ++c)
         if (puOf(c) == pu)
             affected.push_back(c);
-    if (affected.empty())
+    // With no survivor there is nothing to re-plan on: the chunks stay
+    // bound to the dead PU, and stranded() abandons their attempts.
+    if (affected.empty()
+        || std::find(alive_.begin(), alive_.end(), true) == alive_.end())
         return affected;
 
-    if (policy_.degrade) {
-        const auto assign = replanner_.replan(alive_).toAssignment();
-        stats_.replans += 1;
-        session_.recordEvent(makeFaultEvent(TraceEventKind::Replan, -1,
-                                            -1, -1, pu, now, now));
-        for (const int c : affected)
-            rebind(c,
-                   assign[static_cast<std::size_t>(
-                       session_.chunk(c).firstStage)],
-                   -1, -1, now);
-    } else {
-        for (const int c : affected) {
-            const ChunkSpec& spec = session_.chunk(c);
-            const int target = nextBestPu(model_, app_, spec.firstStage,
-                                          spec.lastStage, alive_, pu);
-            if (target >= 0) // else nothing is left; attempts abandon
-                rebind(c, target, -1, -1, now);
-        }
-    }
+    const auto assign = replanner_.replan(alive_).toAssignment();
+    stats_.replans += 1;
+    session_.recordEvent(makeFaultEvent(TraceEventKind::Replan, -1, -1,
+                                        -1, pu, now, now));
+    for (const int c : affected)
+        rebind(c,
+               assign[static_cast<std::size_t>(
+                   session_.chunk(c).firstStage)],
+               -1, -1, now);
     return affected;
+}
+
+void
+RecoveryController::abandon(int chunk, std::int64_t task, int stage,
+                            double now)
+{
+    stats_.unrecovered += 1;
+    session_.recordEvent(makeFaultEvent(TraceEventKind::Abandon, task,
+                                        stage, chunk, puOf(chunk), now,
+                                        now));
+    session_.recordFailure(task, stage);
 }
 
 void

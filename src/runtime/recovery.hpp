@@ -7,12 +7,13 @@
  * Failover ranks surviving PUs by the same quantity the BT-Profiler
  * measures (the interference-heavy stage time of the performance
  * model), so "profiled next-best PU" means exactly what it would on a
- * real device with a cached profiling table. Graceful degradation goes
- * further: it rebuilds that table restricted to surviving PUs and asks
- * the existing Optimizer for the best remaining schedule, then rebinds
- * the dead chunks of the deployed geometry to the PUs the new plan
- * assigns their stages (chunk boundaries are frozen at deployment —
- * the multi-buffer pool is already allocated against them).
+ * real device with a cached profiling table. A PU dropout goes further:
+ * it rebuilds that table restricted to surviving PUs and asks the
+ * existing Optimizer for the best remaining schedule, then rebinds the
+ * dead chunks of the deployed geometry to the PUs the new plan assigns
+ * their stages (chunk boundaries are frozen at deployment — the
+ * multi-buffer pool is already allocated against them). Once no PU
+ * survives, every later attempt is abandoned instead.
  */
 
 #ifndef BT_RUNTIME_RECOVERY_HPP
@@ -36,7 +37,7 @@ namespace bt::runtime {
 class PipelineSession;
 
 /**
- * Graceful degradation: runs the Optimizer over the application
+ * Dropout replanning: runs the Optimizer over the application
  * restricted to the surviving PUs. One lazily-built model table and
  * one warm ScheduleEvaluator are shared across every replan of a run,
  * so a second dropout pays neither the table rebuild nor re-prediction
@@ -132,12 +133,23 @@ class RecoveryController
     void retry(int chunk, std::int64_t task, int stage,
                const Attempt& attempt, double now);
 
-    /** PU @p pu leaves service at @p now: degrade re-plans on the
-     *  survivors, else each of its chunks fails over on its own.
+    /**
+     * Abandon the attempt at @p now when @p chunk is bound to a dead
+     * PU - which happens only once every PU has dropped out - and
+     * record the loss as an exhausted ladder would. @return whether
+     * the attempt was abandoned.
+     */
+    bool stranded(int chunk, std::int64_t task, int stage, double now);
+
+    /** PU @p pu leaves service at @p now: re-plan on the survivors and
+     *  rebind its chunks (none survive: they stay, see stranded()).
      *  @return the chunks bound to @p pu (none if it was dead). */
     std::vector<int> dropout(int pu, double now);
 
   private:
+    /** Count, record and surface one lost stage execution. */
+    void abandon(int chunk, std::int64_t task, int stage, double now);
+
     /** Move @p chunk to @p target and record the Remap. */
     void rebind(int chunk, int target, std::int64_t task, int stage,
                 double now);

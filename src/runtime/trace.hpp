@@ -43,7 +43,7 @@ enum class TraceEventKind
     Remap,     ///< chunk failed over to the profiled next-best PU
     Dropout,   ///< PU removed from service at a timestamp
     Replan,    ///< remaining schedule re-optimized on surviving PUs
-    Abandon,   ///< retries exhausted; task marked unrecovered
+    Abandon,   ///< retries exhausted or no PU left; task unrecovered
 };
 
 /** Stable lowercase name of a TraceEventKind ("stage", "retry", ...). */

@@ -325,6 +325,19 @@ simulate(const platform::PerfModel& model, const core::Application& app,
     auto launch = [&](int c, double since) {
         auto& rt = slots[static_cast<std::size_t>(c)];
         rt.dispatching = false;
+        if (faulty
+            && recovery.stranded(c, rt.curTask, rt.curStage,
+                                 engine.now())) {
+            // Every PU is gone and the stage is lost. Move on from a
+            // timer, so a stream of lost stages unwinds through the
+            // engine instead of recursing once per stage.
+            const std::uint64_t seq = ++rt.seq;
+            engine.scheduleAt(engine.now(), [&, c, seq] {
+                if (slots[static_cast<std::size_t>(c)].seq == seq)
+                    advance(c);
+            });
+            return;
+        }
         if (cfg.recordTrace) {
             rt.pending = TraceEvent{rt.curTask,
                                     rt.curStage,

@@ -244,17 +244,9 @@ Engine::step()
 }
 
 double
-Engine::run(double horizon)
+Engine::run()
 {
-    // A sentinel timer pins the stopping point so the last step cannot
-    // overshoot the horizon.
-    if (horizon >= 0.0 && horizon > clock)
-        scheduleAt(horizon, [] {});
-    while (!active.empty() || !timerHeap.empty()) {
-        if (horizon >= 0.0 && clock >= horizon)
-            break;
-        if (!step())
-            break;
+    while (step()) {
     }
     return clock;
 }

@@ -230,11 +230,10 @@ class Engine
     void invalidateRates() { ratesStale = true; }
 
     /**
-     * Run until no tasks are active and no timers pending, or until
-     * virtual time exceeds @p horizon (negative = unbounded).
+     * Run until no tasks are active and no timers pending.
      * @return final virtual time.
      */
-    double run(double horizon = -1.0);
+    double run();
 
     /**
      * Advance until the next event is processed (one completion or one

@@ -86,40 +86,6 @@ struct CheckedLauncher
     }
 };
 
-template <typename L, typename InV>
-std::uint64_t
-reduceImpl(const L& l, const InV& in)
-{
-    const std::int64_t n = static_cast<std::int64_t>(in.size());
-    const LaunchConfig cfg{kGrid, kBlock};
-    const std::int64_t threads = cfg.totalThreads();
-    std::vector<std::uint64_t> storage(
-        static_cast<std::size_t>(threads), 0);
-    auto partials = l.wrap(std::span<std::uint64_t>(storage),
-                           "reduce.partials");
-
-    // Kernel 1: each thread reduces its contiguous chunk.
-    l.run(cfg, n, GeometryStyle::Chunked, [&](const WorkItem& item) {
-        const auto [lo, hi] = chunkOf(item.globalId(), threads, n);
-        std::uint64_t acc = 0;
-        for (std::int64_t i = lo; i < hi; ++i)
-            acc += in[static_cast<std::size_t>(i)];
-        partials[static_cast<std::size_t>(item.globalId())] = acc;
-    });
-
-    // Kernel 2: single thread folds the partials (tiny array).
-    std::uint64_t total = 0;
-    l.run(LaunchConfig{1, 1}, threads, GeometryStyle::Chunked,
-          [&](const WorkItem&) {
-              std::uint64_t acc = 0;
-              for (std::int64_t t = 0; t < threads; ++t)
-                  acc += partials[static_cast<std::size_t>(t)];
-              total = acc;
-          });
-    l.retire(partials);
-    return total;
-}
-
 template <typename L, typename InV, typename OutV>
 std::uint64_t
 scanImpl(const L& l, const InV& in, const OutV& out)
@@ -172,49 +138,6 @@ scanImpl(const L& l, const InV& in, const OutV& out)
     });
     l.retire(partials);
     return total;
-}
-
-template <typename L, typename KeyV, typename CountV>
-void
-histogramImpl(const L& l, const KeyV& keys, int shift,
-              std::uint32_t buckets, const CountV& counts)
-{
-    BT_ASSERT(counts.size() >= buckets, "histogram output too small");
-    BT_ASSERT((buckets & (buckets - 1)) == 0, "buckets must be power of 2");
-    const std::uint32_t mask = buckets - 1;
-    const std::int64_t n = static_cast<std::int64_t>(keys.size());
-    const LaunchConfig cfg{kGrid, kBlock};
-    const std::int64_t threads = cfg.totalThreads();
-
-    // Per-thread private histograms (the "shared memory" copy).
-    std::vector<std::uint32_t> storage(
-        static_cast<std::size_t>(threads) * buckets, 0);
-    auto priv = l.wrap(std::span<std::uint32_t>(storage),
-                       "histogram.priv");
-
-    l.run(cfg, n, GeometryStyle::Chunked, [&](const WorkItem& item) {
-        const std::int64_t tid = item.globalId();
-        const auto [lo, hi] = chunkOf(tid, threads, n);
-        const std::size_t base = static_cast<std::size_t>(tid) * buckets;
-        for (std::int64_t i = lo; i < hi; ++i) {
-            const std::uint32_t d
-                = (keys[static_cast<std::size_t>(i)] >> shift) & mask;
-            priv[base + d] += 1u;
-        }
-    });
-
-    // Reduction kernel: one thread per bucket folds the private copies.
-    l.run(LaunchConfig::cover(buckets, kBlock), buckets,
-          GeometryStyle::GridStride, [&](const WorkItem& item) {
-              gridStride(item, buckets, [&](std::int64_t b) {
-                  std::uint32_t acc = 0;
-                  for (std::int64_t t = 0; t < threads; ++t)
-                      acc += priv[static_cast<std::size_t>(t) * buckets
-                                  + static_cast<std::size_t>(b)];
-                  counts[static_cast<std::size_t>(b)] = acc;
-              });
-          });
-    l.retire(priv);
 }
 
 template <typename L, typename InV, typename OutV>
@@ -302,18 +225,6 @@ radixSortImpl(const L& l, const KeyV& keys, const ScratchV& scratch,
 } // namespace
 
 std::uint64_t
-deviceReduce(std::span<const std::uint32_t> in)
-{
-    return reduceImpl(RawLauncher{}, in);
-}
-
-std::uint64_t
-deviceReduce(TrackedSpan<const std::uint32_t> in, LaunchObserver& obs)
-{
-    return reduceImpl(CheckedLauncher{&obs}, in);
-}
-
-std::uint64_t
 deviceExclusiveScan(std::span<const std::uint32_t> in,
                     std::span<std::uint32_t> out)
 {
@@ -325,21 +236,6 @@ deviceExclusiveScan(TrackedSpan<const std::uint32_t> in,
                     TrackedSpan<std::uint32_t> out, LaunchObserver& obs)
 {
     return scanImpl(CheckedLauncher{&obs}, in, out);
-}
-
-void
-deviceHistogram(std::span<const std::uint32_t> keys, int shift,
-                std::uint32_t buckets, std::span<std::uint32_t> counts)
-{
-    histogramImpl(RawLauncher{}, keys, shift, buckets, counts);
-}
-
-void
-deviceHistogram(TrackedSpan<const std::uint32_t> keys, int shift,
-                std::uint32_t buckets, TrackedSpan<std::uint32_t> counts,
-                LaunchObserver& obs)
-{
-    histogramImpl(CheckedLauncher{&obs}, keys, shift, buckets, counts);
 }
 
 void

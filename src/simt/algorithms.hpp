@@ -19,9 +19,6 @@
 
 namespace bt::simt {
 
-/** Device-wide sum of 32-bit values (tree reduction over thread chunks). */
-std::uint64_t deviceReduce(std::span<const std::uint32_t> in);
-
 /**
  * Device-wide exclusive prefix sum. in and out may alias. Implemented as
  * the classic three-phase scan: per-chunk partial sums, scan of partials,
@@ -30,14 +27,6 @@ std::uint64_t deviceReduce(std::span<const std::uint32_t> in);
  */
 std::uint64_t deviceExclusiveScan(std::span<const std::uint32_t> in,
                                   std::span<std::uint32_t> out);
-
-/**
- * Device-wide histogram of (key >> shift) & (buckets-1).
- * @param counts must have `buckets` entries; it is zeroed first.
- */
-void deviceHistogram(std::span<const std::uint32_t> keys, int shift,
-                     std::uint32_t buckets,
-                     std::span<std::uint32_t> counts);
 
 /**
  * One stable LSD radix-sort pass over `radixBits`-wide digits at
@@ -64,17 +53,9 @@ void deviceRadixSort(std::span<std::uint32_t> keys,
  * accesses and order-dependence inside the primitives are caught too.
  * Results are bit-identical to the raw overloads.
  */
-std::uint64_t deviceReduce(TrackedSpan<const std::uint32_t> in,
-                           LaunchObserver& obs);
-
 std::uint64_t deviceExclusiveScan(TrackedSpan<const std::uint32_t> in,
                                   TrackedSpan<std::uint32_t> out,
                                   LaunchObserver& obs);
-
-void deviceHistogram(TrackedSpan<const std::uint32_t> keys, int shift,
-                     std::uint32_t buckets,
-                     TrackedSpan<std::uint32_t> counts,
-                     LaunchObserver& obs);
 
 void deviceRadixPass(TrackedSpan<const std::uint32_t> in,
                      TrackedSpan<std::uint32_t> out, int shift,

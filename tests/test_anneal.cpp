@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <string>
@@ -80,9 +79,6 @@ frontCost(const Candidate& c, const PlannerSpec& spec)
         return c.predictedLatency;
       case PlannerSpec::Objective::EnergyDelay:
         return c.predictedEdp();
-      case PlannerSpec::Objective::EnergyKDelay:
-        return std::pow(c.predictedEnergyJ, spec.energyExponent)
-            * c.predictedLatency;
     }
     return c.predictedLatency;
 }
@@ -168,11 +164,6 @@ TEST(AnnealedCrossValidation, PixelAlexNetSparseEnergyObjectives)
     PlannerSpec edp;
     edp.objective = PlannerSpec::Objective::EnergyDelay;
     expectAnnealedMatchesExact(soc, profile.interference, edp);
-
-    PlannerSpec ekd;
-    ekd.objective = PlannerSpec::Objective::EnergyKDelay;
-    ekd.energyExponent = 2.0;
-    expectAnnealedMatchesExact(soc, profile.interference, ekd);
 }
 
 TEST(AnnealedCrossValidation, PixelOctree)

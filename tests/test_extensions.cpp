@@ -432,36 +432,48 @@ TEST(DataParallel, HarmonicCombinationBounds)
     table.set(0, 0, 4e-3);
     table.set(0, 1, 1e-3);
     Application app = syntheticApp(1);
-    DataParallelConfig cfg;
-    cfg.syncOverheadSeconds = 0.0;
-    cfg.splittableFraction = 1.0;
-    // 1 / (1/4 + 1/1) = 0.8 ms.
-    EXPECT_NEAR(dataParallelLatency(app, table, cfg), 0.8e-3, 1e-9);
+    // The split share runs at 1 / (1/4 + 1/1) = 0.8 ms; the stage can
+    // beat neither that nor the fastest PU alone by more than the
+    // serial share and the barrier allow.
+    const double dp = dataParallelLatency(app, table);
+    EXPECT_NEAR(dp,
+                kDataParallelSplittable * 0.8e-3
+                    + (1.0 - kDataParallelSplittable) * 1e-3
+                    + kDataParallelSyncSeconds,
+                1e-12);
+    EXPECT_GT(dp, 0.8e-3);
+    EXPECT_LT(dp, 1e-3 + kDataParallelSyncSeconds);
 }
 
 TEST(DataParallel, SerialFractionStaysOnFastestPu)
 {
-    ProfilingTable table({"a"}, {"cpu", "gpu"});
-    table.set(0, 0, 4e-3);
-    table.set(0, 1, 1e-3);
+    // Slowing the slow PU further only shrinks its share of the split
+    // part; the serial part keeps running on the fast one.
     Application app = syntheticApp(1);
-    DataParallelConfig cfg;
-    cfg.syncOverheadSeconds = 0.0;
-    cfg.splittableFraction = 0.0;
-    EXPECT_NEAR(dataParallelLatency(app, table, cfg), 1e-3, 1e-9);
+    double previous = 0.0;
+    for (const double slow : {4e-3, 40e-3, 400e-3}) {
+        ProfilingTable table({"a"}, {"cpu", "gpu"});
+        table.set(0, 0, slow);
+        table.set(0, 1, 1e-3);
+        const double dp = dataParallelLatency(app, table);
+        EXPECT_GT(dp, previous) << slow;
+        EXPECT_LT(dp, 1e-3 + kDataParallelSyncSeconds) << slow;
+        previous = dp;
+    }
 }
 
 TEST(DataParallel, SyncOverheadPerStage)
 {
-    ProfilingTable table({"a", "b"}, {"cpu"});
-    table.set(0, 0, 1e-3);
-    table.set(1, 0, 1e-3);
-    Application app = syntheticApp(2);
-    DataParallelConfig cfg;
-    cfg.syncOverheadSeconds = 1e-4;
-    cfg.splittableFraction = 1.0;
-    EXPECT_NEAR(dataParallelLatency(app, table, cfg), 2e-3 + 2e-4,
-                1e-9);
+    ProfilingTable one({"a"}, {"cpu"});
+    one.set(0, 0, 1e-3);
+    ProfilingTable two({"a", "b"}, {"cpu"});
+    two.set(0, 0, 1e-3);
+    two.set(1, 0, 1e-3);
+    // On one PU the split and serial shares add back to the stage time.
+    EXPECT_NEAR(dataParallelLatency(syntheticApp(1), one),
+                1e-3 + kDataParallelSyncSeconds, 1e-12);
+    EXPECT_NEAR(dataParallelLatency(syntheticApp(2), two),
+                2e-3 + 2 * kDataParallelSyncSeconds, 1e-12);
 }
 
 TEST(DataParallel, LosesOnMixedWorkloads)

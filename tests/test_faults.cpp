@@ -475,15 +475,6 @@ TEST(FaultRecovery, DropoutMidStreamCompletesAllTasks)
             EXPECT_LE(e.startSeconds, 0.02 + 1e-9);
         }
     }
-
-    // With degradation off, per-chunk failover still finishes the run.
-    runtime::RunConfig failover = cfg;
-    failover.recovery.degrade = false;
-    const auto alt = SimExecutor(model, failover).execute(app, schedule);
-    EXPECT_EQ(alt.tasks, 30);
-    EXPECT_EQ(alt.recovery.replans, 0);
-    EXPECT_GT(alt.recovery.remaps, 0);
-    EXPECT_EQ(alt.recovery.unrecovered, 0);
 }
 
 // The greedy dynamic policy recovers through the same controller: its
@@ -536,7 +527,6 @@ TEST(FaultRecovery, DegradeReplanOnManycoreDoesNotAbort)
 
     runtime::RunConfig cfg;
     cfg.faults.dropouts.push_back({0, kDropAt});
-    ASSERT_TRUE(cfg.recovery.degrade);
 
     const auto run = SimExecutor(model, cfg).execute(app, schedule);
     EXPECT_TRUE(run.valid());
@@ -551,36 +541,92 @@ TEST(FaultRecovery, DegradeReplanOnManycoreDoesNotAbort)
 }
 
 // The host backend rebinds a chunk whose PU is gone before it runs a
-// single stage there, with and without degradation.
+// single stage there.
 TEST(FaultRecovery, HostDropoutRebindsTheDeadChunk)
 {
     const auto soc = platform::nativeHost();
     const auto app = exactlyOnceApp(soc.seed);
 
-    for (const bool degrade : {true, false}) {
-        runtime::RunConfig cfg;
-        cfg.numTasks = 16;
-        cfg.faults.dropouts.push_back({1, 0.0});
-        cfg.recovery.degrade = degrade;
+    runtime::RunConfig cfg;
+    cfg.numTasks = 16;
+    cfg.faults.dropouts.push_back({1, 0.0});
 
-        const auto run = NativeExecutor(soc, cfg)
-                             .execute(app, Schedule::fromAssignment(
-                                               {0, 1, 1}));
-        EXPECT_TRUE(run.valid()) << degrade;
-        EXPECT_EQ(run.tasks, 16) << degrade;
-        EXPECT_EQ(run.recovery.dropouts, 1) << degrade;
-        EXPECT_EQ(run.recovery.replans, degrade ? 1 : 0) << degrade;
-        EXPECT_EQ(run.recovery.remaps, 1) << degrade;
-        EXPECT_EQ(run.recovery.unrecovered, 0) << degrade;
-        EXPECT_EQ(countKind(run.trace, runtime::TraceEventKind::Stage),
-                  16 * app.numStages())
-            << degrade;
-        for (const auto& e : run.trace.events()) {
-            if (e.isStage()) {
-                EXPECT_NE(e.pu, 1) << degrade;
-            }
+    const auto run = NativeExecutor(soc, cfg)
+                         .execute(app, Schedule::fromAssignment(
+                                           {0, 1, 1}));
+    EXPECT_TRUE(run.valid());
+    EXPECT_EQ(run.tasks, 16);
+    EXPECT_EQ(run.recovery.dropouts, 1);
+    EXPECT_EQ(run.recovery.replans, 1);
+    EXPECT_EQ(run.recovery.remaps, 1);
+    EXPECT_EQ(run.recovery.unrecovered, 0);
+    EXPECT_EQ(countKind(run.trace, runtime::TraceEventKind::Stage),
+              16 * app.numStages());
+    for (const auto& e : run.trace.events()) {
+        if (e.isStage()) {
+            EXPECT_NE(e.pu, 1);
         }
     }
+}
+
+// A plan that drops every PU leaves nothing to re-plan on: each later
+// stage execution is abandoned, the run still drains every task, and
+// it ends invalid instead of aborting. Nothing starts on a PU after
+// that PU's dropout.
+TEST(FaultRecovery, EveryPuDroppedAbandonsInsteadOfAborting)
+{
+    const auto expectAbandoned = [](const runtime::RunResult& run,
+                                    const runtime::RunConfig& cfg,
+                                    int num_pus, const char* what) {
+        EXPECT_EQ(run.tasks, cfg.numTasks) << what;
+        EXPECT_FALSE(run.valid()) << what;
+        EXPECT_GT(run.recovery.unrecovered, 0) << what;
+        EXPECT_EQ(run.recovery.dropouts, num_pus) << what;
+        EXPECT_EQ(countKind(run.trace, runtime::TraceEventKind::Abandon),
+                  run.recovery.unrecovered)
+            << what;
+        for (const auto& e : run.trace.events()) {
+            if (!e.isStage())
+                continue;
+            for (const auto& d : cfg.faults.dropouts) {
+                if (d.pu == e.pu) {
+                    EXPECT_LE(e.startSeconds, d.atSeconds + 1e-9)
+                        << what << ": stage " << e.stage << " on pu "
+                        << e.pu;
+                }
+            }
+        }
+    };
+
+    const auto soc = platform::pixel7a();
+    const platform::PerfModel model(soc);
+    const auto app = apps::octreeApp();
+    const auto table = Profiler(model).profile(app).interference;
+    runtime::RunConfig cfg;
+    for (int p = 0; p < soc.numPus(); ++p)
+        cfg.faults.dropouts.push_back({p, 0.01 * (p + 1)});
+
+    const auto static_run = SimExecutor(model, cfg).execute(
+        app, Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2}));
+    expectAbandoned(static_run, cfg, soc.numPus(), "static");
+    EXPECT_EQ(static_run.recovery.replans, soc.numPus() - 1);
+
+    const auto greedy_run = runtime::VirtualTimeBackend(model).run(
+        app, runtime::GreedyDispatch{&table}, cfg);
+    expectAbandoned(greedy_run, cfg, soc.numPus(), "greedy");
+
+    const auto host = platform::nativeHost();
+    const auto host_app = exactlyOnceApp(host.seed);
+    runtime::RunConfig host_cfg;
+    host_cfg.numTasks = 16;
+    for (int p = 0; p < host.numPus(); ++p)
+        host_cfg.faults.dropouts.push_back({p, 0.0});
+    const auto host_run = NativeExecutor(host, host_cfg)
+                              .execute(host_app, Schedule::fromAssignment(
+                                                     {0, 1, 1}));
+    expectAbandoned(host_run, host_cfg, host.numPus(), "host");
+    EXPECT_EQ(countKind(host_run.trace, runtime::TraceEventKind::Stage),
+              0);
 }
 
 // ---------------------------------------------------------------------

@@ -370,14 +370,6 @@ TEST(LintAgreement, LintParserAndRuntimeApplyTheSameRangeRules)
          K::SpecRange},
         {"gapnessSlack", [](auto& s, auto&) { s.gapnessSlack = -1; },
          K::SpecRange},
-        {"maxPerTier", [](auto& s, auto&) { s.maxPerTier = -1; },
-         K::SpecRange},
-        {"energyExponent",
-         [](auto& s, auto&) {
-             s.objective = core::PlannerSpec::Objective::EnergyKDelay;
-             s.energyExponent = -1;
-         },
-         K::SpecRange},
         {"ambientGbps",
          [](auto& s, auto&) { s.contention.ambientGbps = -1; },
          K::SpecRange},

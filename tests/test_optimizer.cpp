@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -741,14 +740,9 @@ oraclePlan(const platform::SocDescription& soc,
         return p.gapness > plan.gapnessBound + 1e-12 ? 1 : 0;
     };
     const auto scoreOf = [&](const Prediction& p) {
-        switch (spec.objective) {
-          case PlannerSpec::Objective::EnergyDelay:
-            return p.energyJ * p.latency;
-          case PlannerSpec::Objective::EnergyKDelay:
-            return std::pow(p.energyJ, spec.energyExponent) * p.latency;
-          default:
-            return p.latency;
-        }
+        return spec.objective == PlannerSpec::Objective::EnergyDelay
+            ? p.energyJ * p.latency
+            : p.latency;
     };
 
     using Tier = std::tuple<int, int, int>; // first, last, pu
@@ -785,28 +779,26 @@ oraclePlan(const platform::SocDescription& soc,
         plan.picked.push_back(pick);
         if (classOf(pick.pred) == 0)
             ++plan.candidatesWithinBound;
-        if (spec.maxPerTier > 0) {
-            // The bottleneck chunk: the first chunk of maximal time.
-            Tier tier{};
-            double worst = -1.0;
-            const int n = static_cast<int>(pick.assign.size());
-            for (int first = 0; first < n;) {
-                const int pu = pick.assign[static_cast<std::size_t>(first)];
-                int last = first;
-                while (last + 1 < n
-                       && pick.assign[static_cast<std::size_t>(last + 1)]
-                           == pu)
-                    ++last;
-                const double t = scoring.rangeTime(first, last, pu);
-                if (t > worst) {
-                    worst = t;
-                    tier = {first, last, pu};
-                }
-                first = last + 1;
+        // The bottleneck chunk: the first chunk of maximal time.
+        Tier tier{};
+        double worst = -1.0;
+        const int n = static_cast<int>(pick.assign.size());
+        for (int first = 0; first < n;) {
+            const int pu = pick.assign[static_cast<std::size_t>(first)];
+            int last = first;
+            while (last + 1 < n
+                   && pick.assign[static_cast<std::size_t>(last + 1)]
+                       == pu)
+                ++last;
+            const double t = scoring.rangeTime(first, last, pu);
+            if (t > worst) {
+                worst = t;
+                tier = {first, last, pu};
             }
-            if (++tier_count[tier] >= spec.maxPerTier)
-                blocked.push_back(tier);
+            first = last + 1;
         }
+        if (++tier_count[tier] >= PlannerSpec::kMaxPerTier)
+            blocked.push_back(tier);
     }
     return plan;
 }
@@ -830,11 +822,10 @@ PrintTo(const OracleCase& c, std::ostream* os)
 }
 
 PlannerSpec
-objectiveSpec(PlannerSpec::Objective objective, double k = 1.0)
+objectiveSpec(PlannerSpec::Objective objective)
 {
     PlannerSpec spec;
     spec.objective = objective;
-    spec.energyExponent = k;
     return spec;
 }
 
@@ -843,14 +834,6 @@ latencyOnlySpec()
 {
     PlannerSpec spec;
     spec.utilizationFilter = false;
-    return spec;
-}
-
-PlannerSpec
-uncappedTiersSpec()
-{
-    PlannerSpec spec;
-    spec.maxPerTier = 0;
     return spec;
 }
 
@@ -950,20 +933,14 @@ INSTANTIATE_TEST_SUITE_P(
                    objectiveSpec(Obj::Latency)},
         OracleCase{"Dense_EnergyDelay", platform::pixel7a, denseApp,
                    objectiveSpec(Obj::EnergyDelay)},
-        OracleCase{"Dense_EnergyKDelay1p7", platform::pixel7a, denseApp,
-                   objectiveSpec(Obj::EnergyKDelay, 1.7)},
         OracleCase{"Sparse_Latency", platform::pixel7a, sparseApp,
                    objectiveSpec(Obj::Latency)},
         OracleCase{"Sparse_EnergyDelay", platform::pixel7a, sparseApp,
                    objectiveSpec(Obj::EnergyDelay)},
-        OracleCase{"Sparse_EnergyKDelay1p7", platform::pixel7a,
-                   sparseApp, objectiveSpec(Obj::EnergyKDelay, 1.7)},
         OracleCase{"Octree_Latency", platform::pixel7a, octree,
                    objectiveSpec(Obj::Latency)},
         OracleCase{"Octree_EnergyDelay", platform::pixel7a, octree,
                    objectiveSpec(Obj::EnergyDelay)},
-        OracleCase{"Octree_EnergyKDelay1p7", platform::pixel7a, octree,
-                   objectiveSpec(Obj::EnergyKDelay, 1.7)},
         OracleCase{"Dense_NoUtilizationFilter", platform::pixel7a,
                    denseApp, latencyOnlySpec()},
         OracleCase{"Sparse_NoUtilizationFilter", platform::pixel7a,
@@ -975,9 +952,7 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{"Sparse_Replan", platform::pixel7a, sparseApp,
                    replanSpec()},
         OracleCase{"Octree_Replan", platform::pixel7a, octree,
-                   replanSpec()},
-        OracleCase{"Dense_UncappedTiers", platform::pixel7a, denseApp,
-                   uncappedTiersSpec()}),
+                   replanSpec()}),
     oracleCaseName);
 
 INSTANTIATE_TEST_SUITE_P(

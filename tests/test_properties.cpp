@@ -255,9 +255,7 @@ TEST(OptimizerContract, TierCapLimitsRepeatedCriticalChunks)
     for (int s = 0; s < 5; ++s)
         for (int p = 0; p < 4; ++p)
             t.set(s, p, rng.nextRange(0.2, 2.0));
-    core::PlannerSpec cfg;
-    cfg.maxPerTier = 2;
-    core::Optimizer opt(soc, t, cfg);
+    core::Optimizer opt(soc, t, core::PlannerSpec{});
     const auto cands = opt.optimize();
 
     std::map<std::string, int> tier_counts;
@@ -277,7 +275,8 @@ TEST(OptimizerContract, TierCapLimitsRepeatedCriticalChunks)
         const std::string key = std::to_string(chunk.firstStage) + "-"
             + std::to_string(chunk.lastStage) + "@"
             + std::to_string(chunk.pu);
-        EXPECT_LE(++tier_counts[key], 2) << key;
+        EXPECT_LE(++tier_counts[key], core::PlannerSpec::kMaxPerTier)
+            << key;
     }
 }
 

@@ -150,15 +150,6 @@ TEST(Engine, StartTimeTracked)
     e.run();
 }
 
-TEST(Engine, HorizonStopsEarly)
-{
-    Engine e(constantRate(1.0));
-    e.startTask(0, 100.0);
-    const double t = e.run(1.0);
-    EXPECT_LE(t, 1.0 + 1e-9);
-    EXPECT_EQ(e.activeCount(), 1u);
-}
-
 TEST(Engine, ManyTasksDeterministic)
 {
     auto run_once = [] {

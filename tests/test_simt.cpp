@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the SIMT execution layer: launch coverage, grid-stride
  * iteration, block-order independence, and the device-wide cooperative
- * algorithms (reduce, scan, histogram, radix sort) against references.
+ * algorithms (scan, radix sort) against references.
  */
 
 #include <gtest/gtest.h>
@@ -129,15 +129,6 @@ class DeviceAlgoSizes : public ::testing::TestWithParam<std::int64_t>
     }
 };
 
-TEST_P(DeviceAlgoSizes, ReduceMatchesAccumulate)
-{
-    const auto keys = randomKeys(GetParam(), 1);
-    std::uint64_t expect = 0;
-    for (auto k : keys)
-        expect += k;
-    EXPECT_EQ(deviceReduce(keys), expect);
-}
-
 TEST_P(DeviceAlgoSizes, ExclusiveScanMatchesReference)
 {
     const auto in = randomKeys(GetParam(), 2);
@@ -168,19 +159,6 @@ TEST_P(DeviceAlgoSizes, ScanInPlaceAliasing)
         EXPECT_EQ(data[i], run);
         run += copy[i];
     }
-}
-
-TEST_P(DeviceAlgoSizes, HistogramMatchesReference)
-{
-    const auto keys = randomKeys(GetParam(), 4);
-    constexpr std::uint32_t buckets = 256;
-    std::vector<std::uint32_t> counts(buckets, 0);
-    deviceHistogram(keys, 8, buckets, counts);
-
-    std::vector<std::uint32_t> expect(buckets, 0);
-    for (auto k : keys)
-        ++expect[(k >> 8) & (buckets - 1)];
-    EXPECT_EQ(counts, expect);
 }
 
 TEST_P(DeviceAlgoSizes, RadixSortSortsAndPreservesMultiset)
