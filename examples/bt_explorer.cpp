@@ -32,6 +32,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -584,19 +585,30 @@ main(int argc, char** argv)
     const auto run = flow.deploy(app, best);
     std::printf("\ndeployed schedule: %s\n",
                 best.toString(soc, names).c_str());
-    std::printf("latency: %.3f ms/task (makespan %.1f ms for %d "
-                "tasks)\n",
-                run.latencyMs(), run.makespanSeconds * 1e3, run.tasks);
+    // An invalid run has no latency to report: its abandoned stages
+    // can complete the stream at one instant and read as infinitely
+    // fast. Text says n/a; JSON writes null (a NaN).
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double latency_ms = run.valid() ? run.latencyMs() : nan;
+    if (run.valid())
+        std::printf("latency: %.3f ms/task (makespan %.1f ms for %d "
+                    "tasks)\n",
+                    latency_ms, run.makespanSeconds * 1e3, run.tasks);
+    else
+        std::printf("latency: n/a (invalid run)\n");
 
     // Baselines.
     const double cpu_ms
         = flow.measureHomogeneous(app, soc.bigCpuIndex()) * 1e3;
     const double gpu_ms
         = flow.measureHomogeneous(app, soc.gpuIndex()) * 1e3;
-    std::printf("baselines: CPU-only %.3f ms | GPU-only %.3f ms | "
-                "speedup over best %.2fx\n",
-                cpu_ms, gpu_ms,
-                std::min(cpu_ms, gpu_ms) / run.latencyMs());
+    const double speedup = std::min(cpu_ms, gpu_ms) / latency_ms;
+    std::printf("baselines: CPU-only %.3f ms | GPU-only %.3f ms | ",
+                cpu_ms, gpu_ms);
+    if (run.valid())
+        std::printf("speedup over best %.2fx\n", speedup);
+    else
+        std::printf("speedup over best n/a\n");
 
     if (opt.energy) {
         std::printf("\nenergy: %.2f mJ/task, average power %.2f W "
@@ -654,10 +666,14 @@ main(int argc, char** argv)
         const double dp_ms
             = core::dataParallelLatency(app, profile.interference)
             * 1e3;
-        std::printf("\nalternatives: dynamic greedy %.3f ms/task "
-                    "(50us dispatch) | data-parallel %.3f ms/task "
-                    "(predicted)\n",
-                    dyn_run.latencyMs(), dp_ms);
+        if (dyn_run.valid())
+            std::printf("\nalternatives: dynamic greedy %.3f ms/task "
+                        "(50us dispatch)",
+                        dyn_run.latencyMs());
+        else
+            std::printf("\nalternatives: dynamic greedy n/a (invalid "
+                        "run)");
+        std::printf(" | data-parallel %.3f ms/task (predicted)\n", dp_ms);
     }
 
     // Machine-readable report of the deployed run.
@@ -668,12 +684,15 @@ main(int argc, char** argv)
         w.beginObject().member("device", soc.name).member("app", app.name());
         w.member("engine", engine).member("plan_cost", front_cost);
         w.member("schedule", best.toString(soc, names));
-        w.member("tasks", run.tasks).member("latency_ms", run.latencyMs());
+        w.member("tasks", run.tasks).member("latency_ms", latency_ms);
         w.member("makespan_ms", run.makespanSeconds * 1e3);
-        w.member("mean_latency_ms", run.meanLatencySeconds * 1e3);
+        w.member("mean_latency_ms", run.valid()
+                                        ? run.meanLatencySeconds * 1e3
+                                        : nan);
         w.member("energy_per_task_mj", run.energyPerTaskJ() * 1e3);
         w.member("average_power_w", run.averagePowerW());
         w.member("cpu_baseline_ms", cpu_ms).member("gpu_baseline_ms", gpu_ms);
+        w.member("speedup_over_best", speedup);
         w.member("valid", run.valid()).key("trace").beginObject();
         w.member("stage_events", stats.events);
         w.member("recovery_events", stats.recoveryEvents);

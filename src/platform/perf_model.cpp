@@ -56,16 +56,15 @@ PerfModel::activePowerW(int pu, int busy_others) const
 }
 
 double
-PerfModel::systemPowerW(const std::vector<bool>& pu_active) const
+PerfModel::systemPowerW(std::uint64_t pu_active) const
 {
-    BT_ASSERT(pu_active.size() == static_cast<std::size_t>(
-        desc.numPus()));
-    int busy = 0;
-    for (bool b : pu_active)
-        busy += b;
+    BT_ASSERT(std::bit_width(pu_active)
+                  <= static_cast<unsigned>(desc.numPus()),
+              "active mask names a PU class the SoC lacks");
+    const int busy = std::popcount(pu_active);
     double total = desc.basePowerW;
     for (int p = 0; p < desc.numPus(); ++p) {
-        if (pu_active[static_cast<std::size_t>(p)])
+        if ((pu_active >> p) & 1U)
             total += activePowerW(p, busy - 1);
         else
             total += desc.pu(p).idlePowerW;

@@ -27,6 +27,7 @@
 #ifndef BT_PLATFORM_PERF_MODEL_HPP
 #define BT_PLATFORM_PERF_MODEL_HPP
 
+#include <cstdint>
 #include <span>
 
 #include "platform/contention.hpp"
@@ -119,10 +120,11 @@ class PerfModel
     double activePowerW(int pu, int busy_others) const;
 
     /**
-     * Whole-SoC power given which PU classes are currently executing:
-     * base power + per-class active/idle draw.
+     * Whole-SoC power given which PU classes are currently executing
+     * (bit p of @p pu_active set = PU class p busy): base power +
+     * per-class active/idle draw.
      */
-    double systemPowerW(const std::vector<bool>& pu_active) const;
+    double systemPowerW(std::uint64_t pu_active) const;
 
   private:
     /**

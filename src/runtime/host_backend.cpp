@@ -97,7 +97,7 @@ HostTimeBackend::run(const core::Application& app,
     RecoveryController recovery(model, app, session);
     const FaultInjector& injector = recovery.injector();
     const bool faulty = recovery.enabled();
-    std::mutex fault_mutex;
+    std::mutex fault_mutex; ///< serializes recovery and the timeline
 
     const auto t0 = Clock::now();
 
@@ -202,14 +202,17 @@ HostTimeBackend::run(const core::Application& app,
                                 end = secondsSince(t0);
                             }
                         }
-                        session.recordEvent(TraceEvent{
-                            task, s, c, cur_pu,
-                            s == ch.firstStage && attempt.number == 0
-                                    && !attempt.remapped
-                                ? queue_wait
-                                : 0.0,
-                            start, end, co, TraceEventKind::Stage,
-                            {}});
+                        if (cfg.recordTrace) {
+                            std::lock_guard<std::mutex> lock(fault_mutex);
+                            session.recordEvent(TraceEvent{
+                                task, s, c, cur_pu,
+                                s == ch.firstStage && attempt.number == 0
+                                        && !attempt.remapped
+                                    ? queue_wait
+                                    : 0.0,
+                                start, end, co, TraceEventKind::Stage,
+                                {}});
+                        }
                         break;
                     }
 

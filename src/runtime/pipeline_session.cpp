@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "common/stats.hpp"
 
 namespace bt::runtime {
 
@@ -42,37 +41,35 @@ chunkSpecs(const core::Schedule& schedule, int num_stages, int num_pus)
     return chunks;
 }
 
-/** Steady-state interval over the sorted post-warmup completions (the
- *  identity sort for in-order dispatch) and mean end-to-end latency. */
+/** Mean end-to-end latency and the steady-state interval over the
+ *  sorted post-warmup completions (the identity sort for in-order
+ *  dispatch), sorting @p complete_time in place. */
 void
 finalizeTiming(RunResult& result, std::span<const double> inject_time,
-               std::span<const double> complete_time, int warmup_tasks)
+               std::span<double> complete_time, int warmup_tasks)
 {
     const int n = result.tasks;
     BT_ASSERT(n > 0
               && complete_time.size() == static_cast<std::size_t>(n));
 
-    std::vector<double> completions(complete_time.begin(),
-                                    complete_time.end());
-    std::sort(completions.begin(), completions.end());
+    // Summed in task order, as mean() over the latencies would.
+    double latency_sum = 0.0;
+    for (int t = 0; t < n; ++t)
+        latency_sum += complete_time[static_cast<std::size_t>(t)]
+            - inject_time[static_cast<std::size_t>(t)];
+    result.meanLatencySeconds = latency_sum / static_cast<double>(n);
 
+    std::sort(complete_time.begin(), complete_time.end());
     const int w = std::min(warmup_tasks, n - 1);
     if (n - w >= 2) {
         result.taskIntervalSeconds
-            = (completions[static_cast<std::size_t>(n - 1)]
-               - completions[static_cast<std::size_t>(w)])
+            = (complete_time[static_cast<std::size_t>(n - 1)]
+               - complete_time[static_cast<std::size_t>(w)])
             / static_cast<double>(n - 1 - w);
     } else {
         result.taskIntervalSeconds
             = result.makespanSeconds / static_cast<double>(n);
     }
-
-    std::vector<double> latencies(static_cast<std::size_t>(n));
-    for (int t = 0; t < n; ++t)
-        latencies[static_cast<std::size_t>(t)]
-            = complete_time[static_cast<std::size_t>(t)]
-            - inject_time[static_cast<std::size_t>(t)];
-    result.meanLatencySeconds = mean(latencies);
 }
 
 } // namespace
@@ -112,6 +109,8 @@ PipelineSession::PipelineSession(const core::Application& app,
         trace_ = TraceTimeline(std::move(backend_name), soc.numPus(),
                                puNames(soc), stageNames(app));
         trace_.setSessionId(cfg_.sessionId);
+        trace_.reserve(static_cast<std::size_t>(cfg_.numTasks)
+                       * static_cast<std::size_t>(app.numStages()));
     }
 }
 
@@ -170,15 +169,6 @@ PipelineSession::complete(int token, double now)
     }
 }
 
-void
-PipelineSession::recordEvent(TraceEvent event)
-{
-    if (!cfg_.recordTrace)
-        return;
-    std::lock_guard<std::mutex> lock(traceMutex_);
-    trace_.record(std::move(event));
-}
-
 RunResult
 PipelineSession::finish(double makespan_seconds,
                         std::span<const double> chunk_busy_seconds,
@@ -199,10 +189,8 @@ PipelineSession::finish(double makespan_seconds,
         result.chunkBusyFraction[c] = makespan_seconds > 0.0
             ? chunk_busy_seconds[c] / makespan_seconds
             : 0.0;
-    if (cfg_.recordTrace) {
-        trace_.sortByStart();
+    if (cfg_.recordTrace)
         result.trace = std::move(trace_);
-    }
     return result;
 }
 

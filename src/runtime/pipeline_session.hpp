@@ -17,8 +17,9 @@
  * Threading contract: inject() is called only by the head dispatcher,
  * complete() only by the recycler, once per task, before the token
  * returns to the head; runStage() by the owning chunk's dispatcher;
- * recordEvent() may be called from any thread and is internally
- * synchronized (the virtual backend plays every role on one thread).
+ * recordEvent() callers serialize access themselves (the virtual
+ * backend plays every role on one thread and takes no lock; the host
+ * backend records under its fault mutex).
  */
 
 #ifndef BT_RUNTIME_PIPELINE_SESSION_HPP
@@ -123,8 +124,17 @@ class PipelineSession
      */
     void complete(int token, double now);
 
-    /** Append a stage execution to the timeline (thread-safe). */
-    void recordEvent(TraceEvent event);
+    /**
+     * Add a stage execution or incident to the timeline, which stays in
+     * start order (TraceTimeline::record) inside the numTasks x
+     * numStages events reserved for it. Not synchronized.
+     */
+    void
+    recordEvent(const TraceEvent& event)
+    {
+        if (cfg_.recordTrace)
+            trace_.record(event);
+    }
 
     /**
      * Assemble the unified RunResult: makespan, steady-state interval
@@ -156,7 +166,6 @@ class PipelineSession
     std::mutex errorMutex_;
 
     TraceTimeline trace_;
-    std::mutex traceMutex_;
 };
 
 /** PU and stage name lists for timeline construction. */

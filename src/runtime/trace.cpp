@@ -72,14 +72,6 @@ TraceTimeline::TraceTimeline(std::string backend, int num_pus,
 }
 
 void
-TraceTimeline::record(TraceEvent event)
-{
-    if (event.session < 0)
-        event.session = sessionId_;
-    events_.push_back(std::move(event));
-}
-
-void
 TraceTimeline::merge(const TraceTimeline& other, double time_offset)
 {
     if (numPus_ == 0) {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -192,10 +193,28 @@ class TraceTimeline
     std::size_t size() const { return events_.size(); }
     const std::vector<TraceEvent>& events() const { return events_; }
 
-    /** Append one stage execution (callers serialize access). */
-    void record(TraceEvent event);
+    /** Room for @p events events without reallocating. */
+    void reserve(std::size_t events) { events_.reserve(events); }
 
-    /** Order events by start time (host backends record concurrently). */
+    /**
+     * Insert one event after every event that starts no later, so a
+     * timeline built by record() alone is in start order, ties in
+     * record order (callers serialize access). A backend recording at
+     * completion moves only the few events that started after this one.
+     */
+    void
+    record(TraceEvent event)
+    {
+        if (event.session < 0)
+            event.session = sessionId_;
+        auto at = events_.end();
+        while (at != events_.begin()
+               && std::prev(at)->startSeconds > event.startSeconds)
+            --at;
+        events_.insert(at, event);
+    }
+
+    /** Order events by start time, stably (after merges). */
     void sortByStart();
 
     /** Derive occupancy / bubble / interference statistics. */

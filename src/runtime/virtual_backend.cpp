@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <limits>
 #include <span>
 #include <utility>
@@ -58,7 +56,10 @@ struct SlotRuntime
     int curToken = -1;        ///< buffer id being processed
     std::int64_t curTask = -1;
     double stageStart = 0.0;
+    double since = 0.0;       ///< when the current item became ready
     double busyAccum = 0.0;
+    int countedPu = -1;       ///< PU class counted as running, or -1
+    int cell = -1;            ///< stage * numPus + PU of the engine task
     TraceEvent pending;     ///< stage execution being recorded (traced runs)
 
     /** Running a stage (not waiting out a dispatch overhead). */
@@ -80,12 +81,21 @@ struct SlotRuntime
  * run), rates are a pure function of the configuration, and a run
  * meets only a few of them: each is folded once and replayed after.
  * Lives for one run; a slowdown boundary clears it. An open-addressing
- * table over flat arrays: a lookup allocates nothing and costs the
- * same however many configurations greedy dispatch meets.
+ * table over flat arrays sized for kEntries configurations up front:
+ * a lookup allocates nothing and costs the same however many
+ * configurations greedy dispatch meets.
  */
 class RateMemo
 {
   public:
+    /** Room for kEntries configurations of up to @p width tasks. */
+    explicit RateMemo(std::size_t width)
+    {
+        entries_.reserve(kEntries);
+        cells_.reserve(kEntries * width);
+        rates_.reserve(kEntries * width);
+    }
+
     /** Copy the rates memoized for @p config into @p rates; false
      *  when the run has not met @p config since the last clear. */
     bool
@@ -127,6 +137,10 @@ class RateMemo
     }
 
   private:
+    /** Greedy dispatch of a paper app meets about 120 configurations
+     *  in a 300-task run; more only grow the table. */
+    static constexpr std::size_t kEntries = 256;
+
     static std::size_t
     hashOf(std::span<const int> config)
     {
@@ -159,7 +173,7 @@ class RateMemo
     }
 
     /** Open addressing, a power of two long: entry index or -1. */
-    std::vector<int> slots_ = std::vector<int>(64, -1);
+    std::vector<int> slots_ = std::vector<int>(2 * kEntries, -1);
     /** (offset, length) of each configuration in cells_ and rates_. */
     std::vector<std::pair<std::size_t, std::size_t>> entries_;
     std::vector<int> cells_;    ///< stage * numPus + PU, per task
@@ -188,256 +202,432 @@ noiseFactor(const platform::SocDescription& soc, std::uint64_t salt,
         : 1.0;
 }
 
-/**
- * The one run body. @p greedy selects the dispatch policy: null runs
- * the session's chunks as a static pipeline (each chunk pops tokens
- * from its own queue and hands them downstream); otherwise every slot
- * drains a FIFO that earliest-finish ranking fills from a ready set.
- */
-RunResult
-simulate(const platform::PerfModel& model, const core::Application& app,
-         PipelineSession& session, const GreedyDispatch* greedy,
-         const NoiseTable& noise)
+/** What a timer does when it fires (sim::Timer::kind). Slot timers
+ *  carry the slot's seq when armed and retire if it moved on. */
+enum TimerKind : int
 {
-    const auto& soc = model.soc();
-    const RunConfig& cfg = session.config();
-    const int num_pus = soc.numPus();
-    const int num_slots = session.numChunks();
+    kDispatched, ///< greedy: the slot paid its dispatch overhead
+    kStranded,   ///< move on from a stage lost with every PU gone
+    kWatchdog,   ///< abort an attempt that exceeded its budget
+    kBackoff,    ///< retry a failed attempt after its backoff
+    kSlowdown,   ///< a throttle window opens or closes
+    kDropout,    ///< dropout number `subject` takes its PU away
+};
 
-    std::vector<SlotRuntime> slots(static_cast<std::size_t>(num_slots));
-
-    // --- fault layer ---------------------------------------------------
-    // The controller decides every recovery step; this backend only arms
-    // the timers. Everything is inert on fault-free runs: the bindings
-    // stay the deployed ones, clockScale stays empty (the performance
-    // model short-circuits an empty span), and no timer is ever armed -
-    // the event sequence is bit-identical to a build without this layer.
-    RecoveryController recovery(model, app, session);
-    const FaultInjector& injector = recovery.injector();
-    const bool faulty = recovery.enabled();
-    std::vector<double> clock_scale; // empty = no throttling anywhere
-    if (faulty)
-        clock_scale.assign(static_cast<std::size_t>(num_pus), 1.0);
-    int completed_tasks = 0;
-    bool done = false;
-
-    // queues[c] feeds slot c. Static: the previous chunk's output, the
-    // last chunk recycling into queue 0. Greedy: the slot's FIFO of
-    // earliest-finish assignments, fed from the ready set; `available`
-    // is each slot's estimated drain time and `free_tokens` the unused
-    // part of the in-flight pool.
-    std::vector<std::deque<WorkItem>> queues(
-        static_cast<std::size_t>(num_slots));
-    std::deque<WorkItem> ready;
-    std::vector<double> available;
-    std::vector<int> free_tokens;
-    for (int b = 0; b < session.numBuffers(); ++b) {
-        if (greedy)
-            free_tokens.push_back(b);
-        else
-            queues[0].push_back(WorkItem{b, 0, 0.0});
+/**
+ * One run, and the engine's client. @p greedy selects the dispatch
+ * policy: null runs the session's chunks as a static pipeline (each
+ * chunk pops tokens from its own queue and hands them downstream);
+ * otherwise every slot drains a FIFO that earliest-finish ranking
+ * fills from a ready set. Every piece of per-run state lives in flat
+ * arrays sized at construction.
+ */
+class DesRun
+{
+  public:
+    DesRun(const platform::PerfModel& model, const core::Application& app,
+           PipelineSession& session, const GreedyDispatch* greedy,
+           const NoiseTable& noise)
+        : model_(model), app_(app), session_(session),
+          cfg_(session.config()), greedy_(greedy), noise_(noise),
+          numPus_(model.soc().numPus()), numSlots_(session.numChunks()),
+          recovery_(model, app, session),
+          faulty_(recovery_.enabled()),
+          slots_(static_cast<std::size_t>(numSlots_)),
+          // queue q feeds slot q; the extra one is greedy's ready set
+          ring_(static_cast<std::size_t>((numSlots_ + 1)
+                                         * session.numBuffers())),
+          fifos_(static_cast<std::size_t>(numSlots_ + 1)),
+          cells_(static_cast<std::size_t>(app.numStages() * numPus_)),
+          loads_(static_cast<std::size_t>(numSlots_)),
+          config_(static_cast<std::size_t>(numSlots_)),
+          memo_(static_cast<std::size_t>(numSlots_)),
+          runningOn_(static_cast<std::size_t>(numPus_), 0),
+          engine_(*this)
+    {
+        for (int b = 0; b < session.numBuffers(); ++b) {
+            if (greedy_)
+                freeTokens_.push_back(b);
+            else
+                push(0, WorkItem{b, 0, 0.0});
+        }
+        if (greedy_)
+            available_.assign(static_cast<std::size_t>(numSlots_), 0.0);
+        power_.reserve(kReservePowerSets);
+        powerW_ = powerOf(0);
     }
-    if (greedy)
-        available.assign(static_cast<std::size_t>(num_slots), 0.0);
 
-    // --- virtual-time engine ------------------------------------------
-    // Tag = slot index; each slot executes at most one stage at a time,
-    // so the slot's runtime state identifies the running stage. Rates
-    // read each (stage, PU)'s co-runner-independent cell, built on its
-    // first use, and are memoized per configuration (RateMemo).
-    std::vector<platform::LoadCell> cells(
-        static_cast<std::size_t>(app.numStages() * num_pus));
-    std::vector<platform::LoadCell> loads; // reused across rate refreshes
-    std::vector<int> config;               // the refresh's memo key
-    RateMemo memo;
-    sim::Engine engine([&](std::span<const sim::ActiveTask> active,
-                           std::span<double> rates) {
-        config.resize(active.size());
+    DesRun(const DesRun&) = delete;
+    DesRun& operator=(const DesRun&) = delete;
+
+    /** Prime the pipeline, run it to completion and assemble the
+     *  result. */
+    RunResult
+    execute()
+    {
+        if (faulty_) {
+            // The controller decides every recovery step; this run
+            // only arms the timers. Fault-free runs arm none and leave
+            // clockScale_ empty (the performance model short-circuits
+            // an empty span).
+            clockScale_.resize(static_cast<std::size_t>(numPus_));
+            for (int p = 0; p < numPus_; ++p)
+                clockScale_[static_cast<std::size_t>(p)]
+                    = recovery_.injector().slowdownFactor(p, 0.0);
+            armSlowdown();
+            const auto& dropouts = recovery_.injector().dropouts();
+            for (std::size_t d = 0; d < dropouts.size(); ++d)
+                engine_.scheduleAt(dropouts[d].atSeconds,
+                                   {kDropout, static_cast<int>(d), 0});
+        }
+
+        if (greedy_)
+            dispatchReady();
+        else
+            tryStart(0);
+        // Fault plans may leave timers scheduled past the last
+        // completion (a dropout that never came, the tail of a
+        // throttle window), so the faulty path steps until the stream
+        // drains instead of draining the timer queue.
+        if (faulty_) {
+            while (!done_ && engine_.step()) {
+            }
+        } else {
+            engine_.run();
+        }
+
+        std::vector<double> busy;
+        busy.reserve(slots_.size());
+        for (const SlotRuntime& rt : slots_)
+            busy.push_back(rt.busyAccum);
+        RunResult result = session_.finish(engine_.now(), busy,
+                                           /*affinity_applied=*/true);
+        result.energyJoules = joules_;
+        result.recovery = recovery_.stats();
+        return result;
+    }
+
+    // --- sim::Engine client -------------------------------------------
+
+    /** Rates read each (stage, PU)'s co-runner-independent cell, built
+     *  on its first use, and are memoized per configuration. The tag
+     *  is the slot index; a slot runs at most one stage at a time. */
+    void
+    rates(std::span<const sim::ActiveTask> active,
+          std::span<double> rates_out)
+    {
+        BT_ASSERT(active.size() <= config_.size(),
+                  "more engine tasks than slots");
+        const std::span<int> config(config_.data(), active.size());
         for (std::size_t i = 0; i < active.size(); ++i) {
             const int c = static_cast<int>(active[i].tag);
-            const auto& rt = slots[static_cast<std::size_t>(c)];
+            const SlotRuntime& rt = slot(c);
             BT_ASSERT(rt.running() && rt.curStage >= 0,
                       "active task on idle slot");
-            config[i] = rt.curStage * num_pus + recovery.puOf(c);
+            config[i] = rt.cell;
         }
-        if (memo.find(config, rates))
+        if (memo_.find(config, rates_out))
             return;
-        loads.resize(active.size());
+        const std::span<platform::LoadCell> loads(loads_.data(),
+                                                  active.size());
         for (std::size_t i = 0; i < active.size(); ++i) {
             const int cell_index = config[i];
-            auto& cell = cells[static_cast<std::size_t>(cell_index)];
+            auto& cell = cells_[static_cast<std::size_t>(cell_index)];
             if (cell.load.work == nullptr)
-                cell = model.cellOf(
-                    app.stage(cell_index / num_pus).work(),
-                    cell_index % num_pus);
+                cell = model_.cellOf(
+                    app_.stage(cell_index / numPus_).work(),
+                    cell_index % numPus_);
             loads[i] = cell;
         }
-        model.timesOf(loads, clock_scale, cfg.ambientBandwidthGbps,
-                      rates);
-        for (double& r : rates)
+        model_.timesOf(loads, clockScale_, cfg_.ambientBandwidthGbps,
+                       rates_out);
+        for (double& r : rates_out)
             r = 1.0 / r;
-        memo.insert(config, rates);
-    });
+        memo_.insert(config, rates_out);
+    }
 
-    /** PU classes of the running slots other than @p except. */
-    auto runningPus = [&](int except) {
-        std::uint64_t pus = 0;
-        for (int c = 0; c < num_slots; ++c)
-            if (c != except && slots[static_cast<std::size_t>(c)].running())
-                pus |= std::uint64_t{1} << recovery.puOf(c);
-        return pus;
+    /** Between events the set of running PU classes is constant, so
+     *  power is piecewise constant and integration is exact. */
+    void
+    advanced(double t0, double t1)
+    {
+        if (runningMask_ != poweredMask_) {
+            powerW_ = powerOf(runningMask_);
+            poweredMask_ = runningMask_;
+        }
+        joules_ += (t1 - t0) * powerW_;
+    }
+
+    void
+    completed(sim::TaskId, std::uint64_t tag)
+    {
+        const int c = static_cast<int>(tag);
+        SlotRuntime& rt = slot(c);
+        ++rt.seq; // retire the attempt's watchdog
+        rt.busyAccum += engine_.now() - rt.stageStart;
+        if (faulty_ && rt.willFail) {
+            rt.willFail = false;
+            handleFailure(c, TraceEventKind::Transient);
+            return;
+        }
+        if (cfg_.recordTrace) {
+            rt.pending.endSeconds = engine_.now();
+            session_.recordEvent(rt.pending);
+        }
+        // Kernels run at stage completion, not dispatch: a failed or
+        // aborted attempt must commit no side effects, or a retry
+        // would re-apply an in-place stage mutation.
+        session_.runStage(c, rt.curStage, rt.curToken, nullptr,
+                          recovery_.puOf(c));
+        advance(c);
+    }
+
+    void
+    fired(const sim::Timer& timer)
+    {
+        const int c = timer.subject;
+        switch (timer.kind) {
+          case kSlowdown:
+            slowdownBoundary();
+            return;
+          case kDropout:
+            dropout(recovery_.injector().dropouts()[static_cast<
+                        std::size_t>(c)].pu);
+            return;
+          default:
+            break;
+        }
+        SlotRuntime& rt = slot(c);
+        if (rt.seq != timer.seq)
+            return; // superseded (finished, or re-dispatched)
+        switch (timer.kind) {
+          case kDispatched:
+            launch(c);
+            return;
+          case kStranded:
+            advance(c);
+            return;
+          case kWatchdog:
+            if (!rt.busy)
+                return;
+            if (engine_.cancelTask(rt.simId))
+                rt.busyAccum += engine_.now() - rt.stageStart;
+            handleFailure(c, TraceEventKind::Timeout);
+            return;
+          case kBackoff:
+            recovery_.retry(c, rt.curTask, rt.curStage, rt.attempt,
+                            engine_.now());
+            startAttempt(c, rt.curStage, engine_.now());
+            return;
+          default:
+            BT_PANIC("sim.timer_kind", "unknown timer kind ", timer.kind);
+        }
+    }
+
+  private:
+    /// Distinct running-PU sets a run meets (at most 2^numPus).
+    static constexpr std::size_t kReservePowerSets = 16;
+
+    /** Queue @p q's window into ring_: numBuffers long. */
+    struct Fifo
+    {
+        int head = 0;
+        int size = 0;
     };
 
-    // Between engine events the set of running PU classes is constant,
-    // so power is piecewise constant and integration is exact. Power is
-    // a pure function of that set: compute it once per set a run meets.
-    double joules = 0.0;
-    std::vector<std::pair<std::uint64_t, double>> power_of; // by mask
-    auto powerOf = [&](std::uint64_t mask) {
-        for (const auto& [m, watts] : power_of)
+    SlotRuntime& slot(int c) { return slots_[static_cast<std::size_t>(c)]; }
+
+    bool empty(int q) const
+    {
+        return fifos_[static_cast<std::size_t>(q)].size == 0;
+    }
+
+    void
+    push(int q, WorkItem item)
+    {
+        Fifo& f = fifos_[static_cast<std::size_t>(q)];
+        const int cap = session_.numBuffers();
+        BT_ASSERT(f.size < cap, "queue holds more items than tokens");
+        const int at = f.head + f.size++;
+        ring_[static_cast<std::size_t>(q * cap + (at < cap ? at : at - cap))]
+            = item;
+    }
+
+    WorkItem
+    pop(int q)
+    {
+        Fifo& f = fifos_[static_cast<std::size_t>(q)];
+        const int cap = session_.numBuffers();
+        const WorkItem item = ring_[static_cast<std::size_t>(q * cap
+                                                             + f.head)];
+        f.head = f.head + 1 < cap ? f.head + 1 : 0;
+        --f.size;
+        return item;
+    }
+
+    /** Bring slot @p c's entry in the running-PU counts up to date
+     *  after its busy/dispatching state or its binding changed. */
+    void
+    syncRunning(int c)
+    {
+        SlotRuntime& rt = slot(c);
+        const int pu = rt.running() ? recovery_.puOf(c) : -1;
+        if (pu == rt.countedPu)
+            return;
+        if (rt.countedPu >= 0
+            && --runningOn_[static_cast<std::size_t>(rt.countedPu)] == 0)
+            runningMask_ &= ~(std::uint64_t{1} << rt.countedPu);
+        if (pu >= 0 && runningOn_[static_cast<std::size_t>(pu)]++ == 0)
+            runningMask_ |= std::uint64_t{1} << pu;
+        rt.countedPu = pu;
+    }
+
+    /** PU classes of the running slots other than @p c. */
+    std::uint64_t
+    othersRunning(int c) const
+    {
+        const int pu = slots_[static_cast<std::size_t>(c)].countedPu;
+        if (pu >= 0 && runningOn_[static_cast<std::size_t>(pu)] == 1)
+            return runningMask_ & ~(std::uint64_t{1} << pu);
+        return runningMask_;
+    }
+
+    /** Power is a pure function of the running set: computed once per
+     *  set a run meets. */
+    double
+    powerOf(std::uint64_t mask)
+    {
+        for (const auto& [m, watts] : power_)
             if (m == mask)
                 return watts;
-        std::vector<bool> on(static_cast<std::size_t>(num_pus));
-        for (int p = 0; p < num_pus; ++p)
-            on[static_cast<std::size_t>(p)] = (mask >> p) & 1U;
-        return power_of.emplace_back(mask, model.systemPowerW(on)).second;
-    };
-    std::uint64_t powered_mask = 0;
-    double power_w = powerOf(0);
-    engine.onAdvance([&](double t0, double t1) {
-        if (const std::uint64_t mask = runningPus(-1);
-            mask != powered_mask) {
-            power_w = powerOf(mask);
-            powered_mask = mask;
-        }
-        joules += (t1 - t0) * power_w;
-    });
+        return power_.emplace_back(mask, model_.systemPowerW(mask)).second;
+    }
 
-    // Mutual recursion across the dispatch/recovery state machine.
-    std::function<void(int)> tryStart;
-    std::function<void(int, int, double)> startAttempt;
-    std::function<void(int, TraceEventKind)> handleFailure;
-    std::function<void(int)> advance;
+    /** Arm a slot timer of @p kind at @p at, retiring the slot's
+     *  earlier ones. */
+    void
+    arm(TimerKind kind, int c, double at)
+    {
+        engine_.scheduleAt(at, {kind, c, ++slot(c).seq});
+    }
 
     /** Start the attempt's engine task: one task whose work is the
      *  seeded noise factor (times a straggler factor under faults);
      *  every attempt of a (task, stage) reads the same factor. */
-    auto launch = [&](int c, double since) {
-        auto& rt = slots[static_cast<std::size_t>(c)];
+    void
+    launch(int c)
+    {
+        SlotRuntime& rt = slot(c);
         rt.dispatching = false;
-        if (faulty
-            && recovery.stranded(c, rt.curTask, rt.curStage,
-                                 engine.now())) {
+        syncRunning(c);
+        const double now = engine_.now();
+        if (faulty_ && recovery_.stranded(c, rt.curTask, rt.curStage, now)) {
             // Every PU is gone and the stage is lost. Move on from a
             // timer, so a stream of lost stages unwinds through the
             // engine instead of recursing once per stage.
-            const std::uint64_t seq = ++rt.seq;
-            engine.scheduleAt(engine.now(), [&, c, seq] {
-                if (slots[static_cast<std::size_t>(c)].seq == seq)
-                    advance(c);
-            });
+            arm(kStranded, c, now);
             return;
         }
-        if (cfg.recordTrace) {
+        if (cfg_.recordTrace) {
             rt.pending = TraceEvent{rt.curTask,
                                     rt.curStage,
                                     c,
-                                    recovery.puOf(c),
-                                    engine.now() - since,
-                                    engine.now(),
+                                    recovery_.puOf(c),
+                                    now - rt.since,
+                                    now,
                                     0.0,
-                                    runningPus(c),
+                                    othersRunning(c),
                                     TraceEventKind::Stage,
                                     {}};
         }
-        double work = noise.at(rt.curTask, rt.curStage);
-        if (faulty) {
-            rt.willFail = recovery.transient(c, rt.curTask, rt.curStage,
-                                             rt.attempt);
-            work *= recovery.straggle(c, rt.curTask, rt.curStage,
-                                      rt.attempt, engine.now());
+        double work = noise_.at(rt.curTask, rt.curStage);
+        if (faulty_) {
+            rt.willFail = recovery_.transient(c, rt.curTask, rt.curStage,
+                                              rt.attempt);
+            work *= recovery_.straggle(c, rt.curTask, rt.curStage,
+                                       rt.attempt, now);
+            if (cfg_.recovery.timeoutFactor > 0.0) {
+                // Arm the watchdog: abort the attempt when it exceeds
+                // its share-agnostic budget. The seq guard retires it
+                // if the attempt finishes (or is re-dispatched) first.
+                arm(kWatchdog, c,
+                    now
+                        + cfg_.recovery.timeoutFactor
+                              * model_.isolatedTime(
+                                  app_.stage(rt.curStage).work(),
+                                  recovery_.puOf(c)));
+            }
         }
-        if (faulty && cfg.recovery.timeoutFactor > 0.0) {
-            // Arm the watchdog: abort the attempt when it exceeds its
-            // share-agnostic budget. The seq guard retires the timer if
-            // the attempt finishes (or is re-dispatched) first.
-            const std::uint64_t seq = ++rt.seq;
-            const double budget = cfg.recovery.timeoutFactor
-                * model.isolatedTime(app.stage(rt.curStage).work(),
-                                     recovery.puOf(c));
-            engine.scheduleAt(engine.now() + budget, [&, c, seq] {
-                auto& w = slots[static_cast<std::size_t>(c)];
-                if (w.seq != seq || !w.busy)
-                    return;
-                if (engine.cancelTask(w.simId))
-                    w.busyAccum += engine.now() - w.stageStart;
-                handleFailure(c, TraceEventKind::Timeout);
-            });
-        }
-        rt.simId = engine.startTask(static_cast<std::uint64_t>(c), work);
-    };
+        // A slot is rebound only between engine tasks (failover after
+        // one ends, dropout after cancelling it), so the cell holds.
+        rt.cell = rt.curStage * numPus_ + recovery_.puOf(c);
+        rt.simId = engine_.startTask(static_cast<std::uint64_t>(c), work);
+    }
 
     /** Begin one attempt of (slot c, stage), waiting since @p since.
      *  Greedy dispatch pays its overhead first. */
-    startAttempt = [&](int c, int stage, double since) {
-        auto& rt = slots[static_cast<std::size_t>(c)];
+    void
+    startAttempt(int c, int stage, double since)
+    {
+        SlotRuntime& rt = slot(c);
         rt.curStage = stage;
-        rt.stageStart = engine.now();
-        if (!greedy) {
-            launch(c, since);
+        rt.stageStart = engine_.now();
+        rt.since = since;
+        if (!greedy_) {
+            launch(c);
             return;
         }
         rt.dispatching = true;
-        const std::uint64_t seq = ++rt.seq;
-        engine.scheduleAt(
-            engine.now() + greedy->dispatchOverheadUs * 1e-6,
-            [&, c, seq, since] {
-                if (slots[static_cast<std::size_t>(c)].seq == seq)
-                    launch(c, since);
-            });
-    };
+        syncRunning(c);
+        arm(kDispatched, c,
+            engine_.now() + greedy_->dispatchOverheadUs * 1e-6);
+    }
 
     /** Greedy: admit tasks while the pool has tokens, then give every
      *  ready item to the slot with the earliest predicted finish -
      *  which may mean queueing behind a busy fast PU rather than
      *  running at once on a slow idle one. */
-    auto dispatchReady = [&] {
-        while (!free_tokens.empty() && !session.exhausted()) {
-            const int token = free_tokens.back();
-            free_tokens.pop_back();
-            session.inject(token, engine.now());
-            ready.push_back(WorkItem{token, 0, engine.now()});
+    void
+    dispatchReady()
+    {
+        const int ready = numSlots_;
+        while (!freeTokens_.empty() && !session_.exhausted()) {
+            const int token = freeTokens_.back();
+            freeTokens_.pop_back();
+            session_.inject(token, engine_.now());
+            push(ready, WorkItem{token, 0, engine_.now()});
         }
-        while (!ready.empty()) {
-            const WorkItem item = ready.front();
-            ready.pop_front();
+        while (!empty(ready)) {
+            const WorkItem item = pop(ready);
             int best = 0;
             double best_finish = std::numeric_limits<double>::infinity();
-            for (int c = 0; c < num_slots; ++c) {
+            for (int c = 0; c < numSlots_; ++c) {
                 const double finish
-                    = std::max(available[static_cast<std::size_t>(c)],
-                               engine.now())
-                    + greedy->costs->at(item.stage, recovery.puOf(c))
-                    + greedy->dispatchOverheadUs * 1e-6;
+                    = std::max(available_[static_cast<std::size_t>(c)],
+                               engine_.now())
+                    + greedy_->costs->at(item.stage, recovery_.puOf(c))
+                    + greedy_->dispatchOverheadUs * 1e-6;
                 if (finish < best_finish) {
                     best_finish = finish;
                     best = c;
                 }
             }
-            queues[static_cast<std::size_t>(best)].push_back(item);
-            available[static_cast<std::size_t>(best)] = best_finish;
+            push(best, item);
+            available_[static_cast<std::size_t>(best)] = best_finish;
             tryStart(best);
         }
-    };
+    }
 
     /** Stage done (or abandoned): run the chunk's next stage, or pass
      *  the token on - downstream or back to the head (static), to the
      *  ready set or the free pool (greedy). */
-    advance = [&](int c) {
-        auto& rt = slots[static_cast<std::size_t>(c)];
-        if (!greedy && rt.curStage < session.chunk(c).lastStage) {
+    void
+    advance(int c)
+    {
+        SlotRuntime& rt = slot(c);
+        if (!greedy_ && rt.curStage < session_.chunk(c).lastStage) {
             rt.attempt = {};
-            startAttempt(c, rt.curStage + 1, engine.now());
+            startAttempt(c, rt.curStage + 1, engine_.now());
             return;
         }
         const int token = rt.curToken;
@@ -447,169 +637,163 @@ simulate(const platform::PerfModel& model, const core::Application& app,
         rt.curToken = -1;
         rt.curTask = -1;
         rt.attempt = {};
+        syncRunning(c);
 
-        const bool last = next_stage == app.numStages();
+        const bool last = next_stage == app_.numStages();
         if (last) {
-            session.complete(token, engine.now());
-            if (++completed_tasks == cfg.numTasks)
-                done = true;
+            session_.complete(token, engine_.now());
+            if (++completedTasks_ == cfg_.numTasks)
+                done_ = true;
         }
-        if (greedy) {
+        if (greedy_) {
             if (last)
-                free_tokens.push_back(token);
+                freeTokens_.push_back(token);
             else
-                ready.push_back(WorkItem{token, next_stage, engine.now()});
+                push(numSlots_,
+                     WorkItem{token, next_stage, engine_.now()});
             // Estimates drift from reality; re-anchor this slot's clock.
-            available[static_cast<std::size_t>(c)] = engine.now();
+            available_[static_cast<std::size_t>(c)] = engine_.now();
             dispatchReady();
         } else {
             const int next = last ? 0 : c + 1;
-            queues[static_cast<std::size_t>(next)].push_back(WorkItem{
-                token, session.chunk(next).firstStage, engine.now()});
+            push(next, WorkItem{token, session_.chunk(next).firstStage,
+                                engine_.now()});
             tryStart(next);
         }
         tryStart(c); // pull the next item into this slot
-    };
+    }
 
     /** One attempt failed (transient or timeout): turn the
      *  controller's next step into timers. */
-    handleFailure = [&](int c, TraceEventKind kind) {
-        auto& rt = slots[static_cast<std::size_t>(c)];
-        switch (recovery.fail(c, rt.curTask, rt.curStage, kind,
-                              rt.stageStart, engine.now(), rt.attempt)) {
-          case NextStep::Retry: {
-            const std::uint64_t seq = ++rt.seq;
-            engine.scheduleAt(
-                engine.now() + recovery.backoffSeconds(rt.attempt),
-                [&, c, seq] {
-                    auto& w = slots[static_cast<std::size_t>(c)];
-                    if (w.seq != seq)
-                        return; // superseded (e.g. dropout re-dispatch)
-                    recovery.retry(c, w.curTask, w.curStage, w.attempt,
-                                   engine.now());
-                    startAttempt(c, w.curStage, engine.now());
-                });
+    void
+    handleFailure(int c, TraceEventKind kind)
+    {
+        SlotRuntime& rt = slot(c);
+        const NextStep next
+            = recovery_.fail(c, rt.curTask, rt.curStage, kind,
+                             rt.stageStart, engine_.now(), rt.attempt);
+        syncRunning(c); // a failover rebinds the slot
+        switch (next) {
+          case NextStep::Retry:
+            arm(kBackoff, c,
+                engine_.now() + recovery_.backoffSeconds(rt.attempt));
             return;
-          }
           case NextStep::Failover:
-            startAttempt(c, rt.curStage, engine.now());
+            startAttempt(c, rt.curStage, engine_.now());
             return;
           case NextStep::Abandon:
             // Surface the loss and keep the stream moving.
             advance(c);
             return;
         }
-    };
+    }
 
-    tryStart = [&](int c) {
-        auto& rt = slots[static_cast<std::size_t>(c)];
-        auto& q = queues[static_cast<std::size_t>(c)];
-        if (rt.busy || q.empty())
+    void
+    tryStart(int c)
+    {
+        SlotRuntime& rt = slot(c);
+        if (rt.busy || empty(c))
             return;
-        const bool head = !greedy && c == 0;
-        if (head && session.exhausted())
+        const bool head = !greedy_ && c == 0;
+        if (head && session_.exhausted())
             return; // input stream exhausted
-        const WorkItem item = q.front();
-        q.pop_front();
+        const WorkItem item = pop(c);
         if (head)
-            session.inject(item.token, engine.now());
+            session_.inject(item.token, engine_.now());
         rt.busy = true;
         rt.curToken = item.token;
-        rt.curTask = session.taskOf(item.token);
+        rt.curTask = session_.taskOf(item.token);
         rt.attempt = {};
+        syncRunning(c);
         startAttempt(c, item.stage, item.since);
-    };
-
-    engine.onComplete([&](sim::TaskId, std::uint64_t tag) {
-        const int c = static_cast<int>(tag);
-        auto& rt = slots[static_cast<std::size_t>(c)];
-        ++rt.seq; // retire the attempt's watchdog
-        rt.busyAccum += engine.now() - rt.stageStart;
-        if (faulty && rt.willFail) {
-            rt.willFail = false;
-            handleFailure(c, TraceEventKind::Transient);
-            return;
-        }
-        if (cfg.recordTrace) {
-            rt.pending.endSeconds = engine.now();
-            session.recordEvent(rt.pending);
-        }
-        // Kernels run at stage completion, not dispatch: a failed or
-        // aborted attempt must commit no side effects, or a retry would
-        // re-apply an in-place stage mutation.
-        session.runStage(c, rt.curStage, rt.curToken, nullptr,
-                         recovery.puOf(c));
-        advance(c);
-    });
+    }
 
     // --- scheduled fault sources (throttle windows, dropouts) ----------
-    std::function<void()> armSlowdown = [&] {
-        const double next = injector.nextSlowdownBoundary(engine.now());
-        if (!std::isfinite(next))
-            return;
-        engine.scheduleAt(next, [&] {
-            for (int p = 0; p < num_pus; ++p)
-                clock_scale[static_cast<std::size_t>(p)]
-                    = injector.slowdownFactor(p, engine.now());
-            // The active set is untouched but the rate inputs changed:
-            // every memoized rate is stale, and the next event must
-            // re-read the current one.
-            memo.clear();
-            engine.invalidateRates();
-            armSlowdown();
-        });
-    };
-    if (faulty) {
-        for (int p = 0; p < num_pus; ++p)
-            clock_scale[static_cast<std::size_t>(p)]
-                = injector.slowdownFactor(p, 0.0);
+
+    void
+    armSlowdown()
+    {
+        const double next
+            = recovery_.injector().nextSlowdownBoundary(engine_.now());
+        if (std::isfinite(next))
+            engine_.scheduleAt(next, {kSlowdown, 0, 0});
+    }
+
+    void
+    slowdownBoundary()
+    {
+        for (int p = 0; p < numPus_; ++p)
+            clockScale_[static_cast<std::size_t>(p)]
+                = recovery_.injector().slowdownFactor(p, engine_.now());
+        // The active set is untouched but the rate inputs changed:
+        // every memoized rate is stale, and the next event must re-read
+        // the current one.
+        memo_.clear();
+        engine_.invalidateRates();
         armSlowdown();
+    }
 
-        for (const auto& d : injector.dropouts()) {
-            engine.scheduleAt(d.atSeconds, [&, d] {
-                // Re-dispatch attempts that were in flight on the dead
-                // PU (also cancels pending retries via the seq bump).
-                for (const int c : recovery.dropout(d.pu, engine.now())) {
-                    auto& rt = slots[static_cast<std::size_t>(c)];
-                    if (!rt.busy)
-                        continue;
-                    if (engine.cancelTask(rt.simId))
-                        rt.busyAccum += engine.now() - rt.stageStart;
-                    ++rt.seq;
-                    rt.willFail = false;
-                    rt.attempt = {};
-                    startAttempt(c, rt.curStage, engine.now());
-                }
-            });
+    /** Re-dispatch attempts that were in flight on the dead PU (also
+     *  cancels pending retries via the seq bump). */
+    void
+    dropout(int pu)
+    {
+        const std::vector<int> affected
+            = recovery_.dropout(pu, engine_.now());
+        for (const int c : affected)
+            syncRunning(c);
+        for (const int c : affected) {
+            SlotRuntime& rt = slot(c);
+            if (!rt.busy)
+                continue;
+            if (engine_.cancelTask(rt.simId))
+                rt.busyAccum += engine_.now() - rt.stageStart;
+            ++rt.seq;
+            rt.willFail = false;
+            rt.attempt = {};
+            startAttempt(c, rt.curStage, engine_.now());
         }
     }
 
-    // Prime the pipeline and run to completion. Fault plans may leave
-    // timers scheduled past the last completion (a dropout that never
-    // came, the tail of a throttle window), so the faulty path steps
-    // until the stream drains instead of draining the timer queue.
-    if (greedy)
-        dispatchReady();
-    else
-        tryStart(0);
-    if (faulty) {
-        while (!done && engine.step()) {
-        }
-    } else {
-        engine.run();
-    }
+    const platform::PerfModel& model_;
+    const core::Application& app_;
+    PipelineSession& session_;
+    const RunConfig& cfg_;
+    const GreedyDispatch* greedy_;
+    const NoiseTable& noise_;
+    const int numPus_;
+    const int numSlots_;
 
-    std::vector<double> busy;
-    busy.reserve(slots.size());
-    for (const SlotRuntime& rt : slots)
-        busy.push_back(rt.busyAccum);
+    RecoveryController recovery_;
+    const bool faulty_;
+    std::vector<double> clockScale_; ///< empty = no throttling anywhere
 
-    RunResult result = session.finish(engine.now(), busy,
-                                      /*affinity_applied=*/true);
-    result.energyJoules = joules;
-    result.recovery = recovery.stats();
-    return result;
-}
+    std::vector<SlotRuntime> slots_;
+    /** Queue q feeds slot q. Static: the previous chunk's output, the
+     *  last chunk recycling into queue 0. Greedy: the slot's FIFO of
+     *  earliest-finish assignments, fed from the ready set (queue
+     *  numSlots_). Each holds at most the pool's numBuffers tokens. */
+    std::vector<WorkItem> ring_;
+    std::vector<Fifo> fifos_;
+    std::vector<double> available_; ///< greedy: each slot's drain time
+    std::vector<int> freeTokens_;   ///< greedy: unused pool tokens
+    int completedTasks_ = 0;
+    bool done_ = false;
+
+    std::vector<platform::LoadCell> cells_; ///< by stage * numPus + PU
+    std::vector<platform::LoadCell> loads_; ///< a refresh's loads
+    std::vector<int> config_;               ///< a refresh's memo key
+    RateMemo memo_;
+
+    std::vector<int> runningOn_;   ///< running slots per PU class
+    std::uint64_t runningMask_ = 0; ///< PU classes with a running slot
+    std::vector<std::pair<std::uint64_t, double>> power_; ///< by mask
+    std::uint64_t poweredMask_ = 0;
+    double powerW_ = 0.0;
+    double joules_ = 0.0;
+
+    sim::Engine<DesRun> engine_;
+};
 
 } // namespace
 
@@ -670,7 +854,7 @@ VirtualTimeBackend::run(const core::Application& app,
                             cfg.runKernels);
     const auto noise = noiseTable(cfg.noiseSalt, /*greedy=*/false,
                                   cfg.numTasks, app.numStages());
-    return simulate(model_, app, session, nullptr, *noise);
+    return DesRun(model_, app, session, nullptr, *noise).execute();
 }
 
 RunResult
@@ -694,7 +878,7 @@ VirtualTimeBackend::run(const core::Application& app,
                             cfg.runKernels);
     const auto noise = noiseTable(cfg.noiseSalt, /*greedy=*/true,
                                   cfg.numTasks, app.numStages());
-    return simulate(model_, app, session, &greedy, *noise);
+    return DesRun(model_, app, session, &greedy, *noise).execute();
 }
 
 } // namespace bt::runtime

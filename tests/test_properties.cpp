@@ -178,40 +178,56 @@ class EngineRandomized : public ::testing::TestWithParam<int>
 TEST_P(EngineRandomized, WorkConservation)
 {
     // Total completed work must equal total injected work: integrate
-    // rates over intervals via the onAdvance hook and compare.
+    // rates over intervals via the advanced() hook and compare.
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 31);
     double injected = 0.0;
     double integrated = 0.0;
 
-    // The rate callback maintains the current total rate; onAdvance
-    // integrates it over every constant-rate interval. The sum of
+    // rates() maintains the current total rate; advanced() integrates
+    // it over every constant-rate interval. The sum of
     // integrated rate must equal the work injected.
-    double current_rate_sum = 0.0;
-    sim::Engine engine(
-        [&](std::span<const sim::ActiveTask> active,
-            std::span<double> rates) {
+    int started = 0;
+    struct Client
+    {
+        Rng& rng;
+        double& injected;
+        double& integrated;
+        int& started;
+        double currentRateSum = 0.0;
+        sim::Engine<Client>* engine = nullptr;
+
+        void
+        rates(std::span<const sim::ActiveTask> active,
+              std::span<double> rates_out)
+        {
             double sum = 0.0;
             for (std::size_t i = 0; i < active.size(); ++i) {
-                rates[i] = 0.5
+                rates_out[i] = 0.5
                     + static_cast<double>((active[i].tag * 7) % 5);
-                sum += rates[i];
+                sum += rates_out[i];
             }
-            current_rate_sum = sum;
-        });
-    engine.onAdvance([&](double t0, double t1) {
-        integrated += current_rate_sum * (t1 - t0);
-    });
-
-    int started = 0;
-    engine.onComplete([&](sim::TaskId, std::uint64_t tag) {
-        if (started < 40 && tag % 3 == 0) {
-            const double work = rng.nextRange(0.1, 2.0);
-            injected += work;
-            engine.startTask(static_cast<std::uint64_t>(100 + started),
-                             work);
-            ++started;
+            currentRateSum = sum;
         }
-    });
+        void
+        advanced(double t0, double t1)
+        {
+            integrated += currentRateSum * (t1 - t0);
+        }
+        void
+        completed(sim::TaskId, std::uint64_t tag)
+        {
+            if (started < 40 && tag % 3 == 0) {
+                const double work = rng.nextRange(0.1, 2.0);
+                injected += work;
+                engine->startTask(
+                    static_cast<std::uint64_t>(100 + started), work);
+                ++started;
+            }
+        }
+        void fired(const sim::Timer&) {}
+    } client{rng, injected, integrated, started};
+    sim::Engine<Client> engine(client);
+    client.engine = &engine;
     for (int i = 0; i < 10; ++i) {
         const double work = rng.nextRange(0.1, 2.0);
         injected += work;

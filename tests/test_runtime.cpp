@@ -18,7 +18,9 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/alexnet.hpp"
 #include "apps/features.hpp"
@@ -32,6 +34,7 @@
 #include "runtime/host_backend.hpp"
 #include "runtime/run_types.hpp"
 #include "runtime/trace.hpp"
+#include "runtime/virtual_backend.hpp"
 
 namespace bt::core {
 namespace {
@@ -291,8 +294,62 @@ TEST(VirtualBackendTrace, AgreesWithRunResult)
     runtime::RunConfig quiet = cfg;
     quiet.recordTrace = false;
     const auto bare = SimExecutor(model, quiet).execute(app, schedule);
-    EXPECT_DOUBLE_EQ(bare.makespanSeconds, run.makespanSeconds);
+    EXPECT_EQ(bare.makespanSeconds, run.makespanSeconds);
     EXPECT_TRUE(bare.trace.empty());
+
+    // Bit for bit, on every result a run reports: static runs on the
+    // four paper devices, greedy dispatch, and a run that retries,
+    // times out and loses a PU (the retry_dropout fault config of
+    // VirtualRuntime.StaticResultsArePinned).
+    runtime::RunConfig retry;
+    retry.faults.stragglers.push_back({-1, 0.05, 100.0});
+    retry.faults.transients.push_back({-1, -1, 0.05});
+    retry.faults.dropouts.push_back({2, 0.03});
+    retry.faults.faultSeed = 11;
+    retry.recovery.timeoutFactor = 8.0;
+    const auto octree = apps::octreeApp();
+    const auto spread = [&](int num_pus) {
+        std::vector<int> assignment;
+        for (int s = 0; s < octree.numStages(); ++s)
+            assignment.push_back(s * num_pus / octree.numStages());
+        return Schedule::fromAssignment(assignment);
+    };
+    struct Case
+    {
+        std::string name;
+        platform::SocDescription soc;
+        bool greedy;
+        runtime::RunConfig cfg;
+    };
+    std::vector<Case> cases;
+    for (const auto& device : platform::paperDevices())
+        cases.push_back({device.name, device, false, {}});
+    cases.push_back({"greedy", platform::pixel7a(), true, {}});
+    cases.push_back({"retry_dropout", platform::pixel7a(), false, retry});
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const platform::PerfModel device_model(c.soc);
+        const runtime::VirtualTimeBackend backend(device_model);
+        const auto profile = Profiler(device_model).profile(octree);
+        const auto run_with = [&](bool record) {
+            runtime::RunConfig run_cfg = c.cfg;
+            run_cfg.recordTrace = record;
+            return c.greedy
+                ? backend.run(octree,
+                              runtime::GreedyDispatch{&profile.interference},
+                              run_cfg)
+                : backend.run(octree, spread(c.soc.numPus()), run_cfg);
+        };
+        const auto traced = run_with(true);
+        const auto untraced = run_with(false);
+        EXPECT_FALSE(traced.trace.empty());
+        EXPECT_TRUE(untraced.trace.empty());
+        EXPECT_EQ(untraced.makespanSeconds, traced.makespanSeconds);
+        EXPECT_EQ(untraced.taskIntervalSeconds, traced.taskIntervalSeconds);
+        EXPECT_EQ(untraced.meanLatencySeconds, traced.meanLatencySeconds);
+        EXPECT_EQ(untraced.energyJoules, traced.energyJoules);
+        EXPECT_EQ(untraced.chunkBusyFraction, traced.chunkBusyFraction);
+    }
 }
 
 TEST(GreedyRuntimeTrace, AgreesWithRunResult)
