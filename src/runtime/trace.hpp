@@ -203,15 +203,15 @@ class TraceTimeline
      * completion moves only the few events that started after this one.
      */
     void
-    record(TraceEvent event)
+    record(const TraceEvent& event)
     {
-        if (event.session < 0)
-            event.session = sessionId_;
         auto at = events_.end();
         while (at != events_.begin()
                && std::prev(at)->startSeconds > event.startSeconds)
             --at;
-        events_.insert(at, event);
+        TraceEvent& added = *events_.insert(at, event);
+        if (added.session < 0)
+            added.session = sessionId_;
     }
 
     /** Order events by start time, stably (after merges). */

@@ -137,7 +137,7 @@ TEST(Engine, ProcessorSharingSlowsTasks)
     // Rate = 1 / number of active tasks: two tasks of one unit each
     // should take 2 s total (1 s shared, then... both finish at 2 s).
     Rig e([](std::span<const ActiveTask> active,
-                std::span<double> rates) {
+             std::span<double> rates) {
         for (std::size_t i = 0; i < active.size(); ++i)
             rates[i] = 1.0 / static_cast<double>(active.size());
     });
@@ -157,7 +157,7 @@ TEST(Engine, RateChangeIntegratesPiecewise)
     // Task A (1 unit) and task B started at t=0; when B finishes, A
     // speeds up. B: 0.5 units at rate 1 with sharing rate 0.5 each.
     Rig e([](std::span<const ActiveTask> active,
-                std::span<double> rates) {
+             std::span<double> rates) {
         const double r = active.size() == 2 ? 0.5 : 1.0;
         for (std::size_t i = 0; i < active.size(); ++i)
             rates[i] = r;
@@ -229,7 +229,7 @@ TEST(Engine, ManyTasksDeterministic)
 {
     auto run_once = [] {
         Rig e([](std::span<const ActiveTask> active,
-                    std::span<double> rates) {
+                 std::span<double> rates) {
             for (std::size_t i = 0; i < active.size(); ++i)
                 rates[i] = 1.0
                     / (1.0 + 0.1 * static_cast<double>(active.size()));
@@ -268,7 +268,7 @@ TEST(Engine, CancellationStressDrainsCleanly)
     // task must end exactly once (completion or cancellation), no
     // cancelled task may complete, and the engine must drain.
     Rig e([](std::span<const ActiveTask> active,
-                std::span<double> rates) {
+             std::span<double> rates) {
         for (std::size_t i = 0; i < active.size(); ++i)
             rates[i] = 1.0
                 / (1.0 + 0.25 * static_cast<double>(active.size()));
@@ -369,7 +369,7 @@ TEST(Engine, InvalidateRatesAppliesExternalSpeedChange)
     // touching the active set.
     double scale = 1.0;
     Rig e([&scale](std::span<const ActiveTask> active,
-                      std::span<double> rates) {
+                   std::span<double> rates) {
         for (std::size_t i = 0; i < active.size(); ++i)
             rates[i] = scale;
     });
