@@ -60,7 +60,8 @@ struct SlotRuntime
     double busyAccum = 0.0;
     int countedPu = -1;       ///< PU class counted as running, or -1
     int cell = -1;            ///< stage * numPus + PU of the engine task
-    TraceEvent pending;     ///< stage execution being recorded (traced runs)
+    double launched = 0.0;    ///< when the engine task started
+    std::uint64_t coRunners = 0; ///< traced runs: others running then
 
     /** Running a stage (not waiting out a dispatch overhead). */
     bool running() const { return busy && !dispatching; }
@@ -370,10 +371,17 @@ class DesRun
             handleFailure(c, TraceEventKind::Transient);
             return;
         }
-        if (cfg_.recordTrace) {
-            rt.pending.endSeconds = engine_.now();
-            session_.recordEvent(rt.pending);
-        }
+        if (cfg_.recordTrace)
+            session_.recordEvent(TraceEvent{rt.curTask,
+                                            rt.curStage,
+                                            c,
+                                            recovery_.puOf(c),
+                                            rt.launched - rt.since,
+                                            rt.launched,
+                                            engine_.now(),
+                                            rt.coRunners,
+                                            TraceEventKind::Stage,
+                                            {}});
         // Kernels run at stage completion, not dispatch: a failed or
         // aborted attempt must commit no side effects, or a retry
         // would re-apply an in-place stage mutation.
@@ -528,18 +536,9 @@ class DesRun
             arm(kStranded, c, now);
             return;
         }
-        if (cfg_.recordTrace) {
-            rt.pending = TraceEvent{rt.curTask,
-                                    rt.curStage,
-                                    c,
-                                    recovery_.puOf(c),
-                                    now - rt.since,
-                                    now,
-                                    0.0,
-                                    othersRunning(c),
-                                    TraceEventKind::Stage,
-                                    {}};
-        }
+        rt.launched = now;
+        if (cfg_.recordTrace)
+            rt.coRunners = othersRunning(c);
         double work = noise_.at(rt.curTask, rt.curStage);
         if (faulty_) {
             rt.willFail = recovery_.transient(c, rt.curTask, rt.curStage,
