@@ -126,8 +126,8 @@ class PipelineSession
 
     /**
      * Add a stage execution or incident to the timeline, which stays in
-     * start order (TraceTimeline::record) inside the numTasks x
-     * numStages events reserved for it. Not synchronized.
+     * start order (TraceTimeline::record) and is reserved for numTasks
+     * x numStages events up front. Not synchronized.
      */
     void
     recordEvent(const TraceEvent& event)
