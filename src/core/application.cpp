@@ -57,6 +57,10 @@ Application::Application(std::string name, std::string input_kind,
 void
 Application::addStage(Stage stage)
 {
+    auto names = stageNames_ ? *stageNames_ : std::vector<std::string>{};
+    names.push_back(stage.name());
+    stageNames_
+        = std::make_shared<const std::vector<std::string>>(std::move(names));
     stages_.push_back(std::move(stage));
 }
 

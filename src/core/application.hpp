@@ -151,6 +151,14 @@ class Application
     const Stage& stage(int i) const;
     const std::vector<Stage>& stages() const { return stages_; }
 
+    /** The stage names in order: one immutable table, shared by the
+     *  application's copies and the traces of its runs. */
+    const std::shared_ptr<const std::vector<std::string>>&
+    stageNames() const
+    {
+        return stageNames_;
+    }
+
     void setTaskFactory(TaskFactory f) { factory_ = std::move(f); }
     void setTaskRefresher(TaskRefresher f) { refresher_ = std::move(f); }
     void setValidator(TaskValidator f) { validator_ = std::move(f); }
@@ -179,6 +187,7 @@ class Application
     std::string inputKind_;
     std::string traits_;
     std::vector<Stage> stages_;
+    std::shared_ptr<const std::vector<std::string>> stageNames_;
     std::vector<BufferDecl> buffers_;
     TaskFactory factory_;
     TaskRefresher refresher_;

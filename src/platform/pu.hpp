@@ -58,6 +58,8 @@ struct WorkProfile
 
     /** Merge two profiles executed back to back (chunk fusion). */
     WorkProfile fusedWith(const WorkProfile& next) const;
+
+    bool operator==(const WorkProfile&) const = default;
 };
 
 /**

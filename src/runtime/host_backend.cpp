@@ -54,8 +54,10 @@ HostTimeBackend::run(const core::Application& app,
 {
     cfg.requireInRange(app.numStages(), soc_.numPus());
 
-    PipelineSession session(app, schedule, soc_, cfg, "host",
-                            /*functional=*/true);
+    PipelineSession session(
+        app, schedule, soc_, cfg, "host",
+        std::make_shared<const std::vector<std::string>>(puNames(soc_)),
+        /*functional=*/true, /*concurrent=*/true);
     const int num_chunks = session.numChunks();
     const int num_buffers = session.numBuffers();
     const std::size_t qcap = static_cast<std::size_t>(
@@ -97,7 +99,7 @@ HostTimeBackend::run(const core::Application& app,
     RecoveryController recovery(model, app, session);
     const FaultInjector& injector = recovery.injector();
     const bool faulty = recovery.enabled();
-    std::mutex fault_mutex; ///< serializes recovery and the timeline
+    std::mutex fault_mutex;
 
     const auto t0 = Clock::now();
 
@@ -202,17 +204,14 @@ HostTimeBackend::run(const core::Application& app,
                                 end = secondsSince(t0);
                             }
                         }
-                        if (cfg.recordTrace) {
-                            std::lock_guard<std::mutex> lock(fault_mutex);
-                            session.recordEvent(TraceEvent{
-                                task, s, c, cur_pu,
-                                s == ch.firstStage && attempt.number == 0
-                                        && !attempt.remapped
-                                    ? queue_wait
-                                    : 0.0,
-                                start, end, co, TraceEventKind::Stage,
-                                {}});
-                        }
+                        session.recordEvent(TraceEvent{
+                            task, s, c, cur_pu,
+                            s == ch.firstStage && attempt.number == 0
+                                    && !attempt.remapped
+                                ? queue_wait
+                                : 0.0,
+                            start, end, co, TraceEventKind::Stage,
+                            {}});
                         break;
                     }
 

@@ -16,16 +16,6 @@ puNames(const platform::SocDescription& soc)
     return names;
 }
 
-std::vector<std::string>
-stageNames(const core::Application& app)
-{
-    std::vector<std::string> names;
-    names.reserve(static_cast<std::size_t>(app.numStages()));
-    for (const auto& s : app.stages())
-        names.push_back(s.name());
-    return names;
-}
-
 namespace {
 
 std::vector<ChunkSpec>
@@ -79,10 +69,12 @@ PipelineSession::PipelineSession(const core::Application& app,
                                  const platform::SocDescription& soc,
                                  const RunConfig& cfg,
                                  std::string backend_name,
-                                 bool functional)
+                                 TraceTimeline::NameTable pu_names,
+                                 bool functional, bool concurrent)
     : PipelineSession(app,
                       chunkSpecs(schedule, app.numStages(), soc.numPus()),
-                      soc, cfg, std::move(backend_name), functional)
+                      soc, cfg, std::move(backend_name),
+                      std::move(pu_names), functional, concurrent)
 {
 }
 
@@ -91,8 +83,10 @@ PipelineSession::PipelineSession(const core::Application& app,
                                  const platform::SocDescription& soc,
                                  const RunConfig& cfg,
                                  std::string backend_name,
-                                 bool functional)
+                                 TraceTimeline::NameTable pu_names,
+                                 bool functional, bool concurrent)
     : app_(app), soc_(soc), cfg_(cfg), functional_(functional),
+      concurrent_(concurrent),
       chunks_(std::move(slots)),
       numBuffers_(cfg_.resolveBuffers(numChunks()))
 {
@@ -107,7 +101,7 @@ PipelineSession::PipelineSession(const core::Application& app,
 
     if (cfg_.recordTrace) {
         trace_ = TraceTimeline(std::move(backend_name), soc.numPus(),
-                               puNames(soc), stageNames(app));
+                               std::move(pu_names), app.stageNames());
         trace_.setSessionId(cfg_.sessionId);
         trace_.reserve(static_cast<std::size_t>(cfg_.numTasks)
                        * static_cast<std::size_t>(app.numStages()));

@@ -17,9 +17,9 @@
  * Threading contract: inject() is called only by the head dispatcher,
  * complete() only by the recycler, once per task, before the token
  * returns to the head; runStage() by the owning chunk's dispatcher;
- * recordEvent() callers serialize access themselves (the virtual
- * backend plays every role on one thread and takes no lock; the host
- * backend records under its fault mutex).
+ * recordEvent() from any thread of a concurrent session, where it takes
+ * the timeline's lock (the virtual backend plays every role on one
+ * thread, and its session records without one).
  */
 
 #ifndef BT_RUNTIME_PIPELINE_SESSION_HPP
@@ -54,15 +54,18 @@ class PipelineSession
   public:
     /**
      * One slot per chunk of @p schedule.
+     * @param pu_names the PU names a traced run's timeline shares
      * @param functional whether TaskObjects exist and stage kernels
      *        actually run (host backend: always; virtual backend: the
      *        runKernels knob).
+     * @param concurrent whether several threads record events
      */
     PipelineSession(const core::Application& app,
                     const core::Schedule& schedule,
                     const platform::SocDescription& soc,
                     const RunConfig& cfg, std::string backend_name,
-                    bool functional);
+                    TraceTimeline::NameTable pu_names, bool functional,
+                    bool concurrent);
 
     /** Explicit dispatcher @p slots; the pool holds
      *  RunConfig::resolveBuffers(slots.size()) tokens. */
@@ -70,7 +73,8 @@ class PipelineSession
                     std::vector<ChunkSpec> slots,
                     const platform::SocDescription& soc,
                     const RunConfig& cfg, std::string backend_name,
-                    bool functional);
+                    TraceTimeline::NameTable pu_names, bool functional,
+                    bool concurrent);
 
     int numChunks() const { return static_cast<int>(chunks_.size()); }
     int numBuffers() const { return numBuffers_; }
@@ -127,13 +131,19 @@ class PipelineSession
     /**
      * Add a stage execution or incident to the timeline, which stays in
      * start order (TraceTimeline::record) and is reserved for numTasks
-     * x numStages events up front. Not synchronized.
+     * x numStages events up front. Locked only in a concurrent session.
      */
     void
     recordEvent(const TraceEvent& event)
     {
-        if (cfg_.recordTrace)
+        if (!cfg_.recordTrace)
+            return;
+        if (!concurrent_) {
             trace_.record(event);
+            return;
+        }
+        std::lock_guard<std::mutex> lock(traceMutex_);
+        trace_.record(event);
     }
 
     /**
@@ -151,6 +161,7 @@ class PipelineSession
     const platform::SocDescription& soc_;
     RunConfig cfg_;
     bool functional_;
+    bool concurrent_;
 
     std::vector<ChunkSpec> chunks_;
     int numBuffers_;
@@ -166,11 +177,11 @@ class PipelineSession
     std::mutex errorMutex_;
 
     TraceTimeline trace_;
+    std::mutex traceMutex_; ///< concurrent sessions only
 };
 
-/** PU and stage name lists for timeline construction. */
+/** The PU labels of @p soc, in class order. */
 std::vector<std::string> puNames(const platform::SocDescription& soc);
-std::vector<std::string> stageNames(const core::Application& app);
 
 } // namespace bt::runtime
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -156,10 +157,13 @@ class TraceTimeline
     /** Largest PU count a timeline supports (coRunners is a mask). */
     static constexpr int kMaxPus = 64;
 
+    /** Immutable PU or stage names, shared by every timeline that
+     *  names its events from them (a run copies the pointer only). */
+    using NameTable = std::shared_ptr<const std::vector<std::string>>;
+
     /** @p num_pus must be in [1, kMaxPus]. */
-    TraceTimeline(std::string backend, int num_pus,
-                  std::vector<std::string> pu_names,
-                  std::vector<std::string> stage_names);
+    TraceTimeline(std::string backend, int num_pus, NameTable pu_names,
+                  NameTable stage_names);
 
     /** Backend that produced the timeline ("virtual" or "host"). */
     const std::string& backend() const { return backend_; }
@@ -184,7 +188,8 @@ class TraceTimeline
      * the right names even when one session's requests span several
      * applications. Both timelines must describe the same SoC (same PU
      * count); an empty default-constructed target adopts other's PU
-     * geometry. Call sortByStart() after the last merge.
+     * geometry. Merged events follow this timeline's own in merge
+     * order; record() keeps each run's in start order.
      */
     void merge(const TraceTimeline& other, double time_offset = 0.0);
 
@@ -214,9 +219,6 @@ class TraceTimeline
             added.session = sessionId_;
     }
 
-    /** Order events by start time, stably (after merges). */
-    void sortByStart();
-
     /** Derive occupancy / bubble / interference statistics. */
     TraceStats stats() const;
 
@@ -237,11 +239,11 @@ class TraceTimeline
     std::string backend_ = "none";
     int numPus_ = 0;
     int sessionId_ = -1;
-    std::vector<std::string> puNames_;
-    std::vector<std::string> stageNames_;
+    NameTable puNames_;
+    NameTable stageNames_;
 
     /** Stage-name tables of merged runs, indexed by event.nameTable. */
-    std::vector<std::vector<std::string>> mergedStageNames_;
+    std::vector<NameTable> mergedStageNames_;
 
     std::vector<TraceEvent> events_;
 };

@@ -37,6 +37,131 @@ struct NoiseTable
     }
 };
 
+/**
+ * The rates of every co-runner configuration the runs of one memo have
+ * met. A configuration is the active set's (stage, PU) cells in the
+ * engine's active order - the order PerfModel::timesOf sums DRAM demand
+ * in, so an unordered key could replay rates whose bits differ from a
+ * fresh fold. While the clock scales hold, rates are a pure function of
+ * the configuration, and runs meet only a few of them: each is folded
+ * once and replayed after. An open-addressing table over flat arrays
+ * that grow with what the runs meet, up to kMaxEntries configurations;
+ * past that, new ones are folded every time.
+ */
+class RateMemo
+{
+  public:
+    /** Copy the rates memoized for @p config into @p rates; false
+     *  when the memo has not met @p config since the last clear. */
+    bool
+    find(std::span<const int> config, std::span<double> rates) const
+    {
+        for (std::size_t i = hashOf(config) & mask();; i = (i + 1) & mask()) {
+            const int e = slots_[i];
+            if (e < 0)
+                return false;
+            const auto& [at, size] = entries_[static_cast<std::size_t>(e)];
+            const auto from = static_cast<std::ptrdiff_t>(at);
+            if (size == config.size()
+                && std::equal(config.begin(), config.end(),
+                              cells_.begin() + from)) {
+                std::copy_n(rates_.begin() + from, size, rates.begin());
+                return true;
+            }
+        }
+    }
+
+    void
+    insert(std::span<const int> config, std::span<const double> rates)
+    {
+        if (entries_.size() == kMaxEntries)
+            return;
+        if (2 * (entries_.size() + 1) > slots_.size())
+            grow();
+        place(hashOf(config), static_cast<int>(entries_.size()));
+        entries_.emplace_back(cells_.size(), config.size());
+        cells_.insert(cells_.end(), config.begin(), config.end());
+        rates_.insert(rates_.end(), rates.begin(), rates.end());
+    }
+
+    void
+    clear()
+    {
+        std::fill(slots_.begin(), slots_.end(), -1);
+        entries_.clear();
+        cells_.clear();
+        rates_.clear();
+    }
+
+  private:
+    /** Greedy dispatch of Pixel octree meets about 120 configurations
+     *  in a 300-task run, a static schedule 27. */
+    static constexpr std::size_t kMaxEntries = 4096;
+
+    static std::size_t
+    hashOf(std::span<const int> config)
+    {
+        std::uint64_t h = config.size();
+        for (const int cell : config)
+            h = (h ^ static_cast<std::uint64_t>(cell))
+                * 0x9e3779b97f4a7c15ULL;
+        return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+
+    std::size_t mask() const { return slots_.size() - 1; }
+
+    void
+    place(std::size_t h, int entry)
+    {
+        std::size_t i = h & mask();
+        while (slots_[i] >= 0)
+            i = (i + 1) & mask();
+        slots_[i] = entry;
+    }
+
+    void
+    grow()
+    {
+        slots_.assign(2 * slots_.size(), -1);
+        for (std::size_t e = 0; e < entries_.size(); ++e) {
+            const auto& [at, size] = entries_[e];
+            place(hashOf({cells_.data() + at, size}), static_cast<int>(e));
+        }
+    }
+
+    /** Open addressing, a power of two long: entry index or -1. */
+    std::vector<int> slots_ = std::vector<int>(64, -1);
+    /** (offset, length) of each configuration in cells_ and rates_. */
+    std::vector<std::pair<std::size_t, std::size_t>> entries_;
+    std::vector<int> cells_;    ///< stage * numPus + PU, per task
+    std::vector<double> rates_; ///< 1 / timesOf, per task
+};
+
+/**
+ * What the runs of one application leave for the next: the rates of
+ * every co-runner configuration they met and the power of every
+ * running-PU set. Besides the model, rates read only the stages' work
+ * profiles, the ambient load and a fault plan's clock scales, so a memo
+ * is keyed by value on the first two and serves fault-free runs only.
+ */
+struct RunMemo
+{
+    std::vector<platform::WorkProfile> works;
+    double ambientGbps = 0.0;
+    RateMemo rates;
+    std::vector<std::pair<std::uint64_t, double>> power; ///< by mask
+
+    bool
+    serves(const core::Application& app, double ambient_gbps) const
+    {
+        return ambient_gbps == ambientGbps
+            && std::equal(works.begin(), works.end(), app.stages().begin(),
+                          app.stages().end(),
+                          [](const platform::WorkProfile& w,
+                             const core::Stage& s) { return w == s.work(); });
+    }
+};
+
 namespace {
 
 /** A token waiting for a slot to run its @p stage. */
@@ -71,114 +196,6 @@ struct SlotRuntime
     bool willFail = false;    ///< this attempt was drawn as a transient
     std::uint64_t seq = 0;    ///< invalidates stale timers
     sim::TaskId simId = -1;   ///< engine task of the in-flight attempt
-};
-
-/**
- * The rates of every co-runner configuration a run has met. A
- * configuration is the active set's (stage, PU) cells in the engine's
- * active order - the order PerfModel::timesOf sums DRAM demand in, so
- * an unordered key could replay rates whose bits differ from a fresh
- * fold. While the clock scales hold (the ambient load is fixed for a
- * run), rates are a pure function of the configuration, and a run
- * meets only a few of them: each is folded once and replayed after.
- * Lives for one run; a slowdown boundary clears it. An open-addressing
- * table over flat arrays sized for kEntries configurations up front:
- * a lookup allocates nothing and costs the same however many
- * configurations greedy dispatch meets.
- */
-class RateMemo
-{
-  public:
-    /** Room for kEntries configurations of up to @p width tasks. */
-    explicit RateMemo(std::size_t width)
-    {
-        entries_.reserve(kEntries);
-        cells_.reserve(kEntries * width);
-        rates_.reserve(kEntries * width);
-    }
-
-    /** Copy the rates memoized for @p config into @p rates; false
-     *  when the run has not met @p config since the last clear. */
-    bool
-    find(std::span<const int> config, std::span<double> rates) const
-    {
-        for (std::size_t i = hashOf(config) & mask();; i = (i + 1) & mask()) {
-            const int e = slots_[i];
-            if (e < 0)
-                return false;
-            const auto& [at, size] = entries_[static_cast<std::size_t>(e)];
-            const auto from = static_cast<std::ptrdiff_t>(at);
-            if (size == config.size()
-                && std::equal(config.begin(), config.end(),
-                              cells_.begin() + from)) {
-                std::copy_n(rates_.begin() + from, size, rates.begin());
-                return true;
-            }
-        }
-    }
-
-    void
-    insert(std::span<const int> config, std::span<const double> rates)
-    {
-        if (2 * (entries_.size() + 1) > slots_.size())
-            grow();
-        place(hashOf(config), static_cast<int>(entries_.size()));
-        entries_.emplace_back(cells_.size(), config.size());
-        cells_.insert(cells_.end(), config.begin(), config.end());
-        rates_.insert(rates_.end(), rates.begin(), rates.end());
-    }
-
-    void
-    clear()
-    {
-        std::fill(slots_.begin(), slots_.end(), -1);
-        entries_.clear();
-        cells_.clear();
-        rates_.clear();
-    }
-
-  private:
-    /** Greedy dispatch of a paper app meets about 120 configurations
-     *  in a 300-task run; more only grow the table. */
-    static constexpr std::size_t kEntries = 256;
-
-    static std::size_t
-    hashOf(std::span<const int> config)
-    {
-        std::uint64_t h = config.size();
-        for (const int cell : config)
-            h = (h ^ static_cast<std::uint64_t>(cell))
-                * 0x9e3779b97f4a7c15ULL;
-        return static_cast<std::size_t>(h ^ (h >> 32));
-    }
-
-    std::size_t mask() const { return slots_.size() - 1; }
-
-    void
-    place(std::size_t h, int entry)
-    {
-        std::size_t i = h & mask();
-        while (slots_[i] >= 0)
-            i = (i + 1) & mask();
-        slots_[i] = entry;
-    }
-
-    void
-    grow()
-    {
-        slots_.assign(2 * slots_.size(), -1);
-        for (std::size_t e = 0; e < entries_.size(); ++e) {
-            const auto& [at, size] = entries_[e];
-            place(hashOf({cells_.data() + at, size}), static_cast<int>(e));
-        }
-    }
-
-    /** Open addressing, a power of two long: entry index or -1. */
-    std::vector<int> slots_ = std::vector<int>(2 * kEntries, -1);
-    /** (offset, length) of each configuration in cells_ and rates_. */
-    std::vector<std::pair<std::size_t, std::size_t>> entries_;
-    std::vector<int> cells_;    ///< stage * numPus + PU, per task
-    std::vector<double> rates_; ///< 1 / timesOf, per task
 };
 
 /** The greedy policy's noise stream tag (the static policy's is 0). */
@@ -228,9 +245,10 @@ class DesRun
   public:
     DesRun(const platform::PerfModel& model, const core::Application& app,
            PipelineSession& session, const GreedyDispatch* greedy,
-           const NoiseTable& noise)
+           const NoiseTable& noise, RunMemo& memo)
         : model_(model), app_(app), session_(session),
           cfg_(session.config()), greedy_(greedy), noise_(noise),
+          memo_(memo),
           numPus_(model.soc().numPus()), numSlots_(session.numChunks()),
           recovery_(model, app, session),
           faulty_(recovery_.enabled()),
@@ -239,10 +257,7 @@ class DesRun
           ring_(static_cast<std::size_t>((numSlots_ + 1)
                                          * session.numBuffers())),
           fifos_(static_cast<std::size_t>(numSlots_ + 1)),
-          cells_(static_cast<std::size_t>(app.numStages() * numPus_)),
-          loads_(static_cast<std::size_t>(numSlots_)),
           config_(static_cast<std::size_t>(numSlots_)),
-          memo_(static_cast<std::size_t>(numSlots_)),
           runningOn_(static_cast<std::size_t>(numPus_), 0),
           engine_(*this)
     {
@@ -254,7 +269,6 @@ class DesRun
         }
         if (greedy_)
             available_.assign(static_cast<std::size_t>(numSlots_), 0.0);
-        power_.reserve(kReservePowerSets);
         powerW_ = powerOf(0);
     }
 
@@ -310,9 +324,10 @@ class DesRun
 
     // --- sim::Engine client -------------------------------------------
 
-    /** Rates read each (stage, PU)'s co-runner-independent cell, built
-     *  on its first use, and are memoized per configuration. The tag
-     *  is the slot index; a slot runs at most one stage at a time. */
+    /** Rates are memoized per configuration; a fold reads each
+     *  (stage, PU)'s co-runner-independent cell, built on its first
+     *  use. The tag is the slot index; a slot runs at most one stage at
+     *  a time. */
     void
     rates(std::span<const sim::ActiveTask> active,
           std::span<double> rates_out)
@@ -327,8 +342,13 @@ class DesRun
                       "active task on idle slot");
             config[i] = rt.cell;
         }
-        if (memo_.find(config, rates_out))
+        if (memo_.rates.find(config, rates_out))
             return;
+        if (cells_.empty()) { // the run's first fold
+            cells_.resize(static_cast<std::size_t>(app_.numStages()
+                                                   * numPus_));
+            loads_.resize(config_.size());
+        }
         const std::span<platform::LoadCell> loads(loads_.data(),
                                                   active.size());
         for (std::size_t i = 0; i < active.size(); ++i) {
@@ -344,7 +364,7 @@ class DesRun
                        rates_out);
         for (double& r : rates_out)
             r = 1.0 / r;
-        memo_.insert(config, rates_out);
+        memo_.rates.insert(config, rates_out);
     }
 
     /** Between events the set of running PU classes is constant, so
@@ -433,9 +453,6 @@ class DesRun
     }
 
   private:
-    /// Distinct running-PU sets a run meets (at most 2^numPus).
-    static constexpr std::size_t kReservePowerSets = 16;
-
     /** Queue @p q's window into ring_: numBuffers long. */
     struct Fifo
     {
@@ -501,14 +518,15 @@ class DesRun
     }
 
     /** Power is a pure function of the running set: computed once per
-     *  set a run meets. */
+     *  set the memo's runs meet. */
     double
     powerOf(std::uint64_t mask)
     {
-        for (const auto& [m, watts] : power_)
+        for (const auto& [m, watts] : memo_.power)
             if (m == mask)
                 return watts;
-        return power_.emplace_back(mask, model_.systemPowerW(mask)).second;
+        return memo_.power.emplace_back(mask, model_.systemPowerW(mask))
+            .second;
     }
 
     /** Arm a slot timer of @p kind at @p at, retiring the slot's
@@ -727,7 +745,7 @@ class DesRun
         // The active set is untouched but the rate inputs changed:
         // every memoized rate is stale, and the next event must re-read
         // the current one.
-        memo_.clear();
+        memo_.rates.clear();
         engine_.invalidateRates();
         armSlowdown();
     }
@@ -760,6 +778,7 @@ class DesRun
     const RunConfig& cfg_;
     const GreedyDispatch* greedy_;
     const NoiseTable& noise_;
+    RunMemo& memo_;
     const int numPus_;
     const int numSlots_;
 
@@ -780,13 +799,11 @@ class DesRun
     bool done_ = false;
 
     std::vector<platform::LoadCell> cells_; ///< by stage * numPus + PU
-    std::vector<platform::LoadCell> loads_; ///< a refresh's loads
+    std::vector<platform::LoadCell> loads_; ///< a fold's loads
     std::vector<int> config_;               ///< a refresh's memo key
-    RateMemo memo_;
 
     std::vector<int> runningOn_;   ///< running slots per PU class
     std::uint64_t runningMask_ = 0; ///< PU classes with a running slot
-    std::vector<std::pair<std::uint64_t, double>> power_; ///< by mask
     std::uint64_t poweredMask_ = 0;
     double powerW_ = 0.0;
     double joules_ = 0.0;
@@ -797,14 +814,18 @@ class DesRun
 } // namespace
 
 VirtualTimeBackend::VirtualTimeBackend(const platform::PerfModel& model)
-    : model_(model)
+    : model_(model),
+      puNames_(std::make_shared<const std::vector<std::string>>(
+          puNames(model.soc())))
 {
 }
 
 VirtualTimeBackend::VirtualTimeBackend(const VirtualTimeBackend& other)
-    : model_(other.model_)
+    : model_(other.model_), puNames_(other.puNames_)
 {
 }
+
+VirtualTimeBackend::~VirtualTimeBackend() = default;
 
 std::shared_ptr<const NoiseTable>
 VirtualTimeBackend::noiseTable(std::uint64_t salt, bool greedy,
@@ -816,7 +837,7 @@ VirtualTimeBackend::noiseTable(std::uint64_t salt, bool greedy,
     std::shared_ptr<const NoiseTable>& slot = tables_[greedy ? 1 : 0];
     std::shared_ptr<const NoiseTable> last;
     {
-        const std::lock_guard lock(noiseMutex_);
+        const std::lock_guard lock(cacheMutex_);
         last = slot;
     }
     if (last && last->stream == stream && last->sigma == soc.noiseSigma) {
@@ -838,9 +859,50 @@ VirtualTimeBackend::noiseTable(std::uint64_t salt, bool greedy,
     for (std::int64_t t = 0; t < tasks; ++t)
         for (int s = 0; s < stages; ++s)
             table->factors.push_back(noiseFactor(soc, salt, domain, t, s));
-    const std::lock_guard lock(noiseMutex_);
+    const std::lock_guard lock(cacheMutex_);
     slot = table;
     return table;
+}
+
+RunResult
+VirtualTimeBackend::simulate(const core::Application& app,
+                             PipelineSession& session,
+                             const GreedyDispatch* greedy) const
+{
+    const RunConfig& cfg = session.config();
+    const auto noise = noiseTable(cfg.noiseSalt, greedy != nullptr,
+                                  cfg.numTasks, app.numStages());
+    // A fault-free run takes the memo kept for its inputs out of the
+    // backend while it runs (concurrent runs get one each) and puts it
+    // back after; a fault plan's clock scales keep its memo to itself.
+    const bool shared = cfg.faults.empty();
+    std::unique_ptr<RunMemo> memo;
+    if (shared) {
+        const std::lock_guard lock(cacheMutex_);
+        const auto kept = std::find_if(
+            memos_.begin(), memos_.end(), [&](const auto& m) {
+                return m->serves(app, cfg.ambientBandwidthGbps);
+            });
+        if (kept != memos_.end()) {
+            memo = std::move(*kept);
+            memos_.erase(kept);
+        }
+    }
+    if (!memo) {
+        memo = std::make_unique<RunMemo>();
+        for (const core::Stage& stage : app.stages())
+            memo->works.push_back(stage.work());
+        memo->ambientGbps = cfg.ambientBandwidthGbps;
+    }
+    RunResult result
+        = DesRun(model_, app, session, greedy, *noise, *memo).execute();
+    if (shared) {
+        const std::lock_guard lock(cacheMutex_);
+        if (memos_.size() == kKeptMemos)
+            memos_.erase(memos_.begin()); // the least recently used
+        memos_.push_back(std::move(memo));
+    }
+    return result;
 }
 
 RunResult
@@ -850,10 +912,9 @@ VirtualTimeBackend::run(const core::Application& app,
 {
     cfg.requireInRange(app.numStages(), model_.soc().numPus());
     PipelineSession session(app, schedule, model_.soc(), cfg, "virtual",
-                            cfg.runKernels);
-    const auto noise = noiseTable(cfg.noiseSalt, /*greedy=*/false,
-                                  cfg.numTasks, app.numStages());
-    return DesRun(model_, app, session, nullptr, *noise).execute();
+                            puNames_, cfg.runKernels,
+                            /*concurrent=*/false);
+    return simulate(app, session, nullptr);
 }
 
 RunResult
@@ -874,10 +935,9 @@ VirtualTimeBackend::run(const core::Application& app,
     for (int p = 0; p < soc.numPus(); ++p)
         slots.push_back(ChunkSpec{p, 0, app.numStages() - 1, p});
     PipelineSession session(app, std::move(slots), soc, cfg, "greedy",
-                            cfg.runKernels);
-    const auto noise = noiseTable(cfg.noiseSalt, /*greedy=*/true,
-                                  cfg.numTasks, app.numStages());
-    return DesRun(model_, app, session, &greedy, *noise).execute();
+                            puNames_, cfg.runKernels,
+                            /*concurrent=*/false);
+    return simulate(app, session, &greedy);
 }
 
 } // namespace bt::runtime

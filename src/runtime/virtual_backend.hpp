@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "core/application.hpp"
 #include "core/profiling_table.hpp"
@@ -57,19 +59,24 @@ struct GreedyDispatch
 
 /** Seeded noise factors of one stream, by (task, stage). */
 struct NoiseTable;
+struct RunMemo;
+class PipelineSession;
 
 /**
  * Virtual-time execution under either dispatch policy. Runs are
  * independent and may run concurrently on one backend; the backend
- * keeps only the noise table each policy last drew (see noiseTable).
+ * keeps the noise table each policy last drew (see noiseTable) and the
+ * rate and power memos of recent fault-free runs (see simulate).
  */
 class VirtualTimeBackend
 {
   public:
     explicit VirtualTimeBackend(const platform::PerfModel& model);
 
-    /** A copy serves the same model and starts with no noise tables. */
+    /** A copy serves the same model and starts with no noise tables
+     *  and no memos. */
     VirtualTimeBackend(const VirtualTimeBackend& other);
+    ~VirtualTimeBackend();
 
     const platform::PerfModel& model() const { return model_; }
 
@@ -94,11 +101,27 @@ class VirtualTimeBackend
     noiseTable(std::uint64_t salt, bool greedy, std::int64_t tasks,
                int stages) const;
 
-    const platform::PerfModel& model_;
+    /**
+     * Run @p session to completion in virtual time under @p greedy (or
+     * its static chunks when null). A fault-free run replays the rates
+     * and power the kept memo for @p app's work profiles and ambient
+     * load has met and adds what it folds; kKeptMemos of them stay.
+     */
+    RunResult simulate(const core::Application& app,
+                       PipelineSession& session,
+                       const GreedyDispatch* greedy) const;
 
-    mutable std::mutex noiseMutex_; ///< guards tables_
+    static constexpr std::size_t kKeptMemos = 16;
+
+    const platform::PerfModel& model_;
+    /** PU names every traced run's timeline shares. */
+    std::shared_ptr<const std::vector<std::string>> puNames_;
+
+    mutable std::mutex cacheMutex_; ///< guards tables_ and memos_
     /** The last table each policy drew: static, then greedy. */
     mutable std::shared_ptr<const NoiseTable> tables_[2];
+    /** Memos of recent fault-free runs, least recently used first. */
+    mutable std::vector<std::unique_ptr<RunMemo>> memos_;
 };
 
 } // namespace bt::runtime

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -58,9 +59,18 @@ TEST(RunConfig, ResolveBuffersDefaultsToSlotsPlusOne)
 // ---------------------------------------------------------------------
 // TraceTimeline statistics on a hand-built timeline.
 
+/** A shared name table for a hand-built timeline. */
+runtime::TraceTimeline::NameTable
+names(std::vector<std::string> list)
+{
+    return std::make_shared<const std::vector<std::string>>(
+        std::move(list));
+}
+
 TEST(TraceTimeline, StatsOnHandBuiltTimeline)
 {
-    runtime::TraceTimeline tl("test", 2, {"cpu", "gpu"}, {"a", "b"});
+    runtime::TraceTimeline tl("test", 2, names({"cpu", "gpu"}),
+                              names({"a", "b"}));
     // PU0 busy [0,1) and [2,3); PU1 busy [0.5,2.5).
     using runtime::TraceEventKind;
     tl.record({0, 0, 0, 0, 0.0, 0.0, 1.0, {}, TraceEventKind::Stage, {}});
@@ -68,7 +78,6 @@ TEST(TraceTimeline, StatsOnHandBuiltTimeline)
                {}});
     tl.record({1, 0, 0, 0, 0.3, 2.0, 3.0, 1u << 1, TraceEventKind::Stage,
                {}});
-    tl.sortByStart();
 
     const auto st = tl.stats();
     EXPECT_EQ(st.events, 3);
@@ -89,19 +98,18 @@ TEST(TraceTimeline, StatsOnHandBuiltTimeline)
     EXPECT_DOUBLE_EQ(st.coResidency(0, 0), 2.0);
 }
 
-TEST(TraceTimeline, SortByStartIsStableOnTies)
+TEST(TraceTimeline, RecordKeepsStartOrderStableOnTies)
 {
-    // Record in a scrambled start order with ties; the sort must order
-    // by start and keep tied events in the order they were recorded.
+    // Record in a scrambled start order with ties; the timeline must be
+    // in start order with tied events in the order they were recorded.
     using runtime::TraceEventKind;
-    runtime::TraceTimeline tl("test", 2, {}, {"a"});
+    runtime::TraceTimeline tl("test", 2, {}, names({"a"}));
     const double starts[] = {3.0, 1.0, 2.0, 1.0, 0.5, 3.0, 2.0, 1.0};
     for (std::int64_t task = 0; task < 8; ++task) {
         const double t = starts[task];
         tl.record({task, 0, 0, 0, 0.0, t, t + 1.0, 0,
                    TraceEventKind::Stage, {}});
     }
-    tl.sortByStart();
     std::vector<std::int64_t> order;
     for (const auto& e : tl.events())
         order.push_back(e.task);
@@ -753,6 +761,40 @@ TEST(NoiseTable, ConcurrentRunsOnOneBackendEqualFreshRuns)
         }
 }
 
+// A backend keeps the rate and power memos of its fault-free runs,
+// keyed by value on the stages' work profiles and the ambient load: a
+// run that differs in either folds its own rates instead of replaying
+// another run's, so it equals the same run on a fresh backend.
+TEST(RunMemo, KeyedOnWorkProfilesAndAmbientLoad)
+{
+    const NoiseRig rig;
+    // The octree's stage names and count, other work profiles.
+    const Application smaller = apps::octreeApp({.numPoints = 1 << 14});
+    const auto run = [&](const runtime::VirtualTimeBackend& backend,
+                         const Application& app, double ambient_gbps) {
+        runtime::RunConfig cfg;
+        cfg.numTasks = 30;
+        cfg.recordTrace = false;
+        cfg.ambientBandwidthGbps = ambient_gbps;
+        return backend.run(app, rig.octreeSchedule, cfg);
+    };
+    const runtime::VirtualTimeBackend reused(rig.model);
+    for (const Application* app : {&rig.octree, &smaller, &rig.octree})
+        for (const double ambient : {0.0, 100.0, 0.0}) {
+            SCOPED_TRACE(std::to_string(app->stage(0).work().bytes) + " B, "
+                         + std::to_string(ambient) + " GB/s");
+            expectSameRun(run(reused, *app, ambient),
+                          run(runtime::VirtualTimeBackend(rig.model), *app,
+                              ambient));
+        }
+    // The key's parts change the rates, so a memo that ignored one
+    // would replay numbers that differ from a fresh fold.
+    EXPECT_NE(run(reused, rig.octree, 0.0).makespanSeconds,
+              run(reused, smaller, 0.0).makespanSeconds);
+    EXPECT_NE(run(reused, rig.octree, 0.0).makespanSeconds,
+              run(reused, rig.octree, 100.0).makespanSeconds);
+}
+
 // ---------------------------------------------------------------------
 // The end-to-end flow surfaces the deployed run's timeline.
 
@@ -786,7 +828,7 @@ TEST(TraceTimeline, ChromeJsonEscapesHostileNames)
     const std::string pu = "pu\"zero\\\x02";
     const std::string backend = "back\bend\f";
 
-    runtime::TraceTimeline tl(backend, 1, {pu}, {stage});
+    runtime::TraceTimeline tl(backend, 1, names({pu}), names({stage}));
     using runtime::TraceEventKind;
     tl.record({0, 0, 0, 0, 0.0, 0.0, 1.0, {}, TraceEventKind::Stage,
                {}});
@@ -814,8 +856,8 @@ TEST(TraceTimeline, ChromeJsonEscapesHostileNames)
 TEST(TraceTimeline, ChromeJsonBytesArePinned)
 {
     using runtime::TraceEventKind;
-    runtime::TraceTimeline tl("virtual", 3, {"cpu", "gpu"},
-                              {"load", "sort"});
+    runtime::TraceTimeline tl("virtual", 3, names({"cpu", "gpu"}),
+                              names({"load", "sort"}));
     tl.setSessionId(4);
     tl.record({0, 0, 0, 0, 1.25e-4, 0.0, 0.0015, 0b101,
                TraceEventKind::Stage, {}});
