@@ -153,11 +153,7 @@ class Application
 
     /** The stage names in order: one immutable table, shared by the
      *  application's copies and the traces of its runs. */
-    const std::shared_ptr<const std::vector<std::string>>&
-    stageNames() const
-    {
-        return stageNames_;
-    }
+    const auto& stageNames() const { return stageNames_; }
 
     void setTaskFactory(TaskFactory f) { factory_ = std::move(f); }
     void setTaskRefresher(TaskRefresher f) { refresher_ = std::move(f); }

@@ -58,7 +58,6 @@ struct WorkProfile
 
     /** Merge two profiles executed back to back (chunk fusion). */
     WorkProfile fusedWith(const WorkProfile& next) const;
-
     bool operator==(const WorkProfile&) const = default;
 };
 

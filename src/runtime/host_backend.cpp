@@ -54,10 +54,8 @@ HostTimeBackend::run(const core::Application& app,
 {
     cfg.requireInRange(app.numStages(), soc_.numPus());
 
-    PipelineSession session(
-        app, schedule, soc_, cfg, "host",
-        std::make_shared<const std::vector<std::string>>(puNames(soc_)),
-        /*functional=*/true, /*concurrent=*/true);
+    PipelineSession session(app, schedule, soc_, cfg, "host",
+                            /*functional=*/true);
     const int num_chunks = session.numChunks();
     const int num_buffers = session.numBuffers();
     const std::size_t qcap = static_cast<std::size_t>(

@@ -69,12 +69,10 @@ PipelineSession::PipelineSession(const core::Application& app,
                                  const platform::SocDescription& soc,
                                  const RunConfig& cfg,
                                  std::string backend_name,
-                                 TraceTimeline::NameTable pu_names,
-                                 bool functional, bool concurrent)
+                                 bool functional)
     : PipelineSession(app,
                       chunkSpecs(schedule, app.numStages(), soc.numPus()),
-                      soc, cfg, std::move(backend_name),
-                      std::move(pu_names), functional, concurrent)
+                      soc, cfg, std::move(backend_name), functional)
 {
 }
 
@@ -83,10 +81,8 @@ PipelineSession::PipelineSession(const core::Application& app,
                                  const platform::SocDescription& soc,
                                  const RunConfig& cfg,
                                  std::string backend_name,
-                                 TraceTimeline::NameTable pu_names,
-                                 bool functional, bool concurrent)
+                                 bool functional)
     : app_(app), soc_(soc), cfg_(cfg), functional_(functional),
-      concurrent_(concurrent),
       chunks_(std::move(slots)),
       numBuffers_(cfg_.resolveBuffers(numChunks()))
 {
@@ -100,8 +96,10 @@ PipelineSession::PipelineSession(const core::Application& app,
     completeTime_.assign(static_cast<std::size_t>(cfg_.numTasks), 0.0);
 
     if (cfg_.recordTrace) {
-        trace_ = TraceTimeline(std::move(backend_name), soc.numPus(),
-                               std::move(pu_names), app.stageNames());
+        trace_ = TraceTimeline(
+            std::move(backend_name), soc.numPus(),
+            std::make_shared<const std::vector<std::string>>(puNames(soc)),
+            app.stageNames());
         trace_.setSessionId(cfg_.sessionId);
         trace_.reserve(static_cast<std::size_t>(cfg_.numTasks)
                        * static_cast<std::size_t>(app.numStages()));
@@ -161,6 +159,15 @@ PipelineSession::complete(int token, double now)
                     "task " + std::to_string(task) + ": " + err);
         }
     }
+}
+
+void
+PipelineSession::recordEvent(const TraceEvent& event)
+{
+    if (!cfg_.recordTrace)
+        return;
+    std::lock_guard<std::mutex> lock(traceMutex_);
+    trace_.record(event);
 }
 
 RunResult

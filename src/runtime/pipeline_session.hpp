@@ -17,9 +17,9 @@
  * Threading contract: inject() is called only by the head dispatcher,
  * complete() only by the recycler, once per task, before the token
  * returns to the head; runStage() by the owning chunk's dispatcher;
- * recordEvent() from any thread of a concurrent session, where it takes
- * the timeline's lock (the virtual backend plays every role on one
- * thread, and its session records without one).
+ * recordEvent() may be called from any thread and is internally
+ * synchronized. The virtual backend plays every role on one thread and
+ * records its stages into timeline() without the lock.
  */
 
 #ifndef BT_RUNTIME_PIPELINE_SESSION_HPP
@@ -54,18 +54,15 @@ class PipelineSession
   public:
     /**
      * One slot per chunk of @p schedule.
-     * @param pu_names the PU names a traced run's timeline shares
      * @param functional whether TaskObjects exist and stage kernels
      *        actually run (host backend: always; virtual backend: the
      *        runKernels knob).
-     * @param concurrent whether several threads record events
      */
     PipelineSession(const core::Application& app,
                     const core::Schedule& schedule,
                     const platform::SocDescription& soc,
                     const RunConfig& cfg, std::string backend_name,
-                    TraceTimeline::NameTable pu_names, bool functional,
-                    bool concurrent);
+                    bool functional);
 
     /** Explicit dispatcher @p slots; the pool holds
      *  RunConfig::resolveBuffers(slots.size()) tokens. */
@@ -73,8 +70,7 @@ class PipelineSession
                     std::vector<ChunkSpec> slots,
                     const platform::SocDescription& soc,
                     const RunConfig& cfg, std::string backend_name,
-                    TraceTimeline::NameTable pu_names, bool functional,
-                    bool concurrent);
+                    bool functional);
 
     int numChunks() const { return static_cast<int>(chunks_.size()); }
     int numBuffers() const { return numBuffers_; }
@@ -128,23 +124,13 @@ class PipelineSession
      */
     void complete(int token, double now);
 
-    /**
-     * Add a stage execution or incident to the timeline, which stays in
-     * start order (TraceTimeline::record) and is reserved for numTasks
-     * x numStages events up front. Locked only in a concurrent session.
-     */
-    void
-    recordEvent(const TraceEvent& event)
-    {
-        if (!cfg_.recordTrace)
-            return;
-        if (!concurrent_) {
-            trace_.record(event);
-            return;
-        }
-        std::lock_guard<std::mutex> lock(traceMutex_);
-        trace_.record(event);
-    }
+    /** Add a stage execution or incident to a traced run's timeline
+     *  (thread-safe). */
+    void recordEvent(const TraceEvent& event);
+
+    /** The timeline itself, unlocked, for a run's only thread; it is
+     *  reserved for numTasks x numStages events. */
+    TraceTimeline& timeline() { return trace_; }
 
     /**
      * Assemble the unified RunResult: makespan, steady-state interval
@@ -161,7 +147,6 @@ class PipelineSession
     const platform::SocDescription& soc_;
     RunConfig cfg_;
     bool functional_;
-    bool concurrent_;
 
     std::vector<ChunkSpec> chunks_;
     int numBuffers_;
@@ -177,7 +162,7 @@ class PipelineSession
     std::mutex errorMutex_;
 
     TraceTimeline trace_;
-    std::mutex traceMutex_; ///< concurrent sessions only
+    std::mutex traceMutex_;
 };
 
 /** The PU labels of @p soc, in class order. */

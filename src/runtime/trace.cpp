@@ -51,18 +51,6 @@ makeFaultEvent(TraceEventKind kind, std::int64_t task, int stage,
     return e;
 }
 
-namespace {
-
-/** The names in @p table; none for a timeline built without them. */
-const std::vector<std::string>&
-namesIn(const TraceTimeline::NameTable& table)
-{
-    static const std::vector<std::string> none;
-    return table ? *table : none;
-}
-
-} // namespace
-
 double
 TraceStats::coResidency(int a, int b) const
 {
@@ -208,14 +196,14 @@ TraceTimeline::stats() const
 std::string
 TraceTimeline::stageNameOf(const TraceEvent& e) const
 {
-    const std::vector<std::string>& names = namesIn(
-        e.nameTable >= 0
-                && e.nameTable < static_cast<int>(mergedStageNames_.size())
-            ? mergedStageNames_[static_cast<std::size_t>(e.nameTable)]
-            : stageNames_);
-    std::string name
-        = e.stage >= 0 && e.stage < static_cast<int>(names.size())
-        ? names[static_cast<std::size_t>(e.stage)]
+    const NameTable& names
+        = e.nameTable >= 0
+            && e.nameTable < static_cast<int>(mergedStageNames_.size())
+        ? mergedStageNames_[static_cast<std::size_t>(e.nameTable)]
+        : stageNames_;
+    std::string name = names && e.stage >= 0
+            && e.stage < static_cast<int>(names->size())
+        ? (*names)[static_cast<std::size_t>(e.stage)]
         : "stage" + std::to_string(e.stage);
     if (e.session >= 0)
         name = "s" + std::to_string(e.session) + ":" + name;
@@ -232,11 +220,10 @@ TraceTimeline::writeChromeJson(std::ostream& os) const
     w.key("traceEvents").beginArray();
 
     // Name one chrome "thread" per PU class.
-    const std::vector<std::string>& pu_names = namesIn(puNames_);
     for (int p = 0; p < numPus_; ++p) {
         const std::string name
-            = p < static_cast<int>(pu_names.size())
-            ? pu_names[static_cast<std::size_t>(p)]
+            = puNames_ && p < static_cast<int>(puNames_->size())
+            ? (*puNames_)[static_cast<std::size_t>(p)]
             : "pu" + std::to_string(p);
         w.beginObject().member("name", "thread_name").member("ph", "M");
         w.member("pid", 0).member("tid", p).key("args").beginObject();

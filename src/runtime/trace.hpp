@@ -201,12 +201,9 @@ class TraceTimeline
     /** Room for @p events events without reallocating. */
     void reserve(std::size_t events) { events_.reserve(events); }
 
-    /**
-     * Insert one event after every event that starts no later, so a
-     * timeline built by record() alone is in start order, ties in
-     * record order (callers serialize access). A backend recording at
-     * completion moves only the few events that started after this one.
-     */
+    /** Insert one event after every event that starts no later (so a
+     *  timeline built by record() alone is in start order, ties in
+     *  record order); callers serialize access. */
     void
     record(const TraceEvent& event)
     {

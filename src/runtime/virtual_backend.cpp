@@ -17,27 +17,6 @@
 namespace bt::runtime {
 
 /**
- * noiseFactor for every (task, stage) of one stream. The stream is
- * soc.seed ^ noiseSalt ^ policy domain; with the device's noiseSigma
- * it determines every factor, so a table serves any run that matches
- * both and fits inside it.
- */
-struct NoiseTable
-{
-    std::uint64_t stream = 0;
-    double sigma = 0.0;
-    std::int64_t tasks = 0;
-    int stages = 0;
-    std::vector<double> factors; ///< [task * stages + stage]
-
-    double
-    at(std::int64_t task, int stage) const
-    {
-        return factors[static_cast<std::size_t>(task * stages + stage)];
-    }
-};
-
-/**
  * The rates of every co-runner configuration the runs of one memo have
  * met. A configuration is the active set's (stage, PU) cells in the
  * engine's active order - the order PerfModel::timesOf sums DRAM demand
@@ -138,28 +117,32 @@ class RateMemo
 };
 
 /**
- * What the runs of one application leave for the next: the rates of
- * every co-runner configuration they met and the power of every
- * running-PU set. Besides the model, rates read only the stages' work
- * profiles, the ambient load and a fault plan's clock scales, so a memo
- * is keyed by value on the first two and serves fault-free runs only.
+ * What the runs of one application leave for the next. Besides the
+ * model, a run's numbers read only the stages' work profiles, the
+ * ambient load, the noise salt, the dispatch policy and the fault plan,
+ * so a memo is keyed by value on those and on whether a plan is set.
+ * It holds the runs' noise factors, the rates of every co-runner
+ * configuration they met (a fault plan's clock scales make those its
+ * run's own) and the power of every running-PU set.
  */
 struct RunMemo
 {
+    struct Key
+    {
+        double ambientGbps;
+        std::uint64_t salt;
+        bool greedy;
+        bool faulty;
+        bool operator==(const Key&) const = default;
+    };
+    Key key;
     std::vector<platform::WorkProfile> works;
-    double ambientGbps = 0.0;
+    std::vector<double> noise; ///< noiseFactor by [task * stages + stage]
+    /** PerfModel::cellOf of works[stage] on each PU, by stage * numPus
+     *  + PU (empty until folded), and a fold's loads. */
+    std::vector<platform::LoadCell> cells, loads;
     RateMemo rates;
     std::vector<std::pair<std::uint64_t, double>> power; ///< by mask
-
-    bool
-    serves(const core::Application& app, double ambient_gbps) const
-    {
-        return ambient_gbps == ambientGbps
-            && std::equal(works.begin(), works.end(), app.stages().begin(),
-                          app.stages().end(),
-                          [](const platform::WorkProfile& w,
-                             const core::Stage& s) { return w == s.work(); });
-    }
 };
 
 namespace {
@@ -245,10 +228,9 @@ class DesRun
   public:
     DesRun(const platform::PerfModel& model, const core::Application& app,
            PipelineSession& session, const GreedyDispatch* greedy,
-           const NoiseTable& noise, RunMemo& memo)
+           RunMemo& memo)
         : model_(model), app_(app), session_(session),
-          cfg_(session.config()), greedy_(greedy), noise_(noise),
-          memo_(memo),
+          cfg_(session.config()), greedy_(greedy), memo_(memo),
           numPus_(model.soc().numPus()), numSlots_(session.numChunks()),
           recovery_(model, app, session),
           faulty_(recovery_.enabled()),
@@ -325,9 +307,9 @@ class DesRun
     // --- sim::Engine client -------------------------------------------
 
     /** Rates are memoized per configuration; a fold reads each
-     *  (stage, PU)'s co-runner-independent cell, built on its first
-     *  use. The tag is the slot index; a slot runs at most one stage at
-     *  a time. */
+     *  (stage, PU)'s co-runner-independent cell, built on the memo's
+     *  first use of it. The tag is the slot index; a slot runs at most
+     *  one stage at a time. */
     void
     rates(std::span<const sim::ActiveTask> active,
           std::span<double> rates_out)
@@ -344,21 +326,15 @@ class DesRun
         }
         if (memo_.rates.find(config, rates_out))
             return;
-        if (cells_.empty()) { // the run's first fold
-            cells_.resize(static_cast<std::size_t>(app_.numStages()
-                                                   * numPus_));
-            loads_.resize(config_.size());
-        }
-        const std::span<platform::LoadCell> loads(loads_.data(),
-                                                  active.size());
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            const int cell_index = config[i];
-            auto& cell = cells_[static_cast<std::size_t>(cell_index)];
+        auto& loads = memo_.loads;
+        loads.clear();
+        for (const int cell_index : config) {
+            auto& cell = memo_.cells[static_cast<std::size_t>(cell_index)];
             if (cell.load.work == nullptr)
-                cell = model_.cellOf(
-                    app_.stage(cell_index / numPus_).work(),
-                    cell_index % numPus_);
-            loads[i] = cell;
+                cell = model_.cellOf(memo_.works[static_cast<std::size_t>(
+                                         cell_index / numPus_)],
+                                     cell_index % numPus_);
+            loads.push_back(cell);
         }
         model_.timesOf(loads, clockScale_, cfg_.ambientBandwidthGbps,
                        rates_out);
@@ -392,7 +368,7 @@ class DesRun
             return;
         }
         if (cfg_.recordTrace)
-            session_.recordEvent(TraceEvent{rt.curTask,
+            session_.timeline().record(TraceEvent{rt.curTask,
                                             rt.curStage,
                                             c,
                                             recovery_.puOf(c),
@@ -557,7 +533,8 @@ class DesRun
         rt.launched = now;
         if (cfg_.recordTrace)
             rt.coRunners = othersRunning(c);
-        double work = noise_.at(rt.curTask, rt.curStage);
+        double work = memo_.noise[static_cast<std::size_t>(
+            rt.curTask * app_.numStages() + rt.curStage)];
         if (faulty_) {
             rt.willFail = recovery_.transient(c, rt.curTask, rt.curStage,
                                               rt.attempt);
@@ -777,7 +754,6 @@ class DesRun
     PipelineSession& session_;
     const RunConfig& cfg_;
     const GreedyDispatch* greedy_;
-    const NoiseTable& noise_;
     RunMemo& memo_;
     const int numPus_;
     const int numSlots_;
@@ -798,8 +774,6 @@ class DesRun
     int completedTasks_ = 0;
     bool done_ = false;
 
-    std::vector<platform::LoadCell> cells_; ///< by stage * numPus + PU
-    std::vector<platform::LoadCell> loads_; ///< a fold's loads
     std::vector<int> config_;               ///< a refresh's memo key
 
     std::vector<int> runningOn_;   ///< running slots per PU class
@@ -814,55 +788,16 @@ class DesRun
 } // namespace
 
 VirtualTimeBackend::VirtualTimeBackend(const platform::PerfModel& model)
-    : model_(model),
-      puNames_(std::make_shared<const std::vector<std::string>>(
-          puNames(model.soc())))
+    : model_(model)
 {
 }
 
 VirtualTimeBackend::VirtualTimeBackend(const VirtualTimeBackend& other)
-    : model_(other.model_), puNames_(other.puNames_)
+    : model_(other.model_)
 {
 }
 
 VirtualTimeBackend::~VirtualTimeBackend() = default;
-
-std::shared_ptr<const NoiseTable>
-VirtualTimeBackend::noiseTable(std::uint64_t salt, bool greedy,
-                               std::int64_t tasks, int stages) const
-{
-    const auto& soc = model_.soc();
-    const std::uint64_t domain = greedy ? kGreedyDomain : 0;
-    const std::uint64_t stream = soc.seed ^ salt ^ domain;
-    std::shared_ptr<const NoiseTable>& slot = tables_[greedy ? 1 : 0];
-    std::shared_ptr<const NoiseTable> last;
-    {
-        const std::lock_guard lock(cacheMutex_);
-        last = slot;
-    }
-    if (last && last->stream == stream && last->sigma == soc.noiseSigma) {
-        if (last->tasks >= tasks && last->stages >= stages)
-            return last;
-        // Grow over both runs, so apps of different depths that take
-        // turns on one backend stop redrawing each other's factors.
-        tasks = std::max(tasks, last->tasks);
-        stages = std::max(stages, last->stages);
-    }
-    // Draw outside the lock: concurrent misses each draw the same
-    // factors, and the last one published stays.
-    auto table = std::make_shared<NoiseTable>();
-    table->stream = stream;
-    table->sigma = soc.noiseSigma;
-    table->tasks = tasks;
-    table->stages = stages;
-    table->factors.reserve(static_cast<std::size_t>(tasks * stages));
-    for (std::int64_t t = 0; t < tasks; ++t)
-        for (int s = 0; s < stages; ++s)
-            table->factors.push_back(noiseFactor(soc, salt, domain, t, s));
-    const std::lock_guard lock(cacheMutex_);
-    slot = table;
-    return table;
-}
 
 RunResult
 VirtualTimeBackend::simulate(const core::Application& app,
@@ -870,19 +805,22 @@ VirtualTimeBackend::simulate(const core::Application& app,
                              const GreedyDispatch* greedy) const
 {
     const RunConfig& cfg = session.config();
-    const auto noise = noiseTable(cfg.noiseSalt, greedy != nullptr,
-                                  cfg.numTasks, app.numStages());
-    // A fault-free run takes the memo kept for its inputs out of the
-    // backend while it runs (concurrent runs get one each) and puts it
-    // back after; a fault plan's clock scales keep its memo to itself.
-    const bool shared = cfg.faults.empty();
+    const bool faulty = !cfg.faults.empty();
+    const RunMemo::Key key{cfg.ambientBandwidthGbps, cfg.noiseSalt,
+                           greedy != nullptr, faulty};
+    const auto serves = [&](const std::unique_ptr<RunMemo>& m) {
+        return m->key == key
+            && std::equal(m->works.begin(), m->works.end(),
+                          app.stages().begin(), app.stages().end(),
+                          [](const platform::WorkProfile& w,
+                             const core::Stage& s) { return w == s.work(); });
+    };
+    // The run holds its memo alone: it takes the kept one out of the
+    // backend (concurrent runs get one each) and puts it back after.
     std::unique_ptr<RunMemo> memo;
-    if (shared) {
-        const std::lock_guard lock(cacheMutex_);
-        const auto kept = std::find_if(
-            memos_.begin(), memos_.end(), [&](const auto& m) {
-                return m->serves(app, cfg.ambientBandwidthGbps);
-            });
+    {
+        const std::lock_guard lock(memoMutex_);
+        const auto kept = std::find_if(memos_.begin(), memos_.end(), serves);
         if (kept != memos_.end()) {
             memo = std::move(*kept);
             memos_.erase(kept);
@@ -890,18 +828,27 @@ VirtualTimeBackend::simulate(const core::Application& app,
     }
     if (!memo) {
         memo = std::make_unique<RunMemo>();
+        memo->key = key;
         for (const core::Stage& stage : app.stages())
             memo->works.push_back(stage.work());
-        memo->ambientGbps = cfg.ambientBandwidthGbps;
+        memo->cells.resize(memo->works.size()
+                           * static_cast<std::size_t>(model_.soc().numPus()));
     }
-    RunResult result
-        = DesRun(model_, app, session, greedy, *noise, *memo).execute();
-    if (shared) {
-        const std::lock_guard lock(cacheMutex_);
-        if (memos_.size() == kKeptMemos)
-            memos_.erase(memos_.begin()); // the least recently used
-        memos_.push_back(std::move(memo));
-    }
+    // Draw the noise of the tasks no earlier run reached.
+    const int stages = app.numStages();
+    for (auto t = static_cast<std::int64_t>(memo->noise.size()) / stages;
+         t < cfg.numTasks; ++t)
+        for (int s = 0; s < stages; ++s)
+            memo->noise.push_back(noiseFactor(model_.soc(), cfg.noiseSalt,
+                                              greedy ? kGreedyDomain : 0, t,
+                                              s));
+    if (faulty)
+        memo->rates.clear(); // folded under another run's clock scales
+    RunResult result = DesRun(model_, app, session, greedy, *memo).execute();
+    const std::lock_guard lock(memoMutex_);
+    if (memos_.size() == kKeptMemos)
+        memos_.erase(memos_.begin()); // the least recently used
+    memos_.push_back(std::move(memo));
     return result;
 }
 
@@ -912,8 +859,7 @@ VirtualTimeBackend::run(const core::Application& app,
 {
     cfg.requireInRange(app.numStages(), model_.soc().numPus());
     PipelineSession session(app, schedule, model_.soc(), cfg, "virtual",
-                            puNames_, cfg.runKernels,
-                            /*concurrent=*/false);
+                            cfg.runKernels);
     return simulate(app, session, nullptr);
 }
 
@@ -935,8 +881,7 @@ VirtualTimeBackend::run(const core::Application& app,
     for (int p = 0; p < soc.numPus(); ++p)
         slots.push_back(ChunkSpec{p, 0, app.numStages() - 1, p});
     PipelineSession session(app, std::move(slots), soc, cfg, "greedy",
-                            puNames_, cfg.runKernels,
-                            /*concurrent=*/false);
+                            cfg.runKernels);
     return simulate(app, session, &greedy);
 }
 

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "core/application.hpp"
@@ -57,24 +56,20 @@ struct GreedyDispatch
     double dispatchOverheadUs = 50.0;
 };
 
-/** Seeded noise factors of one stream, by (task, stage). */
-struct NoiseTable;
 struct RunMemo;
 class PipelineSession;
 
 /**
  * Virtual-time execution under either dispatch policy. Runs are
  * independent and may run concurrently on one backend; the backend
- * keeps the noise table each policy last drew (see noiseTable) and the
- * rate and power memos of recent fault-free runs (see simulate).
+ * keeps what recent runs drew and folded (see simulate).
  */
 class VirtualTimeBackend
 {
   public:
     explicit VirtualTimeBackend(const platform::PerfModel& model);
 
-    /** A copy serves the same model and starts with no noise tables
-     *  and no memos. */
+    /** A copy serves the same model and starts with no memos. */
     VirtualTimeBackend(const VirtualTimeBackend& other);
     ~VirtualTimeBackend();
 
@@ -92,20 +87,10 @@ class VirtualTimeBackend
 
   private:
     /**
-     * The noise factors of a run with @p salt under the static or the
-     * greedy policy, covering @p tasks x @p stages: the policy's
-     * published table when it holds that stream and covers the run,
-     * else a freshly drawn table that replaces it.
-     */
-    std::shared_ptr<const NoiseTable>
-    noiseTable(std::uint64_t salt, bool greedy, std::int64_t tasks,
-               int stages) const;
-
-    /**
-     * Run @p session to completion in virtual time under @p greedy (or
-     * its static chunks when null). A fault-free run replays the rates
-     * and power the kept memo for @p app's work profiles and ambient
-     * load has met and adds what it folds; kKeptMemos of them stay.
+     * Run @p session to completion under @p greedy (or its static
+     * chunks when null). The run reads and extends the noise factors,
+     * rates and power that the kept memo for its inputs holds; the
+     * kKeptMemos most recently used memos stay.
      */
     RunResult simulate(const core::Application& app,
                        PipelineSession& session,
@@ -114,13 +99,9 @@ class VirtualTimeBackend
     static constexpr std::size_t kKeptMemos = 16;
 
     const platform::PerfModel& model_;
-    /** PU names every traced run's timeline shares. */
-    std::shared_ptr<const std::vector<std::string>> puNames_;
 
-    mutable std::mutex cacheMutex_; ///< guards tables_ and memos_
-    /** The last table each policy drew: static, then greedy. */
-    mutable std::shared_ptr<const NoiseTable> tables_[2];
-    /** Memos of recent fault-free runs, least recently used first. */
+    mutable std::mutex memoMutex_; ///< guards memos_
+    /** Memos not held by a run, least recently used first. */
     mutable std::vector<std::unique_ptr<RunMemo>> memos_;
 };
 
