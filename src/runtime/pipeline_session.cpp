@@ -190,8 +190,10 @@ PipelineSession::finish(double makespan_seconds,
         result.chunkBusyFraction[c] = makespan_seconds > 0.0
             ? chunk_busy_seconds[c] / makespan_seconds
             : 0.0;
-    if (cfg_.recordTrace)
+    if (cfg_.recordTrace) {
+        trace_.sortByStart();
         result.trace = std::move(trace_);
+    }
     return result;
 }
 

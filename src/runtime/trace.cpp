@@ -110,6 +110,26 @@ TraceTimeline::merge(const TraceTimeline& other, double time_offset)
     }
 }
 
+void
+TraceTimeline::sortByStart()
+{
+    // A stable insertion sort: an event moves past the ones before it
+    // that start later.
+    for (auto i = events_.begin(); i != events_.end(); ++i) {
+        if (i == events_.begin()
+            || !(std::prev(i)->startSeconds > i->startSeconds))
+            continue;
+        const TraceEvent event = *i;
+        auto at = i;
+        do {
+            *at = *std::prev(at);
+            --at;
+        } while (at != events_.begin()
+                 && std::prev(at)->startSeconds > event.startSeconds);
+        *at = event;
+    }
+}
+
 TraceStats
 TraceTimeline::stats() const
 {

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -188,8 +187,7 @@ class TraceTimeline
      * the right names even when one session's requests span several
      * applications. Both timelines must describe the same SoC (same PU
      * count); an empty default-constructed target adopts other's PU
-     * geometry. Merged events follow this timeline's own in merge
-     * order; record() keeps each run's in start order.
+     * geometry. Call sortByStart() after the last merge.
      */
     void merge(const TraceTimeline& other, double time_offset = 0.0);
 
@@ -201,20 +199,19 @@ class TraceTimeline
     /** Room for @p events events without reallocating. */
     void reserve(std::size_t events) { events_.reserve(events); }
 
-    /** Insert one event after every event that starts no later (so a
-     *  timeline built by record() alone is in start order, ties in
-     *  record order); callers serialize access. */
+    /** Append one stage execution (callers serialize access). */
     void
     record(const TraceEvent& event)
     {
-        auto at = events_.end();
-        while (at != events_.begin()
-               && std::prev(at)->startSeconds > event.startSeconds)
-            --at;
-        TraceEvent& added = *events_.insert(at, event);
+        TraceEvent& added = events_.emplace_back(event);
         if (added.session < 0)
             added.session = sessionId_;
     }
+
+    /** Order events by start time, ties in record order. Backends
+     *  record at completion, so only the few events recorded after one
+     *  that starts later move; nothing is allocated. */
+    void sortByStart();
 
     /** Derive occupancy / bubble / interference statistics. */
     TraceStats stats() const;

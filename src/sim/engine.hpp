@@ -35,9 +35,9 @@
  * binary heap ordered by (time, arming order).
  *
  * Per-run state lives in the client (the virtual backend's DesRun keeps
- * flat arrays sized once per run, replays rates from a memo the backend
- * keeps across fault-free runs, and records a traced run's timeline
- * without a lock); the engine holds only the active set, its rates and
+ * flat arrays sized once per run, replays noise, rates and power from
+ * a memo the backend keeps across runs, and records a traced run's
+ * timeline without a lock); the engine holds only the active set, its rates and
  * the timer heap.
  *
  * Hot-path design (this engine runs once per autotuning candidate and

@@ -79,10 +79,10 @@ TEST(DesAllocations, IndependentOfTaskCountAndBounded)
         cfg.recordTrace = false;
         return allocationsOf([&] { (void)backend.run(app, greedy, cfg); });
     };
-    // The backend draws each policy's noise table once, for the
-    // longest run it has served, and keeps the rate memo its runs of
-    // the app fill; run both policies at 300 tasks first so the counts
-    // below are per-run allocations only.
+    // The backend keeps, per policy, the noise factors, rates and power
+    // its runs of the app drew and folded, noise for the longest run
+    // so far; run both policies at 300 tasks first so the counts below
+    // are per-run allocations only.
     (void)static_run(300, false);
     (void)greedy_run(300);
 

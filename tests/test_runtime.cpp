@@ -78,6 +78,7 @@ TEST(TraceTimeline, StatsOnHandBuiltTimeline)
                {}});
     tl.record({1, 0, 0, 0, 0.3, 2.0, 3.0, 1u << 1, TraceEventKind::Stage,
                {}});
+    tl.sortByStart();
 
     const auto st = tl.stats();
     EXPECT_EQ(st.events, 3);
@@ -98,10 +99,10 @@ TEST(TraceTimeline, StatsOnHandBuiltTimeline)
     EXPECT_DOUBLE_EQ(st.coResidency(0, 0), 2.0);
 }
 
-TEST(TraceTimeline, RecordKeepsStartOrderStableOnTies)
+TEST(TraceTimeline, SortByStartIsStableOnTies)
 {
-    // Record in a scrambled start order with ties; the timeline must be
-    // in start order with tied events in the order they were recorded.
+    // Record in a scrambled start order with ties; the sort must order
+    // by start and keep tied events in the order they were recorded.
     using runtime::TraceEventKind;
     runtime::TraceTimeline tl("test", 2, {}, names({"a"}));
     const double starts[] = {3.0, 1.0, 2.0, 1.0, 0.5, 3.0, 2.0, 1.0};
@@ -110,6 +111,7 @@ TEST(TraceTimeline, RecordKeepsStartOrderStableOnTies)
         tl.record({task, 0, 0, 0, 0.0, t, t + 1.0, 0,
                    TraceEventKind::Stage, {}});
     }
+    tl.sortByStart();
     std::vector<std::int64_t> order;
     for (const auto& e : tl.events())
         order.push_back(e.task);
@@ -598,8 +600,8 @@ TEST(NoiseSalt, SameSaltReproducesDynamicRunExactly)
 }
 
 // ---------------------------------------------------------------------
-// Noise tables: a backend draws each noise factor once per stream and
-// reuses it, so a run on a backend that has served other runs (other
+// Noise tables: a backend's run memos draw each noise factor once and
+// reuse it, so a run on a backend that has served other runs (other
 // salts, apps of other depths, either policy, shorter and longer
 // streams, fault plans) equals the same run on a fresh backend.
 
