@@ -120,9 +120,8 @@ class PerfModel
     double activePowerW(int pu, int busy_others) const;
 
     /**
-     * Whole-SoC power given which PU classes are currently executing
-     * (bit p of @p pu_active set = PU class p busy): base power +
-     * per-class active/idle draw.
+     * Whole-SoC power given which PU classes are executing (bit p of
+     * @p pu_active = class p busy): base + per-class active/idle draw.
      */
     double systemPowerW(std::uint64_t pu_active) const;
 

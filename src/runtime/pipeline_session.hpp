@@ -124,12 +124,10 @@ class PipelineSession
      */
     void complete(int token, double now);
 
-    /** Add a stage execution or incident to a traced run's timeline
-     *  (thread-safe). */
+    /** Append a stage execution to the timeline (thread-safe). */
     void recordEvent(const TraceEvent& event);
 
-    /** The timeline itself, unlocked, for a run's only thread; it is
-     *  reserved for numTasks x numStages events. */
+    /** The timeline, unlocked, for a run's only thread. */
     TraceTimeline& timeline() { return trace_; }
 
     /**

@@ -113,8 +113,8 @@ TraceTimeline::merge(const TraceTimeline& other, double time_offset)
 void
 TraceTimeline::sortByStart()
 {
-    // A stable insertion sort: an event moves past the ones before it
-    // that start later.
+    // Stable insertion: each event moves past those before it that
+    // start later.
     for (auto i = events_.begin(); i != events_.end(); ++i) {
         if (i == events_.begin()
             || !(std::prev(i)->startSeconds > i->startSeconds))
@@ -123,8 +123,7 @@ TraceTimeline::sortByStart()
         auto at = i;
         do {
             *at = *std::prev(at);
-            --at;
-        } while (at != events_.begin()
+        } while (--at != events_.begin()
                  && std::prev(at)->startSeconds > event.startSeconds);
         *at = event;
     }

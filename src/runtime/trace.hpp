@@ -208,9 +208,8 @@ class TraceTimeline
             added.session = sessionId_;
     }
 
-    /** Order events by start time, ties in record order. Backends
-     *  record at completion, so only the few events recorded after one
-     *  that starts later move; nothing is allocated. */
+    /** Order events by start time, ties in record order, without
+     *  allocating; only events recorded after a later start move. */
     void sortByStart();
 
     /** Derive occupancy / bubble / interference statistics. */

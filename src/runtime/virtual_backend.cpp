@@ -17,15 +17,13 @@
 namespace bt::runtime {
 
 /**
- * The rates of every co-runner configuration the runs of one memo have
- * met. A configuration is the active set's (stage, PU) cells in the
- * engine's active order - the order PerfModel::timesOf sums DRAM demand
- * in, so an unordered key could replay rates whose bits differ from a
- * fresh fold. While the clock scales hold, rates are a pure function of
- * the configuration, and runs meet only a few of them: each is folded
- * once and replayed after. An open-addressing table over flat arrays
- * that grow with what the runs meet, up to kMaxEntries configurations;
- * past that, new ones are folded every time.
+ * The rates of every co-runner configuration a memo's runs have met. A
+ * configuration is the active set's (stage, PU) cells in the engine's
+ * active order - the order PerfModel::timesOf sums DRAM demand in, so
+ * an unordered key could replay rates whose bits differ from a fresh
+ * fold. While the clock scales hold, each is folded once and replayed
+ * after: an open-addressing table over flat arrays, up to kMaxEntries
+ * configurations (past that, new ones are folded every time).
  */
 class RateMemo
 {
@@ -117,13 +115,10 @@ class RateMemo
 };
 
 /**
- * What the runs of one application leave for the next. Besides the
- * model, a run's numbers read only the stages' work profiles, the
- * ambient load, the noise salt, the dispatch policy and the fault plan,
- * so a memo is keyed by value on those and on whether a plan is set.
- * It holds the runs' noise factors, the rates of every co-runner
- * configuration they met (a fault plan's clock scales make those its
- * run's own) and the power of every running-PU set.
+ * What runs leave for later runs with the same inputs: besides the
+ * model, a run reads only the stages' work profiles (the key, by
+ * value), the ambient load, the salt, the policy and the fault plan
+ * (whose clock scales make its rates its own).
  */
 struct RunMemo
 {
@@ -216,12 +211,11 @@ enum TimerKind : int
 };
 
 /**
- * One run, and the engine's client. @p greedy selects the dispatch
- * policy: null runs the session's chunks as a static pipeline (each
- * chunk pops tokens from its own queue and hands them downstream);
- * otherwise every slot drains a FIFO that earliest-finish ranking
- * fills from a ready set. Every piece of per-run state lives in flat
- * arrays sized at construction.
+ * One run, and the engine's client. A null @p greedy runs the session's
+ * chunks as a static pipeline (each chunk pops tokens from its own
+ * queue and hands them on); otherwise every slot drains a FIFO that
+ * earliest-finish ranking fills from a ready set. Per-run state lives
+ * in flat arrays sized at construction.
  */
 class DesRun
 {
@@ -773,8 +767,7 @@ class DesRun
     std::vector<int> freeTokens_;   ///< greedy: unused pool tokens
     int completedTasks_ = 0;
     bool done_ = false;
-
-    std::vector<int> config_;               ///< a refresh's memo key
+    std::vector<int> config_; ///< a refresh's memo key
 
     std::vector<int> runningOn_;   ///< running slots per PU class
     std::uint64_t runningMask_ = 0; ///< PU classes with a running slot

@@ -87,9 +87,8 @@ class VirtualTimeBackend
 
   private:
     /**
-     * Run @p session to completion under @p greedy (or its static
-     * chunks when null). The run reads and extends the noise factors,
-     * rates and power that the kept memo for its inputs holds; the
+     * Run @p session under @p greedy (its static chunks when null),
+     * reading and extending the kept memo for its inputs; the
      * kKeptMemos most recently used memos stay.
      */
     RunResult simulate(const core::Application& app,

@@ -284,14 +284,6 @@ class Engine
             [](const ActiveTask& t, TaskId v) { return t.id < v; });
     }
 
-    typename std::vector<ActiveTask>::iterator
-    find(TaskId id)
-    {
-        return std::lower_bound(
-            active_.begin(), active_.end(), id,
-            [](const ActiveTask& t, TaskId v) { return t.id < v; });
-    }
-
     void
     refreshRates()
     {
