@@ -88,8 +88,9 @@ makeApp()
 {
     core::Application app("ImagePipe", "Image", "Demo");
 
-    // Declared IO makes the pipeline statically checkable: the
-    // Framework lints these declarations before profiling anything.
+    // Each TaskObject buffer is declared once: makeTask allocates it
+    // at this size, and the Framework lints the declarations and the
+    // stages' IO before profiling anything.
     const auto imageBytes
         = static_cast<std::int64_t>(kPixels * sizeof(float));
     app.declareBuffer({"image", imageBytes, /*input=*/true});
@@ -110,37 +111,22 @@ makeApp()
         "gamma", gamma,
         [](core::KernelCtx& c) { gammaStage(c, false); },
         [](core::KernelCtx& c) { gammaStage(c, true); });
-    gamma_stage.setIo(
-        {{{"image", imageBytes}}, {{"image", imageBytes}}});
+    gamma_stage.setIo({{"image"}, {"image"}});
     app.addStage(std::move(gamma_stage));
     core::Stage blur_stage(
         "blur", blur, [](core::KernelCtx& c) { blurStage(c, false); },
         [](core::KernelCtx& c) { blurStage(c, true); });
-    blur_stage.setIo(
-        {{{"image", imageBytes}}, {{"blurred", imageBytes}}});
+    blur_stage.setIo({{"image"}, {"blurred"}});
     app.addStage(std::move(blur_stage));
     core::Stage hist_stage(
         "histogram", hist,
         [](core::KernelCtx& c) { histogramStage(c, false); },
         [](core::KernelCtx& c) { histogramStage(c, true); });
-    hist_stage.setIo(
-        {{{"blurred", imageBytes}},
-         {{"histogram",
-           static_cast<std::int64_t>(256 * sizeof(std::uint32_t))}}});
+    hist_stage.setIo({{"blurred"}, {"histogram"}});
     app.addStage(std::move(hist_stage));
 
-    app.setTaskFactory([](std::int64_t index, std::uint64_t seed) {
-        auto task = std::make_unique<core::TaskObject>();
-        task->addBuffer("image", kPixels * sizeof(float));
-        task->addBuffer("blurred", kPixels * sizeof(float));
-        task->addBuffer("histogram", 256 * sizeof(std::uint32_t));
-        Rng rng(hashCombine(seed, static_cast<std::uint64_t>(index)));
-        for (auto& px : task->view<float>("image"))
-            px = static_cast<float>(rng.nextDouble());
-        return task;
-    });
-    app.setTaskRefresher([](core::TaskObject& task, std::int64_t index,
-                            std::uint64_t seed) {
+    app.setTaskInput([](core::TaskObject& task, std::int64_t index,
+                        std::uint64_t seed) {
         Rng rng(hashCombine(seed, static_cast<std::uint64_t>(index)));
         for (auto& px : task.view<float>("image"))
             px = static_cast<float>(rng.nextDouble());

@@ -233,9 +233,8 @@ buildAlexNet(const AlexNetConfig& cfg)
         cfg.sparse ? "AlexNet-Sparse" : "AlexNet-Dense", "Image",
         cfg.sparse ? "Sparse Linear Algebra" : "Dense Linear Algebra");
 
-    // Static IO metadata for bt::lint: every activation plus the
-    // logits, with the exact sizes the task factory allocates below.
-    // (Weights live in shared_ptr closures, not in the TaskObject.)
+    // TaskObject layout: every activation plus the logits. (Weights
+    // live in shared_ptr closures, not in the TaskObject.)
     const auto actBytes = [&shapes, batch](int a) {
         return static_cast<std::int64_t>(
                    shapes[static_cast<std::size_t>(a)].elems())
@@ -297,8 +296,7 @@ buildAlexNet(const AlexNetConfig& cfg)
             convProfile(shape, batch, cfg.sparse, nnz),
             [conv_body](core::KernelCtx& ctx) { conv_body(ctx, false); },
             [conv_body](core::KernelCtx& ctx) { conv_body(ctx, true); });
-        conv_stage.setIo({{{actName(in_act), actBytes(in_act)}},
-                          {{actName(in_act + 1), actBytes(in_act + 1)}}});
+        conv_stage.setIo({{actName(in_act)}, {actName(in_act + 1)}});
         app.addStage(std::move(conv_stage));
 
         const Shape3 conv_out = shape.out();
@@ -328,8 +326,7 @@ buildAlexNet(const AlexNetConfig& cfg)
             "pool" + std::to_string(l + 1), poolProfile(conv_out, batch),
             [pool_body](core::KernelCtx& ctx) { pool_body(ctx, false); },
             [pool_body](core::KernelCtx& ctx) { pool_body(ctx, true); });
-        pool_stage.setIo({{{actName(in_act + 1), actBytes(in_act + 1)}},
-                          {{actName(in_act + 2), actBytes(in_act + 2)}}});
+        pool_stage.setIo({{actName(in_act + 1)}, {actName(in_act + 2)}});
         app.addStage(std::move(pool_stage));
     }
 
@@ -354,30 +351,11 @@ buildAlexNet(const AlexNetConfig& cfg)
         "fc", fcProfile(batch, cfg.sparse),
         [fc_body](core::KernelCtx& ctx) { fc_body(ctx, false); },
         [fc_body](core::KernelCtx& ctx) { fc_body(ctx, true); });
-    fc_stage.setIo({{{actName(8), actBytes(8)}},
-                    {{"out", static_cast<std::int64_t>(kFcOut) * batch
-                                 * static_cast<std::int64_t>(
-                                     sizeof(float))}}});
+    fc_stage.setIo({{actName(8)}, {"out"}});
     app.addStage(std::move(fc_stage));
 
-    // TaskObject layout: all activations plus the logits.
-    app.setTaskFactory([shapes, batch](std::int64_t task_index,
-                                       std::uint64_t seed) {
-        auto task = std::make_unique<core::TaskObject>();
-        for (int a = 0; a < 9; ++a)
-            task->addBuffer(actName(a),
-                            static_cast<std::size_t>(
-                                shapes[static_cast<std::size_t>(a)]
-                                    .elems())
-                                * batch * sizeof(float));
-        task->addBuffer("out", static_cast<std::size_t>(kFcOut) * batch
-                                   * sizeof(float));
-        fillInput(*task, batch, task_index, seed);
-        return task;
-    });
-    app.setTaskRefresher([batch](core::TaskObject& task,
-                                 std::int64_t task_index,
-                                 std::uint64_t seed) {
+    app.setTaskInput([batch](core::TaskObject& task,
+                             std::int64_t task_index, std::uint64_t seed) {
         fillInput(task, batch, task_index, seed);
     });
 

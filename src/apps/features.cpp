@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -113,13 +112,37 @@ featuresApp(FeaturesConfig cfg)
     core::Application app("FeatureExtract", "Image",
                           "Stencils, divergence & gathers");
 
-    auto addStage = [&](const std::string& name, auto cpu, auto gpu) {
-        app.addStage(core::Stage(name, profileOf(name, px),
-                                 std::move(cpu), std::move(gpu)));
+    // TaskObject layout: the image, its five float stencil planes, the
+    // per-pixel flags/offsets/corners and the descriptor store. NMS
+    // admits at most one corner per 2x2 block (strict 3x3 dominance),
+    // so px/4 corners bound the descriptor store; keep a 2x margin.
+    const auto floatPlane
+        = shape.pixels() * static_cast<std::int64_t>(sizeof(float));
+    const auto wordPlane = shape.pixels()
+        * static_cast<std::int64_t>(sizeof(std::uint32_t));
+    app.declareBuffer({"image", floatPlane, /*input=*/true});
+    for (const char* name : {"blur_tmp", "blurred", "gx", "gy", "response"})
+        app.declareBuffer({name, floatPlane});
+    app.declareBuffer({"flags", wordPlane, false, /*output=*/true});
+    app.declareBuffer({"offsets", wordPlane, false, false,
+                       /*scratch=*/true});
+    app.declareBuffer({"corners", wordPlane, false, /*output=*/true});
+    app.declareBuffer({"descriptors",
+                       shape.pixels() / 2 * kernels::kDescriptorWords
+                           * static_cast<std::int64_t>(
+                               sizeof(std::uint32_t)),
+                       false, /*output=*/true});
+
+    auto addStage = [&](const std::string& name, core::StageIo io,
+                        auto cpu, auto gpu) {
+        core::Stage stage(name, profileOf(name, px), std::move(cpu),
+                          std::move(gpu));
+        stage.setIo(std::move(io));
+        app.addStage(std::move(stage));
     };
 
     addStage(
-        "blur_h",
+        "blur_h", {{"image"}, {"blur_tmp"}},
         [shape](core::KernelCtx& ctx) {
             kernels::blurHCpu(hostExec(ctx), shape,
                               ctx.task.view<const float>("image"),
@@ -131,7 +154,7 @@ featuresApp(FeaturesConfig cfg)
                               ctx.task.view<float>("blur_tmp"));
         });
     addStage(
-        "blur_v",
+        "blur_v", {{"blur_tmp"}, {"blurred"}},
         [shape](core::KernelCtx& ctx) {
             kernels::blurVCpu(hostExec(ctx), shape,
                               ctx.task.view<const float>("blur_tmp"),
@@ -143,7 +166,7 @@ featuresApp(FeaturesConfig cfg)
                               ctx.task.view<float>("blurred"));
         });
     addStage(
-        "sobel",
+        "sobel", {{"blurred"}, {"gx", "gy"}},
         [shape](core::KernelCtx& ctx) {
             kernels::sobelCpu(hostExec(ctx), shape,
                               ctx.task.view<const float>("blurred"),
@@ -157,7 +180,7 @@ featuresApp(FeaturesConfig cfg)
                               ctx.task.view<float>("gy"));
         });
     addStage(
-        "harris",
+        "harris", {{"gx", "gy"}, {"response"}},
         [shape](core::KernelCtx& ctx) {
             kernels::harrisCpu(hostExec(ctx), shape,
                                ctx.task.view<const float>("gx"),
@@ -171,7 +194,7 @@ featuresApp(FeaturesConfig cfg)
                                ctx.task.view<float>("response"));
         });
     addStage(
-        "nms",
+        "nms", {{"response"}, {"flags"}},
         [shape, threshold](core::KernelCtx& ctx) {
             kernels::nmsCpu(hostExec(ctx), shape,
                             ctx.task.view<const float>("response"),
@@ -185,7 +208,7 @@ featuresApp(FeaturesConfig cfg)
                             ctx.task.view<std::uint32_t>("flags"));
         });
     addStage(
-        "compact",
+        "compact", {{"flags"}, {"offsets", "corners"}},
         [shape](core::KernelCtx& ctx) {
             const kernels::CpuExec exec{ctx.pool};
             compactCorners(
@@ -207,7 +230,7 @@ featuresApp(FeaturesConfig cfg)
                 nullptr);
         });
     addStage(
-        "brief",
+        "brief", {{"blurred", "corners"}, {"descriptors"}},
         [shape](core::KernelCtx& ctx) {
             const std::int64_t n = ctx.task.scalar("corner_count");
             kernels::briefCpu(
@@ -225,29 +248,8 @@ featuresApp(FeaturesConfig cfg)
                 ctx.task.view<std::uint32_t>("descriptors"));
         });
 
-    app.setTaskFactory([shape, cfg](std::int64_t task_index,
-                                    std::uint64_t seed) {
-        auto task = std::make_unique<core::TaskObject>();
-        const auto px_count
-            = static_cast<std::size_t>(shape.pixels());
-        for (const char* name :
-             {"image", "blur_tmp", "blurred", "gx", "gy", "response"})
-            task->addBuffer(name, px_count * sizeof(float));
-        for (const char* name : {"flags", "offsets", "corners"})
-            task->addBuffer(name, px_count * sizeof(std::uint32_t));
-        // NMS admits at most one corner per 2x2 block (strict 3x3
-        // dominance), so px/4 corners bounds the descriptor store;
-        // keep a 2x safety margin.
-        task->addBuffer("descriptors",
-                        px_count / 2 * kernels::kDescriptorWords
-                            * sizeof(std::uint32_t));
-        (void)cfg;
-        fillImage(*task, shape, task_index, seed);
-        return task;
-    });
-    app.setTaskRefresher([shape](core::TaskObject& task,
-                                 std::int64_t task_index,
-                                 std::uint64_t seed) {
+    app.setTaskInput([shape](core::TaskObject& task,
+                             std::int64_t task_index, std::uint64_t seed) {
         fillImage(task, shape, task_index, seed);
     });
 

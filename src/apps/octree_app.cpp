@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -22,6 +23,14 @@ using kernels::OctreeView;
 using kernels::RadixTreeView;
 using platform::Pattern;
 using platform::WorkProfile;
+
+/** The radix tree's and the octree's SoA buffers. */
+const std::vector<std::string> kTreeBuffers{
+    "rt_left",      "rt_right", "rt_parent", "rt_leafparent",
+    "rt_prefixlen", "rt_first", "rt_last"};
+const std::vector<std::string> kOctreeBuffers{
+    "oct_prefix", "oct_level", "oct_parent",
+    "oct_childmask", "oct_first", "oct_count"};
 
 /** Radix-tree SoA view over the task's pre-allocated buffers. */
 RadixTreeView
@@ -140,9 +149,8 @@ octreeApp(OctreeConfig cfg)
 
     core::Application app("Octree", "PC", "Mixed Sparse & Dense");
 
-    // Static buffer metadata for bt::lint, matching the task factory's
-    // worst-case allocations below. Stage accesses whose extent depends
-    // on the runtime unique-code count k use bytes = -1.
+    // TaskObject layout: every buffer at its worst case, n codes and
+    // maxOctreeNodes(n) nodes, whatever unique-code count k a task has.
     const auto u32 = static_cast<std::int64_t>(sizeof(std::uint32_t));
     const std::int64_t codeBytes = n * u32;
     const std::int64_t pairBytes = 2 * n * u32;
@@ -157,14 +165,11 @@ octreeApp(OctreeConfig cfg)
     app.declareBuffer({"unique", codeBytes});
     app.declareBuffer({"flags", codeBytes, false, false,
                        /*scratch=*/true});
-    for (const char* name : {"rt_left", "rt_right", "rt_parent",
-                             "rt_leafparent", "rt_prefixlen",
-                             "rt_first", "rt_last"})
+    for (const std::string& name : kTreeBuffers)
         app.declareBuffer({name, codeBytes});
     app.declareBuffer({"counts", pairBytes});
     app.declareBuffer({"offsets", pairBytes});
-    for (const char* name : {"oct_prefix", "oct_level", "oct_parent",
-                             "oct_childmask", "oct_first", "oct_count"})
+    for (const std::string& name : kOctreeBuffers)
         app.declareBuffer({name, nodeBytes, false, /*output=*/true});
 
     // Stages are declared as a task graph: the pipeline is mostly
@@ -190,9 +195,7 @@ octreeApp(OctreeConfig cfg)
                                          "morton"),
                                      n);
         }),
-        {{{"points",
-           3 * n * static_cast<std::int64_t>(sizeof(float))}},
-         {{"morton", codeBytes}}}));
+        {{"points"}, {"morton"}}));
 
     auto sortInto = [n](core::TaskObject& task) {
         const auto src = task.view<const std::uint32_t>("morton");
@@ -216,8 +219,7 @@ octreeApp(OctreeConfig cfg)
                                       "sort_scratch"),
                                   ctx.observer);
         }),
-        {{{"morton", codeBytes}},
-         {{"sorted", codeBytes}, {"sort_scratch", codeBytes}}}));
+        {{"morton"}, {"sorted", "sort_scratch"}}));
 
     const int s_unique = graph.addNode(withIo(core::Stage(
         "unique", profileOf("unique", nd),
@@ -238,8 +240,7 @@ octreeApp(OctreeConfig cfg)
                 ctx.task.view<std::uint32_t>("flags"), ctx.observer);
             ctx.task.setScalar("unique_count", k);
         }),
-        {{{"sorted", codeBytes}},
-         {{"unique", -1}, {"flags", -1}}}));
+        {{"sorted"}, {"unique", "flags"}}));
 
     auto uniqueCodes = [](core::TaskObject& task, std::int64_t k) {
         return task.view<const std::uint32_t>("unique").subspan(
@@ -259,14 +260,7 @@ octreeApp(OctreeConfig cfg)
                                        uniqueCodes(ctx.task, k), k,
                                        treeView(ctx.task, k));
         }),
-        {{{"unique", -1}},
-         {{"rt_left", -1},
-          {"rt_right", -1},
-          {"rt_parent", -1},
-          {"rt_leafparent", -1},
-          {"rt_prefixlen", -1},
-          {"rt_first", -1},
-          {"rt_last", -1}}}));
+        {{"unique"}, kTreeBuffers}));
 
     const int s_edges = graph.addNode(withIo(core::Stage(
         "edge_count", profileOf("edge_count", nd),
@@ -282,14 +276,7 @@ octreeApp(OctreeConfig cfg)
                 deviceExec(ctx), treeView(ctx.task, k), k,
                 ctx.task.view<std::uint32_t>("counts"));
         }),
-        {{{"rt_left", -1},
-          {"rt_right", -1},
-          {"rt_parent", -1},
-          {"rt_leafparent", -1},
-          {"rt_prefixlen", -1},
-          {"rt_first", -1},
-          {"rt_last", -1}},
-         {{"counts", -1}}}));
+        {kTreeBuffers, {"counts"}}));
 
     const int s_scan = graph.addNode(withIo(core::Stage(
         "prefix_sum", profileOf("prefix_sum", nd),
@@ -315,7 +302,7 @@ octreeApp(OctreeConfig cfg)
             ctx.task.setScalar("oct_total",
                                static_cast<std::int64_t>(total));
         }),
-        {{{"counts", -1}}, {{"offsets", -1}}}));
+        {{"counts"}, {"offsets"}}));
 
     auto buildBody = [uniqueCodes](core::KernelCtx& ctx, bool gpu) {
         const std::int64_t k = ctx.task.scalar("unique_count");
@@ -343,22 +330,9 @@ octreeApp(OctreeConfig cfg)
             "build_octree", profileOf("build_octree", nd),
             [buildBody](core::KernelCtx& ctx) { buildBody(ctx, false); },
             [buildBody](core::KernelCtx& ctx) { buildBody(ctx, true); }),
-        {{{"unique", -1},
-          {"rt_left", -1},
-          {"rt_right", -1},
-          {"rt_parent", -1},
-          {"rt_leafparent", -1},
-          {"rt_prefixlen", -1},
-          {"rt_first", -1},
-          {"rt_last", -1},
-          {"counts", -1},
-          {"offsets", -1}},
-         {{"oct_prefix", -1},
-          {"oct_level", -1},
-          {"oct_parent", -1},
-          {"oct_childmask", -1},
-          {"oct_first", -1},
-          {"oct_count", -1}}}));
+        {{"unique", "rt_left", "rt_right", "rt_parent", "rt_leafparent",
+          "rt_prefixlen", "rt_first", "rt_last", "counts", "offsets"},
+         kOctreeBuffers}));
 
     // Pipeline chain plus the extra data dependencies of the final
     // stage (paper Sec. 3.1: it reads stages 3, 4 and 6 directly).
@@ -372,33 +346,8 @@ octreeApp(OctreeConfig cfg)
     graph.addEdge(s_tree, s_build);
     std::move(graph).linearizeInto(app);
 
-    // TaskObject layout: every buffer pre-allocated at worst case.
-    app.setTaskFactory([cfg, n](std::int64_t task_index,
-                                std::uint64_t seed) {
-        auto task = std::make_unique<core::TaskObject>();
-        const auto nu = static_cast<std::size_t>(n);
-        task->addBuffer("points", 3 * nu * sizeof(float));
-        for (const char* name : {"morton", "sorted", "sort_scratch",
-                                 "unique", "flags"})
-            task->addBuffer(name, nu * sizeof(std::uint32_t));
-        for (const char* name : {"rt_left", "rt_right", "rt_parent",
-                                 "rt_leafparent", "rt_prefixlen",
-                                 "rt_first", "rt_last"})
-            task->addBuffer(name, nu * sizeof(std::int32_t));
-        for (const char* name : {"counts", "offsets"})
-            task->addBuffer(name, 2 * nu * sizeof(std::uint32_t));
-        const auto max_nodes = static_cast<std::size_t>(
-            kernels::maxOctreeNodes(n));
-        for (const char* name : {"oct_prefix", "oct_level",
-                                 "oct_parent", "oct_childmask",
-                                 "oct_first", "oct_count"})
-            task->addBuffer(name, max_nodes * sizeof(std::uint32_t));
-        fillPoints(*task, cfg, task_index, seed);
-        return task;
-    });
-    app.setTaskRefresher([cfg](core::TaskObject& task,
-                               std::int64_t task_index,
-                               std::uint64_t seed) {
+    app.setTaskInput([cfg](core::TaskObject& task,
+                           std::int64_t task_index, std::uint64_t seed) {
         fillPoints(task, cfg, task_index, seed);
     });
 

@@ -68,6 +68,8 @@ void
 Application::declareBuffer(BufferDecl decl)
 {
     BT_ASSERT(!decl.name.empty(), "buffer declaration needs a name");
+    BT_ASSERT(decl.bytes >= 0, "buffer ", decl.name,
+              " declares a negative size");
     for (const auto& d : buffers_)
         BT_ASSERT(d.name != decl.name, "buffer ", decl.name,
                   " declared twice");
@@ -93,11 +95,11 @@ Application::stage(int i) const
 std::unique_ptr<TaskObject>
 Application::makeTask(std::int64_t task_index, std::uint64_t seed) const
 {
-    BT_ASSERT(static_cast<bool>(factory_), "application ", name_,
-              " has no task factory");
-    auto task = factory_(task_index, seed);
-    BT_ASSERT(task != nullptr, "task factory returned null");
-    task->setTaskIndex(task_index);
+    auto task = std::make_unique<TaskObject>();
+    for (const auto& d : buffers_)
+        if (!d.shared)
+            task->addBuffer(d.name, static_cast<std::size_t>(d.bytes));
+    refreshTask(*task, task_index, seed);
     return task;
 }
 
@@ -105,10 +107,9 @@ void
 Application::refreshTask(TaskObject& task, std::int64_t task_index,
                          std::uint64_t seed) const
 {
-    BT_ASSERT(static_cast<bool>(refresher_), "application ", name_,
-              " has no task refresher");
     task.reset();
-    refresher_(task, task_index, seed);
+    if (input_)
+        input_(task, task_index, seed);
     task.setTaskIndex(task_index);
 }
 

@@ -39,38 +39,34 @@ struct KernelCtx
 using KernelFn = std::function<void(KernelCtx&)>;
 
 /**
- * One declared buffer access of a stage. Kernels are opaque closures,
- * so the runtime cannot see what they touch; stages that *declare*
- * their reads/writes here become statically analyzable by bt::lint
- * (def-before-use, dead outputs, size mismatches) without executing.
+ * Declared IO of one stage: the TaskObject buffers it reads and writes
+ * (empty = undeclared, lint skips it). Kernels are opaque closures, so
+ * the runtime cannot see what they touch; stages that *declare* their
+ * reads/writes here become statically analyzable by bt::lint
+ * (def-before-use, dead outputs) without executing.
  */
-struct BufferAccess
-{
-    std::string name;        ///< TaskObject buffer name
-    std::int64_t bytes = -1; ///< bytes touched; -1 = data-dependent
-};
-
-/** Declared IO of one stage (empty = undeclared, lint skips it). */
 struct StageIo
 {
-    std::vector<BufferAccess> reads;
-    std::vector<BufferAccess> writes;
+    std::vector<std::string> reads;
+    std::vector<std::string> writes;
 
     bool empty() const { return reads.empty() && writes.empty(); }
 };
 
 /**
  * Declared TaskObject buffer of an application: its size and its role
- * in the task lifecycle. `input` buffers are filled by the task
- * factory/refresher, `output` buffers are consumed by the validator or
- * the caller, `scratch` buffers are stage-private workspace, and
- * `shared` marks state aliased across in-flight tasks (e.g. weights) -
- * which bt::lint flags as a hazard if any stage writes it.
+ * in the task lifecycle. Application::makeTask allocates every
+ * declaration but the `shared` ones, zero-filled at `bytes`. `input`
+ * buffers are filled by the task input callback, `output` buffers are
+ * consumed by the validator or the caller, `scratch` buffers are
+ * stage-private workspace, and `shared` marks state aliased across
+ * in-flight tasks (e.g. weights), kept outside the TaskObject - which
+ * bt::lint flags as a hazard if any stage writes it.
  */
 struct BufferDecl
 {
     std::string name;
-    std::int64_t bytes = -1; ///< allocation size; -1 = data-dependent
+    std::int64_t bytes = 0; ///< allocation size, at least 0
     bool input = false;
     bool output = false;
     bool scratch = false;
@@ -115,15 +111,12 @@ class Stage
     StageIo io_;
 };
 
-/** Creates a fresh TaskObject carrying streaming input @p task_index. */
-using TaskFactory = std::function<std::unique_ptr<TaskObject>(
-    std::int64_t task_index, std::uint64_t seed)>;
-
 /**
- * Regenerate the *input* of a recycled TaskObject for a new task index
- * without reallocating its buffers.
+ * Fill the *input* buffers of a TaskObject for streaming input
+ * @p task_index: of a freshly allocated one (makeTask) and of a
+ * recycled one (refreshTask), without reallocating its buffers.
  */
-using TaskRefresher
+using TaskInput
     = std::function<void(TaskObject&, std::int64_t task_index,
                          std::uint64_t seed)>;
 
@@ -131,8 +124,9 @@ using TaskRefresher
 using TaskValidator = std::function<std::string(const TaskObject&)>;
 
 /**
- * A streaming application: an ordered list of stages plus factories for
- * its TaskObjects. Chunks of contiguous stages are the scheduling unit.
+ * A streaming application: an ordered list of stages plus the declared
+ * layout and input of its TaskObjects. Chunks of contiguous stages are
+ * the scheduling unit.
  */
 class Application
 {
@@ -155,11 +149,12 @@ class Application
      *  application's copies and the traces of its runs. */
     const auto& stageNames() const { return stageNames_; }
 
-    void setTaskFactory(TaskFactory f) { factory_ = std::move(f); }
-    void setTaskRefresher(TaskRefresher f) { refresher_ = std::move(f); }
+    /** Set the input callback (none: tasks keep zero-filled buffers). */
+    void setTaskInput(TaskInput f) { input_ = std::move(f); }
     void setValidator(TaskValidator f) { validator_ = std::move(f); }
 
-    /** Declare one TaskObject buffer (static metadata for bt::lint). */
+    /** Declare one TaskObject buffer: its allocation and its bt::lint
+     *  metadata. */
     void declareBuffer(BufferDecl decl);
 
     const std::vector<BufferDecl>& buffers() const { return buffers_; }
@@ -167,7 +162,8 @@ class Application
     /** Any static IO metadata at all (buffer decls or stage IO)? */
     bool hasIoDeclarations() const;
 
-    /** Create the TaskObject for @p task_index. */
+    /** Allocate the declared buffers of a TaskObject and fill its
+     *  input for @p task_index. */
     std::unique_ptr<TaskObject> makeTask(std::int64_t task_index,
                                          std::uint64_t seed) const;
 
@@ -185,8 +181,7 @@ class Application
     std::vector<Stage> stages_;
     std::shared_ptr<const std::vector<std::string>> stageNames_;
     std::vector<BufferDecl> buffers_;
-    TaskFactory factory_;
-    TaskRefresher refresher_;
+    TaskInput input_;
     TaskValidator validator_;
 };
 

@@ -56,7 +56,9 @@ PlannerSpec::fingerprint() const
         mix(static_cast<std::uint64_t>(pu));
     mixDouble(contention.ambientGbps);
     mixDouble(contention.budgetGbps);
-    mix(contention.realTime ? 1 : 0);
+    // The former real-time flag keeps its position at its one value: a
+    // real-time tenant now plans at ambientGbps 0 (Service::ambientFor).
+    mix(0);
     // The engine rule and the annealing knobs: which engine runs, and
     // so whether the knobs matter, follows from the space size.
     mix(exactSpaceLimit);
@@ -272,7 +274,7 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
                      const ProfilingTable& table_, PlannerSpec spec)
     : soc(soc_), table(table_), config(std::move(spec)), powerModel(soc_),
       contention_(config.contentionProfile),
-      bucket_(contention_ != nullptr && !config.contention.realTime
+      bucket_(contention_ != nullptr
                   ? powerModel.contention().bucketOf(
                       config.contention.ambientGbps)
                   : 0)

@@ -148,13 +148,6 @@ struct PlannerSpec
          * producing an empty candidate list.
          */
         double budgetGbps = 0.0;
-
-        /**
-         * Real-time tenant: its slices are throttle-protected by the
-         * serving layer (co-runners absorb the degradation), so it
-         * plans at ambient bucket 0 regardless of ambientGbps.
-         */
-        bool realTime = false;
     };
     Contention contention;
 

@@ -5,6 +5,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "runtime/pipeline_session.hpp"
 
 namespace bt::core {
 
@@ -70,14 +71,11 @@ Profiler::profile(const Application& app) const
     stage_names.reserve(static_cast<std::size_t>(app.numStages()));
     for (const auto& s : app.stages())
         stage_names.push_back(s.name());
-    std::vector<std::string> pu_labels;
-    pu_labels.reserve(static_cast<std::size_t>(soc.numPus()));
-    for (const auto& p : soc.pus)
-        pu_labels.push_back(p.label);
+    const auto pu_labels = runtime::puNames(soc);
 
     ProfileResult result;
-    result.isolated = ProfilingTable(stage_names, pu_labels);
-    result.interference = ProfilingTable(stage_names, pu_labels);
+    result.isolated = ProfilingTable(stage_names, *pu_labels);
+    result.interference = ProfilingTable(stage_names, *pu_labels);
 
     std::vector<platform::WorkProfile> works;
     works.reserve(static_cast<std::size_t>(app.numStages()));

@@ -39,6 +39,7 @@ class TaskObject
 
     /** Whether a buffer called @p name exists. */
     bool hasBuffer(const std::string& name) const;
+    std::size_t numBuffers() const { return buffers.size(); }
 
     /** Look up a buffer; panics on unknown names (programming error). */
     UsmBuffer& buffer(const std::string& name);

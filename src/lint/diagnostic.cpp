@@ -15,7 +15,6 @@ diagnosticKindName(DiagnosticKind kind)
     switch (kind) {
     case DiagnosticKind::UseBeforeDef: return "use_before_def";
     case DiagnosticKind::DeadOutput: return "dead_output";
-    case DiagnosticKind::SizeMismatch: return "size_mismatch";
     case DiagnosticKind::AliasHazard: return "alias_hazard";
     case DiagnosticKind::UnknownBuffer: return "unknown_buffer";
     case DiagnosticKind::NoIoDeclarations: return "no_io_declarations";

@@ -33,7 +33,6 @@ enum class DiagnosticKind
     // Pass 1: graph/buffer analysis over declared stage IO.
     UseBeforeDef,     ///< stage reads a buffer no earlier stage defines
     DeadOutput,       ///< buffer written but never consumed
-    SizeMismatch,     ///< producer/consumer disagree on buffer bytes
     AliasHazard,      ///< cross-task shared buffer written by a stage
     UnknownBuffer,    ///< stage IO names an undeclared buffer
     NoIoDeclarations, ///< app has no static IO metadata (pass skipped)

@@ -68,25 +68,15 @@ lintApplication(const core::Application& app)
         bool defined = false; ///< input/shared, or written already
         int firstWriter = -1;
         bool read = false;
-        std::vector<int> touchers;         ///< stages reading/writing
-        std::vector<std::int64_t> sizes;   ///< distinct declared bytes
+        std::vector<int> touchers; ///< stages reading/writing
     };
     std::vector<Usage> usage(decls.size());
-    for (std::size_t i = 0; i < decls.size(); ++i) {
+    for (std::size_t i = 0; i < decls.size(); ++i)
         usage[i].defined = decls[i].input || decls[i].shared;
-        if (decls[i].bytes >= 0)
-            usage[i].sizes.push_back(decls[i].bytes);
-    }
 
     const auto touch = [](Usage& u, int stage) {
         if (u.touchers.empty() || u.touchers.back() != stage)
             u.touchers.push_back(stage);
-    };
-    const auto size = [](Usage& u, std::int64_t bytes) {
-        if (bytes >= 0
-            && std::find(u.sizes.begin(), u.sizes.end(), bytes)
-                == u.sizes.end())
-            u.sizes.push_back(bytes);
     };
 
     for (int s = 0; s < app.numStages(); ++s) {
@@ -94,15 +84,15 @@ lintApplication(const core::Application& app)
         // Writes first: a stage's own writes define its later reads
         // (scratch fill-then-use within one kernel).
         for (const auto& w : stage.io().writes) {
-            const int b = declIndex(w.name);
+            const int b = declIndex(w);
             if (b < 0) {
                 Diagnostic d = diag(
                     DiagnosticKind::UnknownBuffer, Severity::Error,
                     app.name(),
-                    msg("stage writes undeclared buffer '", w.name,
+                    msg("stage writes undeclared buffer '", w,
                         "'; add an Application::declareBuffer entry"));
                 d.stage = s;
-                d.buffer = w.name;
+                d.buffer = w;
                 r.diagnostics.push_back(std::move(d));
                 continue;
             }
@@ -111,18 +101,17 @@ lintApplication(const core::Application& app)
                 u.firstWriter = s;
             u.defined = true;
             touch(u, s);
-            size(u, w.bytes);
         }
         for (const auto& rd : stage.io().reads) {
-            const int b = declIndex(rd.name);
+            const int b = declIndex(rd);
             if (b < 0) {
                 Diagnostic d = diag(
                     DiagnosticKind::UnknownBuffer, Severity::Error,
                     app.name(),
-                    msg("stage reads undeclared buffer '", rd.name,
+                    msg("stage reads undeclared buffer '", rd,
                         "'; add an Application::declareBuffer entry"));
                 d.stage = s;
-                d.buffer = rd.name;
+                d.buffer = rd;
                 r.diagnostics.push_back(std::move(d));
                 continue;
             }
@@ -131,17 +120,16 @@ lintApplication(const core::Application& app)
                 Diagnostic d = diag(
                     DiagnosticKind::UseBeforeDef, Severity::Error,
                     app.name(),
-                    msg("stage reads buffer '", rd.name,
+                    msg("stage reads buffer '", rd,
                         "' before any stage writes it and it is not "
                         "a task input; mark the declaration input "
                         "or fix the stage order"));
                 d.stage = s;
-                d.buffer = rd.name;
+                d.buffer = rd;
                 r.diagnostics.push_back(std::move(d));
             }
             u.read = true;
             touch(u, s);
-            size(u, rd.bytes);
         }
     }
 
@@ -168,20 +156,6 @@ lintApplication(const core::Application& app)
                     "stages of in-flight tasks alias one allocation - "
                     "make it per-task or read-only"));
             g.stage = u.firstWriter;
-            g.buffer = d.name;
-            r.diagnostics.push_back(std::move(g));
-        }
-        if (u.sizes.size() >= 2) {
-            std::ostringstream sizes;
-            for (std::size_t k = 0; k < u.sizes.size(); ++k)
-                sizes << (k ? ", " : "") << u.sizes[k];
-            Diagnostic g = diag(
-                DiagnosticKind::SizeMismatch, Severity::Error,
-                app.name(),
-                msg("buffer '", d.name,
-                    "' has conflicting declared sizes {", sizes.str(),
-                    "} bytes across its declaration and stage "
-                    "accesses"));
             g.buffer = d.name;
             r.diagnostics.push_back(std::move(g));
         }

@@ -14,8 +14,7 @@
  * Five pass families (see docs/LINT.md for the diagnostic catalog):
  *
  *  1. lintApplication - def-before-use over declared stage IO, dead
- *     outputs, producer/consumer size mismatches, cross-task alias
- *     hazards;
+ *     outputs, cross-task alias hazards;
  *  2. lintSchedule - chunk coverage/overlap/contiguity, unknown PUs,
  *     assignments outside allowedPus;
  *  3. lintRunConfig - bounded-queue capacities that can wedge the

@@ -43,7 +43,7 @@ sleepSeconds(double s)
 } // namespace
 
 HostTimeBackend::HostTimeBackend(const platform::SocDescription& soc)
-    : soc_(soc)
+    : soc_(soc), puNames_(puNames(soc))
 {
 }
 
@@ -54,7 +54,7 @@ HostTimeBackend::run(const core::Application& app,
 {
     cfg.requireInRange(app.numStages(), soc_.numPus());
 
-    PipelineSession session(app, schedule, soc_, cfg, "host",
+    PipelineSession session(app, schedule, soc_, puNames_, cfg, "host",
                             /*functional=*/true);
     const int num_chunks = session.numChunks();
     const int num_buffers = session.numBuffers();

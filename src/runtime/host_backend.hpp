@@ -42,6 +42,7 @@ class HostTimeBackend
 
   private:
     const platform::SocDescription& soc_;
+    const TraceTimeline::NameTable puNames_; ///< soc_'s, for traces
 };
 
 } // namespace bt::runtime

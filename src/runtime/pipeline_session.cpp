@@ -6,13 +6,12 @@
 
 namespace bt::runtime {
 
-std::vector<std::string>
+TraceTimeline::NameTable
 puNames(const platform::SocDescription& soc)
 {
-    std::vector<std::string> names;
-    names.reserve(soc.pus.size());
+    auto names = std::make_shared<std::vector<std::string>>();
     for (const auto& p : soc.pus)
-        names.push_back(p.label);
+        names->push_back(p.label);
     return names;
 }
 
@@ -67,18 +66,21 @@ finalizeTiming(RunResult& result, std::span<const double> inject_time,
 PipelineSession::PipelineSession(const core::Application& app,
                                  const core::Schedule& schedule,
                                  const platform::SocDescription& soc,
+                                 TraceTimeline::NameTable pu_names,
                                  const RunConfig& cfg,
                                  std::string backend_name,
                                  bool functional)
     : PipelineSession(app,
                       chunkSpecs(schedule, app.numStages(), soc.numPus()),
-                      soc, cfg, std::move(backend_name), functional)
+                      soc, std::move(pu_names), cfg,
+                      std::move(backend_name), functional)
 {
 }
 
 PipelineSession::PipelineSession(const core::Application& app,
                                  std::vector<ChunkSpec> slots,
                                  const platform::SocDescription& soc,
+                                 TraceTimeline::NameTable pu_names,
                                  const RunConfig& cfg,
                                  std::string backend_name,
                                  bool functional)
@@ -96,10 +98,8 @@ PipelineSession::PipelineSession(const core::Application& app,
     completeTime_.assign(static_cast<std::size_t>(cfg_.numTasks), 0.0);
 
     if (cfg_.recordTrace) {
-        trace_ = TraceTimeline(
-            std::move(backend_name), soc.numPus(),
-            std::make_shared<const std::vector<std::string>>(puNames(soc)),
-            app.stageNames());
+        trace_ = TraceTimeline(std::move(backend_name), soc.numPus(),
+                               std::move(pu_names), app.stageNames());
         trace_.setSessionId(cfg_.sessionId);
         trace_.reserve(static_cast<std::size_t>(cfg_.numTasks)
                        * static_cast<std::size_t>(app.numStages()));

@@ -54,6 +54,7 @@ class PipelineSession
   public:
     /**
      * One slot per chunk of @p schedule.
+     * @param pu_names puNames(soc), built once by the backend.
      * @param functional whether TaskObjects exist and stage kernels
      *        actually run (host backend: always; virtual backend: the
      *        runKernels knob).
@@ -61,6 +62,7 @@ class PipelineSession
     PipelineSession(const core::Application& app,
                     const core::Schedule& schedule,
                     const platform::SocDescription& soc,
+                    TraceTimeline::NameTable pu_names,
                     const RunConfig& cfg, std::string backend_name,
                     bool functional);
 
@@ -69,6 +71,7 @@ class PipelineSession
     PipelineSession(const core::Application& app,
                     std::vector<ChunkSpec> slots,
                     const platform::SocDescription& soc,
+                    TraceTimeline::NameTable pu_names,
                     const RunConfig& cfg, std::string backend_name,
                     bool functional);
 
@@ -163,8 +166,8 @@ class PipelineSession
     std::mutex traceMutex_;
 };
 
-/** The PU labels of @p soc, in class order. */
-std::vector<std::string> puNames(const platform::SocDescription& soc);
+/** The PU labels of @p soc, in class order, as one shared table. */
+TraceTimeline::NameTable puNames(const platform::SocDescription& soc);
 
 } // namespace bt::runtime
 

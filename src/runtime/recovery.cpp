@@ -50,7 +50,7 @@ core::ProfilingTable
 modelTable(const platform::PerfModel& model,
            const core::Application& app)
 {
-    core::ProfilingTable table(*app.stageNames(), puNames(model.soc()));
+    core::ProfilingTable table(*app.stageNames(), *puNames(model.soc()));
     for (int s = 0; s < app.numStages(); ++s)
         for (int p = 0; p < model.soc().numPus(); ++p)
             table.set(s, p,

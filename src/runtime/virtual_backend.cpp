@@ -781,12 +781,12 @@ class DesRun
 } // namespace
 
 VirtualTimeBackend::VirtualTimeBackend(const platform::PerfModel& model)
-    : model_(model)
+    : model_(model), puNames_(puNames(model.soc()))
 {
 }
 
 VirtualTimeBackend::VirtualTimeBackend(const VirtualTimeBackend& other)
-    : model_(other.model_)
+    : model_(other.model_), puNames_(other.puNames_)
 {
 }
 
@@ -851,8 +851,8 @@ VirtualTimeBackend::run(const core::Application& app,
                         const RunConfig& cfg) const
 {
     cfg.requireInRange(app.numStages(), model_.soc().numPus());
-    PipelineSession session(app, schedule, model_.soc(), cfg, "virtual",
-                            cfg.runKernels);
+    PipelineSession session(app, schedule, model_.soc(), puNames_, cfg,
+                            "virtual", cfg.runKernels);
     return simulate(app, session, nullptr);
 }
 
@@ -873,8 +873,8 @@ VirtualTimeBackend::run(const core::Application& app,
     std::vector<ChunkSpec> slots;
     for (int p = 0; p < soc.numPus(); ++p)
         slots.push_back(ChunkSpec{p, 0, app.numStages() - 1, p});
-    PipelineSession session(app, std::move(slots), soc, cfg, "greedy",
-                            cfg.runKernels);
+    PipelineSession session(app, std::move(slots), soc, puNames_, cfg,
+                            "greedy", cfg.runKernels);
     return simulate(app, session, &greedy);
 }
 

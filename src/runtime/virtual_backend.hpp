@@ -98,6 +98,7 @@ class VirtualTimeBackend
     static constexpr std::size_t kKeptMemos = 16;
 
     const platform::PerfModel& model_;
+    const TraceTimeline::NameTable puNames_; ///< the model's, for traces
 
     mutable std::mutex memoMutex_; ///< guards memos_
     /** Memos not held by a run, least recently used first. */

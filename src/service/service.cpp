@@ -103,18 +103,12 @@ Service::registerApp(core::Application app, TenantOptions opts)
     return true;
 }
 
-bool
-Service::tenantRealTime(const std::string& app_name) const
-{
-    const auto it = tenantOpts_.find(app_name);
-    return it != tenantOpts_.end() && it->second.realTime;
-}
-
 double
 Service::ambientFor(const std::string& app_name, int groups) const
 {
-    if (!cfg_.contentionAware || groups <= 1
-        || tenantRealTime(app_name))
+    const auto it = tenantOpts_.find(app_name);
+    const bool real_time = it != tenantOpts_.end() && it->second.realTime;
+    if (!cfg_.contentionAware || groups <= 1 || real_time)
         return 0.0;
     const double roofline = model().contention().rooflineGbps();
     return roofline * static_cast<double>(groups - 1)
@@ -166,7 +160,6 @@ Service::plannerSpecFor(const std::string& app_name, int lease_group,
         const double roofline = model().contention().rooflineGbps();
         spec.contention.budgetGbps
             = roofline / static_cast<double>(lease_groups);
-        spec.contention.realTime = tenantRealTime(app_name);
         spec.contention.ambientGbps
             = ambientFor(app_name, lease_groups);
     }

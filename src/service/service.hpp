@@ -260,7 +260,6 @@ class Service
     void workerLoop(int worker_index);
     void serve(Pending pending, int worker_index);
     const core::Application& appOf(const std::string& name) const;
-    bool tenantRealTime(const std::string& app_name) const;
 
     /**
      * Deterministic equal-share ambient policy: the DRAM demand a

@@ -377,38 +377,6 @@ TEST_F(ContentionRig, DefaultContentionConfigIsByteIdentical)
     }
 }
 
-TEST_F(ContentionRig, RealTimeTenantPlansAtBucketZero)
-{
-    PlannerSpec ambient;
-    ambient.contention.budgetGbps = 5.0;
-    ambient.contention.ambientGbps = 5.0;
-    ambient.contentionProfile = &result.contention;
-    PlannerSpec rt = ambient;
-    rt.contention.realTime = true;
-    PlannerSpec quiet;
-    quiet.contention.budgetGbps = 5.0;
-    quiet.contentionProfile = &result.contention;
-
-    Optimizer rtOpt(soc, result.interference, rt);
-    Optimizer quietOpt(soc, result.interference, quiet);
-    Optimizer ambientOpt(soc, result.interference, ambient);
-    const auto rtCands = rtOpt.optimize();
-    const auto quietCands = quietOpt.optimize();
-    const auto ambientCands = ambientOpt.optimize();
-
-    // Real-time: ambient is ignored, so the plan equals the quiet one.
-    ASSERT_EQ(rtCands.size(), quietCands.size());
-    for (std::size_t i = 0; i < rtCands.size(); ++i) {
-        EXPECT_EQ(rtCands[i].schedule, quietCands[i].schedule);
-        EXPECT_DOUBLE_EQ(rtCands[i].predictedLatency,
-                         quietCands[i].predictedLatency);
-    }
-    // A best-effort tenant under the same ambient predicts slower
-    // (memory-bound fixture: the stretch is real).
-    EXPECT_GT(ambientCands.front().predictedLatency,
-              quietCands.front().predictedLatency);
-}
-
 // ---------------------------------------------------------------------
 // Service: contention-aware two-tenant planning.
 

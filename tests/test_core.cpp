@@ -96,6 +96,33 @@ TEST(TaskObject, ResetKeepsBuffersDropsScalars)
     EXPECT_EQ(task.taskIndex(), -1);
 }
 
+TEST(Application, MakeTaskAllocatesDeclaredBuffersButNotSharedOnes)
+{
+    Application app("decl", "fixture", "");
+    app.declareBuffer({"in", 64, /*input=*/true});
+    app.declareBuffer({"empty", 0});
+    app.declareBuffer({"weights", 4096, false, false, false,
+                       /*shared=*/true});
+    app.setTaskInput([](TaskObject& task, std::int64_t index,
+                        std::uint64_t seed) {
+        EXPECT_EQ(task.view<std::uint8_t>("in")[1], 0); // zero-filled
+        task.view<std::uint8_t>("in")[0]
+            = static_cast<std::uint8_t>(index + seed);
+    });
+    const auto task = app.makeTask(3, 4);
+    EXPECT_EQ(task->numBuffers(), 2u);
+    EXPECT_EQ(task->buffer("in").sizeBytes(), 64u);
+    EXPECT_TRUE(task->buffer("empty").empty());
+    EXPECT_FALSE(task->hasBuffer("weights")); // kept outside the task
+    EXPECT_EQ(task->view<std::uint8_t>("in")[0], 7);
+    EXPECT_EQ(task->taskIndex(), 3);
+
+    // No input callback: a task of zero-filled declared buffers.
+    Application bare("bare", "fixture", "");
+    bare.declareBuffer({"x", 16});
+    EXPECT_EQ(bare.makeTask(0, 0)->view<std::uint8_t>("x")[15], 0);
+}
+
 TEST(Stage, GpuFallsBackToCpuKernel)
 {
     int cpu_runs = 0;
@@ -352,7 +379,7 @@ TEST(Applications, SparseConvHasFewerFlopsThanDense)
               dense.stage(2).work().flops * 0.05);
 }
 
-TEST(Applications, TaskFactoryProducesRefreshableTasks)
+TEST(Applications, MakeTaskProducesRefreshableTasks)
 {
     const auto app = apps::alexnetDense(apps::AlexNetConfig{.batch = 1});
     auto task = app.makeTask(0, 99);

@@ -33,11 +33,6 @@ syntheticApp(int stages)
         app.addStage(Stage("s" + std::to_string(i), w,
                            [](KernelCtx&) {}, nullptr));
     }
-    app.setTaskFactory([](std::int64_t, std::uint64_t) {
-        return std::make_unique<TaskObject>();
-    });
-    app.setTaskRefresher([](TaskObject&, std::int64_t, std::uint64_t) {
-    });
     return app;
 }
 

@@ -89,17 +89,10 @@ exactlyOnceApp(std::uint64_t device_seed)
     add("b", mapB);
     add("c", mapC);
 
-    app.setTaskFactory([](std::int64_t task, std::uint64_t seed) {
-        auto obj = std::make_unique<TaskObject>();
-        obj->addBuffer("data", kElems * sizeof(std::uint32_t));
-        auto data = obj->view<std::uint32_t>("data");
-        for (int i = 0; i < kElems; ++i)
-            data[static_cast<std::size_t>(i)] = seedInput(seed, task, i);
-        return obj;
-    });
-    app.setTaskRefresher(
+    app.declareBuffer(
+        {"data", kElems * sizeof(std::uint32_t), /*input=*/true});
+    app.setTaskInput(
         [](TaskObject& obj, std::int64_t task, std::uint64_t seed) {
-            obj.setTaskIndex(task);
             auto data = obj.view<std::uint32_t>("data");
             for (int i = 0; i < kElems; ++i)
                 data[static_cast<std::size_t>(i)]

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/alexnet.hpp"
+#include "apps/features.hpp"
 #include "apps/octree_app.hpp"
 #include "bt.hpp"
 #include "common/json.hpp"
@@ -34,7 +35,6 @@ namespace bt {
 namespace {
 
 using core::Application;
-using core::BufferAccess;
 using core::KernelCtx;
 using core::Stage;
 using core::StageIo;
@@ -69,10 +69,8 @@ cleanApp()
     app.declareBuffer({"in", 4096, /*input=*/true});
     app.declareBuffer({"mid", 4096});
     app.declareBuffer({"out", 4096, false, /*output=*/true});
-    app.addStage(
-        ioStage("produce", {{{"in", 4096}}, {{"mid", 4096}}}));
-    app.addStage(
-        ioStage("consume", {{{"mid", 4096}}, {{"out", 4096}}}));
+    app.addStage(ioStage("produce", {{"in"}, {"mid"}}));
+    app.addStage(ioStage("consume", {{"mid"}, {"out"}}));
     return app;
 }
 
@@ -84,10 +82,8 @@ brokenApp()
     app.declareBuffer({"in", 4096, /*input=*/true});
     app.declareBuffer({"mid", 4096});
     app.declareBuffer({"out", 4096, false, /*output=*/true});
-    app.addStage(
-        ioStage("produce", {{{"in", 4096}}, {{"out", 4096}}}));
-    app.addStage(
-        ioStage("consume", {{{"mid", 4096}}, {{"out", 4096}}}));
+    app.addStage(ioStage("produce", {{"in"}, {"out"}}));
+    app.addStage(ioStage("consume", {{"mid"}, {"out"}}));
     return app;
 }
 
@@ -134,6 +130,7 @@ TEST(LintShippedApps, CleanOnEveryDeviceRig)
         apps.push_back(apps::alexnetDense());
         apps.push_back(apps::alexnetSparse());
         apps.push_back(apps::octreeApp());
+        apps.push_back(apps::featuresApp());
         return apps;
     }();
 
@@ -149,12 +146,41 @@ TEST(LintShippedApps, CleanOnEveryDeviceRig)
     }
 }
 
-TEST(LintShippedApps, DeclaredIoMatchesTheOctreeTaskLayout)
+// The declarations are the one statement of a TaskObject's layout:
+// makeTask allocates exactly the declared non-shared buffers, each at
+// its declared size, and lint analyzes that same table.
+TEST(LintShippedApps, MakeTaskAllocatesExactlyTheDeclaredBuffers)
 {
-    const auto report = lint::lintApplication(apps::octreeApp());
-    EXPECT_TRUE(report.clean());
-    EXPECT_EQ(report.stats.stages, 7);
-    EXPECT_EQ(report.stats.buffers, 21);
+    struct Shipped
+    {
+        core::Application app;
+        int stages;
+        int buffers;
+    };
+    const std::vector<Shipped> shipped
+        = {{apps::alexnetDense(), 9, 10},
+           {apps::alexnetSparse(), 9, 10},
+           {apps::octreeApp(), 7, 21},
+           {apps::featuresApp(), 7, 10}};
+    for (const auto& [app, stages, buffers] : shipped) {
+        const auto report = lint::lintApplication(app);
+        EXPECT_TRUE(report.clean()) << app.name();
+        EXPECT_EQ(report.stats.stages, stages) << app.name();
+        EXPECT_EQ(report.stats.buffers, buffers) << app.name();
+
+        // No shipped app declares a shared buffer, so every
+        // declaration is allocated.
+        const auto task = app.makeTask(0, 7);
+        EXPECT_EQ(task->numBuffers(), app.buffers().size()) << app.name();
+        for (const auto& decl : app.buffers()) {
+            ASSERT_FALSE(decl.shared) << app.name() << " " << decl.name;
+            ASSERT_TRUE(task->hasBuffer(decl.name))
+                << app.name() << " " << decl.name;
+            EXPECT_EQ(task->buffer(decl.name).sizeBytes(),
+                      static_cast<std::size_t>(decl.bytes))
+                << app.name() << " " << decl.name;
+        }
+    }
 }
 
 TEST(LintApplication, UndeclaredAppGetsOneInfoAndPasses)

@@ -670,7 +670,7 @@ oraclePlan(const platform::SocDescription& soc,
            const PlannerSpec& spec)
 {
     const platform::ContentionProfile* profile = spec.contentionProfile;
-    const int bucket = profile != nullptr && !spec.contention.realTime
+    const int bucket = profile != nullptr
         ? model.contention().bucketOf(spec.contention.ambientGbps)
         : 0;
     const std::int64_t budget = profile != nullptr

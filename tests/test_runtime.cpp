@@ -451,17 +451,10 @@ equivalenceApp(std::uint64_t device_seed,
     add("s1", stage1);
     add("s2", stage2);
 
-    app.setTaskFactory([](std::int64_t task, std::uint64_t seed) {
-        auto obj = std::make_unique<TaskObject>();
-        obj->addBuffer("data", kEquivElems * sizeof(std::uint32_t));
-        auto data = obj->view<std::uint32_t>("data");
-        for (int i = 0; i < kEquivElems; ++i)
-            data[static_cast<std::size_t>(i)] = mixInput(seed, task, i);
-        return obj;
-    });
-    app.setTaskRefresher(
+    app.declareBuffer(
+        {"data", kEquivElems * sizeof(std::uint32_t), /*input=*/true});
+    app.setTaskInput(
         [](TaskObject& obj, std::int64_t task, std::uint64_t seed) {
-            obj.setTaskIndex(task);
             auto data = obj.view<std::uint32_t>("data");
             for (int i = 0; i < kEquivElems; ++i)
                 data[static_cast<std::size_t>(i)]
@@ -932,10 +925,6 @@ teamProbeApp(int cpu_cores, int gpu_cores)
         };
         app.addStage(Stage(key, w, probe, probe));
     }
-    app.setTaskFactory([](std::int64_t, std::uint64_t) {
-        return std::make_unique<TaskObject>();
-    });
-    app.setTaskRefresher([](TaskObject&, std::int64_t, std::uint64_t) {});
     app.setValidator([cpu_cores, gpu_cores](const TaskObject& obj) {
         const auto seen = [&](const char* key) {
             return obj.hasScalar(key) ? obj.scalar(key) : -1;

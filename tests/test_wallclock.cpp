@@ -45,18 +45,10 @@ hostMemApp()
     app.addStage(Stage("ka", w, kernel, nullptr));
     app.addStage(Stage("kb", w, kernel, nullptr));
     app.addStage(Stage("kc", w, kernel, nullptr));
-    app.setTaskFactory([](std::int64_t task, std::uint64_t) {
-        auto obj = std::make_unique<TaskObject>();
-        obj->addBuffer("data", kHostElems * sizeof(std::uint32_t));
-        auto data = obj->view<std::uint32_t>("data");
-        for (int i = 0; i < kHostElems; ++i)
-            data[static_cast<std::size_t>(i)]
-                = static_cast<std::uint32_t>(task + i);
-        return obj;
-    });
-    app.setTaskRefresher(
+    app.declareBuffer(
+        {"data", kHostElems * sizeof(std::uint32_t), /*input=*/true});
+    app.setTaskInput(
         [](TaskObject& obj, std::int64_t task, std::uint64_t) {
-            obj.setTaskIndex(task);
             auto data = obj.view<std::uint32_t>("data");
             for (int i = 0; i < kHostElems; ++i)
                 data[static_cast<std::size_t>(i)]
