@@ -102,10 +102,10 @@ BM_Serve(benchmark::State& state, bool cached)
     BT_ASSERT(svc.registerApp(apps::octreeApp()));
     BT_ASSERT(svc.registerApp(apps::featuresApp()));
 
-    // One closed-loop round: submit the mix back-to-back, then drain.
     std::vector<double> round_rps;
     svc.start();
     for (auto _ : state) {
+        // One closed-loop round: submit the mix back-to-back, then drain.
         const auto t0 = Clock::now();
         int admitted = 0;
         for (int i = 0; i < kRequestsPerRound; ++i)

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
 #include "bt.hpp"
 #include "common/rng.hpp"

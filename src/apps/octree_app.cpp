@@ -24,13 +24,21 @@ using kernels::RadixTreeView;
 using platform::Pattern;
 using platform::WorkProfile;
 
-/** The radix tree's and the octree's SoA buffers. */
-const std::vector<std::string> kTreeBuffers{
-    "rt_left",      "rt_right", "rt_parent", "rt_leafparent",
-    "rt_prefixlen", "rt_first", "rt_last"};
-const std::vector<std::string> kOctreeBuffers{
-    "oct_prefix", "oct_level", "oct_parent",
-    "oct_childmask", "oct_first", "oct_count"};
+/** The radix tree's SoA buffers. */
+std::vector<std::string>
+treeBuffers()
+{
+    return {"rt_left",      "rt_right", "rt_parent", "rt_leafparent",
+            "rt_prefixlen", "rt_first", "rt_last"};
+}
+
+/** The octree's SoA buffers, the app's outputs. */
+std::vector<std::string>
+octreeBuffers()
+{
+    return {"oct_prefix",    "oct_level", "oct_parent",
+            "oct_childmask", "oct_first", "oct_count"};
+}
 
 /** Radix-tree SoA view over the task's pre-allocated buffers. */
 RadixTreeView
@@ -165,11 +173,11 @@ octreeApp(OctreeConfig cfg)
     app.declareBuffer({"unique", codeBytes});
     app.declareBuffer({"flags", codeBytes, false, false,
                        /*scratch=*/true});
-    for (const std::string& name : kTreeBuffers)
+    for (const std::string& name : treeBuffers())
         app.declareBuffer({name, codeBytes});
     app.declareBuffer({"counts", pairBytes});
     app.declareBuffer({"offsets", pairBytes});
-    for (const std::string& name : kOctreeBuffers)
+    for (const std::string& name : octreeBuffers())
         app.declareBuffer({name, nodeBytes, false, /*output=*/true});
 
     // Stages are declared as a task graph: the pipeline is mostly
@@ -260,7 +268,7 @@ octreeApp(OctreeConfig cfg)
                                        uniqueCodes(ctx.task, k), k,
                                        treeView(ctx.task, k));
         }),
-        {{"unique"}, kTreeBuffers}));
+        {{"unique"}, treeBuffers()}));
 
     const int s_edges = graph.addNode(withIo(core::Stage(
         "edge_count", profileOf("edge_count", nd),
@@ -276,7 +284,7 @@ octreeApp(OctreeConfig cfg)
                 deviceExec(ctx), treeView(ctx.task, k), k,
                 ctx.task.view<std::uint32_t>("counts"));
         }),
-        {kTreeBuffers, {"counts"}}));
+        {treeBuffers(), {"counts"}}));
 
     const int s_scan = graph.addNode(withIo(core::Stage(
         "prefix_sum", profileOf("prefix_sum", nd),
@@ -332,7 +340,7 @@ octreeApp(OctreeConfig cfg)
             [buildBody](core::KernelCtx& ctx) { buildBody(ctx, true); }),
         {{"unique", "rt_left", "rt_right", "rt_parent", "rt_leafparent",
           "rt_prefixlen", "rt_first", "rt_last", "counts", "offsets"},
-         kOctreeBuffers}));
+         octreeBuffers()}));
 
     // Pipeline chain plus the extra data dependencies of the final
     // stage (paper Sec. 3.1: it reads stages 3, 4 and 6 directly).

@@ -72,8 +72,7 @@ PipelineSession::PipelineSession(const core::Application& app,
                                  bool functional)
     : PipelineSession(app,
                       chunkSpecs(schedule, app.numStages(), soc.numPus()),
-                      soc, std::move(pu_names), cfg,
-                      std::move(backend_name), functional)
+                      soc, pu_names, cfg, std::move(backend_name), functional)
 {
 }
 

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <regex>
 #include <sstream>
 #include <string>

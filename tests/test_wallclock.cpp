@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/application.hpp"
